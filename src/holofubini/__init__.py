@@ -8,16 +8,15 @@ from .family import (HoloFamily, family_from_json, family_preset, preset_names,
                      unit_polydisc)
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
-from .measure import Atom, FiniteMeasureSpace, dual_exponent, space_from_json, space_preset
+from .measure import FiniteMeasureSpace, dual_exponent, space_from_json, space_preset
 from .theorems import (CheckReport, derivative_consistency, derivative_profile,
                        diff_under_integral, fubini_residual, linearization_residual,
-                       linearize, norm_bound_check, order_bound_check, schwarz_check,
-                       span_residual, telescoping_residual)
+                       norm_bound_check, order_bound_check, schwarz_check, span_residual,
+                       telescoping_residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "CheckReport",
     "FiniteMeasureSpace",
     "HoloFamily",
@@ -40,7 +39,6 @@ __all__ = [
     "fubini_residual",
     "functional_from_json",
     "linearization_residual",
-    "linearize",
     "norm_bound_check",
     "order_bound",
     "order_bound_check",

@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from .domain import Polydisc, as_multi_index, multi_factorial, torus_nodes
+from .domain import Polydisc, as_multi_index, multi_factorial, sample_polydisc, torus_nodes
 from .family import HoloFamily
 from .measure import FiniteMeasureSpace
 
@@ -156,10 +156,8 @@ def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int =
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
-    u = rng.random(samples)
-    theta = rng.random(samples) * 2.0 * np.pi
-    z = center + radius * np.sqrt(u) * np.exp(1j * theta)
+    z = sample_polydisc(Polydisc([center], [radius]), samples, 1.0,
+                        np.random.default_rng(seed))[:, 0]
 
     fa = complex(np.ravel(f(np.array([[center]])))[0])
     fz = np.ravel(f(z[:, None]))
@@ -194,11 +192,16 @@ class OrderBound:
 
 def _tail_from_degrees(shell: np.ndarray, degree: int, shrink: float, d: int) -> tuple[float, float, float]:
     # shell[s] = sum of radius-scaled coefficient magnitudes of total degree s <= degree
-    window = np.arange(int(math.ceil(2 * (degree + 1) / 3)), degree + 1)
+    start = int(math.ceil(2 * (degree + 1) / 3))
+    window = np.arange(start, degree + 1)
     if window.size == 0:
         return 0.0, 0.0, 0.0
-    values = shell[window]
     floor = max(1e-14 * float(shell.max(initial=0.0)), 1e-250)
+    if np.count_nonzero(shell[window] > floor) == 1:
+        # fast decay leaves one degree above the floor; the degree before the
+        # window supplies the second point of the rate
+        window = np.arange(start - 1, degree + 1)
+    values = shell[window]
     keep = values > floor
     if not keep.any():
         return 0.0, 0.0, 0.0
@@ -233,41 +236,25 @@ def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=N
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
     if center is None:
         center = fam.domain.center
-    center = np.atleast_1d(np.asarray(center, dtype=complex))
     if radii is None:
         radii = fam.domain.radius * 0.95
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    degree = int(degree)
-    if degree > MAX_TAYLOR_DEGREE:
-        raise ValueError(f"coefficient computation is limited to degree {MAX_TAYLOR_DEGREE}")
-    if n is None:
-        n = max(2 * degree + 2, 4)
-    if n <= 2 * degree:
-        raise ValueError(f"node count {n} risks aliasing: need n > {2 * degree}")
-
-    d = center.shape[0]
-    quad = torus_nodes(Polydisc(center, radii), n)
-    mesh = np.meshgrid(*quad.nodes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    samples = np.asarray(fam.eval(pts[..., None, :], space.params), dtype=complex)
-    coeffs = _fft_coefficients(samples, d, quad.n, radii, degree)
+    table = taylor_coefficients(lambda pts: fam.eval(pts[..., None, :], space.params),
+                                center, radii, degree, n)
+    d, degree, radii = table.d, table.degree, table.radii
 
     # radius-scaled magnitudes: gamma_m = |c_m| * prod_j r_j^{m_j}
     rad_scale = reduce(np.multiply.outer, [radii[j] ** np.arange(degree + 1) for j in range(d)])
-    gamma = np.abs(coeffs) * rad_scale[..., None]
+    gamma = np.abs(table.coeffs) * rad_scale[..., None]
     rho_scale = reduce(np.multiply.outer,
                        [shrink ** np.arange(degree + 1) for _ in range(d)])
     u = np.sum(gamma * rho_scale[..., None], axis=tuple(range(d)))
 
-    total_degree = sum(np.meshgrid(*[np.arange(degree + 1)] * d, indexing="ij"))
+    total_degree = sum(np.meshgrid(*[np.arange(degree + 1)] * d, indexing="ij")).ravel()
     tail = 0.0
     rate = 0.0
     scale = 0.0
-    for i in range(space.natoms):
-        shell = np.zeros(degree + 1)
-        g = gamma[..., i]
-        for s in range(degree + 1):
-            shell[s] = float(g[total_degree == s].sum())
+    for g in gamma.reshape(-1, space.natoms).T:
+        shell = np.bincount(total_degree, weights=g)[:degree + 1]
         t_i, q_i, c_i = _tail_from_degrees(shell, degree, shrink, d)
         if t_i > tail:
             tail, rate, scale = t_i, q_i, c_i

@@ -16,29 +16,129 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import theorems
+from .domain import parse_complex, sample_polydisc
 from .family import HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import FiniteMeasureSpace, space_from_json, space_preset
 from .theorems import CONTOUR_SHRINK, CheckReport
 
-CHECK_NAMES = (
-    "linearization",
-    "fubini",
-    "derivative_consistency",
-    "diff_under_integral",
-    "norm_bound",
-    "span",
-    "schwarz",
-    "telescoping",
-    "order_bound",
-    "derivative_profile",
-)
+def _identity_tol(config) -> float:
+    return config.tol if config.tol is not None else 1e-10
+
+
+def _worst_fubini(phi, fam, space, duals, p, tol):
+    """The fubini report with the largest residual over the dual vectors."""
+    reports = [theorems.fubini_residual(phi, fam, h, space, p, tol=tol) for h in duals]
+    return max(reports, key=lambda rep: rep.residual)
+
+
+def _profile_reports(fam, space, grid, n) -> list[CheckReport]:
+    """One finiteness report per derivative order 0..4 over the 0.9 sup grid."""
+    points = theorems.sup_grid(fam.domain, grid, 0.9)
+    local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
+    return [
+        CheckReport.build("derivative_profile", fam.label, "", prof.sup_integral,
+                          float(prof.profile.max()), 0.0 if prof.finite else math.inf, 0.0,
+                          alpha=[prof.order])
+        for prof in theorems.derivative_profile(fam, space, 4, list(points), local, n=n)
+    ]
+
+
+def _linearization(config, duals, rng):
+    for phi in config.functionals:
+        for p in config.p_list:
+            yield partial(theorems.linearization_residual, phi, config.family, config.space,
+                          duals[p], p=p, tol=_identity_tol(config))
+
+
+def _fubini(config, duals, rng):
+    for phi in config.functionals:
+        for p in config.p_list:
+            yield partial(_worst_fubini, phi, config.family, config.space, duals[p], p,
+                          config.tol)
+
+
+def _derivative_consistency(config, duals, rng):
+    fam = config.family
+    for alpha in _alpha_battery(fam.d):
+        for p in config.p_list:
+            yield partial(theorems.derivative_consistency, fam, config.space,
+                          fam.domain.center, alpha, fam.domain.radius * CONTOUR_SHRINK,
+                          n=config.n, p=p, tol=_identity_tol(config))
+
+
+def _diff_under_integral(config, duals, rng):
+    fam = config.family
+    for alpha in _alpha_battery(fam.d):
+        yield partial(theorems.diff_under_integral, fam, np.ones(config.space.natoms),
+                      config.space, fam.domain.center, alpha,
+                      fam.domain.radius * CONTOUR_SHRINK, n=config.n, tol=_identity_tol(config))
+
+
+def _norm_bound(config, duals, rng):
+    for phi in config.functionals:
+        for p in config.p_list:
+            yield partial(theorems.norm_bound_check, phi, config.family, config.space, p,
+                          grid_density=config.grid)
+
+
+def _span(config, duals, rng):
+    fam, space = config.family, config.space
+    for phi in config.functionals:
+        if fam.span_dim is not None:
+            samples = list(sample_polydisc(fam.domain, fam.span_dim, config.shrink, rng))
+            yield partial(theorems.span_residual, phi, fam, space, samples)
+        else:
+            k = min(8, space.natoms)
+            samples = list(sample_polydisc(fam.domain, k, config.shrink, rng))
+            more = sample_polydisc(fam.domain, k, config.shrink, rng)
+            yield partial(theorems.span_monotonicity, phi, fam, space, samples, more)
+
+
+def _schwarz(config, duals, rng):
+    if config.family.d == 1:
+        yield partial(theorems.schwarz_check, config.family, config.space, seed=config.seed)
+
+
+def _telescoping(config, duals, rng):
+    if config.family.d >= 2:
+        yield partial(theorems.telescoping_residual, config.family, config.space,
+                      sample_shrink=config.shrink, seed=config.seed)
+
+
+def _order_bound(config, duals, rng):
+    yield partial(theorems.order_bound_check, config.family, config.space,
+                  shrink=config.shrink, seed=config.seed)
+
+
+def _derivative_profile(config, duals, rng):
+    if config.family.d == 1:
+        yield partial(_profile_reports, config.family, config.space, config.grid, config.n)
+
+
+#: check name -> generator of the calls that run it, given (config, duals by p, rng).
+#: Checkers are looked up on ``theorems`` when a call is built, so rebinding them
+#: there (e.g. to trace them) reaches the battery.
+CHECKS = {
+    "linearization": _linearization,
+    "fubini": _fubini,
+    "derivative_consistency": _derivative_consistency,
+    "diff_under_integral": _diff_under_integral,
+    "norm_bound": _norm_bound,
+    "span": _span,
+    "schwarz": _schwarz,
+    "telescoping": _telescoping,
+    "order_bound": _order_bound,
+    "derivative_profile": _derivative_profile,
+}
+CHECK_NAMES = tuple(CHECKS)
 
 USAGE_ERROR = 2
 
@@ -114,13 +214,6 @@ def _random_duals(space: FiniteMeasureSpace, count: int, rng) -> list[np.ndarray
             for _ in range(count)]
 
 
-def _sample_in(fam: HoloFamily, count: int, shrink: float, rng) -> list[np.ndarray]:
-    radial = np.sqrt(rng.random((count, fam.d)))
-    angle = rng.random((count, fam.d)) * 2.0 * np.pi
-    pts = fam.domain.center + shrink * fam.domain.radius * radial * np.exp(1j * angle)
-    return list(pts)
-
-
 def _alpha_battery(d: int, max_total: int = 2):
     out = []
     for alpha in np.ndindex(*((max_total + 1,) * d)):
@@ -131,111 +224,18 @@ def _alpha_battery(d: int, max_total: int = 2):
 
 def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
-    fam, space = config.family, config.space
     rng = np.random.default_rng(config.seed)
-    duals_by_p = {p: _random_duals(space, config.duals, rng) for p in config.p_list}
-    contour = fam.domain.radius * CONTOUR_SHRINK
-    center = fam.domain.center
+    duals = {p: _random_duals(config.space, config.duals, rng) for p in config.p_list}
     reports: list[CheckReport] = []
-
-    def guarded(run, name):
-        try:
-            reports.append(run())
-        except (ValueError, ArithmeticError) as exc:
-            reports.append(CheckReport(
-                name=name, family=fam.label, functional="", params={"error": str(exc)},
-                lhs=math.inf, rhs=0.0, residual=math.inf, tol=0.0, passed=False,
-            ))
-
-    identity_tol = config.tol
-
-    if "linearization" in config.checks:
-        for phi in config.functionals:
-            for p in config.p_list:
-                tol = identity_tol if identity_tol is not None else 1e-10
-                guarded(lambda phi=phi, p=p, tol=tol: theorems.linearization_residual(
-                    phi, fam, space, duals_by_p[p], p=p, tol=tol), "linearization")
-
-    if "fubini" in config.checks:
-        for phi in config.functionals:
-            for p in config.p_list:
-                def run(phi=phi, p=p):
-                    worst = None
-                    for h in duals_by_p[p]:
-                        rep = theorems.fubini_residual(phi, fam, h, space, p,
-                                                       tol=identity_tol)
-                        if worst is None or rep.residual > worst.residual:
-                            worst = rep
-                    return worst
-                guarded(run, "fubini")
-
-    if "derivative_consistency" in config.checks:
-        for alpha in _alpha_battery(fam.d):
-            for p in config.p_list:
-                tol = identity_tol if identity_tol is not None else 1e-10
-                guarded(lambda alpha=alpha, p=p, tol=tol: theorems.derivative_consistency(
-                    fam, space, center, alpha, contour, n=config.n, p=p, tol=tol),
-                    "derivative_consistency")
-
-    if "diff_under_integral" in config.checks:
-        ones = np.ones(space.natoms)
-        for alpha in _alpha_battery(fam.d):
-            tol = identity_tol if identity_tol is not None else 1e-10
-            guarded(lambda alpha=alpha, tol=tol: theorems.diff_under_integral(
-                fam, ones, space, center, alpha, contour, n=config.n, tol=tol),
-                "diff_under_integral")
-
-    if "norm_bound" in config.checks:
-        for phi in config.functionals:
-            for p in config.p_list:
-                guarded(lambda phi=phi, p=p: theorems.norm_bound_check(
-                    phi, fam, space, p, grid_density=config.grid), "norm_bound")
-
-    if "span" in config.checks:
-        for phi in config.functionals:
-            if fam.span_dim is not None:
-                samples = _sample_in(fam, fam.span_dim, config.shrink, rng)
-                guarded(lambda phi=phi, samples=samples: theorems.span_residual(
-                    phi, fam, space, samples), "span")
-            else:
-                k = min(8, space.natoms)
-                samples = _sample_in(fam, k, config.shrink, rng)
-                more = _sample_in(fam, k, config.shrink, rng)
-                guarded(lambda phi=phi, samples=samples, more=more:
-                        theorems.span_monotonicity(phi, fam, space, samples, more),
-                        "span")
-
-    if "schwarz" in config.checks and fam.d == 1:
-        guarded(lambda: theorems.schwarz_check(fam, space, seed=config.seed), "schwarz")
-
-    if "telescoping" in config.checks and fam.d >= 2:
-        guarded(lambda: theorems.telescoping_residual(
-            fam, space, sample_shrink=config.shrink, seed=config.seed), "telescoping")
-
-    if "order_bound" in config.checks:
-        guarded(lambda: theorems.order_bound_check(
-            fam, space, shrink=config.shrink, seed=config.seed), "order_bound")
-
-    if "derivative_profile" in config.checks and fam.d == 1:
-        def run_profile():
-            grid = theorems.sup_grid(fam.domain, config.grid, 0.9)
-            local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
-            profiles = theorems.derivative_profile(fam, space, 4, list(grid), local,
-                                                   n=config.n)
-            for prof in profiles:
-                reports.append(CheckReport.build(
-                    "derivative_profile", fam.label, "",
-                    prof.sup_integral, float(prof.profile.max()),
-                    0.0 if prof.finite else math.inf, 0.0, alpha=[prof.order],
-                ))
-        try:
-            run_profile()
-        except (ValueError, ArithmeticError) as exc:
-            reports.append(CheckReport(
-                name="derivative_profile", family=fam.label, functional="",
-                params={"error": str(exc)}, lhs=math.inf, rhs=0.0,
-                residual=math.inf, tol=0.0, passed=False,
-            ))
+    for name, calls in CHECKS.items():
+        if name not in config.checks:
+            continue
+        for call in calls(config, duals, rng):
+            try:
+                result = call()
+            except (ValueError, ArithmeticError) as exc:
+                result = CheckReport.failed(name, config.family.label, exc)
+            reports.extend(result if isinstance(result, list) else [result])
 
     records = [_record(rep, config) for rep in reports]
     records.sort(key=lambda r: (r["check"], r["family"], r["functional"],
@@ -244,27 +244,30 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     return exit_code, records
 
 
+def _number(value):
+    """``value`` as a float, or as "inf", "-inf" or "nan", which strict JSON cannot hold."""
+    value = float(value)
+    return value if math.isfinite(value) else str(value)
+
+
 def _jsonify_side(value):
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    value = float(value)
-    return value
+        return [_number(value.real), _number(value.imag)]
+    return _number(value)
 
 
 def _record(rep: CheckReport, config: SuiteConfig) -> dict:
     p = rep.params.get("p")
-    if p is not None and math.isinf(p):
-        p = "inf"
     return {
         "check": rep.name,
         "family": rep.family,
         "functional": rep.functional,
-        "p": p,
+        "p": None if p is None else _number(p),
         "alpha": rep.params.get("alpha"),
         "lhs": _jsonify_side(rep.lhs),
         "rhs": _jsonify_side(rep.rhs),
-        "residual": float(rep.residual),
-        "tol": float(rep.tol),
+        "residual": _number(rep.residual),
+        "tol": _number(rep.tol),
         "pass": bool(rep.passed),
         "n": config.n,
         "seed": config.seed,
@@ -273,7 +276,7 @@ def _record(rep: CheckReport, config: SuiteConfig) -> dict:
 
 def _emit(records: list[dict], fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        text = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
     else:
         buf = io.StringIO()
         fields = ["check", "family", "functional", "p", "alpha", "lhs", "rhs",
@@ -297,16 +300,8 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
 # argument parsing
 
 
-def _parse_complex_scalar(text: str) -> complex:
-    try:
-        return complex(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse complex number {text!r}") from None
-
-
 def _parse_point(text: str) -> np.ndarray:
-    return np.array([_parse_complex_scalar(part) for part in text.split(",") if part],
-                    dtype=complex)
+    return np.array([parse_complex(part) for part in text.split(",") if part], dtype=complex)
 
 
 def _parse_p_list(text: str) -> list[float]:
@@ -466,8 +461,8 @@ def main(argv=None) -> int:
         for r in failing:
             print(
                 f"violation: {r['check']} family={r['family']} "
-                f"functional={r['functional']} residual={r['residual']:.3e} "
-                f"tol={r['tol']:.1e}",
+                f"functional={r['functional']} residual={float(r['residual']):.3e} "
+                f"tol={float(r['tol']):.1e}",
                 file=sys.stderr,
             )
     return exit_code

@@ -17,7 +17,21 @@ __all__ = [
     "torus_nodes",
     "as_multi_index",
     "multi_factorial",
+    "parse_complex",
+    "sample_polydisc",
 ]
+
+
+def parse_complex(value) -> complex:
+    """A complex number from an ``[re, im]`` pair, a number or a string."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ValueError(f"cannot parse complex number {value!r}: expected [re, im]")
+        return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse complex number {value!r}") from None
 
 
 def _as_complex_vector(z, d: int | None = None) -> np.ndarray:
@@ -79,11 +93,7 @@ class Polydisc:
 
     def contains(self, z, shrink: float = 1.0) -> bool:
         """True iff |z_j - center_j| < shrink * radius_j for all j (open set)."""
-        shrink = float(shrink)
-        if not 0.0 < shrink <= 1.0:
-            raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-        z = _as_complex_vector(z, self.d)
-        return bool(np.all(np.abs(z - self.center) < shrink * self.radius))
+        return self.contains_all(_as_complex_vector(z, self.d), shrink)
 
     def contains_all(self, points, shrink: float = 1.0) -> bool:
         """Vectorized membership test for an array of points with last axis d."""
@@ -142,6 +152,17 @@ class TorusQuadrature:
         """All n^d tensor-product boundary points, flattened to shape (n^d, d)."""
         mesh = np.meshgrid(*self.nodes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.d)
+
+
+def sample_polydisc(disc: Polydisc, count: int, shrink: float, rng) -> np.ndarray:
+    """``count`` seeded points uniform in the shrink-scaled ``disc``, shape (count, d).
+
+    All radii are drawn before all angles, so one generator state fixes the
+    points for every caller.
+    """
+    radial = np.sqrt(rng.random((count, disc.d)))
+    angle = rng.random((count, disc.d)) * 2.0 * np.pi
+    return disc.center + shrink * disc.radius * radial * np.exp(1j * angle)
 
 
 def torus_nodes(disc: Polydisc, n: int) -> TorusQuadrature:

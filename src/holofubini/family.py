@@ -19,8 +19,8 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .domain import Polydisc, as_multi_index, torus_nodes
-from .measure import Atom, FiniteMeasureSpace
+from .domain import Polydisc, as_multi_index, parse_complex, torus_nodes
+from .measure import FiniteMeasureSpace
 
 __all__ = [
     "HoloFamily",
@@ -39,10 +39,6 @@ __all__ = [
 
 def unit_polydisc(d: int = 1) -> Polydisc:
     return Polydisc(np.zeros(d), np.ones(d))
-
-
-def _param(t):
-    return t.param if isinstance(t, Atom) else t
 
 
 class HoloFamily:
@@ -92,7 +88,7 @@ class HoloFamily:
         z = self._coerce_points(z)
         if not self.domain.contains_all(z, 1.0):
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
-        return self._evaluate(z, np.asarray(_param(t), dtype=complex))
+        return self._evaluate(z, np.asarray(t, dtype=complex))
 
     def deriv(self, z, t, alpha):
         """Closed-form mixed partial D^alpha_z f(z, t)."""
@@ -100,11 +96,11 @@ class HoloFamily:
         z = self._coerce_points(z)
         if not self.domain.contains_all(z, 1.0):
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
-        return self._derivative(z, np.asarray(_param(t), dtype=complex), alpha)
+        return self._derivative(z, np.asarray(t, dtype=complex), alpha)
 
     def slice(self, t):
         """The holomorphic slice f(., t) as a batched callable on (..., d) arrays."""
-        t = complex(_param(t))
+        t = complex(t)
         return lambda z: self.eval(z, t)
 
     def vector(self, z, space: FiniteMeasureSpace) -> np.ndarray:
@@ -134,7 +130,7 @@ class HoloFamily:
         if not 0.0 < shrink <= 1.0:
             raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
         pts = torus_nodes(self.domain.shrunk(shrink), max(grid_density, 4)).grid()
-        vals = self._evaluate(pts, complex(_param(t)))
+        vals = self._evaluate(pts, complex(t))
         return float(np.max(np.abs(vals)))
 
     def validate_on(self, space: FiniteMeasureSpace) -> None:
@@ -362,7 +358,7 @@ class TabulatedTaylorFamily(HoloFamily):
 
     def table_for(self, t) -> np.ndarray:
         """The stored coefficient table evaluated at parameter t."""
-        return npoly.polyval(complex(_param(t)), np.moveaxis(self.coeffs, -1, 0))
+        return npoly.polyval(complex(t), np.moveaxis(self.coeffs, -1, 0))
 
     def _evaluate(self, z, t):
         return _tensor_poly_eval(self.coeffs, z - self.domain.center, t)
@@ -410,31 +406,25 @@ def family_from_json(doc) -> HoloFamily:
     if kind not in _KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
     dom = doc["domain"]
-    center = [_parse_entry(c) for c in dom["center"]]
+    center = [parse_complex(c) for c in dom["center"]]
     domain = Polydisc(center, dom["radius"])
     params = doc.get("params", {})
     label = doc.get("label", kind)
     bound = doc.get("declared_bound")
     kwargs = {"domain": domain, "label": label, "declared_bound": bound}
     if kind == "constant":
-        return ConstantFamily(_parse_entry(params["value"]), **kwargs)
+        return ConstantFamily(parse_complex(params["value"]), **kwargs)
     if kind == "polynomial":
         return PolynomialFamily(_nested_complex(params["coeffs"]), **kwargs)
     if kind == "geometric":
-        return GeometricFamily([_parse_entry(r) for r in params["rates"]], **kwargs)
+        return GeometricFamily([parse_complex(r) for r in params["rates"]], **kwargs)
     if kind == "exponential":
-        return ExponentialFamily(_parse_entry(params["scale"]), **kwargs)
+        return ExponentialFamily(parse_complex(params["scale"]), **kwargs)
     if kind == "separable":
         return SeparableFamily(
             _nested_complex(params["z_coeffs"]), _nested_complex(params["t_coeffs"]), **kwargs
         )
     return TabulatedTaylorFamily(_nested_complex(params["coeffs"]), **kwargs)
-
-
-def _parse_entry(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
 
 
 def _preset_constant():

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import derivative_rule
-from .domain import as_multi_index
-from .family import HoloFamily, _param
+from .domain import as_multi_index, parse_complex, sample_polydisc
+from .family import HoloFamily
 from .measure import FiniteMeasureSpace
 
 __all__ = [
@@ -88,7 +88,7 @@ class MeasureFunctional:
     def apply_slice(self, fam: HoloFamily, t) -> complex:
         """phi(f(., t)) for one atom parameter."""
         self._check_domain(fam)
-        vals = fam.eval(self.nodes, complex(_param(t)))
+        vals = fam.eval(self.nodes, complex(t))
         return complex(np.sum(self.weights * vals))
 
     def apply_slices(self, fam: HoloFamily, space: FiniteMeasureSpace) -> np.ndarray:
@@ -173,9 +173,7 @@ def random_measure(disc, k: int = 8, shrink: float = 0.5, seed: int = 0,
                    label: str | None = None) -> MeasureFunctional:
     """A seeded k-node complex measure supported in the shrink-scaled polydisc."""
     rng = np.random.default_rng(seed)
-    radial = np.sqrt(rng.random((k, disc.d)))
-    angle = rng.random((k, disc.d)) * 2.0 * np.pi
-    nodes = disc.center + shrink * disc.radius * radial * np.exp(1j * angle)
+    nodes = sample_polydisc(disc, k, shrink, rng)
     weights = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     if label is None:
         label = f"random:{k}@seed{seed}"
@@ -200,21 +198,15 @@ def functional_from_json(doc) -> MeasureFunctional:
             n=int(params.get("n", 64)), label=doc.get("label"),
         )
     nodes = np.array([_parse_node(nd) for nd in doc["nodes"]], dtype=complex)
-    weights = np.array([_parse_scalar(w) for w in doc["weights"]], dtype=complex)
+    weights = np.array([parse_complex(w) for w in doc["weights"]], dtype=complex)
     return MeasureFunctional(nodes=nodes, weights=weights,
                              label=doc.get("label", "measure"))
 
 
-def _parse_scalar(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
-
-
 def _parse_node(value) -> np.ndarray:
     if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-        return np.array([_parse_scalar(v) for v in value], dtype=complex)
-    return np.atleast_1d(np.asarray(_parse_scalar(value), dtype=complex))
+        return np.array([parse_complex(v) for v in value], dtype=complex)
+    return np.atleast_1d(np.asarray(parse_complex(value), dtype=complex))
 
 
 def _format_point(z: np.ndarray) -> str:

@@ -18,23 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import parse_complex
+
 __all__ = [
-    "Atom",
     "FiniteMeasureSpace",
-    "LpVector",
     "dual_exponent",
     "space_from_json",
     "space_preset",
 ]
-
-#: A vector of the discretized Lp space: complex ndarray, one entry per atom.
-LpVector = np.ndarray
-
-
-@dataclass(frozen=True)
-class Atom:
-    param: complex
-    weight: float
 
 
 def dual_exponent(p: float) -> float:
@@ -77,10 +68,6 @@ class FiniteMeasureSpace:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(Atom(complex(t), float(w)) for t, w in zip(self.params, self.weights))
 
     def _check_vector(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=complex)
@@ -130,17 +117,9 @@ def space_from_json(doc) -> FiniteMeasureSpace:
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     atoms = doc["atoms"]
-    params = [_parse_complex(a["param"]) for a in atoms]
+    params = [parse_complex(a["param"]) for a in atoms]
     weights = [float(a["weight"]) for a in atoms]
     return FiniteMeasureSpace(params, weights)
-
-
-def _parse_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"complex entries must be [re, im], got {value}")
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
 
 
 def space_preset(name: str) -> FiniteMeasureSpace:

@@ -24,14 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchy import cauchy_derivative, derivative_rule, order_bound, schwarz_violation
-from .domain import Polydisc, as_multi_index, torus_nodes
-from .family import HoloFamily
-from .functional import MeasureFunctional
-from .measure import FiniteMeasureSpace
+from .domain import Polydisc, as_multi_index, sample_polydisc, torus_nodes
 
 __all__ = [
     "CheckReport",
-    "linearize",
     "linearization_residual",
     "fubini_residual",
     "derivative_consistency",
@@ -80,30 +76,27 @@ class CheckReport:
                    lhs=lhs, rhs=rhs, residual=residual, tol=tol,
                    passed=bool(residual <= tol))
 
+    @classmethod
+    def failed(cls, name, family, exc):
+        """The failing report of a check that raised ``exc`` instead of finishing."""
+        return cls(name=name, family=family, functional="", params={"error": str(exc)},
+                   lhs=math.inf, rhs=0.0, residual=math.inf, tol=0.0, passed=False)
+
     def describe(self) -> str:
         state = "pass" if self.passed else "FAIL"
         return (f"{state} {self.name} family={self.family} functional={self.functional} "
                 f"residual={self.residual:.3e} tol={self.tol:.1e}")
 
 
-def linearize(phi: MeasureFunctional, fam: HoloFamily, space: FiniteMeasureSpace) -> np.ndarray:
-    """The representing vector (phi(f(., t_i)))_i of the slicewise action.
-
-    Equals the quadrature realization of the vector-valued integral
-    sum_k w_k F(z_k); both groupings of the double sum are the same
-    computation here.
-    """
-    return phi.apply_slices(fam, space)
-
-
 def linearization_residual(phi, fam, space, duals, p: float = 2.0,
                            tol: float = TOL_EXACT) -> CheckReport:
-    """|<linearize(phi), h> - phi(z -> <F(z), h>)| maximized over dual vectors.
+    """|<phi.apply_slices(...), h> - phi(z -> <F(z), h>)| maximized over dual vectors.
 
-    Verifies the defining identity of the representing vector; both sides
-    rearrange the same finite sum, so residuals are pure roundoff.
+    Verifies the defining identity of the representing vector (phi(f(., t_i)))_i;
+    both sides rearrange the same finite sum, so residuals are pure roundoff.
     """
-    vec = linearize(phi, fam, space)
+    duals = list(duals)
+    vec = phi.apply_slices(fam, space)
     residual = 0.0
     lhs = rhs = 0.0 + 0.0j
     for h in duals:
@@ -114,7 +107,7 @@ def linearization_residual(phi, fam, space, duals, p: float = 2.0,
             lhs, rhs = left, right
     return CheckReport.build(
         "linearization", fam.label, phi.label, lhs, rhs, residual, tol,
-        p=p, duals=len(list(duals)),
+        p=p, duals=len(duals),
     )
 
 
@@ -195,15 +188,14 @@ def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
 
 def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
                      grid_shrink: float = 0.9, slack: float = 1e-9) -> CheckReport:
-    """||linearize(phi)||_p <= total_variation(phi) * sup_z ||F(z)||_p.
+    """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p.
 
     The sup is taken over a deterministic boundary grid augmented with the
     functional's own nodes; with the nodes included the bound is a finite
     triangle inequality, while the grid part only raises the right side
     toward the true sup.  Passing means lhs <= rhs * (1 + slack).
     """
-    vec = linearize(phi, fam, space)
-    lhs = space.lp_norm(vec, p)
+    lhs = space.lp_norm(phi.apply_slices(fam, space), p)
     candidates = np.concatenate([sup_grid(fam.domain, grid_density, grid_shrink),
                                  phi.nodes])
     values = fam.eval(candidates[:, None, :], space.params)
@@ -222,7 +214,7 @@ def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
 
 
 def span_residual(phi, fam, space, sample_points, tol: float = 1e-8) -> CheckReport:
-    """Weighted-L2 distance of linearize(phi) from span{F(z_k)} by least squares.
+    """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_k)} by least squares.
 
     Atom weights define the inner product for every p; rank-deficient
     sample sets fall back to the minimum-norm solution.  The distance is
@@ -231,7 +223,7 @@ def span_residual(phi, fam, space, sample_points, tol: float = 1e-8) -> CheckRep
     sample_points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in sample_points]
     if not sample_points:
         raise ValueError("need at least one sample point")
-    vec = linearize(phi, fam, space)
+    vec = phi.apply_slices(fam, space)
     sqrt_w = np.sqrt(space.weights)
     columns = np.stack([fam.vector(z, space) for z in sample_points], axis=1)
     a = columns * sqrt_w[:, None]
@@ -252,7 +244,7 @@ def span_monotonicity(phi, fam, space, sample_points, more_points,
                           tol=np.inf)
     excess = max(0.0, grown.residual - base.residual)
     return CheckReport.build(
-        "span_monotone", fam.label, phi.label, base.residual, grown.residual,
+        "span", fam.label, phi.label, base.residual, grown.residual,
         excess, tol * (1.0 + base.residual), samples=len(list(sample_points)),
     )
 
@@ -318,14 +310,8 @@ def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 
     rng = np.random.default_rng(seed)
     margin = (outer_shrink - sample_shrink) * fam.domain.radius
     bound = max(fam.slice_supnorm(t, sup_density, outer_shrink) for t in space.params)
-
-    def sample(count):
-        radial = np.sqrt(rng.random((count, fam.d)))
-        angle = rng.random((count, fam.d)) * 2.0 * np.pi
-        return fam.domain.center + sample_shrink * fam.domain.radius * radial * np.exp(1j * angle)
-
-    z = sample(n_pairs)
-    a = sample(n_pairs)
+    z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
+    a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     fz = fam.eval(z[:, None, :], space.params)
     fa = fam.eval(a[:, None, :], space.params)
     lhs = np.max(np.abs(fz - fa), axis=1)
@@ -347,11 +333,8 @@ def order_bound_check(fam, space, degree: int = 40, shrink: float = 0.5,
     tail always comes from the geometric coefficient fit.
     """
     ob = order_bound(fam, space, degree=degree, shrink=shrink)
-    contour = fam.domain.radius * CONTOUR_SHRINK
-    rng = np.random.default_rng(seed)
-    radial = np.sqrt(rng.random((n_samples, fam.d)))
-    angle = rng.random((n_samples, fam.d)) * 2.0 * np.pi
-    z = fam.domain.center + shrink * contour * radial * np.exp(1j * angle)
+    z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), n_samples, shrink,
+                        np.random.default_rng(seed))
     values = np.abs(fam.eval(z[:, None, :], space.params))
     excess = float(np.max(values - ob.u[None, :]))
     tol = tol_scale * (1.0 + float(np.max(ob.u)))

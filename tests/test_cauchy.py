@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from holofubini import (FiniteMeasureSpace, Polydisc, TailEstimateError, cauchy_derivative,
-                        cauchy_eval, family_preset, order_bound, schwarz_violation,
-                        space_preset, taylor_coefficients, unit_polydisc)
+                        cauchy_eval, family_from_json, family_preset, order_bound,
+                        order_bound_check, preset_names, schwarz_violation, space_preset,
+                        taylor_coefficients, unit_polydisc)
 from holofubini.family import PolynomialFamily, TabulatedTaylorFamily
 
 from conftest import fd_derivative
@@ -208,6 +209,26 @@ class TestOrderBound:
         space = FiniteMeasureSpace([1.0], [1.0])
         with pytest.raises(TailEstimateError):
             order_bound(fam, space, degree=12, shrink=0.5)
+
+    def test_fast_decay_is_not_a_violation(self):
+        # small |t| leaves one shell of the fit window above the floor; the rate
+        # must still be fitted and the domination check must pass
+        fam = family_preset("geometric")
+        for k in range(1, 301):
+            rep = order_bound_check(fam, space_preset(f"uniform-{k}"))
+            assert rep.passed and math.isfinite(rep.residual), k
+
+    @pytest.mark.parametrize("space", ["uniform-16", "uniform-20", "geometric-64", "uniform-256"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_preset_passes(self, name, space):
+        rep = order_bound_check(family_preset(name), space_preset(space))
+        assert rep.passed, rep.params
+
+    def test_bivariate_geometric_on_many_atoms(self):
+        fam = family_from_json({"kind": "geometric", "params": {"rates": [[0.5, 0], [0.4, 0]]},
+                                "domain": {"center": [[0, 0], [0, 0]], "radius": [1, 1]}})
+        ob = order_bound(fam, space_preset("uniform-256"), degree=40, shrink=0.5)
+        assert 0.0 < ob.fit_rate < 1.0 and math.isfinite(ob.tail)
 
     def test_exponential_noise_floor_handled(self, space16):
         # far tail of e^{tz} sits below quadrature noise: fit must not see it

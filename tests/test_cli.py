@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from holofubini.cli import main
+from holofubini.cli import CHECK_NAMES, _emit, _record, main
+from holofubini.theorems import CheckReport
 
 from conftest import PRESET_NAMES
 
@@ -83,6 +85,18 @@ class TestVerify:
                   for r in records]
         assert len(combos) == len(set(combos))
 
+    def test_non_finite_values_are_strict_json(self, tmp_path):
+        rep = CheckReport.failed("order_bound", "geometric", ValueError("no verdict"))
+        out = tmp_path / "report.jsonl"
+        _emit([_record(rep, SimpleNamespace(n=64, seed=0))], "json", str(out))
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        record = json.loads(out.read_text(), parse_constant=reject)
+        assert record["lhs"] == "inf" and record["residual"] == "inf"
+        assert record["pass"] is False
+
     def test_csv_format(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--family", "constant",
                              "--p", "2", fmt="csv")
@@ -97,6 +111,11 @@ class TestCheckSubcommand:
         assert code == 0
         records = parse_records(text)
         assert records and all(r["check"] == "fubini" for r in records)
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_records_carry_the_check_name(self, tmp_path, name):
+        _, text = run_cli(tmp_path, "check", name, "--family", "geometric")
+        assert {r["check"] for r in parse_records(text)} <= {name}
 
     def test_unknown_check_name(self, tmp_path):
         code = main(["check", "bogus", "--family", "geometric"])
@@ -141,6 +160,14 @@ class TestFileInputs:
         labels = {r["functional"] for r in records if r["check"] == "fubini"}
         assert "nu" in labels and any(l.startswith("derivative") for l in labels)
         assert all(r["family"] == "custom-geometric" for r in records)
+
+    def test_complex_entry_of_wrong_length_is_usage_error(self, tmp_path):
+        doc = {"kind": "geometric", "params": {"rates": [[0.4, 0.0, 1.0]]},
+               "domain": {"center": [[0.0, 0.0]], "radius": [1.0]}}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        code, text = run_cli(tmp_path, "verify", "--family-file", str(path))
+        assert code == 2 and text is None
 
     def test_missing_file_is_usage_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "verify", "--family-file",

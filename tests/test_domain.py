@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holofubini import Polydisc, torus_nodes, unit_polydisc
-from holofubini.domain import as_multi_index, multi_factorial
+from holofubini.domain import as_multi_index, multi_factorial, parse_complex
 
 
 class TestContains:
@@ -123,3 +123,14 @@ class TestMultiIndex:
     def test_factorial(self):
         assert multi_factorial((3, 2)) == 12.0
         assert multi_factorial((0,)) == 1.0
+
+
+class TestParseComplex:
+    @pytest.mark.parametrize("value", [[0.5, -2.0], (0.5, -2.0), 0.5 - 2j, "0.5-2j"])
+    def test_accepted_forms(self, value):
+        assert parse_complex(value) == 0.5 - 2j
+
+    @pytest.mark.parametrize("value", [[], [0.5], [0.5, -2.0, 1.0], "half", None])
+    def test_rejects_other_forms(self, value):
+        with pytest.raises(ValueError, match="cannot parse complex number"):
+            parse_complex(value)

@@ -113,11 +113,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteMeasureSpace([0.0], [-1.0])
 
-    def test_atoms_accessor(self):
-        space = FiniteMeasureSpace([1j], [0.25])
-        atom = space.atoms[0]
-        assert atom.param == 1j and atom.weight == 0.25
-
 
 class TestJson:
     def test_round_trip(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holofubini import (FiniteMeasureSpace, cauchy_derivative, derivative_functional,
-                        dirac, family_preset, linearize, random_measure, space_preset,
+                        dirac, family_preset, random_measure, space_preset,
                         unit_polydisc)
 from holofubini import theorems
 from holofubini.family import GeometricFamily, PolynomialFamily
@@ -23,7 +23,7 @@ def geometric():
 class TestLinearize:
     def test_dirac_is_family_vector(self, geometric, space16):
         z0 = [0.3 - 0.2j]
-        vec = linearize(dirac(z0), geometric, space16)
+        vec = dirac(z0).apply_slices(geometric, space16)
         np.testing.assert_array_equal(vec, geometric.vector(z0, space16))
 
     def test_linear_combination_of_diracs(self, geometric, space16):
@@ -32,14 +32,14 @@ class TestLinearize:
         nodes = np.array([[0.2], [0.4j]])
         weights = np.array([2.0, -1.5j])
         phi = MeasureFunctional(nodes=nodes, weights=weights, label="combo")
-        vec = linearize(phi, geometric, space16)
+        vec = phi.apply_slices(geometric, space16)
         oracle = (2.0 * geometric.vector([0.2], space16)
                   - 1.5j * geometric.vector([0.4j], space16))
         np.testing.assert_allclose(vec, oracle, atol=1e-15)
 
     def test_derivative_functional_matches_per_atom_quadrature(self, geometric, space16):
         phi = derivative_functional([0.0], (1,), CONTOUR, n=32)
-        vec = linearize(phi, geometric, space16)
+        vec = phi.apply_slices(geometric, space16)
         oracle = np.array([
             cauchy_derivative(geometric.slice(t), [0.0], (1,), CONTOUR, n=32)
             for t in space16.params
@@ -52,6 +52,11 @@ class TestLinearizationResidual:
         duals = random_duals(space16, 10, seed=0)
         rep = theorems.linearization_residual(dirac([0.25]), geometric, space16, duals)
         assert rep.residual <= 1e-14 and rep.passed
+
+    def test_generator_duals_counted(self, geometric, space16):
+        duals = (h for h in random_duals(space16, 10, seed=0))
+        rep = theorems.linearization_residual(dirac([0.25]), geometric, space16, duals)
+        assert rep.params["duals"] == 10 and rep.residual > 0.0
 
     def test_separable(self, space16):
         duals = random_duals(space16, 10, seed=1)
