@@ -111,9 +111,13 @@ class TaylorTable:
 
 
 def _fft_coefficients(samples: np.ndarray, d: int, n: int, radii, degree: int) -> np.ndarray:
-    # samples has shape (n,)*d + batch; returns (degree+1,)*d + batch
-    hat = np.fft.fftn(samples, axes=tuple(range(d))) / n ** d
-    sel = hat[(slice(0, degree + 1),) * d]
+    # samples has shape (n,)*d + batch; returns (degree+1,)*d + batch.  One axis at
+    # a time, last axis first as in np.fft.fftn, keeping only the first degree + 1
+    # frequencies after each, so no full-size transform of every axis is held.
+    sel = samples
+    for axis in reversed(range(d)):
+        sel = np.fft.fft(sel, axis=axis)[(slice(None),) * axis + (slice(0, degree + 1),)]
+    sel = sel / n ** d
     scale = reduce(np.multiply.outer, [np.asarray(r) ** np.arange(degree + 1) for r in radii])
     return sel / scale.reshape(scale.shape + (1,) * (samples.ndim - d))
 

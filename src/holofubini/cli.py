@@ -33,13 +33,7 @@ def _identity_tol(config) -> float:
     return config.tol if config.tol is not None else 1e-10
 
 
-def _worst_fubini(phi, fam, space, duals, p, tol):
-    """The fubini report with the largest residual over the dual vectors."""
-    reports = [theorems.fubini_residual(phi, fam, h, space, p, tol=tol) for h in duals]
-    return max(reports, key=lambda rep: rep.residual)
-
-
-def _profile_reports(fam, space, grid, n) -> list[CheckReport]:
+def _profile_reports(fam, space, grid, n, sampler) -> list[CheckReport]:
     """One finiteness report per derivative order 0..4 over the 0.9 sup grid."""
     points = theorems.sup_grid(fam.domain, grid, 0.9)
     local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
@@ -47,83 +41,89 @@ def _profile_reports(fam, space, grid, n) -> list[CheckReport]:
         CheckReport.build("derivative_profile", fam.label, "", prof.sup_integral,
                           float(prof.profile.max()), 0.0 if prof.finite else math.inf, 0.0,
                           alpha=[prof.order])
-        for prof in theorems.derivative_profile(fam, space, 4, list(points), local, n=n)
+        for prof in theorems.derivative_profile(fam, space, 4, list(points), local, n=n,
+                                                sampler=sampler)
     ]
 
 
-def _linearization(config, duals, rng):
+def _linearization(config, duals, rng, sampler):
     for phi in config.functionals:
         for p in config.p_list:
             yield partial(theorems.linearization_residual, phi, config.family, config.space,
-                          duals[p], p=p, tol=_identity_tol(config))
+                          duals[p], p=p, tol=_identity_tol(config), sampler=sampler)
 
 
-def _fubini(config, duals, rng):
+def _fubini(config, duals, rng, sampler):
     for phi in config.functionals:
         for p in config.p_list:
-            yield partial(_worst_fubini, phi, config.family, config.space, duals[p], p,
-                          config.tol)
+            yield partial(theorems.fubini_residual, phi, config.family, duals[p],
+                          config.space, p, tol=config.tol, sampler=sampler)
 
 
-def _derivative_consistency(config, duals, rng):
+def _derivative_consistency(config, duals, rng, sampler):
     fam = config.family
     for alpha in _alpha_battery(fam.d):
-        for p in config.p_list:
-            yield partial(theorems.derivative_consistency, fam, config.space,
-                          fam.domain.center, alpha, fam.domain.radius * CONTOUR_SHRINK,
-                          n=config.n, p=p, tol=_identity_tol(config))
+        yield partial(theorems.derivative_consistency, fam, config.space,
+                      fam.domain.center, alpha, fam.domain.radius * CONTOUR_SHRINK,
+                      n=config.n, p=config.p_list, tol=_identity_tol(config),
+                      sampler=sampler)
 
 
-def _diff_under_integral(config, duals, rng):
+def _diff_under_integral(config, duals, rng, sampler):
     fam = config.family
     for alpha in _alpha_battery(fam.d):
         yield partial(theorems.diff_under_integral, fam, np.ones(config.space.natoms),
                       config.space, fam.domain.center, alpha,
-                      fam.domain.radius * CONTOUR_SHRINK, n=config.n, tol=_identity_tol(config))
+                      fam.domain.radius * CONTOUR_SHRINK, n=config.n, tol=_identity_tol(config),
+                      sampler=sampler)
 
 
-def _norm_bound(config, duals, rng):
+def _norm_bound(config, duals, rng, sampler):
     for phi in config.functionals:
         for p in config.p_list:
             yield partial(theorems.norm_bound_check, phi, config.family, config.space, p,
-                          grid_density=config.grid)
+                          grid_density=config.grid, sampler=sampler)
 
 
-def _span(config, duals, rng):
+def _span(config, duals, rng, sampler):
     fam, space = config.family, config.space
     for phi in config.functionals:
         if fam.span_dim is not None:
             samples = list(sample_polydisc(fam.domain, fam.span_dim, config.shrink, rng))
-            yield partial(theorems.span_residual, phi, fam, space, samples)
+            yield partial(theorems.span_residual, phi, fam, space, samples, sampler=sampler)
         else:
             k = min(8, space.natoms)
             samples = list(sample_polydisc(fam.domain, k, config.shrink, rng))
             more = sample_polydisc(fam.domain, k, config.shrink, rng)
-            yield partial(theorems.span_monotonicity, phi, fam, space, samples, more)
+            yield partial(theorems.span_monotonicity, phi, fam, space, samples, more,
+                          sampler=sampler)
 
 
-def _schwarz(config, duals, rng):
+def _schwarz(config, duals, rng, sampler):
     if config.family.d == 1:
         yield partial(theorems.schwarz_check, config.family, config.space, seed=config.seed)
 
 
-def _telescoping(config, duals, rng):
+def _telescoping(config, duals, rng, sampler):
     if config.family.d >= 2:
         yield partial(theorems.telescoping_residual, config.family, config.space,
                       sample_shrink=config.shrink, seed=config.seed)
 
 
-def _order_bound(config, duals, rng):
+def _order_bound(config, duals, rng, sampler):
     yield partial(theorems.order_bound_check, config.family, config.space,
                   shrink=config.shrink, seed=config.seed)
 
 
-def _derivative_profile(config, duals, rng):
+def _derivative_profile(config, duals, rng, sampler):
     if config.family.d == 1:
-        yield partial(_profile_reports, config.family, config.space, config.grid, config.n)
+        yield partial(_profile_reports, config.family, config.space, config.grid, config.n,
+                      sampler)
 
 
-#: check name -> generator of the calls that run it, given (config, duals by p, rng).
+#: check name -> generator of the calls that run it, given (config, duals by p, rng,
+#: sampler).  The sampler (``HoloFamily.sampler``) is shared by the whole run, so each
+#: boundary point set is evaluated once; given None, each checker samples for itself.
 #: Checkers are looked up on ``theorems`` when a call is built, so rebinding them
 #: there (e.g. to trace them) reaches the battery.
 CHECKS = {
@@ -226,11 +226,12 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
     duals = {p: _random_duals(config.space, config.duals, rng) for p in config.p_list}
+    sampler = config.family.sampler(config.space)
     reports: list[CheckReport] = []
     for name, calls in CHECKS.items():
         if name not in config.checks:
             continue
-        for call in calls(config, duals, rng):
+        for call in calls(config, duals, rng, sampler):
             try:
                 result = call()
             except (ValueError, ArithmeticError) as exc:

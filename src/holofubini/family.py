@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -23,6 +24,7 @@ from .domain import Polydisc, as_multi_index, parse_complex, torus_nodes
 from .measure import FiniteMeasureSpace
 
 __all__ = [
+    "BoundarySample",
     "HoloFamily",
     "ConstantFamily",
     "PolynomialFamily",
@@ -39,6 +41,14 @@ __all__ = [
 
 def unit_polydisc(d: int = 1) -> Polydisc:
     return Polydisc(np.zeros(d), np.ones(d))
+
+
+@dataclass(frozen=True, eq=False)
+class BoundarySample:
+    """A family's values F[j, i] = f(points[j], t_i) on one point set; read-only."""
+
+    points: np.ndarray  # shape (N, d)
+    values: np.ndarray  # shape (N, k), one column per atom
 
 
 class HoloFamily:
@@ -97,6 +107,29 @@ class HoloFamily:
         if not self.domain.contains_all(z, 1.0):
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
         return self._derivative(z, np.asarray(t, dtype=complex), alpha)
+
+    def sampler(self, space: FiniteMeasureSpace):
+        """A function taking points of shape (N, d) to their :class:`BoundarySample`.
+
+        Each distinct point set is evaluated once, through :meth:`eval` (so the
+        domain check applies), and every later call with equal points returns
+        that same read-only sample.  The samples live as long as the sampler.
+        Two threads sharing a sampler can at worst evaluate one point set twice.
+        """
+        samples = {}
+
+        def sample(points) -> BoundarySample:
+            points = np.asarray(points, dtype=complex)
+            key = points.tobytes()
+            if key not in samples:
+                points = points.copy()
+                values = self.eval(points[:, None, :], space.params)
+                points.setflags(write=False)
+                values.setflags(write=False)
+                samples[key] = BoundarySample(points, values)
+            return samples[key]
+
+        return sample
 
     def slice(self, t):
         """The holomorphic slice f(., t) as a batched callable on (..., d) arrays."""

@@ -91,33 +91,49 @@ class MeasureFunctional:
         vals = fam.eval(self.nodes, complex(t))
         return complex(np.sum(self.weights * vals))
 
-    def apply_slices(self, fam: HoloFamily, space: FiniteMeasureSpace) -> np.ndarray:
-        """The vector (phi(f(., t_i)))_i over all atoms, in one batched pass."""
+    def _node_values(self, fam: HoloFamily, space: FiniteMeasureSpace, sampler) -> np.ndarray:
+        """F on this measure's nodes, shape (nodes, atoms), from ``sampler`` if given."""
         self._check_domain(fam)
-        vals = fam.eval(self.nodes[:, None, :], space.params)
-        return self.weights @ vals
+        return (sampler or fam.sampler(space))(self.nodes).values
 
-    def apply_dual(self, fam: HoloFamily, h, space: FiniteMeasureSpace) -> complex:
-        """phi(z -> <F(z), h>): weight each node's pairing with the dual vector."""
-        self._check_domain(fam)
+    def apply_slices(self, fam: HoloFamily, space: FiniteMeasureSpace,
+                     sampler=None) -> np.ndarray:
+        """The vector (phi(f(., t_i)))_i over all atoms, in one batched pass.
+
+        ``sampler`` (see :meth:`HoloFamily.sampler`) supplies F on the nodes;
+        by default they are evaluated afresh.
+        """
+        return self.weights @ self._node_values(fam, space, sampler)
+
+    def apply_dual(self, fam: HoloFamily, h, space: FiniteMeasureSpace, sampler=None):
+        """phi(z -> <F(z), h>): weight each node's pairing with the dual vector.
+
+        ``h`` of shape (k,) gives one complex value; a stack of dual vectors
+        of shape (m, k) gives all m values from one product.
+        """
         h = np.asarray(h, dtype=complex)
-        vals = fam.eval(self.nodes[:, None, :], space.params)
-        pairings = vals @ (h * space.weights)
-        return complex(np.sum(self.weights * pairings))
+        values = self._node_values(fam, space, sampler)
+        # pair each node's F(z_j) with h before weighting the nodes; the other
+        # association is the pairing of apply_slices, which linearization
+        # checks this against
+        out = self.weights @ (values @ (h * space.weights).T)
+        return complex(out) if h.ndim == 1 else out
 
-    def ideal_slices(self, fam: HoloFamily, space: FiniteMeasureSpace) -> np.ndarray:
+    def ideal_slices(self, fam: HoloFamily, space: FiniteMeasureSpace,
+                     sampler=None) -> np.ndarray:
         """The exact action per atom, through closed forms where semantics exist.
 
         Dirac measures evaluate f(z0, t_i) directly, derivative measures use
         the family's closed-form D^alpha; generic measures fall back to the
-        finite sum, which is already their exact meaning.
+        finite sum, which is already their exact meaning.  Only that finite
+        sum reads ``sampler``.
         """
         self._check_domain(fam)
         if self.meaning == "dirac":
             return fam.vector(self.nodes[0], space)
         if self.meaning == "derivative":
             return fam.deriv_vector(self.center, space, self.alpha)
-        return self.apply_slices(fam, space)
+        return self.apply_slices(fam, space, sampler)
 
     def scaled(self, factor) -> "MeasureFunctional":
         return MeasureFunctional(

@@ -12,8 +12,15 @@ residuals decay geometrically in the node count.
 Sup norms over the domain are approximated from below on deterministic
 boundary grids; for inequality right-hand sides the grid is augmented with
 the functional's own nodes so the triangle-inequality bound cannot fail
-through grid placement alone.  Checks are independent pure computations and
-may run concurrently; reports are merged by canonical ordering.
+through grid placement alone.
+
+Checkers that contract the family's values on a point set take an optional
+``sampler`` (:meth:`holofubini.family.HoloFamily.sampler`) and read every
+such set from it, so one sampler passed to a whole battery evaluates each
+boundary point set once; without one a checker samples for itself.  Checks
+are otherwise independent pure computations and may still run concurrently,
+because shared samples are read-only; reports are merged by canonical
+ordering.
 """
 
 from __future__ import annotations
@@ -88,30 +95,34 @@ class CheckReport:
                 f"residual={self.residual:.3e} tol={self.tol:.1e}")
 
 
+def _worst_dual(space, vec, duals, applied) -> tuple[complex, complex, float]:
+    """(lhs, rhs, residual) of the dual vector h whose pairing <vec, h> lies
+    farthest from its entry of ``applied``."""
+    paired = np.array([space.pairing(vec, h) for h in duals])
+    gaps = np.abs(paired - applied)
+    worst = int(np.argmax(gaps))
+    return complex(paired[worst]), complex(applied[worst]), gaps[worst]
+
+
 def linearization_residual(phi, fam, space, duals, p: float = 2.0,
-                           tol: float = TOL_EXACT) -> CheckReport:
+                           tol: float = TOL_EXACT, sampler=None) -> CheckReport:
     """|<phi.apply_slices(...), h> - phi(z -> <F(z), h>)| maximized over dual vectors.
 
     Verifies the defining identity of the representing vector (phi(f(., t_i)))_i;
     both sides rearrange the same finite sum, so residuals are pure roundoff.
+    ``phi`` is applied to all dual vectors in one product.
     """
-    duals = list(duals)
-    vec = phi.apply_slices(fam, space)
-    residual = 0.0
-    lhs = rhs = 0.0 + 0.0j
-    for h in duals:
-        left = space.pairing(vec, h)
-        right = phi.apply_dual(fam, h, space)
-        if abs(left - right) >= residual:
-            residual = abs(left - right)
-            lhs, rhs = left, right
+    duals = np.array(list(duals), dtype=complex, ndmin=2)
+    lhs, rhs, residual = _worst_dual(space, phi.apply_slices(fam, space, sampler), duals,
+                                     phi.apply_dual(fam, duals, space, sampler))
     return CheckReport.build(
         "linearization", fam.label, phi.label, lhs, rhs, residual, tol,
         p=p, duals=len(duals),
     )
 
 
-def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None) -> CheckReport:
+def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None,
+                    sampler=None) -> CheckReport:
     """Interchange check: integrate-then-apply versus apply-then-integrate.
 
     The left side pairs the ideal slicewise action of the functional
@@ -120,60 +131,68 @@ def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None) -> C
     z -> <F(z), h>.  For derivative functionals the residual is the
     quadrature error of the measure realization and decays geometrically in
     its node count; for Dirac and generic measures the two sides coincide
-    up to reassociation.
+    up to reassociation.  ``h`` may also be a stack of dual vectors of shape
+    (m, k); the report is then the one with the largest residual.
     """
     if tol is None:
         tol = TOL_QUADRATURE if phi.meaning == "derivative" else TOL_EXACT
-    h = np.asarray(h, dtype=complex)
-    lhs = space.pairing(phi.ideal_slices(fam, space), h)
-    rhs = phi.apply_dual(fam, h, space)
+    h = np.array(h, dtype=complex, ndmin=2)
+    lhs, rhs, residual = _worst_dual(space, phi.ideal_slices(fam, space, sampler), h,
+                                     phi.apply_dual(fam, h, space, sampler))
     return CheckReport.build(
-        "fubini", fam.label, phi.label, lhs, rhs, abs(lhs - rhs), tol,
+        "fubini", fam.label, phi.label, lhs, rhs, residual, tol,
         p=p, alpha=list(phi.alpha) if phi.alpha else None,
     )
 
 
 def derivative_consistency(fam, space, center, alpha, radii, n: int = 64,
-                           p: float = 2.0, tol: float = 1e-10) -> CheckReport:
+                           p: float | list[float] = 2.0, tol: float = 1e-10,
+                           sampler=None) -> CheckReport | list[CheckReport]:
     """Vector-level Cauchy derivative of F versus the per-atom scalar route.
 
-    lhs applies the derivative rule to the vectors F(w_k) in one batched
-    product; rhs runs the same rule per atom slice.  Agreement in the
-    weighted p-norm certifies that differentiating the vector function and
-    differentiating each slice commute.
+    The two routes apply the same derivative rule on the contour grid of
+    (center, radii, n).  The vector route contracts the rule's weights with
+    the sampled vectors F(w_k), read from ``sampler``.  The scalar route
+    evaluates each slice f(., t_i) through :meth:`HoloFamily.slice` and runs
+    :func:`cauchy_derivative` on it, one atom at a time, and never reads the
+    sample.  Agreement in the weighted p-norm certifies that differentiating
+    the vector function and differentiating each slice commute.  Both routes
+    are computed once; a list of exponents ``p`` gives one report per entry.
     """
     alpha = as_multi_index(alpha, fam.d)
     pts, weights = derivative_rule(center, alpha, radii, n)
-    values = fam.eval(pts[:, None, :], space.params)
-    vector_route = weights @ values
+    vector_route = weights @ (sampler or fam.sampler(space))(pts).values
     scalar_route = np.array(
         [cauchy_derivative(fam.slice(t), center, alpha, radii, n) for t in space.params]
     )
-    residual = space.lp_norm(vector_route - scalar_route, p)
-    return CheckReport.build(
-        "derivative_consistency", fam.label, "", space.lp_norm(vector_route, p),
-        space.lp_norm(scalar_route, p), residual, tol, p=p, alpha=list(alpha), n=n,
-    )
+    gap = vector_route - scalar_route
+    reports = [
+        CheckReport.build(
+            "derivative_consistency", fam.label, "", space.lp_norm(vector_route, q),
+            space.lp_norm(scalar_route, q), space.lp_norm(gap, q), tol,
+            p=q, alpha=list(alpha), n=n,
+        )
+        for q in np.atleast_1d(p).tolist()
+    ]
+    return reports if np.ndim(p) else reports[0]
 
 
 def diff_under_integral(fam, h, space, center, alpha, radii, n: int = 64,
-                        tol: float = 1e-10) -> CheckReport:
+                        tol: float = 1e-10, sampler=None) -> CheckReport:
     """D^alpha of z -> <F(z), h> at ``center`` versus pairing the slice derivatives.
 
     The left side differentiates the composed scalar map by boundary
-    quadrature; the right side pairs the closed-form per-atom derivatives
+    quadrature on the contour grid of (center, radii, n), read from
+    ``sampler``; the right side pairs the closed-form per-atom derivatives
     with h.  The residual is the quadrature error and decays geometrically
     in n.
     """
     alpha = as_multi_index(alpha, fam.d)
     h = np.asarray(h, dtype=complex)
     hw = h * space.weights
-
-    def composed(z):
-        vals = fam.eval(z[..., None, :], space.params)
-        return vals @ hw
-
-    lhs = cauchy_derivative(composed, center, alpha, radii, n)
+    pts, weights = derivative_rule(center, alpha, radii, n)
+    composed = (sampler or fam.sampler(space))(pts).values @ hw
+    lhs = complex(np.sum(weights * composed))
     rhs = complex(fam.deriv_vector(center, space, alpha) @ hw)
     return CheckReport.build(
         "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), tol,
@@ -186,8 +205,17 @@ def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
     return torus_nodes(domain.shrunk(shrink), max(int(density), 4)).grid()
 
 
+def _max_row_norm(values: np.ndarray, space, p: float) -> float:
+    """The largest weighted p-norm among the rows F(z_j) of a sample's values."""
+    if math.isinf(p):
+        support = space.weights > 0
+        return float(np.max(np.abs(values[:, support]))) if support.any() else 0.0
+    return float(np.max(np.sum(np.abs(values) ** p * space.weights, axis=1) ** (1.0 / p)))
+
+
 def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
-                     grid_shrink: float = 0.9, slack: float = 1e-9) -> CheckReport:
+                     grid_shrink: float = 0.9, slack: float = 1e-9,
+                     sampler=None) -> CheckReport:
     """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p.
 
     The sup is taken over a deterministic boundary grid augmented with the
@@ -195,17 +223,12 @@ def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
     triangle inequality, while the grid part only raises the right side
     toward the true sup.  Passing means lhs <= rhs * (1 + slack).
     """
-    lhs = space.lp_norm(phi.apply_slices(fam, space), p)
-    candidates = np.concatenate([sup_grid(fam.domain, grid_density, grid_shrink),
-                                 phi.nodes])
-    values = fam.eval(candidates[:, None, :], space.params)
-    if math.isinf(p):
-        support = space.weights > 0
-        norms = np.max(np.abs(values[:, support]), axis=1) if support.any() \
-            else np.zeros(values.shape[0])
-    else:
-        norms = np.sum(np.abs(values) ** p * space.weights, axis=1) ** (1.0 / p)
-    rhs = phi.total_variation * float(np.max(norms))
+    sampler = sampler or fam.sampler(space)
+    lhs = space.lp_norm(phi.apply_slices(fam, space, sampler), p)
+    grid = sampler(sup_grid(fam.domain, grid_density, grid_shrink))
+    sup = max(_max_row_norm(grid.values, space, p),
+              _max_row_norm(sampler(phi.nodes).values, space, p))
+    rhs = phi.total_variation * sup
     residual = max(0.0, lhs - rhs)
     return CheckReport.build(
         "norm_bound", fam.label, phi.label, lhs, rhs, residual, slack * rhs,
@@ -213,7 +236,8 @@ def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
     )
 
 
-def span_residual(phi, fam, space, sample_points, tol: float = 1e-8) -> CheckReport:
+def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,
+                  sampler=None) -> CheckReport:
     """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_k)} by least squares.
 
     Atom weights define the inner product for every p; rank-deficient
@@ -223,7 +247,7 @@ def span_residual(phi, fam, space, sample_points, tol: float = 1e-8) -> CheckRep
     sample_points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in sample_points]
     if not sample_points:
         raise ValueError("need at least one sample point")
-    vec = phi.apply_slices(fam, space)
+    vec = phi.apply_slices(fam, space, sampler)
     sqrt_w = np.sqrt(space.weights)
     columns = np.stack([fam.vector(z, space) for z in sample_points], axis=1)
     a = columns * sqrt_w[:, None]
@@ -237,11 +261,12 @@ def span_residual(phi, fam, space, sample_points, tol: float = 1e-8) -> CheckRep
 
 
 def span_monotonicity(phi, fam, space, sample_points, more_points,
-                      tol: float = 1e-12) -> CheckReport:
+                      tol: float = 1e-12, sampler=None) -> CheckReport:
     """Distance with the enlarged nested sample set never exceeds the original."""
-    base = span_residual(phi, fam, space, sample_points, tol=np.inf)
+    sampler = sampler or fam.sampler(space)
+    base = span_residual(phi, fam, space, sample_points, tol=np.inf, sampler=sampler)
     grown = span_residual(phi, fam, space, list(sample_points) + list(more_points),
-                          tol=np.inf)
+                          tol=np.inf, sampler=sampler)
     excess = max(0.0, grown.residual - base.residual)
     return CheckReport.build(
         "span", fam.label, phi.label, base.residual, grown.residual,
@@ -268,25 +293,26 @@ class OrderProfile:
 
 
 def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
-                       n: int = 64) -> list[OrderProfile]:
+                       n: int = 64, sampler=None) -> list[OrderProfile]:
     """Per-order sup profiles of |D^n_z f| over a grid, for univariate domains.
 
     For each order up to ``max_order`` the derivative is computed by
     boundary quadrature on a contour of ``contour_radii`` about each grid
-    point, so every contour must stay inside the family domain.
+    point, so every contour must stay inside the family domain.  Each
+    contour is sampled once and serves every order.
     """
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
     grid = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in region_grid]
     if not grid:
         raise ValueError("region grid must be nonempty")
+    sampler = sampler or fam.sampler(space)
     out = []
     for order in range(max_order + 1):
         mags = np.empty((len(grid), space.natoms))
         for gi, a in enumerate(grid):
             pts, weights = derivative_rule(a, (order,), contour_radii, n)
-            values = fam.eval(pts[:, None, :], space.params)
-            mags[gi] = np.abs(weights @ values)
+            mags[gi] = np.abs(weights @ sampler(pts).values)
         out.append(OrderProfile(
             order=order,
             profile=mags.max(axis=0),

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from holofubini import cli, family
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
 from holofubini.theorems import CheckReport
 
@@ -19,6 +20,23 @@ def run_cli(tmp_path, *args, fmt="json"):
 
 def parse_records(text):
     return [json.loads(line) for line in text.strip().splitlines()]
+
+
+GEOMETRIC_D2 = {
+    "kind": "geometric",
+    "params": {"rates": [[0.5, 0.0], [0.4, 0.0]]},
+    "domain": {"center": [[0.0, 0.0], [0.0, 0.0]], "radius": [1.0, 1.0]},
+    "label": "geometric-d2",
+}
+
+
+def family_args(tmp_path, d):
+    """CLI arguments selecting the geometric family in d = 1 (preset) or d = 2 (file)."""
+    if d == 1:
+        return ["--family", "geometric"]
+    path = tmp_path / "geometric-d2.json"
+    path.write_text(json.dumps(GEOMETRIC_D2))
+    return ["--family-file", str(path)]
 
 
 class TestVerify:
@@ -103,6 +121,77 @@ class TestVerify:
         assert code == 0
         header = text.splitlines()[0]
         assert header.startswith("check,family,functional,p,alpha,lhs,rhs,residual")
+
+
+class TestSampleOnce:
+    # Family values of one `verify` of the geometric family on uniform-16 (k = 16
+    # atoms) at n = 64 with the default --grid 32, counted at each kind's _evaluate.
+    # Every boundary point set is sampled once per run:
+    #   contour grid (centre, 0.95 r, 64), shared by both derivative functionals,
+    #     derivative_consistency and diff_under_integral:  64^d * k
+    #   norm_bound sup grid, shared by every functional and p:  32^d * k
+    #   dirac node 1 * k and random-measure nodes 8 * k
+    # plus the work that evaluates points of its own:
+    #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
+    #   derivative_consistency's per-slice route, per |alpha| <= 2:  64^d * k
+    #     (3 multi-indices at d = 1, 6 at d = 2)
+    #   span, 4 functionals x (8 + 16) sample points:  96 * k
+    #   order_bound: Taylor grid 82^d * k and 200 sample points 200 * k
+    #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + 2048 ring points,
+    #     and derivative_profile: 32 contours of 64 nodes, shared by orders 0-4
+    #   d = 2 only, telescoping: slice sups on a 64^d grid 64^d * k and
+    #     2 * 200 sample points 400 * k
+    # d = 1: k * (64 + 32 + 9 + 3 + 3*64 + 96 + 82 + 200 + 3049 + 32*64) = 92,400
+    # d = 2: k * (4096 + 1024 + 9 + 3 + 6*4096 + 96 + 6724 + 200 + 4096 + 400) = 659,584
+    @pytest.mark.parametrize("d, expected", [(1, 92_400), (2, 659_584)])
+    def test_family_value_count(self, tmp_path, monkeypatch, d, expected):
+        counted = []
+
+        def counting(evaluate):
+            def wrapper(self, z, t):
+                out = evaluate(self, z, t)
+                counted.append(np.size(out))
+                return out
+            return wrapper
+
+        for kind in family.HoloFamily.__subclasses__():
+            monkeypatch.setattr(kind, "_evaluate", counting(kind._evaluate))
+        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, d),
+                          "--space", "uniform-16", "--nodes", "64")
+        assert code == 0
+        assert sum(counted) == expected
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shared_samples_match_standalone_checkers(self, tmp_path, d):
+        args = cli.build_parser().parse_args(
+            ["verify", *family_args(tmp_path, d), "--space", "geometric-16",
+             "--nodes", "32", "--seed", "3"])
+        config = cli._build_config(args, CHECK_NAMES)
+        _, shared = cli.run_suite(config)
+
+        # the same calls as run_suite, but each checker samples for itself
+        rng = np.random.default_rng(config.seed)
+        duals = {p: cli._random_duals(config.space, config.duals, rng) for p in config.p_list}
+        reports = []
+        for calls in cli.CHECKS.values():
+            for call in calls(config, duals, rng, None):
+                result = call()
+                reports.extend(result if isinstance(result, list) else [result])
+        alone = sorted((_record(rep, config) for rep in reports),
+                       key=lambda r: (r["check"], r["family"], r["functional"],
+                                      str(r["p"]), str(r["alpha"])))
+
+        def number(side):
+            return complex(*side) if isinstance(side, list) else side
+
+        assert len(shared) == len(alone)
+        for a, b in zip(shared, alone):
+            assert (a["check"], a["functional"], a["p"], a["alpha"]) == \
+                (b["check"], b["functional"], b["p"], b["alpha"])
+            assert a["pass"] == b["pass"]
+            for key in ("lhs", "rhs", "residual"):
+                assert abs(number(a[key]) - number(b[key])) <= 1e-14 * (1 + abs(number(b[key]))), \
+                    (key, a, b)
 
 
 class TestCheckSubcommand:

@@ -67,6 +67,38 @@ class TestVector:
         np.testing.assert_allclose(vec, oracle, rtol=1e-14)
 
 
+class TestSampler:
+    def test_sample_matches_vectors(self, preset_family, space16):
+        points = np.array([[0.21 - 0.13j], [-0.4j], [0.0]])
+        sample = preset_family.sampler(space16)(points)
+        for z, row in zip(points, sample.values):
+            np.testing.assert_array_equal(row, preset_family.vector(z, space16))
+        np.testing.assert_array_equal(sample.points, points)
+
+    def test_arrays_are_read_only(self, space16):
+        sample = family_preset("geometric").sampler(space16)(np.array([[0.3], [0.1j]]))
+        with pytest.raises(ValueError):
+            sample.values[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            sample.points[0, 0] = 0.0
+
+    def test_caller_keeps_its_points(self, space16):
+        points = np.array([[0.3], [0.1j]])
+        sample = family_preset("geometric").sampler(space16)(points)
+        points[0, 0] = 0.5
+        assert sample.points[0, 0] == 0.3
+
+    def test_equal_points_are_sampled_once(self, space16):
+        sampler = family_preset("geometric").sampler(space16)
+        first = sampler(np.array([[0.3], [0.1j]]))
+        assert sampler(np.array([[0.3], [0.1j]])) is first
+        assert sampler(np.array([[0.3], [0.2j]])) is not first
+
+    def test_outside_domain_rejected(self, space16):
+        with pytest.raises(ValueError):
+            family_preset("geometric").sampler(space16)(np.array([[1.2]]))
+
+
 class TestClosedFormDerivatives:
     """The registry's closed forms are cross-checked by finite differences."""
 
