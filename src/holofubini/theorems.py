@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cauchy import cauchy_derivative, derivative_rule, order_bound, schwarz_violation
+from .cauchy import derivative_rule, order_bound, schwarz_violation
 from .domain import Polydisc, as_multi_index, sample_polydisc, torus_nodes
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "TOL_EXACT",
     "TOL_QUADRATURE",
     "CONTOUR_SHRINK",
+    "ORDER_BOUND_DEGREE",
 ]
 
 #: identities whose two sides are the same finite sum up to reassociation
@@ -59,6 +60,8 @@ TOL_EXACT = 1e-12
 TOL_QUADRATURE = 1e-9
 #: contour placement inside a family domain, keeping strict analyticity margin
 CONTOUR_SHRINK = 0.95
+#: Taylor degree of the order-bound check; its FFT grid has 2 * degree + 2 nodes per variable
+ORDER_BOUND_DEGREE = 40
 
 
 @dataclass
@@ -150,31 +153,38 @@ def derivative_consistency(fam, space, center, alpha, radii, n: int = 64,
                            sampler=None) -> CheckReport | list[CheckReport]:
     """Vector-level Cauchy derivative of F versus the per-atom scalar route.
 
-    The two routes apply the same derivative rule on the contour grid of
-    (center, radii, n).  The vector route contracts the rule's weights with
-    the sampled vectors F(w_k), read from ``sampler``.  The scalar route
-    evaluates each slice f(., t_i) through :meth:`HoloFamily.slice` and runs
-    :func:`cauchy_derivative` on it, one atom at a time, and never reads the
-    sample.  Agreement in the weighted p-norm certifies that differentiating
-    the vector function and differentiating each slice commute.  Both routes
-    are computed once; a list of exponents ``p`` gives one report per entry.
+    Both routes apply the derivative rule of each multi-index on the contour
+    grid of (center, radii, n).  The vector route contracts the rule's
+    weights with the sampled vectors F(w_k), read from ``sampler``.  The
+    scalar route evaluates each slice f(., t_i) on the grid through
+    :meth:`HoloFamily.slice`, once per call, and sums the weighted values of
+    each atom as :func:`holofubini.cauchy.cauchy_derivative` does; it never
+    reads the sample.  Agreement in the weighted p-norm certifies that
+    differentiating the vector function and differentiating each slice
+    commute.  ``alpha`` may be one multi-index or a sequence of them, and
+    ``p`` one exponent or a list: a single alpha with a scalar p gives one
+    report, anything else a list ordered by (alpha, p).
     """
-    alpha = as_multi_index(alpha, fam.d)
-    pts, weights = derivative_rule(center, alpha, radii, n)
-    vector_route = weights @ (sampler or fam.sampler(space))(pts).values
-    scalar_route = np.array(
-        [cauchy_derivative(fam.slice(t), center, alpha, radii, n) for t in space.params]
-    )
-    gap = vector_route - scalar_route
-    reports = [
-        CheckReport.build(
-            "derivative_consistency", fam.label, "", space.lp_norm(vector_route, q),
-            space.lp_norm(scalar_route, q), space.lp_norm(gap, q), tol,
-            p=q, alpha=list(alpha), n=n,
-        )
-        for q in np.atleast_1d(p).tolist()
-    ]
-    return reports if np.ndim(p) else reports[0]
+    batched = np.ndim(alpha) == 2
+    alphas = [as_multi_index(a, fam.d) for a in (alpha if batched else [alpha])]
+    rules = [derivative_rule(center, a, radii, n) for a in alphas]
+    pts = rules[0][0]
+    vectors = (sampler or fam.sampler(space))(pts).values
+    slices = np.stack([fam.slice(t)(pts) for t in space.params])
+    reports = []
+    for a, (_, weights) in zip(alphas, rules):
+        vector_route = weights @ vectors
+        scalar_route = np.sum(weights * slices, axis=1)
+        gap = vector_route - scalar_route
+        reports += [
+            CheckReport.build(
+                "derivative_consistency", fam.label, "", space.lp_norm(vector_route, q),
+                space.lp_norm(scalar_route, q), space.lp_norm(gap, q), tol,
+                p=q, alpha=list(a), n=n,
+            )
+            for q in np.atleast_1d(p).tolist()
+        ]
+    return reports if batched or np.ndim(p) else reports[0]
 
 
 def diff_under_integral(fam, h, space, center, alpha, radii, n: int = 64,
@@ -349,7 +359,7 @@ def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 
     )
 
 
-def order_bound_check(fam, space, degree: int = 40, shrink: float = 0.5,
+def order_bound_check(fam, space, degree: int = ORDER_BOUND_DEGREE, shrink: float = 0.5,
                       n_samples: int = 200, seed: int = 0,
                       tol_scale: float = 1e-12) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holofubini import cli, family
+from holofubini import cli, family, family_preset, space_preset
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
 from holofubini.theorems import CheckReport
 
@@ -133,17 +133,16 @@ class TestSampleOnce:
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
-    #   derivative_consistency's per-slice route, per |alpha| <= 2:  64^d * k
-    #     (3 multi-indices at d = 1, 6 at d = 2)
+    #   derivative_consistency's per-slice route, once for every |alpha| <= 2:  64^d * k
     #   span, 4 functionals x (8 + 16) sample points:  96 * k
     #   order_bound: Taylor grid 82^d * k and 200 sample points 200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + 2048 ring points,
     #     and derivative_profile: 32 contours of 64 nodes, shared by orders 0-4
     #   d = 2 only, telescoping: slice sups on a 64^d grid 64^d * k and
     #     2 * 200 sample points 400 * k
-    # d = 1: k * (64 + 32 + 9 + 3 + 3*64 + 96 + 82 + 200 + 3049 + 32*64) = 92,400
-    # d = 2: k * (4096 + 1024 + 9 + 3 + 6*4096 + 96 + 6724 + 200 + 4096 + 400) = 659,584
-    @pytest.mark.parametrize("d, expected", [(1, 92_400), (2, 659_584)])
+    # d = 1: k * (64 + 32 + 9 + 3 + 64 + 96 + 82 + 200 + 3049 + 32*64) = 90,352
+    # d = 2: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 6724 + 200 + 4096 + 400) = 331,904
+    @pytest.mark.parametrize("d, expected", [(1, 90_352), (2, 331_904)])
     def test_family_value_count(self, tmp_path, monkeypatch, d, expected):
         counted = []
 
@@ -192,6 +191,52 @@ class TestSampleOnce:
             for key in ("lhs", "rhs", "residual"):
                 assert abs(number(a[key]) - number(b[key])) <= 1e-14 * (1 + abs(number(b[key]))), \
                     (key, a, b)
+
+
+class TestWorkBudget:
+    EXPONENTIAL_D4 = {
+        "kind": "exponential",
+        "params": {"scale": [1.0, 0.0]},
+        "domain": {"center": [[0.0, 0.0]] * 4, "radius": [1.0] * 4},
+    }
+
+    @staticmethod
+    def config(fam, space, n):
+        return cli.SuiteConfig(family=fam, space=space_preset(space), functionals=[],
+                               p_list=[2.0], n=n)
+
+    def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
+        # 82^4 points x 16 atoms x 16 B = 11.6 GB; nothing of that size is allocated
+        path = tmp_path / "exponential-d4.json"
+        path.write_text(json.dumps(self.EXPONENTIAL_D4))
+        monkeypatch.setattr(cli, "default_functionals", None)
+        args = cli.build_parser().parse_args(
+            ["verify", "--family-file", str(path), "--space", "uniform-16", "--nodes", "64"])
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            cli._build_config(args, CHECK_NAMES)
+
+    def test_suite_config_checks_the_budget(self):
+        fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            self.config(fam, "uniform-16", 64)
+
+    def test_largest_admitted_config(self):
+        # d = 3 with 256 atoms at 32 nodes: 82^3 x 256 x 16 B = 2.26 GB
+        doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
+                                                 "radius": [1.0] * 3})
+        self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
+
+    def test_lowered_budget(self, monkeypatch):
+        # geometric d = 1 on 16 atoms: the 82-node Taylor grid takes 82 x 16 x 16 B
+        fam = family_preset("geometric")
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 82 * 16 * 16)
+        self.config(fam, "uniform-16", 64)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 82 * 16 * 16 - 1)
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            self.config(fam, "uniform-16", 64)
+        args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            cli._build_config(args, CHECK_NAMES)
 
 
 class TestCheckSubcommand:

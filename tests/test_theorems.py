@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from holofubini import (FiniteMeasureSpace, cauchy_derivative, derivative_functional,
-                        dirac, family_preset, random_measure, space_preset,
-                        unit_polydisc)
+from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
+                        derivative_functional, dirac, family_preset, random_measure,
+                        space_preset, unit_polydisc)
 from holofubini import theorems
-from holofubini.family import GeometricFamily, PolynomialFamily
+from holofubini.cauchy import derivative_rule
+from holofubini.family import BoundarySample, GeometricFamily, PolynomialFamily
 
 from conftest import random_duals
 
@@ -170,6 +171,73 @@ class TestDerivativeConsistency:
         assert rep.residual <= 1e-10
         oracle = space16.lp_norm(geometric.deriv_vector([0.0], space16, (1,)), 2)
         assert rep.lhs == pytest.approx(oracle, rel=1e-10)
+
+
+    @staticmethod
+    def bivariate():
+        return GeometricFamily([0.5, 0.4], Polydisc([0.0, 0.0], [1.0, 1.0]))
+
+    @staticmethod
+    def alphas(d):
+        """Every multi-index with |alpha| <= 2, as ``verify`` checks them."""
+        return [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_multi_indices_match_one_call_each(self, geometric, space16, d):
+        fam = geometric if d == 1 else self.bivariate()
+        contour = CONTOUR * d
+        alphas = self.alphas(d)
+        batched = theorems.derivative_consistency(fam, space16, [0.0] * d, alphas, contour,
+                                                  n=32, p=[1, 2, INF])
+        single = [rep for a in alphas
+                  for rep in theorems.derivative_consistency(fam, space16, [0.0] * d, a,
+                                                             contour, n=32, p=[1, 2, INF])]
+        assert len(batched) == len(single) == 3 * len(alphas)
+        for a, b in zip(batched, single):
+            assert a.params == b.params
+            assert (a.lhs, a.rhs, a.residual) == (b.lhs, b.rhs, b.residual)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_perturbed_sample_fails_every_alpha(self, geometric, space16, d):
+        # the per-slice route must not read the sample it is checked against
+        fam = geometric if d == 1 else self.bivariate()
+        alphas = self.alphas(d)
+        exact = fam.sampler(space16)
+        rng = np.random.default_rng(5)
+
+        def perturbed(points):
+            sample = exact(points)
+            noise = 1e-6 * np.exp(2j * np.pi * rng.random(sample.values.shape))
+            return BoundarySample(sample.points, sample.values + noise)
+
+        args = (fam, space16, [0.0] * d, alphas, CONTOUR * d)
+        clean = theorems.derivative_consistency(*args, n=32, p=[1, 2, INF])
+        dirty = theorems.derivative_consistency(*args, n=32, p=[1, 2, INF],
+                                                sampler=perturbed)
+        assert all(rep.passed for rep in clean)
+        assert not any(rep.passed for rep in dirty)
+        assert [rep.rhs for rep in dirty] == [rep.rhs for rep in clean]
+
+    @pytest.mark.parametrize("d, count", [(1, 1), (1, 3), (2, 1), (2, 6)])
+    def test_slices_evaluated_once_for_all_alphas(self, geometric, space16, monkeypatch,
+                                                  d, count):
+        fam = geometric if d == 1 else self.bivariate()
+        alphas = self.alphas(d)[:count]
+        sampler = fam.sampler(space16)
+        pts, _ = derivative_rule([0.0] * d, alphas[0], CONTOUR * d, 32)
+        sampler(pts)  # the vector route then reads a finished sample
+        counted = []
+        evaluate = GeometricFamily._evaluate
+
+        def counting(self, z, t):
+            out = evaluate(self, z, t)
+            counted.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
+        theorems.derivative_consistency(fam, space16, [0.0] * d, alphas, CONTOUR * d,
+                                        n=32, p=[1, 2, INF], sampler=sampler)
+        assert sum(counted) == 32 ** d * space16.natoms
 
 
 class TestDiffUnderIntegral:
