@@ -142,7 +142,8 @@ class TestSampleOnce:
     #     2 * 200 sample points 400 * k
     # d = 1: k * (64 + 32 + 9 + 3 + 64 + 96 + 82 + 200 + 3049 + 32*64) = 90,352
     # d = 2: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 6724 + 200 + 4096 + 400) = 331,904
-    @pytest.mark.parametrize("d, expected", [(1, 90_352), (2, 331_904)])
+    # ids name only d, so re-pinning a count keeps the test's name
+    @pytest.mark.parametrize("d, expected", [(1, 90_352), (2, 331_904)], ids=["d1", "d2"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, expected):
         counted = []
 
