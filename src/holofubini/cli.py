@@ -150,19 +150,21 @@ class ConfigError(Exception):
     pass
 
 
-def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int) -> None:
+def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid: int) -> None:
     """Raise :class:`ConfigError` when the run's largest array would exceed the budget.
 
-    That array is the boundary sample of n^d points or the order_bound Taylor
-    grid of (2 * degree + 2)^d points, whichever is larger, times the atoms.
+    That array is the largest of the n^d boundary sample, the (2 * degree + 2)^d
+    order_bound Taylor grid, the max(grid, 4)^d norm_bound sup grid and, at d = 1,
+    the max(grid, 4) * n derivative_profile contour nodes, times the atoms.
     """
-    points = max(n, 2 * ORDER_BOUND_DEGREE + 2) ** fam.d
+    sup = max(grid, 4)
+    points = max(max(n, 2 * ORDER_BOUND_DEGREE + 2, sup) ** fam.d, sup * n if fam.d == 1 else 0)
     need = points * space.natoms * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
-            f"d = {fam.d}, {space.natoms} atoms and --nodes {n} need {need / 2**30:.2f} GiB "
-            f"for one array of {points} x {space.natoms} complex values, over the work "
-            f"budget of {WORK_BUDGET_BYTES / 2**30:.2f} GiB"
+            f"d = {fam.d}, {space.natoms} atoms, --nodes {n} and --grid {grid} need "
+            f"{need / 2**30:.2f} GiB for {points} x {space.natoms} complex values, over "
+            f"the work budget of {WORK_BUDGET_BYTES / 2**30:.2f} GiB"
         )
 
 
@@ -182,7 +184,6 @@ class SuiteConfig:
     output: str | None = None
     fmt: str = "json"
     checks: tuple[str, ...] = CHECK_NAMES
-    duals: int = 10
 
     def __post_init__(self):
         if self.n < 4:
@@ -191,12 +192,12 @@ class SuiteConfig:
             raise ConfigError(f"--shrink must lie in (0, 0.9], got {self.shrink}")
         if self.grid < 2:
             raise ConfigError(f"--grid must be at least 2, got {self.grid}")
-        if self.tol is not None and self.tol <= 0:
-            raise ConfigError("--tol must be positive")
+        if self.tol is not None and not self.tol > 0:
+            raise ConfigError(f"--tol must be positive, got {self.tol}")
         for p in self.p_list:
-            if p < 1:
+            if not p >= 1:
                 raise ConfigError(f"exponents must satisfy p >= 1, got {p}")
-        _check_work_budget(self.family, self.space, self.n)
+        _check_work_budget(self.family, self.space, self.n, self.grid)
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt}")
         unknown = set(self.checks) - set(CHECK_NAMES)
@@ -229,9 +230,10 @@ def default_functionals(fam: HoloFamily, n: int, shrink: float, seed: int):
     ]
 
 
-def _random_duals(space: FiniteMeasureSpace, count: int, rng) -> list[np.ndarray]:
+def _random_duals(space: FiniteMeasureSpace, rng) -> list[np.ndarray]:
+    """The ten random dual vectors that linearization and fubini draw per exponent."""
     return [rng.standard_normal(space.natoms) + 1j * rng.standard_normal(space.natoms)
-            for _ in range(count)]
+            for _ in range(10)]
 
 
 def _alpha_battery(d: int, max_total: int = 2):
@@ -245,7 +247,7 @@ def _alpha_battery(d: int, max_total: int = 2):
 def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
-    duals = {p: _random_duals(config.space, config.duals, rng) for p in config.p_list}
+    duals = {p: _random_duals(config.space, rng) for p in config.p_list}
     sampler = config.family.sampler(config.space)
     reports: list[CheckReport] = []
     for name, calls in CHECKS.items():
@@ -427,7 +429,7 @@ def _build_config(args, checks) -> SuiteConfig:
     space = _load_space(args.space)
     if args.nodes < 4:
         raise ConfigError(f"--nodes must be at least 4, got {args.nodes}")
-    _check_work_budget(fam, space, args.nodes)
+    _check_work_budget(fam, space, args.nodes, args.grid)
     if args.functional:
         functionals = [
             _parse_functional(entry, fam, args.nodes, args.shrink, args.seed)

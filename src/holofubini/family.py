@@ -149,13 +149,14 @@ class HoloFamily:
         zb = np.broadcast_to(z.reshape(1, -1), (space.natoms, self.d))
         return np.ravel(self.deriv(zb, space.params, alpha))
 
-    def slice_supnorm(self, t, grid_density: int = 64, shrink: float = 1.0) -> float:
+    def slice_supnorm(self, t, grid_density: int = 64, shrink: float = 1.0) -> float | np.ndarray:
         """Sup of |f(., t)| over the closed shrink-scaled domain, via a boundary grid.
 
         By the maximum principle the sup over the closed polydisc is attained
         on the distinguished boundary, so a tensor grid there suffices.  The
         estimate is monotone under grid refinement (nested grids) and never
-        exceeds the true sup.
+        exceeds the true sup.  An array of parameters ``t`` of shape (k,)
+        gives the k sups from one grid, entry i equal to the sup for t[i].
         """
         grid_density = int(grid_density)
         if grid_density < 2:
@@ -163,8 +164,9 @@ class HoloFamily:
         if not 0.0 < shrink <= 1.0:
             raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
         pts = torus_nodes(self.domain.shrunk(shrink), max(grid_density, 4)).grid()
-        vals = self._evaluate(pts, complex(t))
-        return float(np.max(np.abs(vals)))
+        if np.ndim(t):
+            return np.max(np.abs(self._evaluate(pts[:, None, :], np.asarray(t, complex))), axis=0)
+        return float(np.max(np.abs(self._evaluate(pts, complex(t)))))
 
     def validate_on(self, space: FiniteMeasureSpace) -> None:
         """Check the analyticity/boundedness hypotheses for every atom of ``space``."""

@@ -58,6 +58,8 @@ class MeasureFunctional:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=complex)).copy()
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError("need one weight per node")
+        if not weights.size:
+            raise ValueError(f"measure functional {self.label!r} needs at least one node")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)

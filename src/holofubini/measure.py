@@ -4,7 +4,9 @@ The measure space is a finite list of weighted atoms, each carrying one
 complex parameter t.  Sigma is the power set, so measurability is vacuous,
 and the space is automatically semi-finite (every atom has finite weight).
 Vectors in the discretized Lp space are plain complex numpy arrays with one
-entry per atom; ``lp_norm`` and ``pairing`` validate lengths on use.
+entry per atom; ``lp_norm`` and ``pairing`` validate lengths on use.  Given
+stacks, arrays whose last axis is the atoms (``pairing`` broadcasts its two),
+both return an array of one value per vector, equal to the call on it alone.
 
 The pairing is bilinear (no conjugation): it discretizes the integral
 ``sum_i g_i h_i mu_i`` of the canonical duality between Lp and Lq.
@@ -71,28 +73,30 @@ class FiniteMeasureSpace:
 
     def _check_vector(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=complex)
-        if g.shape != (self.natoms,):
+        if g.ndim == 0 or g.shape[-1] != self.natoms:
             raise ValueError(f"vector length {g.shape} does not match {self.natoms} atoms")
         return g
 
-    def lp_norm(self, g, p: float) -> float:
+    def lp_norm(self, g, p: float) -> float | np.ndarray:
         """Weighted p-norm; p = inf is the essential sup (zero-weight atoms ignored)."""
         g = self._check_vector(g)
         p = float(p)
         if p < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
         if math.isinf(p):
-            support = self.weights > 0
-            if not support.any():
-                return 0.0
-            return float(np.max(np.abs(g[support])))
-        return float(np.sum(np.abs(g) ** p * self.weights) ** (1.0 / p))
+            norm = np.max(np.abs(g[..., self.weights > 0]), axis=-1, initial=0.0)
+        else:
+            total = np.sum(np.abs(g) ** p * self.weights, axis=-1)
+            # a scalar power per vector, as numpy's vectorized power rounds some roots apart
+            norm = np.reshape([s ** (1.0 / p) for s in np.ravel(total).tolist()], total.shape)
+        return float(norm) if g.ndim == 1 else norm
 
-    def pairing(self, g, h) -> complex:
+    def pairing(self, g, h) -> complex | np.ndarray:
         """Bilinear duality sum_i g_i h_i mu_i (no complex conjugation)."""
         g = self._check_vector(g)
         h = self._check_vector(h)
-        return complex(np.sum(g * h * self.weights))
+        paired = np.sum(g * h * self.weights, axis=-1)
+        return complex(paired) if paired.ndim == 0 else paired
 
     def dual_witness(self, g, p: float) -> np.ndarray:
         """An h with ||h||_q <= 1 and pairing(g, h) = ||g||_p (norming witness)."""

@@ -101,7 +101,7 @@ class CheckReport:
 def _worst_dual(space, vec, duals, applied) -> tuple[complex, complex, float]:
     """(lhs, rhs, residual) of the dual vector h whose pairing <vec, h> lies
     farthest from its entry of ``applied``."""
-    paired = np.array([space.pairing(vec, h) for h in duals])
+    paired = space.pairing(vec, duals)
     gaps = np.abs(paired - applied)
     worst = int(np.argmax(gaps))
     return complex(paired[worst]), complex(applied[worst]), gaps[worst]
@@ -167,21 +167,17 @@ def derivative_consistency(fam, space, center, alpha, radii, n: int = 64,
     """
     batched = np.ndim(alpha) == 2
     alphas = [as_multi_index(a, fam.d) for a in (alpha if batched else [alpha])]
-    rules = [derivative_rule(center, a, radii, n) for a in alphas]
-    pts = rules[0][0]
+    pts, rows = derivative_rule(center, alphas, radii, n)
     vectors = (sampler or fam.sampler(space))(pts).values
     slices = np.stack([fam.slice(t)(pts) for t in space.params])
     reports = []
-    for a, (_, weights) in zip(alphas, rules):
+    for a, weights in zip(alphas, rows):
         vector_route = weights @ vectors
         scalar_route = np.sum(weights * slices, axis=1)
-        gap = vector_route - scalar_route
+        routes = np.stack([vector_route, scalar_route, vector_route - scalar_route])
         reports += [
-            CheckReport.build(
-                "derivative_consistency", fam.label, "", space.lp_norm(vector_route, q),
-                space.lp_norm(scalar_route, q), space.lp_norm(gap, q), tol,
-                p=q, alpha=list(a), n=n,
-            )
+            CheckReport.build("derivative_consistency", fam.label, "",
+                              *space.lp_norm(routes, q).tolist(), tol, p=q, alpha=list(a), n=n)
             for q in np.atleast_1d(p).tolist()
         ]
     return reports if batched or np.ndim(p) else reports[0]
@@ -215,33 +211,24 @@ def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
     return torus_nodes(domain.shrunk(shrink), max(int(density), 4)).grid()
 
 
-def _max_row_norm(values: np.ndarray, space, p: float) -> float:
-    """The largest weighted p-norm among the rows F(z_j) of a sample's values."""
-    if math.isinf(p):
-        support = space.weights > 0
-        return float(np.max(np.abs(values[:, support]))) if support.any() else 0.0
-    return float(np.max(np.sum(np.abs(values) ** p * space.weights, axis=1) ** (1.0 / p)))
-
-
 def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
-                     grid_shrink: float = 0.9, slack: float = 1e-9,
                      sampler=None) -> CheckReport:
     """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p.
 
-    The sup is taken over a deterministic boundary grid augmented with the
-    functional's own nodes; with the nodes included the bound is a finite
-    triangle inequality, while the grid part only raises the right side
-    toward the true sup.  Passing means lhs <= rhs * (1 + slack).
+    The sup is taken over a deterministic boundary grid at shrink 0.9
+    augmented with the functional's own nodes; with the nodes included the
+    bound is a finite triangle inequality, while the grid part only raises
+    the right side toward the true sup.  Passing means lhs <= rhs * (1 + 1e-9).
     """
     sampler = sampler or fam.sampler(space)
     lhs = space.lp_norm(phi.apply_slices(fam, space, sampler), p)
-    grid = sampler(sup_grid(fam.domain, grid_density, grid_shrink))
-    sup = max(_max_row_norm(grid.values, space, p),
-              _max_row_norm(sampler(phi.nodes).values, space, p))
+    grid = sampler(sup_grid(fam.domain, grid_density, 0.9))
+    sup = max(float(np.max(space.lp_norm(grid.values, p))),
+              float(np.max(space.lp_norm(sampler(phi.nodes).values, p))))
     rhs = phi.total_variation * sup
     residual = max(0.0, lhs - rhs)
     return CheckReport.build(
-        "norm_bound", fam.label, phi.label, lhs, rhs, residual, slack * rhs,
+        "norm_bound", fam.label, phi.label, lhs, rhs, residual, 1e-9 * rhs,
         p=p, grid=grid_density,
     )
 
@@ -259,7 +246,8 @@ def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,
         raise ValueError("need at least one sample point")
     vec = phi.apply_slices(fam, space, sampler)
     sqrt_w = np.sqrt(space.weights)
-    columns = np.stack([fam.vector(z, space) for z in sample_points], axis=1)
+    sample = (sampler or fam.sampler(space))(np.stack(sample_points))
+    columns = np.ascontiguousarray(sample.values.T)
     a = columns * sqrt_w[:, None]
     b = vec * sqrt_w
     coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -309,7 +297,7 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
     For each order up to ``max_order`` the derivative is computed by
     boundary quadrature on a contour of ``contour_radii`` about each grid
     point, so every contour must stay inside the family domain.  Each
-    contour is sampled once and serves every order.
+    contour gets one derivative rule for all orders and is sampled once.
     """
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
@@ -317,35 +305,33 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
     if not grid:
         raise ValueError("region grid must be nonempty")
     sampler = sampler or fam.sampler(space)
-    out = []
-    for order in range(max_order + 1):
-        mags = np.empty((len(grid), space.natoms))
-        for gi, a in enumerate(grid):
-            pts, weights = derivative_rule(a, (order,), contour_radii, n)
-            mags[gi] = np.abs(weights @ sampler(pts).values)
-        out.append(OrderProfile(
-            order=order,
-            profile=mags.max(axis=0),
-            sup_integral=float(np.max(mags @ space.weights)),
-        ))
-    return out
+    mags = np.empty((max_order + 1, len(grid), space.natoms))
+    for gi, a in enumerate(grid):
+        pts, rows = derivative_rule(a, [(o,) for o in range(max_order + 1)], contour_radii, n)
+        values = sampler(pts).values
+        for order, weights in enumerate(rows):
+            mags[order, gi] = np.abs(weights @ values)
+    return [
+        OrderProfile(order=order, profile=m.max(axis=0),
+                     sup_integral=float(np.max(m @ space.weights)))
+        for order, m in enumerate(mags)
+    ]
 
 
 def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 0.5,
-                         outer_shrink: float = CONTOUR_SHRINK, seed: int = 0,
-                         sup_density: int = 64, tol_scale: float = 1e-12) -> CheckReport:
+                         seed: int = 0) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
     For sampled pairs z, a in the sample_shrink polydisc, checks
     ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B
-    is the largest slice sup over the outer_shrink domain and r_j is the
-    per-variable margin (outer_shrink - sample_shrink) * radius_j.
+    is the largest slice sup over a 64-node grid of the CONTOUR_SHRINK domain
+    and r_j is the per-variable margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
     """
-    if not sample_shrink < outer_shrink:
+    if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
     rng = np.random.default_rng(seed)
-    margin = (outer_shrink - sample_shrink) * fam.domain.radius
-    bound = max(fam.slice_supnorm(t, sup_density, outer_shrink) for t in space.params)
+    margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
+    bound = float(np.max(fam.slice_supnorm(space.params, 64, CONTOUR_SHRINK)))
     z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     fz = fam.eval(z[:, None, :], space.params)
@@ -355,13 +341,12 @@ def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 
     worst = float(np.max(lhs - rhs))
     return CheckReport.build(
         "telescoping", fam.label, "", worst, 0.0, max(0.0, worst),
-        tol_scale * (1.0 + bound), pairs=n_pairs,
+        1e-12 * (1.0 + bound), pairs=n_pairs,
     )
 
 
 def order_bound_check(fam, space, degree: int = ORDER_BOUND_DEGREE, shrink: float = 0.5,
-                      n_samples: int = 200, seed: int = 0,
-                      tol_scale: float = 1e-12) -> CheckReport:
+                      n_samples: int = 200, seed: int = 0) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.
 
     The center and contour follow :func:`holofubini.cauchy.order_bound`
@@ -373,25 +358,24 @@ def order_bound_check(fam, space, degree: int = ORDER_BOUND_DEGREE, shrink: floa
                         np.random.default_rng(seed))
     values = np.abs(fam.eval(z[:, None, :], space.params))
     excess = float(np.max(values - ob.u[None, :]))
-    tol = tol_scale * (1.0 + float(np.max(ob.u)))
+    tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
         "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
         tol, degree=degree, shrink=shrink, tail_method=ob.tail_method,
     )
 
 
-def schwarz_check(fam, space, samples: int = 1000, seed: int = 0,
-                  shrink: float = CONTOUR_SHRINK, tol: float = 1e-12) -> CheckReport:
+def schwarz_check(fam, space, samples: int = 1000, seed: int = 0) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family."""
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
     center = complex(fam.domain.center[0])
-    radius = float(fam.domain.radius[0]) * shrink
+    radius = float(fam.domain.radius[0]) * CONTOUR_SHRINK
     worst = max(
         schwarz_violation(fam.slice(t), center, radius, samples=samples, seed=seed)
         for t in space.params
     )
     return CheckReport.build(
-        "schwarz", fam.label, "", worst, 0.0, max(0.0, worst), tol,
+        "schwarz", fam.label, "", worst, 0.0, max(0.0, worst), 1e-12,
         samples=samples, slices=space.natoms,
     )

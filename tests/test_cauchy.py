@@ -7,6 +7,7 @@ from holofubini import (FiniteMeasureSpace, Polydisc, TailEstimateError, cauchy_
                         cauchy_eval, family_from_json, family_preset, order_bound,
                         order_bound_check, preset_names, schwarz_violation, space_preset,
                         taylor_coefficients, unit_polydisc)
+from holofubini.cauchy import derivative_rule
 from holofubini.family import PolynomialFamily, TabulatedTaylorFamily
 
 from conftest import fd_derivative
@@ -86,6 +87,25 @@ class TestCauchyDerivative:
         quad = cauchy_derivative(f, [0.1, -0.1], (1, 1), [0.8, 0.8], n=32)
         fd = fd_derivative(f, [0.1, -0.1], (1, 1))
         assert quad == pytest.approx(fd, rel=1e-5)
+
+
+class TestDerivativeRuleStack:
+    @pytest.mark.parametrize("center, alphas, radii", [
+        ([0.1], [(0,), (1,), (2,), (4,)], [0.5]),
+        ([0.0, 0.2j], [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], [0.9, 0.7]),
+    ])
+    def test_rows_equal_single_rules(self, center, alphas, radii):
+        pts, weights = derivative_rule(center, alphas, radii, 16)
+        assert weights.shape == (len(alphas), pts.shape[0])
+        for alpha, row in zip(alphas, weights):
+            single_pts, single = derivative_rule(center, alpha, radii, 16)
+            assert np.array_equal(pts, single_pts)
+            assert row.tolist() == single.tolist()
+
+    def test_order_guard_uses_largest_order(self):
+        derivative_rule([0.0], [(0,), (2,)], [0.5], 4)
+        with pytest.raises(ValueError, match="order 3"):
+            derivative_rule([0.0], [(0,), (3,), (1,)], [0.5], 4)
 
 
 class TestTaylorCoefficients:

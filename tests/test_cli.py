@@ -171,7 +171,7 @@ class TestSampleOnce:
 
         # the same calls as run_suite, but each checker samples for itself
         rng = np.random.default_rng(config.seed)
-        duals = {p: cli._random_duals(config.space, config.duals, rng) for p in config.p_list}
+        duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         reports = []
         for calls in cli.CHECKS.values():
             for call in calls(config, duals, rng, None):
@@ -202,9 +202,16 @@ class TestWorkBudget:
     }
 
     @staticmethod
-    def config(fam, space, n):
+    def config(fam, space, n, grid=32):
         return cli.SuiteConfig(family=fam, space=space_preset(space), functionals=[],
-                               p_list=[2.0], n=n)
+                               p_list=[2.0], n=n, grid=grid)
+
+    @classmethod
+    def family_file(cls, tmp_path, d):
+        doc = dict(cls.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * d, "radius": [1.0] * d})
+        path = tmp_path / f"exponential-d{d}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
 
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
         # 82^4 points x 16 atoms x 16 B = 11.6 GB; nothing of that size is allocated
@@ -228,16 +235,59 @@ class TestWorkBudget:
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
 
     def test_lowered_budget(self, monkeypatch):
-        # geometric d = 1 on 16 atoms: the 82-node Taylor grid takes 82 x 16 x 16 B
+        # geometric d = 1 on 16 atoms at 4 nodes and --grid 2: the 82-node Taylor
+        # grid takes 82 x 16 x 16 B, more than the 4 x 4 profile contour nodes
         fam = family_preset("geometric")
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 82 * 16 * 16)
-        self.config(fam, "uniform-16", 64)
+        self.config(fam, "uniform-16", 4, grid=2)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 82 * 16 * 16 - 1)
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            self.config(fam, "uniform-16", 4, grid=2)
+        # at 64 nodes and --grid 32 the 32 profile contours of 64 nodes take
+        # 32 x 64 x 16 x 16 B
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 32 * 64 * 16 * 16)
+        self.config(fam, "uniform-16", 64)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 32 * 64 * 16 * 16 - 1)
         with pytest.raises(cli.ConfigError, match="work budget"):
             self.config(fam, "uniform-16", 64)
         args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
+
+    @pytest.mark.parametrize("d, grid", [(3, "1024"), (1, "2000000")],
+                             ids=["d3-grid1024", "d1-grid2000000"])
+    def test_grid_is_counted(self, tmp_path, monkeypatch, capsys, d, grid):
+        # d = 3: the norm_bound sup grid is 1024^3 x 16 x 16 B = 256 GiB; d = 1: the
+        # derivative_profile contours hold 2,000,000 x 64 x 16 x 16 B = 30.5 GiB
+        counted = []
+
+        def counting(evaluate):
+            def wrapper(self, z, t):
+                counted.append(np.size(z))
+                return evaluate(self, z, t)
+            return wrapper
+
+        for kind in family.HoloFamily.__subclasses__():
+            monkeypatch.setattr(kind, "_evaluate", counting(kind._evaluate))
+        code = main(["verify", "--family-file", self.family_file(tmp_path, d),
+                     "--space", "uniform-16", "--grid", grid])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
+        assert counted == []
+
+    @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),
+                                             (2, "uniform-16", 64), (2, "uniform-256", 32),
+                                             (3, "uniform-16", 32)])
+    def test_bench_configs_admitted(self, tmp_path, d, space, n):
+        # every (d, atoms, nodes) of the benchmark matrix at the default --grid 32
+        args = cli.build_parser().parse_args(
+            ["verify", "--family-file", self.family_file(tmp_path, d), "--space", space,
+             "--nodes", str(n)])
+        assert cli._build_config(args, CHECK_NAMES).grid == 32
+
+    def test_default_config_admitted(self):
+        config = cli._build_config(cli.build_parser().parse_args(["verify"]), CHECK_NAMES)
+        assert (config.family.d, config.space.natoms, config.n, config.grid) == (1, 16, 64, 32)
 
 
 class TestCheckSubcommand:
@@ -330,3 +380,13 @@ class TestFailurePath:
         assert "violation" in err
         records = parse_records(out.read_text())
         assert any(not r["pass"] for r in records)
+
+    @pytest.mark.parametrize("args", [["--p", "nan"], ["--tol", "nan"],
+                                      ["--functional", "random:0"]],
+                             ids=["p-nan", "tol-nan", "random-0"])
+    def test_invalid_number_is_usage_error(self, tmp_path, capsys, args):
+        # no paper claim fails here: a NaN exponent or tolerance fails every check
+        # it reaches, and an empty measure has no nodes to take a sup over
+        code, text = run_cli(tmp_path, "verify", "--family", "geometric", *args)
+        assert code == 2 and text is None
+        assert "configuration error:" in capsys.readouterr().err

@@ -155,6 +155,13 @@ class TestSupNorm:
         with pytest.raises(ValueError):
             family_preset("constant").slice_supnorm(0.0, 1)
 
+    @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
+    def test_params_array_matches_each_atom(self, preset_family, space):
+        params = space_preset(space).params
+        sups = preset_family.slice_supnorm(params, 64, shrink=0.95)
+        assert sups.tolist() == [preset_family.slice_supnorm(t, 64, shrink=0.95)
+                                 for t in params]
+
 
 def test_boundedness_certificate(preset_family, space16):
     # at density 64 every slice sup is finite and below the declared bound

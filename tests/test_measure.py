@@ -33,6 +33,8 @@ class TestLpNorm:
         space = space_preset("uniform-4")
         with pytest.raises(ValueError):
             space.lp_norm(np.ones(5), 2)
+        with pytest.raises(ValueError):
+            space.lp_norm(np.ones((3, 5)), 2)
 
 
 class TestPairing:
@@ -55,6 +57,37 @@ class TestPairing:
         space = space_preset("uniform-4")
         with pytest.raises(ValueError):
             space.pairing(np.ones(4), np.ones(3))
+        with pytest.raises(ValueError):
+            space.pairing(np.ones((3, 4)), np.ones((3, 5)))
+
+
+class TestStacks:
+    SPACES = {
+        "random": FiniteMeasureSpace(np.linspace(-1, 1, 9), np.random.default_rng(1).random(9)),
+        "zero-weight-atoms": FiniteMeasureSpace(np.linspace(-1, 1, 9),
+                                                [0.5, 0.0, 1.0, 0.0, 0.0, 2.0, 0.25, 0.0, 1.0]),
+        "all-zero-weights": FiniteMeasureSpace(np.linspace(-1, 1, 9), np.zeros(9)),
+    }
+
+    @staticmethod
+    def stack(rows, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((rows, 9)) + 1j * rng.standard_normal((rows, 9))
+
+    @pytest.mark.parametrize("name", SPACES)
+    @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
+    def test_lp_norm_row_by_row(self, name, p):
+        space, g = self.SPACES[name], self.stack(7)
+        norms = space.lp_norm(g, p)
+        assert norms.shape == (7,)
+        assert norms.tolist() == [space.lp_norm(row, p) for row in g]
+
+    @pytest.mark.parametrize("name", SPACES)
+    def test_pairing_row_by_row(self, name):
+        space, g, h = self.SPACES[name], self.stack(7), self.stack(7, seed=1)
+        assert space.pairing(g, h).tolist() == [space.pairing(a, b) for a, b in zip(g, h)]
+        # one vector against a stack, as linearization and fubini pair them
+        assert space.pairing(g[0], h).tolist() == [space.pairing(g[0], b) for b in h]
 
 
 @given(data=st.data())

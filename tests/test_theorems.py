@@ -371,6 +371,26 @@ class TestDerivativeProfile:
         with pytest.raises(ValueError):
             theorems.derivative_profile(fam, space16, 1, [np.zeros(2)], [0.1, 0.1])
 
+    def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return derivative_rule(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, "derivative_rule", counting)
+        grid = [np.array([0.3 * np.exp(2j * np.pi * k / 6)]) for k in range(6)]
+        profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32)
+        assert len(calls) == len(grid)
+        # each order's profile equals the one its own single-order rule gives
+        sampler = geometric.sampler(space16)
+        for prof in profs:
+            mags = []
+            for a in grid:
+                pts, weights = derivative_rule(a, (prof.order,), [0.1], 32)
+                mags.append(np.abs(weights @ sampler(pts).values))
+            assert prof.profile.tolist() == np.max(mags, axis=0).tolist()
+
 
 class TestTelescoping:
     def test_bivariate_geometric(self, space16):
