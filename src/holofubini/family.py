@@ -164,9 +164,9 @@ class HoloFamily:
         if not 0.0 < shrink <= 1.0:
             raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
         pts = torus_nodes(self.domain.shrunk(shrink), max(grid_density, 4)).grid()
-        if np.ndim(t):
-            return np.max(np.abs(self._evaluate(pts[:, None, :], np.asarray(t, complex))), axis=0)
-        return float(np.max(np.abs(self._evaluate(pts, complex(t)))))
+        ts = np.atleast_1d(np.asarray(t, complex))
+        sups = np.max(np.abs(self._evaluate(pts[:, None, :], ts)), axis=0)
+        return sups if np.ndim(t) else float(sups[0])
 
     def validate_on(self, space: FiniteMeasureSpace) -> None:
         """Check the analyticity/boundedness hypotheses for every atom of ``space``."""

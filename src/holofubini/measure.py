@@ -101,6 +101,8 @@ class FiniteMeasureSpace:
     def dual_witness(self, g, p: float) -> np.ndarray:
         """An h with ||h||_q <= 1 and pairing(g, h) = ||g||_p (norming witness)."""
         g = self._check_vector(g)
+        if g.ndim != 1:
+            raise ValueError(f"dual_witness takes one vector, got shape {g.shape}")
         p = float(p)
         norm = self.lp_norm(g, p)
         h = np.zeros_like(g)

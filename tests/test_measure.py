@@ -116,6 +116,13 @@ def test_norm_attained_by_dual_witness(p):
     assert abs(space.pairing(g, h)) == pytest.approx(space.lp_norm(g, p), rel=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_dual_witness_rejects_stacks(rows):
+    space = FiniteMeasureSpace(np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match="one vector"):
+        space.dual_witness(np.ones((rows, 4)), INF)
+
+
 def test_almost_everywhere_semantics():
     # modifying a zero-weight atom changes no norm and no pairing
     space = FiniteMeasureSpace([0.0, 1.0, 2.0], [0.4, 0.0, 0.6])
