@@ -144,9 +144,8 @@ def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> 
         raise ValueError(f"node count {n} risks aliasing: need n > {2 * degree}")
     disc = Polydisc(center, radii)
     quad = torus_nodes(disc, n)
-    mesh = np.meshgrid(*quad.nodes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    samples = np.asarray(f(pts), dtype=complex)
+    samples = np.asarray(f(quad.grid()), dtype=complex)
+    samples = samples.reshape((quad.n,) * disc.d + samples.shape[1:])
     coeffs = _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
     return TaylorTable(coeffs=coeffs, center=center, radii=np.asarray(disc.radius))
 
@@ -229,36 +228,37 @@ def _tail_from_degrees(shell: np.ndarray, degree: int, shrink: float, d: int) ->
 
 
 def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=None,
-                degree: int = 40, shrink: float = 0.5, n: int | None = None) -> OrderBound:
+                degree: int | None = None, shrink: float = 0.5, n: int | None = None,
+                sampler=None) -> OrderBound:
     """Per-atom Taylor majorant u_i = sum_{m} |c_m(t_i)| (shrink * r)^m plus a tail.
 
     ``center``/``radii`` default to the family domain center with radii
     scaled to keep the extraction contour strictly inside the domain.  The
-    tail is the maximum over atoms of the per-atom geometric-fit estimate;
-    it raises :class:`TailEstimateError` instead of guessing when the
-    computed coefficients do not decay geometrically.
+    coefficients come from F on the n-node contour grid, read from ``sampler``;
+    the degree defaults to n // 2 - 1 (n = 64 if neither is given), capped at
+    ``MAX_TAYLOR_DEGREE``, and a degree without n means n = 2 * degree + 2.
+    The tail is the maximum over atoms of the per-atom geometric-fit
+    estimate; it raises :class:`TailEstimateError` instead of guessing when
+    the computed coefficients do not decay geometrically.
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    if center is None:
-        center = fam.domain.center
-    if radii is None:
-        radii = fam.domain.radius * 0.95
-    table = taylor_coefficients(lambda pts: fam.eval(pts[..., None, :], space.params),
-                                center, radii, degree, n)
+    center = fam.domain.center if center is None else center
+    radii = fam.domain.radius * 0.95 if radii is None else radii
+    if degree is None:
+        degree = min((64 if n is None else n) // 2 - 1, MAX_TAYLOR_DEGREE)
+    sampler = sampler or fam.sampler(space)
+    table = taylor_coefficients(lambda pts: sampler(pts).values, center, radii, degree, n)
     d, degree, radii = table.d, table.degree, table.radii
 
     # radius-scaled magnitudes: gamma_m = |c_m| * prod_j r_j^{m_j}
     rad_scale = reduce(np.multiply.outer, [radii[j] ** np.arange(degree + 1) for j in range(d)])
     gamma = np.abs(table.coeffs) * rad_scale[..., None]
-    rho_scale = reduce(np.multiply.outer,
-                       [shrink ** np.arange(degree + 1) for _ in range(d)])
+    rho_scale = reduce(np.multiply.outer, [shrink ** np.arange(degree + 1)] * d)
     u = np.sum(gamma * rho_scale[..., None], axis=tuple(range(d)))
 
     total_degree = sum(np.meshgrid(*[np.arange(degree + 1)] * d, indexing="ij")).ravel()
-    tail = 0.0
-    rate = 0.0
-    scale = 0.0
+    tail = rate = scale = 0.0
     for g in gamma.reshape(-1, space.natoms).T:
         shell = np.bincount(total_degree, weights=g)[:degree + 1]
         t_i, q_i, c_i = _tail_from_degrees(shell, degree, shrink, d)

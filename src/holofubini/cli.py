@@ -27,7 +27,7 @@ from .family import HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import FiniteMeasureSpace, space_from_json, space_preset
-from .theorems import CONTOUR_SHRINK, ORDER_BOUND_DEGREE, CheckReport
+from .theorems import CONTOUR_SHRINK, TELESCOPING_DENSITY, CheckReport
 
 def _identity_tol(config) -> float:
     return config.tol if config.tol is not None else 1e-10
@@ -77,10 +77,9 @@ def _diff_under_integral(config, duals, rng, sampler):
 
 
 def _norm_bound(config, duals, rng, sampler):
-    for phi in config.functionals:
-        for p in config.p_list:
-            yield partial(theorems.norm_bound_check, phi, config.family, config.space, p,
-                          grid_density=config.grid, sampler=sampler)
+    for p in config.p_list:
+        yield partial(theorems.norm_bound_check, config.functionals, config.family,
+                      config.space, p, grid_density=config.grid, sampler=sampler)
 
 
 def _span(config, duals, rng, sampler):
@@ -105,12 +104,12 @@ def _schwarz(config, duals, rng, sampler):
 def _telescoping(config, duals, rng, sampler):
     if config.family.d >= 2:
         yield partial(theorems.telescoping_residual, config.family, config.space,
-                      sample_shrink=config.shrink, seed=config.seed)
+                      sample_shrink=config.shrink, seed=config.seed, sampler=sampler)
 
 
 def _order_bound(config, duals, rng, sampler):
     yield partial(theorems.order_bound_check, config.family, config.space,
-                  shrink=config.shrink, seed=config.seed)
+                  shrink=config.shrink, seed=config.seed, n=config.n, sampler=sampler)
 
 
 def _derivative_profile(config, duals, rng, sampler):
@@ -140,9 +139,9 @@ CHECK_NAMES = tuple(CHECKS)
 
 USAGE_ERROR = 2
 
-#: Bytes of complex values the largest array of a run may take.  It admits every
-#: benchmark configuration and d = 3 with 256 atoms at 32 nodes (2.26 GB), and
-#: refuses d = 4 with 16 atoms at 64 nodes (11.6 GB).
+#: Bytes of complex values the largest arrays a run holds at once may take.  It
+#: admits every benchmark configuration and d = 3 with 256 atoms at 32 nodes
+#: (2 GiB), and refuses d = 4 with 16 atoms at 32 or 64 nodes (8 GiB).
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -151,14 +150,16 @@ class ConfigError(Exception):
 
 
 def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid: int) -> None:
-    """Raise :class:`ConfigError` when the run's largest array would exceed the budget.
+    """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
-    That array is the largest of the n^d boundary sample, the (2 * degree + 2)^d
-    order_bound Taylor grid, the max(grid, 4)^d norm_bound sup grid and, at d = 1,
+    They are the largest of two n^d contour arrays (derivative_consistency's sample
+    and per-slice stack; at d >= 2 at least the TELESCOPING_DENSITY^d telescoping
+    sample and its moduli), the max(grid, 4)^d norm_bound sup grid and, at d = 1,
     the max(grid, 4) * n derivative_profile contour nodes, times the atoms.
     """
     sup = max(grid, 4)
-    points = max(max(n, 2 * ORDER_BOUND_DEGREE + 2, sup) ** fam.d, sup * n if fam.d == 1 else 0)
+    contour = max(n, TELESCOPING_DENSITY if fam.d >= 2 else 0) ** fam.d
+    points = max(2 * contour, sup ** fam.d, sup * n if fam.d == 1 else 0)
     need = points * space.natoms * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
@@ -333,13 +334,10 @@ def _parse_p_list(text: str) -> list[float]:
         part = part.strip().lower()
         if not part:
             continue
-        if part in ("inf", "infinity", "oo"):
-            out.append(math.inf)
-        else:
-            try:
-                out.append(float(part))
-            except ValueError:
-                raise ConfigError(f"cannot parse exponent {part!r}") from None
+        try:  # float() also reads "inf" and "infinity"
+            out.append(math.inf if part == "oo" else float(part))
+        except ValueError:
+            raise ConfigError(f"cannot parse exponent {part!r}") from None
     if not out:
         raise ConfigError("--p needs at least one exponent")
     return out

@@ -51,7 +51,7 @@ __all__ = [
     "TOL_EXACT",
     "TOL_QUADRATURE",
     "CONTOUR_SHRINK",
-    "ORDER_BOUND_DEGREE",
+    "TELESCOPING_DENSITY",
 ]
 
 #: identities whose two sides are the same finite sum up to reassociation
@@ -60,8 +60,8 @@ TOL_EXACT = 1e-12
 TOL_QUADRATURE = 1e-9
 #: contour placement inside a family domain, keeping strict analyticity margin
 CONTOUR_SHRINK = 0.95
-#: Taylor degree of the order-bound check; its FFT grid has 2 * degree + 2 nodes per variable
-ORDER_BOUND_DEGREE = 40
+#: nodes per variable of the telescoping sup grid; at n = 64 it is the derivative contour grid
+TELESCOPING_DENSITY = 64
 
 
 @dataclass
@@ -212,25 +212,27 @@ def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
 
 
 def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
-                     sampler=None) -> CheckReport:
+                     sampler=None) -> CheckReport | list[CheckReport]:
     """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p.
 
     The sup is taken over a deterministic boundary grid at shrink 0.9
     augmented with the functional's own nodes; with the nodes included the
     bound is a finite triangle inequality, while the grid part only raises
     the right side toward the true sup.  Passing means lhs <= rhs * (1 + 1e-9).
+    ``phi`` may be a list of functionals: they share the grid's row norms.
     """
+    batched = isinstance(phi, (list, tuple))
     sampler = sampler or fam.sampler(space)
-    lhs = space.lp_norm(phi.apply_slices(fam, space, sampler), p)
     grid = sampler(sup_grid(fam.domain, grid_density, 0.9))
-    sup = max(float(np.max(space.lp_norm(grid.values, p))),
-              float(np.max(space.lp_norm(sampler(phi.nodes).values, p))))
-    rhs = phi.total_variation * sup
-    residual = max(0.0, lhs - rhs)
-    return CheckReport.build(
-        "norm_bound", fam.label, phi.label, lhs, rhs, residual, 1e-9 * rhs,
-        p=p, grid=grid_density,
-    )
+    grid_sup = float(np.max(space.lp_norm(grid.values, p)))
+    reports = []
+    for f in phi if batched else [phi]:
+        lhs = space.lp_norm(f.apply_slices(fam, space, sampler), p)
+        sup = max(grid_sup, float(np.max(space.lp_norm(sampler(f.nodes).values, p))))
+        rhs = f.total_variation * sup
+        reports.append(CheckReport.build("norm_bound", fam.label, f.label, lhs, rhs,
+                                         max(0.0, lhs - rhs), 1e-9 * rhs, p=p, grid=grid_density))
+    return reports if batched else reports[0]
 
 
 def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,
@@ -319,19 +321,20 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
 
 
 def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 0.5,
-                         seed: int = 0) -> CheckReport:
+                         seed: int = 0, sampler=None) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
     For sampled pairs z, a in the sample_shrink polydisc, checks
     ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B
-    is the largest slice sup over a 64-node grid of the CONTOUR_SHRINK domain
-    and r_j is the per-variable margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
+    is max |F| on ``sup_grid(domain, TELESCOPING_DENSITY, CONTOUR_SHRINK)``, read
+    from ``sampler``, and r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
     """
     if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
     rng = np.random.default_rng(seed)
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
-    bound = float(np.max(fam.slice_supnorm(space.params, 64, CONTOUR_SHRINK)))
+    grid = sup_grid(fam.domain, TELESCOPING_DENSITY, CONTOUR_SHRINK)
+    bound = float(np.max(np.abs((sampler or fam.sampler(space))(grid).values)))
     z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     fz = fam.eval(z[:, None, :], space.params)
@@ -345,15 +348,16 @@ def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 
     )
 
 
-def order_bound_check(fam, space, degree: int = ORDER_BOUND_DEGREE, shrink: float = 0.5,
-                      n_samples: int = 200, seed: int = 0) -> CheckReport:
+def order_bound_check(fam, space, degree: int | None = None, shrink: float = 0.5,
+                      n_samples: int = 200, seed: int = 0, n: int | None = None,
+                      sampler=None) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.
 
-    The center and contour follow :func:`holofubini.cauchy.order_bound`
-    defaults; sample points fill the closed shrink-polydisc.  The reported
-    tail always comes from the geometric coefficient fit.
+    The center, contour, degree and n-node contour sample (from ``sampler``)
+    follow :func:`holofubini.cauchy.order_bound`; sample points fill the closed
+    shrink-polydisc.  The reported tail always comes from the geometric fit.
     """
-    ob = order_bound(fam, space, degree=degree, shrink=shrink)
+    ob = order_bound(fam, space, degree=degree, shrink=shrink, n=n, sampler=sampler)
     z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), n_samples, shrink,
                         np.random.default_rng(seed))
     values = np.abs(fam.eval(z[:, None, :], space.params))
@@ -361,7 +365,7 @@ def order_bound_check(fam, space, degree: int = ORDER_BOUND_DEGREE, shrink: floa
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
         "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
-        tol, degree=degree, shrink=shrink, tail_method=ob.tail_method,
+        tol, degree=ob.degree, shrink=shrink, tail_method=ob.tail_method,
     )
 
 

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holofubini import cli, family, family_preset, space_preset
+from holofubini import cli, family, family_preset, space_preset, theorems
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
-from holofubini.theorems import CheckReport
+from holofubini.theorems import CONTOUR_SHRINK, CheckReport
 
 from conftest import PRESET_NAMES
 
@@ -28,6 +28,22 @@ GEOMETRIC_D2 = {
     "domain": {"center": [[0.0, 0.0], [0.0, 0.0]], "radius": [1.0, 1.0]},
     "label": "geometric-d2",
 }
+
+
+def count_family_values(monkeypatch) -> list[int]:
+    """Count family values at each kind's _evaluate: the size of every output is appended."""
+    counted = []
+
+    def counting(evaluate):
+        def wrapper(self, z, t):
+            out = evaluate(self, z, t)
+            counted.append(np.size(out))
+            return out
+        return wrapper
+
+    for kind in family.HoloFamily.__subclasses__():
+        monkeypatch.setattr(kind, "_evaluate", counting(kind._evaluate))
+    return counted
 
 
 def family_args(tmp_path, d):
@@ -135,31 +151,37 @@ class TestSampleOnce:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
     #   derivative_consistency's per-slice route, once for every |alpha| <= 2:  64^d * k
     #   span, 4 functionals x (8 + 16) sample points:  96 * k
-    #   order_bound: Taylor grid 82^d * k and 200 sample points 200 * k
+    #   order_bound: its Taylor table comes from the contour grid, already counted,
+    #     and 200 sample points 200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + 2048 ring points,
     #     and derivative_profile: 32 contours of 64 nodes, shared by orders 0-4
-    #   d = 2 only, telescoping: slice sups on a 64^d grid 64^d * k and
-    #     2 * 200 sample points 400 * k
-    # d = 1: k * (64 + 32 + 9 + 3 + 64 + 96 + 82 + 200 + 3049 + 32*64) = 90,352
-    # d = 2: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 6724 + 200 + 4096 + 400) = 331,904
+    #   d = 2 only, telescoping: its sup is taken on the 64^d contour grid, already
+    #     counted, and 2 * 200 sample points 400 * k
+    # d = 1: k * (64 + 32 + 9 + 3 + 64 + 96 + 200 + 3049 + 32*64) = 89,040
+    # d = 2: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 200 + 400) = 158,784
     # ids name only d, so re-pinning a count keeps the test's name
-    @pytest.mark.parametrize("d, expected", [(1, 90_352), (2, 331_904)], ids=["d1", "d2"])
+    @pytest.mark.parametrize("d, expected", [(1, 89_040), (2, 158_784)], ids=["d1", "d2"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, expected):
-        counted = []
-
-        def counting(evaluate):
-            def wrapper(self, z, t):
-                out = evaluate(self, z, t)
-                counted.append(np.size(out))
-                return out
-            return wrapper
-
-        for kind in family.HoloFamily.__subclasses__():
-            monkeypatch.setattr(kind, "_evaluate", counting(kind._evaluate))
+        counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, d),
                           "--space", "uniform-16", "--nodes", "64")
         assert code == 0
         assert sum(counted) == expected
+
+    def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
+        # after derivative_consistency has sampled the n = 64 contour grid, the two
+        # checks evaluate only their own random points: 200 * k and 2 * 200 * k
+        fam, space = family.family_from_json(json.dumps(GEOMETRIC_D2)), space_preset("uniform-16")
+        sampler = fam.sampler(space)
+        theorems.derivative_consistency(fam, space, fam.domain.center, cli._alpha_battery(2),
+                                        fam.domain.radius * CONTOUR_SHRINK, n=64,
+                                        sampler=sampler)
+        counted = count_family_values(monkeypatch)
+        assert theorems.order_bound_check(fam, space, n=64, sampler=sampler).passed
+        assert sum(counted) == 200 * 16
+        counted.clear()
+        assert theorems.telescoping_residual(fam, space, sampler=sampler).passed
+        assert sum(counted) == 400 * 16
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_shared_samples_match_standalone_checkers(self, tmp_path, d):
@@ -214,7 +236,7 @@ class TestWorkBudget:
         return str(path)
 
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 82^4 points x 16 atoms x 16 B = 11.6 GB; nothing of that size is allocated
+        # 2 x 64^4 points x 16 atoms x 16 B = 8 GiB; nothing of that size is allocated
         path = tmp_path / "exponential-d4.json"
         path.write_text(json.dumps(self.EXPONENTIAL_D4))
         monkeypatch.setattr(cli, "default_functionals", None)
@@ -229,18 +251,19 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 82^3 x 256 x 16 B = 2.26 GB
+        # d = 3 with 256 atoms at 32 nodes: 2 x 64^3 x 256 x 16 B = 2 GiB
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
 
     def test_lowered_budget(self, monkeypatch):
-        # geometric d = 1 on 16 atoms at 4 nodes and --grid 2: the 82-node Taylor
-        # grid takes 82 x 16 x 16 B, more than the 4 x 4 profile contour nodes
+        # geometric d = 1 on 16 atoms at 4 nodes and --grid 2: the 4 x 4 profile
+        # contour nodes take 4 x 4 x 16 x 16 B, more than the 2 x 4 contour values
+        # that derivative_consistency holds at once
         fam = family_preset("geometric")
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 82 * 16 * 16)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16)
         self.config(fam, "uniform-16", 4, grid=2)
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 82 * 16 * 16 - 1)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16 - 1)
         with pytest.raises(cli.ConfigError, match="work budget"):
             self.config(fam, "uniform-16", 4, grid=2)
         # at 64 nodes and --grid 32 the 32 profile contours of 64 nodes take
@@ -253,6 +276,13 @@ class TestWorkBudget:
         args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
+
+    def test_telescoping_grid_is_counted(self):
+        # d = 4 at 32 nodes: the telescoping sup sample and its moduli are counted as
+        # 2 x 64^4 x 16 x 16 B = 8 GiB, though the contour grid has only 32^4 nodes
+        fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            self.config(fam, "uniform-16", 32)
 
     @pytest.mark.parametrize("d, grid", [(3, "1024"), (1, "2000000")],
                              ids=["d3-grid1024", "d1-grid2000000"])
@@ -301,6 +331,15 @@ class TestCheckSubcommand:
     def test_records_carry_the_check_name(self, tmp_path, name):
         _, text = run_cli(tmp_path, "check", name, "--family", "geometric")
         assert {r["check"] for r in parse_records(text)} <= {name}
+
+    @pytest.mark.parametrize("d, nodes", [(1, "512"), (2, "8")], ids=["d1-n512", "d2-n8"])
+    def test_order_bound_at_extreme_node_counts(self, tmp_path, d, nodes):
+        # the Taylor degree n // 2 - 1 is capped at MAX_TAYLOR_DEGREE, so n = 512
+        # gets a degree-128 table instead of an error; n = 8 gets degree 3
+        code, text = run_cli(tmp_path, "check", "order_bound", *family_args(tmp_path, d),
+                             "--nodes", nodes)
+        assert code == 0
+        assert [r["check"] for r in parse_records(text)] == ["order_bound"]
 
     def test_unknown_check_name(self, tmp_path):
         code = main(["check", "bogus", "--family", "geometric"])

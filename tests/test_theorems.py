@@ -294,6 +294,23 @@ class TestNormBound:
         rep = theorems.norm_bound_check(phi, family_preset("polynomial"), space16, p)
         assert rep.passed
 
+    @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
+    def test_functional_list_matches_one_call_each(self, geometric, space16, monkeypatch, p):
+        phis = [dirac([0.9]), derivative_functional([0.0], (1,), CONTOUR, n=64),
+                random_measure(geometric.domain, k=8, shrink=0.5, seed=2)]
+        alone = [theorems.norm_bound_check(phi, geometric, space16, p) for phi in phis]
+        grid_rows = []
+        lp_norm = FiniteMeasureSpace.lp_norm
+
+        def counting(self, v, q):
+            grid_rows.append(np.shape(v)[0] == 32 and np.ndim(v) == 2)
+            return lp_norm(self, v, q)
+
+        monkeypatch.setattr(FiniteMeasureSpace, "lp_norm", counting)
+        batch = theorems.norm_bound_check(phis, geometric, space16, p)
+        assert [vars(r) for r in batch] == [vars(r) for r in alone]
+        assert sum(grid_rows) == 1
+
 
 class TestSpan:
     def test_constant_one_sample(self, space16):
