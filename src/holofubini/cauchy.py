@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 MAX_TAYLOR_DEGREE = 128
+#: Least default order_bound degree (16 contour nodes).  With degree n // 2 - 1
+#: the presets give false violations at --nodes 4 to 11 (degree <= 4): the tail
+#: fit window holds one degree, and aliasing of the coarse rule can push u below |f|.
+MIN_ORDER_BOUND_DEGREE = 7
 
 
 def cauchy_eval(f, disc: Polydisc, z, n: int = 64) -> complex:
@@ -234,19 +238,24 @@ def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=N
 
     ``center``/``radii`` default to the family domain center with radii
     scaled to keep the extraction contour strictly inside the domain.  The
-    coefficients come from F on the n-node contour grid, read from ``sampler``;
-    the degree defaults to n // 2 - 1 (n = 64 if neither is given), capped at
-    ``MAX_TAYLOR_DEGREE``, and a degree without n means n = 2 * degree + 2.
+    coefficients come from F on the n-node contour grid, read from ``sampler``.
+    The default degree is n // 2 - 1 (n = 64 if neither is given), capped at
+    ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` the grid is raised
+    to 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.  A degree without n means
+    n = 2 * degree + 2.
     The tail is the maximum over atoms of the per-atom geometric-fit
     estimate; it raises :class:`TailEstimateError` instead of guessing when
     the computed coefficients do not decay geometrically.
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    center = fam.domain.center if center is None else center
-    radii = fam.domain.radius * 0.95 if radii is None else radii
+    if center is None:
+        center = fam.domain.center
+    if radii is None:
+        radii = fam.domain.radius * 0.95
     if degree is None:
-        degree = min((64 if n is None else n) // 2 - 1, MAX_TAYLOR_DEGREE)
+        n = max(64 if n is None else n, 2 * MIN_ORDER_BOUND_DEGREE + 2)
+        degree = min(n // 2 - 1, MAX_TAYLOR_DEGREE)
     sampler = sampler or fam.sampler(space)
     table = taylor_coefficients(lambda pts: sampler(pts).values, center, radii, degree, n)
     d, degree, radii = table.d, table.degree, table.radii
@@ -254,11 +263,14 @@ def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=N
     # radius-scaled magnitudes: gamma_m = |c_m| * prod_j r_j^{m_j}
     rad_scale = reduce(np.multiply.outer, [radii[j] ** np.arange(degree + 1) for j in range(d)])
     gamma = np.abs(table.coeffs) * rad_scale[..., None]
-    rho_scale = reduce(np.multiply.outer, [shrink ** np.arange(degree + 1)] * d)
+    rho_scale = reduce(np.multiply.outer,
+                       [shrink ** np.arange(degree + 1) for _ in range(d)])
     u = np.sum(gamma * rho_scale[..., None], axis=tuple(range(d)))
 
     total_degree = sum(np.meshgrid(*[np.arange(degree + 1)] * d, indexing="ij")).ravel()
-    tail = rate = scale = 0.0
+    tail = 0.0
+    rate = 0.0
+    scale = 0.0
     for g in gamma.reshape(-1, space.natoms).T:
         shell = np.bincount(total_degree, weights=g)[:degree + 1]
         t_i, q_i, c_i = _tail_from_degrees(shell, degree, shrink, d)

@@ -155,7 +155,8 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     They are the largest of two n^d contour arrays (derivative_consistency's sample
     and per-slice stack; at d >= 2 at least the TELESCOPING_DENSITY^d telescoping
     sample and its moduli), the max(grid, 4)^d norm_bound sup grid and, at d = 1,
-    the max(grid, 4) * n derivative_profile contour nodes, times the atoms.
+    the max(grid, 4) * n derivative_profile contour nodes, times the atoms.  The
+    order_bound table's max(n, 16)^d nodes never exceed these, since n >= 4.
     """
     sup = max(grid, 4)
     contour = max(n, TELESCOPING_DENSITY if fam.d >= 2 else 0) ** fam.d
@@ -334,10 +335,13 @@ def _parse_p_list(text: str) -> list[float]:
         part = part.strip().lower()
         if not part:
             continue
-        try:  # float() also reads "inf" and "infinity"
-            out.append(math.inf if part == "oo" else float(part))
-        except ValueError:
-            raise ConfigError(f"cannot parse exponent {part!r}") from None
+        if part in ("inf", "infinity", "oo"):
+            out.append(math.inf)
+        else:
+            try:
+                out.append(float(part))
+            except ValueError:
+                raise ConfigError(f"cannot parse exponent {part!r}") from None
     if not out:
         raise ConfigError("--p needs at least one exponent")
     return out

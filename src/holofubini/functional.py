@@ -51,6 +51,7 @@ class MeasureFunctional:
     meaning: str = "measure"
     center: np.ndarray | None = None
     alpha: tuple[int, ...] | None = None
+    radii: np.ndarray | None = None
 
     def __post_init__(self):
         nodes = np.atleast_2d(np.asarray(self.nodes, dtype=complex)).copy()
@@ -180,8 +181,10 @@ def derivative_functional(center, alpha, radii, n: int = 64,
     pts, weights = derivative_rule(center, alpha, radii, n)
     if label is None:
         label = f"derivative:a={_format_point(center)},alpha={list(alpha)}"
-    return MeasureFunctional(nodes=pts, weights=weights, label=label, meaning="derivative",
-                             center=center, alpha=alpha)
+    return MeasureFunctional(
+        nodes=pts, weights=weights, label=label, meaning="derivative",
+        center=center, alpha=alpha, radii=np.atleast_1d(np.asarray(radii, dtype=float)),
+    )
 
 
 def random_measure(disc, k: int = 8, shrink: float = 0.5, seed: int = 0,

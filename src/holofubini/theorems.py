@@ -211,28 +211,34 @@ def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
     return torus_nodes(domain.shrunk(shrink), max(int(density), 4)).grid()
 
 
-def norm_bound_check(phi, fam, space, p: float, grid_density: int = 32,
-                     sampler=None) -> CheckReport | list[CheckReport]:
-    """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p.
+def norm_bound_check(phis, fam, space, p: float, grid_density: int = 32,
+                     sampler=None) -> list[CheckReport]:
+    """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p for each phi.
 
     The sup is taken over a deterministic boundary grid at shrink 0.9
     augmented with the functional's own nodes; with the nodes included the
     bound is a finite triangle inequality, while the grid part only raises
     the right side toward the true sup.  Passing means lhs <= rhs * (1 + 1e-9).
-    ``phi`` may be a list of functionals: they share the grid's row norms.
+    The functionals share the grid's row norms; one that raises gets the
+    failing report of :meth:`CheckReport.failed` and leaves the others' reports.
     """
-    batched = isinstance(phi, (list, tuple))
     sampler = sampler or fam.sampler(space)
     grid = sampler(sup_grid(fam.domain, grid_density, 0.9))
     grid_sup = float(np.max(space.lp_norm(grid.values, p)))
     reports = []
-    for f in phi if batched else [phi]:
-        lhs = space.lp_norm(f.apply_slices(fam, space, sampler), p)
-        sup = max(grid_sup, float(np.max(space.lp_norm(sampler(f.nodes).values, p))))
-        rhs = f.total_variation * sup
-        reports.append(CheckReport.build("norm_bound", fam.label, f.label, lhs, rhs,
-                                         max(0.0, lhs - rhs), 1e-9 * rhs, p=p, grid=grid_density))
-    return reports if batched else reports[0]
+    for phi in phis:
+        try:
+            lhs = space.lp_norm(phi.apply_slices(fam, space, sampler), p)
+            nodes_sup = float(np.max(space.lp_norm(sampler(phi.nodes).values, p)))
+        except (ValueError, ArithmeticError) as exc:
+            reports.append(CheckReport.failed("norm_bound", fam.label, exc))
+            continue
+        rhs = phi.total_variation * max(grid_sup, nodes_sup)
+        reports.append(CheckReport.build(
+            "norm_bound", fam.label, phi.label, lhs, rhs, max(0.0, lhs - rhs), 1e-9 * rhs,
+            p=p, grid=grid_density,
+        ))
+    return reports
 
 
 def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,

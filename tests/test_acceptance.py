@@ -80,8 +80,7 @@ def identity_matrix(space16, functionals):
                 out["fubini"].append(worst)
                 out["linearization"].append(theorems.linearization_residual(
                     phi, fam, space16, duals[p], p=p, tol=1e-10))
-                out["norm_bound"].append(theorems.norm_bound_check(
-                    phi, fam, space16, p))
+                out["norm_bound"].append(theorems.norm_bound_check([phi], fam, space16, p)[0])
     return out
 
 
@@ -141,8 +140,8 @@ def test_criterion_05_norm_bounds(identity_matrix, space16):
     # homogeneity: scaling the weights by 7 scales both sides exactly
     fam = family_preset("geometric")
     phi = derivative_functional([0.0], (1,), CONTOUR, n=64)
-    base = theorems.norm_bound_check(phi, fam, space16, 2)
-    scaled = theorems.norm_bound_check(phi.scaled(7.0), fam, space16, 2)
+    base = theorems.norm_bound_check([phi], fam, space16, 2)[0]
+    scaled = theorems.norm_bound_check([phi.scaled(7.0)], fam, space16, 2)[0]
     assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-13)
     assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-13)
     announce(5, "norm bounds")

@@ -7,7 +7,7 @@ from holofubini import (FiniteMeasureSpace, Polydisc, TailEstimateError, cauchy_
                         cauchy_eval, family_from_json, family_preset, order_bound,
                         order_bound_check, preset_names, schwarz_violation, space_preset,
                         taylor_coefficients, unit_polydisc)
-from holofubini.cauchy import derivative_rule
+from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, derivative_rule
 from holofubini.family import PolynomialFamily, TabulatedTaylorFamily
 
 from conftest import fd_derivative
@@ -243,6 +243,16 @@ class TestOrderBound:
     def test_every_preset_passes(self, name, space):
         rep = order_bound_check(family_preset(name), space_preset(space))
         assert rep.passed, rep.params
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_preset_passes_at_few_nodes(self, name, space16):
+        # below 16 nodes the default degree n // 2 - 1 is raised to
+        # MIN_ORDER_BOUND_DEGREE; at degree <= 4 these cases give false violations
+        for n in range(4, 17):
+            for shrink in (0.1, 0.5, 0.9):
+                rep = order_bound_check(family_preset(name), space16, shrink=shrink, n=n)
+                assert rep.passed, (n, shrink, rep.params)
+                assert rep.params["degree"] == max(n // 2 - 1, MIN_ORDER_BOUND_DEGREE)
 
     def test_bivariate_geometric_on_many_atoms(self):
         fam = family_from_json({"kind": "geometric", "params": {"rates": [[0.5, 0], [0.4, 0]]},

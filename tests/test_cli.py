@@ -332,12 +332,15 @@ class TestCheckSubcommand:
         _, text = run_cli(tmp_path, "check", name, "--family", "geometric")
         assert {r["check"] for r in parse_records(text)} <= {name}
 
-    @pytest.mark.parametrize("d, nodes", [(1, "512"), (2, "8")], ids=["d1-n512", "d2-n8"])
+    @pytest.mark.parametrize("d, nodes", [(1, "512"), (1, "4"), (2, "8"), (2, "4")],
+                             ids=["d1-n512", "d1-n4", "d2-n8", "d2-n4"])
     def test_order_bound_at_extreme_node_counts(self, tmp_path, d, nodes):
         # the Taylor degree n // 2 - 1 is capped at MAX_TAYLOR_DEGREE, so n = 512
-        # gets a degree-128 table instead of an error; n = 8 gets degree 3
+        # gets a degree-128 table instead of an error; n = 4 and n = 8 get
+        # MIN_ORDER_BOUND_DEGREE, read from a 16-node contour grid.  A Dirac
+        # functional admits --nodes 4, the least the CLI takes.
         code, text = run_cli(tmp_path, "check", "order_bound", *family_args(tmp_path, d),
-                             "--nodes", nodes)
+                             "--nodes", nodes, "--functional", "dirac")
         assert code == 0
         assert [r["check"] for r in parse_records(text)] == ["order_bound"]
 

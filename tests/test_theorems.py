@@ -270,13 +270,13 @@ class TestDiffUnderIntegral:
 
 class TestNormBound:
     def test_dirac_node_in_grid(self, geometric, space16):
-        rep = theorems.norm_bound_check(dirac([0.9]), geometric, space16, 2)
+        rep = theorems.norm_bound_check([dirac([0.9])], geometric, space16, 2)[0]
         assert rep.passed
 
     def test_homogeneity(self, geometric, space16):
         phi = derivative_functional([0.0], (1,), CONTOUR, n=64)
-        base = theorems.norm_bound_check(phi, geometric, space16, 2)
-        scaled = theorems.norm_bound_check(phi.scaled(7.0), geometric, space16, 2)
+        base = theorems.norm_bound_check([phi], geometric, space16, 2)[0]
+        scaled = theorems.norm_bound_check([phi.scaled(7.0)], geometric, space16, 2)[0]
         assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-13)
         assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-13)
         assert base.passed and scaled.passed
@@ -284,21 +284,29 @@ class TestNormBound:
     @pytest.mark.parametrize("p", [1, 2, INF])
     def test_derivative_on_geometric(self, geometric, space16, p):
         phi = derivative_functional([0.0], (2,), CONTOUR, n=64)
-        rep = theorems.norm_bound_check(phi, geometric, space16, p)
+        rep = theorems.norm_bound_check([phi], geometric, space16, p)[0]
         assert rep.passed
 
     @pytest.mark.parametrize("p", [1, 2, INF])
     def test_tight_polynomial_case(self, space16, p):
         # lhs touches the bound when the sup grid contains the contour nodes
         phi = derivative_functional([0.0], (2,), CONTOUR, n=64)
-        rep = theorems.norm_bound_check(phi, family_preset("polynomial"), space16, p)
+        rep = theorems.norm_bound_check([phi], family_preset("polynomial"), space16, p)[0]
         assert rep.passed
+
+    def test_a_raising_functional_keeps_the_others(self, geometric, space16):
+        # a node outside the unit polydisc fails the domain check of that functional only
+        good = dirac([0.9])
+        reports = theorems.norm_bound_check([good, dirac([1.5]), good], geometric, space16, 2)
+        alone = theorems.norm_bound_check([good], geometric, space16, 2)[0]
+        assert [vars(r) for r in reports[::2]] == [vars(alone)] * 2
+        assert not reports[1].passed and "outside" in reports[1].params["error"]
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
     def test_functional_list_matches_one_call_each(self, geometric, space16, monkeypatch, p):
         phis = [dirac([0.9]), derivative_functional([0.0], (1,), CONTOUR, n=64),
                 random_measure(geometric.domain, k=8, shrink=0.5, seed=2)]
-        alone = [theorems.norm_bound_check(phi, geometric, space16, p) for phi in phis]
+        alone = [theorems.norm_bound_check([phi], geometric, space16, p)[0] for phi in phis]
         grid_rows = []
         lp_norm = FiniteMeasureSpace.lp_norm
 
@@ -450,8 +458,8 @@ class TestZeroWeightRobustness:
         lin_b = theorems.linearization_residual(phi, geometric, grown, [h17])
         assert abs(lin_a.residual - lin_b.residual) <= 1e-13
 
-        nb_a = theorems.norm_bound_check(phi, geometric, space16, 2)
-        nb_b = theorems.norm_bound_check(phi, geometric, grown, 2)
+        nb_a = theorems.norm_bound_check([phi], geometric, space16, 2)[0]
+        nb_b = theorems.norm_bound_check([phi], geometric, grown, 2)[0]
         assert abs(nb_a.residual - nb_b.residual) <= 1e-13
         assert abs(nb_a.lhs - nb_b.lhs) <= 1e-13
 
@@ -463,6 +471,6 @@ class TestZeroWeightRobustness:
 
 
 def test_check_report_describe(geometric, space16):
-    rep = theorems.norm_bound_check(dirac([0.2]), geometric, space16, 1)
+    rep = theorems.norm_bound_check([dirac([0.2])], geometric, space16, 1)[0]
     text = rep.describe()
     assert "norm_bound" in text and ("pass" in text or "FAIL" in text)
