@@ -1,8 +1,8 @@
 """Numerical verification of Cauchy-quadrature calculus and Fubini-type
 interchange identities for holomorphic families over discretized Lp spaces."""
 
-from .cauchy import (OrderBound, TailEstimateError, TaylorTable, cauchy_derivative,
-                     cauchy_eval, order_bound, schwarz_violation, taylor_coefficients)
+from .cauchy import (OrderBound, TailEstimateError, cauchy_derivative, cauchy_eval,
+                     order_bound, schwarz_violation, taylor_coefficients)
 from .domain import Polydisc, TorusQuadrature, torus_nodes
 from .family import (BoundarySample, HoloFamily, family_from_json, family_preset,
                      preset_names, unit_polydisc)
@@ -25,7 +25,6 @@ __all__ = [
     "OrderBound",
     "Polydisc",
     "TailEstimateError",
-    "TaylorTable",
     "TorusQuadrature",
     "cauchy_derivative",
     "cauchy_eval",

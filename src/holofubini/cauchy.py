@@ -19,7 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from .domain import Polydisc, as_multi_index, multi_factorial, sample_polydisc, torus_nodes
+from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
+                     sample_polydisc, torus_nodes)
 from .family import HoloFamily
 from .measure import FiniteMeasureSpace
 
@@ -27,7 +28,6 @@ __all__ = [
     "cauchy_eval",
     "derivative_rule",
     "cauchy_derivative",
-    "TaylorTable",
     "taylor_coefficients",
     "schwarz_violation",
     "OrderBound",
@@ -97,26 +97,6 @@ def cauchy_derivative(f, center, alpha, radii, n: int = 64) -> complex:
     return complex(np.sum(weights * vals))
 
 
-@dataclass(frozen=True, eq=False)
-class TaylorTable:
-    """Tensor of expansion coefficients c_m, 0 <= m_j <= degree, about ``center``."""
-
-    coeffs: np.ndarray   # shape (degree+1,)*d
-    center: np.ndarray   # shape (d,)
-    radii: np.ndarray    # contour radii used, shape (d,)
-
-    @property
-    def d(self) -> int:
-        return self.center.shape[0]
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def coeff(self, m) -> complex:
-        return complex(self.coeffs[as_multi_index(m, self.d)])
-
-
 def _fft_coefficients(samples: np.ndarray, d: int, n: int, radii, degree: int) -> np.ndarray:
     # samples has shape (n,)*d + batch; returns (degree+1,)*d + batch.  One axis at
     # a time, last axis first as in np.fft.fftn, keeping only the first degree + 1
@@ -129,12 +109,13 @@ def _fft_coefficients(samples: np.ndarray, d: int, n: int, radii, degree: int) -
     return sel / scale.reshape(scale.shape + (1,) * (samples.ndim - d))
 
 
-def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> TaylorTable:
+def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> np.ndarray:
     """Coefficients c_m = D^m f(center) / m! via an FFT of boundary samples.
 
-    Requires n > 2 * degree to keep aliasing out of the returned table; the
-    default is the smallest admissible even count.  Exact for polynomial
-    slices of per-variable degree <= degree.
+    Returns the table ``c[m_1, ..., m_d, ...]`` of shape (degree+1,)*d followed
+    by the batch shape of f's values.  Requires n > 2 * degree to keep aliasing
+    out of the table; the default is the smallest admissible even count.  Exact
+    for polynomial slices of per-variable degree <= degree.
     """
     center = np.atleast_1d(np.asarray(center, dtype=complex))
     degree = int(degree)
@@ -150,8 +131,7 @@ def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> 
     quad = torus_nodes(disc, n)
     samples = np.asarray(f(quad.grid()), dtype=complex)
     samples = samples.reshape((quad.n,) * disc.d + samples.shape[1:])
-    coeffs = _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
-    return TaylorTable(coeffs=coeffs, center=center, radii=np.asarray(disc.radius))
+    return _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
 
 
 def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int = 0) -> float:
@@ -252,17 +232,18 @@ def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=N
     if center is None:
         center = fam.domain.center
     if radii is None:
-        radii = fam.domain.radius * 0.95
+        radii = fam.domain.radius * CONTOUR_SHRINK
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if degree is None:
         n = max(64 if n is None else n, 2 * MIN_ORDER_BOUND_DEGREE + 2)
         degree = min(n // 2 - 1, MAX_TAYLOR_DEGREE)
     sampler = sampler or fam.sampler(space)
-    table = taylor_coefficients(lambda pts: sampler(pts).values, center, radii, degree, n)
-    d, degree, radii = table.d, table.degree, table.radii
+    coeffs = taylor_coefficients(lambda pts: sampler(pts).values, center, radii, degree, n)
+    d = fam.d
 
     # radius-scaled magnitudes: gamma_m = |c_m| * prod_j r_j^{m_j}
     rad_scale = reduce(np.multiply.outer, [radii[j] ** np.arange(degree + 1) for j in range(d)])
-    gamma = np.abs(table.coeffs) * rad_scale[..., None]
+    gamma = np.abs(coeffs) * rad_scale[..., None]
     rho_scale = reduce(np.multiply.outer,
                        [shrink ** np.arange(degree + 1) for _ in range(d)])
     u = np.sum(gamma * rho_scale[..., None], axis=tuple(range(d)))

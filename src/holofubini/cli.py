@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import theorems
-from .domain import parse_complex, sample_polydisc
+from .cauchy import MIN_ORDER_BOUND_DEGREE
+from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc
 from .family import HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import FiniteMeasureSpace, space_from_json, space_preset
-from .theorems import CONTOUR_SHRINK, TELESCOPING_DENSITY, CheckReport
+from .theorems import CheckReport
 
 def _identity_tol(config) -> float:
     return config.tol if config.tol is not None else 1e-10
@@ -104,7 +105,8 @@ def _schwarz(config, duals, rng, sampler):
 def _telescoping(config, duals, rng, sampler):
     if config.family.d >= 2:
         yield partial(theorems.telescoping_residual, config.family, config.space,
-                      sample_shrink=config.shrink, seed=config.seed, sampler=sampler)
+                      sample_shrink=config.shrink, seed=config.seed, n=config.n,
+                      sampler=sampler)
 
 
 def _order_bound(config, duals, rng, sampler):
@@ -140,8 +142,9 @@ CHECK_NAMES = tuple(CHECKS)
 USAGE_ERROR = 2
 
 #: Bytes of complex values the largest arrays a run holds at once may take.  It
-#: admits every benchmark configuration and d = 3 with 256 atoms at 32 nodes
-#: (2 GiB), and refuses d = 4 with 16 atoms at 32 or 64 nodes (8 GiB).
+#: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.26 GiB)
+#: and d = 4 with 16 atoms at 32 nodes (1.44 GiB), and refuses d = 4 at 64 nodes
+#: with 16 atoms (23 GiB) or with 1 atom (15.5 GiB).
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -152,20 +155,23 @@ class ConfigError(Exception):
 def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid: int) -> None:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
-    They are the largest of two n^d contour arrays (derivative_consistency's sample
-    and per-slice stack; at d >= 2 at least the TELESCOPING_DENSITY^d telescoping
-    sample and its moduli), the max(grid, 4)^d norm_bound sup grid and, at d = 1,
-    the max(grid, 4) * n derivative_profile contour nodes, times the atoms.  The
-    order_bound table's max(n, 16)^d nodes never exceed these, since n >= 4.
+    Counted in complex values, they are the largest of: the n^d contour grid with
+    2k values per node (derivative_consistency's sample and per-slice stack) plus d
+    per multi-index |alpha| <= 2 (derivative_rule's powers); the order_bound table's
+    max(n, 16)^d x k grid; the max(grid, 4)^d x k norm_bound sup grid; and, at
+    d = 1, the max(grid, 4) * n * k derivative_profile contour values.
     """
+    k = space.natoms
     sup = max(grid, 4)
-    contour = max(n, TELESCOPING_DENSITY if fam.d >= 2 else 0) ** fam.d
-    points = max(2 * contour, sup ** fam.d, sup * n if fam.d == 1 else 0)
-    need = points * space.natoms * np.dtype(complex).itemsize
+    values = max(n ** fam.d * (2 * k + len(_alpha_battery(fam.d)) * fam.d),
+                 max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
+                 sup ** fam.d * k,
+                 sup * n * k if fam.d == 1 else 0)
+    need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
-            f"d = {fam.d}, {space.natoms} atoms, --nodes {n} and --grid {grid} need "
-            f"{need / 2**30:.2f} GiB for {points} x {space.natoms} complex values, over "
+            f"d = {fam.d}, {k} atoms, --nodes {n} and --grid {grid} need "
+            f"{need / 2**30:.2f} GiB for {values} complex values, over "
             f"the work budget of {WORK_BUDGET_BYTES / 2**30:.2f} GiB"
         )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cauchy import derivative_rule, order_bound, schwarz_violation
-from .domain import Polydisc, as_multi_index, sample_polydisc, torus_nodes
+from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, sample_polydisc, torus_nodes
 
 __all__ = [
     "CheckReport",
@@ -51,17 +51,12 @@ __all__ = [
     "TOL_EXACT",
     "TOL_QUADRATURE",
     "CONTOUR_SHRINK",
-    "TELESCOPING_DENSITY",
 ]
 
 #: identities whose two sides are the same finite sum up to reassociation
 TOL_EXACT = 1e-12
 #: identities with a quadrature side, at 64 nodes and sampling shrink <= 0.5
 TOL_QUADRATURE = 1e-9
-#: contour placement inside a family domain, keeping strict analyticity margin
-CONTOUR_SHRINK = 0.95
-#: nodes per variable of the telescoping sup grid; at n = 64 it is the derivative contour grid
-TELESCOPING_DENSITY = 64
 
 
 @dataclass
@@ -327,19 +322,20 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
 
 
 def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 0.5,
-                         seed: int = 0, sampler=None) -> CheckReport:
+                         seed: int = 0, n: int = 64, sampler=None) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
     For sampled pairs z, a in the sample_shrink polydisc, checks
     ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B
-    is max |F| on ``sup_grid(domain, TELESCOPING_DENSITY, CONTOUR_SHRINK)``, read
-    from ``sampler``, and r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
+    is max |F| on ``sup_grid(domain, n, CONTOUR_SHRINK)``, read from ``sampler``,
+    and r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.  That grid
+    is a run's n-node contour grid, a lower estimate of the sup on its polydisc.
     """
     if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
     rng = np.random.default_rng(seed)
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
-    grid = sup_grid(fam.domain, TELESCOPING_DENSITY, CONTOUR_SHRINK)
+    grid = sup_grid(fam.domain, n, CONTOUR_SHRINK)
     bound = float(np.max(np.abs((sampler or fam.sampler(space))(grid).values)))
     z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
@@ -350,7 +346,7 @@ def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 
     worst = float(np.max(lhs - rhs))
     return CheckReport.build(
         "telescoping", fam.label, "", worst, 0.0, max(0.0, worst),
-        1e-12 * (1.0 + bound), pairs=n_pairs,
+        1e-12 * (1.0 + bound), pairs=n_pairs, n=n,
     )
 
 

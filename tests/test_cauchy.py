@@ -112,12 +112,12 @@ class TestTaylorCoefficients:
     def test_exponential_series(self):
         table = taylor_coefficients(lambda w: np.exp(w[..., 0]), [0.0], [1.0], 6)
         expected = [1.0 / math.factorial(k) for k in range(7)]
-        np.testing.assert_allclose(table.coeffs, expected, atol=1e-12)
+        np.testing.assert_allclose(table, expected, atol=1e-12)
 
     def test_geometric_series(self):
         table = taylor_coefficients(lambda w: 1.0 / (1.0 - 0.5 * w[..., 0]),
                                     [0.0], [1.0], 10, n=64)
-        np.testing.assert_allclose(table.coeffs, 0.5 ** np.arange(11), atol=1e-12)
+        np.testing.assert_allclose(table, 0.5 ** np.arange(11), atol=1e-12)
 
     def test_polynomial_reproduction(self):
         rng = np.random.default_rng(5)
@@ -127,14 +127,14 @@ class TestTaylorCoefficients:
             for i in range(4) for j in range(3)
         )
         table = taylor_coefficients(f, [0.0, 0.0], [1.0, 1.0], 3, n=16)
-        np.testing.assert_allclose(table.coeffs[:4, :3], coeffs, atol=1e-12)
+        np.testing.assert_allclose(table[:4, :3], coeffs, atol=1e-12)
 
     def test_tabulated_round_trip(self):
         fam = family_preset("tabulated")
         t = 0.8
         table = taylor_coefficients(fam.slice(t), fam.domain.center,
                                     fam.domain.radius * 0.95, 2, n=16)
-        np.testing.assert_allclose(table.coeffs, fam.table_for(t), atol=1e-12)
+        np.testing.assert_allclose(table, fam.table_for(t), atol=1e-12)
 
     def test_rejects_aliasing_node_count(self):
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestTaylorCoefficients:
         fam = family_preset("geometric")
         slice_ = fam.slice(0.9)
         disc = Polydisc([0.0], [0.95])
-        c0 = taylor_coefficients(slice_, [0.0], [0.95], 4, n=32).coeff((0,))
+        c0 = taylor_coefficients(slice_, [0.0], [0.95], 4, n=32)[0]
         assert cauchy_eval(slice_, disc, [0.0], n=32) == pytest.approx(c0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["constant", "polynomial", "geometric",
@@ -162,7 +162,7 @@ class TestTaylorCoefficients:
         for k in range(5):
             deriv = cauchy_derivative(slice_, [0.0], (k,), [0.9], n=32)
             assert deriv == pytest.approx(
-                math.factorial(k) * table.coeff((k,)), abs=1e-10, rel=1e-10
+                math.factorial(k) * table[k], abs=1e-10, rel=1e-10
             )
 
 

@@ -141,30 +141,33 @@ class TestVerify:
 
 class TestSampleOnce:
     # Family values of one `verify` of the geometric family on uniform-16 (k = 16
-    # atoms) at n = 64 with the default --grid 32, counted at each kind's _evaluate.
+    # atoms) at n nodes with the default --grid 32, counted at each kind's _evaluate.
     # Every boundary point set is sampled once per run:
-    #   contour grid (centre, 0.95 r, 64), shared by both derivative functionals,
-    #     derivative_consistency and diff_under_integral:  64^d * k
+    #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
+    #     derivative_consistency, diff_under_integral, order_bound's Taylor table
+    #     and telescoping's sup:  n^d * k
     #   norm_bound sup grid, shared by every functional and p:  32^d * k
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
-    #   derivative_consistency's per-slice route, once for every |alpha| <= 2:  64^d * k
+    #   derivative_consistency's per-slice route, once for every |alpha| <= 2:  n^d * k
     #   span, 4 functionals x (8 + 16) sample points:  96 * k
-    #   order_bound: its Taylor table comes from the contour grid, already counted,
-    #     and 200 sample points 200 * k
+    #   order_bound's 200 sample points:  200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + 2048 ring points,
-    #     and derivative_profile: 32 contours of 64 nodes, shared by orders 0-4
-    #   d = 2 only, telescoping: its sup is taken on the 64^d contour grid, already
-    #     counted, and 2 * 200 sample points 400 * k
-    # d = 1: k * (64 + 32 + 9 + 3 + 64 + 96 + 200 + 3049 + 32*64) = 89,040
-    # d = 2: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 200 + 400) = 158,784
-    # ids name only d, so re-pinning a count keeps the test's name
-    @pytest.mark.parametrize("d, expected", [(1, 89_040), (2, 158_784)], ids=["d1", "d2"])
-    def test_family_value_count(self, tmp_path, monkeypatch, d, expected):
+    #     and derivative_profile: 32 contours of n nodes, shared by orders 0-4
+    #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
+    # d = 1, n = 64: k * (64 + 32 + 9 + 3 + 64 + 96 + 200 + 3049 + 32*64) = 89,040
+    # d = 2, n = 64: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 200 + 400) = 158,784
+    # d = 2, n = 32: k * (1024 + 1024 + 9 + 3 + 1024 + 96 + 200 + 400) = 60,480
+    # ids name only d (and n where it is not 64), so re-pinning a count keeps the
+    # test's name
+    @pytest.mark.parametrize("d, n, expected", [(1, 64, 89_040), (2, 64, 158_784),
+                                                (2, 32, 60_480)],
+                             ids=["d1", "d2", "d2-n32"])
+    def test_family_value_count(self, tmp_path, monkeypatch, d, n, expected):
         counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, d),
-                          "--space", "uniform-16", "--nodes", "64")
+                          "--space", "uniform-16", "--nodes", str(n))
         assert code == 0
         assert sum(counted) == expected
 
@@ -235,15 +238,26 @@ class TestWorkBudget:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 2 x 64^4 points x 16 atoms x 16 B = 8 GiB; nothing of that size is allocated
+    def assert_refused_before_functionals(self, tmp_path, monkeypatch, space, n):
         path = tmp_path / "exponential-d4.json"
         path.write_text(json.dumps(self.EXPONENTIAL_D4))
         monkeypatch.setattr(cli, "default_functionals", None)
         args = cli.build_parser().parse_args(
-            ["verify", "--family-file", str(path), "--space", "uniform-16", "--nodes", "64"])
+            ["verify", "--family-file", str(path), "--space", space, "--nodes", str(n)])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
+
+    # At d = 4, derivative_rule raises the contour nodes to the 15 multi-indices with
+    # |alpha| <= 2 at once: 15 x 4 = 60 complex values per node besides the atoms'.
+    def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
+        # 64^4 nodes x (2 x 16 atoms + 60 powers) x 16 B = 23 GiB; nothing of that
+        # size is allocated
+        self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
+
+    def test_derivative_rule_powers_are_counted(self, tmp_path, monkeypatch):
+        # one atom: 64^4 x (2 x 1 + 60) x 16 B = 15.5 GiB, nearly all of it the
+        # powers; the two contour arrays alone would take 0.5 GiB
+        self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 64)
 
     def test_suite_config_checks_the_budget(self):
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
@@ -251,14 +265,17 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 2 x 64^3 x 256 x 16 B = 2 GiB
+        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (2 x 256 atoms + 10 x 3
+        # powers) x 16 B = 0.26 GiB; the order_bound table and the 32^3 sup grid
+        # take 32^3 x 256 x 16 B = 0.125 GiB each
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
 
     def test_lowered_budget(self, monkeypatch):
         # geometric d = 1 on 16 atoms at 4 nodes and --grid 2: the 4 x 4 profile
-        # contour nodes take 4 x 4 x 16 x 16 B, more than the 2 x 4 contour values
+        # contour nodes take 4 x 4 x 16 x 16 B, as much as the order_bound table on
+        # its 16 nodes, more than the 4 x (2 x 16 + 3) contour values and powers
         # that derivative_consistency holds at once
         fam = family_preset("geometric")
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16)
@@ -277,12 +294,11 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
-    def test_telescoping_grid_is_counted(self):
-        # d = 4 at 32 nodes: the telescoping sup sample and its moduli are counted as
-        # 2 x 64^4 x 16 x 16 B = 8 GiB, though the contour grid has only 32^4 nodes
+    def test_d4_at_32_nodes_admitted(self):
+        # telescoping reads its sup from the 32^4 contour grid, so d = 4 on uniform-16
+        # at 32 nodes needs 32^4 x (2 x 16 + 60) x 16 B = 1.44 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
-        with pytest.raises(cli.ConfigError, match="work budget"):
-            self.config(fam, "uniform-16", 32)
+        assert self.config(fam, "uniform-16", 32).n == 32
 
     @pytest.mark.parametrize("d, grid", [(3, "1024"), (1, "2000000")],
                              ids=["d3-grid1024", "d1-grid2000000"])

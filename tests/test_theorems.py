@@ -8,7 +8,8 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         space_preset, unit_polydisc)
 from holofubini import theorems
 from holofubini.cauchy import derivative_rule
-from holofubini.family import BoundarySample, GeometricFamily, PolynomialFamily
+from holofubini.family import (BoundarySample, ExponentialFamily, GeometricFamily,
+                               PolynomialFamily)
 
 from conftest import random_duals
 
@@ -429,6 +430,25 @@ class TestTelescoping:
         fam = PolynomialFamily(coeffs, unit_polydisc(2), label="poly2")
         rep = theorems.telescoping_residual(fam, space16, n_pairs=200, seed=1)
         assert rep.passed
+
+    @pytest.mark.parametrize("fam", [
+        GeometricFamily([0.5, 0.4], unit_polydisc(2)),
+        GeometricFamily([0.5j, 0.3 + 0.3j], unit_polydisc(2)),
+        GeometricFamily([0.35 - 0.35j, -0.2 + 0.45j], unit_polydisc(2)),
+        ExponentialFamily(1.0, unit_polydisc(2)),
+        ExponentialFamily(0.7 + 0.7j, unit_polydisc(2)),
+        ExponentialFamily(1.0, unit_polydisc(3)),
+        ExponentialFamily(0.7 + 0.7j, unit_polydisc(3)),
+    ], ids=["geo-real", "geo-imag", "geo-skew", "exp-d2", "exp-d2-rot", "exp-d3",
+            "exp-d3-rot"])
+    def test_passes_at_few_nodes(self, fam, space16):
+        # the sup is taken on the n-node contour grid, a coarser lower estimate of
+        # the sup at small n; the bound's slack still covers it, also where the
+        # sup does not lie on the real axis
+        for n in range(4, 17):
+            for shrink in (0.1, 0.5, 0.9):
+                rep = theorems.telescoping_residual(fam, space16, sample_shrink=shrink, n=n)
+                assert rep.passed, (n, shrink, rep.lhs, rep.tol)
 
 
 class TestSchwarzCheck:
