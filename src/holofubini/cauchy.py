@@ -78,11 +78,13 @@ def derivative_rule(center, alpha, radii, n: int = 64):
     if n <= order + 1:
         raise ValueError(f"node count {n} is too small for derivative order {order}")
     quad = torus_nodes(disc, n)
-    pts = quad.grid()
-    weights = np.prod((pts - center) ** (-np.asarray(alphas)[:, None, :]), axis=-1)
-    scale = np.array([multi_factorial(a) for a in alphas]) / quad.n ** disc.d
-    weights = weights * scale[:, None]
-    return pts, weights if batched else weights[0]
+    offsets = quad.nodes - center[:, None]
+    weights = np.empty((len(alphas), quad.n ** disc.d), dtype=complex)
+    for row, a in zip(weights, alphas):
+        # the outer product of each variable's n powers, in the order of quad.grid()
+        powers = reduce(np.multiply.outer, offsets ** -np.asarray(a)[:, None])
+        row[:] = powers.ravel() * (multi_factorial(a) / quad.n ** disc.d)
+    return quad.grid(), weights if batched else weights[0]
 
 
 def cauchy_derivative(f, center, alpha, radii, n: int = 64) -> complex:
@@ -134,12 +136,14 @@ def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> 
     return _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
 
 
-def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int = 0) -> float:
+def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int = 0,
+                      n: int = 64) -> float:
     """Max over sampled z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
 
-    A univariate (d = 1) check; the sup norm is estimated on a ring of 2048
-    boundary nodes (sufficient by the maximum principle) together with the
-    sample values themselves.  Nonpositive return values certify the bound.
+    A univariate (d = 1) check; the sup norm is estimated from below on the
+    n-node boundary ring of :func:`torus_nodes` (the maximum principle puts the
+    sup on the boundary) together with f(a) and the sample values themselves.
+    Nonpositive return values certify the bound.
     """
     center = complex(center)
     radius = float(radius)
@@ -150,7 +154,7 @@ def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int =
 
     fa = complex(np.ravel(f(np.array([[center]])))[0])
     fz = np.ravel(f(z[:, None]))
-    ring = torus_nodes(disc, 2048).grid()
+    ring = torus_nodes(disc, n).grid()
     sup = max(float(np.max(np.abs(f(ring)))), float(np.max(np.abs(fz))), abs(fa))
     bound = (2.0 / radius) * sup * np.abs(z - center)
     return float(np.max(np.abs(fz - fa) - bound))

@@ -35,7 +35,7 @@ def _identity_tol(config) -> float:
 
 
 def _profile_reports(fam, space, grid, n, sampler) -> list[CheckReport]:
-    """One finiteness report per derivative order 0..4 over the 0.9 sup grid."""
+    """One finiteness report per derivative order 0..4 over the --grid region grid."""
     points = theorems.sup_grid(fam.domain, grid, 0.9)
     local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
     return [
@@ -80,7 +80,7 @@ def _diff_under_integral(config, duals, rng, sampler):
 def _norm_bound(config, duals, rng, sampler):
     for p in config.p_list:
         yield partial(theorems.norm_bound_check, config.functionals, config.family,
-                      config.space, p, grid_density=config.grid, sampler=sampler)
+                      config.space, p, n=config.n, sampler=sampler)
 
 
 def _span(config, duals, rng, sampler):
@@ -99,7 +99,8 @@ def _span(config, duals, rng, sampler):
 
 def _schwarz(config, duals, rng, sampler):
     if config.family.d == 1:
-        yield partial(theorems.schwarz_check, config.family, config.space, seed=config.seed)
+        yield partial(theorems.schwarz_check, config.family, config.space, seed=config.seed,
+                      n=config.n)
 
 
 def _telescoping(config, duals, rng, sampler):
@@ -142,9 +143,9 @@ CHECK_NAMES = tuple(CHECKS)
 USAGE_ERROR = 2
 
 #: Bytes of complex values the largest arrays a run holds at once may take.  It
-#: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.26 GiB)
-#: and d = 4 with 16 atoms at 32 nodes (1.44 GiB), and refuses d = 4 at 64 nodes
-#: with 16 atoms (23 GiB) or with 1 atom (15.5 GiB).
+#: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.25 GiB)
+#: and d = 4 with 16 atoms at 32 nodes (0.73 GiB), and refuses d = 4 at 64 nodes
+#: with 16 atoms (11.75 GiB) or with 1 atom (4.25 GiB).
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -156,17 +157,15 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
     Counted in complex values, they are the largest of: the n^d contour grid with
-    2k values per node (derivative_consistency's sample and per-slice stack) plus d
-    per multi-index |alpha| <= 2 (derivative_rule's powers); the order_bound table's
-    max(n, 16)^d x k grid; the max(grid, 4)^d x k norm_bound sup grid; and, at
-    d = 1, the max(grid, 4) * n * k derivative_profile contour values.
+    2k values per node (derivative_consistency's sample and per-slice stack) plus
+    one per multi-index |alpha| <= 2 (derivative_rule's weights); the order_bound
+    table's max(n, 16)^d x k grid; and, at d = 1, the max(grid, 4) * n * k
+    derivative_profile contour values.
     """
     k = space.natoms
-    sup = max(grid, 4)
-    values = max(n ** fam.d * (2 * k + len(_alpha_battery(fam.d)) * fam.d),
+    values = max(n ** fam.d * (2 * k + len(_alpha_battery(fam.d))),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 sup ** fam.d * k,
-                 sup * n * k if fam.d == 1 else 0)
+                 max(grid, 4) * n * k if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
@@ -196,6 +195,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.n < 4:
             raise ConfigError(f"--nodes must be at least 4, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.shrink <= 0.9:
             raise ConfigError(f"--shrink must lie in (0, 0.9], got {self.shrink}")
         if self.grid < 2:
@@ -419,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--p", default="1,2,inf", help="comma-separated exponents")
     shared.add_argument("--nodes", type=int, default=64, help="quadrature nodes per variable")
     shared.add_argument("--shrink", type=float, default=0.5, help="sampling shrink factor")
-    shared.add_argument("--grid", type=int, default=32, help="sup-grid density per variable")
+    shared.add_argument("--grid", type=int, default=32,
+                        help="derivative_profile region grid points (d = 1 only)")
     shared.add_argument("--tol", type=float, default=None, help="identity tolerance override")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--output", default=None, help="report path (default stdout)")
@@ -437,6 +439,8 @@ def _build_config(args, checks) -> SuiteConfig:
     space = _load_space(args.space)
     if args.nodes < 4:
         raise ConfigError(f"--nodes must be at least 4, got {args.nodes}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     _check_work_budget(fam, space, args.nodes, args.grid)
     if args.functional:
         functionals = [
@@ -460,8 +464,7 @@ def _describe() -> None:
     print("family presets:")
     for name in preset_names():
         fam = family_preset(name)
-        bound = f" bound<={fam.declared_bound:g}" if fam.declared_bound else ""
-        print(f"  {name:<12} kind={fam.kind} d={fam.d}{bound}")
+        print(f"  {name:<12} kind={fam.kind} d={fam.d}")
     print("space presets: uniform-<k>, geometric-<k> (atoms in [-1, 1])")
     print("functional specs: dirac:<z0>, derivative:<a>:<alpha>, random:<k>, <file.json>")
     print("checks:", ", ".join(CHECK_NAMES))

@@ -52,7 +52,7 @@ class BoundarySample:
 
 
 class HoloFamily:
-    """Base class: a named f(z, t) with domain, bounds, and closed forms.
+    """Base class: a named f(z, t) with a domain and closed forms.
 
     Subclasses implement ``_evaluate`` and ``_derivative`` without domain
     checks; the public entry points enforce membership at shrink 1.
@@ -62,11 +62,9 @@ class HoloFamily:
 
     kind = "abstract"
 
-    def __init__(self, domain: Polydisc, label: str, declared_bound: float | None = None,
-                 span_dim: int | None = None):
+    def __init__(self, domain: Polydisc, label: str, span_dim: int | None = None):
         self.domain = domain
         self.label = label
-        self.declared_bound = declared_bound
         self.span_dim = span_dim
 
     # -- kind-specific closed forms ------------------------------------
@@ -173,7 +171,7 @@ class HoloFamily:
         # Entire kinds need nothing; kinds with singularities override.
 
     def to_json(self) -> dict:
-        doc = {
+        return {
             "kind": self.kind,
             "params": self.params_json(),
             "domain": {
@@ -182,9 +180,6 @@ class HoloFamily:
             },
             "label": self.label,
         }
-        if self.declared_bound is not None:
-            doc["declared_bound"] = self.declared_bound
-        return doc
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label!r} d={self.d}>"
@@ -218,10 +213,8 @@ class ConstantFamily(HoloFamily):
     kind = "constant"
 
     def __init__(self, value, domain: Polydisc, label: str = "constant",
-                 declared_bound: float | None = None, span_dim: int | None = 1):
-        if declared_bound is None:
-            declared_bound = abs(complex(value))
-        super().__init__(domain, label, declared_bound, span_dim)
+                 span_dim: int | None = 1):
+        super().__init__(domain, label, span_dim)
         self.value = complex(value)
 
     def _evaluate(self, z, t):
@@ -245,8 +238,8 @@ class PolynomialFamily(HoloFamily):
     kind = "polynomial"
 
     def __init__(self, coeffs, domain: Polydisc, label: str = "polynomial",
-                 declared_bound: float | None = None, span_dim: int | None = None):
-        super().__init__(domain, label, declared_bound, span_dim)
+                 span_dim: int | None = None):
+        super().__init__(domain, label, span_dim)
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != domain.d + 1:
             raise ValueError(
@@ -270,8 +263,8 @@ class GeometricFamily(HoloFamily):
     kind = "geometric"
 
     def __init__(self, rates, domain: Polydisc, label: str = "geometric",
-                 declared_bound: float | None = None, span_dim: int | None = None):
-        super().__init__(domain, label, declared_bound, span_dim)
+                 span_dim: int | None = None):
+        super().__init__(domain, label, span_dim)
         rates = np.atleast_1d(np.asarray(rates, dtype=complex))
         if rates.shape != (domain.d,):
             raise ValueError(f"need one rate per variable ({domain.d})")
@@ -322,8 +315,8 @@ class ExponentialFamily(HoloFamily):
     kind = "exponential"
 
     def __init__(self, scale, domain: Polydisc, label: str = "exponential",
-                 declared_bound: float | None = None, span_dim: int | None = None):
-        super().__init__(domain, label, declared_bound, span_dim)
+                 span_dim: int | None = None):
+        super().__init__(domain, label, span_dim)
         self.scale = complex(scale)
 
     def _evaluate(self, z, t):
@@ -343,8 +336,8 @@ class SeparableFamily(HoloFamily):
     kind = "separable"
 
     def __init__(self, z_coeffs, t_coeffs, domain: Polydisc, label: str = "separable",
-                 declared_bound: float | None = None, span_dim: int | None = 1):
-        super().__init__(domain, label, declared_bound, span_dim)
+                 span_dim: int | None = 1):
+        super().__init__(domain, label, span_dim)
         z_coeffs = np.asarray(z_coeffs, dtype=complex)
         if z_coeffs.ndim != domain.d:
             raise ValueError(f"z coefficient tensor needs {domain.d} axes")
@@ -382,8 +375,8 @@ class TabulatedTaylorFamily(HoloFamily):
     kind = "tabulated_taylor"
 
     def __init__(self, coeffs, domain: Polydisc, label: str = "tabulated",
-                 declared_bound: float | None = None, span_dim: int | None = None):
-        super().__init__(domain, label, declared_bound, span_dim)
+                 span_dim: int | None = None):
+        super().__init__(domain, label, span_dim)
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.ndim != domain.d + 1:
             raise ValueError(
@@ -434,7 +427,7 @@ _KINDS = {
 
 
 def family_from_json(doc) -> HoloFamily:
-    """Load a family from {"kind", "params", "domain", ["label"], ["declared_bound"]}."""
+    """Load a family from {"kind", "params", "domain", ["label"]}."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     kind = doc["kind"]
@@ -444,9 +437,7 @@ def family_from_json(doc) -> HoloFamily:
     center = [parse_complex(c) for c in dom["center"]]
     domain = Polydisc(center, dom["radius"])
     params = doc.get("params", {})
-    label = doc.get("label", kind)
-    bound = doc.get("declared_bound")
-    kwargs = {"domain": domain, "label": label, "declared_bound": bound}
+    kwargs = {"domain": domain, "label": doc.get("label", kind)}
     if kind == "constant":
         return ConstantFamily(parse_complex(params["value"]), **kwargs)
     if kind == "polynomial":
@@ -470,36 +461,31 @@ def _preset_polynomial():
     # f(z, t) = t z^2: dim span F(O) = 1 since every F(z) is parallel to (t_i)
     coeffs = np.zeros((3, 2), dtype=complex)
     coeffs[2, 1] = 1.0
-    return PolynomialFamily(coeffs, unit_polydisc(), label="polynomial",
-                            declared_bound=1.0, span_dim=1)
+    return PolynomialFamily(coeffs, unit_polydisc(), label="polynomial", span_dim=1)
 
 
 def _preset_affine():
     # f(z, t) = (1 + t/2) + z (2 - t): span dimension 2 for generic atoms
     coeffs = np.array([[1.0, 0.5], [2.0, -1.0]], dtype=complex)
-    return PolynomialFamily(coeffs, unit_polydisc(), label="affine",
-                            declared_bound=4.5, span_dim=2)
+    return PolynomialFamily(coeffs, unit_polydisc(), label="affine", span_dim=2)
 
 
 def _preset_geometric():
-    return GeometricFamily([0.5], unit_polydisc(), label="geometric", declared_bound=2.0)
+    return GeometricFamily([0.5], unit_polydisc(), label="geometric")
 
 
 def _preset_exponential():
-    return ExponentialFamily(1.0, unit_polydisc(), label="exponential",
-                             declared_bound=float(np.e))
+    return ExponentialFamily(1.0, unit_polydisc(), label="exponential")
 
 
 def _preset_separable():
     # g(z) = 1 + z/2 + z^2/4, m(t) = 1 + t/2
-    return SeparableFamily([1.0, 0.5, 0.25], [1.0, 0.5], unit_polydisc(),
-                           label="separable", declared_bound=1.75 * 1.5)
+    return SeparableFamily([1.0, 0.5, 0.25], [1.0, 0.5], unit_polydisc(), label="separable")
 
 
 def _preset_tabulated():
     coeffs = np.array([[0.3, 0.1], [0.0, 0.7], [0.2, 0.0]], dtype=complex)
-    return TabulatedTaylorFamily(coeffs, unit_polydisc(), label="tabulated",
-                                 declared_bound=1.3)
+    return TabulatedTaylorFamily(coeffs, unit_polydisc(), label="tabulated")
 
 
 _PRESETS = {

@@ -9,10 +9,12 @@ one side is a quadrature approximation of an exact action (derivative
 functionals) default to 1e-9 at 64 nodes and shrink <= 0.5, and their
 residuals decay geometrically in the node count.
 
-Sup norms over the domain are approximated from below on deterministic
-boundary grids; for inequality right-hand sides the grid is augmented with
-the functional's own nodes so the triangle-inequality bound cannot fail
-through grid placement alone.
+Sup norms over the domain are approximated from below on the run's n-node
+contour grid, ``sup_grid(domain, n, CONTOUR_SHRINK)``, which the quadrature
+checks sample anyway; by the maximum principle the sup over that polydisc lies
+on its distinguished boundary.  ``norm_bound`` adds the functional's own nodes,
+so its bound is a finite triangle inequality that grid placement cannot break,
+and ``schwarz`` adds its sample values.
 
 Checkers that contract the family's values on a point set take an optional
 ``sampler`` (:meth:`holofubini.family.HoloFamily.sampler`) and read every
@@ -206,19 +208,19 @@ def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
     return torus_nodes(domain.shrunk(shrink), max(int(density), 4)).grid()
 
 
-def norm_bound_check(phis, fam, space, p: float, grid_density: int = 32,
+def norm_bound_check(phis, fam, space, p: float, n: int = 64,
                      sampler=None) -> list[CheckReport]:
     """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p for each phi.
 
-    The sup is taken over a deterministic boundary grid at shrink 0.9
-    augmented with the functional's own nodes; with the nodes included the
-    bound is a finite triangle inequality, while the grid part only raises
-    the right side toward the true sup.  Passing means lhs <= rhs * (1 + 1e-9).
+    The sup is taken over ``sup_grid(domain, n, CONTOUR_SHRINK)``, read from
+    ``sampler``, together with the functional's own nodes; with the nodes
+    included the bound is a finite triangle inequality, while the grid only
+    raises the right side toward the true sup.  Passing means lhs <= rhs * (1 + 1e-9).
     The functionals share the grid's row norms; one that raises gets the
     failing report of :meth:`CheckReport.failed` and leaves the others' reports.
     """
     sampler = sampler or fam.sampler(space)
-    grid = sampler(sup_grid(fam.domain, grid_density, 0.9))
+    grid = sampler(sup_grid(fam.domain, n, CONTOUR_SHRINK))
     grid_sup = float(np.max(space.lp_norm(grid.values, p)))
     reports = []
     for phi in phis:
@@ -230,8 +232,7 @@ def norm_bound_check(phis, fam, space, p: float, grid_density: int = 32,
             continue
         rhs = phi.total_variation * max(grid_sup, nodes_sup)
         reports.append(CheckReport.build(
-            "norm_bound", fam.label, phi.label, lhs, rhs, max(0.0, lhs - rhs), 1e-9 * rhs,
-            p=p, grid=grid_density,
+            "norm_bound", fam.label, phi.label, lhs, rhs, max(0.0, lhs - rhs), 1e-9 * rhs, p=p,
         ))
     return reports
 
@@ -371,14 +372,15 @@ def order_bound_check(fam, space, degree: int | None = None, shrink: float = 0.5
     )
 
 
-def schwarz_check(fam, space, samples: int = 1000, seed: int = 0) -> CheckReport:
-    """Schwarz increment bound on every atom slice of a univariate family."""
+def schwarz_check(fam, space, samples: int = 1000, seed: int = 0, n: int = 64) -> CheckReport:
+    """Schwarz increment bound on every atom slice of a univariate family, each
+    slice's sup taken on the n-node contour ring."""
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
     center = complex(fam.domain.center[0])
     radius = float(fam.domain.radius[0]) * CONTOUR_SHRINK
     worst = max(
-        schwarz_violation(fam.slice(t), center, radius, samples=samples, seed=seed)
+        schwarz_violation(fam.slice(t), center, radius, samples=samples, seed=seed, n=n)
         for t in space.params
     )
     return CheckReport.build(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,31 @@ class TestDerivativeRuleStack:
             single_pts, single = derivative_rule(center, alpha, radii, 16)
             assert np.array_equal(pts, single_pts)
             assert row.tolist() == single.tolist()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_weights_match_the_power_formula(self, d):
+        # alpha! / n^d * prod_j (w_j - a_j)^(-alpha_j), evaluated node by node
+        center, radii = [0.1 - 0.2j] * d, [0.5 + 0.1 * j for j in range(d)]
+        alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
+        pts, weights = derivative_rule(center, alphas, radii, 8)
+        for alpha, row in zip(alphas, weights):
+            oracle = [math.prod(math.factorial(k) * complex(w - c) ** -k
+                                for w, c, k in zip(point, center, alpha)) / 8 ** d
+                      for point in pts]
+            np.testing.assert_allclose(row, oracle, rtol=1e-14, atol=0)
+
+    def test_peak_memory_stays_near_the_returned_arrays(self):
+        # the weights are built from each variable's n powers, with no (m, n^d, d)
+        # array of them: d = 3, n = 64 and the 10 multi-indices |alpha| <= 2 return
+        # 55 MB of points and weights
+        alphas = [a for a in np.ndindex(3, 3, 3) if sum(a) <= 2]
+        tracemalloc.start()
+        try:
+            pts, weights = derivative_rule([0.0] * 3, alphas, [0.95] * 3, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (pts.nbytes + weights.nbytes)
 
     def test_order_guard_uses_largest_order(self):
         derivative_rule([0.0], [(0,), (2,)], [0.5], 4)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holofubini import cli, family, family_preset, space_preset, theorems
+from holofubini import cli, dirac, family, family_preset, space_preset, theorems
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
 from holofubini.theorems import CONTOUR_SHRINK, CheckReport
 
@@ -145,24 +145,23 @@ class TestSampleOnce:
     # Every boundary point set is sampled once per run:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table
-    #     and telescoping's sup:  n^d * k
-    #   norm_bound sup grid, shared by every functional and p:  32^d * k
+    #     and the sups of norm_bound and telescoping:  n^d * k
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
     #   derivative_consistency's per-slice route, once for every |alpha| <= 2:  n^d * k
     #   span, 4 functionals x (8 + 16) sample points:  96 * k
     #   order_bound's 200 sample points:  200 * k
-    #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + 2048 ring points,
-    #     and derivative_profile: 32 contours of n nodes, shared by orders 0-4
+    #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + the n-node contour
+    #     ring, and derivative_profile: 32 contours of n nodes, shared by orders 0-4
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
-    # d = 1, n = 64: k * (64 + 32 + 9 + 3 + 64 + 96 + 200 + 3049 + 32*64) = 89,040
-    # d = 2, n = 64: k * (4096 + 1024 + 9 + 3 + 4096 + 96 + 200 + 400) = 158,784
-    # d = 2, n = 32: k * (1024 + 1024 + 9 + 3 + 1024 + 96 + 200 + 400) = 60,480
+    # d = 1, n = 64: k * (64 + 9 + 3 + 64 + 96 + 200 + 1065 + 32*64) = 56,784
+    # d = 2, n = 64: k * (4096 + 9 + 3 + 4096 + 96 + 200 + 400) = 142,400
+    # d = 2, n = 32: k * (1024 + 9 + 3 + 1024 + 96 + 200 + 400) = 44,096
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
-    @pytest.mark.parametrize("d, n, expected", [(1, 64, 89_040), (2, 64, 158_784),
-                                                (2, 32, 60_480)],
+    @pytest.mark.parametrize("d, n, expected", [(1, 64, 56_784), (2, 64, 142_400),
+                                                (2, 32, 44_096)],
                              ids=["d1", "d2", "d2-n32"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, expected):
         counted = count_family_values(monkeypatch)
@@ -172,8 +171,9 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
-        # after derivative_consistency has sampled the n = 64 contour grid, the two
-        # checks evaluate only their own random points: 200 * k and 2 * 200 * k
+        # after derivative_consistency has sampled the n = 64 contour grid, the
+        # checks evaluate only their own points: 200 * k and 2 * 200 * k random
+        # points, and norm_bound the 1 * k node of its Dirac functional
         fam, space = family.family_from_json(json.dumps(GEOMETRIC_D2)), space_preset("uniform-16")
         sampler = fam.sampler(space)
         theorems.derivative_consistency(fam, space, fam.domain.center, cli._alpha_battery(2),
@@ -185,6 +185,11 @@ class TestSampleOnce:
         counted.clear()
         assert theorems.telescoping_residual(fam, space, sampler=sampler).passed
         assert sum(counted) == 400 * 16
+        counted.clear()
+        reports = theorems.norm_bound_check([dirac([0.3, -0.2j])], fam, space, 2, n=64,
+                                            sampler=sampler)
+        assert reports[0].passed
+        assert sum(counted) == 1 * 16
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_shared_samples_match_standalone_checkers(self, tmp_path, d):
@@ -247,16 +252,16 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
-    # At d = 4, derivative_rule raises the contour nodes to the 15 multi-indices with
-    # |alpha| <= 2 at once: 15 x 4 = 60 complex values per node besides the atoms'.
+    # At d = 4, derivative_rule holds the weights of the 15 multi-indices with
+    # |alpha| <= 2 at once: 15 complex values per node besides the atoms'.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 64^4 nodes x (2 x 16 atoms + 60 powers) x 16 B = 23 GiB; nothing of that
-        # size is allocated
+        # 64^4 nodes x (2 x 16 atoms + 15 weights) x 16 B = 11.75 GiB; nothing of
+        # that size is allocated
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
 
     def test_derivative_rule_powers_are_counted(self, tmp_path, monkeypatch):
-        # one atom: 64^4 x (2 x 1 + 60) x 16 B = 15.5 GiB, nearly all of it the
-        # powers; the two contour arrays alone would take 0.5 GiB
+        # one atom: 64^4 x (2 x 1 + 15) x 16 B = 4.25 GiB, most of it the weights;
+        # the two contour arrays alone would take 0.5 GiB
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 64)
 
     def test_suite_config_checks_the_budget(self):
@@ -265,9 +270,9 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (2 x 256 atoms + 10 x 3
-        # powers) x 16 B = 0.26 GiB; the order_bound table and the 32^3 sup grid
-        # take 32^3 x 256 x 16 B = 0.125 GiB each
+        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (2 x 256 atoms + 10
+        # weights) x 16 B = 0.25 GiB; the order_bound table takes 32^3 x 256 x 16 B
+        # = 0.125 GiB
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
@@ -275,7 +280,7 @@ class TestWorkBudget:
     def test_lowered_budget(self, monkeypatch):
         # geometric d = 1 on 16 atoms at 4 nodes and --grid 2: the 4 x 4 profile
         # contour nodes take 4 x 4 x 16 x 16 B, as much as the order_bound table on
-        # its 16 nodes, more than the 4 x (2 x 16 + 3) contour values and powers
+        # its 16 nodes, more than the 4 x (2 x 16 + 3) contour values and weights
         # that derivative_consistency holds at once
         fam = family_preset("geometric")
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16)
@@ -295,16 +300,15 @@ class TestWorkBudget:
             cli._build_config(args, CHECK_NAMES)
 
     def test_d4_at_32_nodes_admitted(self):
-        # telescoping reads its sup from the 32^4 contour grid, so d = 4 on uniform-16
-        # at 32 nodes needs 32^4 x (2 x 16 + 60) x 16 B = 1.44 GiB
+        # telescoping and norm_bound read their sups from the 32^4 contour grid, so
+        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (2 x 16 + 15) x 16 B = 0.73 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 
-    @pytest.mark.parametrize("d, grid", [(3, "1024"), (1, "2000000")],
-                             ids=["d3-grid1024", "d1-grid2000000"])
+    @pytest.mark.parametrize("d, grid", [(1, "2000000")], ids=["d1-grid2000000"])
     def test_grid_is_counted(self, tmp_path, monkeypatch, capsys, d, grid):
-        # d = 3: the norm_bound sup grid is 1024^3 x 16 x 16 B = 256 GiB; d = 1: the
-        # derivative_profile contours hold 2,000,000 x 64 x 16 x 16 B = 30.5 GiB
+        # --grid sets only the d = 1 derivative_profile region grid, whose contours
+        # hold 2,000,000 x 64 x 16 x 16 B = 30.5 GiB
         counted = []
 
         def counting(evaluate):
@@ -438,6 +442,19 @@ class TestFailurePath:
         assert "violation" in err
         records = parse_records(out.read_text())
         assert any(not r["pass"] for r in records)
+
+    @pytest.mark.parametrize("functionals", [["--functional", "dirac"], []],
+                             ids=["dirac", "default"])
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, functionals):
+        # the seed reaches np.random.default_rng, which takes no negative seed; the
+        # run is refused before any family value is evaluated, also where the
+        # default battery's random measure would draw from the seed first
+        counted = count_family_values(monkeypatch)
+        code, text = run_cli(tmp_path, "check", "fubini", "--family", "geometric",
+                             *functionals, "--seed", "-1")
+        assert code == 2 and text is None
+        assert "configuration error: --seed" in capsys.readouterr().err
+        assert counted == []
 
     @pytest.mark.parametrize("args", [["--p", "nan"], ["--tol", "nan"],
                                       ["--functional", "random:0"]],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
-                        derivative_functional, dirac, family_preset, random_measure,
-                        space_preset, unit_polydisc)
+                        derivative_functional, dirac, family_preset, preset_names,
+                        random_measure, space_preset, unit_polydisc)
 from holofubini import theorems
 from holofubini.cauchy import derivative_rule
 from holofubini.family import (BoundarySample, ExponentialFamily, GeometricFamily,
@@ -307,16 +307,20 @@ class TestNormBound:
     def test_functional_list_matches_one_call_each(self, geometric, space16, monkeypatch, p):
         phis = [dirac([0.9]), derivative_functional([0.0], (1,), CONTOUR, n=64),
                 random_measure(geometric.domain, k=8, shrink=0.5, seed=2)]
-        alone = [theorems.norm_bound_check([phi], geometric, space16, p)[0] for phi in phis]
+        # the sup grid is the n-node contour grid, n^d rows; n = 48 sets it apart
+        # from the derivative functional's 64 nodes
+        n = 48
+        alone = [theorems.norm_bound_check([phi], geometric, space16, p, n=n)[0]
+                 for phi in phis]
         grid_rows = []
         lp_norm = FiniteMeasureSpace.lp_norm
 
         def counting(self, v, q):
-            grid_rows.append(np.shape(v)[0] == 32 and np.ndim(v) == 2)
+            grid_rows.append(np.shape(v)[0] == n ** geometric.d and np.ndim(v) == 2)
             return lp_norm(self, v, q)
 
         monkeypatch.setattr(FiniteMeasureSpace, "lp_norm", counting)
-        batch = theorems.norm_bound_check(phis, geometric, space16, p)
+        batch = theorems.norm_bound_check(phis, geometric, space16, p, n=n)
         assert [vars(r) for r in batch] == [vars(r) for r in alone]
         assert sum(grid_rows) == 1
 
@@ -457,6 +461,26 @@ class TestSchwarzCheck:
             pytest.skip("univariate only")
         rep = theorems.schwarz_check(preset_family, space16, samples=300, seed=0)
         assert rep.passed
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_contour_sups_pass_at_few_nodes(name, space16):
+    # schwarz and norm_bound take their sups on the n-node contour grid, a coarser
+    # lower estimate of the sup at small n, which must give no false violation
+    fam = family_preset(name)
+    for n in range(4, 17):
+        rep = theorems.schwarz_check(fam, space16, n=n)
+        assert rep.passed, (n, rep.lhs)
+        for shrink in (0.1, 0.9):
+            # the default battery's functionals, less derivatives of an order n
+            # cannot resolve
+            phis = [dirac(0.5 * shrink * fam.domain.radius),
+                    random_measure(fam.domain, k=8, shrink=shrink, seed=0)]
+            phis += [derivative_functional([0.0], (order,), CONTOUR, n=n)
+                     for order in (1, 2) if n > 2 * order + 2]
+            for p in (1, 2, INF):
+                for rep in theorems.norm_bound_check(phis, fam, space16, p, n=n):
+                    assert rep.passed, (n, shrink, p, rep.functional, rep.lhs, rep.rhs)
 
 
 class TestZeroWeightRobustness:
