@@ -28,6 +28,7 @@ __all__ = [
     "cauchy_eval",
     "derivative_rule",
     "cauchy_derivative",
+    "contour_derivatives",
     "taylor_coefficients",
     "schwarz_violation",
     "OrderBound",
@@ -66,25 +67,19 @@ def derivative_rule(center, alpha, radii, n: int = 64):
     distinguished boundary of the polydisc (center, radii) and weights
     ``alpha! * (1/n^d) * prod_j (w_j - a_j)^(-alpha_j)``, so that
     ``sum_k weights_k g(points_k)`` is the trapezoidal discretization of the
-    Cauchy integral for the derivative.  ``alpha`` may also be a sequence of
-    m multi-indices: the points are then shared and ``weights`` has shape
-    (m, n^d), row i equal to the weights of the i-th multi-index alone.
+    Cauchy integral for the derivative.  Checkers that read several
+    derivatives from one sample use :func:`contour_derivatives` instead.
     """
     center = np.atleast_1d(np.asarray(center, dtype=complex))
-    batched = np.ndim(alpha) == 2
-    alphas = [as_multi_index(a, center.shape[0]) for a in (alpha if batched else [alpha])]
+    alpha = as_multi_index(alpha, center.shape[0])
     disc = Polydisc(center, radii)
-    order = max(max(a) for a in alphas)
-    if n <= order + 1:
-        raise ValueError(f"node count {n} is too small for derivative order {order}")
+    if n <= max(alpha) + 1:
+        raise ValueError(f"node count {n} is too small for derivative order {max(alpha)}")
     quad = torus_nodes(disc, n)
     offsets = quad.nodes - center[:, None]
-    weights = np.empty((len(alphas), quad.n ** disc.d), dtype=complex)
-    for row, a in zip(weights, alphas):
-        # the outer product of each variable's n powers, in the order of quad.grid()
-        powers = reduce(np.multiply.outer, offsets ** -np.asarray(a)[:, None])
-        row[:] = powers.ravel() * (multi_factorial(a) / quad.n ** disc.d)
-    return quad.grid(), weights if batched else weights[0]
+    # the outer product of each variable's n powers, in the order of quad.grid()
+    powers = reduce(np.multiply.outer, offsets ** -np.asarray(alpha)[:, None])
+    return quad.grid(), powers.ravel() * (multi_factorial(alpha) / quad.n ** disc.d)
 
 
 def cauchy_derivative(f, center, alpha, radii, n: int = 64) -> complex:
@@ -99,16 +94,32 @@ def cauchy_derivative(f, center, alpha, radii, n: int = 64) -> complex:
     return complex(np.sum(weights * vals))
 
 
-def _fft_coefficients(samples: np.ndarray, d: int, n: int, radii, degree: int) -> np.ndarray:
-    # samples has shape (n,)*d + batch; returns (degree+1,)*d + batch.  One axis at
-    # a time, last axis first as in np.fft.fftn, keeping only the first degree + 1
-    # frequencies after each, so no full-size transform of every axis is held.
-    sel = samples
+def _fft_coefficients(values: np.ndarray, d: int, n: int, radii, degree: int) -> np.ndarray:
+    # values has shape (n^d,) + batch, in grid() order; returns (degree+1,)*d + batch.
+    # One axis at a time, last axis first as in np.fft.fftn, keeping only the first
+    # degree + 1 frequencies after each, so no full-size transform of every axis is held.
+    sel = values.reshape((n,) * d + values.shape[1:])
     for axis in reversed(range(d)):
         sel = np.fft.fft(sel, axis=axis)[(slice(None),) * axis + (slice(0, degree + 1),)]
     sel = sel / n ** d
     scale = reduce(np.multiply.outer, [np.asarray(r) ** np.arange(degree + 1) for r in radii])
-    return sel / scale.reshape(scale.shape + (1,) * (samples.ndim - d))
+    return sel / scale.reshape(scale.shape + (1,) * (values.ndim - 1))
+
+
+def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
+    """D^alpha at the center for each of m multi-indices, from values of shape (n^d,) +
+    batch on ``torus_nodes(Polydisc(center, radii), n).grid()``; returns (m,) + batch.
+
+    Entry i is alpha_i! c_alpha_i from one FFT: the trapezoid sum that
+    :func:`derivative_rule`'s weights take (Lyness & Moler 1967), with its guard.
+    """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    alphas = [as_multi_index(a, radii.shape[0]) for a in alphas]
+    order = max(max(a) for a in alphas)
+    if n <= order + 1:
+        raise ValueError(f"node count {n} is too small for derivative order {order}")
+    coeffs = _fft_coefficients(np.asarray(values, dtype=complex), radii.shape[0], n, radii, order)
+    return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
 
 
 def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> np.ndarray:
@@ -132,7 +143,6 @@ def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> 
     disc = Polydisc(center, radii)
     quad = torus_nodes(disc, n)
     samples = np.asarray(f(quad.grid()), dtype=complex)
-    samples = samples.reshape((quad.n,) * disc.d + samples.shape[1:])
     return _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
 
 

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -35,15 +35,15 @@ def _identity_tol(config) -> float:
 
 
 def _profile_reports(fam, space, grid, n, sampler) -> list[CheckReport]:
-    """One finiteness report per derivative order 0..4 over the --grid region grid."""
+    """A finiteness report per derivative order up to PROFILE_MAX_ORDER on the --grid grid."""
     points = theorems.sup_grid(fam.domain, grid, 0.9)
     local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
     return [
         CheckReport.build("derivative_profile", fam.label, "", prof.sup_integral,
                           float(prof.profile.max()), 0.0 if prof.finite else math.inf, 0.0,
                           alpha=[prof.order])
-        for prof in theorems.derivative_profile(fam, space, 4, list(points), local, n=n,
-                                                sampler=sampler)
+        for prof in theorems.derivative_profile(fam, space, PROFILE_MAX_ORDER, list(points),
+                                                local, n=n, sampler=sampler)
     ]
 
 
@@ -141,11 +141,13 @@ CHECKS = {
 CHECK_NAMES = tuple(CHECKS)
 
 USAGE_ERROR = 2
+#: derivative_profile reports orders 0..PROFILE_MAX_ORDER
+PROFILE_MAX_ORDER = 4
 
 #: Bytes of complex values the largest arrays a run holds at once may take.  It
-#: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.25 GiB)
-#: and d = 4 with 16 atoms at 32 nodes (0.73 GiB), and refuses d = 4 at 64 nodes
-#: with 16 atoms (11.75 GiB) or with 1 atom (4.25 GiB).
+#: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.38 GiB)
+#: and d = 4 with 16 atoms at 32 nodes (1.06 GiB), and refuses d = 4 at 64 nodes
+#: with 16 atoms (17.00 GiB) or with 1 atom (5.75 GiB).
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -157,15 +159,15 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
     Counted in complex values, they are the largest of: the n^d contour grid with
-    2k values per node (derivative_consistency's sample and per-slice stack) plus
-    one per multi-index |alpha| <= 2 (derivative_rule's weights); the order_bound
-    table's max(n, 16)^d x k grid; and, at d = 1, the max(grid, 4) * n * k
-    derivative_profile contour values.
+    3k + 5d values per node, what derivative_consistency holds at once (sample,
+    per-slice stack and the FFT's first transform; points, the sampler's copy and key,
+    and the domain test's transients); the order_bound table's max(n, 16)^d x k
+    grid; and, at d = 1, the grid * n * k derivative_profile contour values.
     """
     k = space.natoms
-    values = max(n ** fam.d * (2 * k + len(_alpha_battery(fam.d))),
+    values = max(n ** fam.d * (3 * k + 5 * fam.d),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 max(grid, 4) * n * k if fam.d == 1 else 0)
+                 grid * n * k if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
@@ -199,8 +201,12 @@ class SuiteConfig:
             raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.shrink <= 0.9:
             raise ConfigError(f"--shrink must lie in (0, 0.9], got {self.shrink}")
-        if self.grid < 2:
-            raise ConfigError(f"--grid must be at least 2, got {self.grid}")
+        if self.grid < 4:
+            raise ConfigError(f"--grid must be at least 4, got {self.grid}")
+        if (self.family.d == 1 and "derivative_profile" in self.checks
+                and self.n <= PROFILE_MAX_ORDER + 1):
+            raise ConfigError(f"derivative_profile needs --nodes above {PROFILE_MAX_ORDER + 1} "
+                              f"at d = 1 to read order {PROFILE_MAX_ORDER}, got {self.n}")
         if self.tol is not None and not self.tol > 0:
             raise ConfigError(f"--tol must be positive, got {self.tol}")
         for p in self.p_list:
@@ -246,11 +252,8 @@ def _random_duals(space: FiniteMeasureSpace, rng) -> list[np.ndarray]:
 
 
 def _alpha_battery(d: int, max_total: int = 2):
-    out = []
-    for alpha in np.ndindex(*((max_total + 1,) * d)):
-        if sum(alpha) <= max_total:
-            out.append(tuple(int(a) for a in alpha))
-    return sorted(out, key=lambda a: (sum(a), a))
+    alphas = [a for a in np.ndindex(*(max_total + 1,) * d) if sum(a) <= max_total]
+    return sorted(alphas, key=lambda a: (sum(a), a))
 
 
 def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
@@ -342,13 +345,10 @@ def _parse_p_list(text: str) -> list[float]:
         part = part.strip().lower()
         if not part:
             continue
-        if part in ("inf", "infinity", "oo"):
-            out.append(math.inf)
-        else:
-            try:
-                out.append(float(part))
-            except ValueError:
-                raise ConfigError(f"cannot parse exponent {part!r}") from None
+        try:
+            out.append(math.inf if part == "oo" else float(part))
+        except ValueError:
+            raise ConfigError(f"cannot parse exponent {part!r}") from None
     if not out:
         raise ConfigError("--p needs at least one exponent")
     return out
@@ -435,13 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args, checks) -> SuiteConfig:
+    """Check everything but the functionals before building them, then those."""
     fam = _load_family(args)
-    space = _load_space(args.space)
-    if args.nodes < 4:
-        raise ConfigError(f"--nodes must be at least 4, got {args.nodes}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    _check_work_budget(fam, space, args.nodes, args.grid)
+    config = SuiteConfig(
+        family=fam, space=_load_space(args.space), functionals=[],
+        p_list=_parse_p_list(args.p), n=args.nodes, shrink=args.shrink,
+        grid=args.grid, tol=args.tol, seed=args.seed, output=args.output,
+        fmt=args.fmt, checks=checks,
+    )
     if args.functional:
         functionals = [
             _parse_functional(entry, fam, args.nodes, args.shrink, args.seed)
@@ -452,12 +453,7 @@ def _build_config(args, checks) -> SuiteConfig:
             functionals = default_functionals(fam, args.nodes, args.shrink, args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    return SuiteConfig(
-        family=fam, space=space, functionals=functionals,
-        p_list=_parse_p_list(args.p), n=args.nodes, shrink=args.shrink,
-        grid=args.grid, tol=args.tol, seed=args.seed, output=args.output,
-        fmt=args.fmt, checks=checks,
-    )
+    return replace(config, functionals=functionals)
 
 
 def _describe() -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cauchy import derivative_rule, order_bound, schwarz_violation
+from .cauchy import contour_derivatives, order_bound, schwarz_violation
 from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, sample_polydisc, torus_nodes
 
 __all__ = [
@@ -145,57 +145,53 @@ def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None,
     )
 
 
-def derivative_consistency(fam, space, center, alpha, radii, n: int = 64,
-                           p: float | list[float] = 2.0, tol: float = 1e-10,
-                           sampler=None) -> CheckReport | list[CheckReport]:
+def derivative_consistency(fam, space, center, alphas, radii, n: int = 64,
+                           p: list[float] | tuple[float, ...] = (2.0,), tol: float = 1e-10,
+                           sampler=None) -> list[CheckReport]:
     """Vector-level Cauchy derivative of F versus the per-atom scalar route.
 
-    Both routes apply the derivative rule of each multi-index on the contour
-    grid of (center, radii, n).  The vector route contracts the rule's
-    weights with the sampled vectors F(w_k), read from ``sampler``.  The
-    scalar route evaluates each slice f(., t_i) on the grid through
-    :meth:`HoloFamily.slice`, once per call, and sums the weighted values of
-    each atom as :func:`holofubini.cauchy.cauchy_derivative` does; it never
-    reads the sample.  Agreement in the weighted p-norm certifies that
-    differentiating the vector function and differentiating each slice
-    commute.  ``alpha`` may be one multi-index or a sequence of them, and
-    ``p`` one exponent or a list: a single alpha with a scalar p gives one
-    report, anything else a list ordered by (alpha, p).
+    Each route reads every multi-index of ``alphas`` from one FFT of its values on
+    the contour grid of (center, radii, n), by :func:`holofubini.cauchy.contour_derivatives`:
+    the vector route the sample F(w_k) from ``sampler``, the scalar route the stack
+    of slices f(., t_i), evaluated once per call through :meth:`HoloFamily.slice`
+    and never read from the sample.  Agreement in the weighted p-norm certifies
+    that differentiating F and differentiating each slice commute.  Returns one
+    report per (alpha, p), ordered by alpha, for each exponent of the list ``p``.
     """
-    batched = np.ndim(alpha) == 2
-    alphas = [as_multi_index(a, fam.d) for a in (alpha if batched else [alpha])]
-    pts, rows = derivative_rule(center, alphas, radii, n)
-    vectors = (sampler or fam.sampler(space))(pts).values
-    slices = np.stack([fam.slice(t)(pts) for t in space.params])
+    alphas = [as_multi_index(a, fam.d) for a in alphas]
+    pts = torus_nodes(Polydisc(center, radii), n).grid()
+    vector_route = contour_derivatives((sampler or fam.sampler(space))(pts).values,
+                                       alphas, radii, n)
+    slices = np.empty((len(pts), space.natoms), dtype=complex)
+    for i, t in enumerate(space.params):
+        slices[:, i] = fam.slice(t)(pts)
+    scalar_route = contour_derivatives(slices, alphas, radii, n)
     reports = []
-    for a, weights in zip(alphas, rows):
-        vector_route = weights @ vectors
-        scalar_route = np.sum(weights * slices, axis=1)
-        routes = np.stack([vector_route, scalar_route, vector_route - scalar_route])
+    for a, vec, sca in zip(alphas, vector_route, scalar_route):
+        routes = np.stack([vec, sca, vec - sca])
         reports += [
             CheckReport.build("derivative_consistency", fam.label, "",
                               *space.lp_norm(routes, q).tolist(), tol, p=q, alpha=list(a), n=n)
-            for q in np.atleast_1d(p).tolist()
+            for q in map(float, p)
         ]
-    return reports if batched or np.ndim(p) else reports[0]
+    return reports
 
 
 def diff_under_integral(fam, h, space, center, alpha, radii, n: int = 64,
                         tol: float = 1e-10, sampler=None) -> CheckReport:
     """D^alpha of z -> <F(z), h> at ``center`` versus pairing the slice derivatives.
 
-    The left side differentiates the composed scalar map by boundary
-    quadrature on the contour grid of (center, radii, n), read from
-    ``sampler``; the right side pairs the closed-form per-atom derivatives
-    with h.  The residual is the quadrature error and decays geometrically
-    in n.
+    The left side differentiates the composed scalar map by
+    :func:`holofubini.cauchy.contour_derivatives` on the contour grid of
+    (center, radii, n), read from ``sampler``; the right side pairs the
+    closed-form per-atom derivatives with h.  The residual is the quadrature
+    error and decays geometrically in n.
     """
     alpha = as_multi_index(alpha, fam.d)
-    h = np.asarray(h, dtype=complex)
-    hw = h * space.weights
-    pts, weights = derivative_rule(center, alpha, radii, n)
+    hw = np.asarray(h, dtype=complex) * space.weights
+    pts = torus_nodes(Polydisc(center, radii), n).grid()
     composed = (sampler or fam.sampler(space))(pts).values @ hw
-    lhs = complex(np.sum(weights * composed))
+    lhs = complex(contour_derivatives(composed, [alpha], radii, n)[0])
     rhs = complex(fam.deriv_vector(center, space, alpha) @ hw)
     return CheckReport.build(
         "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), tol,
@@ -205,7 +201,7 @@ def diff_under_integral(fam, h, space, center, alpha, radii, n: int = 64,
 
 def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
     """Deterministic boundary grid used for sup estimates over the domain."""
-    return torus_nodes(domain.shrunk(shrink), max(int(density), 4)).grid()
+    return torus_nodes(domain.shrunk(shrink), density).grid()
 
 
 def norm_bound_check(phis, fam, space, p: float, n: int = 64,
@@ -298,10 +294,9 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
                        n: int = 64, sampler=None) -> list[OrderProfile]:
     """Per-order sup profiles of |D^n_z f| over a grid, for univariate domains.
 
-    For each order up to ``max_order`` the derivative is computed by
-    boundary quadrature on a contour of ``contour_radii`` about each grid
-    point, so every contour must stay inside the family domain.  Each
-    contour gets one derivative rule for all orders and is sampled once.
+    Every order up to ``max_order`` is read from one FFT of one sampler call on
+    a contour of ``contour_radii`` about each grid point, which must stay inside
+    the family domain (:func:`holofubini.cauchy.contour_derivatives`).
     """
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
@@ -309,12 +304,11 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
     if not grid:
         raise ValueError("region grid must be nonempty")
     sampler = sampler or fam.sampler(space)
+    orders = [(order,) for order in range(max_order + 1)]
     mags = np.empty((max_order + 1, len(grid), space.natoms))
     for gi, a in enumerate(grid):
-        pts, rows = derivative_rule(a, [(o,) for o in range(max_order + 1)], contour_radii, n)
-        values = sampler(pts).values
-        for order, weights in enumerate(rows):
-            mags[order, gi] = np.abs(weights @ values)
+        pts = torus_nodes(Polydisc(a, contour_radii), n).grid()
+        mags[:, gi] = np.abs(contour_derivatives(sampler(pts).values, orders, contour_radii, n))
     return [
         OrderProfile(order=order, profile=m.max(axis=0),
                      sup_integral=float(np.max(m @ space.weights)))

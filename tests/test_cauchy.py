@@ -8,7 +8,7 @@ from holofubini import (FiniteMeasureSpace, Polydisc, TailEstimateError, cauchy_
                         cauchy_eval, family_from_json, family_preset, order_bound,
                         order_bound_check, preset_names, schwarz_violation, space_preset,
                         taylor_coefficients, unit_polydisc)
-from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, derivative_rule
+from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, derivative_rule
 from holofubini.family import PolynomialFamily, TabulatedTaylorFamily
 
 from conftest import fd_derivative
@@ -91,47 +91,56 @@ class TestCauchyDerivative:
 
 
 class TestDerivativeRuleStack:
-    @pytest.mark.parametrize("center, alphas, radii", [
-        ([0.1], [(0,), (1,), (2,), (4,)], [0.5]),
-        ([0.0, 0.2j], [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], [0.9, 0.7]),
-    ])
-    def test_rows_equal_single_rules(self, center, alphas, radii):
-        pts, weights = derivative_rule(center, alphas, radii, 16)
-        assert weights.shape == (len(alphas), pts.shape[0])
-        for alpha, row in zip(alphas, weights):
-            single_pts, single = derivative_rule(center, alpha, radii, 16)
-            assert np.array_equal(pts, single_pts)
-            assert row.tolist() == single.tolist()
-
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_weights_match_the_power_formula(self, d):
         # alpha! / n^d * prod_j (w_j - a_j)^(-alpha_j), evaluated node by node
         center, radii = [0.1 - 0.2j] * d, [0.5 + 0.1 * j for j in range(d)]
-        alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
-        pts, weights = derivative_rule(center, alphas, radii, 8)
-        for alpha, row in zip(alphas, weights):
+        for alpha in (a for a in np.ndindex(*(3,) * d) if sum(a) <= 2):
+            pts, weights = derivative_rule(center, alpha, radii, 8)
             oracle = [math.prod(math.factorial(k) * complex(w - c) ** -k
                                 for w, c, k in zip(point, center, alpha)) / 8 ** d
                       for point in pts]
-            np.testing.assert_allclose(row, oracle, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(weights, oracle, rtol=1e-14, atol=0)
 
     def test_peak_memory_stays_near_the_returned_arrays(self):
-        # the weights are built from each variable's n powers, with no (m, n^d, d)
-        # array of them: d = 3, n = 64 and the 10 multi-indices |alpha| <= 2 return
-        # 55 MB of points and weights
-        alphas = [a for a in np.ndindex(3, 3, 3) if sum(a) <= 2]
+        # the weights are built from each variable's n powers, with no (n^d, d)
+        # array of them: d = 3 and n = 64 return 10 MB of points and weights
         tracemalloc.start()
         try:
-            pts, weights = derivative_rule([0.0] * 3, alphas, [0.95] * 3, 64)
+            pts, weights = derivative_rule([0.0] * 3, (1, 1, 0), [0.95] * 3, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * (pts.nbytes + weights.nbytes)
 
+
+class TestContourDerivatives:
+    @staticmethod
+    def alphas(d, max_total):
+        return [a for a in np.ndindex(*(max_total + 1,) * d) if sum(a) <= max_total]
+
+    @pytest.mark.parametrize("d, max_total", [(1, 4), (2, 2), (3, 2)])
+    def test_matches_the_weight_contraction(self, d, max_total):
+        # alpha! c_alpha from one FFT equals the trapezoid sum derivative_rule's
+        # weights take, for a batch of values on the shared contour grid
+        center, radii = [0.1 - 0.2j] * d, [0.5 + 0.1 * j for j in range(d)]
+        alphas = self.alphas(d, max_total)
+        pts, _ = derivative_rule(center, alphas[0], radii, 8)
+        # exp(s . z) for three s of modulus 2 per variable: D^alpha = s^alpha exp(s . a)
+        # stays far above the roundoff of alpha! / r^alpha * sup |f|
+        rates = 2.0 * np.exp(2j * np.pi * np.random.default_rng(d).random((3, d)))
+        values = np.exp(pts @ rates.T)
+        got = contour_derivatives(values, alphas, radii, 8)
+        assert got.shape == (len(alphas), 3)
+        for alpha, row in zip(alphas, got):
+            weights = derivative_rule(center, alpha, radii, 8)[1]
+            np.testing.assert_allclose(row, weights @ values, rtol=1e-13, atol=0)
+
     def test_order_guard_uses_largest_order(self):
-        derivative_rule([0.0], [(0,), (2,)], [0.5], 4)
-        with pytest.raises(ValueError, match="order 3"):
-            derivative_rule([0.0], [(0,), (3,), (1,)], [0.5], 4)
+        values = np.ones(4, dtype=complex)
+        contour_derivatives(values, [(0,), (2,)], [0.5], 4)
+        with pytest.raises(ValueError, match="node count 4 is too small for derivative order 3"):
+            contour_derivatives(values, [(0,), (3,), (1,)], [0.5], 4)
 
 
 class TestTaylorCoefficients:

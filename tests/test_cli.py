@@ -89,6 +89,29 @@ class TestVerify:
         assert code == 2
         assert not out.exists()  # invalid configs abort with no partial output
 
+    @pytest.mark.parametrize("args", [["--nodes", "4"], ["--nodes", "5"], ["--grid", "3"]],
+                             ids=["nodes4", "nodes5", "grid3"])
+    def test_profile_config_it_cannot_run_is_usage_error(self, tmp_path, monkeypatch,
+                                                         capsys, args):
+        # the order-PROFILE_MAX_ORDER read needs n > 5 at d = 1, and the region
+        # grid at least 4 points; both are refused before any family value
+        counted = count_family_values(monkeypatch)
+        code, text = run_cli(tmp_path, "check", "derivative_profile", "--family", "geometric",
+                             "--functional", "dirac", *args)
+        assert code == 2 and text is None
+        assert "configuration error:" in capsys.readouterr().err
+        assert counted == []
+
+    @pytest.mark.parametrize("command, d", [(["check", "schwarz"], 1),
+                                            (["check", "derivative_profile"], 2),
+                                            (["verify"], 2)],
+                             ids=["schwarz-d1", "profile-d2", "verify-d2"])
+    def test_four_nodes_run_without_the_d1_profile(self, tmp_path, command, d):
+        code, text = run_cli(tmp_path, *command, *family_args(tmp_path, d), "--nodes", "4",
+                             "--functional", "dirac")
+        assert code != 2 and text is not None
+        assert "derivative_profile" not in {r["check"] for r in parse_records(text)}
+
     def test_unknown_family_is_usage_error(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--family", "nonexistent")
         assert code == 2 and text is None
@@ -232,9 +255,9 @@ class TestWorkBudget:
     }
 
     @staticmethod
-    def config(fam, space, n, grid=32):
+    def config(fam, space, n, grid=32, checks=CHECK_NAMES):
         return cli.SuiteConfig(family=fam, space=space_preset(space), functionals=[],
-                               p_list=[2.0], n=n, grid=grid)
+                               p_list=[2.0], n=n, grid=grid, checks=checks)
 
     @classmethod
     def family_file(cls, tmp_path, d):
@@ -252,16 +275,17 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
-    # At d = 4, derivative_rule holds the weights of the 15 multi-indices with
-    # |alpha| <= 2 at once: 15 complex values per node besides the atoms'.
+    # derivative_consistency holds 3k + 5d complex values per contour node at once:
+    # the sample, the per-slice stack and the FFT's first transform, and the
+    # coordinates with their copies and transients.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 64^4 nodes x (2 x 16 atoms + 15 weights) x 16 B = 11.75 GiB; nothing of
-        # that size is allocated
+        # 64^4 nodes x (3 x 16 atoms + 5 x 4) x 16 B = 17 GiB; nothing of that size
+        # is allocated
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
 
-    def test_derivative_rule_powers_are_counted(self, tmp_path, monkeypatch):
-        # one atom: 64^4 x (2 x 1 + 15) x 16 B = 4.25 GiB, most of it the weights;
-        # the two contour arrays alone would take 0.5 GiB
+    def test_contour_coordinates_are_counted(self, tmp_path, monkeypatch):
+        # one atom: 64^4 x (3 x 1 + 5 x 4) x 16 B = 5.75 GiB, most of it the
+        # coordinates; the three atom arrays alone would take 0.75 GiB
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 64)
 
     def test_suite_config_checks_the_budget(self):
@@ -270,24 +294,27 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (2 x 256 atoms + 10
-        # weights) x 16 B = 0.25 GiB; the order_bound table takes 32^3 x 256 x 16 B
+        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (3 x 256 atoms + 5 x 3)
+        # x 16 B = 0.38 GiB; the order_bound table takes 32^3 x 256 x 16 B
         # = 0.125 GiB
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
 
     def test_lowered_budget(self, monkeypatch):
-        # geometric d = 1 on 16 atoms at 4 nodes and --grid 2: the 4 x 4 profile
+        # geometric d = 1 on 16 atoms at 4 nodes and --grid 4: the 4 x 4 profile
         # contour nodes take 4 x 4 x 16 x 16 B, as much as the order_bound table on
-        # its 16 nodes, more than the 4 x (2 x 16 + 3) contour values and weights
-        # that derivative_consistency holds at once
+        # its 16 nodes, more than the 4 x (3 x 16 + 5) contour values that
+        # derivative_consistency holds at once.  The budget counts the profile
+        # contours whatever the checks; at 4 nodes derivative_profile itself is
+        # refused, so the run leaves it out.
         fam = family_preset("geometric")
+        few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16)
-        self.config(fam, "uniform-16", 4, grid=2)
+        self.config(fam, "uniform-16", 4, grid=4, checks=few)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16 - 1)
         with pytest.raises(cli.ConfigError, match="work budget"):
-            self.config(fam, "uniform-16", 4, grid=2)
+            self.config(fam, "uniform-16", 4, grid=4, checks=few)
         # at 64 nodes and --grid 32 the 32 profile contours of 64 nodes take
         # 32 x 64 x 16 x 16 B
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 32 * 64 * 16 * 16)
@@ -301,7 +328,7 @@ class TestWorkBudget:
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
-        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (2 x 16 + 15) x 16 B = 0.73 GiB
+        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (3 x 16 + 5 x 4) x 16 B = 1.06 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 

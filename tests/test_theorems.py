@@ -6,7 +6,7 @@ import pytest
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         derivative_functional, dirac, family_preset, preset_names,
                         random_measure, space_preset, unit_polydisc)
-from holofubini import theorems
+from holofubini import cauchy, theorems
 from holofubini.cauchy import derivative_rule
 from holofubini.family import (BoundarySample, ExponentialFamily, GeometricFamily,
                                PolynomialFamily)
@@ -149,8 +149,8 @@ class TestFubiniResidual:
 
 class TestDerivativeConsistency:
     def test_constant_family_vanishes(self, space16):
-        rep = theorems.derivative_consistency(
-            family_preset("constant"), space16, [0.0], (1,), CONTOUR, n=32, p=2
+        [rep] = theorems.derivative_consistency(
+            family_preset("constant"), space16, [0.0], [(1,)], CONTOUR, n=32, p=[2]
         )
         assert rep.lhs <= 1e-14 and rep.residual <= 1e-14
 
@@ -162,13 +162,13 @@ class TestDerivativeConsistency:
         pts, weights = derivative_rule([0.0], (2,), CONTOUR, n=32)
         vector_route = weights @ fam.eval(pts[:, None, :], space16.params)
         np.testing.assert_allclose(vector_route, 2.0 * space16.params, atol=1e-12)
-        rep = theorems.derivative_consistency(fam, space16, [0.0], (2,), CONTOUR,
-                                              n=32, p=INF)
+        [rep] = theorems.derivative_consistency(fam, space16, [0.0], [(2,)], CONTOUR,
+                                                n=32, p=[INF])
         assert rep.residual <= 1e-10 and rep.passed
 
     def test_geometric_alpha1_matches_closed_form(self, geometric, space16):
-        rep = theorems.derivative_consistency(geometric, space16, [0.0], (1,), CONTOUR,
-                                              n=64, p=2)
+        [rep] = theorems.derivative_consistency(geometric, space16, [0.0], [(1,)], CONTOUR,
+                                                n=64, p=[2])
         assert rep.residual <= 1e-10
         oracle = space16.lp_norm(geometric.deriv_vector([0.0], space16, (1,)), 2)
         assert rep.lhs == pytest.approx(oracle, rel=1e-10)
@@ -191,7 +191,7 @@ class TestDerivativeConsistency:
         batched = theorems.derivative_consistency(fam, space16, [0.0] * d, alphas, contour,
                                                   n=32, p=[1, 2, INF])
         single = [rep for a in alphas
-                  for rep in theorems.derivative_consistency(fam, space16, [0.0] * d, a,
+                  for rep in theorems.derivative_consistency(fam, space16, [0.0] * d, [a],
                                                              contour, n=32, p=[1, 2, INF])]
         assert len(batched) == len(single) == 3 * len(alphas)
         for a, b in zip(batched, single):
@@ -402,24 +402,35 @@ class TestDerivativeProfile:
             theorems.derivative_profile(fam, space16, 1, [np.zeros(2)], [0.1, 0.1])
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
-        calls = []
+        # each contour is one sampler call and one FFT that serves orders 0-4
+        exact = geometric.sampler(space16)
+        sampled, ffts = [], []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return derivative_rule(*args, **kwargs)
+        def sampler(points):
+            sampled.append(points)
+            return exact(points)
 
-        monkeypatch.setattr(theorems, "derivative_rule", counting)
+        fft = cauchy._fft_coefficients
+
+        def counting(values, *args):
+            ffts.append(values.shape)
+            return fft(values, *args)
+
+        monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
         grid = [np.array([0.3 * np.exp(2j * np.pi * k / 6)]) for k in range(6)]
-        profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32)
-        assert len(calls) == len(grid)
-        # each order's profile equals the one its own single-order rule gives
-        sampler = geometric.sampler(space16)
+        profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32,
+                                            sampler=sampler)
+        assert len(sampled) == len(ffts) == len(grid)
+        assert ffts == [(32, space16.natoms)] * len(grid)
+        # each order's profile matches the one its own single-order rule gives, up to
+        # roundoff, which at order 4 on radius 0.1 scales with 4! / 0.1^4 * sup |f|
         for prof in profs:
             mags = []
             for a in grid:
                 pts, weights = derivative_rule(a, (prof.order,), [0.1], 32)
-                mags.append(np.abs(weights @ sampler(pts).values))
-            assert prof.profile.tolist() == np.max(mags, axis=0).tolist()
+                mags.append(np.abs(weights @ exact(pts).values))
+            np.testing.assert_allclose(prof.profile, np.max(mags, axis=0), rtol=1e-8,
+                                       atol=1e-10 * np.max(mags))
 
 
 class TestTelescoping:
@@ -483,6 +494,19 @@ def test_contour_sups_pass_at_few_nodes(name, space16):
                     assert rep.passed, (n, shrink, p, rep.functional, rep.lhs, rep.rhs)
 
 
+def test_contour_sups_need_their_construction_terms(space16):
+    # f = 1 - z^4 reads |f| = 1 - 0.95^4 = 0.1855 on every node of the 4-node ring
+    # at 0.95 r, while f(0) = 1: schwarz passes only because its sup adds f(a) and
+    # the sample values, and norm_bound only because its sup adds the Dirac node
+    fam = PolynomialFamily([[1.0], [0.0], [0.0], [0.0], [-1.0]], unit_polydisc(1))
+    ring = theorems.sup_grid(fam.domain, 4, theorems.CONTOUR_SHRINK)
+    np.testing.assert_allclose(np.abs(fam.vector(ring[0], space16)), 1.0 - 0.95 ** 4)
+    assert theorems.schwarz_check(fam, space16, n=4).passed
+    [rep] = theorems.norm_bound_check([dirac([0.0])], fam, space16, p=2, n=4)
+    assert rep.passed
+    assert rep.lhs == pytest.approx(1.0) and rep.rhs == pytest.approx(1.0)
+
+
 class TestZeroWeightRobustness:
     def test_residuals_stable_under_null_atom(self, geometric, space16):
         grown = FiniteMeasureSpace(
@@ -507,10 +531,10 @@ class TestZeroWeightRobustness:
         assert abs(nb_a.residual - nb_b.residual) <= 1e-13
         assert abs(nb_a.lhs - nb_b.lhs) <= 1e-13
 
-        dc_a = theorems.derivative_consistency(geometric, space16, [0.0], (1,),
-                                               CONTOUR, n=32, p=2)
-        dc_b = theorems.derivative_consistency(geometric, grown, [0.0], (1,),
-                                               CONTOUR, n=32, p=2)
+        [dc_a] = theorems.derivative_consistency(geometric, space16, [0.0], [(1,)],
+                                                 CONTOUR, n=32, p=[2])
+        [dc_b] = theorems.derivative_consistency(geometric, grown, [0.0], [(1,)],
+                                                 CONTOUR, n=32, p=[2])
         assert abs(dc_a.residual - dc_b.residual) <= 1e-13
 
 
