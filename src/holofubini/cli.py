@@ -30,8 +30,9 @@ from .functional import (MeasureFunctional, derivative_functional, dirac,
 from .measure import FiniteMeasureSpace, space_from_json, space_preset
 from .theorems import CheckReport
 
-def _identity_tol(config) -> float:
-    return config.tol if config.tol is not None else 1e-10
+def _tol(config) -> dict:
+    """``--tol`` as a checker keyword, or no keyword, so each checker keeps its default."""
+    return {} if config.tol is None else {"tol": config.tol}
 
 
 def _profile_reports(fam, space, grid, n, sampler) -> list[CheckReport]:
@@ -51,21 +52,21 @@ def _linearization(config, duals, rng, sampler):
     for phi in config.functionals:
         for p in config.p_list:
             yield partial(theorems.linearization_residual, phi, config.family, config.space,
-                          duals[p], p=p, tol=_identity_tol(config), sampler=sampler)
+                          duals[p], p=p, sampler=sampler, **_tol(config))
 
 
 def _fubini(config, duals, rng, sampler):
     for phi in config.functionals:
         for p in config.p_list:
             yield partial(theorems.fubini_residual, phi, config.family, duals[p],
-                          config.space, p, tol=config.tol, sampler=sampler)
+                          config.space, p, sampler=sampler, **_tol(config))
 
 
 def _derivative_consistency(config, duals, rng, sampler):
     fam = config.family
     yield partial(theorems.derivative_consistency, fam, config.space, fam.domain.center,
                   _alpha_battery(fam.d), fam.domain.radius * CONTOUR_SHRINK, n=config.n,
-                  p=config.p_list, tol=_identity_tol(config), sampler=sampler)
+                  p=config.p_list, sampler=sampler, **_tol(config))
 
 
 def _diff_under_integral(config, duals, rng, sampler):
@@ -73,8 +74,8 @@ def _diff_under_integral(config, duals, rng, sampler):
     for alpha in _alpha_battery(fam.d):
         yield partial(theorems.diff_under_integral, fam, np.ones(config.space.natoms),
                       config.space, fam.domain.center, alpha,
-                      fam.domain.radius * CONTOUR_SHRINK, n=config.n, tol=_identity_tol(config),
-                      sampler=sampler)
+                      fam.domain.radius * CONTOUR_SHRINK, n=config.n, sampler=sampler,
+                      **_tol(config))
 
 
 def _norm_bound(config, duals, rng, sampler):
@@ -159,10 +160,10 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
     Counted in complex values, they are the largest of: the n^d contour grid with
-    3k + 5d values per node, what derivative_consistency holds at once (sample,
-    per-slice stack and the FFT's first transform; points, the sampler's copy and key,
-    and the domain test's transients); the order_bound table's max(n, 16)^d x k
-    grid; and, at d = 1, the grid * n * k derivative_profile contour values.
+    3k + 5d values per node (the sample, its evaluation's transients and the FFT's
+    first transform, 539 per node at d = 3, k = 256 under tracemalloc; points, the
+    sampler's copy and key, the domain test's transients); the order_bound table's
+    max(n, 16)^d x k grid; and, at d = 1, the grid * n * k derivative_profile values.
     """
     k = space.natoms
     values = max(n ** fam.d * (3 * k + 5 * fam.d),
@@ -215,6 +216,8 @@ class SuiteConfig:
         _check_work_budget(self.family, self.space, self.n, self.grid)
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt}")
+        if self.output and (Path(self.output).is_dir() or not Path(self.output).parent.is_dir()):
+            raise ConfigError(f"--output {self.output} is a directory or lies in a missing one")
         unknown = set(self.checks) - set(CHECK_NAMES)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
@@ -480,8 +483,7 @@ def main(argv=None) -> int:
     checks = CHECK_NAMES if args.command == "verify" else (args.name,)
     try:
         config = _build_config(args, checks)
-    except (ConfigError, ValueError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -282,8 +282,8 @@ class GeometricFamily(HoloFamily):
         return beta, args
 
     def _evaluate(self, z, t):
-        _, args = self._rate_args(z, t)
-        return np.prod(1.0 / (1.0 - args), axis=-1)
+        _, args = self._rate_args(z, t)  # (N, k, d), the largest array: 1 / (1 - args) in place
+        return np.prod(np.divide(1.0, np.subtract(1.0, args, out=args), out=args), axis=-1)
 
     def _derivative(self, z, t, alpha):
         beta, args = self._rate_args(z, t)

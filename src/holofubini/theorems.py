@@ -3,11 +3,11 @@
 Each checker evaluates both sides of one identity or inequality through two
 genuinely distinct numerical routes and reports the residual in a
 :class:`CheckReport`.  Identities whose two routes are algebraically the
-same finite sum (Dirac and generic-measure functionals, the vector/scalar
-derivative consistency) carry a tight tolerance of 1e-12; identities where
-one side is a quadrature approximation of an exact action (derivative
-functionals) default to 1e-9 at 64 nodes and shrink <= 0.5, and their
-residuals decay geometrically in the node count.
+same finite sum (linearization; fubini for Dirac and generic measures) carry
+``TOL_EXACT``; identities where one side is a quadrature approximation of an
+exact action (fubini for derivative functionals, derivative_consistency and
+diff_under_integral against the closed forms) carry ``TOL_QUADRATURE``, set for
+64 nodes and shrink <= 0.5; their residuals decay geometrically in the node count.
 
 Sup norms over the domain are approximated from below on the run's n-node
 contour grid, ``sup_grid(domain, n, CONTOUR_SHRINK)``, which the quadrature
@@ -146,29 +146,27 @@ def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None,
 
 
 def derivative_consistency(fam, space, center, alphas, radii, n: int = 64,
-                           p: list[float] | tuple[float, ...] = (2.0,), tol: float = 1e-10,
-                           sampler=None) -> list[CheckReport]:
-    """Vector-level Cauchy derivative of F versus the per-atom scalar route.
+                           p: list[float] | tuple[float, ...] = (2.0,),
+                           tol: float = TOL_QUADRATURE, sampler=None) -> list[CheckReport]:
+    """Vector-level Cauchy derivative of F versus the closed-form slice derivatives.
 
-    Each route reads every multi-index of ``alphas`` from one FFT of its values on
-    the contour grid of (center, radii, n), by :func:`holofubini.cauchy.contour_derivatives`:
-    the vector route the sample F(w_k) from ``sampler``, the scalar route the stack
-    of slices f(., t_i), evaluated once per call through :meth:`HoloFamily.slice`
-    and never read from the sample.  Agreement in the weighted p-norm certifies
-    that differentiating F and differentiating each slice commute.  Returns one
-    report per (alpha, p), ordered by alpha, for each exponent of the list ``p``.
+    The vector route reads every multi-index of ``alphas`` from one FFT of the
+    sample F(w_k) on the contour grid of (center, radii, n), taken from ``sampler``,
+    by :func:`holofubini.cauchy.contour_derivatives`; the slice route is the
+    closed form D^alpha_z f(center, t_i) of :meth:`HoloFamily.deriv_vector`.
+    Agreement in the weighted p-norm certifies that D^alpha of the L^p-valued map
+    is the slicewise derivative; the residual is the quadrature error and decays
+    geometrically in n.  Returns one report per (alpha, p), ordered by alpha, for
+    each exponent of the list ``p``.
     """
     alphas = [as_multi_index(a, fam.d) for a in alphas]
     pts = torus_nodes(Polydisc(center, radii), n).grid()
     vector_route = contour_derivatives((sampler or fam.sampler(space))(pts).values,
                                        alphas, radii, n)
-    slices = np.empty((len(pts), space.natoms), dtype=complex)
-    for i, t in enumerate(space.params):
-        slices[:, i] = fam.slice(t)(pts)
-    scalar_route = contour_derivatives(slices, alphas, radii, n)
     reports = []
-    for a, vec, sca in zip(alphas, vector_route, scalar_route):
-        routes = np.stack([vec, sca, vec - sca])
+    for a, vec in zip(alphas, vector_route):
+        closed = fam.deriv_vector(center, space, a)
+        routes = np.stack([vec, closed, vec - closed])
         reports += [
             CheckReport.build("derivative_consistency", fam.label, "",
                               *space.lp_norm(routes, q).tolist(), tol, p=q, alpha=list(a), n=n)
@@ -178,7 +176,7 @@ def derivative_consistency(fam, space, center, alphas, radii, n: int = 64,
 
 
 def diff_under_integral(fam, h, space, center, alpha, radii, n: int = 64,
-                        tol: float = 1e-10, sampler=None) -> CheckReport:
+                        tol: float = TOL_QUADRATURE, sampler=None) -> CheckReport:
     """D^alpha of z -> <F(z), h> at ``center`` versus pairing the slice derivatives.
 
     The left side differentiates the composed scalar map by

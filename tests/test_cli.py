@@ -154,6 +154,28 @@ class TestVerify:
         assert record["lhs"] == "inf" and record["residual"] == "inf"
         assert record["pass"] is False
 
+    @pytest.mark.parametrize("override", [[], ["--tol", "1e-7"]], ids=["default", "tol"])
+    def test_tolerance_rule(self, tmp_path, override):
+        # the same finite sum on both sides gets TOL_EXACT, a quadrature side against
+        # an exact action TOL_QUADRATURE; --tol replaces both
+        code, text = run_cli(tmp_path, "verify", "--family", "geometric", *override)
+        assert code == 0
+        expected = {"linearization": theorems.TOL_EXACT, "fubini": theorems.TOL_EXACT,
+                    "derivative_consistency": theorems.TOL_QUADRATURE,
+                    "diff_under_integral": theorems.TOL_QUADRATURE}
+        seen = set()
+        for r in parse_records(text):
+            if r["check"] not in expected:
+                continue
+            tol = expected[r["check"]]
+            if r["check"] == "fubini" and r["functional"].startswith("derivative"):
+                tol = theorems.TOL_QUADRATURE
+            assert r["tol"] == (1e-7 if override else tol), r
+            seen.add((r["check"], r["functional"].partition(":")[0]))
+        assert seen >= {("linearization", "dirac"), ("fubini", "dirac"),
+                        ("fubini", "random"), ("fubini", "derivative"),
+                        ("derivative_consistency", ""), ("diff_under_integral", "")}
+
     def test_csv_format(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--family", "constant",
                              "--p", "2", fmt="csv")
@@ -172,19 +194,20 @@ class TestSampleOnce:
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
-    #   derivative_consistency's per-slice route, once for every |alpha| <= 2:  n^d * k
     #   span, 4 functionals x (8 + 16) sample points:  96 * k
     #   order_bound's 200 sample points:  200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + the n-node contour
     #     ring, and derivative_profile: 32 contours of n nodes, shared by orders 0-4
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
-    # d = 1, n = 64: k * (64 + 9 + 3 + 64 + 96 + 200 + 1065 + 32*64) = 56,784
-    # d = 2, n = 64: k * (4096 + 9 + 3 + 4096 + 96 + 200 + 400) = 142,400
-    # d = 2, n = 32: k * (1024 + 9 + 3 + 1024 + 96 + 200 + 400) = 44,096
+    # The closed-form derivatives that derivative_consistency, diff_under_integral
+    # and the derivative functionals' fubini read are no family values here.
+    # d = 1, n = 64: k * (64 + 9 + 3 + 96 + 200 + 1065 + 32*64) = 55,760
+    # d = 2, n = 64: k * (4096 + 9 + 3 + 96 + 200 + 400) = 76,864
+    # d = 2, n = 32: k * (1024 + 9 + 3 + 96 + 200 + 400) = 27,712
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
-    @pytest.mark.parametrize("d, n, expected", [(1, 64, 56_784), (2, 64, 142_400),
-                                                (2, 32, 44_096)],
+    @pytest.mark.parametrize("d, n, expected", [(1, 64, 55_760), (2, 64, 76_864),
+                                                (2, 32, 27_712)],
                              ids=["d1", "d2", "d2-n32"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, expected):
         counted = count_family_values(monkeypatch)
@@ -275,8 +298,8 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
-    # derivative_consistency holds 3k + 5d complex values per contour node at once:
-    # the sample, the per-slice stack and the FFT's first transform, and the
+    # The budget counts 3k + 5d complex values per contour node: the sample with
+    # the transients of its evaluation and the FFT's first transform, and the
     # coordinates with their copies and transients.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
         # 64^4 nodes x (3 x 16 atoms + 5 x 4) x 16 B = 17 GiB; nothing of that size
@@ -304,8 +327,8 @@ class TestWorkBudget:
     def test_lowered_budget(self, monkeypatch):
         # geometric d = 1 on 16 atoms at 4 nodes and --grid 4: the 4 x 4 profile
         # contour nodes take 4 x 4 x 16 x 16 B, as much as the order_bound table on
-        # its 16 nodes, more than the 4 x (3 x 16 + 5) contour values that
-        # derivative_consistency holds at once.  The budget counts the profile
+        # its 16 nodes, more than the 4 x (3 x 16 + 5) values the budget counts on
+        # the contour grid.  The budget counts the profile
         # contours whatever the checks; at 4 nodes derivative_profile itself is
         # refused, so the run leaves it out.
         fam = family_preset("geometric")
@@ -448,6 +471,22 @@ class TestFileInputs:
                           str(tmp_path / "missing.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("option, content", [
+        ("--family-file", None),
+        ("--family-file", dict(GEOMETRIC_D2, params={"rates": 5})),
+        ("--family-file", [GEOMETRIC_D2]),
+        ("--space", {"atoms": 5}),
+    ], ids=["family-directory", "family-rates-number", "family-list", "space-atoms-number"])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, option, content):
+        path = tmp_path / "input.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(json.dumps(content))
+        code, text = run_cli(tmp_path, "verify", option, str(path))
+        assert code == 2 and text is None
+        assert "configuration error:" in capsys.readouterr().err
+
     def test_invalid_hypotheses_are_usage_error(self, tmp_path):
         # atoms too large for the geometric rate: analyticity check must abort
         space_doc = {"atoms": [{"param": [3.0, 0.0], "weight": 1.0}]}
@@ -481,6 +520,16 @@ class TestFailurePath:
                              *functionals, "--seed", "-1")
         assert code == 2 and text is None
         assert "configuration error: --seed" in capsys.readouterr().err
+        assert counted == []
+
+    @pytest.mark.parametrize("output", ["", "missing/report.jsonl"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, monkeypatch, capsys, output):
+        # refused before the battery runs, not after it when the report is written
+        counted = count_family_values(monkeypatch)
+        code = main(["verify", "--family", "geometric", "--output", str(tmp_path / output)])
+        assert code == 2
+        assert "configuration error:" in capsys.readouterr().err
         assert counted == []
 
     @pytest.mark.parametrize("args", [["--p", "nan"], ["--tol", "nan"],

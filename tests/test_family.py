@@ -28,6 +28,20 @@ class TestEval:
         with pytest.raises(ValueError):
             fam.eval([1.2], 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_geometric_matches_the_out_of_place_product(self, space16, d):
+        rng = np.random.default_rng(d)
+        fam = GeometricFamily(rng.uniform(0.2, 0.6, d), unit_polydisc(d))
+        z = rng.uniform(-0.6, 0.6, (200, 1, d)) + 1j * rng.uniform(-0.6, 0.6, (200, 1, d))
+        args = fam.rates * space16.params[:, None] * z
+        np.testing.assert_array_equal(fam._evaluate(z, space16.params),
+                                      np.prod(1.0 / (1.0 - args), axis=-1))
+
+    def test_geometric_refuses_to_leave_its_analyticity_region(self):
+        fam = GeometricFamily([2.0], unit_polydisc())
+        with pytest.raises(ValueError, match="guaranteed analyticity region"):
+            fam._evaluate(np.array([[0.6]]), 1.0)
+
     def test_exponential(self):
         fam = family_preset("exponential")
         assert fam.eval([0.4], 0.5) == pytest.approx(np.exp(0.2))

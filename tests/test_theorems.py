@@ -22,6 +22,17 @@ def geometric():
     return family_preset("geometric")
 
 
+class OffDerivativeFamily(GeometricFamily):
+    """A geometric family whose closed-form derivatives are all off by ``eps``."""
+
+    def __init__(self, rates, eps):
+        super().__init__(rates, Polydisc([0.0] * len(rates), [1.0] * len(rates)))
+        self.eps = eps
+
+    def _derivative(self, z, t, alpha):
+        return super()._derivative(z, t, alpha) + self.eps
+
+
 class TestLinearize:
     def test_dirac_is_family_vector(self, geometric, space16):
         z0 = [0.3 - 0.2j]
@@ -200,7 +211,7 @@ class TestDerivativeConsistency:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_perturbed_sample_fails_every_alpha(self, geometric, space16, d):
-        # the per-slice route must not read the sample it is checked against
+        # the closed-form route must not read the sample it is checked against
         fam = geometric if d == 1 else self.bivariate()
         alphas = self.alphas(d)
         exact = fam.sampler(space16)
@@ -219,14 +230,14 @@ class TestDerivativeConsistency:
         assert not any(rep.passed for rep in dirty)
         assert [rep.rhs for rep in dirty] == [rep.rhs for rep in clean]
 
-    @pytest.mark.parametrize("d, count", [(1, 1), (1, 3), (2, 1), (2, 6)])
-    def test_slices_evaluated_once_for_all_alphas(self, geometric, space16, monkeypatch,
-                                                  d, count):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reads_only_the_shared_sample(self, geometric, space16, monkeypatch, d):
+        # once the sampler holds the contour grid, the closed forms are the only
+        # other values the check reads, and they are no family values
         fam = geometric if d == 1 else self.bivariate()
-        alphas = self.alphas(d)[:count]
         sampler = fam.sampler(space16)
-        pts, _ = derivative_rule([0.0] * d, alphas[0], CONTOUR * d, 32)
-        sampler(pts)  # the vector route then reads a finished sample
+        pts, _ = derivative_rule([0.0] * d, (0,) * d, CONTOUR * d, 32)
+        sampler(pts)
         counted = []
         evaluate = GeometricFamily._evaluate
 
@@ -236,9 +247,23 @@ class TestDerivativeConsistency:
             return out
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
-        theorems.derivative_consistency(fam, space16, [0.0] * d, alphas, CONTOUR * d,
-                                        n=32, p=[1, 2, INF], sampler=sampler)
-        assert sum(counted) == 32 ** d * space16.natoms
+        reports = theorems.derivative_consistency(fam, space16, [0.0] * d, self.alphas(d),
+                                                  CONTOUR * d, n=32, p=[1, 2, INF],
+                                                  sampler=sampler)
+        assert all(rep.passed for rep in reports)
+        assert counted == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 2e-9, 1e-6])
+    def test_detects_an_offset_closed_form(self, space16, d, eps):
+        # the weights of uniform-16 sum to 1, so an offset eps reads eps in every
+        # p-norm against the 1e-9 tolerance, while the quadrature error at 64
+        # nodes is far below it
+        fam = OffDerivativeFamily([0.5, 0.4][:d], eps)
+        reports = theorems.derivative_consistency(fam, space16, [0.0] * d, self.alphas(d),
+                                                  CONTOUR * d, n=64, p=[1, 2, INF])
+        assert len(reports) == 3 * len(self.alphas(d))
+        assert [rep.passed for rep in reports] == [eps == 0.0] * len(reports)
 
 
 class TestDiffUnderIntegral:
