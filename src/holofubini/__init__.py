@@ -4,7 +4,7 @@ interchange identities for holomorphic families over discretized Lp spaces."""
 from .cauchy import (OrderBound, TailEstimateError, cauchy_derivative, cauchy_eval,
                      order_bound, schwarz_violation, taylor_coefficients)
 from .domain import Polydisc, TorusQuadrature, torus_nodes
-from .family import (BoundarySample, HoloFamily, family_from_json, family_preset,
+from .family import (ContourSample, HoloFamily, family_from_json, family_preset,
                      preset_names, unit_polydisc)
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
@@ -17,8 +17,8 @@ from .theorems import (CheckReport, derivative_consistency, derivative_profile,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySample",
     "CheckReport",
+    "ContourSample",
     "FiniteMeasureSpace",
     "HoloFamily",
     "MeasureFunctional",

@@ -19,10 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
-                     sample_polydisc, torus_nodes)
-from .family import HoloFamily
-from .measure import FiniteMeasureSpace
+from .domain import Polydisc, as_multi_index, multi_factorial, sample_polydisc, torus_nodes
+from .family import ContourSample
 
 __all__ = [
     "cauchy_eval",
@@ -131,29 +129,36 @@ def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> 
     for polynomial slices of per-variable degree <= degree.
     """
     center = np.atleast_1d(np.asarray(center, dtype=complex))
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > MAX_TAYLOR_DEGREE:
-        raise ValueError(f"coefficient extraction is limited to degree {MAX_TAYLOR_DEGREE}")
     if n is None:
-        n = max(2 * degree + 2, 4)
-    if n <= 2 * degree:
-        raise ValueError(f"node count {n} risks aliasing: need n > {2 * degree}")
+        n = max(2 * int(degree) + 2, 4)
+    degree = _taylor_degree(degree, n)
     disc = Polydisc(center, radii)
     quad = torus_nodes(disc, n)
     samples = np.asarray(f(quad.grid()), dtype=complex)
     return _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
 
 
-def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int = 0,
-                      n: int = 64) -> float:
+def _taylor_degree(degree, n: int) -> int:
+    """``degree`` as an int, once it is known that n nodes per variable resolve it."""
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if degree > MAX_TAYLOR_DEGREE:
+        raise ValueError(f"coefficient extraction is limited to degree {MAX_TAYLOR_DEGREE}")
+    if n <= 2 * degree:
+        raise ValueError(f"node count {n} risks aliasing: need n > {2 * degree}")
+    return degree
+
+
+def schwarz_violation(f, center, radius: float, ring, samples: int = 1000,
+                      seed: int = 0) -> float:
     """Max over sampled z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
 
-    A univariate (d = 1) check; the sup norm is estimated from below on the
-    n-node boundary ring of :func:`torus_nodes` (the maximum principle puts the
-    sup on the boundary) together with f(a) and the sample values themselves.
-    Nonpositive return values certify the bound.
+    A univariate (d = 1) check; the sup norm is estimated from below by ``ring``,
+    the values of f on nodes of the circle |z - a| = r such as those of
+    :func:`torus_nodes` (the maximum principle puts the sup on the boundary),
+    together with f(a) and the sample values themselves.  Nonpositive return
+    values certify the bound.
     """
     center = complex(center)
     radius = float(radius)
@@ -164,8 +169,7 @@ def schwarz_violation(f, center, radius: float, samples: int = 1000, seed: int =
 
     fa = complex(np.ravel(f(np.array([[center]])))[0])
     fz = np.ravel(f(z[:, None]))
-    ring = torus_nodes(disc, n).grid()
-    sup = max(float(np.max(np.abs(f(ring)))), float(np.max(np.abs(fz))), abs(fa))
+    sup = max(float(np.max(np.abs(ring))), float(np.max(np.abs(fz))), abs(fa))
     bound = (2.0 / radius) * sup * np.abs(z - center)
     return float(np.max(np.abs(fz - fa) - bound))
 
@@ -225,35 +229,29 @@ def _tail_from_degrees(shell: np.ndarray, degree: int, shrink: float, d: int) ->
     return tail, q, scale
 
 
-def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=None,
-                degree: int | None = None, shrink: float = 0.5, n: int | None = None,
-                sampler=None) -> OrderBound:
+def order_bound(sample: ContourSample, degree: int | None = None,
+                shrink: float = 0.5) -> OrderBound:
     """Per-atom Taylor majorant u_i = sum_{m} |c_m(t_i)| (shrink * r)^m plus a tail.
 
-    ``center``/``radii`` default to the family domain center with radii
-    scaled to keep the extraction contour strictly inside the domain.  The
-    coefficients come from F on the n-node contour grid, read from ``sampler``.
-    The default degree is n // 2 - 1 (n = 64 if neither is given), capped at
-    ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` the grid is raised
-    to 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.  A degree without n means
-    n = 2 * degree + 2.
+    The coefficients about the sample's center come from one FFT of its n-node
+    contour values, r being its radii.  The default degree is n // 2 - 1, capped at
+    ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that
+    degree, read from a contour sample of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2
+    nodes.  A given degree needs n > 2 * degree.
     The tail is the maximum over atoms of the per-atom geometric-fit
     estimate; it raises :class:`TailEstimateError` instead of guessing when
     the computed coefficients do not decay geometrically.
     """
     if not 0.0 < shrink <= 1.0:
         raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
-    if center is None:
-        center = fam.domain.center
-    if radii is None:
-        radii = fam.domain.radius * CONTOUR_SHRINK
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if degree is None:
-        n = max(64 if n is None else n, 2 * MIN_ORDER_BOUND_DEGREE + 2)
-        degree = min(n // 2 - 1, MAX_TAYLOR_DEGREE)
-    sampler = sampler or fam.sampler(space)
-    coeffs = taylor_coefficients(lambda pts: sampler(pts).values, center, radii, degree, n)
-    d = fam.d
+        if sample.n < 2 * MIN_ORDER_BOUND_DEGREE + 2:
+            sample = ContourSample(sample.fam, sample.space, 2 * MIN_ORDER_BOUND_DEGREE + 2,
+                                   sample.center, sample.radii)
+        degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
+    degree = _taylor_degree(degree, sample.n)
+    radii, d = sample.radii, sample.fam.d
+    coeffs = _fft_coefficients(sample.values, d, sample.n, radii, degree)
 
     # radius-scaled magnitudes: gamma_m = |c_m| * prod_j r_j^{m_j}
     rad_scale = reduce(np.multiply.outer, [radii[j] ** np.arange(degree + 1) for j in range(d)])
@@ -266,7 +264,7 @@ def order_bound(fam: HoloFamily, space: FiniteMeasureSpace, center=None, radii=N
     tail = 0.0
     rate = 0.0
     scale = 0.0
-    for g in gamma.reshape(-1, space.natoms).T:
+    for g in gamma.reshape(-1, sample.space.natoms).T:
         shell = np.bincount(total_degree, weights=g)[:degree + 1]
         t_i, q_i, c_i = _tail_from_degrees(shell, degree, shrink, d)
         if t_i > tail:

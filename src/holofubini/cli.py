@@ -23,8 +23,8 @@ import numpy as np
 
 from . import theorems
 from .cauchy import MIN_ORDER_BOUND_DEGREE
-from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc
-from .family import HoloFamily, family_from_json, family_preset, preset_names
+from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc, torus_nodes
+from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import FiniteMeasureSpace, space_from_json, space_preset
@@ -35,98 +35,84 @@ def _tol(config) -> dict:
     return {} if config.tol is None else {"tol": config.tol}
 
 
-def _profile_reports(fam, space, grid, n, sampler) -> list[CheckReport]:
+def _profile_reports(fam, space, grid, n) -> list[CheckReport]:
     """A finiteness report per derivative order up to PROFILE_MAX_ORDER on the --grid grid."""
-    points = theorems.sup_grid(fam.domain, grid, 0.9)
+    points = torus_nodes(fam.domain.shrunk(0.9), grid).grid()
     local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
     return [
         CheckReport.build("derivative_profile", fam.label, "", prof.sup_integral,
                           float(prof.profile.max()), 0.0 if prof.finite else math.inf, 0.0,
                           alpha=[prof.order])
         for prof in theorems.derivative_profile(fam, space, PROFILE_MAX_ORDER, list(points),
-                                                local, n=n, sampler=sampler)
+                                                local, n=n)
     ]
 
 
-def _linearization(config, duals, rng, sampler):
+def _linearization(config, duals, rng, sample):
     for phi in config.functionals:
         for p in config.p_list:
-            yield partial(theorems.linearization_residual, phi, config.family, config.space,
-                          duals[p], p=p, sampler=sampler, **_tol(config))
+            yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p,
+                          **_tol(config))
 
 
-def _fubini(config, duals, rng, sampler):
+def _fubini(config, duals, rng, sample):
     for phi in config.functionals:
         for p in config.p_list:
-            yield partial(theorems.fubini_residual, phi, config.family, duals[p],
-                          config.space, p, sampler=sampler, **_tol(config))
+            yield partial(theorems.fubini_residual, phi, sample, duals[p], p, **_tol(config))
 
 
-def _derivative_consistency(config, duals, rng, sampler):
-    fam = config.family
-    yield partial(theorems.derivative_consistency, fam, config.space, fam.domain.center,
-                  _alpha_battery(fam.d), fam.domain.radius * CONTOUR_SHRINK, n=config.n,
-                  p=config.p_list, sampler=sampler, **_tol(config))
+def _derivative_consistency(config, duals, rng, sample):
+    yield partial(theorems.derivative_consistency, sample, _alpha_battery(config.family.d),
+                  p=config.p_list, **_tol(config))
 
 
-def _diff_under_integral(config, duals, rng, sampler):
-    fam = config.family
-    for alpha in _alpha_battery(fam.d):
-        yield partial(theorems.diff_under_integral, fam, np.ones(config.space.natoms),
-                      config.space, fam.domain.center, alpha,
-                      fam.domain.radius * CONTOUR_SHRINK, n=config.n, sampler=sampler,
-                      **_tol(config))
+def _diff_under_integral(config, duals, rng, sample):
+    for alpha in _alpha_battery(config.family.d):
+        yield partial(theorems.diff_under_integral, sample, np.ones(config.space.natoms),
+                      alpha, **_tol(config))
 
 
-def _norm_bound(config, duals, rng, sampler):
-    for p in config.p_list:
-        yield partial(theorems.norm_bound_check, config.functionals, config.family,
-                      config.space, p, n=config.n, sampler=sampler)
+def _norm_bound(config, duals, rng, sample):
+    yield partial(theorems.norm_bound_check, config.functionals, sample, config.p_list)
 
 
-def _span(config, duals, rng, sampler):
+def _span(config, duals, rng, sample):
     fam, space = config.family, config.space
     for phi in config.functionals:
         if fam.span_dim is not None:
             samples = list(sample_polydisc(fam.domain, fam.span_dim, config.shrink, rng))
-            yield partial(theorems.span_residual, phi, fam, space, samples, sampler=sampler)
+            yield partial(theorems.span_residual, phi, sample, samples)
         else:
             k = min(8, space.natoms)
             samples = list(sample_polydisc(fam.domain, k, config.shrink, rng))
             more = sample_polydisc(fam.domain, k, config.shrink, rng)
-            yield partial(theorems.span_monotonicity, phi, fam, space, samples, more,
-                          sampler=sampler)
+            yield partial(theorems.span_monotonicity, phi, sample, samples, more)
 
 
-def _schwarz(config, duals, rng, sampler):
+def _schwarz(config, duals, rng, sample):
     if config.family.d == 1:
-        yield partial(theorems.schwarz_check, config.family, config.space, seed=config.seed,
-                      n=config.n)
+        yield partial(theorems.schwarz_check, sample, seed=config.seed)
 
 
-def _telescoping(config, duals, rng, sampler):
+def _telescoping(config, duals, rng, sample):
     if config.family.d >= 2:
-        yield partial(theorems.telescoping_residual, config.family, config.space,
-                      sample_shrink=config.shrink, seed=config.seed, n=config.n,
-                      sampler=sampler)
+        yield partial(theorems.telescoping_residual, sample, sample_shrink=config.shrink,
+                      seed=config.seed)
 
 
-def _order_bound(config, duals, rng, sampler):
-    yield partial(theorems.order_bound_check, config.family, config.space,
-                  shrink=config.shrink, seed=config.seed, n=config.n, sampler=sampler)
+def _order_bound(config, duals, rng, sample):
+    yield partial(theorems.order_bound_check, sample, shrink=config.shrink, seed=config.seed)
 
 
-def _derivative_profile(config, duals, rng, sampler):
+def _derivative_profile(config, duals, rng, sample):
     if config.family.d == 1:
-        yield partial(_profile_reports, config.family, config.space, config.grid, config.n,
-                      sampler)
+        yield partial(_profile_reports, config.family, config.space, config.grid, config.n)
 
 
 #: check name -> generator of the calls that run it, given (config, duals by p, rng,
-#: sampler).  The sampler (``HoloFamily.sampler``) is shared by the whole run, so each
-#: boundary point set is evaluated once; given None, each checker samples for itself.
-#: Checkers are looked up on ``theorems`` when a call is built, so rebinding them
-#: there (e.g. to trace them) reaches the battery.
+#: the run's ContourSample).  One sample serves the whole run, so each point set that
+#: several checks read is evaluated once.  Checkers are looked up on ``theorems`` when
+#: a call is built, so rebinding them there (e.g. to trace them) reaches the battery.
 CHECKS = {
     "linearization": _linearization,
     "fubini": _fubini,
@@ -160,10 +146,13 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
     Counted in complex values, they are the largest of: the n^d contour grid with
-    3k + 5d values per node (the sample, its evaluation's transients and the FFT's
-    first transform, 539 per node at d = 3, k = 256 under tracemalloc; points, the
-    sampler's copy and key, the domain test's transients); the order_bound table's
-    max(n, 16)^d x k grid; and, at d = 1, the grid * n * k derivative_profile values.
+    3k + 5d values per node (the run's contour sample, k, held from its first read
+    on; beside it the largest transient, up to 1.5k: the sample's evaluation, the
+    FFT's first full-size transform, or the masked copy and magnitudes of
+    norm_bound's p = inf row norms, 640 per node in all for the d = 3 exponential
+    battery on 256 atoms at n = 32 under tracemalloc; the points with the transients
+    of the grid and of the domain test, 5d); the order_bound table's max(n, 16)^d x k
+    grid; and, at d = 1, the grid * n * k derivative_profile values.
     """
     k = space.natoms
     values = max(n ** fam.d * (3 * k + 5 * fam.d),
@@ -263,12 +252,12 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
     duals = {p: _random_duals(config.space, rng) for p in config.p_list}
-    sampler = config.family.sampler(config.space)
+    sample = ContourSample(config.family, config.space, config.n)
     reports: list[CheckReport] = []
     for name, calls in CHECKS.items():
         if name not in config.checks:
             continue
-        for call in calls(config, duals, rng, sampler):
+        for call in calls(config, duals, rng, sample):
             try:
                 result = call()
             except (ValueError, ArithmeticError) as exc:

@@ -121,18 +121,14 @@ class Polydisc:
 class TorusQuadrature:
     """Tensor-product trapezoid rule on the distinguished boundary of a polydisc.
 
-    ``nodes[j, k] = center_j + radius_j * exp(2 pi i k / n)`` and
-    ``dw[j, k] = (2 pi i / n) * (nodes[j, k] - center_j)`` is the discretized
-    complex line element, so that ``(2 pi i)^{-d} * sum f(w) * prod_j dw_j``
-    reproduces the trapezoidal discretization of the iterated contour
-    integral.  The induced Cauchy-normalized rule (the plain node mean in
-    each variable) annihilates ``(w_j - center_j)^m`` exactly for 0 < |m| < n.
+    ``nodes[j, k] = center_j + radius_j * exp(2 pi i k / n)``.  The Cauchy-normalized
+    trapezoid rule of the iterated contour integral is the plain node mean in each
+    variable, which annihilates ``(w_j - center_j)^m`` exactly for 0 < |m| < n.
     """
 
     disc: Polydisc
     n: int
     nodes: np.ndarray  # shape (d, n)
-    dw: np.ndarray     # shape (d, n)
 
     def __init__(self, disc: Polydisc, n: int):
         n = int(n)
@@ -141,13 +137,10 @@ class TorusQuadrature:
         theta = 2.0 * np.pi * np.arange(n) / n
         ring = np.exp(1j * theta)
         nodes = disc.center[:, None] + disc.radius[:, None] * ring[None, :]
-        dw = (2j * np.pi / n) * (nodes - disc.center[:, None])
         nodes.setflags(write=False)
-        dw.setflags(write=False)
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dw", dw)
 
     @property
     def d(self) -> int:

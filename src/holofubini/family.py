@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .domain import Polydisc, as_multi_index, parse_complex, torus_nodes
+from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, parse_complex, torus_nodes
 from .measure import FiniteMeasureSpace
 
 __all__ = [
-    "BoundarySample",
+    "ContourSample",
     "HoloFamily",
     "ConstantFamily",
     "PolynomialFamily",
@@ -41,14 +41,6 @@ __all__ = [
 
 def unit_polydisc(d: int = 1) -> Polydisc:
     return Polydisc(np.zeros(d), np.ones(d))
-
-
-@dataclass(frozen=True, eq=False)
-class BoundarySample:
-    """A family's values F[j, i] = f(points[j], t_i) on one point set; read-only."""
-
-    points: np.ndarray  # shape (N, d)
-    values: np.ndarray  # shape (N, k), one column per atom
 
 
 class HoloFamily:
@@ -106,29 +98,6 @@ class HoloFamily:
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
         return self._derivative(z, np.asarray(t, dtype=complex), alpha)
 
-    def sampler(self, space: FiniteMeasureSpace):
-        """A function taking points of shape (N, d) to their :class:`BoundarySample`.
-
-        Each distinct point set is evaluated once, through :meth:`eval` (so the
-        domain check applies), and every later call with equal points returns
-        that same read-only sample.  The samples live as long as the sampler.
-        Two threads sharing a sampler can at worst evaluate one point set twice.
-        """
-        samples = {}
-
-        def sample(points) -> BoundarySample:
-            points = np.asarray(points, dtype=complex)
-            key = points.tobytes()
-            if key not in samples:
-                points = points.copy()
-                values = self.eval(points[:, None, :], space.params)
-                points.setflags(write=False)
-                values.setflags(write=False)
-                samples[key] = BoundarySample(points, values)
-            return samples[key]
-
-        return sample
-
     def slice(self, t):
         """The holomorphic slice f(., t) as a batched callable on (..., d) arrays."""
         t = complex(t)
@@ -183,6 +152,53 @@ class HoloFamily:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.label!r} d={self.d}>"
+
+
+class ContourSample:
+    """One run's family values: F on the n-node contour grid and on functionals' nodes.
+
+    ``values[j, i] = f(w_j, t_i)`` on ``torus_nodes(Polydisc(center, radii), n).grid()``,
+    about the domain center at CONTOUR_SHRINK of the radii unless given.  Every point
+    set is evaluated through :meth:`HoloFamily.eval` (so the domain check applies) when
+    it is first read, and is read-only from then on; an evaluation that raises is not
+    kept, so each reader meets the error itself.  Two threads sharing a sample can at
+    worst evaluate one point set twice.
+    """
+
+    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, center=None,
+                 radii=None):
+        self.fam, self.space, self.n = fam, space, int(n)
+        self.center = np.array(fam.domain.center if center is None else center,
+                               dtype=complex, ndmin=1)
+        self.radii = np.array(fam.domain.radius * CONTOUR_SHRINK if radii is None else radii,
+                              dtype=float, ndmin=1)
+        self._node_values = {}
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """F on the contour grid, shape (n^d, k)."""
+        return self._evaluate(torus_nodes(Polydisc(self.center, self.radii), self.n).grid())
+
+    def node_values(self, phi) -> np.ndarray:
+        """F on the nodes of the measure functional ``phi``, shape (nodes, k).
+
+        A derivative functional on this contour (equal center and radii, n^d nodes)
+        reads :attr:`values`; any other functional's nodes are evaluated once.
+        """
+        if phi.d != self.fam.d:
+            raise ValueError("functional and family dimensions differ")
+        if (phi.meaning == "derivative" and len(phi.nodes) == self.n ** self.fam.d
+                and np.array_equal(phi.center, self.center)
+                and np.array_equal(phi.radii, self.radii)):
+            return self.values
+        if phi not in self._node_values:
+            self._node_values[phi] = self._evaluate(phi.nodes)
+        return self._node_values[phi]
+
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+        values = self.fam.eval(points[:, None, :], self.space.params)
+        values.setflags(write=False)
+        return values
 
 
 def _tensor_poly_eval(coeffs: np.ndarray, z: np.ndarray, t) -> np.ndarray:

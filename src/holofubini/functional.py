@@ -22,8 +22,7 @@ import numpy as np
 
 from .cauchy import derivative_rule
 from .domain import as_multi_index, parse_complex, sample_polydisc
-from .family import HoloFamily
-from .measure import FiniteMeasureSpace
+from .family import ContourSample
 
 __all__ = [
     "MeasureFunctional",
@@ -79,66 +78,39 @@ class MeasureFunctional:
         vals = np.asarray(g(self.nodes), dtype=complex)
         return complex(np.sum(self.weights * vals))
 
-    def _check_dimension(self, fam: HoloFamily) -> None:
-        # node membership is checked where the nodes are evaluated (HoloFamily.eval)
-        if self.d != fam.d:
-            raise ValueError("functional and family dimensions differ")
+    def apply_slices(self, sample: ContourSample) -> np.ndarray:
+        """The vector (phi(f(., t_i)))_i over all atoms, from ``sample``'s values on the
+        nodes (:meth:`holofubini.family.ContourSample.node_values`)."""
+        return self.weights @ sample.node_values(self)
 
-    def apply_slice(self, fam: HoloFamily, t) -> complex:
-        """phi(f(., t)) for one atom parameter."""
-        self._check_dimension(fam)
-        vals = fam.eval(self.nodes, complex(t))
-        return complex(np.sum(self.weights * vals))
-
-    def _node_values(self, fam: HoloFamily, space: FiniteMeasureSpace, sampler) -> np.ndarray:
-        """F on this measure's nodes, shape (nodes, atoms), from ``sampler`` if given."""
-        self._check_dimension(fam)
-        return (sampler or fam.sampler(space))(self.nodes).values
-
-    def apply_slices(self, fam: HoloFamily, space: FiniteMeasureSpace,
-                     sampler=None) -> np.ndarray:
-        """The vector (phi(f(., t_i)))_i over all atoms, in one batched pass.
-
-        ``sampler`` (see :meth:`HoloFamily.sampler`) supplies F on the nodes;
-        by default they are evaluated afresh.
-        """
-        return self.weights @ self._node_values(fam, space, sampler)
-
-    def apply_dual(self, fam: HoloFamily, h, space: FiniteMeasureSpace, sampler=None):
+    def apply_dual(self, sample: ContourSample, h):
         """phi(z -> <F(z), h>): weight each node's pairing with the dual vector.
 
         ``h`` of shape (k,) gives one complex value; a stack of dual vectors
         of shape (m, k) gives all m values from one product.
         """
         h = np.asarray(h, dtype=complex)
-        values = self._node_values(fam, space, sampler)
+        values = sample.node_values(self)
         # pair each node's F(z_j) with h before weighting the nodes; the other
         # association is the pairing of apply_slices, which linearization
         # checks this against
-        out = self.weights @ (values @ (h * space.weights).T)
+        out = self.weights @ (values @ (h * sample.space.weights).T)
         return complex(out) if h.ndim == 1 else out
 
-    def ideal_slices(self, fam: HoloFamily, space: FiniteMeasureSpace,
-                     sampler=None) -> np.ndarray:
+    def ideal_slices(self, sample: ContourSample) -> np.ndarray:
         """The exact action per atom, through closed forms where semantics exist.
 
         Dirac measures evaluate f(z0, t_i) directly, derivative measures use
         the family's closed-form D^alpha; generic measures fall back to the
         finite sum, which is already their exact meaning.  Only that finite
-        sum reads ``sampler``.
+        sum reads ``sample``'s node values.
         """
-        self._check_dimension(fam)
+        fam, space = sample.fam, sample.space
         if self.meaning == "dirac":
             return fam.vector(self.nodes[0], space)
         if self.meaning == "derivative":
             return fam.deriv_vector(self.center, space, self.alpha)
-        return self.apply_slices(fam, space, sampler)
-
-    def scaled(self, factor) -> "MeasureFunctional":
-        return MeasureFunctional(
-            nodes=self.nodes, weights=self.weights * factor,
-            label=f"{self.label}*{factor}", meaning="measure",
-        )
+        return self.apply_slices(sample)
 
     def to_json(self) -> dict:
         return {

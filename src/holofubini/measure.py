@@ -67,10 +67,6 @@ class FiniteMeasureSpace:
     def natoms(self) -> int:
         return self.params.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def _check_vector(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=complex)
         if g.ndim == 0 or g.shape[-1] != self.natoms:
@@ -97,25 +93,6 @@ class FiniteMeasureSpace:
         h = self._check_vector(h)
         paired = np.sum(g * h * self.weights, axis=-1)
         return complex(paired) if paired.ndim == 0 else paired
-
-    def dual_witness(self, g, p: float) -> np.ndarray:
-        """An h with ||h||_q <= 1 and pairing(g, h) = ||g||_p (norming witness)."""
-        g = self._check_vector(g)
-        if g.ndim != 1:
-            raise ValueError(f"dual_witness takes one vector, got shape {g.shape}")
-        p = float(p)
-        norm = self.lp_norm(g, p)
-        h = np.zeros_like(g)
-        if norm == 0.0:
-            return h
-        support = self.weights > 0
-        if math.isinf(p):
-            idx = int(np.argmax(np.where(support, np.abs(g), -1.0)))
-            h[idx] = np.conj(g[idx]) / (np.abs(g[idx]) * self.weights[idx])
-            return h
-        nz = support & (g != 0)
-        h[nz] = np.abs(g[nz]) ** (p - 2.0) * np.conj(g[nz]) / norm ** (p - 1.0)
-        return h
 
 
 def space_from_json(doc) -> FiniteMeasureSpace:

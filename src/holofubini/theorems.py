@@ -9,20 +9,19 @@ exact action (fubini for derivative functionals, derivative_consistency and
 diff_under_integral against the closed forms) carry ``TOL_QUADRATURE``, set for
 64 nodes and shrink <= 0.5; their residuals decay geometrically in the node count.
 
-Sup norms over the domain are approximated from below on the run's n-node
-contour grid, ``sup_grid(domain, n, CONTOUR_SHRINK)``, which the quadrature
-checks sample anyway; by the maximum principle the sup over that polydisc lies
-on its distinguished boundary.  ``norm_bound`` adds the functional's own nodes,
-so its bound is a finite triangle inequality that grid placement cannot break,
-and ``schwarz`` adds its sample values.
-
-Checkers that contract the family's values on a point set take an optional
-``sampler`` (:meth:`holofubini.family.HoloFamily.sampler`) and read every
-such set from it, so one sampler passed to a whole battery evaluates each
-boundary point set once; without one a checker samples for itself.  Checks
-are otherwise independent pure computations and may still run concurrently,
-because shared samples are read-only; reports are merged by canonical
-ordering.
+Every checker but ``derivative_profile`` reads the family's values from the
+run's :class:`~holofubini.family.ContourSample`: F on the n-node contour grid
+(the domain center, CONTOUR_SHRINK of the radii), evaluated on first read, and
+F on each functional's nodes, evaluated once per functional.  The contour values
+serve every checker derivative, ``order_bound``'s Taylor table and every sup
+over the domain, which they estimate from below: by the maximum principle the
+sup over the contour polydisc lies on its distinguished boundary.
+``norm_bound`` adds the functional's own nodes, so its bound is a finite
+triangle inequality that grid placement cannot break, and ``schwarz`` adds its
+sample values.  Points a check draws for itself (the span, telescoping,
+order_bound and schwarz samples and the derivative_profile contours) are
+evaluated where they are drawn.  Samples are read-only, so checks may run
+concurrently; reports are merged by canonical ordering.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import numpy as np
 
 from .cauchy import contour_derivatives, order_bound, schwarz_violation
 from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, sample_polydisc, torus_nodes
+from .family import ContourSample
 
 __all__ = [
     "CheckReport",
@@ -44,7 +44,6 @@ __all__ = [
     "norm_bound_check",
     "span_residual",
     "span_monotonicity",
-    "sup_grid",
     "OrderProfile",
     "derivative_profile",
     "telescoping_residual",
@@ -104,8 +103,8 @@ def _worst_dual(space, vec, duals, applied) -> tuple[complex, complex, float]:
     return complex(paired[worst]), complex(applied[worst]), gaps[worst]
 
 
-def linearization_residual(phi, fam, space, duals, p: float = 2.0,
-                           tol: float = TOL_EXACT, sampler=None) -> CheckReport:
+def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0,
+                           tol: float = TOL_EXACT) -> CheckReport:
     """|<phi.apply_slices(...), h> - phi(z -> <F(z), h>)| maximized over dual vectors.
 
     Verifies the defining identity of the representing vector (phi(f(., t_i)))_i;
@@ -113,16 +112,16 @@ def linearization_residual(phi, fam, space, duals, p: float = 2.0,
     ``phi`` is applied to all dual vectors in one product.
     """
     duals = np.array(list(duals), dtype=complex, ndmin=2)
-    lhs, rhs, residual = _worst_dual(space, phi.apply_slices(fam, space, sampler), duals,
-                                     phi.apply_dual(fam, duals, space, sampler))
+    lhs, rhs, residual = _worst_dual(sample.space, phi.apply_slices(sample), duals,
+                                     phi.apply_dual(sample, duals))
     return CheckReport.build(
-        "linearization", fam.label, phi.label, lhs, rhs, residual, tol,
+        "linearization", sample.fam.label, phi.label, lhs, rhs, residual, tol,
         p=p, duals=len(duals),
     )
 
 
-def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None,
-                    sampler=None) -> CheckReport:
+def fubini_residual(phi, sample: ContourSample, h, p: float,
+                    tol: float | None = None) -> CheckReport:
     """Interchange check: integrate-then-apply versus apply-then-integrate.
 
     The left side pairs the ideal slicewise action of the functional
@@ -137,102 +136,98 @@ def fubini_residual(phi, fam, h, space, p: float, tol: float | None = None,
     if tol is None:
         tol = TOL_QUADRATURE if phi.meaning == "derivative" else TOL_EXACT
     h = np.array(h, dtype=complex, ndmin=2)
-    lhs, rhs, residual = _worst_dual(space, phi.ideal_slices(fam, space, sampler), h,
-                                     phi.apply_dual(fam, h, space, sampler))
+    lhs, rhs, residual = _worst_dual(sample.space, phi.ideal_slices(sample), h,
+                                     phi.apply_dual(sample, h))
     return CheckReport.build(
-        "fubini", fam.label, phi.label, lhs, rhs, residual, tol,
+        "fubini", sample.fam.label, phi.label, lhs, rhs, residual, tol,
         p=p, alpha=list(phi.alpha) if phi.alpha else None,
     )
 
 
-def derivative_consistency(fam, space, center, alphas, radii, n: int = 64,
+def derivative_consistency(sample: ContourSample, alphas,
                            p: list[float] | tuple[float, ...] = (2.0,),
-                           tol: float = TOL_QUADRATURE, sampler=None) -> list[CheckReport]:
+                           tol: float = TOL_QUADRATURE) -> list[CheckReport]:
     """Vector-level Cauchy derivative of F versus the closed-form slice derivatives.
 
     The vector route reads every multi-index of ``alphas`` from one FFT of the
-    sample F(w_k) on the contour grid of (center, radii, n), taken from ``sampler``,
-    by :func:`holofubini.cauchy.contour_derivatives`; the slice route is the
-    closed form D^alpha_z f(center, t_i) of :meth:`HoloFamily.deriv_vector`.
-    Agreement in the weighted p-norm certifies that D^alpha of the L^p-valued map
-    is the slicewise derivative; the residual is the quadrature error and decays
-    geometrically in n.  Returns one report per (alpha, p), ordered by alpha, for
-    each exponent of the list ``p``.
+    sample's contour values by :func:`holofubini.cauchy.contour_derivatives`; the
+    slice route is the closed form D^alpha_z f(center, t_i) of
+    :meth:`HoloFamily.deriv_vector` at the sample's center.  Agreement in the
+    weighted p-norm certifies that D^alpha of the L^p-valued map is the slicewise
+    derivative; the residual is the quadrature error and decays geometrically in
+    n.  Returns one report per (alpha, p), ordered by alpha, for each exponent of
+    the list ``p``.
     """
+    fam, space = sample.fam, sample.space
     alphas = [as_multi_index(a, fam.d) for a in alphas]
-    pts = torus_nodes(Polydisc(center, radii), n).grid()
-    vector_route = contour_derivatives((sampler or fam.sampler(space))(pts).values,
-                                       alphas, radii, n)
+    vector_route = contour_derivatives(sample.values, alphas, sample.radii, sample.n)
     reports = []
     for a, vec in zip(alphas, vector_route):
-        closed = fam.deriv_vector(center, space, a)
+        closed = fam.deriv_vector(sample.center, space, a)
         routes = np.stack([vec, closed, vec - closed])
         reports += [
             CheckReport.build("derivative_consistency", fam.label, "",
-                              *space.lp_norm(routes, q).tolist(), tol, p=q, alpha=list(a), n=n)
+                              *space.lp_norm(routes, q).tolist(), tol, p=q, alpha=list(a),
+                              n=sample.n)
             for q in map(float, p)
         ]
     return reports
 
 
-def diff_under_integral(fam, h, space, center, alpha, radii, n: int = 64,
-                        tol: float = TOL_QUADRATURE, sampler=None) -> CheckReport:
-    """D^alpha of z -> <F(z), h> at ``center`` versus pairing the slice derivatives.
+def diff_under_integral(sample: ContourSample, h, alpha,
+                        tol: float = TOL_QUADRATURE) -> CheckReport:
+    """D^alpha of z -> <F(z), h> at the sample's center versus pairing the slice derivatives.
 
-    The left side differentiates the composed scalar map by
-    :func:`holofubini.cauchy.contour_derivatives` on the contour grid of
-    (center, radii, n), read from ``sampler``; the right side pairs the
+    The left side differentiates the composed scalar map on the sample's contour
+    by :func:`holofubini.cauchy.contour_derivatives`; the right side pairs the
     closed-form per-atom derivatives with h.  The residual is the quadrature
     error and decays geometrically in n.
     """
+    fam, space = sample.fam, sample.space
     alpha = as_multi_index(alpha, fam.d)
     hw = np.asarray(h, dtype=complex) * space.weights
-    pts = torus_nodes(Polydisc(center, radii), n).grid()
-    composed = (sampler or fam.sampler(space))(pts).values @ hw
-    lhs = complex(contour_derivatives(composed, [alpha], radii, n)[0])
-    rhs = complex(fam.deriv_vector(center, space, alpha) @ hw)
+    composed = sample.values @ hw
+    lhs = complex(contour_derivatives(composed, [alpha], sample.radii, sample.n)[0])
+    rhs = complex(fam.deriv_vector(sample.center, space, alpha) @ hw)
     return CheckReport.build(
         "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), tol,
-        alpha=list(alpha), n=n,
+        alpha=list(alpha), n=sample.n,
     )
 
 
-def sup_grid(domain: Polydisc, density: int, shrink: float) -> np.ndarray:
-    """Deterministic boundary grid used for sup estimates over the domain."""
-    return torus_nodes(domain.shrunk(shrink), density).grid()
+def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
+    """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p for each
+    phi and each exponent of ``p_list``.
 
-
-def norm_bound_check(phis, fam, space, p: float, n: int = 64,
-                     sampler=None) -> list[CheckReport]:
-    """||phi.apply_slices(...)||_p <= total_variation(phi) * sup_z ||F(z)||_p for each phi.
-
-    The sup is taken over ``sup_grid(domain, n, CONTOUR_SHRINK)``, read from
-    ``sampler``, together with the functional's own nodes; with the nodes
-    included the bound is a finite triangle inequality, while the grid only
-    raises the right side toward the true sup.  Passing means lhs <= rhs * (1 + 1e-9).
-    The functionals share the grid's row norms; one that raises gets the
-    failing report of :meth:`CheckReport.failed` and leaves the others' reports.
+    The sup is taken over the sample's contour grid together with the functional's
+    own nodes; with the nodes included the bound is a finite triangle inequality,
+    while the grid only raises the right side toward the true sup.  Passing means
+    lhs <= rhs * (1 + 1e-9).  The contour's row norms are taken once per p and serve
+    the grid sup and every functional on the contour.  A functional that raises gets
+    the failing report of :meth:`CheckReport.failed` and leaves the others' reports.
     """
-    sampler = sampler or fam.sampler(space)
-    grid = sampler(sup_grid(fam.domain, n, CONTOUR_SHRINK))
-    grid_sup = float(np.max(space.lp_norm(grid.values, p)))
+    space = sample.space
     reports = []
-    for phi in phis:
-        try:
-            lhs = space.lp_norm(phi.apply_slices(fam, space, sampler), p)
-            nodes_sup = float(np.max(space.lp_norm(sampler(phi.nodes).values, p)))
-        except (ValueError, ArithmeticError) as exc:
-            reports.append(CheckReport.failed("norm_bound", fam.label, exc))
-            continue
-        rhs = phi.total_variation * max(grid_sup, nodes_sup)
-        reports.append(CheckReport.build(
-            "norm_bound", fam.label, phi.label, lhs, rhs, max(0.0, lhs - rhs), 1e-9 * rhs, p=p,
-        ))
+    for p in p_list:
+        grid_sup = float(np.max(space.lp_norm(sample.values, p)))
+        for phi in phis:
+            try:
+                lhs = space.lp_norm(phi.apply_slices(sample), p)
+                values = sample.node_values(phi)
+                nodes_sup = (grid_sup if values is sample.values
+                             else float(np.max(space.lp_norm(values, p))))
+            except (ValueError, ArithmeticError) as exc:
+                reports.append(CheckReport.failed("norm_bound", sample.fam.label, exc))
+                continue
+            rhs = phi.total_variation * max(grid_sup, nodes_sup)
+            reports.append(CheckReport.build(
+                "norm_bound", sample.fam.label, phi.label, lhs, rhs, max(0.0, lhs - rhs),
+                1e-9 * rhs, p=p,
+            ))
     return reports
 
 
-def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,
-                  sampler=None) -> CheckReport:
+def span_residual(phi, sample: ContourSample, sample_points, tol: float = 1e-8) -> CheckReport:
     """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_k)} by least squares.
 
     Atom weights define the inner product for every p; rank-deficient
@@ -242,10 +237,11 @@ def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,
     sample_points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in sample_points]
     if not sample_points:
         raise ValueError("need at least one sample point")
-    vec = phi.apply_slices(fam, space, sampler)
+    fam, space = sample.fam, sample.space
+    vec = phi.apply_slices(sample)
     sqrt_w = np.sqrt(space.weights)
-    sample = (sampler or fam.sampler(space))(np.stack(sample_points))
-    columns = np.ascontiguousarray(sample.values.T)
+    values = fam.eval(np.stack(sample_points)[:, None, :], space.params)
+    columns = np.ascontiguousarray(values.T)
     a = columns * sqrt_w[:, None]
     b = vec * sqrt_w
     coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -256,16 +252,14 @@ def span_residual(phi, fam, space, sample_points, tol: float = 1e-8,
     )
 
 
-def span_monotonicity(phi, fam, space, sample_points, more_points,
-                      tol: float = 1e-12, sampler=None) -> CheckReport:
+def span_monotonicity(phi, sample: ContourSample, sample_points, more_points,
+                      tol: float = 1e-12) -> CheckReport:
     """Distance with the enlarged nested sample set never exceeds the original."""
-    sampler = sampler or fam.sampler(space)
-    base = span_residual(phi, fam, space, sample_points, tol=np.inf, sampler=sampler)
-    grown = span_residual(phi, fam, space, list(sample_points) + list(more_points),
-                          tol=np.inf, sampler=sampler)
+    base = span_residual(phi, sample, sample_points, tol=np.inf)
+    grown = span_residual(phi, sample, list(sample_points) + list(more_points), tol=np.inf)
     excess = max(0.0, grown.residual - base.residual)
     return CheckReport.build(
-        "span", fam.label, phi.label, base.residual, grown.residual,
+        "span", sample.fam.label, phi.label, base.residual, grown.residual,
         excess, tol * (1.0 + base.residual), samples=len(list(sample_points)),
     )
 
@@ -289,24 +283,24 @@ class OrderProfile:
 
 
 def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
-                       n: int = 64, sampler=None) -> list[OrderProfile]:
+                       n: int = 64) -> list[OrderProfile]:
     """Per-order sup profiles of |D^n_z f| over a grid, for univariate domains.
 
-    Every order up to ``max_order`` is read from one FFT of one sampler call on
-    a contour of ``contour_radii`` about each grid point, which must stay inside
-    the family domain (:func:`holofubini.cauchy.contour_derivatives`).
+    Every order up to ``max_order`` is read from one FFT of one evaluation on a
+    contour of ``contour_radii`` about each grid point, which must stay inside the
+    family domain (:func:`holofubini.cauchy.contour_derivatives`).
     """
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
     grid = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in region_grid]
     if not grid:
         raise ValueError("region grid must be nonempty")
-    sampler = sampler or fam.sampler(space)
     orders = [(order,) for order in range(max_order + 1)]
     mags = np.empty((max_order + 1, len(grid), space.natoms))
     for gi, a in enumerate(grid):
         pts = torus_nodes(Polydisc(a, contour_radii), n).grid()
-        mags[:, gi] = np.abs(contour_derivatives(sampler(pts).values, orders, contour_radii, n))
+        values = fam.eval(pts[:, None, :], space.params)
+        mags[:, gi] = np.abs(contour_derivatives(values, orders, contour_radii, n))
     return [
         OrderProfile(order=order, profile=m.max(axis=0),
                      sup_integral=float(np.max(m @ space.weights)))
@@ -314,22 +308,22 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
     ]
 
 
-def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 0.5,
-                         seed: int = 0, n: int = 64, sampler=None) -> CheckReport:
+def telescoping_residual(sample: ContourSample, n_pairs: int = 200,
+                         sample_shrink: float = 0.5, seed: int = 0) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
     For sampled pairs z, a in the sample_shrink polydisc, checks
     ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B
-    is max |F| on ``sup_grid(domain, n, CONTOUR_SHRINK)``, read from ``sampler``,
-    and r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.  That grid
-    is a run's n-node contour grid, a lower estimate of the sup on its polydisc.
+    is max |F| on the sample's contour grid, a run's n-node grid at CONTOUR_SHRINK
+    of the radii and so a lower estimate of the sup on its polydisc, and r_j is the
+    margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
     """
     if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
+    fam, space = sample.fam, sample.space
     rng = np.random.default_rng(seed)
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
-    grid = sup_grid(fam.domain, n, CONTOUR_SHRINK)
-    bound = float(np.max(np.abs((sampler or fam.sampler(space))(grid).values)))
+    bound = float(np.max(np.abs(sample.values)))
     z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     fz = fam.eval(z[:, None, :], space.params)
@@ -339,23 +333,23 @@ def telescoping_residual(fam, space, n_pairs: int = 200, sample_shrink: float = 
     worst = float(np.max(lhs - rhs))
     return CheckReport.build(
         "telescoping", fam.label, "", worst, 0.0, max(0.0, worst),
-        1e-12 * (1.0 + bound), pairs=n_pairs, n=n,
+        1e-12 * (1.0 + bound), pairs=n_pairs, n=sample.n,
     )
 
 
-def order_bound_check(fam, space, degree: int | None = None, shrink: float = 0.5,
-                      n_samples: int = 200, seed: int = 0, n: int | None = None,
-                      sampler=None) -> CheckReport:
+def order_bound_check(sample: ContourSample, degree: int | None = None, shrink: float = 0.5,
+                      n_samples: int = 200, seed: int = 0) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.
 
-    The center, contour, degree and n-node contour sample (from ``sampler``)
-    follow :func:`holofubini.cauchy.order_bound`; sample points fill the closed
-    shrink-polydisc.  The reported tail always comes from the geometric fit.
+    The degree and the contour values follow :func:`holofubini.cauchy.order_bound`;
+    sample points fill the closed shrink-polydisc of the contour.  The reported
+    tail always comes from the geometric fit.
     """
-    ob = order_bound(fam, space, degree=degree, shrink=shrink, n=n, sampler=sampler)
+    fam = sample.fam
+    ob = order_bound(sample, degree=degree, shrink=shrink)
     z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), n_samples, shrink,
                         np.random.default_rng(seed))
-    values = np.abs(fam.eval(z[:, None, :], space.params))
+    values = np.abs(fam.eval(z[:, None, :], sample.space.params))
     excess = float(np.max(values - ob.u[None, :]))
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
@@ -364,16 +358,17 @@ def order_bound_check(fam, space, degree: int | None = None, shrink: float = 0.5
     )
 
 
-def schwarz_check(fam, space, samples: int = 1000, seed: int = 0, n: int = 64) -> CheckReport:
-    """Schwarz increment bound on every atom slice of a univariate family, each
-    slice's sup taken on the n-node contour ring."""
+def schwarz_check(sample: ContourSample, samples: int = 1000, seed: int = 0) -> CheckReport:
+    """Schwarz increment bound on every atom slice of a univariate family, on the
+    sample's contour disc; each slice's sup is read from its column of the contour
+    values."""
+    fam, space = sample.fam, sample.space
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
-    center = complex(fam.domain.center[0])
-    radius = float(fam.domain.radius[0]) * CONTOUR_SHRINK
+    center, radius = complex(sample.center[0]), float(sample.radii[0])
     worst = max(
-        schwarz_violation(fam.slice(t), center, radius, samples=samples, seed=seed, n=n)
-        for t in space.params
+        schwarz_violation(fam.slice(t), center, radius, ring, samples=samples, seed=seed)
+        for t, ring in zip(space.params, sample.values.T)
     )
     return CheckReport.build(
         "schwarz", fam.label, "", worst, 0.0, max(0.0, worst), 1e-12,

@@ -13,9 +13,11 @@ import pytest
 from holofubini import (FiniteMeasureSpace, cauchy_derivative, cauchy_eval,
                         derivative_functional, dirac, family_preset, random_measure,
                         space_preset, unit_polydisc)
-from holofubini import theorems
+from holofubini import theorems, torus_nodes
+from holofubini.cauchy import schwarz_violation
 from holofubini.domain import Polydisc
-from holofubini.family import GeometricFamily
+from holofubini.family import ContourSample, GeometricFamily
+from holofubini.functional import MeasureFunctional
 
 from conftest import PRESET_NAMES, poly_deriv, poly_eval, random_duals
 
@@ -69,18 +71,17 @@ def identity_matrix(space16, functionals):
     duals = {p: random_duals(space16, 10, seed=100 + i) for i, p in enumerate(P_LIST)}
     out = {"fubini": [], "linearization": [], "norm_bound": []}
     for kind in KINDS:
-        fam = family_preset(kind)
+        sample = ContourSample(family_preset(kind), space16, 64)
         for phi in functionals:
             for p in P_LIST:
                 worst = max(
-                    (theorems.fubini_residual(phi, fam, h, space16, p, tol=1e-9)
-                     for h in duals[p]),
+                    (theorems.fubini_residual(phi, sample, h, p, tol=1e-9) for h in duals[p]),
                     key=lambda rep: rep.residual,
                 )
                 out["fubini"].append(worst)
                 out["linearization"].append(theorems.linearization_residual(
-                    phi, fam, space16, duals[p], p=p, tol=1e-10))
-                out["norm_bound"].append(theorems.norm_bound_check([phi], fam, space16, p)[0])
+                    phi, sample, duals[p], p=p, tol=1e-10))
+            out["norm_bound"] += theorems.norm_bound_check([phi], sample, P_LIST)
     return out
 
 
@@ -127,7 +128,7 @@ def test_criterion_04_derivative_consistency(space16):
     for kind in KINDS:
         fam = family_preset(kind)
         reports = theorems.derivative_consistency(
-            fam, space16, [0.0], [(0,), (1,), (2,)], CONTOUR, n=64, p=P_LIST, tol=1e-10)
+            ContourSample(fam, space16, 64), [(0,), (1,), (2,)], p=P_LIST, tol=1e-10)
         assert len(reports) == 3 * len(P_LIST)
         for rep in reports:
             assert rep.passed, rep.describe()
@@ -140,8 +141,8 @@ def test_criterion_05_norm_bounds(identity_matrix, space16):
     # homogeneity: scaling the weights by 7 scales both sides exactly
     fam = family_preset("geometric")
     phi = derivative_functional([0.0], (1,), CONTOUR, n=64)
-    base = theorems.norm_bound_check([phi], fam, space16, 2)[0]
-    scaled = theorems.norm_bound_check([phi.scaled(7.0)], fam, space16, 2)[0]
+    seven = MeasureFunctional(nodes=phi.nodes, weights=7.0 * phi.weights, label="7 phi")
+    base, scaled = theorems.norm_bound_check([phi, seven], ContourSample(fam, space16, 64), [2])
     assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-13)
     assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-13)
     announce(5, "norm bounds")
@@ -161,7 +162,8 @@ def test_criterion_06_span_membership(space16):
     ]
     for fam, space, k in cases:
         for phi in (dirac([0.3]), random_measure(fam.domain, k=5, shrink=0.5, seed=2)):
-            rep = theorems.span_residual(phi, fam, space, samples(k), tol=1e-8)
+            rep = theorems.span_residual(phi, ContourSample(fam, space, 64), samples(k),
+                                         tol=1e-8)
             assert rep.passed, rep.describe()
     announce(6, "span membership")
 
@@ -172,15 +174,14 @@ def test_criterion_07_schwarz_and_telescoping(space16):
               ("constant", "polynomial", "geometric", "exponential", "separable")
               for t in (1.0, -0.7)]
     assert len(slices) == 10
-    from holofubini.cauchy import schwarz_violation
-
+    ring = torus_nodes(Polydisc([0.0], [0.95]), 64).grid()
     for kind, t in slices:
-        fam = family_preset(kind)
-        v = schwarz_violation(fam.slice(t), 0.0, 0.95, samples=1000, seed=7)
+        f = family_preset(kind).slice(t)
+        v = schwarz_violation(f, 0.0, 0.95, f(ring), samples=1000, seed=7)
         assert v <= 1e-12, (kind, t, v)
     # multivariate telescoping bound on 200 sampled pairs in d = 2
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
-    rep = theorems.telescoping_residual(fam2, space16, n_pairs=200, seed=0)
+    rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64), n_pairs=200, seed=0)
     assert rep.passed, rep.describe()
     announce(7, "Schwarz and telescoping bounds")
 
@@ -188,23 +189,24 @@ def test_criterion_07_schwarz_and_telescoping(space16):
 def test_criterion_08_order_bound(space16):
     for kind in KINDS:
         fam = family_preset(kind)
-        rep = theorems.order_bound_check(fam, space16, degree=40, shrink=0.5,
-                                         n_samples=200, seed=8)
+        # degree 40 needs more than 80 contour nodes per variable
+        rep = theorems.order_bound_check(ContourSample(fam, space16, 82), degree=40,
+                                         shrink=0.5, n_samples=200, seed=8)
         assert rep.passed, rep.describe()
         assert rep.params["tail_method"] == "geometric-fit"
     announce(8, "order bound domination")
 
 
 def test_criterion_09_derivative_profiles(space16):
-    grid = list(theorems.sup_grid(unit_polydisc(), 16, 0.9))
+    grid = list(torus_nodes(unit_polydisc().shrunk(0.9), 16).grid())
     ones = np.ones(space16.natoms)
     for kind in KINDS:
         fam = family_preset(kind)
         profiles = theorems.derivative_profile(fam, space16, 4, grid, [0.05], n=64)
         assert all(prof.finite for prof in profiles)
         for order in range(5):
-            rep = theorems.diff_under_integral(fam, ones, space16, [0.0], (order,),
-                                               CONTOUR, n=64, tol=1e-10)
+            rep = theorems.diff_under_integral(ContourSample(fam, space16, 64), ones, (order,),
+                                               tol=1e-10)
             assert rep.passed, rep.describe()
     announce(9, "derivative profiles and C3")
 
@@ -215,7 +217,8 @@ def test_criterion_10_convergence_law(space16):
     worst = {}
     for n in (16, 32):
         phi = derivative_functional([0.0], (1,), CONTOUR, n=n)
-        worst[n] = max(theorems.fubini_residual(phi, fam, h, space16, 1, tol=INF).residual
+        sample = ContourSample(fam, space16, n)
+        worst[n] = max(theorems.fubini_residual(phi, sample, h, 1, tol=INF).residual
                        for h in duals)
     assert worst[16] >= 100.0 * worst[32], worst
     announce(10, "convergence law")

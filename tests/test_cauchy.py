@@ -7,11 +7,21 @@ import pytest
 from holofubini import (FiniteMeasureSpace, Polydisc, TailEstimateError, cauchy_derivative,
                         cauchy_eval, family_from_json, family_preset, order_bound,
                         order_bound_check, preset_names, schwarz_violation, space_preset,
-                        taylor_coefficients, unit_polydisc)
+                        taylor_coefficients, torus_nodes, unit_polydisc)
 from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, derivative_rule
-from holofubini.family import PolynomialFamily, TabulatedTaylorFamily
+from holofubini.family import ContourSample, PolynomialFamily, TabulatedTaylorFamily
 
 from conftest import fd_derivative
+
+
+def ring(f, center, radius, n=64):
+    """f on the n-node ring of radius ``radius`` about ``center``."""
+    return f(torus_nodes(Polydisc([center], [radius]), n).grid())
+
+
+def table_sample(fam, space, degree, *contour):
+    """The contour sample with the least node count a Taylor table of ``degree`` takes."""
+    return ContourSample(fam, space, 2 * degree + 2, *contour)
 
 
 class TestCauchyEval:
@@ -203,24 +213,28 @@ class TestTaylorCoefficients:
 
 class TestSchwarz:
     def test_identity_slice(self):
-        v = schwarz_violation(lambda w: w[..., 0], 0.0, 1.0, samples=1000, seed=0)
+        f = lambda w: w[..., 0]
+        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), samples=1000, seed=0)
         assert v <= 0.0
 
     def test_constant_slice(self):
-        v = schwarz_violation(lambda w: np.full(w.shape[:-1], 2.5), 0.0, 1.0)
+        f = lambda w: np.full(w.shape[:-1], 2.5)
+        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0))
         assert v <= 0.0
 
     def test_square_slice(self):
-        v = schwarz_violation(lambda w: w[..., 0] ** 2, 0.0, 1.0, samples=1000, seed=1)
+        f = lambda w: w[..., 0] ** 2
+        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), samples=1000, seed=1)
         assert v <= 0.0
 
     def test_off_center_ball(self):
-        v = schwarz_violation(lambda w: np.exp(w[..., 0]), 0.5 + 0.5j, 0.75, seed=2)
+        f = lambda w: np.exp(w[..., 0])
+        v = schwarz_violation(f, 0.5 + 0.5j, 0.75, ring(f, 0.5 + 0.5j, 0.75), seed=2)
         assert v <= 1e-12
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            schwarz_violation(lambda w: w[..., 0], 0.0, -1.0)
+            schwarz_violation(lambda w: w[..., 0], 0.0, -1.0, np.ones(4))
 
 
 class TestOrderBound:
@@ -231,20 +245,20 @@ class TestOrderBound:
         coeffs[1, 1] = -2.0j        # v1 = -2i t
         fam = PolynomialFamily(coeffs, Polydisc([0.0], [2.0]))
         space = FiniteMeasureSpace([1.0, -0.5], [0.5, 0.5])
-        ob = order_bound(fam, space, center=[0.0], radii=[1.0], degree=8, shrink=1.0)
+        ob = order_bound(table_sample(fam, space, 8, [0.0], [1.0]), degree=8, shrink=1.0)
         expected = [abs(1.5 - 0.5j) + 2.0, abs(1.5 - 0.5j) + 1.0]
         np.testing.assert_allclose(ob.u, expected, atol=1e-12)
         assert ob.tail == 0.0
 
     def test_constant_family(self, space16):
         fam = family_preset("constant")
-        ob = order_bound(fam, space16, degree=10, shrink=0.5)
+        ob = order_bound(table_sample(fam, space16, 10), degree=10, shrink=0.5)
         np.testing.assert_allclose(ob.u, abs(2 + 1j), atol=1e-12)
         assert ob.tail == 0.0
 
     def test_geometric_dominates_samples(self, space16):
         fam = family_preset("geometric")
-        ob = order_bound(fam, space16, degree=40, shrink=0.5)
+        ob = order_bound(table_sample(fam, space16, 40), degree=40, shrink=0.5)
         rng = np.random.default_rng(0)
         radius = 0.95 * 0.5
         z = radius * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
@@ -252,7 +266,8 @@ class TestOrderBound:
         assert np.all(values <= ob.u[None, :] + ob.tail + 1e-12)
 
     def test_tail_positive_for_geometric(self, space16):
-        ob = order_bound(family_preset("geometric"), space16, degree=40, shrink=0.5)
+        ob = order_bound(table_sample(family_preset("geometric"), space16, 40), degree=40,
+                         shrink=0.5)
         assert 0.0 < ob.tail < 1e-10
         assert 0.0 < ob.fit_rate < 1.0
         assert ob.tail_method == "geometric-fit"
@@ -263,20 +278,20 @@ class TestOrderBound:
         fam = TabulatedTaylorFamily(coeffs, Polydisc([0.0], [1.0]))
         space = FiniteMeasureSpace([1.0], [1.0])
         with pytest.raises(TailEstimateError):
-            order_bound(fam, space, degree=12, shrink=0.5)
+            order_bound(table_sample(fam, space, 12), degree=12, shrink=0.5)
 
     def test_fast_decay_is_not_a_violation(self):
         # small |t| leaves one shell of the fit window above the floor; the rate
         # must still be fitted and the domination check must pass
         fam = family_preset("geometric")
         for k in range(1, 301):
-            rep = order_bound_check(fam, space_preset(f"uniform-{k}"))
+            rep = order_bound_check(ContourSample(fam, space_preset(f"uniform-{k}"), 64))
             assert rep.passed and math.isfinite(rep.residual), k
 
     @pytest.mark.parametrize("space", ["uniform-16", "uniform-20", "geometric-64", "uniform-256"])
     @pytest.mark.parametrize("name", preset_names())
     def test_every_preset_passes(self, name, space):
-        rep = order_bound_check(family_preset(name), space_preset(space))
+        rep = order_bound_check(ContourSample(family_preset(name), space_preset(space), 64))
         assert rep.passed, rep.params
 
     @pytest.mark.parametrize("name", preset_names())
@@ -285,19 +300,22 @@ class TestOrderBound:
         # MIN_ORDER_BOUND_DEGREE; at degree <= 4 these cases give false violations
         for n in range(4, 17):
             for shrink in (0.1, 0.5, 0.9):
-                rep = order_bound_check(family_preset(name), space16, shrink=shrink, n=n)
+                rep = order_bound_check(ContourSample(family_preset(name), space16, n),
+                                        shrink=shrink)
                 assert rep.passed, (n, shrink, rep.params)
                 assert rep.params["degree"] == max(n // 2 - 1, MIN_ORDER_BOUND_DEGREE)
 
     def test_bivariate_geometric_on_many_atoms(self):
         fam = family_from_json({"kind": "geometric", "params": {"rates": [[0.5, 0], [0.4, 0]]},
                                 "domain": {"center": [[0, 0], [0, 0]], "radius": [1, 1]}})
-        ob = order_bound(fam, space_preset("uniform-256"), degree=40, shrink=0.5)
+        ob = order_bound(table_sample(fam, space_preset("uniform-256"), 40), degree=40,
+                         shrink=0.5)
         assert 0.0 < ob.fit_rate < 1.0 and math.isfinite(ob.tail)
 
     def test_exponential_noise_floor_handled(self, space16):
         # far tail of e^{tz} sits below quadrature noise: fit must not see it
-        ob = order_bound(family_preset("exponential"), space16, degree=40, shrink=0.5)
+        ob = order_bound(table_sample(family_preset("exponential"), space16, 40), degree=40,
+                         shrink=0.5)
         assert ob.tail < 1e-12
         rng = np.random.default_rng(3)
         radius = 0.95 * 0.5

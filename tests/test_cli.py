@@ -6,7 +6,7 @@ import pytest
 
 from holofubini import cli, dirac, family, family_preset, space_preset, theorems
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
-from holofubini.theorems import CONTOUR_SHRINK, CheckReport
+from holofubini.theorems import CheckReport
 
 from conftest import PRESET_NAMES
 
@@ -187,53 +187,57 @@ class TestVerify:
 class TestSampleOnce:
     # Family values of one `verify` of the geometric family on uniform-16 (k = 16
     # atoms) at n nodes with the default --grid 32, counted at each kind's _evaluate.
-    # Every boundary point set is sampled once per run:
+    # The run's contour sample and each functional's nodes are evaluated once:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
-    #     derivative_consistency, diff_under_integral, order_bound's Taylor table
-    #     and the sups of norm_bound and telescoping:  n^d * k
+    #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
+    #     the sups of norm_bound and telescoping and, at d = 1, schwarz's ring:  n^d * k
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
     #   span, 4 functionals x (8 + 16) sample points:  96 * k
     #   order_bound's 200 sample points:  200 * k
-    #   d = 1 only, schwarz per atom: centre 1 + 1000 samples + the n-node contour
-    #     ring, and derivative_profile: 32 contours of n nodes, shared by orders 0-4
+    #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
+    #     derivative_profile: 32 contours of n nodes, shared by orders 0-4
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (64 + 9 + 3 + 96 + 200 + 1065 + 32*64) = 55,760
+    # d = 1, n = 64: k * (64 + 9 + 3 + 96 + 200 + 1001 + 32*64) = 54,736
     # d = 2, n = 64: k * (4096 + 9 + 3 + 96 + 200 + 400) = 76,864
     # d = 2, n = 32: k * (1024 + 9 + 3 + 96 + 200 + 400) = 27,712
+    # `check derivative_profile` reads no contour value: k * 32 * 64 = 32,768
+    # `check norm_bound` with a derivative functional off the centre: the contour
+    #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
-    @pytest.mark.parametrize("d, n, expected", [(1, 64, 55_760), (2, 64, 76_864),
-                                                (2, 32, 27_712)],
-                             ids=["d1", "d2", "d2-n32"])
-    def test_family_value_count(self, tmp_path, monkeypatch, d, n, expected):
+    @pytest.mark.parametrize("d, n, command, expected", [
+        (1, 64, ["verify"], 54_736),
+        (2, 64, ["verify"], 76_864),
+        (2, 32, ["verify"], 27_712),
+        (1, 64, ["check", "derivative_profile"], 32 * 64 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.02:1"], 2 * 64 * 16),
+    ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre"])
+    def test_family_value_count(self, tmp_path, monkeypatch, d, n, command, expected):
         counted = count_family_values(monkeypatch)
-        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, d),
+        code, _ = run_cli(tmp_path, *command, *family_args(tmp_path, d),
                           "--space", "uniform-16", "--nodes", str(n))
         assert code == 0
         assert sum(counted) == expected
 
     def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
-        # after derivative_consistency has sampled the n = 64 contour grid, the
-        # checks evaluate only their own points: 200 * k and 2 * 200 * k random
-        # points, and norm_bound the 1 * k node of its Dirac functional
+        # once the contour sample holds its values, the checks evaluate only their
+        # own points: 200 * k and 2 * 200 * k random points, and norm_bound the
+        # 1 * k node of its Dirac functional
         fam, space = family.family_from_json(json.dumps(GEOMETRIC_D2)), space_preset("uniform-16")
-        sampler = fam.sampler(space)
-        theorems.derivative_consistency(fam, space, fam.domain.center, cli._alpha_battery(2),
-                                        fam.domain.radius * CONTOUR_SHRINK, n=64,
-                                        sampler=sampler)
+        sample = family.ContourSample(fam, space, 64)
+        sample.values
         counted = count_family_values(monkeypatch)
-        assert theorems.order_bound_check(fam, space, n=64, sampler=sampler).passed
+        assert theorems.order_bound_check(sample).passed
         assert sum(counted) == 200 * 16
         counted.clear()
-        assert theorems.telescoping_residual(fam, space, sampler=sampler).passed
+        assert theorems.telescoping_residual(sample).passed
         assert sum(counted) == 400 * 16
         counted.clear()
-        reports = theorems.norm_bound_check([dirac([0.3, -0.2j])], fam, space, 2, n=64,
-                                            sampler=sampler)
+        reports = theorems.norm_bound_check([dirac([0.3, -0.2j])], sample, [2])
         assert reports[0].passed
         assert sum(counted) == 1 * 16
 
@@ -245,12 +249,13 @@ class TestSampleOnce:
         config = cli._build_config(args, CHECK_NAMES)
         _, shared = cli.run_suite(config)
 
-        # the same calls as run_suite, but each checker samples for itself
+        # the same calls as run_suite, but each check gets a contour sample of its own
         rng = np.random.default_rng(config.seed)
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         reports = []
         for calls in cli.CHECKS.values():
-            for call in calls(config, duals, rng, None):
+            own = family.ContourSample(config.family, config.space, config.n)
+            for call in calls(config, duals, rng, own):
                 result = call()
                 reports.extend(result if isinstance(result, list) else [result])
         alone = sorted((_record(rep, config) for rep in reports),

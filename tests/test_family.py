@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from holofubini import family_from_json, family_preset, space_preset, unit_polydisc
-from holofubini.family import (ConstantFamily, GeometricFamily, PolynomialFamily,
-                               SeparableFamily, TabulatedTaylorFamily)
+from holofubini import (Polydisc, derivative_functional, dirac, family_from_json,
+                        family_preset, space_preset, torus_nodes, unit_polydisc)
+from holofubini.family import (ConstantFamily, ContourSample, GeometricFamily,
+                               PolynomialFamily, SeparableFamily, TabulatedTaylorFamily)
+from holofubini.functional import MeasureFunctional
 
 from conftest import PRESET_NAMES, fd_derivative
 
@@ -82,35 +84,64 @@ class TestVector:
 
 
 class TestSampler:
+    """The run's contour sample: F on the contour grid and on functionals' nodes."""
+
     def test_sample_matches_vectors(self, preset_family, space16):
-        points = np.array([[0.21 - 0.13j], [-0.4j], [0.0]])
-        sample = preset_family.sampler(space16)(points)
-        for z, row in zip(points, sample.values):
-            np.testing.assert_array_equal(row, preset_family.vector(z, space16))
-        np.testing.assert_array_equal(sample.points, points)
+        sample = ContourSample(preset_family, space16, 8)
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 8).grid()
+        phi = MeasureFunctional(nodes=[[0.21 - 0.13j], [-0.4j], [0.0]], weights=np.ones(3),
+                                label="three")
+        for points, values in ((grid, sample.values), (phi.nodes, sample.node_values(phi))):
+            assert values.shape == (len(points), 16)
+            for z, row in zip(points, values):
+                np.testing.assert_array_equal(row, preset_family.vector(z, space16))
 
     def test_arrays_are_read_only(self, space16):
-        sample = family_preset("geometric").sampler(space16)(np.array([[0.3], [0.1j]]))
+        sample = ContourSample(family_preset("geometric"), space16, 8)
         with pytest.raises(ValueError):
             sample.values[0, 0] = 0.0
         with pytest.raises(ValueError):
-            sample.points[0, 0] = 0.0
+            sample.node_values(dirac([0.3]))[0, 0] = 0.0
 
     def test_caller_keeps_its_points(self, space16):
-        points = np.array([[0.3], [0.1j]])
-        sample = family_preset("geometric").sampler(space16)(points)
-        points[0, 0] = 0.5
-        assert sample.points[0, 0] == 0.3
+        fam = family_preset("geometric")
+        center, radii = np.array([0.1j]), np.array([0.8])
+        sample = ContourSample(fam, space16, 8, center, radii)
+        center[0], radii[0] = 0.5, 0.2
+        assert sample.center[0] == 0.1j and sample.radii[0] == 0.8
+        np.testing.assert_array_equal(sample.values,
+                                      ContourSample(fam, space16, 8, [0.1j], [0.8]).values)
 
-    def test_equal_points_are_sampled_once(self, space16):
-        sampler = family_preset("geometric").sampler(space16)
-        first = sampler(np.array([[0.3], [0.1j]]))
-        assert sampler(np.array([[0.3], [0.1j]])) is first
-        assert sampler(np.array([[0.3], [0.2j]])) is not first
+    def test_equal_points_are_sampled_once(self, space16, monkeypatch):
+        # the contour values and each functional's node values are evaluated on first
+        # read; a derivative functional on the sample's contour reads the contour values
+        sample = ContourSample(family_preset("geometric"), space16, 8)
+        evaluated = []
+        evaluate = GeometricFamily._evaluate
+
+        def counting(self, z, t):
+            evaluated.append(z.shape[0])
+            return evaluate(self, z, t)
+
+        monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
+        phi = dirac([0.3])
+        assert sample.node_values(phi) is sample.node_values(phi)
+        assert sample.values is sample.values
+        for alpha in (1, 2):
+            on = derivative_functional([0.0], (alpha,), [0.95], n=8)
+            assert sample.node_values(on) is sample.values
+        off = derivative_functional([0.0], (1,), [0.95], n=16)
+        assert sample.node_values(off) is sample.node_values(off)
+        assert evaluated == [1, 8, 16]
 
     def test_outside_domain_rejected(self, space16):
-        with pytest.raises(ValueError):
-            family_preset("geometric").sampler(space16)(np.array([[1.2]]))
+        # a failed evaluation is not kept: every read raises
+        sample = ContourSample(family_preset("geometric"), space16, 8, radii=[1.2])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sample.values
+            with pytest.raises(ValueError):
+                sample.node_values(dirac([1.2]))
 
 
 class TestClosedFormDerivatives:

@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from holofubini import (cauchy_derivative, derivative_functional, dirac, family_preset,
-                        functional_from_json, random_measure, space_preset, unit_polydisc)
+from holofubini import (FiniteMeasureSpace, cauchy_derivative, derivative_functional, dirac,
+                        family_preset, functional_from_json, random_measure, space_preset,
+                        unit_polydisc)
+from holofubini.family import ContourSample
 from holofubini.functional import MeasureFunctional
+
+
+def one_sample(fam, *params):
+    """The contour sample of ``fam`` on a space with one atom per parameter."""
+    return ContourSample(fam, FiniteMeasureSpace(params, np.ones(len(params))), 64)
 
 
 class TestDirac:
@@ -44,8 +51,7 @@ class TestDerivativeFunctional:
         # same quadrature rule on both paths, equal up to summation order
         fam = family_preset("geometric")
         phi = derivative_functional([0.0], (2,), [0.95], n=64)
-        for t in (1.0, -0.4):
-            a = phi.apply_slice(fam, t)
+        for t, a in zip((1.0, -0.4), phi.apply_slices(one_sample(fam, 1.0, -0.4))):
             b = cauchy_derivative(fam.slice(t), [0.0], (2,), [0.95], n=64)
             assert a == pytest.approx(b, abs=1e-15)
 
@@ -59,7 +65,8 @@ class TestApplySlice:
     def test_dirac_slice(self):
         fam = family_preset("geometric")
         phi = dirac([0.3])
-        assert phi.apply_slice(fam, 0.8) == pytest.approx(complex(fam.eval([0.3], 0.8)))
+        for t, value in zip((0.8, -0.5j), phi.apply_slices(one_sample(fam, 0.8, -0.5j))):
+            assert value == pytest.approx(complex(fam.eval([0.3], t)))
 
     def test_polynomial_third_derivative(self):
         # f(z, t) = t z^3: D^3 at 0 is 6t
@@ -69,8 +76,8 @@ class TestApplySlice:
         coeffs[3, 1] = 1.0
         fam = PolynomialFamily(coeffs, unit_polydisc())
         phi = derivative_functional([0.0], (3,), [0.95], n=32)
-        for t in (1.0, -2.0):
-            assert phi.apply_slice(fam, t) == pytest.approx(6.0 * t, abs=1e-11)
+        np.testing.assert_allclose(phi.apply_slices(one_sample(fam, 1.0, -2.0)), [6.0, -12.0],
+                                   rtol=0, atol=1e-11)
 
     def test_mean_value_property(self):
         # uniform weights on a circle reproduce the center value
@@ -78,13 +85,13 @@ class TestApplySlice:
         nodes = 0.5 * np.exp(2j * np.pi * np.arange(n) / n)[:, None]
         phi = MeasureFunctional(nodes=nodes, weights=np.full(n, 1.0 / n), label="mean")
         fam = family_preset("exponential")
-        assert phi.apply_slice(fam, 0.7) == pytest.approx(complex(fam.eval([0.0], 0.7)),
-                                                          abs=1e-12)
+        [value] = phi.apply_slices(one_sample(fam, 0.7))
+        assert value == pytest.approx(complex(fam.eval([0.0], 0.7)), abs=1e-12)
 
     def test_node_outside_domain_rejected(self):
         fam = family_preset("geometric")
         with pytest.raises(ValueError):
-            dirac([1.5]).apply_slice(fam, 0.5)
+            dirac([1.5]).apply_slices(one_sample(fam, 0.5))
 
 
 class TestApplyDual:
@@ -93,12 +100,13 @@ class TestApplyDual:
         phi = dirac([0.25])
         h = np.linspace(-1, 1, 16) + 0.5j
         expected = space16.pairing(fam.vector([0.25], space16), h)
-        assert phi.apply_dual(fam, h, space16) == pytest.approx(expected, abs=1e-15)
+        assert phi.apply_dual(ContourSample(fam, space16, 64), h) == pytest.approx(expected,
+                                                                                  abs=1e-15)
 
     def test_zero_dual(self, space16):
         fam = family_preset("constant")
         phi = derivative_functional([0.0], (1,), [0.95], n=16)
-        assert phi.apply_dual(fam, np.zeros(16), space16) == 0.0
+        assert phi.apply_dual(ContourSample(fam, space16, 16), np.zeros(16)) == 0.0
 
     def test_separable_factorization(self, space16):
         # phi(z -> <F(z), h>) = phi(g) <m, h> for f = g(z) m(t)
@@ -108,7 +116,8 @@ class TestApplyDual:
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         phi_g = phi.apply(fam.z_factor)
         oracle = phi_g * space16.pairing(fam.t_factor(space16.params), h)
-        assert phi.apply_dual(fam, h, space16) == pytest.approx(oracle, rel=1e-12)
+        assert phi.apply_dual(ContourSample(fam, space16, 64), h) == pytest.approx(oracle,
+                                                                                  rel=1e-12)
 
 
 class TestInvariants:
@@ -144,8 +153,9 @@ class TestInvariants:
         assert phi.total_variation == pytest.approx(2.0)
 
     def test_scaled(self):
-        phi = dirac([0.2]).scaled(7)
-        assert phi.total_variation == pytest.approx(7.0)
+        phi = dirac([0.2])
+        scaled = MeasureFunctional(nodes=phi.nodes, weights=7 * phi.weights, label="7 dirac")
+        assert scaled.total_variation == pytest.approx(7.0)
 
 
 class TestRandomMeasure:

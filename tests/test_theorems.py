@@ -6,10 +6,11 @@ import pytest
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         derivative_functional, dirac, family_preset, preset_names,
                         random_measure, space_preset, unit_polydisc)
-from holofubini import cauchy, theorems
+from holofubini import cauchy, cli, theorems
 from holofubini.cauchy import derivative_rule
-from holofubini.family import (BoundarySample, ExponentialFamily, GeometricFamily,
+from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily,
                                PolynomialFamily)
+from holofubini.functional import MeasureFunctional
 
 from conftest import random_duals
 
@@ -20,6 +21,12 @@ CONTOUR = [0.95]
 @pytest.fixture
 def geometric():
     return family_preset("geometric")
+
+
+@pytest.fixture
+def sample64(geometric, space16):
+    """The geometric family's contour sample on uniform-16 at 64 nodes."""
+    return ContourSample(geometric, space16, 64)
 
 
 class OffDerivativeFamily(GeometricFamily):
@@ -36,23 +43,21 @@ class OffDerivativeFamily(GeometricFamily):
 class TestLinearize:
     def test_dirac_is_family_vector(self, geometric, space16):
         z0 = [0.3 - 0.2j]
-        vec = dirac(z0).apply_slices(geometric, space16)
+        vec = dirac(z0).apply_slices(ContourSample(geometric, space16, 64))
         np.testing.assert_array_equal(vec, geometric.vector(z0, space16))
 
     def test_linear_combination_of_diracs(self, geometric, space16):
-        from holofubini.functional import MeasureFunctional
-
         nodes = np.array([[0.2], [0.4j]])
         weights = np.array([2.0, -1.5j])
         phi = MeasureFunctional(nodes=nodes, weights=weights, label="combo")
-        vec = phi.apply_slices(geometric, space16)
+        vec = phi.apply_slices(ContourSample(geometric, space16, 64))
         oracle = (2.0 * geometric.vector([0.2], space16)
                   - 1.5j * geometric.vector([0.4j], space16))
         np.testing.assert_allclose(vec, oracle, atol=1e-15)
 
     def test_derivative_functional_matches_per_atom_quadrature(self, geometric, space16):
         phi = derivative_functional([0.0], (1,), CONTOUR, n=32)
-        vec = phi.apply_slices(geometric, space16)
+        vec = phi.apply_slices(ContourSample(geometric, space16, 32))
         oracle = np.array([
             cauchy_derivative(geometric.slice(t), [0.0], (1,), CONTOUR, n=32)
             for t in space16.params
@@ -61,38 +66,37 @@ class TestLinearize:
 
 
 class TestLinearizationResidual:
-    def test_dirac_reassociation_only(self, geometric, space16):
+    def test_dirac_reassociation_only(self, sample64, space16):
         duals = random_duals(space16, 10, seed=0)
-        rep = theorems.linearization_residual(dirac([0.25]), geometric, space16, duals)
+        rep = theorems.linearization_residual(dirac([0.25]), sample64, duals)
         assert rep.residual <= 1e-14 and rep.passed
 
-    def test_generator_duals_counted(self, geometric, space16):
+    def test_generator_duals_counted(self, sample64, space16):
         duals = (h for h in random_duals(space16, 10, seed=0))
-        rep = theorems.linearization_residual(dirac([0.25]), geometric, space16, duals)
+        rep = theorems.linearization_residual(dirac([0.25]), sample64, duals)
         assert rep.params["duals"] == 10 and rep.residual > 0.0
 
     def test_separable(self, space16):
         duals = random_duals(space16, 10, seed=1)
         rep = theorems.linearization_residual(
             derivative_functional([0.0], (1,), CONTOUR, n=64),
-            family_preset("separable"), space16, duals,
+            ContourSample(family_preset("separable"), space16, 64), duals,
         )
         assert rep.residual <= 1e-12
 
-    def test_geometric_derivative_ten_duals(self, geometric, space16):
+    def test_geometric_derivative_ten_duals(self, sample64, space16):
         duals = random_duals(space16, 10, seed=2)
         rep = theorems.linearization_residual(
-            derivative_functional([0.0], (2,), CONTOUR, n=64), geometric, space16, duals,
-            tol=1e-10,
+            derivative_functional([0.0], (2,), CONTOUR, n=64), sample64, duals, tol=1e-10,
         )
         assert rep.residual <= 1e-10 and rep.passed
 
 
 class TestFubiniResidual:
-    def test_dirac_exact(self, geometric, space16):
+    def test_dirac_exact(self, sample64, space16):
         for h in random_duals(space16, 10, seed=3):
             for p in (1, 2, INF):
-                rep = theorems.fubini_residual(dirac([0.25]), geometric, h, space16, p)
+                rep = theorems.fubini_residual(dirac([0.25]), sample64, h, p)
                 assert rep.residual <= 1e-13
 
     def test_separable_factorization_oracle(self, space16):
@@ -102,7 +106,7 @@ class TestFubiniResidual:
         h = random_duals(space16, 1, seed=4)[0]
         exact_phi_g = complex(fam.deriv([0.0], 0.0, (1,)) / fam.t_factor(0.0))
         oracle = exact_phi_g * space16.pairing(fam.t_factor(space16.params), h)
-        rep = theorems.fubini_residual(phi, fam, h, space16, 2)
+        rep = theorems.fubini_residual(phi, ContourSample(fam, space16, 64), h, 2)
         assert rep.lhs == pytest.approx(oracle, rel=1e-11)
         assert rep.rhs == pytest.approx(oracle, rel=1e-9)
         assert rep.residual <= 1e-9
@@ -110,7 +114,7 @@ class TestFubiniResidual:
     def test_geometric_derivative_p2(self, geometric, space16):
         phi = derivative_functional([0.0], (2,), CONTOUR, n=64)
         h = random_duals(space16, 1, seed=5)[0]
-        rep = theorems.fubini_residual(phi, geometric, h, space16, 2)
+        rep = theorems.fubini_residual(phi, ContourSample(geometric, space16, 64), h, 2)
         assert rep.residual <= 1e-9 and rep.passed
 
     def test_residual_decays_geometrically(self, geometric, space16):
@@ -118,14 +122,14 @@ class TestFubiniResidual:
         residuals = {}
         for n in (16, 64):
             phi = derivative_functional([0.0], (1,), CONTOUR, n=n)
-            residuals[n] = theorems.fubini_residual(phi, geometric, h, space16, 1,
-                                                    tol=INF).residual
+            sample = ContourSample(geometric, space16, n)
+            residuals[n] = theorems.fubini_residual(phi, sample, h, 1, tol=INF).residual
         assert residuals[64] <= 1e-2 * residuals[16]
 
     def test_random_measure_exact(self, geometric, space16):
         phi = random_measure(geometric.domain, k=8, seed=7)
         h = random_duals(space16, 1, seed=8)[0]
-        rep = theorems.fubini_residual(phi, geometric, h, space16, 1)
+        rep = theorems.fubini_residual(phi, ContourSample(geometric, space16, 64), h, 1)
         assert rep.residual <= 1e-13
 
     @pytest.mark.parametrize("name", ["constant", "polynomial", "geometric",
@@ -135,12 +139,13 @@ class TestFubiniResidual:
         fam = family_preset(name)
         rng = np.random.default_rng(20)
         duals = random_duals(space16, 5, seed=21)
+        sample = ContourSample(fam, space16, 64)
         for _ in range(3):
             z0 = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
             phi = dirac([z0])
             for p in (1, 2, INF):
                 for h in duals:
-                    rep = theorems.fubini_residual(phi, fam, h, space16, p)
+                    rep = theorems.fubini_residual(phi, sample, h, p)
                     assert rep.residual <= 1e-13
 
     def test_linf_reduces_to_l1_of_weighted_family(self, space16):
@@ -152,8 +157,10 @@ class TestFubiniResidual:
         phi = derivative_functional([0.0], (2,), CONTOUR, n=32)
         h = np.asarray(space16.params)
         ones = np.ones(space16.natoms)
-        rep_inf = theorems.fubini_residual(phi, fam, h, space16, INF, tol=INF)
-        rep_one = theorems.fubini_residual(phi, product, ones, space16, 1, tol=INF)
+        rep_inf = theorems.fubini_residual(phi, ContourSample(fam, space16, 32), h, INF,
+                                           tol=INF)
+        rep_one = theorems.fubini_residual(phi, ContourSample(product, space16, 32), ones, 1,
+                                           tol=INF)
         assert abs(rep_inf.residual - rep_one.residual) <= 1e-12
         assert rep_inf.lhs == pytest.approx(rep_one.lhs, abs=1e-13)
 
@@ -161,25 +168,23 @@ class TestFubiniResidual:
 class TestDerivativeConsistency:
     def test_constant_family_vanishes(self, space16):
         [rep] = theorems.derivative_consistency(
-            family_preset("constant"), space16, [0.0], [(1,)], CONTOUR, n=32, p=[2]
+            ContourSample(family_preset("constant"), space16, 32), [(1,)], p=[2]
         )
         assert rep.lhs <= 1e-14 and rep.residual <= 1e-14
 
     def test_polynomial_alpha2(self, space16):
         # D^2 (t z^2) = 2t on every route
         fam = family_preset("polynomial")
-        from holofubini.cauchy import derivative_rule
-
         pts, weights = derivative_rule([0.0], (2,), CONTOUR, n=32)
         vector_route = weights @ fam.eval(pts[:, None, :], space16.params)
         np.testing.assert_allclose(vector_route, 2.0 * space16.params, atol=1e-12)
-        [rep] = theorems.derivative_consistency(fam, space16, [0.0], [(2,)], CONTOUR,
-                                                n=32, p=[INF])
+        [rep] = theorems.derivative_consistency(ContourSample(fam, space16, 32), [(2,)],
+                                                p=[INF])
         assert rep.residual <= 1e-10 and rep.passed
 
     def test_geometric_alpha1_matches_closed_form(self, geometric, space16):
-        [rep] = theorems.derivative_consistency(geometric, space16, [0.0], [(1,)], CONTOUR,
-                                                n=64, p=[2])
+        [rep] = theorems.derivative_consistency(ContourSample(geometric, space16, 64), [(1,)],
+                                                p=[2])
         assert rep.residual <= 1e-10
         oracle = space16.lp_norm(geometric.deriv_vector([0.0], space16, (1,)), 2)
         assert rep.lhs == pytest.approx(oracle, rel=1e-10)
@@ -197,47 +202,76 @@ class TestDerivativeConsistency:
     @pytest.mark.parametrize("d", [1, 2])
     def test_multi_indices_match_one_call_each(self, geometric, space16, d):
         fam = geometric if d == 1 else self.bivariate()
-        contour = CONTOUR * d
         alphas = self.alphas(d)
-        batched = theorems.derivative_consistency(fam, space16, [0.0] * d, alphas, contour,
-                                                  n=32, p=[1, 2, INF])
+        batched = theorems.derivative_consistency(ContourSample(fam, space16, 32), alphas,
+                                                  p=[1, 2, INF])
         single = [rep for a in alphas
-                  for rep in theorems.derivative_consistency(fam, space16, [0.0] * d, [a],
-                                                             contour, n=32, p=[1, 2, INF])]
+                  for rep in theorems.derivative_consistency(ContourSample(fam, space16, 32),
+                                                             [a], p=[1, 2, INF])]
         assert len(batched) == len(single) == 3 * len(alphas)
         for a, b in zip(batched, single):
             assert a.params == b.params
             assert (a.lhs, a.rhs, a.residual) == (b.lhs, b.rhs, b.residual)
 
+    @staticmethod
+    def run_checks(config, sample):
+        """Every report of the battery of ``config``, as run_suite builds it, on ``sample``."""
+        rng = np.random.default_rng(config.seed)
+        duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
+        reports = []
+        for name, calls in cli.CHECKS.items():
+            for call in calls(config, duals, rng, sample):
+                try:
+                    result = call()
+                except (ValueError, ArithmeticError) as exc:
+                    result = theorems.CheckReport.failed(name, config.family.label, exc)
+                reports += result if isinstance(result, list) else [result]
+        return reports
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_perturbed_sample_fails_every_alpha(self, geometric, space16, d):
-        # the closed-form route must not read the sample it is checked against
+        # one perturbed contour sample reaches every reader of the contour: the
+        # closed-form routes must not read it, and no check may evaluate a contour
+        # grid of its own, or its record would not move
         fam = geometric if d == 1 else self.bivariate()
-        alphas = self.alphas(d)
-        exact = fam.sampler(space16)
+        config = cli.SuiteConfig(family=fam, space=space16, p_list=[1.0, 2.0, INF], n=32,
+                                 functionals=cli.default_functionals(fam, 32, 0.5, 0))
+        noisy = ContourSample(fam, space16, 32)
         rng = np.random.default_rng(5)
-
-        def perturbed(points):
-            sample = exact(points)
-            noise = 1e-6 * np.exp(2j * np.pi * rng.random(sample.values.shape))
-            return BoundarySample(sample.points, sample.values + noise)
-
-        args = (fam, space16, [0.0] * d, alphas, CONTOUR * d)
-        clean = theorems.derivative_consistency(*args, n=32, p=[1, 2, INF])
-        dirty = theorems.derivative_consistency(*args, n=32, p=[1, 2, INF],
-                                                sampler=perturbed)
+        noisy.values = noisy.values + 1e-6 * np.exp(2j * np.pi * rng.random(noisy.values.shape))
+        clean = self.run_checks(config, ContourSample(fam, space16, 32))
+        dirty = self.run_checks(config, noisy)
         assert all(rep.passed for rep in clean)
-        assert not any(rep.passed for rep in dirty)
-        assert [rep.rhs for rep in dirty] == [rep.rhs for rep in clean]
+        assert [(r.name, r.functional) for r in dirty] == \
+            [(r.name, r.functional) for r in clean]
+        seen = set()
+        for a, b in zip(clean, dirty):
+            kind = a.functional.partition(":")[0]
+            seen.add((a.name, kind))
+            if a.name in ("derivative_consistency", "diff_under_integral") or \
+                    (a.name, kind) == ("fubini", "derivative"):
+                assert not b.passed, vars(b)
+                if a.name != "fubini":
+                    assert b.rhs == a.rhs  # the closed form
+            elif a.name == "norm_bound":
+                assert b.rhs != a.rhs
+            elif a.name in ("telescoping", "schwarz", "order_bound"):
+                assert b.lhs != a.lhs
+            elif kind in ("dirac", "random") or a.name == "derivative_profile":
+                assert vars(b) == vars(a)
+        assert {("derivative_consistency", ""), ("diff_under_integral", ""),
+                ("fubini", "derivative"), ("norm_bound", "dirac"), ("norm_bound", "random"),
+                ("norm_bound", "derivative"), ("order_bound", ""), ("linearization", "dirac"),
+                ("fubini", "random"), ("span", "dirac"),
+                ("schwarz" if d == 1 else "telescoping", "")} <= seen
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_reads_only_the_shared_sample(self, geometric, space16, monkeypatch, d):
-        # once the sampler holds the contour grid, the closed forms are the only
+        # once the sample holds the contour values, the closed forms are the only
         # other values the check reads, and they are no family values
         fam = geometric if d == 1 else self.bivariate()
-        sampler = fam.sampler(space16)
-        pts, _ = derivative_rule([0.0] * d, (0,) * d, CONTOUR * d, 32)
-        sampler(pts)
+        sample = ContourSample(fam, space16, 32)
+        sample.values
         counted = []
         evaluate = GeometricFamily._evaluate
 
@@ -247,9 +281,7 @@ class TestDerivativeConsistency:
             return out
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
-        reports = theorems.derivative_consistency(fam, space16, [0.0] * d, self.alphas(d),
-                                                  CONTOUR * d, n=32, p=[1, 2, INF],
-                                                  sampler=sampler)
+        reports = theorems.derivative_consistency(sample, self.alphas(d), p=[1, 2, INF])
         assert all(rep.passed for rep in reports)
         assert counted == []
 
@@ -260,22 +292,22 @@ class TestDerivativeConsistency:
         # p-norm against the 1e-9 tolerance, while the quadrature error at 64
         # nodes is far below it
         fam = OffDerivativeFamily([0.5, 0.4][:d], eps)
-        reports = theorems.derivative_consistency(fam, space16, [0.0] * d, self.alphas(d),
-                                                  CONTOUR * d, n=64, p=[1, 2, INF])
+        reports = theorems.derivative_consistency(ContourSample(fam, space16, 64),
+                                                  self.alphas(d), p=[1, 2, INF])
         assert len(reports) == 3 * len(self.alphas(d))
         assert [rep.passed for rep in reports] == [eps == 0.0] * len(reports)
 
 
 class TestDiffUnderIntegral:
     def test_zero_dual(self, geometric, space16):
-        rep = theorems.diff_under_integral(geometric, np.zeros(16), space16,
-                                           [0.0], (1,), CONTOUR, n=32)
+        rep = theorems.diff_under_integral(ContourSample(geometric, space16, 32), np.zeros(16),
+                                           (1,))
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.residual == 0.0
 
     def test_polynomial_exact(self, space16):
         h = random_duals(space16, 1, seed=9)[0]
-        rep = theorems.diff_under_integral(family_preset("polynomial"), h, space16,
-                                           [0.0], (2,), CONTOUR, n=32)
+        sample = ContourSample(family_preset("polynomial"), space16, 32)
+        rep = theorems.diff_under_integral(sample, h, (2,))
         assert rep.residual <= 1e-12
 
     def test_exponential_closed_form_oracle(self, space16):
@@ -287,8 +319,8 @@ class TestDiffUnderIntegral:
             oracle = complex(np.sum(
                 space16.params ** alpha * np.exp(a * space16.params) * h * space16.weights
             ))
-            rep = theorems.diff_under_integral(fam, h, space16, [a], (alpha,),
-                                               [0.7], n=64)
+            rep = theorems.diff_under_integral(ContourSample(fam, space16, 64, [a], [0.7]), h,
+                                               (alpha,))
             assert rep.rhs == pytest.approx(oracle, rel=1e-13)
             assert rep.lhs == pytest.approx(oracle, rel=1e-11)
             assert rep.residual <= 1e-10
@@ -296,13 +328,15 @@ class TestDiffUnderIntegral:
 
 class TestNormBound:
     def test_dirac_node_in_grid(self, geometric, space16):
-        rep = theorems.norm_bound_check([dirac([0.9])], geometric, space16, 2)[0]
+        rep = theorems.norm_bound_check([dirac([0.9])], ContourSample(geometric, space16, 64),
+                                        [2])[0]
         assert rep.passed
 
     def test_homogeneity(self, geometric, space16):
         phi = derivative_functional([0.0], (1,), CONTOUR, n=64)
-        base = theorems.norm_bound_check([phi], geometric, space16, 2)[0]
-        scaled = theorems.norm_bound_check([phi.scaled(7.0)], geometric, space16, 2)[0]
+        seven = MeasureFunctional(nodes=phi.nodes, weights=7.0 * phi.weights, label="7 phi")
+        sample = ContourSample(geometric, space16, 64)
+        base, scaled = theorems.norm_bound_check([phi, seven], sample, [2])
         assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-13)
         assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-13)
         assert base.passed and scaled.passed
@@ -310,81 +344,85 @@ class TestNormBound:
     @pytest.mark.parametrize("p", [1, 2, INF])
     def test_derivative_on_geometric(self, geometric, space16, p):
         phi = derivative_functional([0.0], (2,), CONTOUR, n=64)
-        rep = theorems.norm_bound_check([phi], geometric, space16, p)[0]
+        rep = theorems.norm_bound_check([phi], ContourSample(geometric, space16, 64), [p])[0]
         assert rep.passed
 
     @pytest.mark.parametrize("p", [1, 2, INF])
     def test_tight_polynomial_case(self, space16, p):
         # lhs touches the bound when the sup grid contains the contour nodes
         phi = derivative_functional([0.0], (2,), CONTOUR, n=64)
-        rep = theorems.norm_bound_check([phi], family_preset("polynomial"), space16, p)[0]
+        sample = ContourSample(family_preset("polynomial"), space16, 64)
+        rep = theorems.norm_bound_check([phi], sample, [p])[0]
         assert rep.passed
 
     def test_a_raising_functional_keeps_the_others(self, geometric, space16):
         # a node outside the unit polydisc fails the domain check of that functional only
         good = dirac([0.9])
-        reports = theorems.norm_bound_check([good, dirac([1.5]), good], geometric, space16, 2)
-        alone = theorems.norm_bound_check([good], geometric, space16, 2)[0]
-        assert [vars(r) for r in reports[::2]] == [vars(alone)] * 2
-        assert not reports[1].passed and "outside" in reports[1].params["error"]
+        # at every p: the failed evaluation is not kept, so each p meets the error itself
+        reports = theorems.norm_bound_check([good, dirac([1.5]), good],
+                                            ContourSample(geometric, space16, 64), [2, INF])
+        for p, group in zip([2, INF], (reports[:3], reports[3:])):
+            alone = theorems.norm_bound_check([good], ContourSample(geometric, space16, 64),
+                                              [p])[0]
+            assert [vars(r) for r in group[::2]] == [vars(alone)] * 2
+            assert not group[1].passed and "outside" in group[1].params["error"]
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
     def test_functional_list_matches_one_call_each(self, geometric, space16, monkeypatch, p):
+        # the derivative functional's 64 nodes are the contour grid, so one row norm
+        # per p of the n^d contour rows serves the grid sup and that functional's sup
         phis = [dirac([0.9]), derivative_functional([0.0], (1,), CONTOUR, n=64),
                 random_measure(geometric.domain, k=8, shrink=0.5, seed=2)]
-        # the sup grid is the n-node contour grid, n^d rows; n = 48 sets it apart
-        # from the derivative functional's 64 nodes
-        n = 48
-        alone = [theorems.norm_bound_check([phi], geometric, space16, p, n=n)[0]
+        alone = [theorems.norm_bound_check([phi], ContourSample(geometric, space16, 64), [p])[0]
                  for phi in phis]
         grid_rows = []
         lp_norm = FiniteMeasureSpace.lp_norm
 
         def counting(self, v, q):
-            grid_rows.append(np.shape(v)[0] == n ** geometric.d and np.ndim(v) == 2)
+            grid_rows.append(np.shape(v)[0] == 64 ** geometric.d and np.ndim(v) == 2)
             return lp_norm(self, v, q)
 
         monkeypatch.setattr(FiniteMeasureSpace, "lp_norm", counting)
-        batch = theorems.norm_bound_check(phis, geometric, space16, p, n=n)
-        assert [vars(r) for r in batch] == [vars(r) for r in alone]
-        assert sum(grid_rows) == 1
+        batch = theorems.norm_bound_check(phis, ContourSample(geometric, space16, 64), [p, 1])
+        assert [vars(r) for r in batch[:3]] == [vars(r) for r in alone]
+        assert sum(grid_rows) == 2
 
 
 class TestSpan:
     def test_constant_one_sample(self, space16):
-        rep = theorems.span_residual(dirac([0.3]), family_preset("constant"),
-                                     space16, [[0.1]])
+        sample = ContourSample(family_preset("constant"), space16, 64)
+        rep = theorems.span_residual(dirac([0.3]), sample, [[0.1]])
         assert rep.residual <= 1e-12
 
     def test_affine_two_samples(self, space16):
         rep = theorems.span_residual(
             random_measure(unit_polydisc(), k=5, seed=12),
-            family_preset("affine"), space16, [[0.1], [-0.3 + 0.2j]],
+            ContourSample(family_preset("affine"), space16, 64), [[0.1], [-0.3 + 0.2j]],
         )
         assert rep.residual <= 1e-10
 
     def test_geometric_three_atoms(self, space3):
         fam = family_preset("geometric")
         rep = theorems.span_residual(
-            derivative_functional([0.0], (1,), CONTOUR, n=32), fam, space3,
+            derivative_functional([0.0], (1,), CONTOUR, n=32), ContourSample(fam, space3, 32),
             [[0.1], [-0.25 + 0.1j], [0.3j]],
         )
         assert rep.residual <= 1e-8
 
     def test_monotone_under_nesting(self, geometric, space16):
         phi = dirac([0.2])
-        rep = theorems.span_monotonicity(phi, geometric, space16,
+        rep = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
                                          [[0.1], [0.3]], [[-0.2], [0.25j]])
         assert rep.passed
 
     def test_needs_a_sample(self, geometric, space16):
         with pytest.raises(ValueError):
-            theorems.span_residual(dirac([0.2]), geometric, space16, [])
+            theorems.span_residual(dirac([0.2]), ContourSample(geometric, space16, 64), [])
 
     def test_rank_deficiency_tolerated(self, space16):
         # duplicated samples keep the minimum-norm solution well defined
         fam = family_preset("affine")
-        rep = theorems.span_residual(dirac([0.1]), fam, space16,
+        rep = theorems.span_residual(dirac([0.1]), ContourSample(fam, space16, 64),
                                      [[0.2], [0.2], [-0.3]])
         assert rep.residual <= 1e-10
 
@@ -427,25 +465,23 @@ class TestDerivativeProfile:
             theorems.derivative_profile(fam, space16, 1, [np.zeros(2)], [0.1, 0.1])
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
-        # each contour is one sampler call and one FFT that serves orders 0-4
-        exact = geometric.sampler(space16)
+        # each contour is one evaluation and one FFT that serves orders 0-4
         sampled, ffts = [], []
+        evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
 
-        def sampler(points):
-            sampled.append(points)
-            return exact(points)
-
-        fft = cauchy._fft_coefficients
+        def sampling(self, z, t):
+            sampled.append(np.size(z))
+            return evaluate(self, z, t)
 
         def counting(values, *args):
             ffts.append(values.shape)
             return fft(values, *args)
 
+        monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
         grid = [np.array([0.3 * np.exp(2j * np.pi * k / 6)]) for k in range(6)]
-        profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32,
-                                            sampler=sampler)
-        assert len(sampled) == len(ffts) == len(grid)
+        profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32)
+        assert sampled == [32] * len(grid) and len(ffts) == len(grid)
         assert ffts == [(32, space16.natoms)] * len(grid)
         # each order's profile matches the one its own single-order rule gives, up to
         # roundoff, which at order 4 on radius 0.1 scales with 4! / 0.1^4 * sup |f|
@@ -453,7 +489,7 @@ class TestDerivativeProfile:
             mags = []
             for a in grid:
                 pts, weights = derivative_rule(a, (prof.order,), [0.1], 32)
-                mags.append(np.abs(weights @ exact(pts).values))
+                mags.append(np.abs(weights @ geometric.eval(pts[:, None, :], space16.params)))
             np.testing.assert_allclose(prof.profile, np.max(mags, axis=0), rtol=1e-8,
                                        atol=1e-10 * np.max(mags))
 
@@ -461,14 +497,16 @@ class TestDerivativeProfile:
 class TestTelescoping:
     def test_bivariate_geometric(self, space16):
         fam = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
-        rep = theorems.telescoping_residual(fam, space16, n_pairs=200, seed=0)
+        rep = theorems.telescoping_residual(ContourSample(fam, space16, 64), n_pairs=200,
+                                            seed=0)
         assert rep.passed and rep.residual == 0.0
 
     def test_bivariate_polynomial(self, space16):
         coeffs = np.zeros((2, 2, 2))
         coeffs[1, 1, 1] = 1.0  # f = t z1 z2
         fam = PolynomialFamily(coeffs, unit_polydisc(2), label="poly2")
-        rep = theorems.telescoping_residual(fam, space16, n_pairs=200, seed=1)
+        rep = theorems.telescoping_residual(ContourSample(fam, space16, 64), n_pairs=200,
+                                            seed=1)
         assert rep.passed
 
     @pytest.mark.parametrize("fam", [
@@ -487,7 +525,8 @@ class TestTelescoping:
         # sup does not lie on the real axis
         for n in range(4, 17):
             for shrink in (0.1, 0.5, 0.9):
-                rep = theorems.telescoping_residual(fam, space16, sample_shrink=shrink, n=n)
+                rep = theorems.telescoping_residual(ContourSample(fam, space16, n),
+                                                    sample_shrink=shrink)
                 assert rep.passed, (n, shrink, rep.lhs, rep.tol)
 
 
@@ -495,7 +534,8 @@ class TestSchwarzCheck:
     def test_all_presets(self, preset_family, space16):
         if preset_family.d != 1:
             pytest.skip("univariate only")
-        rep = theorems.schwarz_check(preset_family, space16, samples=300, seed=0)
+        rep = theorems.schwarz_check(ContourSample(preset_family, space16, 64), samples=300,
+                                     seed=0)
         assert rep.passed
 
 
@@ -505,7 +545,8 @@ def test_contour_sups_pass_at_few_nodes(name, space16):
     # lower estimate of the sup at small n, which must give no false violation
     fam = family_preset(name)
     for n in range(4, 17):
-        rep = theorems.schwarz_check(fam, space16, n=n)
+        sample = ContourSample(fam, space16, n)
+        rep = theorems.schwarz_check(sample)
         assert rep.passed, (n, rep.lhs)
         for shrink in (0.1, 0.9):
             # the default battery's functionals, less derivatives of an order n
@@ -514,9 +555,8 @@ def test_contour_sups_pass_at_few_nodes(name, space16):
                     random_measure(fam.domain, k=8, shrink=shrink, seed=0)]
             phis += [derivative_functional([0.0], (order,), CONTOUR, n=n)
                      for order in (1, 2) if n > 2 * order + 2]
-            for p in (1, 2, INF):
-                for rep in theorems.norm_bound_check(phis, fam, space16, p, n=n):
-                    assert rep.passed, (n, shrink, p, rep.functional, rep.lhs, rep.rhs)
+            for rep in theorems.norm_bound_check(phis, sample, [1, 2, INF]):
+                assert rep.passed, (n, shrink, rep.params, rep.functional, rep.lhs, rep.rhs)
 
 
 def test_contour_sups_need_their_construction_terms(space16):
@@ -524,10 +564,10 @@ def test_contour_sups_need_their_construction_terms(space16):
     # at 0.95 r, while f(0) = 1: schwarz passes only because its sup adds f(a) and
     # the sample values, and norm_bound only because its sup adds the Dirac node
     fam = PolynomialFamily([[1.0], [0.0], [0.0], [0.0], [-1.0]], unit_polydisc(1))
-    ring = theorems.sup_grid(fam.domain, 4, theorems.CONTOUR_SHRINK)
-    np.testing.assert_allclose(np.abs(fam.vector(ring[0], space16)), 1.0 - 0.95 ** 4)
-    assert theorems.schwarz_check(fam, space16, n=4).passed
-    [rep] = theorems.norm_bound_check([dirac([0.0])], fam, space16, p=2, n=4)
+    sample = ContourSample(fam, space16, 4)
+    np.testing.assert_allclose(np.abs(sample.values), 1.0 - 0.95 ** 4)
+    assert theorems.schwarz_check(sample).passed
+    [rep] = theorems.norm_bound_check([dirac([0.0])], sample, [2])
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0) and rep.rhs == pytest.approx(1.0)
 
@@ -543,27 +583,28 @@ class TestZeroWeightRobustness:
         h16 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         h17 = np.concatenate([h16, [5.0 + 5.0j]])
 
-        fub_a = theorems.fubini_residual(phi, geometric, h16, space16, 2, tol=INF)
-        fub_b = theorems.fubini_residual(phi, geometric, h17, grown, 2, tol=INF)
+        sample_a = ContourSample(geometric, space16, 32)
+        sample_b = ContourSample(geometric, grown, 32)
+
+        fub_a = theorems.fubini_residual(phi, sample_a, h16, 2, tol=INF)
+        fub_b = theorems.fubini_residual(phi, sample_b, h17, 2, tol=INF)
         assert abs(fub_a.residual - fub_b.residual) <= 1e-13
 
-        lin_a = theorems.linearization_residual(phi, geometric, space16, [h16])
-        lin_b = theorems.linearization_residual(phi, geometric, grown, [h17])
+        lin_a = theorems.linearization_residual(phi, sample_a, [h16])
+        lin_b = theorems.linearization_residual(phi, sample_b, [h17])
         assert abs(lin_a.residual - lin_b.residual) <= 1e-13
 
-        nb_a = theorems.norm_bound_check([phi], geometric, space16, 2)[0]
-        nb_b = theorems.norm_bound_check([phi], geometric, grown, 2)[0]
+        nb_a = theorems.norm_bound_check([phi], sample_a, [2])[0]
+        nb_b = theorems.norm_bound_check([phi], sample_b, [2])[0]
         assert abs(nb_a.residual - nb_b.residual) <= 1e-13
         assert abs(nb_a.lhs - nb_b.lhs) <= 1e-13
 
-        [dc_a] = theorems.derivative_consistency(geometric, space16, [0.0], [(1,)],
-                                                 CONTOUR, n=32, p=[2])
-        [dc_b] = theorems.derivative_consistency(geometric, grown, [0.0], [(1,)],
-                                                 CONTOUR, n=32, p=[2])
+        [dc_a] = theorems.derivative_consistency(sample_a, [(1,)], p=[2])
+        [dc_b] = theorems.derivative_consistency(sample_b, [(1,)], p=[2])
         assert abs(dc_a.residual - dc_b.residual) <= 1e-13
 
 
-def test_check_report_describe(geometric, space16):
-    rep = theorems.norm_bound_check([dirac([0.2])], geometric, space16, 1)[0]
+def test_check_report_describe(sample64):
+    rep = theorems.norm_bound_check([dirac([0.2])], sample64, [1])[0]
     text = rep.describe()
     assert "norm_bound" in text and ("pass" in text or "FAIL" in text)
