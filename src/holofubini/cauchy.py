@@ -154,11 +154,14 @@ def schwarz_violation(f, center, radius: float, ring, samples: int = 1000,
                       seed: int = 0) -> float:
     """Max over sampled z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
 
-    A univariate (d = 1) check; the sup norm is estimated from below by ``ring``,
-    the values of f on nodes of the circle |z - a| = r such as those of
-    :func:`torus_nodes` (the maximum principle puts the sup on the boundary),
-    together with f(a) and the sample values themselves.  Nonpositive return
-    values certify the bound.
+    A univariate (d = 1) check; ``f`` takes points of shape (m, 1) and returns
+    values of shape (m,) + batch, one column per slice of a batch of slices (the
+    batch shape is () for a single slice).  Each column's sup norm is estimated
+    from below by its column of ``ring``, shape (n,) + batch, the values on nodes
+    of the circle |z - a| = r such as those of :func:`torus_nodes` (the maximum
+    principle puts the sup on the boundary), together with its f(a) and its sample
+    values.  Returns the largest violation over the columns; nonpositive return
+    values certify the bound for every slice.
     """
     center = complex(center)
     radius = float(radius)
@@ -167,10 +170,11 @@ def schwarz_violation(f, center, radius: float, ring, samples: int = 1000,
     disc = Polydisc([center], [radius])
     z = sample_polydisc(disc, samples, 1.0, np.random.default_rng(seed))[:, 0]
 
-    fa = complex(np.ravel(f(np.array([[center]])))[0])
-    fz = np.ravel(f(z[:, None]))
-    sup = max(float(np.max(np.abs(ring))), float(np.max(np.abs(fz))), abs(fa))
-    bound = (2.0 / radius) * sup * np.abs(z - center)
+    fa = np.asarray(f(np.array([[center]])))[0]
+    fz = np.asarray(f(z[:, None]))
+    sup = np.maximum.reduce([np.max(np.abs(ring), axis=0), np.max(np.abs(fz), axis=0),
+                             np.abs(fa)])
+    bound = (2.0 / radius) * sup * np.abs(z - center).reshape((-1,) + (1,) * (fz.ndim - 1))
     return float(np.max(np.abs(fz - fa) - bound))
 
 

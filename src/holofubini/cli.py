@@ -142,6 +142,12 @@ class ConfigError(Exception):
     pass
 
 
+def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
+    """Complex values the budget counts per contour node for ``fam`` on k atoms."""
+    atoms = max(3 * k, (fam.d + 1) * k) if fam.kind == "geometric" else 3 * k
+    return atoms + 5 * fam.d
+
+
 def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid: int) -> None:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
@@ -151,11 +157,14 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     FFT's first full-size transform, or the masked copy and magnitudes of
     norm_bound's p = inf row norms, 640 per node in all for the d = 3 exponential
     battery on 256 atoms at n = 32 under tracemalloc; the points with the transients
-    of the grid and of the domain test, 5d); the order_bound table's max(n, 16)^d x k
-    grid; and, at d = 1, the grid * n * k derivative_profile values.
+    of the grid and of the domain test, 5d), or for the geometric kind
+    max(3k, (d + 1) k) + 5d, since its evaluation holds the (nodes, k, d) argument
+    array beside its k results (1,027 per node at d = 3 on 256 atoms); the
+    order_bound table's max(n, 16)^d x k grid; and, at d = 1, the grid * n * k
+    derivative_profile values.
     """
     k = space.natoms
-    values = max(n ** fam.d * (3 * k + 5 * fam.d),
+    values = max(n ** fam.d * _contour_values_per_node(fam, k),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
                  grid * n * k if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize

@@ -287,10 +287,11 @@ class GeometricFamily(HoloFamily):
         self.rates = rates
 
     def _rate_args(self, z, t):
-        # per-axis beta_j(t) = rate_j * t and arguments beta_j(t) * z_j, shape (..., d)
+        # per-axis beta_j(t) = rate_j * t and arguments beta_j(t) * z_j, shape (..., d);
+        # the analyticity test takes one axis's magnitudes at a time
         beta = self.rates * np.expand_dims(np.asarray(t, dtype=complex), -1)
         args = beta * z
-        if np.any(np.abs(args) >= 1.0 - 1e-12):
+        if any(np.any(np.abs(args[..., j]) >= 1.0 - 1e-12) for j in range(self.d)):
             raise ValueError(
                 f"{self.label!r} leaves its guaranteed analyticity region: "
                 "|rate * t * z| must stay below 1"

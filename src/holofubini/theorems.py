@@ -20,14 +20,19 @@ sup over the contour polydisc lies on its distinguished boundary.
 triangle inequality that grid placement cannot break, and ``schwarz`` adds its
 sample values.  Points a check draws for itself (the span, telescoping,
 order_bound and schwarz samples and the derivative_profile contours) are
-evaluated where they are drawn.  Samples are read-only, so checks may run
-concurrently; reports are merged by canonical ordering.
+evaluated where they are drawn; the d = 1 checks schwarz and derivative_profile
+evaluate theirs for a block of atoms or contours per call, of at most
+``EVAL_BLOCK`` complex values unless one atom or contour takes more, so neither
+pays one call per atom or contour nor holds all of them at once.  Samples are
+read-only, so checks may run concurrently; reports are merged by canonical
+ordering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +59,9 @@ __all__ = [
     "CONTOUR_SHRINK",
 ]
 
+#: Complex values (128 KiB) that schwarz and derivative_profile evaluate per family
+#: call: each call takes as many atoms or contours as fit, and at least one
+EVAL_BLOCK = 8192
 #: identities whose two sides are the same finite sum up to reassociation
 TOL_EXACT = 1e-12
 #: identities with a quadrature side, at 64 nodes and sampling shrink <= 0.5
@@ -286,21 +294,27 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
                        n: int = 64) -> list[OrderProfile]:
     """Per-order sup profiles of |D^n_z f| over a grid, for univariate domains.
 
-    Every order up to ``max_order`` is read from one FFT of one evaluation on a
-    contour of ``contour_radii`` about each grid point, which must stay inside the
-    family domain (:func:`holofubini.cauchy.contour_derivatives`).
+    Every order up to ``max_order`` is read from the values on a contour of
+    ``contour_radii`` about each grid point, which must stay inside the family
+    domain (:func:`holofubini.cauchy.contour_derivatives`).  The contours are
+    evaluated in blocks of at most max(1, EVAL_BLOCK // (n k)) grid points: one
+    evaluation of the block's points, center + the offsets of one origin-centered
+    contour, and one FFT for every order and contour of the block.
     """
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
-    grid = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in region_grid]
-    if not grid:
+    grid = np.array([np.atleast_1d(np.asarray(z, dtype=complex)) for z in region_grid])
+    if not len(grid):
         raise ValueError("region grid must be nonempty")
     orders = [(order,) for order in range(max_order + 1)]
+    offsets = torus_nodes(Polydisc(np.zeros(1), contour_radii), n).grid()
+    block = max(1, EVAL_BLOCK // (n * space.natoms))
     mags = np.empty((max_order + 1, len(grid), space.natoms))
-    for gi, a in enumerate(grid):
-        pts = torus_nodes(Polydisc(a, contour_radii), n).grid()
-        values = fam.eval(pts[:, None, :], space.params)
-        mags[:, gi] = np.abs(contour_derivatives(values, orders, contour_radii, n))
+    for start in range(0, len(grid), block):
+        pts = grid[start:start + block] + offsets[:, None, :]
+        values = fam.eval(pts[:, :, None, :], space.params)
+        mags[:, start:start + block] = np.abs(
+            contour_derivatives(values, orders, contour_radii, n))
     return [
         OrderProfile(order=order, profile=m.max(axis=0),
                      sup_integral=float(np.max(m @ space.weights)))
@@ -361,16 +375,26 @@ def order_bound_check(sample: ContourSample, degree: int | None = None, shrink: 
 def schwarz_check(sample: ContourSample, samples: int = 1000, seed: int = 0) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family, on the
     sample's contour disc; each slice's sup is read from its column of the contour
-    values."""
+    values.  The slices go to :func:`holofubini.cauchy.schwarz_violation` in blocks
+    of max(1, EVAL_BLOCK // (samples + 1)) atoms, so a block's center and its
+    samples are one evaluation each."""
     fam, space = sample.fam, sample.space
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
     center, radius = complex(sample.center[0]), float(sample.radii[0])
+    block = max(1, EVAL_BLOCK // (samples + 1))
     worst = max(
-        schwarz_violation(fam.slice(t), center, radius, ring, samples=samples, seed=seed)
-        for t, ring in zip(space.params, sample.values.T)
+        schwarz_violation(partial(_eval_atoms, fam, space.params[start:start + block]),
+                          center, radius, sample.values[:, start:start + block],
+                          samples=samples, seed=seed)
+        for start in range(0, space.natoms, block)
     )
     return CheckReport.build(
         "schwarz", fam.label, "", worst, 0.0, max(0.0, worst), 1e-12,
         samples=samples, slices=space.natoms,
     )
+
+
+def _eval_atoms(fam, params, z):
+    """F(z) restricted to the atoms ``params`` for points z of shape (m, d): (m, len(params))."""
+    return fam.eval(z[:, None, :], params)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,6 +354,29 @@ class TestWorkBudget:
         args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
+
+    @pytest.mark.parametrize("kind", ["geometric", "exponential"])
+    def test_counted_values_per_node_cover_the_peak(self, kind):
+        # derivative_consistency on a fresh d = 3 sample evaluates it, the run's
+        # largest transient; the geometric kind's (nodes, k, 3) argument array beside
+        # its k results takes about 4k values per node, over the 3k of other kinds
+        doc = {**self.EXPONENTIAL_D4, "domain": {"center": [[0.0, 0.0]] * 3,
+                                                 "radius": [1.0] * 3}}
+        if kind == "geometric":
+            doc.update(kind="geometric", params={"rates": [[0.5, 0.0], [0.4, 0.0],
+                                                           [0.3, 0.0]]})
+        fam, space, n = family.family_from_json(json.dumps(doc)), space_preset("uniform-64"), 16
+        alphas = cli._alpha_battery(3)
+        # a first call's one-time imports and caches are no per-node arrays
+        theorems.derivative_consistency(family.ContourSample(fam, space, 4), alphas)
+        sample = family.ContourSample(fam, space, n)
+        tracemalloc.start()
+        try:
+            theorems.derivative_consistency(sample, alphas, p=[1.0, 2.0, np.inf])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n ** 3 * 16) <= cli._contour_values_per_node(fam, space.natoms)
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         derivative_functional, dirac, family_preset, preset_names,
-                        random_measure, space_preset, unit_polydisc)
+                        random_measure, space_preset, torus_nodes, unit_polydisc)
 from holofubini import cauchy, cli, theorems
 from holofubini.cauchy import derivative_rule
 from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily,
@@ -465,13 +466,16 @@ class TestDerivativeProfile:
             theorems.derivative_profile(fam, space16, 1, [np.zeros(2)], [0.1, 0.1])
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
-        # each contour is one evaluation and one FFT that serves orders 0-4
+        # the contours are evaluated in blocks of B = EVAL_BLOCK // (n k) grid points,
+        # one evaluation and one FFT per block that serves orders 0-4 of its contours;
+        # 33 points at n = 32 on 16 atoms are blocks of 16, 16 and 1
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
 
         def sampling(self, z, t):
-            sampled.append(np.size(z))
-            return evaluate(self, z, t)
+            out = evaluate(self, z, t)
+            sampled.append(np.size(out))
+            return out
 
         def counting(values, *args):
             ffts.append(values.shape)
@@ -479,10 +483,12 @@ class TestDerivativeProfile:
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
-        grid = [np.array([0.3 * np.exp(2j * np.pi * k / 6)]) for k in range(6)]
+        grid = [np.array([0.3 * np.exp(2j * np.pi * k / 33)]) for k in range(33)]
         profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32)
-        assert sampled == [32] * len(grid) and len(ffts) == len(grid)
-        assert ffts == [(32, space16.natoms)] * len(grid)
+        k = space16.natoms
+        assert sampled == [32 * 16 * k, 32 * 16 * k, 32 * k]
+        assert max(sampled) <= theorems.EVAL_BLOCK
+        assert ffts == [(32, 16, k), (32, 16, k), (32, 1, k)]
         # each order's profile matches the one its own single-order rule gives, up to
         # roundoff, which at order 4 on radius 0.1 scales with 4! / 0.1^4 * sup |f|
         for prof in profs:
@@ -537,6 +543,79 @@ class TestSchwarzCheck:
         rep = theorems.schwarz_check(ContourSample(preset_family, space16, 64), samples=300,
                                      seed=0)
         assert rep.passed
+
+
+class TestBlockedEvaluation:
+    """schwarz and derivative_profile evaluate blocks of atoms or contours; their
+    reports equal, bit for bit, those of one evaluation per atom or contour."""
+
+    PROFILE_RADII = [0.05]
+
+    @staticmethod
+    def schwarz_per_slice(sample, samples=1000, seed=0):
+        center, radius = complex(sample.center[0]), float(sample.radii[0])
+        return max(cauchy.schwarz_violation(sample.fam.slice(t), center, radius, ring,
+                                            samples=samples, seed=seed)
+                   for t, ring in zip(sample.space.params, sample.values.T))
+
+    @classmethod
+    def profile_per_contour(cls, fam, space, grid, n):
+        orders = [(order,) for order in range(cli.PROFILE_MAX_ORDER + 1)]
+        mags = np.empty((len(orders), len(grid), space.natoms))
+        for gi, a in enumerate(grid):
+            pts = torus_nodes(Polydisc(a, cls.PROFILE_RADII), n).grid()
+            values = fam.eval(pts[:, None, :], space.params)
+            mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders,
+                                                            cls.PROFILE_RADII, n))
+        return [(m.max(axis=0), float(np.max(m @ space.weights))) for m in mags]
+
+    @staticmethod
+    def profile_grid(fam, points):
+        # the region grid of the CLI's derivative_profile records
+        return list(torus_nodes(fam.domain.shrunk(0.9), points).grid())
+
+    # uniform-13 leaves a partial last block of 5 atoms after one of 8
+    @pytest.mark.parametrize("space", ["uniform-16", "geometric-64", "uniform-13"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_schwarz_equals_the_per_slice_loop(self, name, space):
+        sample = ContourSample(family_preset(name), space_preset(space), 64)
+        assert theorems.schwarz_check(sample).lhs == self.schwarz_per_slice(sample)
+
+    # 33 grid points leave a partial last block: 4 blocks of 8 and one of 1 on 16
+    # atoms, 16 blocks of 2 and one of 1 on 64
+    @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_profile_equals_the_per_contour_loop(self, name, space):
+        fam, space = family_preset(name), space_preset(space)
+        grid = self.profile_grid(fam, 33)
+        profs = theorems.derivative_profile(fam, space, cli.PROFILE_MAX_ORDER, grid,
+                                            self.PROFILE_RADII, n=64)
+        oracle = self.profile_per_contour(fam, space, grid, 64)
+        for prof, (profile, sup_integral) in zip(profs, oracle, strict=True):
+            assert np.array_equal(prof.profile, profile)
+            assert prof.sup_integral == sup_integral
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # the blocks, not the k = 64 atoms or the 32 contours, bound the transient
+        # arrays: at most 8 blocks' worth of complex values, 1 MiB
+        fam, space = family_preset("geometric"), space_preset("geometric-64")
+        sample = ContourSample(fam, space, 64)
+        sample.values
+        grid = self.profile_grid(fam, 32)
+        runs = {
+            "schwarz": lambda: theorems.schwarz_check(sample),
+            "derivative_profile": lambda: theorems.derivative_profile(
+                fam, space, cli.PROFILE_MAX_ORDER, grid, self.PROFILE_RADII, n=64),
+        }
+        for name, run in runs.items():
+            run()  # one-time imports and caches of a first call are no transient arrays
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * theorems.EVAL_BLOCK * 16, (name, peak)
 
 
 @pytest.mark.parametrize("name", preset_names())
