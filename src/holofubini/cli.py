@@ -43,8 +43,8 @@ def _profile_reports(fam, space, grid, n) -> list[CheckReport]:
         CheckReport.build("derivative_profile", fam.label, "", prof.sup_integral,
                           float(prof.profile.max()), 0.0 if prof.finite else math.inf, 0.0,
                           alpha=[prof.order])
-        for prof in theorems.derivative_profile(fam, space, PROFILE_MAX_ORDER, list(points),
-                                                local, n=n)
+        for prof in theorems.derivative_profile(fam, space, PROFILE_MAX_ORDER, points, local,
+                                                n=n)
     ]
 
 
@@ -67,9 +67,8 @@ def _derivative_consistency(config, duals, rng, sample):
 
 
 def _diff_under_integral(config, duals, rng, sample):
-    for alpha in _alpha_battery(config.family.d):
-        yield partial(theorems.diff_under_integral, sample, np.ones(config.space.natoms),
-                      alpha, **_tol(config))
+    yield partial(theorems.diff_under_integral, sample, np.ones(config.space.natoms),
+                  _alpha_battery(config.family.d), **_tol(config))
 
 
 def _norm_bound(config, duals, rng, sample):
@@ -148,25 +147,30 @@ def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
     return atoms + 5 * fam.d
 
 
+def _profile_values(k: int, grid: int) -> int:
+    """Complex values the budget counts for the d = 1 derivative_profile on k atoms: its
+    (PROFILE_MAX_ORDER + 1) x grid x k float magnitudes, the region grid and one block."""
+    return (PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + 8 * theorems.EVAL_BLOCK
+
+
 def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid: int) -> None:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
     Counted in complex values, they are the largest of: the n^d contour grid with
     3k + 5d values per node (the run's contour sample, k, held from its first read
     on; beside it the largest transient, up to 1.5k: the sample's evaluation, the
-    FFT's first full-size transform, or the masked copy and magnitudes of
-    norm_bound's p = inf row norms, 640 per node in all for the d = 3 exponential
-    battery on 256 atoms at n = 32 under tracemalloc; the points with the transients
-    of the grid and of the domain test, 5d), or for the geometric kind
-    max(3k, (d + 1) k) + 5d, since its evaluation holds the (nodes, k, d) argument
-    array beside its k results (1,027 per node at d = 3 on 256 atoms); the
-    order_bound table's max(n, 16)^d x k grid; and, at d = 1, the grid * n * k
-    derivative_profile values.
+    FFT's first full-size transform, or the magnitudes of norm_bound's row norms; at
+    most 640 per node in all for the d = 3 exponential battery on 256 atoms at n = 32
+    under tracemalloc; the points with the transients of the grid and of the domain
+    test, 5d), or for the geometric kind max(3k, (d + 1) k) + 5d, since its
+    evaluation holds the (nodes, k, d) argument array beside its k results (1,027
+    per node at d = 3 on 256 atoms); the order_bound table's max(n, 16)^d x k grid;
+    and, at d = 1, the derivative_profile's :func:`_profile_values`.
     """
     k = space.natoms
     values = max(n ** fam.d * _contour_values_per_node(fam, k),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 grid * n * k if fam.d == 1 else 0)
+                 _profile_values(k, grid) if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(

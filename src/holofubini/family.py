@@ -161,8 +161,9 @@ class ContourSample:
     about the domain center at CONTOUR_SHRINK of the radii unless given.  Every point
     set is evaluated through :meth:`HoloFamily.eval` (so the domain check applies) when
     it is first read, and is read-only from then on; an evaluation that raises is not
-    kept, so each reader meets the error itself.  Two threads sharing a sample can at
-    worst evaluate one point set twice.
+    kept, so each reader meets the error itself.  So are each functional's (k,) slice
+    vector and its (m,) values on each stack of m dual vectors, but never the (nodes, m)
+    pairing behind them.  Two threads sharing a sample can at worst compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, center=None,
@@ -172,7 +173,7 @@ class ContourSample:
                                dtype=complex, ndmin=1)
         self.radii = np.array(fam.domain.radius * CONTOUR_SHRINK if radii is None else radii,
                               dtype=float, ndmin=1)
-        self._node_values = {}
+        self._node_values, self._slices, self._duals = {}, {}, {}
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -195,10 +196,27 @@ class ContourSample:
             self._node_values[phi] = self._evaluate(phi.nodes)
         return self._node_values[phi]
 
+    def slice_vector(self, phi) -> np.ndarray:
+        """``phi.apply_slices(self)``, the (k,) vector (phi(f(., t_i)))_i, computed once."""
+        if phi not in self._slices:
+            self._slices[phi] = _read_only(phi.apply_slices(self))
+        return self._slices[phi]
+
+    def dual_values(self, phi, h) -> np.ndarray:
+        """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once."""
+        h = np.array(h, dtype=complex, ndmin=2)
+        key = (phi, h.shape, h.tobytes())
+        if key not in self._duals:
+            self._duals[key] = _read_only(phi.apply_dual(self, h))
+        return self._duals[key]
+
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        values = self.fam.eval(points[:, None, :], self.space.params)
-        values.setflags(write=False)
-        return values
+        return _read_only(self.fam.eval(points[:, None, :], self.space.params))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 def _tensor_poly_eval(coeffs: np.ndarray, z: np.ndarray, t) -> np.ndarray:

@@ -103,14 +103,15 @@ class MeasureFunctional:
         Dirac measures evaluate f(z0, t_i) directly, derivative measures use
         the family's closed-form D^alpha; generic measures fall back to the
         finite sum, which is already their exact meaning.  Only that finite
-        sum reads ``sample``'s node values.
+        sum reads ``sample``: its slice vector for this functional
+        (:meth:`holofubini.family.ContourSample.slice_vector`).
         """
         fam, space = sample.fam, sample.space
         if self.meaning == "dirac":
             return fam.vector(self.nodes[0], space)
         if self.meaning == "derivative":
             return fam.deriv_vector(self.center, space, self.alpha)
-        return self.apply_slices(sample)
+        return sample.slice_vector(self)
 
     def to_json(self) -> dict:
         return {

@@ -75,17 +75,26 @@ class FiniteMeasureSpace:
 
     def lp_norm(self, g, p: float) -> float | np.ndarray:
         """Weighted p-norm; p = inf is the essential sup (zero-weight atoms ignored)."""
+        rows = self._row_powers(g, p)
+        if not math.isinf(p):
+            # a scalar power per vector, as numpy's vectorized power rounds some roots apart
+            rows = np.reshape([s ** (1.0 / p) for s in np.ravel(rows).tolist()], rows.shape)
+        return float(rows) if rows.ndim == 0 else rows
+
+    def max_lp_norm(self, g, p: float) -> float:
+        """``max(lp_norm(g, p))`` over a stack g from one root, that of the largest row sum."""
+        top = float(np.max(self._row_powers(g, p), initial=0.0))
+        return top if math.isinf(p) else top ** (1.0 / p)
+
+    def _row_powers(self, g, p: float) -> np.ndarray:
+        """sum_i |g_i|^p mu_i per vector; at p = inf, max |g_i| over weighted atoms."""
         g = self._check_vector(g)
         p = float(p)
         if p < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {p}")
         if math.isinf(p):
-            norm = np.max(np.abs(g[..., self.weights > 0]), axis=-1, initial=0.0)
-        else:
-            total = np.sum(np.abs(g) ** p * self.weights, axis=-1)
-            # a scalar power per vector, as numpy's vectorized power rounds some roots apart
-            norm = np.reshape([s ** (1.0 / p) for s in np.ravel(total).tolist()], total.shape)
-        return float(norm) if g.ndim == 1 else norm
+            return np.max(np.abs(g), axis=-1, where=self.weights > 0, initial=0.0)
+        return np.sum(np.abs(g) ** p * self.weights, axis=-1)
 
     def pairing(self, g, h) -> complex | np.ndarray:
         """Bilinear duality sum_i g_i h_i mu_i (no complex conjugation)."""

@@ -18,7 +18,9 @@ over the domain, which they estimate from below: by the maximum principle the
 sup over the contour polydisc lies on its distinguished boundary.
 ``norm_bound`` adds the functional's own nodes, so its bound is a finite
 triangle inequality that grid placement cannot break, and ``schwarz`` adds its
-sample values.  Points a check draws for itself (the span, telescoping,
+sample values.  The sample also keeps each functional's slice vector and its
+values on each stack of dual vectors, which linearization, fubini, norm_bound
+and span share.  Points a check draws for itself (the span, telescoping,
 order_bound and schwarz samples and the derivative_profile contours) are
 evaluated where they are drawn; the d = 1 checks schwarz and derivative_profile
 evaluate theirs for a block of atoms or contours per call, of at most
@@ -117,11 +119,11 @@ def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0,
 
     Verifies the defining identity of the representing vector (phi(f(., t_i)))_i;
     both sides rearrange the same finite sum, so residuals are pure roundoff.
-    ``phi`` is applied to all dual vectors in one product.
+    Both sides are the sample's, the right one for all dual vectors in one product.
     """
     duals = np.array(list(duals), dtype=complex, ndmin=2)
-    lhs, rhs, residual = _worst_dual(sample.space, phi.apply_slices(sample), duals,
-                                     phi.apply_dual(sample, duals))
+    lhs, rhs, residual = _worst_dual(sample.space, sample.slice_vector(phi), duals,
+                                     sample.dual_values(phi, duals))
     return CheckReport.build(
         "linearization", sample.fam.label, phi.label, lhs, rhs, residual, tol,
         p=p, duals=len(duals),
@@ -139,13 +141,14 @@ def fubini_residual(phi, sample: ContourSample, h, p: float,
     quadrature error of the measure realization and decays geometrically in
     its node count; for Dirac and generic measures the two sides coincide
     up to reassociation.  ``h`` may also be a stack of dual vectors of shape
-    (m, k); the report is then the one with the largest residual.
+    (m, k); the report is then the one with the largest residual.  The right side
+    is the sample's, shared with ``linearization`` on the same stack.
     """
     if tol is None:
         tol = TOL_QUADRATURE if phi.meaning == "derivative" else TOL_EXACT
     h = np.array(h, dtype=complex, ndmin=2)
     lhs, rhs, residual = _worst_dual(sample.space, phi.ideal_slices(sample), h,
-                                     phi.apply_dual(sample, h))
+                                     sample.dual_values(phi, h))
     return CheckReport.build(
         "fubini", sample.fam.label, phi.label, lhs, rhs, residual, tol,
         p=p, alpha=list(phi.alpha) if phi.alpha else None,
@@ -182,25 +185,28 @@ def derivative_consistency(sample: ContourSample, alphas,
     return reports
 
 
-def diff_under_integral(sample: ContourSample, h, alpha,
-                        tol: float = TOL_QUADRATURE) -> CheckReport:
+def diff_under_integral(sample: ContourSample, h, alphas,
+                        tol: float = TOL_QUADRATURE) -> list[CheckReport]:
     """D^alpha of z -> <F(z), h> at the sample's center versus pairing the slice derivatives.
 
-    The left side differentiates the composed scalar map on the sample's contour
-    by :func:`holofubini.cauchy.contour_derivatives`; the right side pairs the
-    closed-form per-atom derivatives with h.  The residual is the quadrature
-    error and decays geometrically in n.
+    The left side differentiates the composed scalar map on the sample's contour:
+    every multi-index of ``alphas`` is read from one FFT of its values z -> <F(z), h>
+    by :func:`holofubini.cauchy.contour_derivatives`.  The right side pairs the
+    closed-form per-atom derivatives with h.  The residual is the quadrature error
+    and decays geometrically in n.  Returns one report per alpha, in order.
     """
     fam, space = sample.fam, sample.space
-    alpha = as_multi_index(alpha, fam.d)
+    alphas = [as_multi_index(a, fam.d) for a in alphas]
     hw = np.asarray(h, dtype=complex) * space.weights
-    composed = sample.values @ hw
-    lhs = complex(contour_derivatives(composed, [alpha], sample.radii, sample.n)[0])
-    rhs = complex(fam.deriv_vector(sample.center, space, alpha) @ hw)
-    return CheckReport.build(
-        "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), tol,
-        alpha=list(alpha), n=sample.n,
-    )
+    composed = contour_derivatives(sample.values @ hw, alphas, sample.radii, sample.n)
+    reports = []
+    for a, lhs in zip(alphas, composed.tolist()):
+        rhs = complex(fam.deriv_vector(sample.center, space, a) @ hw)
+        reports.append(CheckReport.build(
+            "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), tol,
+            alpha=list(a), n=sample.n,
+        ))
+    return reports
 
 
 def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
@@ -210,20 +216,21 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     The sup is taken over the sample's contour grid together with the functional's
     own nodes; with the nodes included the bound is a finite triangle inequality,
     while the grid only raises the right side toward the true sup.  Passing means
-    lhs <= rhs * (1 + 1e-9).  The contour's row norms are taken once per p and serve
-    the grid sup and every functional on the contour.  A functional that raises gets
+    lhs <= rhs * (1 + 1e-9).  Each sup is one root, of the largest row sum
+    (:meth:`~holofubini.measure.FiniteMeasureSpace.max_lp_norm`); the grid's is taken
+    once per p for every functional on the contour.  A functional that raises gets
     the failing report of :meth:`CheckReport.failed` and leaves the others' reports.
     """
     space = sample.space
     reports = []
     for p in p_list:
-        grid_sup = float(np.max(space.lp_norm(sample.values, p)))
+        grid_sup = space.max_lp_norm(sample.values, p)
         for phi in phis:
             try:
-                lhs = space.lp_norm(phi.apply_slices(sample), p)
+                lhs = space.lp_norm(sample.slice_vector(phi), p)
                 values = sample.node_values(phi)
                 nodes_sup = (grid_sup if values is sample.values
-                             else float(np.max(space.lp_norm(values, p))))
+                             else space.max_lp_norm(values, p))
             except (ValueError, ArithmeticError) as exc:
                 reports.append(CheckReport.failed("norm_bound", sample.fam.label, exc))
                 continue
@@ -242,34 +249,45 @@ def span_residual(phi, sample: ContourSample, sample_points, tol: float = 1e-8) 
     sample sets fall back to the minimum-norm solution.  The distance is
     nonincreasing under enlarging a nested sample set.
     """
-    sample_points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in sample_points]
-    if not sample_points:
-        raise ValueError("need at least one sample point")
-    fam, space = sample.fam, sample.space
-    vec = phi.apply_slices(sample)
-    sqrt_w = np.sqrt(space.weights)
-    values = fam.eval(np.stack(sample_points)[:, None, :], space.params)
-    columns = np.ascontiguousarray(values.T)
-    a = columns * sqrt_w[:, None]
-    b = vec * sqrt_w
-    coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
-    distance = float(np.linalg.norm(a @ coeff - b))
+    values = _span_values(sample, sample_points)
+    distance = _span_distance(phi, sample, values)
     return CheckReport.build(
-        "span", fam.label, phi.label, distance, 0.0, distance, tol,
-        samples=len(sample_points),
+        "span", sample.fam.label, phi.label, distance, 0.0, distance, tol,
+        samples=len(values),
     )
 
 
 def span_monotonicity(phi, sample: ContourSample, sample_points, more_points,
                       tol: float = 1e-12) -> CheckReport:
-    """Distance with the enlarged nested sample set never exceeds the original."""
-    base = span_residual(phi, sample, sample_points, tol=np.inf)
-    grown = span_residual(phi, sample, list(sample_points) + list(more_points), tol=np.inf)
-    excess = max(0.0, grown.residual - base.residual)
+    """Distance with the enlarged nested sample set never exceeds the original; the
+    two point sets are evaluated together, and the base distance reads the first rows."""
+    base_count = len(sample_points)
+    values = _span_values(sample, list(sample_points) + list(more_points))
+    base = _span_distance(phi, sample, values[:base_count])
+    grown = _span_distance(phi, sample, values)
     return CheckReport.build(
-        "span", sample.fam.label, phi.label, base.residual, grown.residual,
-        excess, tol * (1.0 + base.residual), samples=len(list(sample_points)),
+        "span", sample.fam.label, phi.label, base, grown, max(0.0, grown - base),
+        tol * (1.0 + base), samples=base_count,
     )
+
+
+def _span_values(sample: ContourSample, points) -> np.ndarray:
+    """F at each of ``points``, shape (points, k)."""
+    points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]
+    if not points:
+        raise ValueError("need at least one sample point")
+    return sample.fam.eval(np.stack(points)[:, None, :], sample.space.params)
+
+
+def _span_distance(phi, sample: ContourSample, values: np.ndarray) -> float:
+    """Weighted-L2 distance of phi's slice vector from the span of the rows of ``values``."""
+    if not len(values):
+        raise ValueError("need at least one sample point")
+    sqrt_w = np.sqrt(sample.space.weights)
+    a = np.ascontiguousarray(values.T) * sqrt_w[:, None]
+    b = sample.slice_vector(phi) * sqrt_w
+    coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return float(np.linalg.norm(a @ coeff - b))
 
 
 @dataclass
@@ -303,7 +321,7 @@ def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
     """
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
-    grid = np.array([np.atleast_1d(np.asarray(z, dtype=complex)) for z in region_grid])
+    grid = np.asarray(region_grid, dtype=complex).reshape(len(region_grid), 1)
     if not len(grid):
         raise ValueError("region grid must be nonempty")
     orders = [(order,) for order in range(max_order + 1)]

@@ -205,8 +205,8 @@ def test_criterion_09_derivative_profiles(space16):
         profiles = theorems.derivative_profile(fam, space16, 4, grid, [0.05], n=64)
         assert all(prof.finite for prof in profiles)
         for order in range(5):
-            rep = theorems.diff_under_integral(ContourSample(fam, space16, 64), ones, (order,),
-                                               tol=1e-10)
+            [rep] = theorems.diff_under_integral(ContourSample(fam, space16, 64), ones,
+                                                 [(order,)], tol=1e-10)
             assert rep.passed, rep.describe()
     announce(9, "derivative profiles and C3")
 

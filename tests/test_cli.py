@@ -7,6 +7,7 @@ import pytest
 
 from holofubini import cli, dirac, family, family_preset, space_preset, theorems
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
+from holofubini.functional import MeasureFunctional
 from holofubini.theorems import CheckReport
 
 from conftest import PRESET_NAMES
@@ -195,25 +196,25 @@ class TestSampleOnce:
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
-    #   span, 4 functionals x (8 + 16) sample points:  96 * k
+    #   span, 4 functionals x (8 + 8) sample points, each evaluated once:  64 * k
     #   order_bound's 200 sample points:  200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
     #     derivative_profile: 32 contours of n nodes, shared by orders 0-4
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (64 + 9 + 3 + 96 + 200 + 1001 + 32*64) = 54,736
-    # d = 2, n = 64: k * (4096 + 9 + 3 + 96 + 200 + 400) = 76,864
-    # d = 2, n = 32: k * (1024 + 9 + 3 + 96 + 200 + 400) = 27,712
+    # d = 1, n = 64: k * (64 + 9 + 3 + 64 + 200 + 1001 + 32*64) = 54,224
+    # d = 2, n = 64: k * (4096 + 9 + 3 + 64 + 200 + 400) = 76,352
+    # d = 2, n = 32: k * (1024 + 9 + 3 + 64 + 200 + 400) = 27,200
     # `check derivative_profile` reads no contour value: k * 32 * 64 = 32,768
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 54_736),
-        (2, 64, ["verify"], 76_864),
-        (2, 32, ["verify"], 27_712),
+        (1, 64, ["verify"], 54_224),
+        (2, 64, ["verify"], 76_352),
+        (2, 32, ["verify"], 27_200),
         (1, 64, ["check", "derivative_profile"], 32 * 64 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.02:1"], 2 * 64 * 16),
     ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre"])
@@ -223,6 +224,24 @@ class TestSampleOnce:
                           "--space", "uniform-16", "--nodes", str(n))
         assert code == 0
         assert sum(counted) == expected
+
+    def test_dual_values_are_shared_by_linearization_and_fubini(self, tmp_path, monkeypatch):
+        # d = 2: each of the 2 derivative functionals applies its full-contour
+        # measure to the dual vectors once per p (3 p), for linearization and fubini
+        # both: 6 products where one per check makes 12
+        counted = []
+        apply_dual = MeasureFunctional.apply_dual
+
+        def counting(self, sample, h):
+            if self.meaning == "derivative":
+                counted.append(len(self.nodes))
+            return apply_dual(self, sample, h)
+
+        monkeypatch.setattr(MeasureFunctional, "apply_dual", counting)
+        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, 2), "--space",
+                          "uniform-16", "--nodes", "32")
+        assert code == 0
+        assert counted == [32 ** 2] * 6
 
     def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
         # once the contour sample holds its values, the checks evaluate only their
@@ -330,25 +349,32 @@ class TestWorkBudget:
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
 
+    # derivative_profile holds its 5 x grid x k float magnitudes (half as many
+    # complex values), the grid and one block of its contours, counted as
+    # 8 x EVAL_BLOCK complex values
+    PROFILE_BLOCK = 8 * theorems.EVAL_BLOCK
+
     def test_lowered_budget(self, monkeypatch):
-        # geometric d = 1 on 16 atoms at 4 nodes and --grid 4: the 4 x 4 profile
-        # contour nodes take 4 x 4 x 16 x 16 B, as much as the order_bound table on
-        # its 16 nodes, more than the 4 x (3 x 16 + 5) values the budget counts on
-        # the contour grid.  The budget counts the profile
-        # contours whatever the checks; at 4 nodes derivative_profile itself is
-        # refused, so the run leaves it out.
+        # geometric d = 1 on 16 atoms at 4 nodes and --grid 4: the profile's
+        # 5 x 4 x 16 / 2 + 4 values and its block take more than the 16 x 16 of the
+        # order_bound table on its 16 nodes or the 4 x (3 x 16 + 5) values the budget
+        # counts on the contour grid.  The budget counts the profile whatever the
+        # checks; at 4 nodes derivative_profile itself is refused, so the run leaves
+        # it out.
         fam = family_preset("geometric")
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16)
+        need = (5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 4, grid=4, checks=few)
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 4 * 4 * 16 * 16 - 1)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
         with pytest.raises(cli.ConfigError, match="work budget"):
             self.config(fam, "uniform-16", 4, grid=4, checks=few)
-        # at 64 nodes and --grid 32 the 32 profile contours of 64 nodes take
-        # 32 x 64 x 16 x 16 B
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 32 * 64 * 16 * 16)
+        # at 64 nodes and --grid 32 the profile counts 5 x 32 x 16 / 2 + 32 values
+        # beside its block
+        need = (5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 64)
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", 32 * 64 * 16 * 16 - 1)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
         with pytest.raises(cli.ConfigError, match="work budget"):
             self.config(fam, "uniform-16", 64)
         args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
@@ -378,16 +404,31 @@ class TestWorkBudget:
             tracemalloc.stop()
         assert peak / (n ** 3 * 16) <= cli._contour_values_per_node(fam, space.natoms)
 
+    def test_counted_profile_values_cover_the_peak(self):
+        # the d = 1 derivative_profile at --grid 4096 on 16 atoms, with the region
+        # grid that _profile_reports builds
+        fam, space = family_preset("geometric"), space_preset("uniform-16")
+        # a first call's one-time imports and caches are no profile arrays
+        cli._profile_reports(fam, space, 4, 64)
+        tracemalloc.start()
+        try:
+            cli._profile_reports(fam, space, 4096, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._profile_values(space.natoms, 4096) * 16
+
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
         # d = 4 on uniform-16 at 32 nodes needs 32^4 x (3 x 16 + 5 x 4) x 16 B = 1.06 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 
-    @pytest.mark.parametrize("d, grid", [(1, "2000000")], ids=["d1-grid2000000"])
+    @pytest.mark.parametrize("d, grid", [(1, "8000000")], ids=["d1-grid8000000"])
     def test_grid_is_counted(self, tmp_path, monkeypatch, capsys, d, grid):
-        # --grid sets only the d = 1 derivative_profile region grid, whose contours
-        # hold 2,000,000 x 64 x 16 x 16 B = 30.5 GiB
+        # --grid sets only the d = 1 derivative_profile region grid, whose magnitudes,
+        # grid and block take (5 x 8,000,000 x 16 / 2 + 8,000,000 + 8 x 8192) x 16 B
+        # = 4.89 GiB
         counted = []
 
         def counting(evaluate):

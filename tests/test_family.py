@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from holofubini import (Polydisc, derivative_functional, dirac, family_from_json,
-                        family_preset, space_preset, torus_nodes, unit_polydisc)
+                        family_preset, random_measure, space_preset, torus_nodes,
+                        unit_polydisc)
 from holofubini.family import (ConstantFamily, ContourSample, GeometricFamily,
                                PolynomialFamily, SeparableFamily, TabulatedTaylorFamily)
 from holofubini.functional import MeasureFunctional
@@ -133,6 +134,28 @@ class TestSampler:
         off = derivative_functional([0.0], (1,), [0.95], n=16)
         assert sample.node_values(off) is sample.node_values(off)
         assert evaluated == [1, 8, 16]
+
+    def test_functional_products_are_computed_once(self, space16):
+        # each functional's slice vector and dual values on a stack are kept read-only,
+        # bit for bit what a fresh apply_slices and apply_dual give on a new sample
+        fam = family_preset("geometric")
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((10, 16)) + 1j * rng.standard_normal((10, 16))
+        for phi in (dirac([0.3]), derivative_functional([0.0], (1,), [0.95], n=8),
+                    random_measure(fam.domain, k=4, seed=3)):
+            sample = ContourSample(fam, space16, 8)
+            slices, duals = sample.slice_vector(phi), sample.dual_values(phi, h)
+            assert sample.slice_vector(phi) is slices
+            assert sample.dual_values(phi, h) is duals
+            assert sample.dual_values(phi, list(h)) is duals
+            assert not slices.flags.writeable and not duals.flags.writeable
+            assert (slices.view(float) == phi.apply_slices(
+                ContourSample(fam, space16, 8)).view(float)).all()
+            assert (duals.view(float) == phi.apply_dual(
+                ContourSample(fam, space16, 8), h).view(float)).all()
+            # another stack is another entry
+            assert (sample.dual_values(phi, h[:3]).view(float) == phi.apply_dual(
+                ContourSample(fam, space16, 8), h[:3]).view(float)).all()
 
     def test_outside_domain_rejected(self, space16):
         # a failed evaluation is not kept: every read raises

@@ -83,6 +83,20 @@ class TestStacks:
         assert norms.tolist() == [space.lp_norm(row, p) for row in g]
 
     @pytest.mark.parametrize("name", SPACES)
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3.5, INF])
+    def test_max_lp_norm_is_the_largest_row_norm(self, name, p):
+        # one root of the largest row sum equals the largest root, also among rows
+        # that tie or differ in their last bits
+        space = self.SPACES[name]
+        for seed in range(40):
+            g = self.stack(6, seed)
+            scales = 1.0 + np.arange(6) * np.finfo(float).eps
+            near = g[seed % 6] * scales[:, None]
+            g = np.concatenate([g, near, near[::-1]])
+            assert space.max_lp_norm(g, p) == np.max(space.lp_norm(g, p))
+            assert space.max_lp_norm(g[3], p) == space.lp_norm(g[3], p)
+
+    @pytest.mark.parametrize("name", SPACES)
     def test_pairing_row_by_row(self, name):
         space, g, h = self.SPACES[name], self.stack(7), self.stack(7, seed=1)
         assert space.pairing(g, h).tolist() == [space.pairing(a, b) for a, b in zip(g, h)]

@@ -301,14 +301,14 @@ class TestDerivativeConsistency:
 
 class TestDiffUnderIntegral:
     def test_zero_dual(self, geometric, space16):
-        rep = theorems.diff_under_integral(ContourSample(geometric, space16, 32), np.zeros(16),
-                                           (1,))
+        [rep] = theorems.diff_under_integral(ContourSample(geometric, space16, 32),
+                                             np.zeros(16), [(1,)])
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.residual == 0.0
 
     def test_polynomial_exact(self, space16):
         h = random_duals(space16, 1, seed=9)[0]
         sample = ContourSample(family_preset("polynomial"), space16, 32)
-        rep = theorems.diff_under_integral(sample, h, (2,))
+        [rep] = theorems.diff_under_integral(sample, h, [(2,)])
         assert rep.residual <= 1e-12
 
     def test_exponential_closed_form_oracle(self, space16):
@@ -320,11 +320,44 @@ class TestDiffUnderIntegral:
             oracle = complex(np.sum(
                 space16.params ** alpha * np.exp(a * space16.params) * h * space16.weights
             ))
-            rep = theorems.diff_under_integral(ContourSample(fam, space16, 64, [a], [0.7]), h,
-                                               (alpha,))
+            [rep] = theorems.diff_under_integral(ContourSample(fam, space16, 64, [a], [0.7]),
+                                                 h, [(alpha,)])
             assert rep.rhs == pytest.approx(oracle, rel=1e-13)
             assert rep.lhs == pytest.approx(oracle, rel=1e-11)
             assert rep.residual <= 1e-10
+
+
+    @staticmethod
+    def per_alpha(sample, h, alpha):
+        """The check for one alpha, with its own pairing product and FFT."""
+        fam, space = sample.fam, sample.space
+        hw = np.asarray(h, dtype=complex) * space.weights
+        lhs = complex(cauchy.contour_derivatives(sample.values @ hw, [alpha], sample.radii,
+                                                 sample.n)[0])
+        rhs = complex(fam.deriv_vector(sample.center, space, alpha) @ hw)
+        return theorems.CheckReport.build(
+            "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs),
+            theorems.TOL_QUADRATURE, alpha=list(alpha), n=sample.n,
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_alphas_match_one_call_each(self, space16, monkeypatch, d):
+        # every alpha of the battery from one FFT, equal to the per-alpha check
+        fam = GeometricFamily([0.5, 0.4, 0.3][:d], Polydisc([0.0] * d, [1.0] * d))
+        h = random_duals(space16, 1, seed=11)[0]
+        alphas = cli._alpha_battery(d)
+        single = [self.per_alpha(ContourSample(fam, space16, 16), h, a) for a in alphas]
+        ffts = []
+        fft = cauchy._fft_coefficients
+
+        def counting(values, *args):
+            ffts.append(values.shape)
+            return fft(values, *args)
+
+        monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
+        batched = theorems.diff_under_integral(ContourSample(fam, space16, 16), h, alphas)
+        assert ffts == [(16 ** d,)]
+        assert [vars(r) for r in batched] == [vars(r) for r in single]
 
 
 class TestNormBound:
@@ -370,23 +403,29 @@ class TestNormBound:
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
     def test_functional_list_matches_one_call_each(self, geometric, space16, monkeypatch, p):
-        # the derivative functional's 64 nodes are the contour grid, so one row norm
-        # per p of the n^d contour rows serves the grid sup and that functional's sup
+        # the derivative functional's 64 nodes are the contour grid, so one max_lp_norm
+        # per p of the n^d contour rows serves the grid sup and that functional's sup,
+        # and no lp_norm call takes the contour rows
         phis = [dirac([0.9]), derivative_functional([0.0], (1,), CONTOUR, n=64),
                 random_measure(geometric.domain, k=8, shrink=0.5, seed=2)]
         alone = [theorems.norm_bound_check([phi], ContourSample(geometric, space16, 64), [p])[0]
                  for phi in phis]
-        grid_rows = []
-        lp_norm = FiniteMeasureSpace.lp_norm
+        grid_rows = {"lp_norm": [], "max_lp_norm": []}
 
-        def counting(self, v, q):
-            grid_rows.append(np.shape(v)[0] == 64 ** geometric.d and np.ndim(v) == 2)
-            return lp_norm(self, v, q)
+        def counting(name):
+            method = getattr(FiniteMeasureSpace, name)
 
-        monkeypatch.setattr(FiniteMeasureSpace, "lp_norm", counting)
+            def wrapper(self, v, q):
+                grid_rows[name].append(np.shape(v)[0] == 64 ** geometric.d and np.ndim(v) == 2)
+                return method(self, v, q)
+            return wrapper
+
+        for name in grid_rows:
+            monkeypatch.setattr(FiniteMeasureSpace, name, counting(name))
         batch = theorems.norm_bound_check(phis, ContourSample(geometric, space16, 64), [p, 1])
         assert [vars(r) for r in batch[:3]] == [vars(r) for r in alone]
-        assert sum(grid_rows) == 2
+        assert sum(grid_rows["max_lp_norm"]) == 2
+        assert sum(grid_rows["lp_norm"]) == 0
 
 
 class TestSpan:
@@ -415,6 +454,27 @@ class TestSpan:
         rep = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
                                          [[0.1], [0.3]], [[-0.2], [0.25j]])
         assert rep.passed
+
+    def test_monotonicity_evaluates_each_point_once(self, geometric, space16, monkeypatch):
+        # the base distance reads the first rows of one evaluation of both point sets;
+        # the report equals the one built from two span_residual calls
+        phi, base, more = dirac([0.2]), [[0.1], [0.3], [-0.1j]], [[-0.2], [0.25j]]
+        sample = ContourSample(geometric, space16, 64)
+        small = theorems.span_residual(phi, sample, base, tol=INF)
+        grown = theorems.span_residual(phi, sample, base + more, tol=INF)
+        evaluated = []
+        evaluate = GeometricFamily._evaluate
+
+        def counting(self, z, t):
+            evaluated.append(z.shape[0])
+            return evaluate(self, z, t)
+
+        monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
+        rep = theorems.span_monotonicity(phi, sample, base, more)
+        assert evaluated == [5]
+        assert (rep.lhs, rep.rhs, rep.params) == (small.residual, grown.residual,
+                                                  {"samples": 3})
+        assert rep.residual == max(0.0, grown.residual - small.residual)
 
     def test_needs_a_sample(self, geometric, space16):
         with pytest.raises(ValueError):
