@@ -1,8 +1,8 @@
 """Numerical verification of Cauchy-quadrature calculus and Fubini-type
 interchange identities for holomorphic families over discretized Lp spaces."""
 
-from .cauchy import (OrderBound, TailEstimateError, cauchy_derivative, cauchy_eval,
-                     order_bound, schwarz_violation, taylor_coefficients)
+from .cauchy import (OrderBound, cauchy_derivative, cauchy_eval, order_bound,
+                     schwarz_violation, taylor_coefficients)
 from .domain import Polydisc, TorusQuadrature, torus_nodes
 from .family import (ContourSample, HoloFamily, family_from_json, family_preset,
                      preset_names, unit_polydisc)
@@ -24,7 +24,6 @@ __all__ = [
     "MeasureFunctional",
     "OrderBound",
     "Polydisc",
-    "TailEstimateError",
     "TorusQuadrature",
     "cauchy_derivative",
     "cauchy_eval",

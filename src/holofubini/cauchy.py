@@ -13,7 +13,6 @@ reductions, so results are reproducible bit-for-bit for a fixed input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -31,13 +30,13 @@ __all__ = [
     "schwarz_violation",
     "OrderBound",
     "order_bound",
-    "TailEstimateError",
 ]
 
 MAX_TAYLOR_DEGREE = 128
-#: Least default order_bound degree (16 contour nodes).  With degree n // 2 - 1
-#: the presets give false violations at --nodes 4 to 11 (degree <= 4): the tail
-#: fit window holds one degree, and aliasing of the coarse rule can push u below |f|.
+#: Least default order_bound degree (16 contour nodes).  With degree n // 2 - 1 the
+#: geometric preset on uniform-16 fails at shrink 0.1 for n = 5, 7, 9 and 11 (at n = 5
+#: the excess is 0.027 against a tail of 0.021): the coarse odd-n tables alias with
+#: the negative atoms and push u below |f|.
 MIN_ORDER_BOUND_DEGREE = 7
 
 
@@ -178,59 +177,18 @@ def schwarz_violation(f, center, radius: float, ring, samples: int = 1000,
     return float(np.max(np.abs(fz - fa) - bound))
 
 
-class TailEstimateError(ArithmeticError):
-    """Raised when coefficient decay inside the table is not geometric."""
-
-
 @dataclass(frozen=True, eq=False)
 class OrderBound:
-    """Componentwise majorant: |f(z, t_i)| <= u_i + tail on the rho-polydisc.
+    """Componentwise majorant: |f(z, t_i)| <= u_i + tail on the shrink-polydisc.
 
-    ``tail`` comes from a geometric fit |c_m| <= C q^|m| on the last third of
-    the computed coefficient degrees; it is an implementation choice, not a
-    rigorous remainder, and is flagged as such wherever reported.
+    ``tail`` sums Cauchy's estimate |c_m| r^m <= M over the degrees outside the table,
+    with M the table's grid sup: a lower estimate of the true sup, so not rigorous.
     """
 
     u: np.ndarray
     tail: float
-    fit_rate: float
-    fit_scale: float
     degree: int
     shrink: float
-
-    tail_method = "geometric-fit"
-
-
-def _tail_from_degrees(shell: np.ndarray, degree: int, shrink: float, d: int) -> tuple[float, float, float]:
-    # shell[s] = sum of radius-scaled coefficient magnitudes of total degree s <= degree
-    start = int(math.ceil(2 * (degree + 1) / 3))
-    window = np.arange(start, degree + 1)
-    if window.size == 0:
-        return 0.0, 0.0, 0.0
-    floor = max(1e-14 * float(shell.max(initial=0.0)), 1e-250)
-    if np.count_nonzero(shell[window] > floor) == 1:
-        # fast decay leaves one degree above the floor; the degree before the
-        # window supplies the second point of the rate
-        window = np.arange(start - 1, degree + 1)
-    values = shell[window]
-    keep = values > floor
-    if not keep.any():
-        return 0.0, 0.0, 0.0
-    s = window[keep].astype(float)
-    logs = np.log(values[keep])
-    if s.size == 1:
-        raise TailEstimateError(
-            "cannot certify geometric coefficient decay from a single nonzero degree"
-        )
-    slope, intercept = np.polyfit(s, logs, 1)
-    q = float(np.exp(slope))
-    scale = float(np.exp(intercept))
-    if q >= 1.0 or q * shrink >= 1.0:
-        raise TailEstimateError(
-            f"coefficient decay slower than geometric within the table (fit rate {q:.6g})"
-        )
-    tail = scale * (q * shrink) ** (degree + 1) / (1.0 - q * shrink) ** d
-    return tail, q, scale
 
 
 def order_bound(sample: ContourSample, degree: int | None = None,
@@ -241,13 +199,12 @@ def order_bound(sample: ContourSample, degree: int | None = None,
     contour values, r being its radii.  The default degree is n // 2 - 1, capped at
     ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that
     degree, read from a contour sample of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2
-    nodes.  A given degree needs n > 2 * degree.
-    The tail is the maximum over atoms of the per-atom geometric-fit
-    estimate; it raises :class:`TailEstimateError` instead of guessing when
-    the computed coefficients do not decay geometrically.
+    nodes.  A given degree D needs n > 2 * D.  The tail, M [(1 - s)^-d - ((1 - s^(D+1))
+    / (1 - s))^d] with s the shrink and M the sample's ``sup``, sums M s^|m| over the
+    degrees m outside the table; at s >= 1 the sum diverges.
     """
-    if not 0.0 < shrink <= 1.0:
-        raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
+    if not 0.0 < shrink < 1.0:
+        raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
     if degree is None:
         if sample.n < 2 * MIN_ORDER_BOUND_DEGREE + 2:
             sample = ContourSample(sample.fam, sample.space, 2 * MIN_ORDER_BOUND_DEGREE + 2,
@@ -256,22 +213,10 @@ def order_bound(sample: ContourSample, degree: int | None = None,
     degree = _taylor_degree(degree, sample.n)
     radii, d = sample.radii, sample.fam.d
     coeffs = _fft_coefficients(sample.values, d, sample.n, radii, degree)
-
-    # radius-scaled magnitudes: gamma_m = |c_m| * prod_j r_j^{m_j}
-    rad_scale = reduce(np.multiply.outer, [radii[j] ** np.arange(degree + 1) for j in range(d)])
-    gamma = np.abs(coeffs) * rad_scale[..., None]
-    rho_scale = reduce(np.multiply.outer,
-                       [shrink ** np.arange(degree + 1) for _ in range(d)])
-    u = np.sum(gamma * rho_scale[..., None], axis=tuple(range(d)))
-
-    total_degree = sum(np.meshgrid(*[np.arange(degree + 1)] * d, indexing="ij")).ravel()
-    tail = 0.0
-    rate = 0.0
-    scale = 0.0
-    for g in gamma.reshape(-1, sample.space.natoms).T:
-        shell = np.bincount(total_degree, weights=g)[:degree + 1]
-        t_i, q_i, c_i = _tail_from_degrees(shell, degree, shrink, d)
-        if t_i > tail:
-            tail, rate, scale = t_i, q_i, c_i
-    return OrderBound(u=u, tail=tail, fit_rate=rate, fit_scale=scale,
-                      degree=degree, shrink=shrink)
+    # |c_m| * prod_j (r_j shrink)^{m_j}
+    rad_scale = reduce(np.multiply.outer, [r ** np.arange(degree + 1) for r in radii])
+    rho_scale = reduce(np.multiply.outer, [shrink ** np.arange(degree + 1)] * d)
+    u = np.sum(np.abs(coeffs) * rad_scale[..., None] * rho_scale[..., None], axis=tuple(range(d)))
+    # the bracket as (1 - s)^-d (1 - (1 - s^(D+1))^d), free of cancellation and sign error
+    tail = sample.sup * -np.expm1(d * np.log1p(-shrink ** (degree + 1))) / (1.0 - shrink) ** d
+    return OrderBound(u=u, tail=float(tail), degree=degree, shrink=shrink)

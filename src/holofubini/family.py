@@ -180,6 +180,11 @@ class ContourSample:
         """F on the contour grid, shape (n^d, k)."""
         return self._evaluate(torus_nodes(Polydisc(self.center, self.radii), self.n).grid())
 
+    @cached_property
+    def sup(self) -> float:
+        """max |F| on the contour grid, a lower estimate of its sup on the polydisc."""
+        return float(np.max(np.abs(self.values)))
+
     def node_values(self, phi) -> np.ndarray:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).
 

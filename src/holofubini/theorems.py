@@ -345,17 +345,17 @@ def telescoping_residual(sample: ContourSample, n_pairs: int = 200,
     """Multivariate increment bound via one Schwarz step per variable.
 
     For sampled pairs z, a in the sample_shrink polydisc, checks
-    ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B
-    is max |F| on the sample's contour grid, a run's n-node grid at CONTOUR_SHRINK
-    of the radii and so a lower estimate of the sup on its polydisc, and r_j is the
-    margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
+    ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B is
+    the sample's ``sup``: max |F| on its contour grid, a run's n-node grid at
+    CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its polydisc.
+    r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
     """
     if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
     fam, space = sample.fam, sample.space
     rng = np.random.default_rng(seed)
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
-    bound = float(np.max(np.abs(sample.values)))
+    bound = sample.sup
     z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
     fz = fam.eval(z[:, None, :], space.params)
@@ -375,7 +375,8 @@ def order_bound_check(sample: ContourSample, degree: int | None = None, shrink: 
 
     The degree and the contour values follow :func:`holofubini.cauchy.order_bound`;
     sample points fill the closed shrink-polydisc of the contour.  The reported
-    tail always comes from the geometric fit.
+    tail is Cauchy's estimate from the contour's grid sup; it is not rigorous while
+    that sup lies below the true one.
     """
     fam = sample.fam
     ob = order_bound(sample, degree=degree, shrink=shrink)
@@ -386,7 +387,7 @@ def order_bound_check(sample: ContourSample, degree: int | None = None, shrink: 
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
         "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
-        tol, degree=ob.degree, shrink=shrink, tail_method=ob.tail_method,
+        tol, degree=ob.degree, shrink=shrink,
     )
 
 

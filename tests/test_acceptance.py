@@ -193,7 +193,6 @@ def test_criterion_08_order_bound(space16):
         rep = theorems.order_bound_check(ContourSample(fam, space16, 82), degree=40,
                                          shrink=0.5, n_samples=200, seed=8)
         assert rep.passed, rep.describe()
-        assert rep.params["tail_method"] == "geometric-fit"
     announce(8, "order bound domination")
 
 

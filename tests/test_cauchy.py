@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holofubini import (FiniteMeasureSpace, Polydisc, TailEstimateError, cauchy_derivative,
-                        cauchy_eval, family_from_json, family_preset, order_bound,
-                        order_bound_check, preset_names, schwarz_violation, space_preset,
-                        taylor_coefficients, torus_nodes, unit_polydisc)
+from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative, cauchy_eval,
+                        family_from_json, family_preset, order_bound, order_bound_check,
+                        preset_names, schwarz_violation, space_preset, taylor_coefficients,
+                        torus_nodes, unit_polydisc)
 from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, derivative_rule
-from holofubini.family import ContourSample, PolynomialFamily, TabulatedTaylorFamily
+from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
+                               TabulatedTaylorFamily)
 
 from conftest import fd_derivative
 
@@ -237,24 +238,74 @@ class TestSchwarz:
             schwarz_violation(lambda w: w[..., 0], 0.0, -1.0, np.ones(4))
 
 
+class ConjugatePerturbedGeometric(GeometricFamily):
+    """The geometric preset plus eps * conj(z_1) * t, which is not holomorphic in z."""
+
+    def __init__(self, eps):
+        base = family_preset("geometric")
+        super().__init__(base.rates, base.domain, f"geometric+{eps:g}conj")
+        self.eps = eps
+
+    def _evaluate(self, z, t):
+        return super()._evaluate(z, t) + self.eps * np.conj(z[..., 0]) * t
+
+
+def tail_bracket_brute_force(shrink, degree, d, cut=80):
+    """sum of shrink^|m| over the multi-indices m outside the table cube, each m_j < cut."""
+    m = np.indices((cut,) * d).reshape(d, -1)
+    outside = m.max(axis=0) > degree
+    return float(np.sum(shrink ** m.sum(axis=0)[outside]))
+
+
 class TestOrderBound:
     def test_affine_family_exact(self):
-        # F(z) = v0 + v1 z with contour radius 1 and shrink 1: u = |v0| + |v1|
+        # F(z) = v0 + v1 z with contour radius 1 and shrink 0.5: u = |v0| + 0.5 |v1|;
+        # the tail at degree 8 is M [2 - 2 (1 - 2^-9)] = M 2^-8
         coeffs = np.zeros((2, 2), dtype=complex)
         coeffs[0, 0] = 1.5 - 0.5j   # v0 independent of t
         coeffs[1, 1] = -2.0j        # v1 = -2i t
         fam = PolynomialFamily(coeffs, Polydisc([0.0], [2.0]))
         space = FiniteMeasureSpace([1.0, -0.5], [0.5, 0.5])
-        ob = order_bound(table_sample(fam, space, 8, [0.0], [1.0]), degree=8, shrink=1.0)
-        expected = [abs(1.5 - 0.5j) + 2.0, abs(1.5 - 0.5j) + 1.0]
+        sample = table_sample(fam, space, 8, [0.0], [1.0])
+        ob = order_bound(sample, degree=8, shrink=0.5)
+        expected = [abs(1.5 - 0.5j) + 1.0, abs(1.5 - 0.5j) + 0.5]
         np.testing.assert_allclose(ob.u, expected, atol=1e-12)
-        assert ob.tail == 0.0
+        assert ob.tail == pytest.approx(sample.sup * 2.0 ** -8, rel=1e-12)
 
     def test_constant_family(self, space16):
         fam = family_preset("constant")
         ob = order_bound(table_sample(fam, space16, 10), degree=10, shrink=0.5)
         np.testing.assert_allclose(ob.u, abs(2 + 1j), atol=1e-12)
-        assert ob.tail == 0.0
+        assert ob.tail == pytest.approx(abs(2 + 1j) * 2.0 ** -10, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tail_bracket_matches_brute_force(self, d):
+        # a constant family has M = |2 + i| on every grid, so tail / M is the bracket
+        fam = family_from_json({"kind": "constant", "params": {"value": [2, 1]},
+                                "domain": {"center": [[0, 0]] * d, "radius": [1] * d}})
+        space = FiniteMeasureSpace([0.0], [1.0])
+        for degree in (1, 3):
+            sample = table_sample(fam, space, degree)
+            assert sample.sup == abs(2 + 1j)
+            for shrink in (0.1, 0.5):
+                tail = order_bound(sample, degree=degree, shrink=shrink).tail
+                assert tail / sample.sup == pytest.approx(
+                    tail_bracket_brute_force(shrink, degree, d), rel=1e-9), (degree, shrink)
+
+    @pytest.mark.parametrize("shrink", [0.0, 1.0])
+    def test_shrink_outside_open_unit_interval_refused(self, shrink, space16):
+        # the tail's sum of shrink^|m| diverges at shrink >= 1
+        with pytest.raises(ValueError, match="shrink"):
+            order_bound(table_sample(family_preset("constant"), space16, 4), degree=4,
+                        shrink=shrink)
+
+    def test_floor_sample_uses_its_own_sup(self, space16):
+        # at 4 nodes the table comes from a 16-node contour sample, and so does M
+        fam = family_preset("geometric")
+        ob = order_bound(ContourSample(fam, space16, 4), shrink=0.5)
+        floor_sup = ContourSample(fam, space16, 2 * MIN_ORDER_BOUND_DEGREE + 2).sup
+        assert ob.degree == MIN_ORDER_BOUND_DEGREE
+        assert ob.tail == pytest.approx(floor_sup * 2.0 ** -MIN_ORDER_BOUND_DEGREE, rel=1e-12)
 
     def test_geometric_dominates_samples(self, space16):
         fam = family_preset("geometric")
@@ -269,20 +320,26 @@ class TestOrderBound:
         ob = order_bound(table_sample(family_preset("geometric"), space16, 40), degree=40,
                          shrink=0.5)
         assert 0.0 < ob.tail < 1e-10
-        assert 0.0 < ob.fit_rate < 1.0
-        assert ob.tail_method == "geometric-fit"
 
     def test_divergent_coefficients_reported(self):
-        # stored coefficients grow like 2^k: no geometric decay inside the table
+        # stored coefficients grow like 2^k inside the table: Cauchy's estimate
+        # still gives a finite tail, M 2^-12 at degree 12, and u + tail dominates
         coeffs = (2.0 ** np.arange(13))[:, None].astype(complex)
         fam = TabulatedTaylorFamily(coeffs, Polydisc([0.0], [1.0]))
         space = FiniteMeasureSpace([1.0], [1.0])
-        with pytest.raises(TailEstimateError):
-            order_bound(table_sample(fam, space, 12), degree=12, shrink=0.5)
+        sample = table_sample(fam, space, 12)
+        ob = order_bound(sample, degree=12, shrink=0.5)
+        assert math.isfinite(ob.tail)
+        assert ob.tail == pytest.approx(sample.sup * 2.0 ** -12, rel=1e-12)
+        rng = np.random.default_rng(5)
+        radius = 0.95 * 0.5
+        z = radius * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+        values = np.abs(fam.eval(z[:, None, None], space.params))
+        assert np.all(values <= ob.u[None, :] + ob.tail + 1e-12)
 
     def test_fast_decay_is_not_a_violation(self):
-        # small |t| leaves one shell of the fit window above the floor; the rate
-        # must still be fitted and the domination check must pass
+        # on spaces of few atoms the coefficients of small |t| fall to the noise floor
+        # within the table; the domination check must still pass
         fam = family_preset("geometric")
         for k in range(1, 301):
             rep = order_bound_check(ContourSample(fam, space_preset(f"uniform-{k}"), 64))
@@ -310,15 +367,24 @@ class TestOrderBound:
                                 "domain": {"center": [[0, 0], [0, 0]], "radius": [1, 1]}})
         ob = order_bound(table_sample(fam, space_preset("uniform-256"), 40), degree=40,
                          shrink=0.5)
-        assert 0.0 < ob.fit_rate < 1.0 and math.isfinite(ob.tail)
+        assert 0.0 < ob.tail and math.isfinite(ob.tail)
 
     def test_exponential_noise_floor_handled(self, space16):
-        # far tail of e^{tz} sits below quadrature noise: fit must not see it
-        ob = order_bound(table_sample(family_preset("exponential"), space16, 40), degree=40,
-                         shrink=0.5)
-        assert ob.tail < 1e-12
+        # far tail of e^{tz} sits below quadrature noise; the tail at degree 40 is M 2^-40
+        sample = table_sample(family_preset("exponential"), space16, 40)
+        ob = order_bound(sample, degree=40, shrink=0.5)
+        assert ob.tail == pytest.approx(sample.sup * 2.0 ** -40, rel=1e-12)
         rng = np.random.default_rng(3)
         radius = 0.95 * 0.5
         z = radius * np.sqrt(rng.random(100)) * np.exp(2j * np.pi * rng.random(100))
         values = np.abs(family_preset("exponential").eval(z[:, None, None], space16.params))
         assert np.all(values <= ob.u[None, :] + ob.tail + 1e-12)
+
+    @pytest.mark.parametrize("n, passes, fails", [(64, (0.0, 1e-4), 1e-3), (32, (1e-3,), 1e-2)])
+    def test_conjugate_perturbation_detected(self, space16, n, passes, fails):
+        # the tail grows with the table's shrink^(D+1), so at n = 32 eps = 1e-3 slips under it
+        for eps in passes:
+            rep = order_bound_check(ContourSample(ConjugatePerturbedGeometric(eps), space16, n))
+            assert rep.passed, (eps, rep.lhs, rep.rhs)
+        rep = order_bound_check(ContourSample(ConjugatePerturbedGeometric(fails), space16, n))
+        assert not rep.passed, (fails, rep.lhs, rep.rhs)

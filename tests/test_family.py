@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from holofubini import (Polydisc, derivative_functional, dirac, family_from_json,
-                        family_preset, random_measure, space_preset, torus_nodes,
-                        unit_polydisc)
+                        family_preset, order_bound_check, random_measure, space_preset,
+                        telescoping_residual, torus_nodes, unit_polydisc)
 from holofubini.family import (ConstantFamily, ContourSample, GeometricFamily,
                                PolynomialFamily, SeparableFamily, TabulatedTaylorFamily)
 from holofubini.functional import MeasureFunctional
@@ -156,6 +156,15 @@ class TestSampler:
             # another stack is another entry
             assert (sample.dual_values(phi, h[:3]).view(float) == phi.apply_dual(
                 ContourSample(fam, space16, 8), h[:3]).view(float)).all()
+
+    def test_sup_is_read_once_by_both_checks(self, space16):
+        # telescoping's B and order_bound's M are one cached float, max |F| on the grid
+        sample = ContourSample(family_preset("geometric"), space16, 64)
+        assert sample.sup is sample.sup
+        assert sample.sup == float(np.max(np.abs(sample.values)))
+        assert telescoping_residual(sample).tol == 1e-12 * (1.0 + sample.sup)
+        assert order_bound_check(sample).rhs == pytest.approx(sample.sup * 2.0 ** -31,
+                                                              rel=1e-12)
 
     def test_outside_domain_rejected(self, space16):
         # a failed evaluation is not kept: every read raises
