@@ -23,52 +23,33 @@ import numpy as np
 
 from . import theorems
 from .cauchy import MIN_ORDER_BOUND_DEGREE
-from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc, torus_nodes
+from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc
 from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import FiniteMeasureSpace, space_from_json, space_preset
 from .theorems import CheckReport
 
-def _tol(config) -> dict:
-    """``--tol`` as a checker keyword, or no keyword, so each checker keeps its default."""
-    return {} if config.tol is None else {"tol": config.tol}
-
-
-def _profile_reports(fam, space, grid, n) -> list[CheckReport]:
-    """A finiteness report per derivative order up to PROFILE_MAX_ORDER on the --grid grid."""
-    points = torus_nodes(fam.domain.shrunk(0.9), grid).grid()
-    local = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
-    return [
-        CheckReport.build("derivative_profile", fam.label, "", prof.sup_integral,
-                          float(prof.profile.max()), 0.0 if prof.finite else math.inf, 0.0,
-                          alpha=[prof.order])
-        for prof in theorems.derivative_profile(fam, space, PROFILE_MAX_ORDER, points, local,
-                                                n=n)
-    ]
-
-
 def _linearization(config, duals, rng, sample):
     for phi in config.functionals:
         for p in config.p_list:
-            yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p,
-                          **_tol(config))
+            yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p)
 
 
 def _fubini(config, duals, rng, sample):
     for phi in config.functionals:
         for p in config.p_list:
-            yield partial(theorems.fubini_residual, phi, sample, duals[p], p, **_tol(config))
+            yield partial(theorems.fubini_residual, phi, sample, duals[p], p)
 
 
 def _derivative_consistency(config, duals, rng, sample):
     yield partial(theorems.derivative_consistency, sample, _alpha_battery(config.family.d),
-                  p=config.p_list, **_tol(config))
+                  p=config.p_list)
 
 
 def _diff_under_integral(config, duals, rng, sample):
     yield partial(theorems.diff_under_integral, sample, np.ones(config.space.natoms),
-                  _alpha_battery(config.family.d), **_tol(config))
+                  _alpha_battery(config.family.d))
 
 
 def _norm_bound(config, duals, rng, sample):
@@ -89,14 +70,12 @@ def _span(config, duals, rng, sample):
 
 
 def _schwarz(config, duals, rng, sample):
-    if config.family.d == 1:
-        yield partial(theorems.schwarz_check, sample, seed=config.seed)
+    yield partial(theorems.schwarz_check, sample, seed=config.seed)
 
 
 def _telescoping(config, duals, rng, sample):
-    if config.family.d >= 2:
-        yield partial(theorems.telescoping_residual, sample, sample_shrink=config.shrink,
-                      seed=config.seed)
+    yield partial(theorems.telescoping_residual, sample, sample_shrink=config.shrink,
+                  seed=config.seed)
 
 
 def _order_bound(config, duals, rng, sample):
@@ -104,8 +83,7 @@ def _order_bound(config, duals, rng, sample):
 
 
 def _derivative_profile(config, duals, rng, sample):
-    if config.family.d == 1:
-        yield partial(_profile_reports, config.family, config.space, config.grid, config.n)
+    yield partial(theorems.derivative_profile, sample)
 
 
 #: check name -> generator of the calls that run it, given (config, duals by p, rng,
@@ -125,10 +103,15 @@ CHECKS = {
     "derivative_profile": _derivative_profile,
 }
 CHECK_NAMES = tuple(CHECKS)
+#: check name -> whether it applies at dimension d; a check not listed applies at every d.
+#: A run keeps the selected checks that apply and refuses a selection where none does.
+DIMENSIONS = {
+    "schwarz": lambda d: d == 1,
+    "telescoping": lambda d: d >= 2,
+    "derivative_profile": lambda d: d == 1,
+}
 
 USAGE_ERROR = 2
-#: derivative_profile reports orders 0..PROFILE_MAX_ORDER
-PROFILE_MAX_ORDER = 4
 
 #: Bytes of complex values the largest arrays a run holds at once may take.  It
 #: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.38 GiB)
@@ -147,13 +130,15 @@ def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
     return atoms + 5 * fam.d
 
 
-def _profile_values(k: int, grid: int) -> int:
+def _profile_values(k: int) -> int:
     """Complex values the budget counts for the d = 1 derivative_profile on k atoms: its
-    (PROFILE_MAX_ORDER + 1) x grid x k float magnitudes, the region grid and one block."""
-    return (PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + 8 * theorems.EVAL_BLOCK
+    (PROFILE_MAX_ORDER + 1) x PROFILE_GRID x k float magnitudes, the region grid and one
+    block."""
+    grid = theorems.PROFILE_GRID
+    return (theorems.PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + 8 * theorems.EVAL_BLOCK
 
 
-def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid: int) -> None:
+def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int) -> None:
     """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
 
     Counted in complex values, they are the largest of: the n^d contour grid with
@@ -170,11 +155,11 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int, grid:
     k = space.natoms
     values = max(n ** fam.d * _contour_values_per_node(fam, k),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 _profile_values(k, grid) if fam.d == 1 else 0)
+                 _profile_values(k) if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
-            f"d = {fam.d}, {k} atoms, --nodes {n} and --grid {grid} need "
+            f"d = {fam.d}, {k} atoms and --nodes {n} need "
             f"{need / 2**30:.2f} GiB for {values} complex values, over "
             f"the work budget of {WORK_BUDGET_BYTES / 2**30:.2f} GiB"
         )
@@ -190,8 +175,6 @@ class SuiteConfig:
     p_list: list[float]
     n: int = 64
     shrink: float = 0.5
-    grid: int = 32
-    tol: float | None = None
     seed: int = 0
     output: str | None = None
     fmt: str = "json"
@@ -204,25 +187,25 @@ class SuiteConfig:
             raise ConfigError(f"--seed must be nonnegative, got {self.seed}")
         if not 0.0 < self.shrink <= 0.9:
             raise ConfigError(f"--shrink must lie in (0, 0.9], got {self.shrink}")
-        if self.grid < 4:
-            raise ConfigError(f"--grid must be at least 4, got {self.grid}")
-        if (self.family.d == 1 and "derivative_profile" in self.checks
-                and self.n <= PROFILE_MAX_ORDER + 1):
-            raise ConfigError(f"derivative_profile needs --nodes above {PROFILE_MAX_ORDER + 1} "
-                              f"at d = 1 to read order {PROFILE_MAX_ORDER}, got {self.n}")
-        if self.tol is not None and not self.tol > 0:
-            raise ConfigError(f"--tol must be positive, got {self.tol}")
+        unknown = set(self.checks) - set(CHECK_NAMES)
+        if unknown:
+            raise ConfigError(f"unknown checks: {sorted(unknown)}")
+        selected, d = self.checks, self.family.d
+        self.checks = tuple(c for c in selected if DIMENSIONS.get(c, lambda _: True)(d))
+        if not self.checks:
+            raise ConfigError(f"no selected check applies at d = {d}: {', '.join(selected)}")
+        order = theorems.PROFILE_MAX_ORDER
+        if "derivative_profile" in self.checks and self.n <= order + 1:
+            raise ConfigError(f"derivative_profile needs --nodes above {order + 1} "
+                              f"to read order {order}, got {self.n}")
         for p in self.p_list:
             if not p >= 1:
                 raise ConfigError(f"exponents must satisfy p >= 1, got {p}")
-        _check_work_budget(self.family, self.space, self.n, self.grid)
+        _check_work_budget(self.family, self.space, self.n)
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt}")
         if self.output and (Path(self.output).is_dir() or not Path(self.output).parent.is_dir()):
             raise ConfigError(f"--output {self.output} is a directory or lies in a missing one")
-        unknown = set(self.checks) - set(CHECK_NAMES)
-        if unknown:
-            raise ConfigError(f"unknown checks: {sorted(unknown)}")
         self.family.validate_on(self.space)
         for phi in self.functionals:
             if phi.d != self.family.d:
@@ -296,22 +279,18 @@ def _jsonify_side(value):
     return _number(value)
 
 
+#: the keys of every report record, in the order of the CSV columns
+RECORD_FIELDS = ("check", "family", "functional", "p", "alpha", "lhs", "rhs",
+                 "residual", "tol", "pass", "n", "seed")
+
+
 def _record(rep: CheckReport, config: SuiteConfig) -> dict:
     p = rep.params.get("p")
-    return {
-        "check": rep.name,
-        "family": rep.family,
-        "functional": rep.functional,
-        "p": None if p is None else _number(p),
-        "alpha": rep.params.get("alpha"),
-        "lhs": _jsonify_side(rep.lhs),
-        "rhs": _jsonify_side(rep.rhs),
-        "residual": _number(rep.residual),
-        "tol": _number(rep.tol),
-        "pass": bool(rep.passed),
-        "n": config.n,
-        "seed": config.seed,
-    }
+    values = (rep.name, rep.family, rep.functional, None if p is None else _number(p),
+              rep.params.get("alpha"), _jsonify_side(rep.lhs), _jsonify_side(rep.rhs),
+              _number(rep.residual), _number(rep.tol), bool(rep.passed), config.n,
+              config.seed)
+    return dict(zip(RECORD_FIELDS, values, strict=True))
 
 
 def _emit(records: list[dict], fmt: str, output: str | None) -> None:
@@ -319,9 +298,7 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
         text = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
     else:
         buf = io.StringIO()
-        fields = ["check", "family", "functional", "p", "alpha", "lhs", "rhs",
-                  "residual", "tol", "pass", "n", "seed"]
-        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
         writer.writeheader()
         for r in records:
             row = dict(r)
@@ -425,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--p", default="1,2,inf", help="comma-separated exponents")
     shared.add_argument("--nodes", type=int, default=64, help="quadrature nodes per variable")
     shared.add_argument("--shrink", type=float, default=0.5, help="sampling shrink factor")
-    shared.add_argument("--grid", type=int, default=32,
-                        help="derivative_profile region grid points (d = 1 only)")
-    shared.add_argument("--tol", type=float, default=None, help="identity tolerance override")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--output", default=None, help="report path (default stdout)")
     shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -445,8 +419,7 @@ def _build_config(args, checks) -> SuiteConfig:
     config = SuiteConfig(
         family=fam, space=_load_space(args.space), functionals=[],
         p_list=_parse_p_list(args.p), n=args.nodes, shrink=args.shrink,
-        grid=args.grid, tol=args.tol, seed=args.seed, output=args.output,
-        fmt=args.fmt, checks=checks,
+        seed=args.seed, output=args.output, fmt=args.fmt, checks=checks,
     )
     if args.functional:
         functionals = [

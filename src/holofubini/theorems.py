@@ -9,24 +9,24 @@ exact action (fubini for derivative functionals, derivative_consistency and
 diff_under_integral against the closed forms) carry ``TOL_QUADRATURE``, set for
 64 nodes and shrink <= 0.5; their residuals decay geometrically in the node count.
 
-Every checker but ``derivative_profile`` reads the family's values from the
-run's :class:`~holofubini.family.ContourSample`: F on the n-node contour grid
-(the domain center, CONTOUR_SHRINK of the radii), evaluated on first read, and
-F on each functional's nodes, evaluated once per functional.  The contour values
-serve every checker derivative, ``order_bound``'s Taylor table and every sup
-over the domain, which they estimate from below: by the maximum principle the
-sup over the contour polydisc lies on its distinguished boundary.
-``norm_bound`` adds the functional's own nodes, so its bound is a finite
-triangle inequality that grid placement cannot break, and ``schwarz`` adds its
-sample values.  The sample also keeps each functional's slice vector and its
-values on each stack of dual vectors, which linearization, fubini, norm_bound
-and span share.  Points a check draws for itself (the span, telescoping,
-order_bound and schwarz samples and the derivative_profile contours) are
-evaluated where they are drawn; the d = 1 checks schwarz and derivative_profile
-evaluate theirs for a block of atoms or contours per call, of at most
-``EVAL_BLOCK`` complex values unless one atom or contour takes more, so neither
-pays one call per atom or contour nor holds all of them at once.  Samples are
-read-only, so checks may run concurrently; reports are merged by canonical
+Every checker takes the run's :class:`~holofubini.family.ContourSample`: F on
+the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
+evaluated on first read, and F on each functional's nodes, evaluated once per
+functional.  The contour values serve every checker derivative at the center,
+``order_bound``'s Taylor table and every sup over the domain, which they
+estimate from below: by the maximum principle the sup over the contour polydisc
+lies on its distinguished boundary.  ``norm_bound`` adds the functional's own
+nodes, so its bound is a finite triangle inequality that grid placement cannot
+break, and ``schwarz`` adds its sample values.  The sample also keeps each
+functional's slice vector and its values on each stack of dual vectors, which
+linearization, fubini, norm_bound and span share.  Points a check draws for
+itself (the span, telescoping, order_bound and schwarz samples and the
+derivative_profile contours, which take only the sample's family, space and n)
+are evaluated where they are drawn; the d = 1 checks schwarz and
+derivative_profile evaluate theirs for a block of atoms or contours per call, of
+at most ``EVAL_BLOCK`` complex values unless one atom or contour takes more, so
+neither pays one call per atom or contour nor holds all of them at once.  Samples
+are read-only, so checks may run concurrently; reports are merged by canonical
 ordering.
 """
 
@@ -51,7 +51,6 @@ __all__ = [
     "norm_bound_check",
     "span_residual",
     "span_monotonicity",
-    "OrderProfile",
     "derivative_profile",
     "telescoping_residual",
     "order_bound_check",
@@ -64,6 +63,9 @@ __all__ = [
 #: Complex values (128 KiB) that schwarz and derivative_profile evaluate per family
 #: call: each call takes as many atoms or contours as fit, and at least one
 EVAL_BLOCK = 8192
+#: derivative_profile reports orders 0..PROFILE_MAX_ORDER on PROFILE_GRID region points
+PROFILE_MAX_ORDER = 4
+PROFILE_GRID = 32
 #: identities whose two sides are the same finite sum up to reassociation
 TOL_EXACT = 1e-12
 #: identities with a quadrature side, at 64 nodes and sampling shrink <= 0.5
@@ -290,54 +292,40 @@ def _span_distance(phi, sample: ContourSample, values: np.ndarray) -> float:
     return float(np.linalg.norm(a @ coeff - b))
 
 
-@dataclass
-class OrderProfile:
-    """Finiteness profile of one derivative order over a region grid.
+def derivative_profile(sample: ContourSample) -> list[CheckReport]:
+    """Finiteness of the sup of |D^m_z f| over a region grid, for univariate domains.
 
-    ``profile[i]`` is the per-atom sup over the grid of |D^n f(z, t_i)|;
-    ``sup_integral`` is the sup over the grid of the mu-weighted absolute
-    integral of the derivative slice.
+    The region grid is ``PROFILE_GRID`` points of the torus at 0.9 of the family's
+    domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the
+    values on a contour of radius (CONTOUR_SHRINK - 0.9) r and the sample's n nodes
+    about each grid point, by :func:`holofubini.cauchy.contour_derivatives`.  The
+    contours are evaluated in blocks of at most max(1, EVAL_BLOCK // (n k)) grid
+    points: one evaluation of the block's points, center + the offsets of one
+    origin-centered contour, and one FFT for every order and contour of the block.
+    Returns one report per order: ``lhs`` the sup over the grid of the mu-weighted
+    integral of |D^m f|, ``rhs`` the largest |D^m f(z, t_i)|, and a residual of 0
+    when both are finite and inf otherwise.  It reads no contour value of the sample.
     """
-
-    order: int
-    profile: np.ndarray
-    sup_integral: float
-
-    @property
-    def finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.profile)) and math.isfinite(self.sup_integral))
-
-
-def derivative_profile(fam, space, max_order: int, region_grid, contour_radii,
-                       n: int = 64) -> list[OrderProfile]:
-    """Per-order sup profiles of |D^n_z f| over a grid, for univariate domains.
-
-    Every order up to ``max_order`` is read from the values on a contour of
-    ``contour_radii`` about each grid point, which must stay inside the family
-    domain (:func:`holofubini.cauchy.contour_derivatives`).  The contours are
-    evaluated in blocks of at most max(1, EVAL_BLOCK // (n k)) grid points: one
-    evaluation of the block's points, center + the offsets of one origin-centered
-    contour, and one FFT for every order and contour of the block.
-    """
+    fam, space, n = sample.fam, sample.space, sample.n
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
-    grid = np.asarray(region_grid, dtype=complex).reshape(len(region_grid), 1)
-    if not len(grid):
-        raise ValueError("region grid must be nonempty")
-    orders = [(order,) for order in range(max_order + 1)]
-    offsets = torus_nodes(Polydisc(np.zeros(1), contour_radii), n).grid()
+    grid = torus_nodes(fam.domain.shrunk(0.9), PROFILE_GRID).grid()
+    radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
+    orders = [(order,) for order in range(PROFILE_MAX_ORDER + 1)]
+    offsets = torus_nodes(Polydisc(np.zeros(1), radii), n).grid()
     block = max(1, EVAL_BLOCK // (n * space.natoms))
-    mags = np.empty((max_order + 1, len(grid), space.natoms))
+    mags = np.empty((len(orders), len(grid), space.natoms))
     for start in range(0, len(grid), block):
         pts = grid[start:start + block] + offsets[:, None, :]
         values = fam.eval(pts[:, :, None, :], space.params)
-        mags[:, start:start + block] = np.abs(
-            contour_derivatives(values, orders, contour_radii, n))
-    return [
-        OrderProfile(order=order, profile=m.max(axis=0),
-                     sup_integral=float(np.max(m @ space.weights)))
-        for order, m in enumerate(mags)
-    ]
+        mags[:, start:start + block] = np.abs(contour_derivatives(values, orders, radii, n))
+    reports = []
+    for order, m in enumerate(mags):
+        lhs, rhs = float(np.max(m @ space.weights)), float(m.max())
+        finite = math.isfinite(lhs) and math.isfinite(rhs)
+        reports.append(CheckReport.build("derivative_profile", fam.label, "", lhs, rhs,
+                                         0.0 if finite else math.inf, 0.0, alpha=[order]))
+    return reports
 
 
 def telescoping_residual(sample: ContourSample, n_pairs: int = 200,

@@ -197,12 +197,12 @@ def test_criterion_08_order_bound(space16):
 
 
 def test_criterion_09_derivative_profiles(space16):
-    grid = list(torus_nodes(unit_polydisc().shrunk(0.9), 16).grid())
     ones = np.ones(space16.natoms)
     for kind in KINDS:
         fam = family_preset(kind)
-        profiles = theorems.derivative_profile(fam, space16, 4, grid, [0.05], n=64)
-        assert all(prof.finite for prof in profiles)
+        reports = theorems.derivative_profile(ContourSample(fam, space16, 64))
+        assert len(reports) == 5
+        assert all(rep.passed for rep in reports), [rep.describe() for rep in reports]
         for order in range(5):
             [rep] = theorems.diff_under_integral(ContourSample(fam, space16, 64), ones,
                                                  [(order,)], tol=1e-10)

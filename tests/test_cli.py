@@ -1,5 +1,8 @@
 import json
+import re
 import tracemalloc
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,12 +94,12 @@ class TestVerify:
         assert code == 2
         assert not out.exists()  # invalid configs abort with no partial output
 
-    @pytest.mark.parametrize("args", [["--nodes", "4"], ["--nodes", "5"], ["--grid", "3"]],
-                             ids=["nodes4", "nodes5", "grid3"])
+    @pytest.mark.parametrize("args", [["--nodes", "4"], ["--nodes", "5"]],
+                             ids=["nodes4", "nodes5"])
     def test_profile_config_it_cannot_run_is_usage_error(self, tmp_path, monkeypatch,
                                                          capsys, args):
-        # the order-PROFILE_MAX_ORDER read needs n > 5 at d = 1, and the region
-        # grid at least 4 points; both are refused before any family value
+        # the order-PROFILE_MAX_ORDER read needs n > 5 at d = 1, which is refused
+        # before any family value
         counted = count_family_values(monkeypatch)
         code, text = run_cli(tmp_path, "check", "derivative_profile", "--family", "geometric",
                              "--functional", "dirac", *args)
@@ -104,13 +107,18 @@ class TestVerify:
         assert "configuration error:" in capsys.readouterr().err
         assert counted == []
 
-    @pytest.mark.parametrize("command, d", [(["check", "schwarz"], 1),
-                                            (["check", "derivative_profile"], 2),
-                                            (["verify"], 2)],
+    @pytest.mark.parametrize("command, d, refused", [(["check", "schwarz"], 1, False),
+                                                     (["check", "derivative_profile"], 2, True),
+                                                     (["verify"], 2, False)],
                              ids=["schwarz-d1", "profile-d2", "verify-d2"])
-    def test_four_nodes_run_without_the_d1_profile(self, tmp_path, command, d):
+    def test_four_nodes_run_without_the_d1_profile(self, tmp_path, command, d, refused):
+        # verify at d = 2 leaves derivative_profile out; checking it alone there is
+        # refused, since it applies at d = 1 only
         code, text = run_cli(tmp_path, *command, *family_args(tmp_path, d), "--nodes", "4",
                              "--functional", "dirac")
+        if refused:
+            assert code == 2 and text is None
+            return
         assert code != 2 and text is not None
         assert "derivative_profile" not in {r["check"] for r in parse_records(text)}
 
@@ -129,13 +137,18 @@ class TestVerify:
         assert first == second
 
     def test_record_schema(self, tmp_path):
+        # the keys of README's "Report records" block are those of every JSON record
+        # (written with sorted keys) and, in order, the CSV header
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("### Report records", 1)[1].split("```")[1]
+        keys = re.findall(r'"(\w+)":', block)
         code, text = run_cli(tmp_path, "verify", "--family", "geometric")
-        keys = {"check", "family", "functional", "p", "alpha", "lhs", "rhs",
-                "residual", "tol", "pass", "n", "seed"}
         records = parse_records(text)
-        assert all(set(r) == keys for r in records)
+        assert all(list(r) == sorted(keys) for r in records)
         infs = [r for r in records if r["p"] == "inf"]
         assert infs  # p = infinity serializes as the string "inf"
+        _, text = run_cli(tmp_path, "verify", "--family", "geometric", fmt="csv")
+        assert text.splitlines()[0].split(",") == keys
 
     def test_no_duplicate_check_combinations(self, tmp_path):
         _, text = run_cli(tmp_path, "verify", "--family", "geometric")
@@ -156,11 +169,11 @@ class TestVerify:
         assert record["lhs"] == "inf" and record["residual"] == "inf"
         assert record["pass"] is False
 
-    @pytest.mark.parametrize("override", [[], ["--tol", "1e-7"]], ids=["default", "tol"])
-    def test_tolerance_rule(self, tmp_path, override):
+    @pytest.mark.parametrize("d", [1, 2], ids=["default", "d2"])
+    def test_tolerance_rule(self, tmp_path, d):
         # the same finite sum on both sides gets TOL_EXACT, a quadrature side against
-        # an exact action TOL_QUADRATURE; --tol replaces both
-        code, text = run_cli(tmp_path, "verify", "--family", "geometric", *override)
+        # an exact action TOL_QUADRATURE
+        code, text = run_cli(tmp_path, "verify", *family_args(tmp_path, d))
         assert code == 0
         expected = {"linearization": theorems.TOL_EXACT, "fubini": theorems.TOL_EXACT,
                     "derivative_consistency": theorems.TOL_QUADRATURE,
@@ -172,7 +185,7 @@ class TestVerify:
             tol = expected[r["check"]]
             if r["check"] == "fubini" and r["functional"].startswith("derivative"):
                 tol = theorems.TOL_QUADRATURE
-            assert r["tol"] == (1e-7 if override else tol), r
+            assert r["tol"] == tol, r
             seen.add((r["check"], r["functional"].partition(":")[0]))
         assert seen >= {("linearization", "dirac"), ("fubini", "dirac"),
                         ("fubini", "random"), ("fubini", "derivative"),
@@ -188,7 +201,7 @@ class TestVerify:
 
 class TestSampleOnce:
     # Family values of one `verify` of the geometric family on uniform-16 (k = 16
-    # atoms) at n nodes with the default --grid 32, counted at each kind's _evaluate.
+    # atoms) at n nodes, counted at each kind's _evaluate.
     # The run's contour sample and each functional's nodes are evaluated once:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
@@ -199,7 +212,7 @@ class TestSampleOnce:
     #   span, 4 functionals x (8 + 8) sample points, each evaluated once:  64 * k
     #   order_bound's 200 sample points:  200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
-    #     derivative_profile: 32 contours of n nodes, shared by orders 0-4
+    #     derivative_profile: PROFILE_GRID = 32 contours of n nodes, shared by orders 0-4
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
@@ -273,9 +286,9 @@ class TestSampleOnce:
         rng = np.random.default_rng(config.seed)
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         reports = []
-        for calls in cli.CHECKS.values():
+        for name in config.checks:
             own = family.ContourSample(config.family, config.space, config.n)
-            for call in calls(config, duals, rng, own):
+            for call in cli.CHECKS[name](config, duals, rng, own):
                 result = call()
                 reports.extend(result if isinstance(result, list) else [result])
         alone = sorted((_record(rep, config) for rep in reports),
@@ -303,9 +316,9 @@ class TestWorkBudget:
     }
 
     @staticmethod
-    def config(fam, space, n, grid=32, checks=CHECK_NAMES):
+    def config(fam, space, n, checks=CHECK_NAMES):
         return cli.SuiteConfig(family=fam, space=space_preset(space), functionals=[],
-                               p_list=[2.0], n=n, grid=grid, checks=checks)
+                               p_list=[2.0], n=n, checks=checks)
 
     @classmethod
     def family_file(cls, tmp_path, d):
@@ -349,28 +362,30 @@ class TestWorkBudget:
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
 
-    # derivative_profile holds its 5 x grid x k float magnitudes (half as many
-    # complex values), the grid and one block of its contours, counted as
+    # derivative_profile holds its 5 x PROFILE_GRID x k float magnitudes (half as
+    # many complex values), the grid and one block of its contours, counted as
     # 8 x EVAL_BLOCK complex values
     PROFILE_BLOCK = 8 * theorems.EVAL_BLOCK
 
     def test_lowered_budget(self, monkeypatch):
-        # geometric d = 1 on 16 atoms at 4 nodes and --grid 4: the profile's
-        # 5 x 4 x 16 / 2 + 4 values and its block take more than the 16 x 16 of the
-        # order_bound table on its 16 nodes or the 4 x (3 x 16 + 5) values the budget
-        # counts on the contour grid.  The budget counts the profile whatever the
-        # checks; at 4 nodes derivative_profile itself is refused, so the run leaves
-        # it out.
+        # geometric d = 1 on 16 atoms at 4 nodes, with PROFILE_GRID read at call time
+        # and set to 4: the profile's 5 x 4 x 16 / 2 + 4 values and its block take
+        # more than the 16 x 16 of the order_bound table on its 16 nodes or the
+        # 4 x (3 x 16 + 5) values the budget counts on the contour grid.  The budget
+        # counts the profile whatever the checks; at 4 nodes derivative_profile
+        # itself is refused, so the run leaves it out.
         fam = family_preset("geometric")
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
         need = (5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
-        self.config(fam, "uniform-16", 4, grid=4, checks=few)
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
-        with pytest.raises(cli.ConfigError, match="work budget"):
-            self.config(fam, "uniform-16", 4, grid=4, checks=few)
-        # at 64 nodes and --grid 32 the profile counts 5 x 32 x 16 / 2 + 32 values
-        # beside its block
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "PROFILE_GRID", 4)
+            patch.setattr(cli, "WORK_BUDGET_BYTES", need)
+            self.config(fam, "uniform-16", 4, checks=few)
+            patch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
+            with pytest.raises(cli.ConfigError, match="work budget"):
+                self.config(fam, "uniform-16", 4, checks=few)
+        # at 64 nodes and the 32-point grid the profile counts 5 x 32 x 16 / 2 + 32
+        # values beside its block
         need = (5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 64)
@@ -404,19 +419,21 @@ class TestWorkBudget:
             tracemalloc.stop()
         assert peak / (n ** 3 * 16) <= cli._contour_values_per_node(fam, space.natoms)
 
-    def test_counted_profile_values_cover_the_peak(self):
-        # the d = 1 derivative_profile at --grid 4096 on 16 atoms, with the region
-        # grid that _profile_reports builds
+    def test_counted_profile_values_cover_the_peak(self, monkeypatch):
+        # the d = 1 derivative_profile on a 4096-point region grid on 16 atoms
         fam, space = family_preset("geometric"), space_preset("uniform-16")
+        sample = family.ContourSample(fam, space, 64)
         # a first call's one-time imports and caches are no profile arrays
-        cli._profile_reports(fam, space, 4, 64)
+        monkeypatch.setattr(theorems, "PROFILE_GRID", 4)
+        theorems.derivative_profile(sample)
+        monkeypatch.setattr(theorems, "PROFILE_GRID", 4096)
         tracemalloc.start()
         try:
-            cli._profile_reports(fam, space, 4096, 64)
+            theorems.derivative_profile(sample)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli._profile_values(space.natoms, 4096) * 16
+        assert peak <= cli._profile_values(space.natoms) * 16
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
@@ -424,11 +441,15 @@ class TestWorkBudget:
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 
-    @pytest.mark.parametrize("d, grid", [(1, "8000000")], ids=["d1-grid8000000"])
-    def test_grid_is_counted(self, tmp_path, monkeypatch, capsys, d, grid):
-        # --grid sets only the d = 1 derivative_profile region grid, whose magnitudes,
-        # grid and block take (5 x 8,000,000 x 16 / 2 + 8,000,000 + 8 x 8192) x 16 B
-        # = 4.89 GiB
+    def test_profile_term_refuses_many_atoms(self, capsys, monkeypatch):
+        # geometric d = 1 on 4,000,000 atoms at 6 nodes: the profile's magnitudes,
+        # grid and block take (5 x 32 x 4,000,000 / 2 + 32 + 8 x 8192) x 16 B
+        # = 4.77 GiB, while the contour term, 6 x (3 x 4,000,000 + 5) x 16 B
+        # = 1.07 GiB, and the order_bound table, 16 x 4,000,000 x 16 B = 0.95 GiB,
+        # fit the budget
+        fam, k = family_preset("geometric"), 4_000_000
+        assert 6 * cli._contour_values_per_node(fam, k) * 16 < cli.WORK_BUDGET_BYTES
+        assert 16 * k * 16 < cli.WORK_BUDGET_BYTES
         counted = []
 
         def counting(evaluate):
@@ -439,25 +460,26 @@ class TestWorkBudget:
 
         for kind in family.HoloFamily.__subclasses__():
             monkeypatch.setattr(kind, "_evaluate", counting(kind._evaluate))
-        code = main(["verify", "--family-file", self.family_file(tmp_path, d),
-                     "--space", "uniform-16", "--grid", grid])
+        code = main(["verify", "--family", "geometric", "--space", f"uniform-{k}",
+                     "--nodes", "6"])
         assert code == 2
-        assert "configuration error:" in capsys.readouterr().err
+        assert "configuration error:" in (err := capsys.readouterr().err)
+        assert "need 4.77 GiB" in err
         assert counted == []
 
     @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),
                                              (2, "uniform-16", 64), (2, "uniform-256", 32),
                                              (3, "uniform-16", 32)])
     def test_bench_configs_admitted(self, tmp_path, d, space, n):
-        # every (d, atoms, nodes) of the benchmark matrix at the default --grid 32
+        # every (d, atoms, nodes) of the benchmark matrix
         args = cli.build_parser().parse_args(
             ["verify", "--family-file", self.family_file(tmp_path, d), "--space", space,
              "--nodes", str(n)])
-        assert cli._build_config(args, CHECK_NAMES).grid == 32
+        assert cli._build_config(args, CHECK_NAMES).n == n
 
     def test_default_config_admitted(self):
         config = cli._build_config(cli.build_parser().parse_args(["verify"]), CHECK_NAMES)
-        assert (config.family.d, config.space.natoms, config.n, config.grid) == (1, 16, 64, 32)
+        assert (config.family.d, config.space.natoms, config.n) == (1, 16, 64)
 
 
 class TestCheckSubcommand:
@@ -469,8 +491,22 @@ class TestCheckSubcommand:
 
     @pytest.mark.parametrize("name", CHECK_NAMES)
     def test_records_carry_the_check_name(self, tmp_path, name):
-        _, text = run_cli(tmp_path, "check", name, "--family", "geometric")
-        assert {r["check"] for r in parse_records(text)} <= {name}
+        d = 2 if name == "telescoping" else 1
+        _, text = run_cli(tmp_path, "check", name, *family_args(tmp_path, d))
+        assert {r["check"] for r in parse_records(text)} == {name}
+
+    @pytest.mark.parametrize("name, d", [("schwarz", 2), ("telescoping", 1),
+                                         ("derivative_profile", 2)],
+                             ids=["schwarz-d2", "telescoping-d1", "profile-d2"])
+    def test_check_that_does_not_apply_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                      name, d):
+        # a check that cannot emit a record at the family's d is refused before any
+        # family value, not run to an empty report
+        counted = count_family_values(monkeypatch)
+        code, text = run_cli(tmp_path, "check", name, *family_args(tmp_path, d))
+        assert code == 2 and text is None
+        assert "configuration error: no selected check applies" in capsys.readouterr().err
+        assert counted == []
 
     @pytest.mark.parametrize("d, nodes", [(1, "512"), (1, "4"), (2, "8"), (2, "4")],
                              ids=["d1-n512", "d1-n4", "d2-n8", "d2-n4"])
@@ -568,11 +604,13 @@ class TestFileInputs:
 
 
 class TestFailurePath:
-    def test_violation_exits_one(self, tmp_path, capsys):
-        # an absurdly tight override forces identity checks to fail
+    def test_violation_exits_one(self, tmp_path, monkeypatch, capsys):
+        # an absurdly tight linearization tolerance forces its records to fail
+        monkeypatch.setattr(theorems, "linearization_residual",
+                            partial(theorems.linearization_residual, tol=1e-300))
         out = tmp_path / "report.jsonl"
         code = main(["verify", "--family", "geometric", "--nodes", "16",
-                     "--tol", "1e-300", "--output", str(out)])
+                     "--output", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "violation" in err
@@ -602,12 +640,11 @@ class TestFailurePath:
         assert "configuration error:" in capsys.readouterr().err
         assert counted == []
 
-    @pytest.mark.parametrize("args", [["--p", "nan"], ["--tol", "nan"],
-                                      ["--functional", "random:0"]],
-                             ids=["p-nan", "tol-nan", "random-0"])
+    @pytest.mark.parametrize("args", [["--p", "nan"], ["--functional", "random:0"]],
+                             ids=["p-nan", "random-0"])
     def test_invalid_number_is_usage_error(self, tmp_path, capsys, args):
-        # no paper claim fails here: a NaN exponent or tolerance fails every check
-        # it reaches, and an empty measure has no nodes to take a sup over
+        # no paper claim fails here: a NaN exponent fails every check it reaches, and
+        # an empty measure has no nodes to take a sup over
         code, text = run_cli(tmp_path, "verify", "--family", "geometric", *args)
         assert code == 2 and text is None
         assert "configuration error:" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         random_measure, space_preset, torus_nodes, unit_polydisc)
 from holofubini import cauchy, cli, theorems
 from holofubini.cauchy import derivative_rule
+from holofubini.domain import CONTOUR_SHRINK
 from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily,
                                PolynomialFamily)
 from holofubini.functional import MeasureFunctional
@@ -220,8 +221,8 @@ class TestDerivativeConsistency:
         rng = np.random.default_rng(config.seed)
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         reports = []
-        for name, calls in cli.CHECKS.items():
-            for call in calls(config, duals, rng, sample):
+        for name in config.checks:
+            for call in cli.CHECKS[name](config, duals, rng, sample):
                 try:
                     result = call()
                 except (ValueError, ArithmeticError) as exc:
@@ -489,46 +490,59 @@ class TestSpan:
 
 
 class TestDerivativeProfile:
+    """One report per order 0..PROFILE_MAX_ORDER over the PROFILE_GRID region points at
+    0.9 of the radius: lhs the sup of the mu-weighted integral of |D^m f|, rhs the
+    largest |D^m f|."""
+
+    @staticmethod
+    def region_grid(fam):
+        return torus_nodes(fam.domain.shrunk(0.9), theorems.PROFILE_GRID).grid()
+
     def test_constant_vanishing_orders(self, space16):
-        grid = [np.array([0.3 * np.exp(2j * np.pi * k / 8)]) for k in range(8)]
-        profs = theorems.derivative_profile(family_preset("constant"), space16, 3,
-                                            grid, [0.5], n=32)
-        for prof in profs[1:]:
-            assert np.max(prof.profile) <= 1e-13
-            assert prof.sup_integral <= 1e-13
+        reports = theorems.derivative_profile(ContourSample(family_preset("constant"),
+                                                            space16, 32))
+        assert [rep.params for rep in reports] == [{"alpha": [m]} for m in range(5)]
+        assert all(rep.passed and rep.residual == 0.0 for rep in reports)
+        for rep in reports[1:]:
+            assert rep.rhs <= 1e-13
+            assert rep.lhs <= 1e-13
 
     def test_polynomial_order_two_profile(self, space16):
-        # f = t z^2: D^2 = 2t everywhere, so the profile is 2|t| and the
-        # weighted integral is 2 sum |t_i| mu_i
-        grid = [np.array([0.2]), np.array([0.4j])]
-        profs = theorems.derivative_profile(family_preset("polynomial"), space16, 2,
-                                            grid, [0.2], n=32)
-        np.testing.assert_allclose(profs[2].profile, 2.0 * np.abs(space16.params),
-                                   atol=1e-11)
+        # f = t z^2: D^2 = 2t everywhere, so the largest magnitude is 2 max |t| and
+        # the weighted integral is 2 sum |t_i| mu_i
+        reports = theorems.derivative_profile(ContourSample(family_preset("polynomial"),
+                                                            space16, 32))
+        assert reports[2].rhs == pytest.approx(2.0 * np.max(np.abs(space16.params)),
+                                               rel=1e-11)
         oracle = 2.0 * float(np.sum(np.abs(space16.params) * space16.weights))
-        assert profs[2].sup_integral == pytest.approx(oracle, rel=1e-11)
+        assert reports[2].lhs == pytest.approx(oracle, rel=1e-11)
 
-    def test_geometric_profiles_finite_and_growing(self, geometric, space16):
-        inner = [np.array([0.2])]
-        outer = [np.array([0.7])]
-        for order in range(5):
-            pin = theorems.derivative_profile(geometric, space16, order, inner,
-                                              [0.1], n=64)[order]
-            pout = theorems.derivative_profile(geometric, space16, order, outer,
-                                               [0.1], n=64)[order]
-            assert pin.finite and pout.finite
-            if order >= 1:
-                assert pout.sup_integral > pin.sup_integral
+    @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_matches_the_closed_form_maxima(self, name, space):
+        # each order's lhs and rhs against the closed-form deriv_vector over the same
+        # region grid: relative where the derivative is large, absolute where it
+        # vanishes (orders above a polynomial's degree)
+        fam, space = family_preset(name), space_preset(space)
+        reports = theorems.derivative_profile(ContourSample(fam, space, 64))
+        for order, rep in enumerate(reports):
+            closed = np.abs([fam.deriv_vector(a, space, (order,))
+                             for a in self.region_grid(fam)])
+            assert rep.passed
+            assert rep.rhs == pytest.approx(closed.max(), rel=1e-8, abs=1e-8)
+            assert rep.lhs == pytest.approx(np.max(closed @ space.weights), rel=1e-8,
+                                            abs=1e-8)
 
     def test_rejects_multivariate(self, space16):
         fam = GeometricFamily([0.5, 0.3], unit_polydisc(2))
         with pytest.raises(ValueError):
-            theorems.derivative_profile(fam, space16, 1, [np.zeros(2)], [0.1, 0.1])
+            theorems.derivative_profile(ContourSample(fam, space16, 32))
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
         # the contours are evaluated in blocks of B = EVAL_BLOCK // (n k) grid points,
         # one evaluation and one FFT per block that serves orders 0-4 of its contours;
         # 33 points at n = 32 on 16 atoms are blocks of 16, 16 and 1
+        monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
 
@@ -543,21 +557,22 @@ class TestDerivativeProfile:
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
-        grid = [np.array([0.3 * np.exp(2j * np.pi * k / 33)]) for k in range(33)]
-        profs = theorems.derivative_profile(geometric, space16, 4, grid, [0.1], n=32)
+        reports = theorems.derivative_profile(ContourSample(geometric, space16, 32))
         k = space16.natoms
         assert sampled == [32 * 16 * k, 32 * 16 * k, 32 * k]
         assert max(sampled) <= theorems.EVAL_BLOCK
         assert ffts == [(32, 16, k), (32, 16, k), (32, 1, k)]
-        # each order's profile matches the one its own single-order rule gives, up to
-        # roundoff, which at order 4 on radius 0.1 scales with 4! / 0.1^4 * sup |f|
-        for prof in profs:
+        # each order's sides match those its own single-order rule gives, up to
+        # roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4 * sup |f|
+        radii = (CONTOUR_SHRINK - 0.9) * geometric.domain.radius
+        for order, rep in enumerate(reports):
             mags = []
-            for a in grid:
-                pts, weights = derivative_rule(a, (prof.order,), [0.1], 32)
+            for a in self.region_grid(geometric):
+                pts, weights = derivative_rule(a, (order,), radii, 32)
                 mags.append(np.abs(weights @ geometric.eval(pts[:, None, :], space16.params)))
-            np.testing.assert_allclose(prof.profile, np.max(mags, axis=0), rtol=1e-8,
-                                       atol=1e-10 * np.max(mags))
+            mags = np.array(mags)
+            np.testing.assert_allclose(rep.rhs, mags.max(), rtol=1e-8)
+            np.testing.assert_allclose(rep.lhs, np.max(mags @ space16.weights), rtol=1e-8)
 
 
 class TestTelescoping:
@@ -609,8 +624,6 @@ class TestBlockedEvaluation:
     """schwarz and derivative_profile evaluate blocks of atoms or contours; their
     reports equal, bit for bit, those of one evaluation per atom or contour."""
 
-    PROFILE_RADII = [0.05]
-
     @staticmethod
     def schwarz_per_slice(sample, samples=1000, seed=0):
         center, radius = complex(sample.center[0]), float(sample.radii[0])
@@ -618,21 +631,18 @@ class TestBlockedEvaluation:
                                             samples=samples, seed=seed)
                    for t, ring in zip(sample.space.params, sample.values.T))
 
-    @classmethod
-    def profile_per_contour(cls, fam, space, grid, n):
-        orders = [(order,) for order in range(cli.PROFILE_MAX_ORDER + 1)]
+    @staticmethod
+    def profile_per_contour(fam, space, n):
+        """(lhs, rhs) of each order, one evaluation and FFT per region contour."""
+        radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
+        grid = torus_nodes(fam.domain.shrunk(0.9), theorems.PROFILE_GRID).grid()
+        orders = [(order,) for order in range(theorems.PROFILE_MAX_ORDER + 1)]
         mags = np.empty((len(orders), len(grid), space.natoms))
         for gi, a in enumerate(grid):
-            pts = torus_nodes(Polydisc(a, cls.PROFILE_RADII), n).grid()
+            pts = torus_nodes(Polydisc(a, radii), n).grid()
             values = fam.eval(pts[:, None, :], space.params)
-            mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders,
-                                                            cls.PROFILE_RADII, n))
-        return [(m.max(axis=0), float(np.max(m @ space.weights))) for m in mags]
-
-    @staticmethod
-    def profile_grid(fam, points):
-        # the region grid of the CLI's derivative_profile records
-        return list(torus_nodes(fam.domain.shrunk(0.9), points).grid())
+            mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders, radii, n))
+        return [(float(np.max(m @ space.weights)), float(m.max())) for m in mags]
 
     # uniform-13 leaves a partial last block of 5 atoms after one of 8
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64", "uniform-13"])
@@ -645,15 +655,12 @@ class TestBlockedEvaluation:
     # atoms, 16 blocks of 2 and one of 1 on 64
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
     @pytest.mark.parametrize("name", preset_names())
-    def test_profile_equals_the_per_contour_loop(self, name, space):
+    def test_profile_equals_the_per_contour_loop(self, name, space, monkeypatch):
+        monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         fam, space = family_preset(name), space_preset(space)
-        grid = self.profile_grid(fam, 33)
-        profs = theorems.derivative_profile(fam, space, cli.PROFILE_MAX_ORDER, grid,
-                                            self.PROFILE_RADII, n=64)
-        oracle = self.profile_per_contour(fam, space, grid, 64)
-        for prof, (profile, sup_integral) in zip(profs, oracle, strict=True):
-            assert np.array_equal(prof.profile, profile)
-            assert prof.sup_integral == sup_integral
+        reports = theorems.derivative_profile(ContourSample(fam, space, 64))
+        oracle = self.profile_per_contour(fam, space, 64)
+        assert [(rep.lhs, rep.rhs) for rep in reports] == oracle
 
     def test_peak_memory_is_bounded_by_the_block(self):
         # the blocks, not the k = 64 atoms or the 32 contours, bound the transient
@@ -661,11 +668,9 @@ class TestBlockedEvaluation:
         fam, space = family_preset("geometric"), space_preset("geometric-64")
         sample = ContourSample(fam, space, 64)
         sample.values
-        grid = self.profile_grid(fam, 32)
         runs = {
             "schwarz": lambda: theorems.schwarz_check(sample),
-            "derivative_profile": lambda: theorems.derivative_profile(
-                fam, space, cli.PROFILE_MAX_ORDER, grid, self.PROFILE_RADII, n=64),
+            "derivative_profile": lambda: theorems.derivative_profile(sample),
         }
         for name, run in runs.items():
             run()  # one-time imports and caches of a first call are no transient arrays
