@@ -2,7 +2,7 @@
 interchange identities for holomorphic families over discretized Lp spaces."""
 
 from .cauchy import (OrderBound, cauchy_derivative, cauchy_eval, order_bound,
-                     schwarz_violation, taylor_coefficients)
+                     schwarz_violation)
 from .domain import Polydisc, TorusQuadrature, torus_nodes
 from .family import (ContourSample, HoloFamily, family_from_json, family_preset,
                      preset_names, unit_polydisc)
@@ -48,7 +48,6 @@ __all__ = [
     "space_from_json",
     "space_preset",
     "span_residual",
-    "taylor_coefficients",
     "telescoping_residual",
     "torus_nodes",
     "unit_polydisc",

@@ -26,7 +26,6 @@ __all__ = [
     "derivative_rule",
     "cauchy_derivative",
     "contour_derivatives",
-    "taylor_coefficients",
     "schwarz_violation",
     "OrderBound",
     "order_bound",
@@ -64,8 +63,10 @@ def derivative_rule(center, alpha, radii, n: int = 64):
     distinguished boundary of the polydisc (center, radii) and weights
     ``alpha! * (1/n^d) * prod_j (w_j - a_j)^(-alpha_j)``, so that
     ``sum_k weights_k g(points_k)`` is the trapezoidal discretization of the
-    Cauchy integral for the derivative.  Checkers that read several
-    derivatives from one sample use :func:`contour_derivatives` instead.
+    Cauchy integral for the derivative.  It serves the derivative functionals;
+    checkers read their derivatives from one FFT of a contour sample instead, by
+    :func:`contour_derivatives` or from the sample's Taylor table
+    (:meth:`~holofubini.family.ContourSample.taylor_table`), the same trapezoid sum.
     """
     center = np.atleast_1d(np.asarray(center, dtype=complex))
     alpha = as_multi_index(alpha, center.shape[0])
@@ -117,24 +118,6 @@ def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
         raise ValueError(f"node count {n} is too small for derivative order {order}")
     coeffs = _fft_coefficients(np.asarray(values, dtype=complex), radii.shape[0], n, radii, order)
     return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
-
-
-def taylor_coefficients(f, center, radii, degree: int, n: int | None = None) -> np.ndarray:
-    """Coefficients c_m = D^m f(center) / m! via an FFT of boundary samples.
-
-    Returns the table ``c[m_1, ..., m_d, ...]`` of shape (degree+1,)*d followed
-    by the batch shape of f's values.  Requires n > 2 * degree to keep aliasing
-    out of the table; the default is the smallest admissible even count.  Exact
-    for polynomial slices of per-variable degree <= degree.
-    """
-    center = np.atleast_1d(np.asarray(center, dtype=complex))
-    if n is None:
-        n = max(2 * int(degree) + 2, 4)
-    degree = _taylor_degree(degree, n)
-    disc = Polydisc(center, radii)
-    quad = torus_nodes(disc, n)
-    samples = np.asarray(f(quad.grid()), dtype=complex)
-    return _fft_coefficients(samples, disc.d, quad.n, disc.radius, degree)
 
 
 def _taylor_degree(degree, n: int) -> int:
@@ -195,13 +178,14 @@ def order_bound(sample: ContourSample, degree: int | None = None,
                 shrink: float = 0.5) -> OrderBound:
     """Per-atom Taylor majorant u_i = sum_{m} |c_m(t_i)| (shrink * r)^m plus a tail.
 
-    The coefficients about the sample's center come from one FFT of its n-node
-    contour values, r being its radii.  The default degree is n // 2 - 1, capped at
-    ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that
-    degree, read from a contour sample of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2
-    nodes.  A given degree D needs n > 2 * D.  The tail, M [(1 - s)^-d - ((1 - s^(D+1))
-    / (1 - s))^d] with s the shrink and M the sample's ``sup``, sums M s^|m| over the
-    degrees m outside the table; at s >= 1 the sum diverges.
+    The coefficients about the sample's center are its Taylor table
+    (:meth:`~holofubini.family.ContourSample.taylor_table`), r being its radii.  The
+    default degree is n // 2 - 1, capped at ``MAX_TAYLOR_DEGREE``; below
+    ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree, read from a contour sample
+    of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.  A given degree D needs
+    n > 2 * D.  The tail, M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the
+    shrink and M the sample's ``sup``, sums M s^|m| over the degrees m outside the
+    table; at s >= 1 the sum diverges.
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
@@ -212,7 +196,7 @@ def order_bound(sample: ContourSample, degree: int | None = None,
         degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
     degree = _taylor_degree(degree, sample.n)
     radii, d = sample.radii, sample.fam.d
-    coeffs = _fft_coefficients(sample.values, d, sample.n, radii, degree)
+    coeffs = sample.taylor_table(degree)
     # |c_m| * prod_j (r_j shrink)^{m_j}
     rad_scale = reduce(np.multiply.outer, [r ** np.arange(degree + 1) for r in radii])
     rho_scale = reduce(np.multiply.outer, [shrink ** np.arange(degree + 1)] * d)

@@ -31,8 +31,10 @@ from .measure import FiniteMeasureSpace, space_from_json, space_preset
 from .theorems import CheckReport
 
 def _linearization(config, duals, rng, sample):
-    for phi in config.functionals:
-        for p in config.p_list:
+    # p outer: the functionals on the contour meet each stack in turn and share its
+    # pairing (ContourSample.pairing); the records are sorted afterwards
+    for p in config.p_list:
+        for phi in config.functionals:
             yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p)
 
 
@@ -130,12 +132,17 @@ def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
     return atoms + 5 * fam.d
 
 
-def _profile_values(k: int) -> int:
-    """Complex values the budget counts for the d = 1 derivative_profile on k atoms: its
-    (PROFILE_MAX_ORDER + 1) x PROFILE_GRID x k float magnitudes, the region grid and one
-    block."""
+def _profile_values(n: int, k: int) -> int:
+    """Complex values the budget counts for the d = 1 derivative_profile on k atoms at n
+    nodes: its (PROFILE_MAX_ORDER + 1) x PROFILE_GRID x k float magnitudes, the region
+    grid and one block of contours.  A block of at most EVAL_BLOCK values counts as
+    8 x EVAL_BLOCK; once one contour takes more, the block is that contour, counted as
+    5 n k: under tracemalloc it held 3.0 n k on 4,096 atoms (its evaluation, the FFT's
+    full transform and the kept orders) and up to 4.1 n k at n k = 16,384, where the
+    polynomial kinds' evaluation transients weigh more."""
     grid = theorems.PROFILE_GRID
-    return (theorems.PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + 8 * theorems.EVAL_BLOCK
+    block = max(8 * theorems.EVAL_BLOCK, 5 * n * k)
+    return (theorems.PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + block
 
 
 def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int) -> None:
@@ -143,19 +150,22 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int) -> No
 
     Counted in complex values, they are the largest of: the n^d contour grid with
     3k + 5d values per node (the run's contour sample, k, held from its first read
-    on; beside it the largest transient, up to 1.5k: the sample's evaluation, the
-    FFT's first full-size transform, or the magnitudes of norm_bound's row norms; at
-    most 640 per node in all for the d = 3 exponential battery on 256 atoms at n = 32
-    under tracemalloc; the points with the transients of the grid and of the domain
-    test, 5d), or for the geometric kind max(3k, (d + 1) k) + 5d, since its
-    evaluation holds the (nodes, k, d) argument array beside its k results (1,027
-    per node at d = 3 on 256 atoms); the order_bound table's max(n, 16)^d x k grid;
-    and, at d = 1, the derivative_profile's :func:`_profile_values`.
+    on, and its Taylor table, held from the FFT that builds it on, at most k / 2^d
+    per node from n = 6 on; beside them the largest transient, up to 1.5k: the
+    sample's evaluation, or that FFT's first full-size transform beside its first
+    kept half, while norm_bound's magnitudes take one block of rows; 642 per node in
+    all for the d = 3 exponential battery on 256 atoms at n = 32 under tracemalloc,
+    at that FFT; the points with the transients of the grid and of the domain test,
+    5d), or for the geometric kind max(3k, (d + 1) k) + 5d, since its evaluation
+    holds the (nodes, k, d) argument array beside its k results (1,027 per node at
+    d = 3 on 256 atoms); the order_bound table's max(n, 16)^d x k grid, which also
+    covers the contour sample's table below n = 6; and, at d = 1, the
+    derivative_profile's :func:`_profile_values`.
     """
     k = space.natoms
     values = max(n ** fam.d * _contour_values_per_node(fam, k),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 _profile_values(k) if fam.d == 1 else 0)
+                 _profile_values(n, k) if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(

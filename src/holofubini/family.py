@@ -161,9 +161,11 @@ class ContourSample:
     about the domain center at CONTOUR_SHRINK of the radii unless given.  Every point
     set is evaluated through :meth:`HoloFamily.eval` (so the domain check applies) when
     it is first read, and is read-only from then on; an evaluation that raises is not
-    kept, so each reader meets the error itself.  So are each functional's (k,) slice
-    vector and its (m,) values on each stack of m dual vectors, but never the (nodes, m)
-    pairing behind them.  Two threads sharing a sample can at worst compute one twice.
+    kept, so each reader meets the error itself.  So are one Taylor table of the contour
+    values, each functional's (k,) slice vector and its (m,) values on each stack of m
+    dual vectors.  The contour's (n^d, m) pairing with a stack is kept only from one
+    functional on the contour to the next that reads it (:meth:`pairing`).  Two threads
+    sharing a sample can at worst compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, center=None,
@@ -174,6 +176,8 @@ class ContourSample:
         self.radii = np.array(fam.domain.radius * CONTOUR_SHRINK if radii is None else radii,
                               dtype=float, ndmin=1)
         self._node_values, self._slices, self._duals = {}, {}, {}
+        #: the Taylor table and the (stack key, contour pairing) kept, or None
+        self._table = self._pairing = None
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -185,6 +189,25 @@ class ContourSample:
         """max |F| on the contour grid, a lower estimate of its sup on the polydisc."""
         return float(np.max(np.abs(self.values)))
 
+    def taylor_table(self, degree: int) -> np.ndarray:
+        """Taylor coefficients c_m of F about the center for m up to ``degree`` per
+        variable, shape (degree + 1,)*d + (k,).
+
+        Every reader takes the leading block of one kept table, built by one FFT of
+        :attr:`values` (``cauchy._fft_coefficients``) at degree max(degree, min(n // 2 - 1,
+        ``cauchy.MAX_TAYLOR_DEGREE``)); a larger degree rebuilds it.  The FFT keeps each
+        axis's leading frequencies, so the block equals a table of that degree bit for
+        bit.  Guarding against aliasing is the reader's part.
+        """
+        from . import cauchy  # cauchy imports this module
+
+        table = self._table
+        if table is None or table.shape[0] <= degree:
+            top = max(degree, min(self.n // 2 - 1, cauchy.MAX_TAYLOR_DEGREE))
+            table = self._table = _read_only(
+                cauchy._fft_coefficients(self.values, self.fam.d, self.n, self.radii, top))
+        return table[(slice(degree + 1),) * self.fam.d]
+
     def node_values(self, phi) -> np.ndarray:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).
 
@@ -193,9 +216,7 @@ class ContourSample:
         """
         if phi.d != self.fam.d:
             raise ValueError("functional and family dimensions differ")
-        if (phi.meaning == "derivative" and len(phi.nodes) == self.n ** self.fam.d
-                and np.array_equal(phi.center, self.center)
-                and np.array_equal(phi.radii, self.radii)):
+        if self._on_contour(phi):
             return self.values
         if phi not in self._node_values:
             self._node_values[phi] = self._evaluate(phi.nodes)
@@ -208,12 +229,40 @@ class ContourSample:
         return self._slices[phi]
 
     def dual_values(self, phi, h) -> np.ndarray:
-        """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once."""
+        """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once.
+
+        A call that does not read the kept contour pairing (:meth:`pairing`) drops it."""
         h = np.array(h, dtype=complex, ndmin=2)
         key = (phi, h.shape, h.tobytes())
+        if key in self._duals or not self._on_contour(phi):
+            self._pairing = None
         if key not in self._duals:
             self._duals[key] = _read_only(phi.apply_dual(self, h))
         return self._duals[key]
+
+    def pairing(self, phi, h) -> np.ndarray:
+        """F on ``phi``'s nodes paired with each dual vector of h, ``node_values(phi) @
+        (h mu).T``, shape (nodes,) + h.shape[:-1].
+
+        One product serves every functional on the contour: the contour's is kept for
+        the last stack h until a :meth:`dual_values` call that does not read it.
+        """
+        values = self.node_values(phi)
+        hw = (h * self.space.weights).T
+        if not self._on_contour(phi):
+            return values @ hw
+        key = (h.shape, h.tobytes())
+        held = self._pairing
+        if held is None or held[0] != key:
+            held = self._pairing = (key, _read_only(values @ hw))
+        return held[1]
+
+    def _on_contour(self, phi) -> bool:
+        """Whether ``phi`` is a derivative functional on this contour: equal center and
+        radii, n^d nodes."""
+        return (phi.meaning == "derivative" and len(phi.nodes) == self.n ** self.fam.d
+                and np.array_equal(phi.center, self.center)
+                and np.array_equal(phi.radii, self.radii))
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
         return _read_only(self.fam.eval(points[:, None, :], self.space.params))

@@ -8,9 +8,9 @@ of bounded holomorphic functions, and every inequality checked downstream
 uses it in that role.
 
 Point evaluations (Dirac measures) and Cauchy-derivative functionals are
-built-in constructors; the derivative constructor shares its quadrature rule
-with :func:`holofubini.cauchy.cauchy_derivative`, so applying the functional
-to a slice reproduces that value up to summation order.
+built-in constructors; the derivative constructor takes its nodes and weights
+from :func:`holofubini.cauchy.derivative_rule`, so on the run's contour its
+nodes are the contour sample's grid and its values are the sample's.
 """
 
 from __future__ import annotations
@@ -87,14 +87,15 @@ class MeasureFunctional:
         """phi(z -> <F(z), h>): weight each node's pairing with the dual vector.
 
         ``h`` of shape (k,) gives one complex value; a stack of dual vectors
-        of shape (m, k) gives all m values from one product.
+        of shape (m, k) gives all m values from one product,
+        :meth:`~holofubini.family.ContourSample.pairing`, which every functional
+        on the sample's contour shares.
         """
         h = np.asarray(h, dtype=complex)
-        values = sample.node_values(self)
         # pair each node's F(z_j) with h before weighting the nodes; the other
         # association is the pairing of apply_slices, which linearization
         # checks this against
-        out = self.weights @ (values @ (h * sample.space.weights).T)
+        out = self.weights @ sample.pairing(self, h)
         return complex(out) if h.ndim == 1 else out
 
     def ideal_slices(self, sample: ContourSample) -> np.ndarray:
@@ -137,7 +138,7 @@ def derivative_functional(center, alpha, radii, n: int = 64,
                           label: str | None = None) -> MeasureFunctional:
     """The functional g -> D^alpha g(center), as its boundary quadrature measure.
 
-    Shares node placement and weights with :func:`cauchy_derivative`;
+    Takes its nodes and weights from :func:`~holofubini.cauchy.derivative_rule`;
     requires n > 2 max(alpha) + 2 so the discretization resolves the
     requested order with margin.
     """

@@ -30,11 +30,21 @@ __all__ = [
 ]
 
 
-def dual_exponent(p: float) -> float:
-    """q with 1/p + 1/q = 1; maps 1 <-> inf and fixes 2."""
+#: Values per block of rows that :meth:`FiniteMeasureSpace.max_lp_norms` reads at once
+#: (1 MiB of complex values), so its magnitudes and powers never take a whole stack
+ROW_BLOCK = 2 ** 16
+
+
+def _exponent(p) -> float:
     p = float(p)
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+    return p
+
+
+def dual_exponent(p: float) -> float:
+    """q with 1/p + 1/q = 1; maps 1 <-> inf and fixes 2."""
+    p = _exponent(p)
     if p == 1.0:
         return math.inf
     if math.isinf(p):
@@ -75,26 +85,38 @@ class FiniteMeasureSpace:
 
     def lp_norm(self, g, p: float) -> float | np.ndarray:
         """Weighted p-norm; p = inf is the essential sup (zero-weight atoms ignored)."""
-        rows = self._row_powers(g, p)
+        g, p = self._check_vector(g), _exponent(p)
+        rows = self._row_powers(np.abs(g), p)
         if not math.isinf(p):
             # a scalar power per vector, as numpy's vectorized power rounds some roots apart
             rows = np.reshape([s ** (1.0 / p) for s in np.ravel(rows).tolist()], rows.shape)
         return float(rows) if rows.ndim == 0 else rows
 
-    def max_lp_norm(self, g, p: float) -> float:
-        """``max(lp_norm(g, p))`` over a stack g from one root, that of the largest row sum."""
-        top = float(np.max(self._row_powers(g, p), initial=0.0))
-        return top if math.isinf(p) else top ** (1.0 / p)
+    def max_lp_norms(self, g, ps) -> list[float]:
+        """``max(lp_norm(g, p))`` over a stack g for each exponent of ``ps``.
 
-    def _row_powers(self, g, p: float) -> np.ndarray:
-        """sum_i |g_i|^p mu_i per vector; at p = inf, max |g_i| over weighted atoms."""
+        One pass over blocks of g's rows, of ``ROW_BLOCK`` values or one row, takes each
+        block's magnitudes once for every p; each sup is one root, that of the largest
+        row sum.  A row's sum does not depend on its block, so the sups are those of
+        the whole stack bit for bit.
+        """
+        ps = [_exponent(p) for p in ps]
         g = self._check_vector(g)
-        p = float(p)
-        if p < 1.0:
-            raise ValueError(f"exponent must satisfy p >= 1, got {p}")
+        rows = g.reshape(-1, self.natoms)
+        block = max(1, ROW_BLOCK // self.natoms)
+        tops = np.zeros(len(ps))
+        for start in range(0, len(rows), block):
+            mags = np.abs(rows[start:start + block])
+            tops = np.maximum(tops, [np.max(self._row_powers(mags, p), initial=0.0)
+                                     for p in ps])
+        return [top if math.isinf(p) else top ** (1.0 / p)
+                for top, p in zip(tops.tolist(), ps)]
+
+    def _row_powers(self, mags: np.ndarray, p: float) -> np.ndarray:
+        """sum_i m_i^p mu_i per row of magnitudes; at p = inf, max m_i over weighted atoms."""
         if math.isinf(p):
-            return np.max(np.abs(g), axis=-1, where=self.weights > 0, initial=0.0)
-        return np.sum(np.abs(g) ** p * self.weights, axis=-1)
+            return np.max(mags, axis=-1, where=self.weights > 0, initial=0.0)
+        return np.sum(mags ** p * self.weights, axis=-1)
 
     def pairing(self, g, h) -> complex | np.ndarray:
         """Bilinear duality sum_i g_i h_i mu_i (no complex conjugation)."""

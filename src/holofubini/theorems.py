@@ -12,17 +12,20 @@ diff_under_integral against the closed forms) carry ``TOL_QUADRATURE``, set for
 Every checker takes the run's :class:`~holofubini.family.ContourSample`: F on
 the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
 evaluated on first read, and F on each functional's nodes, evaluated once per
-functional.  The contour values serve every checker derivative at the center,
-``order_bound``'s Taylor table and every sup over the domain, which they
-estimate from below: by the maximum principle the sup over the contour polydisc
-lies on its distinguished boundary.  ``norm_bound`` adds the functional's own
-nodes, so its bound is a finite triangle inequality that grid placement cannot
-break, and ``schwarz`` adds its sample values.  The sample also keeps each
-functional's slice vector and its values on each stack of dual vectors, which
-linearization, fubini, norm_bound and span share.  Points a check draws for
-itself (the span, telescoping, order_bound and schwarz samples and the
-derivative_profile contours, which take only the sample's family, space and n)
-are evaluated where they are drawn; the d = 1 checks schwarz and
+functional.  The contour values serve every checker derivative at the center
+and every sup over the domain, which they estimate from below: by the maximum
+principle the sup over the contour polydisc lies on its distinguished boundary.
+``derivative_consistency`` and ``order_bound`` read one Taylor table that the
+sample keeps, so a run takes one FFT of its contour values; ``norm_bound`` takes
+every exponent's grid sup in one pass over blocks of contour rows and adds the
+functional's own nodes, so its bound is a finite triangle inequality that grid
+placement cannot break, and ``schwarz`` adds its sample values.  The sample also
+keeps each functional's slice vector and its values on each stack of dual
+vectors, which linearization, fubini, norm_bound and span share, and the
+functionals on the contour share one pairing of it with each stack.  Points a
+check draws for itself (the span, telescoping, order_bound and schwarz samples
+and the derivative_profile contours, which take only the sample's family, space
+and n) are evaluated where they are drawn; the d = 1 checks schwarz and
 derivative_profile evaluate theirs for a block of atoms or contours per call, of
 at most ``EVAL_BLOCK`` complex values unless one atom or contour takes more, so
 neither pays one call per atom or contour nor holds all of them at once.  Samples
@@ -39,7 +42,8 @@ from functools import partial
 import numpy as np
 
 from .cauchy import contour_derivatives, order_bound, schwarz_violation
-from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, sample_polydisc, torus_nodes
+from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
+                     sample_polydisc, torus_nodes)
 from .family import ContourSample
 
 __all__ = [
@@ -162,9 +166,10 @@ def derivative_consistency(sample: ContourSample, alphas,
                            tol: float = TOL_QUADRATURE) -> list[CheckReport]:
     """Vector-level Cauchy derivative of F versus the closed-form slice derivatives.
 
-    The vector route reads every multi-index of ``alphas`` from one FFT of the
-    sample's contour values by :func:`holofubini.cauchy.contour_derivatives`; the
-    slice route is the closed form D^alpha_z f(center, t_i) of
+    The vector route reads every multi-index of ``alphas`` as alpha! c_alpha from the
+    sample's Taylor table (:meth:`~holofubini.family.ContourSample.taylor_table`), the
+    trapezoid sum of :func:`holofubini.cauchy.contour_derivatives`; the slice route is
+    the closed form D^alpha_z f(center, t_i) of
     :meth:`HoloFamily.deriv_vector` at the sample's center.  Agreement in the
     weighted p-norm certifies that D^alpha of the L^p-valued map is the slicewise
     derivative; the residual is the quadrature error and decays geometrically in
@@ -173,9 +178,13 @@ def derivative_consistency(sample: ContourSample, alphas,
     """
     fam, space = sample.fam, sample.space
     alphas = [as_multi_index(a, fam.d) for a in alphas]
-    vector_route = contour_derivatives(sample.values, alphas, sample.radii, sample.n)
+    order = max(max(a) for a in alphas)
+    if sample.n <= order + 1:
+        raise ValueError(f"node count {sample.n} is too small for derivative order {order}")
+    table = sample.taylor_table(order)
     reports = []
-    for a, vec in zip(alphas, vector_route):
+    for a in alphas:
+        vec = multi_factorial(a) * table[a]
         closed = fam.deriv_vector(sample.center, space, a)
         routes = np.stack([vec, closed, vec - closed])
         reports += [
@@ -219,20 +228,20 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     own nodes; with the nodes included the bound is a finite triangle inequality,
     while the grid only raises the right side toward the true sup.  Passing means
     lhs <= rhs * (1 + 1e-9).  Each sup is one root, of the largest row sum
-    (:meth:`~holofubini.measure.FiniteMeasureSpace.max_lp_norm`); the grid's is taken
-    once per p for every functional on the contour.  A functional that raises gets
-    the failing report of :meth:`CheckReport.failed` and leaves the others' reports.
+    (:meth:`~holofubini.measure.FiniteMeasureSpace.max_lp_norms`); the grid's, for every
+    p from one pass over blocks of the contour rows, serves every functional on the
+    contour.  A functional that raises gets the failing report of
+    :meth:`CheckReport.failed` and leaves the others' reports.
     """
     space = sample.space
     reports = []
-    for p in p_list:
-        grid_sup = space.max_lp_norm(sample.values, p)
+    for p, grid_sup in zip(p_list, space.max_lp_norms(sample.values, p_list)):
         for phi in phis:
             try:
                 lhs = space.lp_norm(sample.slice_vector(phi), p)
                 values = sample.node_values(phi)
                 nodes_sup = (grid_sup if values is sample.values
-                             else space.max_lp_norm(values, p))
+                             else space.max_lp_norms(values, [p])[0])
             except (ValueError, ArithmeticError) as exc:
                 reports.append(CheckReport.failed("norm_bound", sample.fam.label, exc))
                 continue

@@ -6,9 +6,10 @@ import pytest
 
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative, cauchy_eval,
                         family_from_json, family_preset, order_bound, order_bound_check,
-                        preset_names, schwarz_violation, space_preset, taylor_coefficients,
-                        torus_nodes, unit_polydisc)
+                        preset_names, schwarz_violation, space_preset, torus_nodes,
+                        unit_polydisc)
 from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, derivative_rule
+from holofubini.domain import multi_factorial
 from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
 
@@ -155,61 +156,79 @@ class TestContourDerivatives:
 
 
 class TestTaylorCoefficients:
+    """The contour sample's Taylor table, on spaces of one atom t: the table of f(., t)."""
+
+    @staticmethod
+    def table(fam, t, n, degree, radii=None):
+        sample = ContourSample(fam, FiniteMeasureSpace([t], [1.0]), n, radii=radii)
+        return sample.taylor_table(degree)[..., 0]
+
     def test_exponential_series(self):
-        table = taylor_coefficients(lambda w: np.exp(w[..., 0]), [0.0], [1.0], 6)
+        table = self.table(family_preset("exponential"), 1.0, 14, 6)
         expected = [1.0 / math.factorial(k) for k in range(7)]
         np.testing.assert_allclose(table, expected, atol=1e-12)
 
     def test_geometric_series(self):
-        table = taylor_coefficients(lambda w: 1.0 / (1.0 - 0.5 * w[..., 0]),
-                                    [0.0], [1.0], 10, n=64)
+        table = self.table(family_preset("geometric"), 1.0, 64, 10)
         np.testing.assert_allclose(table, 0.5 ** np.arange(11), atol=1e-12)
 
     def test_polynomial_reproduction(self):
         rng = np.random.default_rng(5)
         coeffs = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        f = lambda w: sum(
-            coeffs[i, j] * w[..., 0] ** i * w[..., 1] ** j
-            for i in range(4) for j in range(3)
-        )
-        table = taylor_coefficients(f, [0.0, 0.0], [1.0, 1.0], 3, n=16)
+        fam = PolynomialFamily(coeffs[..., None], unit_polydisc(2))
+        table = self.table(fam, 1.0, 16, 3)
         np.testing.assert_allclose(table[:4, :3], coeffs, atol=1e-12)
 
     def test_tabulated_round_trip(self):
         fam = family_preset("tabulated")
         t = 0.8
-        table = taylor_coefficients(fam.slice(t), fam.domain.center,
-                                    fam.domain.radius * 0.95, 2, n=16)
+        table = self.table(fam, t, 16, 2)
         np.testing.assert_allclose(table, fam.table_for(t), atol=1e-12)
 
     def test_rejects_aliasing_node_count(self):
-        with pytest.raises(ValueError):
-            taylor_coefficients(lambda w: w[..., 0], [0.0], [1.0], 8, n=16)
+        sample = ContourSample(family_preset("polynomial"), space_preset("uniform-4"), 16)
+        with pytest.raises(ValueError, match="risks aliasing: need n > 16"):
+            order_bound(sample, degree=8)
 
     def test_rejects_degree_above_limit(self):
-        with pytest.raises(ValueError):
-            taylor_coefficients(lambda w: w[..., 0], [0.0], [1.0], 129)
+        sample = ContourSample(family_preset("polynomial"), space_preset("uniform-4"), 16)
+        with pytest.raises(ValueError, match="limited to degree 128"):
+            order_bound(sample, degree=129)
 
     def test_eval_consistency_with_c0(self):
         # cauchy_eval at the center equals the zeroth coefficient
         fam = family_preset("geometric")
-        slice_ = fam.slice(0.9)
-        disc = Polydisc([0.0], [0.95])
-        c0 = taylor_coefficients(slice_, [0.0], [0.95], 4, n=32)[0]
-        assert cauchy_eval(slice_, disc, [0.0], n=32) == pytest.approx(c0, abs=1e-12)
+        c0 = self.table(fam, 0.9, 32, 4, radii=[0.95])[0]
+        cauchy = cauchy_eval(fam.slice(0.9), Polydisc([0.0], [0.95]), [0.0], n=32)
+        assert cauchy == pytest.approx(c0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["constant", "polynomial", "geometric",
                                       "exponential", "separable", "tabulated"])
     def test_derivative_coefficient_link(self, name):
         # D^alpha f(a) = alpha! c_alpha for |alpha| <= 4
         fam = family_preset(name)
-        slice_ = fam.slice(0.7)
-        table = taylor_coefficients(slice_, [0.0], [0.9], 4, n=32)
+        table = self.table(fam, 0.7, 32, 4, radii=[0.9])
         for k in range(5):
-            deriv = cauchy_derivative(slice_, [0.0], (k,), [0.9], n=32)
+            deriv = cauchy_derivative(fam.slice(0.7), [0.0], (k,), [0.9], n=32)
             assert deriv == pytest.approx(
                 math.factorial(k) * table[k], abs=1e-10, rel=1e-10
             )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 5, 8, 16, 32])
+    def test_table_derivatives_equal_contour_derivatives(self, d, n):
+        # alpha! table[alpha] from the one kept table, of degree max(2, n // 2 - 1), is
+        # contour_derivatives' degree-2 FFT bit for bit, also where n // 2 - 1 < 2
+        fam = GeometricFamily([0.5, 0.4, 0.3][:d], unit_polydisc(d))
+        sample = ContourSample(fam, space_preset("uniform-4"), n)
+        alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
+        table = sample.taylor_table(2)
+        assert table.shape == (3,) * d + (4,)
+        got = np.stack([multi_factorial(a) * table[a] for a in alphas])
+        oracle = contour_derivatives(sample.values, alphas, sample.radii, n)
+        assert got.tobytes() == oracle.tobytes()
+        # the default order_bound degree reads the same kept table
+        assert np.shares_memory(sample.taylor_table(max(n // 2 - 1, 2)), table)
 
 
 class TestSchwarz:

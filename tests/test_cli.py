@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holofubini import cli, dirac, family, family_preset, space_preset, theorems
+from holofubini import cauchy, cli, dirac, family, family_preset, space_preset, theorems
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
 from holofubini.functional import MeasureFunctional
 from holofubini.theorems import CheckReport
@@ -222,6 +222,8 @@ class TestSampleOnce:
     # `check derivative_profile` reads no contour value: k * 32 * 64 = 32,768
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
+    # `check linearization` of a Dirac functional reads its one node and no contour
+    #   value, not even to share a pairing: k * 1 = 16
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
@@ -230,7 +232,8 @@ class TestSampleOnce:
         (2, 32, ["verify"], 27_200),
         (1, 64, ["check", "derivative_profile"], 32 * 64 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.02:1"], 2 * 64 * 16),
-    ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre"])
+        (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
+    ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre", "d1-dirac"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, command, expected):
         counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, *command, *family_args(tmp_path, d),
@@ -255,6 +258,54 @@ class TestSampleOnce:
                           "uniform-16", "--nodes", "32")
         assert code == 0
         assert counted == [32 ** 2] * 6
+
+    def test_contour_pairing_is_one_product_per_p(self, tmp_path):
+        # d = 2: both derivative functionals read the contour, and with p outer in
+        # linearization they meet each stack in turn: one values @ (h mu).T per p (3),
+        # where one per functional and p makes 6; fubini reads the kept dual values
+        class Products(np.ndarray):
+            """Contour values that count their products with a stack of dual vectors."""
+            count = 0
+
+            def __matmul__(self, other):
+                if np.ndim(other) == 2:
+                    type(self).count += 1
+                return np.asarray(self) @ other
+
+        args = cli.build_parser().parse_args(
+            ["verify", *family_args(tmp_path, 2), "--space", "uniform-16", "--nodes", "32"])
+        config = cli._build_config(args, ("linearization", "fubini"))
+        runs = []
+        for counted in (False, True):
+            rng = np.random.default_rng(config.seed)
+            duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
+            sample = family.ContourSample(config.family, config.space, config.n)
+            if counted:
+                sample.__dict__["values"] = sample.values.view(Products)
+            runs.append([vars(call()) for name in config.checks
+                         for call in cli.CHECKS[name](config, duals, rng, sample)])
+        assert Products.count == len(config.p_list) == 3
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("d, n", [(2, 32), (3, 16)])
+    def test_one_fft_of_the_contour_values(self, tmp_path, monkeypatch, d, n):
+        # derivative_consistency and order_bound read one Taylor table of the n^d x k
+        # contour values; diff_under_integral's FFT takes the (n^d,) pairing with h
+        path = tmp_path / "exponential.json"
+        path.write_text(json.dumps({**TestWorkBudget.EXPONENTIAL_D4, "domain": {
+            "center": [[0.0, 0.0]] * d, "radius": [1.0] * d}}))
+        shapes = []
+        fft = cauchy._fft_coefficients
+
+        def counting(values, *args):
+            shapes.append(values.shape)
+            return fft(values, *args)
+
+        monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
+        code, _ = run_cli(tmp_path, "verify", "--family-file", str(path), "--space",
+                          "uniform-16", "--nodes", str(n))
+        assert code == 0
+        assert sorted(shapes) == [(n ** d,), (n ** d, 16)]
 
     def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
         # once the contour sample holds its values, the checks evaluate only their
@@ -336,9 +387,9 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
-    # The budget counts 3k + 5d complex values per contour node: the sample with
-    # the transients of its evaluation and the FFT's first transform, and the
-    # coordinates with their copies and transients.
+    # The budget counts 3k + 5d complex values per contour node: the sample and its
+    # Taylor table with the transients of its evaluation and of the FFT that builds
+    # the table, and the coordinates with their copies and transients.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
         # 64^4 nodes x (3 x 16 atoms + 5 x 4) x 16 B = 17 GiB; nothing of that size
         # is allocated
@@ -419,6 +470,26 @@ class TestWorkBudget:
             tracemalloc.stop()
         assert peak / (n ** 3 * 16) <= cli._contour_values_per_node(fam, space.natoms)
 
+    def test_counted_values_per_node_cover_the_verify_peak(self, tmp_path):
+        # the whole d = 3 exponential battery on uniform-256 at n = 32 holds the sample
+        # and, from derivative_consistency on, its Taylor table: measured 642 values per
+        # node, at the FFT that builds the table, against 3 x 256 + 5 x 3 = 783 counted
+        path = self.family_file(tmp_path, 3)
+        # a first run's one-time imports and caches are no per-node arrays
+        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
+              "--output", str(tmp_path / "warm-up.jsonl")])
+        args = cli.build_parser().parse_args(
+            ["verify", "--family-file", path, "--space", "uniform-256", "--nodes", "32"])
+        config = cli._build_config(args, CHECK_NAMES)
+        tracemalloc.start()
+        try:
+            code, _ = cli.run_suite(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / (32 ** 3 * 16) <= cli._contour_values_per_node(config.family, 256)
+
     def test_counted_profile_values_cover_the_peak(self, monkeypatch):
         # the d = 1 derivative_profile on a 4096-point region grid on 16 atoms
         fam, space = family_preset("geometric"), space_preset("uniform-16")
@@ -433,7 +504,25 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli._profile_values(space.natoms) * 16
+        assert peak <= cli._profile_values(64, space.natoms) * 16
+
+    @pytest.mark.parametrize("name, k", [("geometric", 4096), ("polynomial", 256)])
+    def test_counted_profile_block_covers_a_whole_contour(self, name, k):
+        # at n = 64 one contour of 64 k values passes EVAL_BLOCK, so a block is that
+        # contour: measured 17.1 MiB on 4,096 atoms (5 x 64 x 4,096 x 16 B = 20 MiB
+        # counted for the block) and 1.33 MiB on 256, where 5 n k equals 8 x EVAL_BLOCK
+        fam, space = family_preset(name), space_preset(f"uniform-{k}")
+        theorems.derivative_profile(family.ContourSample(fam, space_preset("uniform-4"), 8))
+        sample = family.ContourSample(fam, space, 64)
+        sample.values
+        tracemalloc.start()
+        try:
+            theorems.derivative_profile(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 64 * k > theorems.EVAL_BLOCK
+        assert peak <= cli._profile_values(64, k) * 16
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
@@ -443,8 +532,8 @@ class TestWorkBudget:
 
     def test_profile_term_refuses_many_atoms(self, capsys, monkeypatch):
         # geometric d = 1 on 4,000,000 atoms at 6 nodes: the profile's magnitudes,
-        # grid and block take (5 x 32 x 4,000,000 / 2 + 32 + 8 x 8192) x 16 B
-        # = 4.77 GiB, while the contour term, 6 x (3 x 4,000,000 + 5) x 16 B
+        # grid and block of one contour take (5 x 32 x 4,000,000 / 2 + 32 +
+        # 5 x 6 x 4,000,000) x 16 B = 6.56 GiB, while the contour term, 6 x (3 x 4,000,000 + 5) x 16 B
         # = 1.07 GiB, and the order_bound table, 16 x 4,000,000 x 16 B = 0.95 GiB,
         # fit the budget
         fam, k = family_preset("geometric"), 4_000_000
@@ -464,7 +553,7 @@ class TestWorkBudget:
                      "--nodes", "6"])
         assert code == 2
         assert "configuration error:" in (err := capsys.readouterr().err)
-        assert "need 4.77 GiB" in err
+        assert "need 6.56 GiB" in err
         assert counted == []
 
     @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),

@@ -157,6 +157,36 @@ class TestSampler:
             assert (sample.dual_values(phi, h[:3]).view(float) == phi.apply_dual(
                 ContourSample(fam, space16, 8), h[:3]).view(float)).all()
 
+    def test_contour_pairing_is_kept_until_a_read_that_does_not_use_it(self, space16):
+        # both derivative functionals on the contour share one product per stack; a
+        # dual_values call that does not read it (another node set, a kept value)
+        # drops it, so the (n^d, m) array lives from one such functional to the next
+        class Products(np.ndarray):
+            """Contour values that count their products with a stack of dual vectors."""
+            count = 0
+
+            def __matmul__(self, other):
+                type(self).count += 1
+                return np.asarray(self) @ other
+
+        sample = ContourSample(family_preset("geometric"), space16, 8)
+        sample.__dict__["values"] = sample.values.view(Products)
+        on = [derivative_functional([0.0], (alpha,), [0.95], n=8) for alpha in (1, 2)]
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((10, 16)) + 1j * rng.standard_normal((10, 16))
+        for phi in on:
+            sample.dual_values(phi, h)
+        assert Products.count == 1
+        assert sample.pairing(on[0], h) is sample.pairing(on[1], h)
+        sample.dual_values(dirac([0.3]), h)
+        sample.pairing(on[0], h)
+        assert Products.count == 2
+        sample.dual_values(on[0], h)
+        sample.pairing(on[1], h)
+        assert Products.count == 3
+        sample.dual_values(on[0], h[:3])
+        assert Products.count == 4
+
     def test_sup_is_read_once_by_both_checks(self, space16):
         # telescoping's B and order_bound's M are one cached float, max |F| on the grid
         sample = ContourSample(family_preset("geometric"), space16, 64)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holofubini import FiniteMeasureSpace, dual_exponent, space_from_json, space_preset
+from holofubini import FiniteMeasureSpace, dual_exponent, measure, space_from_json, space_preset
 
 INF = math.inf
 
@@ -93,8 +93,8 @@ class TestStacks:
             scales = 1.0 + np.arange(6) * np.finfo(float).eps
             near = g[seed % 6] * scales[:, None]
             g = np.concatenate([g, near, near[::-1]])
-            assert space.max_lp_norm(g, p) == np.max(space.lp_norm(g, p))
-            assert space.max_lp_norm(g[3], p) == space.lp_norm(g[3], p)
+            assert space.max_lp_norms(g, [p]) == [np.max(space.lp_norm(g, p))]
+            assert space.max_lp_norms(g[3], [p]) == [space.lp_norm(g[3], p)]
 
     @pytest.mark.parametrize("name", SPACES)
     def test_pairing_row_by_row(self, name):
@@ -102,6 +102,28 @@ class TestStacks:
         assert space.pairing(g, h).tolist() == [space.pairing(a, b) for a, b in zip(g, h)]
         # one vector against a stack, as linearization and fubini pair them
         assert space.pairing(g[0], h).tolist() == [space.pairing(g[0], b) for b in h]
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_blocked_sups_equal_the_largest_row_norms(data):
+    # max_lp_norms reads blocks of ROW_BLOCK values (whole rows, at least one); on
+    # stacks of several blocks its sups equal max(lp_norm) bit for bit at every p
+    k = data.draw(st.integers(1, 6))
+    weights = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),
+                                 min_size=k, max_size=k))
+    rows_per_block = data.draw(st.integers(1, 3))
+    block = rows_per_block * k + data.draw(st.integers(0, k - 1))
+    rows = data.draw(st.integers(rows_per_block + 1, 4 * rows_per_block + 1))
+    entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+    g = np.array(data.draw(st.lists(entries, min_size=rows * k, max_size=rows * k)),
+                 dtype=complex).reshape(rows, k)
+    space = FiniteMeasureSpace(np.linspace(-1, 1, k), weights)
+    ps = [1.0, 2.0, 3.5, INF]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measure, "ROW_BLOCK", block)
+        sups = space.max_lp_norms(g, ps)
+    assert sups == [float(np.max(space.lp_norm(g, p))) for p in ps]
 
 
 @given(data=st.data())

@@ -404,14 +404,14 @@ class TestNormBound:
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, INF])
     def test_functional_list_matches_one_call_each(self, geometric, space16, monkeypatch, p):
-        # the derivative functional's 64 nodes are the contour grid, so one max_lp_norm
-        # per p of the n^d contour rows serves the grid sup and that functional's sup,
-        # and no lp_norm call takes the contour rows
+        # the derivative functional's 64 nodes are the contour grid, so one max_lp_norms
+        # call on the n^d contour rows serves the grid sup of every p and that
+        # functional's sup, and no lp_norm call takes the contour rows
         phis = [dirac([0.9]), derivative_functional([0.0], (1,), CONTOUR, n=64),
                 random_measure(geometric.domain, k=8, shrink=0.5, seed=2)]
         alone = [theorems.norm_bound_check([phi], ContourSample(geometric, space16, 64), [p])[0]
                  for phi in phis]
-        grid_rows = {"lp_norm": [], "max_lp_norm": []}
+        grid_rows = {"lp_norm": [], "max_lp_norms": []}
 
         def counting(name):
             method = getattr(FiniteMeasureSpace, name)
@@ -425,7 +425,7 @@ class TestNormBound:
             monkeypatch.setattr(FiniteMeasureSpace, name, counting(name))
         batch = theorems.norm_bound_check(phis, ContourSample(geometric, space16, 64), [p, 1])
         assert [vars(r) for r in batch[:3]] == [vars(r) for r in alone]
-        assert sum(grid_rows["max_lp_norm"]) == 2
+        assert sum(grid_rows["max_lp_norms"]) == 1
         assert sum(grid_rows["lp_norm"]) == 0
 
 
