@@ -132,16 +132,17 @@ def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
     return atoms + 5 * fam.d
 
 
-def _profile_values(n: int, k: int) -> int:
-    """Complex values the budget counts for the d = 1 derivative_profile on k atoms at n
-    nodes: its (PROFILE_MAX_ORDER + 1) x PROFILE_GRID x k float magnitudes, the region
-    grid and one block of contours.  A block of at most EVAL_BLOCK values counts as
-    8 x EVAL_BLOCK; once one contour takes more, the block is that contour, counted as
-    5 n k: under tracemalloc it held 3.0 n k on 4,096 atoms (its evaluation, the FFT's
-    full transform and the kept orders) and up to 4.1 n k at n k = 16,384, where the
+def _profile_values(k: int) -> int:
+    """Complex values the budget counts for the d = 1 derivative_profile on k atoms,
+    whatever the run's n: its (PROFILE_MAX_ORDER + 1) x PROFILE_GRID x k float
+    magnitudes, the region grid and one block of contours of PROFILE_NODES nodes.  A
+    block of at most EVAL_BLOCK values counts as 8 x EVAL_BLOCK; once one contour takes
+    more, the block is that contour, counted as 5 PROFILE_NODES k: under tracemalloc a
+    contour of n nodes held 3.0 n k on 4,096 atoms (its evaluation, the FFT's full
+    transform and the kept orders) and up to 4.1 n k at n k = 16,384, where the
     polynomial kinds' evaluation transients weigh more."""
     grid = theorems.PROFILE_GRID
-    block = max(8 * theorems.EVAL_BLOCK, 5 * n * k)
+    block = max(8 * theorems.EVAL_BLOCK, 5 * theorems.PROFILE_NODES * k)
     return (theorems.PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + block
 
 
@@ -160,12 +161,13 @@ def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int) -> No
     holds the (nodes, k, d) argument array beside its k results (1,027 per node at
     d = 3 on 256 atoms); the order_bound table's max(n, 16)^d x k grid, which also
     covers the contour sample's table below n = 6; and, at d = 1, the
-    derivative_profile's :func:`_profile_values`.
+    derivative_profile's :func:`_profile_values`.  order_bound and schwarz evaluate
+    their own points for blocks of atoms of about EVAL_BLOCK values.
     """
     k = space.natoms
     values = max(n ** fam.d * _contour_values_per_node(fam, k),
                  max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 _profile_values(n, k) if fam.d == 1 else 0)
+                 _profile_values(k) if fam.d == 1 else 0)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
@@ -204,10 +206,6 @@ class SuiteConfig:
         self.checks = tuple(c for c in selected if DIMENSIONS.get(c, lambda _: True)(d))
         if not self.checks:
             raise ConfigError(f"no selected check applies at d = {d}: {', '.join(selected)}")
-        order = theorems.PROFILE_MAX_ORDER
-        if "derivative_profile" in self.checks and self.n <= order + 1:
-            raise ConfigError(f"derivative_profile needs --nodes above {order + 1} "
-                              f"to read order {order}, got {self.n}")
         for p in self.p_list:
             if not p >= 1:
                 raise ConfigError(f"exponents must satisfy p >= 1, got {p}")
@@ -298,8 +296,8 @@ def _record(rep: CheckReport, config: SuiteConfig) -> dict:
     p = rep.params.get("p")
     values = (rep.name, rep.family, rep.functional, None if p is None else _number(p),
               rep.params.get("alpha"), _jsonify_side(rep.lhs), _jsonify_side(rep.rhs),
-              _number(rep.residual), _number(rep.tol), bool(rep.passed), config.n,
-              config.seed)
+              _number(rep.residual), _number(rep.tol), bool(rep.passed),
+              rep.params.get("n", config.n), config.seed)
     return dict(zip(RECORD_FIELDS, values, strict=True))
 
 

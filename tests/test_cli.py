@@ -96,16 +96,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("args", [["--nodes", "4"], ["--nodes", "5"]],
                              ids=["nodes4", "nodes5"])
-    def test_profile_config_it_cannot_run_is_usage_error(self, tmp_path, monkeypatch,
-                                                         capsys, args):
-        # the order-PROFILE_MAX_ORDER read needs n > 5 at d = 1, which is refused
-        # before any family value
+    def test_profile_runs_at_any_node_count(self, tmp_path, monkeypatch, args):
+        # the profile reads its orders 0-4 on contours of PROFILE_NODES nodes, not
+        # --nodes, so it runs where the run's contour could not resolve order 4:
+        # PROFILE_GRID contours of PROFILE_NODES nodes on 16 atoms, and nothing else
         counted = count_family_values(monkeypatch)
         code, text = run_cli(tmp_path, "check", "derivative_profile", "--family", "geometric",
                              "--functional", "dirac", *args)
+        assert code == 0
+        records = parse_records(text)
+        assert len(records) == theorems.PROFILE_MAX_ORDER + 1
+        assert {r["n"] for r in records} == {theorems.PROFILE_NODES}
+        assert sum(counted) == 32 * 32 * 16
+
+    @pytest.mark.parametrize("nodes", ["4", "5", "6"])
+    def test_default_derivative_functionals_refuse_few_nodes(self, tmp_path, capsys, nodes):
+        # verify at d = 1 builds the second-order derivative functional, which needs
+        # n > 2 x 2 + 2 nodes
+        code, text = run_cli(tmp_path, "verify", "--family", "geometric", "--nodes", nodes)
         assert code == 2 and text is None
-        assert "configuration error:" in capsys.readouterr().err
-        assert counted == []
+        assert "too small for derivative order" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, d, refused", [(["check", "schwarz"], 1, False),
                                                      (["check", "derivative_profile"], 2, True),
@@ -212,14 +222,15 @@ class TestSampleOnce:
     #   span, 4 functionals x (8 + 8) sample points, each evaluated once:  64 * k
     #   order_bound's 200 sample points:  200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
-    #     derivative_profile: PROFILE_GRID = 32 contours of n nodes, shared by orders 0-4
+    #     derivative_profile: PROFILE_GRID = 32 contours of PROFILE_NODES = 32 nodes
+    #     whatever n, shared by orders 0-4
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (64 + 9 + 3 + 64 + 200 + 1001 + 32*64) = 54,224
+    # d = 1, n = 64: k * (64 + 9 + 3 + 64 + 200 + 1001 + 32*32) = 37,840
     # d = 2, n = 64: k * (4096 + 9 + 3 + 64 + 200 + 400) = 76,352
     # d = 2, n = 32: k * (1024 + 9 + 3 + 64 + 200 + 400) = 27,200
-    # `check derivative_profile` reads no contour value: k * 32 * 64 = 32,768
+    # `check derivative_profile` reads no contour value: k * 32 * 32 = 16,384
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
     # `check linearization` of a Dirac functional reads its one node and no contour
@@ -227,10 +238,10 @@ class TestSampleOnce:
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 54_224),
+        (1, 64, ["verify"], 37_840),
         (2, 64, ["verify"], 76_352),
         (2, 32, ["verify"], 27_200),
-        (1, 64, ["check", "derivative_profile"], 32 * 64 * 16),
+        (1, 64, ["check", "derivative_profile"], 32 * 32 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.02:1"], 2 * 64 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre", "d1-dirac"])
@@ -423,15 +434,14 @@ class TestWorkBudget:
         # and set to 4: the profile's 5 x 4 x 16 / 2 + 4 values and its block take
         # more than the 16 x 16 of the order_bound table on its 16 nodes or the
         # 4 x (3 x 16 + 5) values the budget counts on the contour grid.  The budget
-        # counts the profile whatever the checks; at 4 nodes derivative_profile
-        # itself is refused, so the run leaves it out.
+        # counts the profile whatever the checks, and its term does not depend on n.
         fam = family_preset("geometric")
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
         need = (5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
         with monkeypatch.context() as patch:
             patch.setattr(theorems, "PROFILE_GRID", 4)
             patch.setattr(cli, "WORK_BUDGET_BYTES", need)
-            self.config(fam, "uniform-16", 4, checks=few)
+            self.config(fam, "uniform-16", 4)
             patch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
             with pytest.raises(cli.ConfigError, match="work budget"):
                 self.config(fam, "uniform-16", 4, checks=few)
@@ -504,13 +514,15 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli._profile_values(64, space.natoms) * 16
+        assert peak <= cli._profile_values(space.natoms) * 16
 
-    @pytest.mark.parametrize("name, k", [("geometric", 4096), ("polynomial", 256)])
+    @pytest.mark.parametrize("name, k", [("geometric", 4096), ("polynomial", 256),
+                                         ("polynomial", 512)])
     def test_counted_profile_block_covers_a_whole_contour(self, name, k):
-        # at n = 64 one contour of 64 k values passes EVAL_BLOCK, so a block is that
-        # contour: measured 17.1 MiB on 4,096 atoms (5 x 64 x 4,096 x 16 B = 20 MiB
-        # counted for the block) and 1.33 MiB on 256, where 5 n k equals 8 x EVAL_BLOCK
+        # one contour of PROFILE_NODES k values takes EVAL_BLOCK or more, so a block is
+        # that contour: 5 x 32 k values are counted for it (10 MiB on 4,096 atoms), and
+        # 8 x EVAL_BLOCK (1 MiB) where that is more, as on 256 atoms; on 512 (32 k =
+        # 16,384) the polynomial kinds' evaluation transients weigh most
         fam, space = family_preset(name), space_preset(f"uniform-{k}")
         theorems.derivative_profile(family.ContourSample(fam, space_preset("uniform-4"), 8))
         sample = family.ContourSample(fam, space, 64)
@@ -521,8 +533,27 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 64 * k > theorems.EVAL_BLOCK
-        assert peak <= cli._profile_values(64, k) * 16
+        assert theorems.PROFILE_NODES * k >= theorems.EVAL_BLOCK
+        assert peak <= cli._profile_values(k) * 16
+
+    def test_order_bound_peak_lies_under_the_largest_term(self):
+        # order_bound evaluates its 200 sample points for blocks of 40 atoms, so on
+        # 4,096 atoms at n = 64 its peak, with the sample's evaluation and its Taylor
+        # table, is 10.0 MiB, under the 15.0 MiB of the budget's largest term (the
+        # profile's); evaluated for all atoms at once they peaked at 31.1 MiB
+        fam, space = family_preset("geometric"), space_preset("uniform-4096")
+        # a first call's one-time imports and caches are no order_bound arrays
+        theorems.order_bound_check(family.ContourSample(fam, space_preset("uniform-4"), 64))
+        sample = family.ContourSample(fam, space, 64)
+        tracemalloc.start()
+        try:
+            theorems.order_bound_check(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = space.natoms
+        assert 64 * cli._contour_values_per_node(fam, k) < cli._profile_values(k)
+        assert peak <= cli._profile_values(k) * 16
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
@@ -532,10 +563,10 @@ class TestWorkBudget:
 
     def test_profile_term_refuses_many_atoms(self, capsys, monkeypatch):
         # geometric d = 1 on 4,000,000 atoms at 6 nodes: the profile's magnitudes,
-        # grid and block of one contour take (5 x 32 x 4,000,000 / 2 + 32 +
-        # 5 x 6 x 4,000,000) x 16 B = 6.56 GiB, while the contour term, 6 x (3 x 4,000,000 + 5) x 16 B
-        # = 1.07 GiB, and the order_bound table, 16 x 4,000,000 x 16 B = 0.95 GiB,
-        # fit the budget
+        # grid and block of one contour of PROFILE_NODES nodes take (5 x 32 x
+        # 4,000,000 / 2 + 32 + 5 x 32 x 4,000,000) x 16 B = 14.31 GiB, while the
+        # contour term, 6 x (3 x 4,000,000 + 5) x 16 B = 1.07 GiB, and the order_bound
+        # table, 16 x 4,000,000 x 16 B = 0.95 GiB, fit the budget
         fam, k = family_preset("geometric"), 4_000_000
         assert 6 * cli._contour_values_per_node(fam, k) * 16 < cli.WORK_BUDGET_BYTES
         assert 16 * k * 16 < cli.WORK_BUDGET_BYTES
@@ -553,7 +584,7 @@ class TestWorkBudget:
                      "--nodes", "6"])
         assert code == 2
         assert "configuration error:" in (err := capsys.readouterr().err)
-        assert "need 6.56 GiB" in err
+        assert "need 14.31 GiB" in err
         assert counted == []
 
     @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),

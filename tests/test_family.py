@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from holofubini import (Polydisc, derivative_functional, dirac, family_from_json,
-                        family_preset, order_bound_check, random_measure, space_preset,
-                        telescoping_residual, torus_nodes, unit_polydisc)
-from holofubini.family import (ConstantFamily, ContourSample, GeometricFamily,
-                               PolynomialFamily, SeparableFamily, TabulatedTaylorFamily)
+from holofubini import (FiniteMeasureSpace, Polydisc, derivative_functional, dirac,
+                        family_from_json, family_preset, measure, order_bound_check,
+                        random_measure, space_preset, telescoping_residual, torus_nodes,
+                        unit_polydisc)
+from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
+                               GeometricFamily, PolynomialFamily, SeparableFamily,
+                               TabulatedTaylorFamily)
 from holofubini.functional import MeasureFunctional
 
 from conftest import PRESET_NAMES, fd_derivative
@@ -195,6 +197,19 @@ class TestSampler:
         assert telescoping_residual(sample).tol == 1e-12 * (1.0 + sample.sup)
         assert order_bound_check(sample).rhs == pytest.approx(sample.sup * 2.0 ** -31,
                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("row_block", [1, 10, 64 * 3])
+    def test_blocked_sup_is_the_whole_sample_max(self, monkeypatch, row_block):
+        # sup reads blocks of measure.ROW_BLOCK values (whole rows, at least one): of
+        # 1 row, of 3 rows with the largest |F|, in row 63, alone in the last block,
+        # and all 64 rows in one; each gives the whole sample's max, float for float
+        fam = ExponentialFamily(np.exp(2j * np.pi / 64), unit_polydisc(1))
+        space = FiniteMeasureSpace([0.2, 1.0, -0.5], np.ones(3))
+        sample = ContourSample(fam, space, 64)
+        mags = np.abs(sample.values)
+        assert int(np.argmax(np.max(mags, axis=1))) == 63
+        monkeypatch.setattr(measure, "ROW_BLOCK", row_block)
+        assert sample.sup == float(np.max(mags))
 
     def test_outside_domain_rejected(self, space16):
         # a failed evaluation is not kept: every read raises

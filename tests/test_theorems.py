@@ -9,7 +9,7 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         random_measure, space_preset, torus_nodes, unit_polydisc)
 from holofubini import cauchy, cli, theorems
 from holofubini.cauchy import derivative_rule
-from holofubini.domain import CONTOUR_SHRINK
+from holofubini.domain import CONTOUR_SHRINK, sample_polydisc
 from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily,
                                PolynomialFamily)
 from holofubini.functional import MeasureFunctional
@@ -501,7 +501,8 @@ class TestDerivativeProfile:
     def test_constant_vanishing_orders(self, space16):
         reports = theorems.derivative_profile(ContourSample(family_preset("constant"),
                                                             space16, 32))
-        assert [rep.params for rep in reports] == [{"alpha": [m]} for m in range(5)]
+        assert [rep.params for rep in reports] == [{"alpha": [m], "n": theorems.PROFILE_NODES}
+                                                   for m in range(5)]
         assert all(rep.passed and rep.residual == 0.0 for rep in reports)
         for rep in reports[1:]:
             assert rep.rhs <= 1e-13
@@ -533,15 +534,44 @@ class TestDerivativeProfile:
             assert rep.lhs == pytest.approx(np.max(closed @ space.weights), rel=1e-8,
                                             abs=1e-8)
 
+    def relative_gap(self, fam, space):
+        """The largest gap of any order's lhs or rhs from the closed-form maxima over
+        the region grid, relative to max(that maximum, 1)."""
+        reports = theorems.derivative_profile(ContourSample(fam, space, 64))
+        gaps = []
+        for order, rep in enumerate(reports):
+            closed = np.abs([fam.deriv_vector(a, space, (order,))
+                             for a in self.region_grid(fam)])
+            exact = (closed.max(), np.max(closed @ space.weights))
+            gaps += [abs(side - e) / max(e, 1.0) for side, e in zip((rep.rhs, rep.lhs), exact)]
+        return max(gaps)
+
+    def test_near_singular_family_needs_the_profile_nodes(self, space16, monkeypatch):
+        # rate 0.99 puts the pole of the t = +-1 slices at |z| = 1.0101, 0.11 from the
+        # region grid at 0.9 and 0.06 beyond its 0.05-radius contours, so the
+        # trapezoid error of each order falls as about (0.05 / 0.11)^n: 1.1e-11 at
+        # PROFILE_NODES = 32, while 24 nodes leave 5.9e-9 and 16 leave 3.3e-6
+        fam = GeometricFamily([0.99], unit_polydisc(1))
+        assert self.relative_gap(fam, space16) <= 1e-10
+        for nodes in (16, 24):
+            monkeypatch.setattr(theorems, "PROFILE_NODES", nodes)
+            assert self.relative_gap(fam, space16) > 1e-10, nodes
+
+    def test_reports_do_not_depend_on_the_sample_nodes(self, geometric, space16):
+        # the contours have PROFILE_NODES nodes whatever the run's n
+        reports = [theorems.derivative_profile(ContourSample(geometric, space16, n))
+                   for n in (4, 32, 64)]
+        assert reports[0] == reports[1] == reports[2]
+
     def test_rejects_multivariate(self, space16):
         fam = GeometricFamily([0.5, 0.3], unit_polydisc(2))
         with pytest.raises(ValueError):
             theorems.derivative_profile(ContourSample(fam, space16, 32))
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
-        # the contours are evaluated in blocks of B = EVAL_BLOCK // (n k) grid points,
-        # one evaluation and one FFT per block that serves orders 0-4 of its contours;
-        # 33 points at n = 32 on 16 atoms are blocks of 16, 16 and 1
+        # the contours are evaluated in blocks of B = EVAL_BLOCK // (PROFILE_NODES k)
+        # grid points, one evaluation and one FFT per block that serves orders 0-4 of
+        # its contours; 33 points of 32 nodes on 16 atoms are blocks of 16, 16 and 1
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
@@ -557,7 +587,7 @@ class TestDerivativeProfile:
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
-        reports = theorems.derivative_profile(ContourSample(geometric, space16, 32))
+        reports = theorems.derivative_profile(ContourSample(geometric, space16, 64))
         k = space16.natoms
         assert sampled == [32 * 16 * k, 32 * 16 * k, 32 * k]
         assert max(sampled) <= theorems.EVAL_BLOCK
@@ -568,7 +598,7 @@ class TestDerivativeProfile:
         for order, rep in enumerate(reports):
             mags = []
             for a in self.region_grid(geometric):
-                pts, weights = derivative_rule(a, (order,), radii, 32)
+                pts, weights = derivative_rule(a, (order,), radii, theorems.PROFILE_NODES)
                 mags.append(np.abs(weights @ geometric.eval(pts[:, None, :], space16.params)))
             mags = np.array(mags)
             np.testing.assert_allclose(rep.rhs, mags.max(), rtol=1e-8)
@@ -621,8 +651,9 @@ class TestSchwarzCheck:
 
 
 class TestBlockedEvaluation:
-    """schwarz and derivative_profile evaluate blocks of atoms or contours; their
-    reports equal, bit for bit, those of one evaluation per atom or contour."""
+    """order_bound, schwarz and derivative_profile evaluate blocks of atoms or
+    contours; their reports equal, bit for bit, those of one evaluation per atom or
+    contour, or, for order_bound, of one evaluation of all atoms."""
 
     @staticmethod
     def schwarz_per_slice(sample, samples=1000, seed=0):
@@ -632,8 +663,9 @@ class TestBlockedEvaluation:
                    for t, ring in zip(sample.space.params, sample.values.T))
 
     @staticmethod
-    def profile_per_contour(fam, space, n):
+    def profile_per_contour(fam, space):
         """(lhs, rhs) of each order, one evaluation and FFT per region contour."""
+        n = theorems.PROFILE_NODES
         radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
         grid = torus_nodes(fam.domain.shrunk(0.9), theorems.PROFILE_GRID).grid()
         orders = [(order,) for order in range(theorems.PROFILE_MAX_ORDER + 1)]
@@ -651,15 +683,36 @@ class TestBlockedEvaluation:
         sample = ContourSample(family_preset(name), space_preset(space), 64)
         assert theorems.schwarz_check(sample).lhs == self.schwarz_per_slice(sample)
 
-    # 33 grid points leave a partial last block: 4 blocks of 8 and one of 1 on 16
-    # atoms, 16 blocks of 2 and one of 1 on 64
+    @staticmethod
+    def order_bound_in_one_call(sample):
+        """order_bound_check's report with its 200 sample points evaluated for every
+        atom in one call."""
+        fam = sample.fam
+        ob = cauchy.order_bound(sample)
+        z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), 200, 0.5,
+                            np.random.default_rng(0))
+        values = np.abs(fam.eval(z[:, None, :], sample.space.params))
+        excess = float(np.max(values - ob.u[None, :]))
+        return theorems.CheckReport.build(
+            "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
+            1e-12 * (1.0 + float(np.max(ob.u))), degree=ob.degree, shrink=0.5)
+
+    # 40 atoms a block: one block on 16 atoms, 40 and 24 on 64, six of 40 and 16 on 256
+    @pytest.mark.parametrize("space", ["uniform-16", "geometric-64", "uniform-256"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_order_bound_equals_one_evaluation(self, name, space):
+        sample = ContourSample(family_preset(name), space_preset(space), 64)
+        assert theorems.order_bound_check(sample) == self.order_bound_in_one_call(sample)
+
+    # 33 grid points of 32-node contours leave a partial last block: 2 blocks of 16
+    # and one of 1 on 16 atoms, 8 blocks of 4 and one of 1 on 64
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
     @pytest.mark.parametrize("name", preset_names())
     def test_profile_equals_the_per_contour_loop(self, name, space, monkeypatch):
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         fam, space = family_preset(name), space_preset(space)
         reports = theorems.derivative_profile(ContourSample(fam, space, 64))
-        oracle = self.profile_per_contour(fam, space, 64)
+        oracle = self.profile_per_contour(fam, space)
         assert [(rep.lhs, rep.rhs) for rep in reports] == oracle
 
     def test_peak_memory_is_bounded_by_the_block(self):
