@@ -31,8 +31,9 @@ __all__ = [
     "order_bound",
 ]
 
+#: Largest Taylor degree the contour sample's table and order_bound take
 MAX_TAYLOR_DEGREE = 128
-#: Least default order_bound degree (16 contour nodes).  With degree n // 2 - 1 the
+#: Least order_bound degree (16 contour nodes).  With degree n // 2 - 1 the
 #: geometric preset on uniform-16 fails at shrink 0.1 for n = 5, 7, 9 and 11 (at n = 5
 #: the excess is 0.027 against a tail of 0.021): the coarse odd-n tables alias with
 #: the negative atoms and push u below |f|.
@@ -120,18 +121,6 @@ def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
     return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
 
 
-def _taylor_degree(degree, n: int) -> int:
-    """``degree`` as an int, once it is known that n nodes per variable resolve it."""
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if degree > MAX_TAYLOR_DEGREE:
-        raise ValueError(f"coefficient extraction is limited to degree {MAX_TAYLOR_DEGREE}")
-    if n <= 2 * degree:
-        raise ValueError(f"node count {n} risks aliasing: need n > {2 * degree}")
-    return degree
-
-
 def schwarz_violation(f, center, radius: float, ring, samples: int = 1000,
                       seed: int = 0) -> float:
     """Max over sampled z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
@@ -172,29 +161,27 @@ class OrderBound:
     tail: float
     degree: int
     shrink: float
+    #: nodes per variable of the contour sample the table and M were read from
+    n: int
 
 
-def order_bound(sample: ContourSample, degree: int | None = None,
-                shrink: float = 0.5) -> OrderBound:
+def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     """Per-atom Taylor majorant u_i = sum_{m} |c_m(t_i)| (shrink * r)^m plus a tail.
 
     The coefficients about the sample's center are its Taylor table
     (:meth:`~holofubini.family.ContourSample.taylor_table`), r being its radii.  The
-    default degree is n // 2 - 1, capped at ``MAX_TAYLOR_DEGREE``; below
+    degree is n // 2 - 1, capped at ``MAX_TAYLOR_DEGREE``; below
     ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree, read from a contour sample
-    of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.  A given degree D needs
-    n > 2 * D.  The tail, M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the
-    shrink and M the sample's ``sup``, sums M s^|m| over the degrees m outside the
-    table; at s >= 1 the sum diverges.
+    of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.  The tail,
+    M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the shrink and M the sample's
+    ``sup``, sums M s^|m| over the degrees m outside the table; at s >= 1 the sum
+    diverges.
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
-    if degree is None:
-        if sample.n < 2 * MIN_ORDER_BOUND_DEGREE + 2:
-            sample = ContourSample(sample.fam, sample.space, 2 * MIN_ORDER_BOUND_DEGREE + 2,
-                                   sample.center, sample.radii)
-        degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
-    degree = _taylor_degree(degree, sample.n)
+    if sample.n < 2 * MIN_ORDER_BOUND_DEGREE + 2:
+        sample = ContourSample(sample.fam, sample.space, 2 * MIN_ORDER_BOUND_DEGREE + 2)
+    degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
     radii, d = sample.radii, sample.fam.d
     coeffs = sample.taylor_table(degree)
     # |c_m| * prod_j (r_j shrink)^{m_j}
@@ -203,4 +190,4 @@ def order_bound(sample: ContourSample, degree: int | None = None,
     u = np.sum(np.abs(coeffs) * rad_scale[..., None] * rho_scale[..., None], axis=tuple(range(d)))
     # the bracket as (1 - s)^-d (1 - (1 - s^(D+1))^d), free of cancellation and sign error
     tail = sample.sup * -np.expm1(d * np.log1p(-shrink ** (degree + 1))) / (1.0 - shrink) ** d
-    return OrderBound(u=u, tail=float(tail), degree=degree, shrink=shrink)
+    return OrderBound(u=u, tail=float(tail), degree=degree, shrink=shrink, n=sample.n)

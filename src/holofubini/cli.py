@@ -227,18 +227,14 @@ class SuiteConfig:
 
 
 def default_functionals(fam: HoloFamily, n: int, shrink: float, seed: int):
-    """The stock battery: a Dirac node, first- and second-order derivative
-    functionals at the domain center, and a seeded 8-node random measure."""
-    offset = fam.domain.center + 0.5 * shrink * fam.domain.radius
-    contour = fam.domain.radius * CONTOUR_SHRINK
-    alpha1 = (1,) + (0,) * (fam.d - 1)
-    alpha2 = (2,) + (0,) * (fam.d - 1)
-    return [
-        dirac(offset),
-        derivative_functional(fam.domain.center, alpha1, contour, n=n),
-        derivative_functional(fam.domain.center, alpha2, contour, n=n),
-        random_measure(fam.domain, k=8, shrink=shrink, seed=seed),
-    ]
+    """The stock battery: the defaults of the ``dirac``, ``derivative`` and ``random``
+    specs of :func:`_parse_functional` (a Dirac node, the first-order derivative
+    functional at the domain center and a seeded 8-node random measure), with the
+    second-order derivative functional on the same contour after the first."""
+    point, first, sampled = (_parse_functional(kind, fam, n, shrink, seed)
+                             for kind in ("dirac", "derivative", "random"))
+    second = derivative_functional(first.center, (2,) + first.alpha[1:], first.radii, n=n)
+    return [point, first, second, sampled]
 
 
 def _random_duals(space: FiniteMeasureSpace, rng) -> list[np.ndarray]:

@@ -159,7 +159,7 @@ class ContourSample:
     """One run's family values: F on the n-node contour grid and on functionals' nodes.
 
     ``values[j, i] = f(w_j, t_i)`` on ``torus_nodes(Polydisc(center, radii), n).grid()``,
-    about the domain center at CONTOUR_SHRINK of the radii unless given.  Every point
+    about the domain center at CONTOUR_SHRINK of the radii.  Every point
     set is evaluated through :meth:`HoloFamily.eval` (so the domain check applies) when
     it is first read, and is read-only from then on; an evaluation that raises is not
     kept, so each reader meets the error itself.  So are one Taylor table of the contour
@@ -169,13 +169,9 @@ class ContourSample:
     sharing a sample can at worst compute one twice.
     """
 
-    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, center=None,
-                 radii=None):
+    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int):
         self.fam, self.space, self.n = fam, space, int(n)
-        self.center = np.array(fam.domain.center if center is None else center,
-                               dtype=complex, ndmin=1)
-        self.radii = np.array(fam.domain.radius * CONTOUR_SHRINK if radii is None else radii,
-                              dtype=float, ndmin=1)
+        self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals = {}, {}, {}
         #: the Taylor table and the (stack key, contour pairing) kept, or None
         self._table = self._pairing = None

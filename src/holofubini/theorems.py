@@ -75,10 +75,17 @@ EVAL_BLOCK = 8192
 PROFILE_MAX_ORDER = 4
 PROFILE_GRID = 32
 PROFILE_NODES = 32
-#: identities whose two sides are the same finite sum up to reassociation
+#: identities whose two sides are the same finite sum up to reassociation, and
+#: span_monotonicity's growth relative to 1 + the base distance
 TOL_EXACT = 1e-12
 #: identities with a quadrature side, at 64 nodes and sampling shrink <= 0.5
 TOL_QUADRATURE = 1e-9
+#: span_residual's weighted-L2 distance from the span
+TOL_SPAN = 1e-8
+#: points order_bound and schwarz draw, and pairs telescoping draws
+ORDER_BOUND_SAMPLES = 200
+SCHWARZ_SAMPLES = 1000
+TELESCOPING_PAIRS = 200
 
 
 @dataclass
@@ -124,8 +131,7 @@ def _worst_dual(space, vec, duals, applied) -> tuple[complex, complex, float]:
     return complex(paired[worst]), complex(applied[worst]), gaps[worst]
 
 
-def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0,
-                           tol: float = TOL_EXACT) -> CheckReport:
+def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0) -> CheckReport:
     """|<phi.apply_slices(...), h> - phi(z -> <F(z), h>)| maximized over dual vectors.
 
     Verifies the defining identity of the representing vector (phi(f(., t_i)))_i;
@@ -136,13 +142,12 @@ def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0,
     lhs, rhs, residual = _worst_dual(sample.space, sample.slice_vector(phi), duals,
                                      sample.dual_values(phi, duals))
     return CheckReport.build(
-        "linearization", sample.fam.label, phi.label, lhs, rhs, residual, tol,
+        "linearization", sample.fam.label, phi.label, lhs, rhs, residual, TOL_EXACT,
         p=p, duals=len(duals),
     )
 
 
-def fubini_residual(phi, sample: ContourSample, h, p: float,
-                    tol: float | None = None) -> CheckReport:
+def fubini_residual(phi, sample: ContourSample, h, p: float) -> CheckReport:
     """Interchange check: integrate-then-apply versus apply-then-integrate.
 
     The left side pairs the ideal slicewise action of the functional
@@ -153,10 +158,10 @@ def fubini_residual(phi, sample: ContourSample, h, p: float,
     its node count; for Dirac and generic measures the two sides coincide
     up to reassociation.  ``h`` may also be a stack of dual vectors of shape
     (m, k); the report is then the one with the largest residual.  The right side
-    is the sample's, shared with ``linearization`` on the same stack.
+    is the sample's, shared with ``linearization`` on the same stack.  The tolerance
+    is ``TOL_QUADRATURE`` for derivative functionals and ``TOL_EXACT`` otherwise.
     """
-    if tol is None:
-        tol = TOL_QUADRATURE if phi.meaning == "derivative" else TOL_EXACT
+    tol = TOL_QUADRATURE if phi.meaning == "derivative" else TOL_EXACT
     h = np.array(h, dtype=complex, ndmin=2)
     lhs, rhs, residual = _worst_dual(sample.space, phi.ideal_slices(sample), h,
                                      sample.dual_values(phi, h))
@@ -167,8 +172,7 @@ def fubini_residual(phi, sample: ContourSample, h, p: float,
 
 
 def derivative_consistency(sample: ContourSample, alphas,
-                           p: list[float] | tuple[float, ...] = (2.0,),
-                           tol: float = TOL_QUADRATURE) -> list[CheckReport]:
+                           p: list[float] | tuple[float, ...] = (2.0,)) -> list[CheckReport]:
     """Vector-level Cauchy derivative of F versus the closed-form slice derivatives.
 
     The vector route reads every multi-index of ``alphas`` as alpha! c_alpha from the
@@ -194,15 +198,14 @@ def derivative_consistency(sample: ContourSample, alphas,
         routes = np.stack([vec, closed, vec - closed])
         reports += [
             CheckReport.build("derivative_consistency", fam.label, "",
-                              *space.lp_norm(routes, q).tolist(), tol, p=q, alpha=list(a),
-                              n=sample.n)
+                              *space.lp_norm(routes, q).tolist(), TOL_QUADRATURE, p=q,
+                              alpha=list(a), n=sample.n)
             for q in map(float, p)
         ]
     return reports
 
 
-def diff_under_integral(sample: ContourSample, h, alphas,
-                        tol: float = TOL_QUADRATURE) -> list[CheckReport]:
+def diff_under_integral(sample: ContourSample, h, alphas) -> list[CheckReport]:
     """D^alpha of z -> <F(z), h> at the sample's center versus pairing the slice derivatives.
 
     The left side differentiates the composed scalar map on the sample's contour:
@@ -219,7 +222,7 @@ def diff_under_integral(sample: ContourSample, h, alphas,
     for a, lhs in zip(alphas, composed.tolist()):
         rhs = complex(fam.deriv_vector(sample.center, space, a) @ hw)
         reports.append(CheckReport.build(
-            "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), tol,
+            "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), TOL_QUADRATURE,
             alpha=list(a), n=sample.n,
         ))
     return reports
@@ -258,7 +261,7 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     return reports
 
 
-def span_residual(phi, sample: ContourSample, sample_points, tol: float = 1e-8) -> CheckReport:
+def span_residual(phi, sample: ContourSample, sample_points) -> CheckReport:
     """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_k)} by least squares.
 
     Atom weights define the inner product for every p; rank-deficient
@@ -268,13 +271,12 @@ def span_residual(phi, sample: ContourSample, sample_points, tol: float = 1e-8) 
     values = _span_values(sample, sample_points)
     distance = _span_distance(phi, sample, values)
     return CheckReport.build(
-        "span", sample.fam.label, phi.label, distance, 0.0, distance, tol,
+        "span", sample.fam.label, phi.label, distance, 0.0, distance, TOL_SPAN,
         samples=len(values),
     )
 
 
-def span_monotonicity(phi, sample: ContourSample, sample_points, more_points,
-                      tol: float = 1e-12) -> CheckReport:
+def span_monotonicity(phi, sample: ContourSample, sample_points, more_points) -> CheckReport:
     """Distance with the enlarged nested sample set never exceeds the original; the
     two point sets are evaluated together, and the base distance reads the first rows."""
     base_count = len(sample_points)
@@ -283,7 +285,7 @@ def span_monotonicity(phi, sample: ContourSample, sample_points, more_points,
     grown = _span_distance(phi, sample, values)
     return CheckReport.build(
         "span", sample.fam.label, phi.label, base, grown, max(0.0, grown - base),
-        tol * (1.0 + base), samples=base_count,
+        TOL_EXACT * (1.0 + base), samples=base_count,
     )
 
 
@@ -345,11 +347,11 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     return reports
 
 
-def telescoping_residual(sample: ContourSample, n_pairs: int = 200,
-                         sample_shrink: float = 0.5, seed: int = 0) -> CheckReport:
+def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
+                         seed: int = 0) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
-    For sampled pairs z, a in the sample_shrink polydisc, checks
+    For ``TELESCOPING_PAIRS`` sampled pairs z, a in the sample_shrink polydisc, checks
     ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B is
     the sample's ``sup``: max |F| on its contour grid, a run's n-node grid at
     CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its polydisc.
@@ -360,9 +362,9 @@ def telescoping_residual(sample: ContourSample, n_pairs: int = 200,
     fam, space = sample.fam, sample.space
     rng = np.random.default_rng(seed)
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
-    bound = sample.sup
-    z = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
-    a = sample_polydisc(fam.domain, n_pairs, sample_shrink, rng)
+    bound, pairs = sample.sup, TELESCOPING_PAIRS
+    z = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
+    a = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
     fz = fam.eval(z[:, None, :], space.params)
     fa = fam.eval(a[:, None, :], space.params)
     lhs = np.max(np.abs(fz - fa), axis=1)
@@ -370,25 +372,25 @@ def telescoping_residual(sample: ContourSample, n_pairs: int = 200,
     worst = float(np.max(lhs - rhs))
     return CheckReport.build(
         "telescoping", fam.label, "", worst, 0.0, max(0.0, worst),
-        1e-12 * (1.0 + bound), pairs=n_pairs, n=sample.n,
+        1e-12 * (1.0 + bound), pairs=pairs, n=sample.n,
     )
 
 
-def order_bound_check(sample: ContourSample, degree: int | None = None, shrink: float = 0.5,
-                      n_samples: int = 200, seed: int = 0) -> CheckReport:
+def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.
 
-    The degree and the contour values follow :func:`holofubini.cauchy.order_bound`;
-    sample points fill the closed shrink-polydisc of the contour and are evaluated
-    for blocks of max(1, EVAL_BLOCK // n_samples) atoms per call.  The reported
-    tail is Cauchy's estimate from the contour's grid sup; it is not rigorous while
-    that sup lies below the true one.
+    The degree and the contour values follow :func:`holofubini.cauchy.order_bound`,
+    and the report carries the node count of the contour it read;
+    ``ORDER_BOUND_SAMPLES`` sample points fill the closed shrink-polydisc of the
+    contour and are evaluated for blocks of max(1, EVAL_BLOCK // ORDER_BOUND_SAMPLES)
+    atoms per call.  The reported tail is Cauchy's estimate from the contour's grid
+    sup; it is not rigorous while that sup lies below the true one.
     """
-    fam, params = sample.fam, sample.space.params
-    ob = order_bound(sample, degree=degree, shrink=shrink)
-    z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), n_samples, shrink,
+    fam, params, samples = sample.fam, sample.space.params, ORDER_BOUND_SAMPLES
+    ob = order_bound(sample, shrink=shrink)
+    z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), samples, shrink,
                         np.random.default_rng(seed))
-    block = max(1, EVAL_BLOCK // n_samples)
+    block = max(1, EVAL_BLOCK // samples)
     excess = float(np.max([
         np.max(np.abs(_eval_atoms(fam, params[start:start + block], z))
                - ob.u[start:start + block])
@@ -397,17 +399,18 @@ def order_bound_check(sample: ContourSample, degree: int | None = None, shrink: 
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
         "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
-        tol, degree=ob.degree, shrink=shrink,
+        tol, degree=ob.degree, shrink=shrink, n=ob.n,
     )
 
 
-def schwarz_check(sample: ContourSample, samples: int = 1000, seed: int = 0) -> CheckReport:
+def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family, on the
-    sample's contour disc; each slice's sup is read from its column of the contour
-    values.  The slices go to :func:`holofubini.cauchy.schwarz_violation` in blocks
-    of max(1, EVAL_BLOCK // (samples + 1)) atoms, so a block's center and its
-    samples are one evaluation each."""
-    fam, space = sample.fam, sample.space
+    sample's contour disc, at ``SCHWARZ_SAMPLES`` sampled points; each slice's sup is
+    read from its column of the contour values.  The slices go to
+    :func:`holofubini.cauchy.schwarz_violation` in blocks of max(1, EVAL_BLOCK //
+    (SCHWARZ_SAMPLES + 1)) atoms, so a block's center and its samples are one
+    evaluation each."""
+    fam, space, samples = sample.fam, sample.space, SCHWARZ_SAMPLES
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
     center, radius = complex(sample.center[0]), float(sample.radii[0])

@@ -75,12 +75,12 @@ def identity_matrix(space16, functionals):
         for phi in functionals:
             for p in P_LIST:
                 worst = max(
-                    (theorems.fubini_residual(phi, sample, h, p, tol=1e-9) for h in duals[p]),
+                    (theorems.fubini_residual(phi, sample, h, p) for h in duals[p]),
                     key=lambda rep: rep.residual,
                 )
                 out["fubini"].append(worst)
                 out["linearization"].append(theorems.linearization_residual(
-                    phi, sample, duals[p], p=p, tol=1e-10))
+                    phi, sample, duals[p], p=p))
             out["norm_bound"] += theorems.norm_bound_check([phi], sample, P_LIST)
     return out
 
@@ -128,10 +128,10 @@ def test_criterion_04_derivative_consistency(space16):
     for kind in KINDS:
         fam = family_preset(kind)
         reports = theorems.derivative_consistency(
-            ContourSample(fam, space16, 64), [(0,), (1,), (2,)], p=P_LIST, tol=1e-10)
+            ContourSample(fam, space16, 64), [(0,), (1,), (2,)], p=P_LIST)
         assert len(reports) == 3 * len(P_LIST)
         for rep in reports:
-            assert rep.passed, rep.describe()
+            assert rep.passed and rep.residual <= 1e-10, rep.describe()
     announce(4, "derivative consistency")
 
 
@@ -162,8 +162,7 @@ def test_criterion_06_span_membership(space16):
     ]
     for fam, space, k in cases:
         for phi in (dirac([0.3]), random_measure(fam.domain, k=5, shrink=0.5, seed=2)):
-            rep = theorems.span_residual(phi, ContourSample(fam, space, 64), samples(k),
-                                         tol=1e-8)
+            rep = theorems.span_residual(phi, ContourSample(fam, space, 64), samples(k))
             assert rep.passed, rep.describe()
     announce(6, "span membership")
 
@@ -181,7 +180,7 @@ def test_criterion_07_schwarz_and_telescoping(space16):
         assert v <= 1e-12, (kind, t, v)
     # multivariate telescoping bound on 200 sampled pairs in d = 2
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
-    rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64), n_pairs=200, seed=0)
+    rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64), seed=0)
     assert rep.passed, rep.describe()
     announce(7, "Schwarz and telescoping bounds")
 
@@ -189,10 +188,9 @@ def test_criterion_07_schwarz_and_telescoping(space16):
 def test_criterion_08_order_bound(space16):
     for kind in KINDS:
         fam = family_preset(kind)
-        # degree 40 needs more than 80 contour nodes per variable
-        rep = theorems.order_bound_check(ContourSample(fam, space16, 82), degree=40,
-                                         shrink=0.5, n_samples=200, seed=8)
-        assert rep.passed, rep.describe()
+        # 82 contour nodes per variable give degree 40
+        rep = theorems.order_bound_check(ContourSample(fam, space16, 82), shrink=0.5, seed=8)
+        assert rep.passed and rep.params["degree"] == 40, rep.describe()
     announce(8, "order bound domination")
 
 
@@ -205,8 +203,8 @@ def test_criterion_09_derivative_profiles(space16):
         assert all(rep.passed for rep in reports), [rep.describe() for rep in reports]
         for order in range(5):
             [rep] = theorems.diff_under_integral(ContourSample(fam, space16, 64), ones,
-                                                 [(order,)], tol=1e-10)
-            assert rep.passed, rep.describe()
+                                                 [(order,)])
+            assert rep.passed and rep.residual <= 1e-10, rep.describe()
     announce(9, "derivative profiles and C3")
 
 
@@ -217,7 +215,7 @@ def test_criterion_10_convergence_law(space16):
     for n in (16, 32):
         phi = derivative_functional([0.0], (1,), CONTOUR, n=n)
         sample = ContourSample(fam, space16, n)
-        worst[n] = max(theorems.fubini_residual(phi, sample, h, 1, tol=INF).residual
+        worst[n] = max(theorems.fubini_residual(phi, sample, h, 1).residual
                        for h in duals)
     assert worst[16] >= 100.0 * worst[32], worst
     announce(10, "convergence law")

@@ -8,8 +8,9 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative, cauchy_
                         family_from_json, family_preset, order_bound, order_bound_check,
                         preset_names, schwarz_violation, space_preset, torus_nodes,
                         unit_polydisc)
-from holofubini.cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, derivative_rule
-from holofubini.domain import multi_factorial
+from holofubini.cauchy import (MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE, contour_derivatives,
+                              derivative_rule)
+from holofubini.domain import CONTOUR_SHRINK, multi_factorial
 from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
 
@@ -21,9 +22,11 @@ def ring(f, center, radius, n=64):
     return f(torus_nodes(Polydisc([center], [radius]), n).grid())
 
 
-def table_sample(fam, space, degree, *contour):
-    """The contour sample with the least node count a Taylor table of ``degree`` takes."""
-    return ContourSample(fam, space, 2 * degree + 2, *contour)
+def table_sample(fam, space, degree):
+    """The contour sample whose order_bound degree is ``degree``: 2 degree + 2 nodes,
+    from the 16-node floor on."""
+    assert degree >= MIN_ORDER_BOUND_DEGREE
+    return ContourSample(fam, space, 2 * degree + 2)
 
 
 class TestCauchyEval:
@@ -159,8 +162,8 @@ class TestTaylorCoefficients:
     """The contour sample's Taylor table, on spaces of one atom t: the table of f(., t)."""
 
     @staticmethod
-    def table(fam, t, n, degree, radii=None):
-        sample = ContourSample(fam, FiniteMeasureSpace([t], [1.0]), n, radii=radii)
+    def table(fam, t, n, degree):
+        sample = ContourSample(fam, FiniteMeasureSpace([t], [1.0]), n)
         return sample.taylor_table(degree)[..., 0]
 
     def test_exponential_series(self):
@@ -185,29 +188,20 @@ class TestTaylorCoefficients:
         table = self.table(fam, t, 16, 2)
         np.testing.assert_allclose(table, fam.table_for(t), atol=1e-12)
 
-    def test_rejects_aliasing_node_count(self):
-        sample = ContourSample(family_preset("polynomial"), space_preset("uniform-4"), 16)
-        with pytest.raises(ValueError, match="risks aliasing: need n > 16"):
-            order_bound(sample, degree=8)
-
-    def test_rejects_degree_above_limit(self):
-        sample = ContourSample(family_preset("polynomial"), space_preset("uniform-4"), 16)
-        with pytest.raises(ValueError, match="limited to degree 128"):
-            order_bound(sample, degree=129)
-
     def test_eval_consistency_with_c0(self):
-        # cauchy_eval at the center equals the zeroth coefficient
+        # cauchy_eval at the center equals the zeroth coefficient, on the same contour
         fam = family_preset("geometric")
-        c0 = self.table(fam, 0.9, 32, 4, radii=[0.95])[0]
+        c0 = self.table(fam, 0.9, 32, 4)[0]
         cauchy = cauchy_eval(fam.slice(0.9), Polydisc([0.0], [0.95]), [0.0], n=32)
         assert cauchy == pytest.approx(c0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["constant", "polynomial", "geometric",
                                       "exponential", "separable", "tabulated"])
     def test_derivative_coefficient_link(self, name):
-        # D^alpha f(a) = alpha! c_alpha for |alpha| <= 4
+        # D^alpha f(a) = alpha! c_alpha for |alpha| <= 4, the table read on the 0.95
+        # contour and the derivatives on a 0.9 one
         fam = family_preset(name)
-        table = self.table(fam, 0.7, 32, 4, radii=[0.9])
+        table = self.table(fam, 0.7, 32, 4)
         for k in range(5):
             deriv = cauchy_derivative(fam.slice(0.7), [0.0], (k,), [0.9], n=32)
             assert deriv == pytest.approx(
@@ -283,17 +277,19 @@ class TestOrderBound:
         coeffs = np.zeros((2, 2), dtype=complex)
         coeffs[0, 0] = 1.5 - 0.5j   # v0 independent of t
         coeffs[1, 1] = -2.0j        # v1 = -2i t
-        fam = PolynomialFamily(coeffs, Polydisc([0.0], [2.0]))
+        fam = PolynomialFamily(coeffs, Polydisc([0.0], [1.0 / CONTOUR_SHRINK]))
         space = FiniteMeasureSpace([1.0, -0.5], [0.5, 0.5])
-        sample = table_sample(fam, space, 8, [0.0], [1.0])
-        ob = order_bound(sample, degree=8, shrink=0.5)
+        sample = table_sample(fam, space, 8)
+        assert sample.radii[0] == pytest.approx(1.0, rel=1e-15)
+        ob = order_bound(sample, shrink=0.5)
+        assert ob.degree == 8
         expected = [abs(1.5 - 0.5j) + 1.0, abs(1.5 - 0.5j) + 0.5]
         np.testing.assert_allclose(ob.u, expected, atol=1e-12)
         assert ob.tail == pytest.approx(sample.sup * 2.0 ** -8, rel=1e-12)
 
     def test_constant_family(self, space16):
         fam = family_preset("constant")
-        ob = order_bound(table_sample(fam, space16, 10), degree=10, shrink=0.5)
+        ob = order_bound(table_sample(fam, space16, 10), shrink=0.5)
         np.testing.assert_allclose(ob.u, abs(2 + 1j), atol=1e-12)
         assert ob.tail == pytest.approx(abs(2 + 1j) * 2.0 ** -10, rel=1e-12)
 
@@ -303,11 +299,11 @@ class TestOrderBound:
         fam = family_from_json({"kind": "constant", "params": {"value": [2, 1]},
                                 "domain": {"center": [[0, 0]] * d, "radius": [1] * d}})
         space = FiniteMeasureSpace([0.0], [1.0])
-        for degree in (1, 3):
+        for degree in (MIN_ORDER_BOUND_DEGREE, 9):
             sample = table_sample(fam, space, degree)
             assert sample.sup == abs(2 + 1j)
             for shrink in (0.1, 0.5):
-                tail = order_bound(sample, degree=degree, shrink=shrink).tail
+                tail = order_bound(sample, shrink=shrink).tail
                 assert tail / sample.sup == pytest.approx(
                     tail_bracket_brute_force(shrink, degree, d), rel=1e-9), (degree, shrink)
 
@@ -315,20 +311,24 @@ class TestOrderBound:
     def test_shrink_outside_open_unit_interval_refused(self, shrink, space16):
         # the tail's sum of shrink^|m| diverges at shrink >= 1
         with pytest.raises(ValueError, match="shrink"):
-            order_bound(table_sample(family_preset("constant"), space16, 4), degree=4,
-                        shrink=shrink)
+            order_bound(ContourSample(family_preset("constant"), space16, 16), shrink=shrink)
 
     def test_floor_sample_uses_its_own_sup(self, space16):
         # at 4 nodes the table comes from a 16-node contour sample, and so does M
         fam = family_preset("geometric")
         ob = order_bound(ContourSample(fam, space16, 4), shrink=0.5)
         floor_sup = ContourSample(fam, space16, 2 * MIN_ORDER_BOUND_DEGREE + 2).sup
-        assert ob.degree == MIN_ORDER_BOUND_DEGREE
+        assert (ob.degree, ob.n) == (MIN_ORDER_BOUND_DEGREE, 2 * MIN_ORDER_BOUND_DEGREE + 2)
         assert ob.tail == pytest.approx(floor_sup * 2.0 ** -MIN_ORDER_BOUND_DEGREE, rel=1e-12)
+
+    def test_degree_is_capped(self):
+        # n // 2 - 1 = 255 at 512 nodes is capped at MAX_TAYLOR_DEGREE
+        ob = order_bound(ContourSample(family_preset("constant"), space_preset("uniform-1"), 512))
+        assert (ob.degree, ob.n) == (MAX_TAYLOR_DEGREE, 512)
 
     def test_geometric_dominates_samples(self, space16):
         fam = family_preset("geometric")
-        ob = order_bound(table_sample(fam, space16, 40), degree=40, shrink=0.5)
+        ob = order_bound(table_sample(fam, space16, 40), shrink=0.5)
         rng = np.random.default_rng(0)
         radius = 0.95 * 0.5
         z = radius * np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
@@ -336,8 +336,7 @@ class TestOrderBound:
         assert np.all(values <= ob.u[None, :] + ob.tail + 1e-12)
 
     def test_tail_positive_for_geometric(self, space16):
-        ob = order_bound(table_sample(family_preset("geometric"), space16, 40), degree=40,
-                         shrink=0.5)
+        ob = order_bound(table_sample(family_preset("geometric"), space16, 40), shrink=0.5)
         assert 0.0 < ob.tail < 1e-10
 
     def test_divergent_coefficients_reported(self):
@@ -347,7 +346,7 @@ class TestOrderBound:
         fam = TabulatedTaylorFamily(coeffs, Polydisc([0.0], [1.0]))
         space = FiniteMeasureSpace([1.0], [1.0])
         sample = table_sample(fam, space, 12)
-        ob = order_bound(sample, degree=12, shrink=0.5)
+        ob = order_bound(sample, shrink=0.5)
         assert math.isfinite(ob.tail)
         assert ob.tail == pytest.approx(sample.sup * 2.0 ** -12, rel=1e-12)
         rng = np.random.default_rng(5)
@@ -384,14 +383,13 @@ class TestOrderBound:
     def test_bivariate_geometric_on_many_atoms(self):
         fam = family_from_json({"kind": "geometric", "params": {"rates": [[0.5, 0], [0.4, 0]]},
                                 "domain": {"center": [[0, 0], [0, 0]], "radius": [1, 1]}})
-        ob = order_bound(table_sample(fam, space_preset("uniform-256"), 40), degree=40,
-                         shrink=0.5)
+        ob = order_bound(table_sample(fam, space_preset("uniform-256"), 40), shrink=0.5)
         assert 0.0 < ob.tail and math.isfinite(ob.tail)
 
     def test_exponential_noise_floor_handled(self, space16):
         # far tail of e^{tz} sits below quadrature noise; the tail at degree 40 is M 2^-40
         sample = table_sample(family_preset("exponential"), space16, 40)
-        ob = order_bound(sample, degree=40, shrink=0.5)
+        ob = order_bound(sample, shrink=0.5)
         assert ob.tail == pytest.approx(sample.sup * 2.0 ** -40, rel=1e-12)
         rng = np.random.default_rng(3)
         radius = 0.95 * 0.5

@@ -1,7 +1,6 @@
 import json
 import re
 import tracemalloc
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -640,6 +639,16 @@ class TestCheckSubcommand:
         assert code == 0
         assert [r["check"] for r in parse_records(text)] == ["order_bound"]
 
+    @pytest.mark.parametrize("nodes, read", [("9", 16), ("15", 16), ("16", 16), ("17", 17)])
+    def test_order_bound_record_carries_the_nodes_it_read(self, tmp_path, nodes, read):
+        # below 16 nodes the table and the grid sup come from a 16-node contour
+        # sample, and the record says so in place of --nodes
+        code, text = run_cli(tmp_path, "check", "order_bound", "--family", "geometric",
+                             "--nodes", nodes, "--shrink", "0.1")
+        assert code == 0
+        [record] = parse_records(text)
+        assert record["n"] == read
+
     def test_unknown_check_name(self, tmp_path):
         code = main(["check", "bogus", "--family", "geometric"])
         assert code == 2
@@ -725,9 +734,8 @@ class TestFileInputs:
 
 class TestFailurePath:
     def test_violation_exits_one(self, tmp_path, monkeypatch, capsys):
-        # an absurdly tight linearization tolerance forces its records to fail
-        monkeypatch.setattr(theorems, "linearization_residual",
-                            partial(theorems.linearization_residual, tol=1e-300))
+        # an absurdly tight exact-identity tolerance forces linearization records to fail
+        monkeypatch.setattr(theorems, "TOL_EXACT", 1e-300)
         out = tmp_path / "report.jsonl"
         code = main(["verify", "--family", "geometric", "--nodes", "16",
                      "--output", str(out)])
