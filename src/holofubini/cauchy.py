@@ -1,5 +1,9 @@
-"""Cauchy quadrature on polydiscs: evaluation, derivatives, Taylor tables,
-the Schwarz-lemma inequality, and Taylor-majorant order bounds.
+"""Cauchy quadrature on polydiscs: derivatives, Taylor tables, the
+Schwarz-lemma inequality, and Taylor-majorant order bounds.
+
+Two kernels take the same trapezoid sum: :func:`derivative_rule`'s weights are the
+derivative functionals' measures, and ``_fft_coefficients`` serves every checker
+derivative and the contour sample's Taylor table.
 
 A "slice" is any callable accepting a complex array whose last axis indexes
 the d variables and returning values with the leading (batch) shape; it must
@@ -22,7 +26,6 @@ from .domain import Polydisc, as_multi_index, multi_factorial, sample_polydisc, 
 from .family import ContourSample
 
 __all__ = [
-    "cauchy_eval",
     "derivative_rule",
     "cauchy_derivative",
     "contour_derivatives",
@@ -38,23 +41,6 @@ MAX_TAYLOR_DEGREE = 128
 #: the excess is 0.027 against a tail of 0.021): the coarse odd-n tables alias with
 #: the negative atoms and push u below |f|.
 MIN_ORDER_BOUND_DEGREE = 7
-
-
-def cauchy_eval(f, disc: Polydisc, z, n: int = 64) -> complex:
-    """Evaluate f at z inside ``disc`` from distinguished-boundary samples.
-
-    Discretizes the d-fold Cauchy integral with n nodes per variable:
-    ``(1/n^d) * sum_k f(w_k) * prod_j (w_{j,k} - a_j) / (w_{j,k} - z_j)``.
-    The error is O(rho^n) with rho = max_j |z_j - a_j| / r_j < 1.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not disc.contains(z, 1.0):
-        raise ValueError("evaluation point must lie strictly inside the integration polydisc")
-    quad = torus_nodes(disc, n)
-    pts = quad.grid()
-    kernel = np.prod((pts - disc.center) / (pts - z), axis=-1)
-    vals = np.asarray(f(pts), dtype=complex)
-    return complex(np.sum(vals * kernel) / quad.n ** disc.d)
 
 
 def derivative_rule(center, alpha, radii, n: int = 64):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import theorems
-from .cauchy import MIN_ORDER_BOUND_DEGREE
+from .cauchy import MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE
 from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc
 from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
@@ -115,10 +115,10 @@ DIMENSIONS = {
 
 USAGE_ERROR = 2
 
-#: Bytes of complex values the largest arrays a run holds at once may take.  It
-#: admits every benchmark configuration, d = 3 with 256 atoms at 32 nodes (0.38 GiB)
-#: and d = 4 with 16 atoms at 32 nodes (1.06 GiB), and refuses d = 4 at 64 nodes
-#: with 16 atoms (17.00 GiB) or with 1 atom (5.75 GiB).
+#: Bytes of complex values the arrays a run holds at once may take.  With the
+#: default functionals it admits every benchmark configuration, d = 3 with 256 atoms
+#: at 32 nodes (0.34 GiB) and d = 4 with 16 atoms at 32 nodes (1.11 GiB), and refuses
+#: d = 4 at 64 nodes with 16 atoms (15.25 GiB) or with 1 atom (5.52 GiB).
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -127,8 +127,11 @@ class ConfigError(Exception):
 
 
 def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
-    """Complex values the budget counts per contour node for ``fam`` on k atoms."""
-    atoms = max(3 * k, (fam.d + 1) * k) if fam.kind == "geometric" else 3 * k
+    """Complex values per contour node that building the sample and its table takes
+    beyond :func:`_held_values`: 1.5k for the FFT's first full-size transform beside
+    its first kept half, or the geometric kind's (nodes, k, d) arguments where more,
+    and 5d for the grid's points and the transients of the grid and the domain test."""
+    atoms = max(3 * k // 2, fam.d * k) if fam.kind == "geometric" else 3 * k // 2
     return atoms + 5 * fam.d
 
 
@@ -146,32 +149,40 @@ def _profile_values(k: int) -> int:
     return (theorems.PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + block
 
 
-def _check_work_budget(fam: HoloFamily, space: FiniteMeasureSpace, n: int) -> None:
-    """Raise :class:`ConfigError` when the run's largest arrays would exceed the budget.
+def _held_values(config: SuiteConfig) -> int:
+    """Complex values a run holds across its checks: the contour sample and its Taylor
+    table of degree max(2, min(n // 2 - 1, MAX_TAYLOR_DEGREE)), the ten dual vectors
+    per exponent with the sample's one copy of each stack, and each functional's nodes
+    and weights, slice vector and, off the contour, node values."""
+    fam, k, n = config.family, config.space.natoms, config.n
+    table = max(3, min(n // 2, MAX_TAYLOR_DEGREE + 1)) ** fam.d
+    sample = ContourSample(fam, config.space, n)
+    functionals = sum((fam.d + 1) * len(phi.nodes) + k
+                      + (0 if sample.on_contour(phi) else len(phi.nodes) * k)
+                      for phi in config.functionals)
+    return (n ** fam.d + table) * k + 20 * k * len(config.p_list) + functionals
 
-    Counted in complex values, they are the largest of: the n^d contour grid with
-    3k + 5d values per node (the run's contour sample, k, held from its first read
-    on, and its Taylor table, held from the FFT that builds it on, at most k / 2^d
-    per node from n = 6 on; beside them the largest transient, up to 1.5k: the
-    sample's evaluation, or that FFT's first full-size transform beside its first
-    kept half, while norm_bound's magnitudes take one block of rows; 642 per node in
-    all for the d = 3 exponential battery on 256 atoms at n = 32 under tracemalloc,
-    at that FFT; the points with the transients of the grid and of the domain test,
-    5d), or for the geometric kind max(3k, (d + 1) k) + 5d, since its evaluation
-    holds the (nodes, k, d) argument array beside its k results (1,027 per node at
-    d = 3 on 256 atoms); the order_bound table's max(n, 16)^d x k grid, which also
-    covers the contour sample's table below n = 6; and, at d = 1, the
-    derivative_profile's :func:`_profile_values`.  order_bound and schwarz evaluate
-    their own points for blocks of atoms of about EVAL_BLOCK values.
-    """
-    k = space.natoms
-    values = max(n ** fam.d * _contour_values_per_node(fam, k),
-                 max(n, 2 * MIN_ORDER_BOUND_DEGREE + 2) ** fam.d * k,
-                 _profile_values(k) if fam.d == 1 else 0)
+
+def _counted_values(config: SuiteConfig) -> int:
+    """:func:`_held_values` plus the largest of the checks' own arrays: building the
+    contour sample and its table; below 16 nodes, order_bound's own 16-node sample and
+    table; at d = 1, :func:`_profile_values`.  order_bound and schwarz evaluate their
+    points for blocks of atoms of about EVAL_BLOCK values."""
+    fam, k, n = config.family, config.space.natoms, config.n
+    floor = 2 * MIN_ORDER_BOUND_DEGREE + 2
+    own_sample = floor ** fam.d * (k + _contour_values_per_node(fam, k)) \
+        + (floor // 2) ** fam.d * k if n < floor else 0
+    return _held_values(config) + max(n ** fam.d * _contour_values_per_node(fam, k),
+                                      own_sample, _profile_values(k) if fam.d == 1 else 0)
+
+
+def _check_work_budget(config: SuiteConfig) -> None:
+    """Raise :class:`ConfigError` when :func:`_counted_values` exceeds the budget."""
+    values = _counted_values(config)
     need = values * np.dtype(complex).itemsize
     if need > WORK_BUDGET_BYTES:
         raise ConfigError(
-            f"d = {fam.d}, {k} atoms and --nodes {n} need "
+            f"d = {config.family.d}, {config.space.natoms} atoms and --nodes {config.n} need "
             f"{need / 2**30:.2f} GiB for {values} complex values, over "
             f"the work budget of {WORK_BUDGET_BYTES / 2**30:.2f} GiB"
         )
@@ -209,7 +220,7 @@ class SuiteConfig:
         for p in self.p_list:
             if not p >= 1:
                 raise ConfigError(f"exponents must satisfy p >= 1, got {p}")
-        _check_work_budget(self.family, self.space, self.n)
+        _check_work_budget(self)
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt}")
         if self.output and (Path(self.output).is_dir() or not Path(self.output).parent.is_dir()):
@@ -364,7 +375,6 @@ def _parse_functional(text: str, fam: HoloFamily, n: int, shrink: float,
     if text.endswith(".json") or "/" in text:
         return functional_from_json(Path(text).read_text())
     kind, _, rest = text.partition(":")
-    contour = fam.domain.radius * CONTOUR_SHRINK
     if kind == "dirac":
         z0 = _parse_point(rest) if rest else fam.domain.center + 0.5 * shrink * fam.domain.radius
         return dirac(z0)
@@ -377,8 +387,12 @@ def _parse_functional(text: str, fam: HoloFamily, n: int, shrink: float,
         else:
             a = fam.domain.center
             alpha = (1,) + (0,) * (fam.d - 1)
+        # the largest polydisc about a inside the domain, shrunk as the run's contour is
+        radii = CONTOUR_SHRINK * (fam.domain.radius - np.abs(a - fam.domain.center))
+        if not np.all(radii > 0):
+            raise ConfigError(f"functional {text!r} has its center outside the family domain")
         try:
-            return derivative_functional(a, alpha, contour, n=n)
+            return derivative_functional(a, alpha, radii, n=n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if kind == "random":

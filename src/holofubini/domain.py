@@ -39,15 +39,6 @@ def parse_complex(value) -> complex:
         raise ValueError(f"cannot parse complex number {value!r}") from None
 
 
-def _as_complex_vector(z, d: int | None = None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if arr.ndim != 1:
-        raise ValueError(f"expected a complex vector, got shape {arr.shape}")
-    if d is not None and arr.shape[0] != d:
-        raise ValueError(f"dimension mismatch: expected length {d}, got {arr.shape[0]}")
-    return arr
-
-
 def as_multi_index(alpha, d: int | None = None) -> tuple[int, ...]:
     """Coerce ``alpha`` to a tuple of nonnegative ints, optionally of length d."""
     if np.isscalar(alpha):
@@ -79,8 +70,10 @@ class Polydisc:
     radius: np.ndarray
 
     def __init__(self, center, radius):
-        center = _as_complex_vector(center).copy()
+        center = np.atleast_1d(np.asarray(center, dtype=complex)).copy()
         radius = np.atleast_1d(np.asarray(radius, dtype=float)).copy()
+        if center.ndim != 1:
+            raise ValueError(f"expected a complex vector, got shape {center.shape}")
         if radius.shape != center.shape:
             raise ValueError("center and radius must have the same length")
         if center.shape[0] < 1:
@@ -95,10 +88,6 @@ class Polydisc:
     @property
     def d(self) -> int:
         return self.center.shape[0]
-
-    def contains(self, z, shrink: float = 1.0) -> bool:
-        """True iff |z_j - center_j| < shrink * radius_j for all j (open set)."""
-        return self.contains_all(_as_complex_vector(z, self.d), shrink)
 
     def contains_all(self, points, shrink: float = 1.0) -> bool:
         """Vectorized membership test for an array of points with last axis d."""

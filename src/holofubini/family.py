@@ -99,11 +99,6 @@ class HoloFamily:
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
         return self._derivative(z, np.asarray(t, dtype=complex), alpha)
 
-    def slice(self, t):
-        """The holomorphic slice f(., t) as a batched callable on (..., d) arrays."""
-        t = complex(t)
-        return lambda z: self.eval(z, t)
-
     def vector(self, z, space: FiniteMeasureSpace) -> np.ndarray:
         """F(z): the per-atom value vector (one entry per atom of ``space``)."""
         z = np.asarray(z, dtype=complex)
@@ -220,7 +215,7 @@ class ContourSample:
         """
         if phi.d != self.fam.d:
             raise ValueError("functional and family dimensions differ")
-        if self._on_contour(phi):
+        if self.on_contour(phi):
             return self.values
         if phi not in self._node_values:
             self._node_values[phi] = self._evaluate(phi.nodes)
@@ -235,14 +230,15 @@ class ContourSample:
     def dual_values(self, phi, h) -> np.ndarray:
         """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once.
 
+        The memo keeps each stack's bytes once, with every functional's values on it.
         A call that does not read the kept contour pairing (:meth:`pairing`) drops it."""
         h = np.array(h, dtype=complex, ndmin=2)
-        key = (phi, h.shape, h.tobytes())
-        if key in self._duals or not self._on_contour(phi):
+        memo = self._duals.setdefault((h.shape, h.tobytes()), {})
+        if phi in memo or not self.on_contour(phi):
             self._pairing = None
-        if key not in self._duals:
-            self._duals[key] = _read_only(phi.apply_dual(self, h))
-        return self._duals[key]
+        if phi not in memo:
+            memo[phi] = _read_only(phi.apply_dual(self, h))
+        return memo[phi]
 
     def pairing(self, phi, h) -> np.ndarray:
         """F on ``phi``'s nodes paired with each dual vector of h, ``node_values(phi) @
@@ -253,7 +249,7 @@ class ContourSample:
         """
         values = self.node_values(phi)
         hw = (h * self.space.weights).T
-        if not self._on_contour(phi):
+        if not self.on_contour(phi):
             return values @ hw
         key = (h.shape, h.tobytes())
         held = self._pairing
@@ -261,7 +257,7 @@ class ContourSample:
             held = self._pairing = (key, _read_only(values @ hw))
         return held[1]
 
-    def _on_contour(self, phi) -> bool:
+    def on_contour(self, phi) -> bool:
         """Whether ``phi`` is a derivative functional on this contour: equal center and
         radii, n^d nodes."""
         return (phi.meaning == "derivative" and len(phi.nodes) == self.n ** self.fam.d
@@ -476,10 +472,6 @@ class TabulatedTaylorFamily(HoloFamily):
                 f"coefficient tensor needs {domain.d + 1} axes (z monomials + t degree)"
             )
         self.coeffs = coeffs
-
-    def table_for(self, t) -> np.ndarray:
-        """The stored coefficient table evaluated at parameter t."""
-        return npoly.polyval(complex(t), np.moveaxis(self.coeffs, -1, 0))
 
     def _evaluate(self, z, t):
         return _tensor_poly_eval(self.coeffs, z - self.domain.center, t)

@@ -1,11 +1,11 @@
 """Functionals on bounded holomorphic functions, realized as finite measures.
 
 Every bounded-pointwise-continuous functional used here is represented by a
-finite complex quadrature measure on the domain: a list of nodes z_k and
-weights w_k with application phi(g) = sum_k w_k g(z_k).  The total variation
-sum |w_k| is a computable upper bound for the functional norm on the space
-of bounded holomorphic functions, and every inequality checked downstream
-uses it in that role.
+finite complex quadrature measure on the domain: nodes z_k and weights w_k with
+phi(g) = sum_k w_k g(z_k), applied to the family values that a contour sample
+holds at the nodes.  The total variation sum |w_k| is a computable upper bound
+for the functional norm on the space of bounded holomorphic functions, and every
+inequality checked downstream uses it in that role.
 
 Point evaluations (Dirac measures) and Cauchy-derivative functionals are
 built-in constructors; the derivative constructor takes its nodes and weights
@@ -73,11 +73,6 @@ class MeasureFunctional:
         """sum_k |w_k|: an upper bound for the functional norm."""
         return float(np.sum(np.abs(self.weights)))
 
-    def apply(self, g) -> complex:
-        """phi(g) = sum_k w_k g(z_k) for a batched callable g."""
-        vals = np.asarray(g(self.nodes), dtype=complex)
-        return complex(np.sum(self.weights * vals))
-
     def apply_slices(self, sample: ContourSample) -> np.ndarray:
         """The vector (phi(f(., t_i)))_i over all atoms, from ``sample``'s values on the
         nodes (:meth:`holofubini.family.ContourSample.node_values`)."""
@@ -113,13 +108,6 @@ class MeasureFunctional:
         if self.meaning == "derivative":
             return fam.deriv_vector(self.center, space, self.alpha)
         return sample.slice_vector(self)
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "nodes": [[[c.real, c.imag] for c in node] for node in self.nodes],
-            "weights": [[w.real, w.imag] for w in self.weights],
-        }
 
     def __repr__(self):
         return f"<MeasureFunctional {self.label!r} nodes={self.nodes.shape[0]} d={self.d}>"

@@ -24,7 +24,6 @@ from .domain import parse_complex
 
 __all__ = [
     "FiniteMeasureSpace",
-    "dual_exponent",
     "space_from_json",
     "space_preset",
 ]
@@ -40,16 +39,6 @@ def _exponent(p) -> float:
     if p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     return p
-
-
-def dual_exponent(p: float) -> float:
-    """q with 1/p + 1/q = 1; maps 1 <-> inf and fixes 2."""
-    p = _exponent(p)
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,18 +29,6 @@ def preset_family(request):
     return family_preset(request.param)
 
 
-def poly_eval(coeffs, z):
-    """Direct monomial-sum oracle: sum_m coeffs[m] * prod_j z_j**m_j."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    total = 0.0 + 0.0j
-    for m in np.ndindex(*coeffs.shape):
-        term = coeffs[m]
-        for j, mj in enumerate(m):
-            term = term * z[j] ** mj
-        total += term
-    return total
-
-
 def poly_deriv(coeffs, z, alpha):
     """Direct falling-factorial oracle for D^alpha of a monomial sum."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))

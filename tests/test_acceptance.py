@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from holofubini import (FiniteMeasureSpace, cauchy_derivative, cauchy_eval,
+from holofubini import (FiniteMeasureSpace, cauchy_derivative,
                         derivative_functional, dirac, family_preset, random_measure,
                         space_preset, unit_polydisc)
 from holofubini import theorems, torus_nodes
@@ -19,7 +19,7 @@ from holofubini.domain import Polydisc
 from holofubini.family import ContourSample, GeometricFamily
 from holofubini.functional import MeasureFunctional
 
-from conftest import PRESET_NAMES, poly_deriv, poly_eval, random_duals
+from conftest import PRESET_NAMES, poly_deriv, random_duals
 
 INF = math.inf
 P_LIST = (1.0, 2.0, INF)
@@ -87,18 +87,13 @@ def identity_matrix(space16, functionals):
 
 def test_criterion_01_cauchy_exactness():
     # polynomial slices of per-variable degree <= 8 in d = 1, 2 against the
-    # direct-evaluation oracle, relative 1e-11 at n = 32
+    # direct-evaluation oracle, relative 1e-11 at n = 32; alpha = 0 is Cauchy's
+    # formula for the value at an off-centre point a
     rng = np.random.default_rng(42)
-    for d, n_eval_pts in ((1, 4), (2, 3)):
+    for d in (1, 2):
         shape = (9,) * d
         coeffs = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
         f = batched_poly(coeffs)
-        disc = unit_polydisc(d)
-        for _ in range(n_eval_pts):
-            z = 0.35 * (rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)) / np.sqrt(2)
-            oracle = poly_eval(coeffs, z)
-            got = cauchy_eval(f, disc, z, n=32)
-            assert abs(got - oracle) <= 1e-11 * max(1.0, abs(oracle))
         for alpha in all_alphas(d, 3):
             a = 0.1 * (rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d))
             oracle = poly_deriv(coeffs, a, alpha)
@@ -175,7 +170,8 @@ def test_criterion_07_schwarz_and_telescoping(space16):
     assert len(slices) == 10
     ring = torus_nodes(Polydisc([0.0], [0.95]), 64).grid()
     for kind, t in slices:
-        f = family_preset(kind).slice(t)
+        fam = family_preset(kind)
+        f = lambda z: fam.eval(z, t)
         v = schwarz_violation(f, 0.0, 0.95, f(ring), samples=1000, seed=7)
         assert v <= 1e-12, (kind, t, v)
     # multivariate telescoping bound on 200 sampled pairs in d = 2

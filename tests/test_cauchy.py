@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative, cauchy_eval,
+from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         family_from_json, family_preset, order_bound, order_bound_check,
                         preset_names, schwarz_violation, space_preset, torus_nodes,
                         unit_polydisc)
@@ -27,39 +27,6 @@ def table_sample(fam, space, degree):
     from the 16-node floor on."""
     assert degree >= MIN_ORDER_BOUND_DEGREE
     return ContourSample(fam, space, 2 * degree + 2)
-
-
-class TestCauchyEval:
-    def test_constant(self):
-        val = cauchy_eval(lambda w: np.full(w.shape[:-1], 3.5 - 2j), unit_polydisc(), [0.2], n=32)
-        assert val == pytest.approx(3.5 - 2j, abs=1e-13)
-
-    def test_bivariate_monomial(self):
-        # z1^2 z2 at (0.3, 0.5i): 0.09 * 0.5i = 0.045i by direct evaluation;
-        # the eval rule aliases at (|z_2|/r)^n ~ 0.5^32
-        val = cauchy_eval(lambda w: w[..., 0] ** 2 * w[..., 1], unit_polydisc(2),
-                          [0.3, 0.5j], n=32)
-        assert val == pytest.approx(0.045j, abs=5e-11)
-        val64 = cauchy_eval(lambda w: w[..., 0] ** 2 * w[..., 1], unit_polydisc(2),
-                            [0.3, 0.5j], n=64)
-        assert val64 == pytest.approx(0.045j, abs=1e-13)
-
-    def test_geometric_closed_form(self):
-        val = cauchy_eval(lambda w: 1.0 / (2.0 - w[..., 0]), unit_polydisc(), [0.5], n=64)
-        assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
-
-    def test_rejects_boundary_point(self):
-        with pytest.raises(ValueError):
-            cauchy_eval(lambda w: w[..., 0], unit_polydisc(), [1.0], n=16)
-
-    def test_geometric_convergence_rate(self):
-        # halving-radius evaluation error drops by >= 100x from n=16 to n=32
-        disc = unit_polydisc()
-        f = lambda w: 1.0 / (1.0 - 0.5 * w[..., 0])
-        z = [0.5]
-        exact = 1.0 / (1.0 - 0.25)
-        errs = [abs(cauchy_eval(f, disc, z, n=n) - exact) for n in (16, 32)]
-        assert errs[0] >= 100.0 * errs[1]
 
 
 class TestCauchyDerivative:
@@ -93,7 +60,7 @@ class TestCauchyDerivative:
     @pytest.mark.parametrize("alpha", [(1,), (2,)])
     def test_finite_difference_agreement(self, alpha):
         fam = family_preset("geometric")
-        slice_ = fam.slice(1.0)
+        slice_ = lambda z: fam.eval(z, 1.0)
         quad = cauchy_derivative(slice_, [0.0], alpha, [0.9], n=64)
         fd = fd_derivative(slice_, [0.0], alpha)
         assert quad == pytest.approx(fd, rel=1e-5)
@@ -183,16 +150,19 @@ class TestTaylorCoefficients:
         np.testing.assert_allclose(table[:4, :3], coeffs, atol=1e-12)
 
     def test_tabulated_round_trip(self):
+        # the stored table at t: sum_j coeffs[m, j] t^j
         fam = family_preset("tabulated")
         t = 0.8
         table = self.table(fam, t, 16, 2)
-        np.testing.assert_allclose(table, fam.table_for(t), atol=1e-12)
+        np.testing.assert_allclose(table, fam.coeffs @ t ** np.arange(fam.coeffs.shape[-1]),
+                                   atol=1e-12)
 
     def test_eval_consistency_with_c0(self):
-        # cauchy_eval at the center equals the zeroth coefficient, on the same contour
+        # Cauchy's formula at the center (alpha = 0) equals the zeroth coefficient, on
+        # the same contour
         fam = family_preset("geometric")
         c0 = self.table(fam, 0.9, 32, 4)[0]
-        cauchy = cauchy_eval(fam.slice(0.9), Polydisc([0.0], [0.95]), [0.0], n=32)
+        cauchy = cauchy_derivative(lambda z: fam.eval(z, 0.9), [0.0], (0,), [0.95], n=32)
         assert cauchy == pytest.approx(c0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["constant", "polynomial", "geometric",
@@ -203,7 +173,7 @@ class TestTaylorCoefficients:
         fam = family_preset(name)
         table = self.table(fam, 0.7, 32, 4)
         for k in range(5):
-            deriv = cauchy_derivative(fam.slice(0.7), [0.0], (k,), [0.9], n=32)
+            deriv = cauchy_derivative(lambda z: fam.eval(z, 0.7), [0.0], (k,), [0.9], n=32)
             assert deriv == pytest.approx(
                 math.factorial(k) * table[k], abs=1e-10, rel=1e-10
             )

@@ -1,13 +1,15 @@
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from holofubini import cauchy, cli, dirac, family, family_preset, space_preset, theorems
+from holofubini import (cauchy, cli, derivative_functional, dirac, family, family_preset,
+                        space_preset, theorems)
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
 from holofubini.functional import MeasureFunctional
 from holofubini.theorems import CheckReport
@@ -115,6 +117,33 @@ class TestVerify:
         code, text = run_cli(tmp_path, "verify", "--family", "geometric", "--nodes", nodes)
         assert code == 2 and text is None
         assert "too small for derivative order" in capsys.readouterr().err
+
+    def test_off_centre_derivative_functional_runs(self, tmp_path):
+        # derivative:a:alpha reads its contour at 0.95 of the largest polydisc about a
+        # inside the domain: radius 0.95 x (1 - 0.5) about a = 0.5
+        code, text = run_cli(tmp_path, "verify", "--family", "exponential",
+                             "--functional", "derivative:0.5:1")
+        assert code == 0
+        fubini = [r for r in parse_records(text) if r["check"] == "fubini"]
+        assert len(fubini) == 3 and all(r["pass"] for r in fubini)
+        phi = cli._parse_functional("derivative:0.5:1", family_preset("exponential"), 64,
+                                    0.5, 0)
+        np.testing.assert_array_equal(phi.radii, [0.95 * 0.5])
+
+    @pytest.mark.parametrize("a", ["1", "1.5", "0.8+0.8j"])
+    def test_derivative_functional_outside_domain_is_usage_error(self, tmp_path, capsys, a):
+        code, text = run_cli(tmp_path, "verify", "--family", "exponential",
+                             "--functional", f"derivative:{a}:1")
+        assert code == 2 and text is None
+        assert "center outside the family domain" in capsys.readouterr().err
+
+    def test_default_derivative_functionals_read_the_run_contour(self):
+        # at a = the domain center the radii are 0.95 r, the contour sample's, bit for bit
+        fam = family.family_from_json(json.dumps(dict(GEOMETRIC_D2, domain={
+            "center": [[0.1, 0.2], [-0.3, 0.0]], "radius": [0.7, 1.3]})))
+        sample = family.ContourSample(fam, space_preset("uniform-4"), 16)
+        first, second = cli.default_functionals(fam, 16, 0.5, 0)[1:3]
+        assert sample.on_contour(first) and sample.on_contour(second)
 
     @pytest.mark.parametrize("command, d, refused", [(["check", "schwarz"], 1, False),
                                                      (["check", "derivative_profile"], 2, True),
@@ -241,7 +270,7 @@ class TestSampleOnce:
         (2, 64, ["verify"], 76_352),
         (2, 32, ["verify"], 27_200),
         (1, 64, ["check", "derivative_profile"], 32 * 32 * 16),
-        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.02:1"], 2 * 64 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 2 * 64 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre", "d1-dirac"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, command, expected):
@@ -397,17 +426,17 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
-    # The budget counts 3k + 5d complex values per contour node: the sample and its
-    # Taylor table with the transients of its evaluation and of the FFT that builds
-    # the table, and the coordinates with their copies and transients.
+    # The budget counts per contour node the sample, k, its Taylor table, k / 2^d from
+    # n = 6 on, and the transients of its evaluation or of the FFT that builds the
+    # table, 1.5k, with 5d for the coordinates with their copies and transients.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 64^4 nodes x (3 x 16 atoms + 5 x 4) x 16 B = 17 GiB; nothing of that size
-        # is allocated
+        # 64^4 nodes x (16 + 1 + 24 + 5 x 4) x 16 B = 15.25 GiB, with the 20 x 3 x 16
+        # values of the dual stacks; nothing of that size is allocated
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
 
     def test_contour_coordinates_are_counted(self, tmp_path, monkeypatch):
-        # one atom: 64^4 x (3 x 1 + 5 x 4) x 16 B = 5.75 GiB, most of it the
-        # coordinates; the three atom arrays alone would take 0.75 GiB
+        # one atom: 64^4 x (1 + 1 / 16 + 1 + 5 x 4) x 16 B = 5.52 GiB, most of it the
+        # coordinates; the atom arrays alone would take 0.52 GiB
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 64)
 
     def test_suite_config_checks_the_budget(self):
@@ -416,9 +445,8 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (3 x 256 atoms + 5 x 3)
-        # x 16 B = 0.38 GiB; the order_bound table takes 32^3 x 256 x 16 B
-        # = 0.125 GiB
+        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (256 + 32 + 384 + 5 x 3)
+        # x 16 B = 0.34 GiB
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
@@ -431,12 +459,15 @@ class TestWorkBudget:
     def test_lowered_budget(self, monkeypatch):
         # geometric d = 1 on 16 atoms at 4 nodes, with PROFILE_GRID read at call time
         # and set to 4: the profile's 5 x 4 x 16 / 2 + 4 values and its block take
-        # more than the 16 x 16 of the order_bound table on its 16 nodes or the
-        # 4 x (3 x 16 + 5) values the budget counts on the contour grid.  The budget
-        # counts the profile whatever the checks, and its term does not depend on n.
+        # more than the 16 x (16 + 24 + 5) + 8 x 16 of order_bound's own 16-node sample
+        # and its table, or the 4 x (24 + 5) the budget counts for building the
+        # contour sample.  Beside it the run holds the 4 x 16 values of the sample,
+        # the 3 x 16 of its degree-2 table and the 20 x 16 of one exponent's dual
+        # stack.  The budget counts the profile whatever the checks, and its term
+        # does not depend on n.
         fam = family_preset("geometric")
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
-        need = (5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
+        need = ((4 + 3 + 20) * 16 + 5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
         with monkeypatch.context() as patch:
             patch.setattr(theorems, "PROFILE_GRID", 4)
             patch.setattr(cli, "WORK_BUDGET_BYTES", need)
@@ -445,8 +476,8 @@ class TestWorkBudget:
             with pytest.raises(cli.ConfigError, match="work budget"):
                 self.config(fam, "uniform-16", 4, checks=few)
         # at 64 nodes and the 32-point grid the profile counts 5 x 32 x 16 / 2 + 32
-        # values beside its block
-        need = (5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
+        # values beside its block, and the run holds a 32-coefficient table
+        need = ((64 + 32 + 20) * 16 + 5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 64)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
@@ -456,11 +487,24 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
+    def test_held_values_count_functionals(self):
+        # each functional holds its nodes and weights, d + 1 values per node, and its
+        # slice vector; one off the contour also holds its node values, k per node
+        fam, space = family_preset("geometric"), space_preset("uniform-16")
+        on = derivative_functional([0.0], (1,), [0.95], n=64)
+        off = derivative_functional([0.5], (1,), [0.475], n=64)
+        base = cli.SuiteConfig(family=fam, space=space, functionals=[], p_list=[2.0])
+        held = cli._held_values(base)
+        assert held == (64 + 32 + 20) * 16
+        assert cli._held_values(replace(base, functionals=[on])) == held + 2 * 64 + 16
+        assert cli._held_values(replace(base, functionals=[off])) == \
+            held + 2 * 64 + 16 + 64 * 16
+
     @pytest.mark.parametrize("kind", ["geometric", "exponential"])
     def test_counted_values_per_node_cover_the_peak(self, kind):
-        # derivative_consistency on a fresh d = 3 sample evaluates it, the run's
-        # largest transient; the geometric kind's (nodes, k, 3) argument array beside
-        # its k results takes about 4k values per node, over the 3k of other kinds
+        # derivative_consistency on a fresh d = 3 sample evaluates it and builds its
+        # table, the run's largest transient; the geometric kind's (nodes, k, 3)
+        # argument array beside its k results takes about 4k values per node
         doc = {**self.EXPONENTIAL_D4, "domain": {"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3}}
         if kind == "geometric":
@@ -477,27 +521,46 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (n ** 3 * 16) <= cli._contour_values_per_node(fam, space.natoms)
+        counted = cli._held_values(self.config(fam, "uniform-64", n)) \
+            + n ** 3 * cli._contour_values_per_node(fam, space.natoms)
+        assert peak <= counted * 16
 
-    def test_counted_values_per_node_cover_the_verify_peak(self, tmp_path):
-        # the whole d = 3 exponential battery on uniform-256 at n = 32 holds the sample
-        # and, from derivative_consistency on, its Taylor table: measured 642 values per
-        # node, at the FFT that builds the table, against 3 x 256 + 5 x 3 = 783 counted
-        path = self.family_file(tmp_path, 3)
-        # a first run's one-time imports and caches are no per-node arrays
-        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
-              "--output", str(tmp_path / "warm-up.jsonl")])
-        args = cli.build_parser().parse_args(
-            ["verify", "--family-file", path, "--space", "uniform-256", "--nodes", "32"])
-        config = cli._build_config(args, CHECK_NAMES)
+    @staticmethod
+    def traced_run(argv):
+        """(exit code, tracemalloc peak, counted complex values) of one run of argv."""
         tracemalloc.start()
         try:
+            config = cli._build_config(cli.build_parser().parse_args(argv), CHECK_NAMES)
             code, _ = cli.run_suite(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return code, peak, cli._counted_values(config)
+
+    def test_counted_values_per_node_cover_the_verify_peak(self, tmp_path):
+        # the whole d = 3 exponential battery on uniform-256 at n = 32 holds the sample
+        # and, from derivative_consistency on, its Taylor table: measured 642 values per
+        # node, at the FFT that builds the table, beside the run's held arrays
+        path = self.family_file(tmp_path, 3)
+        # a first run's one-time imports and caches are no per-node arrays
+        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
+              "--output", str(tmp_path / "warm-up.jsonl")])
+        code, peak, counted = self.traced_run(
+            ["verify", "--family-file", path, "--space", "uniform-256", "--nodes", "32"])
         assert code == 0
-        assert peak / (32 ** 3 * 16) <= cli._contour_values_per_node(config.family, 256)
+        assert peak <= counted * 16
+
+    @pytest.mark.parametrize("k", [4096, 16384])
+    def test_counted_values_cover_the_verify_peak(self, tmp_path, k):
+        # geometric d = 1 at 64 nodes peaks in derivative_profile, beside the contour
+        # sample, its table, the dual stacks and the sample's copy of each: 21.8 MiB
+        # against 25.6 MiB counted on 4,096 atoms, 87.0 against 102.3 on 16,384.  The
+        # budget once counted only the largest check's arrays, 15.0 and 60.0 MiB, while
+        # the runs peaked at 27.4 and 109.0 MiB with a copy of each stack per functional
+        main(["verify", "--space", "uniform-4", "--output", str(tmp_path / "warm-up.jsonl")])
+        code, peak, counted = self.traced_run(["verify", "--space", f"uniform-{k}"])
+        assert code == 0
+        assert peak <= counted * 16
 
     def test_counted_profile_values_cover_the_peak(self, monkeypatch):
         # the d = 1 derivative_profile on a 4096-point region grid on 16 atoms
@@ -556,19 +619,23 @@ class TestWorkBudget:
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
-        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (3 x 16 + 5 x 4) x 16 B = 1.06 GiB
+        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (16 + 1 + 24 + 5 x 4) x 16 B
+        # = 0.95 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 
     def test_profile_term_refuses_many_atoms(self, capsys, monkeypatch):
         # geometric d = 1 on 4,000,000 atoms at 6 nodes: the profile's magnitudes,
         # grid and block of one contour of PROFILE_NODES nodes take (5 x 32 x
-        # 4,000,000 / 2 + 32 + 5 x 32 x 4,000,000) x 16 B = 14.31 GiB, while the
-        # contour term, 6 x (3 x 4,000,000 + 5) x 16 B = 1.07 GiB, and the order_bound
-        # table, 16 x 4,000,000 x 16 B = 0.95 GiB, fit the budget
+        # 4,000,000 / 2 + 32 + 5 x 32 x 4,000,000) values, the largest of the checks'
+        # own arrays, beside the (6 + 3 + 20 x 3) x 4,000,000 values the run holds:
+        # the contour sample, its table and three exponents' dual stacks.  That needs
+        # 18.42 GiB, while building the sample counts 6 x (6,000,000 + 5) values and
+        # order_bound's own 16-node sample 16 x (10,000,000 + 5) + 8 x 4,000,000
         fam, k = family_preset("geometric"), 4_000_000
-        assert 6 * cli._contour_values_per_node(fam, k) * 16 < cli.WORK_BUDGET_BYTES
-        assert 16 * k * 16 < cli.WORK_BUDGET_BYTES
+        profile = cli._profile_values(k)
+        assert 6 * cli._contour_values_per_node(fam, k) < profile
+        assert 16 * (k + cli._contour_values_per_node(fam, k)) + 8 * k < profile
         counted = []
 
         def counting(evaluate):
@@ -583,7 +650,7 @@ class TestWorkBudget:
                      "--nodes", "6"])
         assert code == 2
         assert "configuration error:" in (err := capsys.readouterr().err)
-        assert "need 14.31 GiB" in err
+        assert "need 18.42 GiB" in err
         assert counted == []
 
     @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),

@@ -10,23 +10,23 @@ from holofubini.domain import as_multi_index, multi_factorial, parse_complex
 class TestContains:
     def test_interior_point(self):
         disc = unit_polydisc()
-        assert disc.contains([0.5])
+        assert disc.contains_all([0.5])
 
     def test_boundary_excluded(self):
-        assert not unit_polydisc().contains([1.0])
+        assert not unit_polydisc().contains_all([1.0])
 
     def test_shrink_scaling(self):
-        assert not unit_polydisc().contains([0.5], shrink=0.4)
+        assert not unit_polydisc().contains_all([0.5], shrink=0.4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            unit_polydisc(2).contains([0.5])
+            unit_polydisc(2).contains_all([0.5])
 
     def test_shrink_validation(self):
         with pytest.raises(ValueError):
-            unit_polydisc().contains([0.5], shrink=0.0)
+            unit_polydisc().contains_all([0.5], shrink=0.0)
         with pytest.raises(ValueError):
-            unit_polydisc().contains([0.5], shrink=1.5)
+            unit_polydisc().contains_all([0.5], shrink=1.5)
 
     @given(
         re=st.floats(-2, 2), im=st.floats(-2, 2),
@@ -37,8 +37,8 @@ class TestContains:
         lo, hi = sorted((s1, s2))
         disc = unit_polydisc()
         z = [complex(re, im)]
-        if disc.contains(z, lo):
-            assert disc.contains(z, hi)
+        if disc.contains_all(z, lo):
+            assert disc.contains_all(z, hi)
 
 
 class TestPolydiscValidation:

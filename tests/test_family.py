@@ -150,6 +150,22 @@ class TestSampler:
             assert (sample.dual_values(phi, h[:3]).view(float) == phi.apply_dual(
                 ContourSample(fam, space16, 8), h[:3]).view(float)).all()
 
+    def test_each_dual_stack_is_kept_once(self, space16):
+        # the memo holds one copy of a stack's bytes, whatever the functionals on it
+        fam = family_preset("geometric")
+        sample = ContourSample(fam, space16, 8)
+        rng = np.random.default_rng(5)
+        stacks = [rng.standard_normal((10, 16)) + 1j * rng.standard_normal((10, 16))
+                  for _ in range(3)]
+        phis = [dirac([0.3]), derivative_functional([0.0], (1,), [0.95], n=8),
+                derivative_functional([0.0], (2,), [0.95], n=8),
+                random_measure(fam.domain, k=4, seed=3)]
+        for h in stacks:
+            for phi in phis:
+                sample.dual_values(phi, h)
+        assert [key[1] for key in sample._duals] == [h.tobytes() for h in stacks]
+        assert all(list(memo) == phis for memo in sample._duals.values())
+
     def test_contour_pairing_is_kept_until_a_read_that_does_not_use_it(self, space16):
         # both derivative functionals on the contour share one product per stack; a
         # dual_values call that does not read it (another node set, a kept value)
@@ -331,9 +347,13 @@ class TestJson:
 
 
 def test_tabulated_table_for():
+    # the stored table at t = 0.5, sum_j coeffs[m, j] t^j, is the family's Taylor
+    # table about the center 0
     fam = family_preset("tabulated")
-    table = fam.table_for(0.5)
+    table = fam.coeffs @ 0.5 ** np.arange(fam.coeffs.shape[-1])
     np.testing.assert_allclose(table, [0.3 + 0.05, 0.35, 0.2])
+    z = 0.3 - 0.2j
+    assert complex(fam.eval([z], 0.5)) == pytest.approx(table @ z ** np.arange(3))
 
 
 def test_separable_is_separable_kind():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holofubini import FiniteMeasureSpace, dual_exponent, measure, space_from_json, space_preset
+from holofubini import FiniteMeasureSpace, measure, space_from_json, space_preset
 
 INF = math.inf
 
@@ -159,7 +159,7 @@ def test_norm_attained_by_dual_witness(p):
     space = FiniteMeasureSpace(rng.standard_normal(12), rng.random(12))
     g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     h = dual_witness(space, g, p)
-    q = dual_exponent(p)
+    q = {1: INF, 2: 2.0, INF: 1.0}[p]
     assert space.lp_norm(h, q) <= 1.0 + 1e-12
     assert abs(space.pairing(g, h)) == pytest.approx(space.lp_norm(g, p), rel=1e-12)
 
@@ -177,12 +177,16 @@ def test_almost_everywhere_semantics():
 
 
 def test_dual_exponent():
-    assert dual_exponent(1) == INF
-    assert dual_exponent(INF) == 1
-    assert dual_exponent(2) == 2
-    assert dual_exponent(3) == pytest.approx(1.5)
+    # Hoelder: |<g, h>| <= ||g||_p ||h||_q at the conjugate q = p / (p - 1), which maps
+    # 1 <-> inf and fixes 2; exponents below 1 are refused
+    rng = np.random.default_rng(5)
+    space = FiniteMeasureSpace(rng.standard_normal(9), rng.random(9))
+    g, h = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+    for p, q in ((1, INF), (INF, 1), (2, 2), (3, 1.5)):
+        bound = space.lp_norm(g, p) * space.lp_norm(h, q)
+        assert abs(space.pairing(g, h)) <= bound * (1 + 1e-12)
     with pytest.raises(ValueError):
-        dual_exponent(0.5)
+        space.lp_norm(g, 0.5)
 
 
 class TestConstruction:

@@ -61,7 +61,7 @@ class TestLinearize:
         phi = derivative_functional([0.0], (1,), CONTOUR, n=32)
         vec = phi.apply_slices(ContourSample(geometric, space16, 32))
         oracle = np.array([
-            cauchy_derivative(geometric.slice(t), [0.0], (1,), CONTOUR, n=32)
+            cauchy_derivative(lambda z: geometric.eval(z, t), [0.0], (1,), CONTOUR, n=32)
             for t in space16.params
         ])
         np.testing.assert_allclose(vec, oracle, atol=1e-15)
@@ -654,8 +654,8 @@ class TestBlockedEvaluation:
     @staticmethod
     def schwarz_per_slice(sample, samples=1000, seed=0):
         center, radius = complex(sample.center[0]), float(sample.radii[0])
-        return max(cauchy.schwarz_violation(sample.fam.slice(t), center, radius, ring,
-                                            samples=samples, seed=seed)
+        return max(cauchy.schwarz_violation(lambda z: sample.fam.eval(z, t), center, radius,
+                                            ring, samples=samples, seed=seed)
                    for t, ring in zip(sample.space.params, sample.values.T))
 
     @staticmethod
