@@ -22,12 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import theorems
-from .cauchy import MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE
+from .cauchy import FFT_BLOCK, MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE
 from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc
 from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
-from .measure import FiniteMeasureSpace, space_from_json, space_preset
+from .measure import ROW_BLOCK, FiniteMeasureSpace, space_from_json, space_preset
 from .theorems import CheckReport
 
 def _linearization(config, duals, rng, sample):
@@ -117,8 +117,9 @@ USAGE_ERROR = 2
 
 #: Bytes of complex values the arrays a run holds at once may take.  With the
 #: default functionals it admits every benchmark configuration, d = 3 with 256 atoms
-#: at 32 nodes (0.34 GiB) and d = 4 with 16 atoms at 32 nodes (1.11 GiB), and refuses
-#: d = 4 at 64 nodes with 16 atoms (15.25 GiB) or with 1 atom (5.52 GiB).
+#: at 32 nodes (0.17 GiB) or 64 nodes (1.27 GiB) and d = 4 with 16 atoms at 32 nodes
+#: (0.93 GiB), and refuses d = 4 at 64 nodes with 16 atoms (12.26 GiB) or with 1 atom
+#: (8.27 GiB).
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -126,13 +127,19 @@ class ConfigError(Exception):
     pass
 
 
-def _contour_values_per_node(fam: HoloFamily, k: int) -> int:
-    """Complex values per contour node that building the sample and its table takes
-    beyond :func:`_held_values`: 1.5k for the FFT's first full-size transform beside
-    its first kept half, or the geometric kind's (nodes, k, d) arguments where more,
-    and 5d for the grid's points and the transients of the grid and the domain test."""
-    atoms = max(3 * k // 2, fam.d * k) if fam.kind == "geometric" else 3 * k // 2
-    return atoms + 5 * fam.d
+def _build_values(fam: HoloFamily, k: int, n: int) -> int:
+    """Complex values that building the contour sample and its table, and pairing the
+    sample with a dual stack, take beyond :func:`_held_values`: per contour node 5d for
+    the grid's points and the transients of the grid and the domain test, and 10 for
+    the kept pairing with one stack of ten dual vectors (:meth:`ContourSample.pairing`);
+    then one evaluation block, rows of ROW_BLOCK values or one row, counted d + 3
+    times for the evaluation's arguments and transients, and one FFT block, columns of
+    FFT_BLOCK values or one column, counted twice for a full transform beside its
+    first kept half."""
+    nodes = n ** fam.d
+    rows = min(nodes, max(1, ROW_BLOCK // k)) * k
+    columns = min(k, max(1, FFT_BLOCK // nodes)) * nodes
+    return nodes * (5 * fam.d + 10) + (fam.d + 3) * rows + 2 * columns
 
 
 def _profile_values(k: int) -> int:
@@ -152,15 +159,18 @@ def _profile_values(k: int) -> int:
 def _held_values(config: SuiteConfig) -> int:
     """Complex values a run holds across its checks: the contour sample and its Taylor
     table of degree max(2, min(n // 2 - 1, MAX_TAYLOR_DEGREE)), the ten dual vectors
-    per exponent with the sample's one copy of each stack, and each functional's nodes
-    and weights, slice vector and, off the contour, node values."""
+    per exponent with the sample's one copy of each stack, the closed-form vector the
+    sample keeps for each multi-index of the derivative battery, and each functional's
+    nodes and weights, slice vector, closed-form vector and, off the contour, node
+    values."""
     fam, k, n = config.family, config.space.natoms, config.n
     table = max(3, min(n // 2, MAX_TAYLOR_DEGREE + 1)) ** fam.d
     sample = ContourSample(fam, config.space, n)
-    functionals = sum((fam.d + 1) * len(phi.nodes) + k
+    functionals = sum((fam.d + 1) * len(phi.nodes) + 2 * k
                       + (0 if sample.on_contour(phi) else len(phi.nodes) * k)
                       for phi in config.functionals)
-    return (n ** fam.d + table) * k + 20 * k * len(config.p_list) + functionals
+    closed = len(_alpha_battery(fam.d)) * k
+    return (n ** fam.d + table) * k + 20 * k * len(config.p_list) + closed + functionals
 
 
 def _counted_values(config: SuiteConfig) -> int:
@@ -170,10 +180,10 @@ def _counted_values(config: SuiteConfig) -> int:
     points for blocks of atoms of about EVAL_BLOCK values."""
     fam, k, n = config.family, config.space.natoms, config.n
     floor = 2 * MIN_ORDER_BOUND_DEGREE + 2
-    own_sample = floor ** fam.d * (k + _contour_values_per_node(fam, k)) \
-        + (floor // 2) ** fam.d * k if n < floor else 0
-    return _held_values(config) + max(n ** fam.d * _contour_values_per_node(fam, k),
-                                      own_sample, _profile_values(k) if fam.d == 1 else 0)
+    own_sample = (floor ** fam.d + (floor // 2) ** fam.d) * k \
+        + _build_values(fam, k, floor) if n < floor else 0
+    return _held_values(config) + max(_build_values(fam, k, n), own_sample,
+                                      _profile_values(k) if fam.d == 1 else 0)
 
 
 def _check_work_budget(config: SuiteConfig) -> None:

@@ -156,18 +156,20 @@ class ContourSample:
     ``values[j, i] = f(w_j, t_i)`` on ``torus_nodes(Polydisc(center, radii), n).grid()``,
     about the domain center at CONTOUR_SHRINK of the radii.  Every point
     set is evaluated through :meth:`HoloFamily.eval` (so the domain check applies) when
-    it is first read, and is read-only from then on; an evaluation that raises is not
-    kept, so each reader meets the error itself.  So are one Taylor table of the contour
-    values, each functional's (k,) slice vector and its (m,) values on each stack of m
-    dual vectors.  The contour's (n^d, m) pairing with a stack is kept only from one
-    functional on the contour to the next that reads it (:meth:`pairing`).  Two threads
-    sharing a sample can at worst compute one twice.
+    it is first read, into one array by blocks of rows, and is read-only from then on;
+    an evaluation that raises is not kept, so each reader meets the error itself.  So
+    are one Taylor table of the contour values, built by blocks of columns into one
+    array, each functional's (k,) slice vector, its (m,) values on each stack of m dual
+    vectors and each closed-form (k,) vector read (:meth:`closed_form`).  The contour's
+    (n^d, m) pairing with a stack is kept only from one functional on the contour to
+    the next that reads it (:meth:`pairing`).  Two threads sharing a sample can at
+    worst compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int):
         self.fam, self.space, self.n = fam, space, int(n)
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
-        self._node_values, self._slices, self._duals = {}, {}, {}
+        self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
         #: the Taylor table and the (stack key, contour pairing) kept, or None
         self._table = self._pairing = None
 
@@ -227,6 +229,18 @@ class ContourSample:
             self._slices[phi] = _read_only(phi.apply_slices(self))
         return self._slices[phi]
 
+    def closed_form(self, z, alpha=None) -> np.ndarray:
+        """The family's closed form at the point z, (k,), computed once per point and
+        alpha: F(z) by :meth:`HoloFamily.vector` when alpha is None, else D^alpha F(z)
+        by :meth:`HoloFamily.deriv_vector`.  It reads no sample value."""
+        z = np.ravel(np.asarray(z, dtype=complex))
+        key = (z.tobytes(), alpha if alpha is None else tuple(alpha))
+        if key not in self._closed:
+            self._closed[key] = _read_only(
+                self.fam.vector(z, self.space) if alpha is None
+                else self.fam.deriv_vector(z, self.space, alpha))
+        return self._closed[key]
+
     def dual_values(self, phi, h) -> np.ndarray:
         """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once.
 
@@ -265,7 +279,15 @@ class ContourSample:
                 and np.array_equal(phi.radii, self.radii))
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        return _read_only(self.fam.eval(points[:, None, :], self.space.params))
+        """F on ``points`` of shape (m, d), (m, k): one array filled by blocks of rows of
+        ``measure.ROW_BLOCK`` values or one row, each through :meth:`HoloFamily.eval`."""
+        params = self.space.params
+        values = np.empty((len(points), len(params)), dtype=complex)
+        block = max(1, measure.ROW_BLOCK // len(params))
+        for start in range(0, len(points), block):
+            values[start:start + block] = self.fam.eval(points[start:start + block, None, :],
+                                                        params)
+        return _read_only(values)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

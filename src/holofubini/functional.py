@@ -98,15 +98,16 @@ class MeasureFunctional:
 
         Dirac measures evaluate f(z0, t_i) directly, derivative measures use
         the family's closed-form D^alpha; generic measures fall back to the
-        finite sum, which is already their exact meaning.  Only that finite
-        sum reads ``sample``: its slice vector for this functional
-        (:meth:`holofubini.family.ContourSample.slice_vector`).
+        finite sum, which is already their exact meaning.  Each is kept on
+        ``sample``: the closed forms by
+        :meth:`~holofubini.family.ContourSample.closed_form`, which reads no sample
+        value, the finite sum as its slice vector
+        (:meth:`~holofubini.family.ContourSample.slice_vector`).
         """
-        fam, space = sample.fam, sample.space
         if self.meaning == "dirac":
-            return fam.vector(self.nodes[0], space)
+            return sample.closed_form(self.nodes[0])
         if self.meaning == "derivative":
-            return fam.deriv_vector(self.center, space, self.alpha)
+            return sample.closed_form(self.center, self.alpha)
         return sample.slice_vector(self)
 
     def __repr__(self):

@@ -22,15 +22,17 @@ functional's own nodes, so its bound is a finite triangle inequality that grid
 placement cannot break, and ``schwarz`` adds its sample values.  The sample also
 keeps each functional's slice vector and its values on each stack of dual
 vectors, which linearization, fubini, norm_bound and span share, and the
-functionals on the contour share one pairing of it with each stack.  Points a
-check draws for itself (the span, telescoping, order_bound and schwarz samples
-and the derivative_profile contours, which take only the sample's family and
-space and have ``PROFILE_NODES`` nodes whatever the run's n) are evaluated where
-they are drawn; order_bound, schwarz and derivative_profile evaluate theirs for a
-block of atoms or contours per call, of at most ``EVAL_BLOCK`` complex values
-unless one atom or contour takes more, so none pays one call per atom or contour
-nor holds all of them at once.  Samples are read-only, so checks may run
-concurrently; reports are merged by canonical ordering.
+functionals on the contour share one pairing of it with each stack.  It keeps each
+closed-form vector that fubini, derivative_consistency and diff_under_integral
+read, too.  Points a check draws for itself (the span, telescoping, order_bound
+and schwarz samples and the derivative_profile contours, which take only the
+sample's family and space and have ``PROFILE_NODES`` nodes whatever the run's n)
+are evaluated where they are drawn; order_bound, schwarz and derivative_profile
+evaluate theirs for a block of atoms or contours per call, of at most
+``EVAL_BLOCK`` complex values unless one atom or contour takes more, so none
+pays one call per atom or contour nor holds all of them at once.  Samples are
+read-only, so checks may run concurrently; reports are merged by canonical
+ordering.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def derivative_consistency(sample: ContourSample, alphas,
     sample's Taylor table (:meth:`~holofubini.family.ContourSample.taylor_table`), the
     trapezoid sum of :func:`holofubini.cauchy.contour_derivatives`; the slice route is
     the closed form D^alpha_z f(center, t_i) of
-    :meth:`HoloFamily.deriv_vector` at the sample's center.  Agreement in the
+    :meth:`HoloFamily.deriv_vector` at the sample's center, kept on the sample
+    (:meth:`~holofubini.family.ContourSample.closed_form`).  Agreement in the
     weighted p-norm certifies that D^alpha of the L^p-valued map is the slicewise
     derivative; the residual is the quadrature error and decays geometrically in
     n.  Returns one report per (alpha, p), ordered by alpha, for each exponent of
@@ -194,7 +197,7 @@ def derivative_consistency(sample: ContourSample, alphas,
     reports = []
     for a in alphas:
         vec = multi_factorial(a) * table[a]
-        closed = fam.deriv_vector(sample.center, space, a)
+        closed = sample.closed_form(sample.center, a)
         routes = np.stack([vec, closed, vec - closed])
         reports += [
             CheckReport.build("derivative_consistency", fam.label, "",
@@ -220,7 +223,7 @@ def diff_under_integral(sample: ContourSample, h, alphas) -> list[CheckReport]:
     composed = contour_derivatives(sample.values @ hw, alphas, sample.radii, sample.n)
     reports = []
     for a, lhs in zip(alphas, composed.tolist()):
-        rhs = complex(fam.deriv_vector(sample.center, space, a) @ hw)
+        rhs = complex(sample.closed_form(sample.center, a) @ hw)
         reports.append(CheckReport.build(
             "diff_under_integral", fam.label, "", lhs, rhs, abs(lhs - rhs), TOL_QUADRATURE,
             alpha=list(a), n=sample.n,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         family_from_json, family_preset, order_bound, order_bound_check,
                         preset_names, schwarz_violation, space_preset, torus_nodes,
                         unit_polydisc)
-from holofubini.cauchy import (MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE, contour_derivatives,
-                              derivative_rule)
+from holofubini.cauchy import (MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE, _fft_coefficients,
+                              contour_derivatives, derivative_rule)
 from holofubini.domain import CONTOUR_SHRINK, multi_factorial
 from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
@@ -123,6 +124,35 @@ class TestContourDerivatives:
         contour_derivatives(values, [(0,), (2,)], [0.5], 4)
         with pytest.raises(ValueError, match="node count 4 is too small for derivative order 3"):
             contour_derivatives(values, [(0,), (3,), (1,)], [0.5], 4)
+
+
+def one_shot_coefficients(values, d, n, radii, degree):
+    """The Taylor table from one FFT chain over the whole batch at once."""
+    sel = values.reshape((n,) * d + values.shape[1:])
+    for axis in reversed(range(d)):
+        sel = np.fft.fft(sel, axis=axis)[(slice(None),) * axis + (slice(0, degree + 1),)]
+    sel = sel / n ** d
+    scale = reduce(np.multiply.outer, [np.asarray(r) ** np.arange(degree + 1) for r in radii])
+    return sel / scale.reshape(scale.shape + (1,) * (values.ndim - 1))
+
+
+class TestBlockedFFT:
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 4)])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+    def test_blocks_equal_the_one_shot_chain(self, monkeypatch, d, n, batch):
+        # FFT_BLOCK below one column takes one column per block; 2 and 4 columns leave
+        # a short last block of the 7 and the 15 columns; 2^20 values take every
+        # column in one block.  Each table equals the one-shot chain's value for value
+        rng = np.random.default_rng(d)
+        shape = (n ** d,) + batch
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        radii, degree = [0.95 - 0.1 * j for j in range(d)], n // 2 - 1
+        expected = one_shot_coefficients(values, d, n, radii, degree)
+        assert expected.shape == (degree + 1,) * d + batch
+        for block in (1, 2 * n ** d, 4 * n ** d, 2 ** 20):
+            monkeypatch.setattr("holofubini.cauchy.FFT_BLOCK", block)
+            np.testing.assert_array_equal(_fft_coefficients(values, d, n, radii, degree),
+                                          expected, strict=True)
 
 
 class TestTaylorCoefficients:

@@ -246,7 +246,7 @@ class TestSampleOnce:
     #     the sups of norm_bound and telescoping and, at d = 1, schwarz's ring:  n^d * k
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
-    #   fubini's direct Dirac action f(z0, .), once per p:  3 * k
+    #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
     #   span, 4 functionals x (8 + 8) sample points, each evaluated once:  64 * k
     #   order_bound's 200 sample points:  200 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
@@ -255,9 +255,9 @@ class TestSampleOnce:
     #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (64 + 9 + 3 + 64 + 200 + 1001 + 32*32) = 37,840
-    # d = 2, n = 64: k * (4096 + 9 + 3 + 64 + 200 + 400) = 76,352
-    # d = 2, n = 32: k * (1024 + 9 + 3 + 64 + 200 + 400) = 27,200
+    # d = 1, n = 64: k * (64 + 9 + 1 + 64 + 200 + 1001 + 32*32) = 37,808
+    # d = 2, n = 64: k * (4096 + 9 + 1 + 64 + 200 + 400) = 76,320
+    # d = 2, n = 32: k * (1024 + 9 + 1 + 64 + 200 + 400) = 27,168
     # `check derivative_profile` reads no contour value: k * 32 * 32 = 16,384
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
@@ -266,9 +266,9 @@ class TestSampleOnce:
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 37_840),
-        (2, 64, ["verify"], 76_352),
-        (2, 32, ["verify"], 27_200),
+        (1, 64, ["verify"], 37_808),
+        (2, 64, ["verify"], 76_320),
+        (2, 32, ["verify"], 27_168),
         (1, 64, ["check", "derivative_profile"], 32 * 32 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 2 * 64 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
@@ -279,6 +279,24 @@ class TestSampleOnce:
                           "--space", "uniform-16", "--nodes", str(n))
         assert code == 0
         assert sum(counted) == expected
+
+    def test_closed_forms_are_evaluated_once(self, tmp_path, monkeypatch):
+        # d = 2: fubini reads the Dirac functional's F(z0) at each of 3 p, and each of
+        # the 6 multi-indices of |alpha| <= 2 is read at the center by
+        # derivative_consistency and diff_under_integral, (1, 0) and (2, 0) also by
+        # the derivative functionals' fubini at each p; the sample keeps each vector
+        calls = []
+        for name in ("vector", "deriv_vector"):
+            def counting(self, z, space, *alpha, original=getattr(family.HoloFamily, name),
+                         name=name):
+                calls.append((name, np.asarray(z).tobytes(), tuple(alpha)))
+                return original(self, z, space, *alpha)
+
+            monkeypatch.setattr(family.HoloFamily, name, counting)
+        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, 2), "--space",
+                          "uniform-16", "--nodes", "32")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 1 + 6
 
     def test_dual_values_are_shared_by_linearization_and_fubini(self, tmp_path, monkeypatch):
         # d = 2: each of the 2 derivative functionals applies its full-contour
@@ -427,16 +445,19 @@ class TestWorkBudget:
             cli._build_config(args, CHECK_NAMES)
 
     # The budget counts per contour node the sample, k, its Taylor table, k / 2^d from
-    # n = 6 on, and the transients of its evaluation or of the FFT that builds the
-    # table, 1.5k, with 5d for the coordinates with their copies and transients.
+    # n = 6 on, 5d for the coordinates with their copies and transients and 10 for the
+    # contour's pairing with a stack of ten dual vectors.  Building the sample and the
+    # table adds one evaluation block and one FFT block, which at 64^4 nodes is one
+    # column of 64^4 values, counted twice.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 64^4 nodes x (16 + 1 + 24 + 5 x 4) x 16 B = 15.25 GiB, with the 20 x 3 x 16
-        # values of the dual stacks; nothing of that size is allocated
+        # 64^4 nodes x (16 + 1 + 5 x 4 + 10 + 2) x 16 B = 12.25 GiB, with the 20 x 3 x
+        # 16 values of the dual stacks and the evaluation block 12.26 GiB; nothing of
+        # that size is allocated
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
 
     def test_contour_coordinates_are_counted(self, tmp_path, monkeypatch):
-        # one atom: 64^4 x (1 + 1 / 16 + 1 + 5 x 4) x 16 B = 5.52 GiB, most of it the
-        # coordinates; the atom arrays alone would take 0.52 GiB
+        # one atom: 64^4 x (1 + 1 / 16 + 5 x 4 + 10 + 2) x 16 B = 8.27 GiB, most of it
+        # the coordinates and the pairing; the atom arrays alone would take 0.27 GiB
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 64)
 
     def test_suite_config_checks_the_budget(self):
@@ -445,8 +466,9 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (256 + 32 + 384 + 5 x 3)
-        # x 16 B = 0.34 GiB
+        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (256 + 32 + 5 x 3 + 10)
+        # x 16 B = 0.15 GiB, with an evaluation block of 256 rows counted 6 times and an
+        # FFT block of 8 columns counted twice 0.17 GiB
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
@@ -459,15 +481,18 @@ class TestWorkBudget:
     def test_lowered_budget(self, monkeypatch):
         # geometric d = 1 on 16 atoms at 4 nodes, with PROFILE_GRID read at call time
         # and set to 4: the profile's 5 x 4 x 16 / 2 + 4 values and its block take
-        # more than the 16 x (16 + 24 + 5) + 8 x 16 of order_bound's own 16-node sample
-        # and its table, or the 4 x (24 + 5) the budget counts for building the
-        # contour sample.  Beside it the run holds the 4 x 16 values of the sample,
-        # the 3 x 16 of its degree-2 table and the 20 x 16 of one exponent's dual
-        # stack.  The budget counts the profile whatever the checks, and its term
-        # does not depend on n.
+        # more than the (16 + 8) x 16 of order_bound's own 16-node sample and its table
+        # with the 16 x (15 + 4 x 16 + 2 x 16) of building them, or the 4 x (15 + 4 x 16
+        # + 2 x 16) the budget counts for building the contour sample and its table:
+        # 15 per node, its 4 rows of 16 values as one evaluation block counted 4 times
+        # and its 16 columns as one FFT block counted twice.  Beside it the run holds
+        # the 4 x 16 values of the sample,
+        # the 3 x 16 of its degree-2 table, the 20 x 16 of one exponent's dual stack
+        # and the 3 x 16 of the closed-form vectors of orders 0 to 2.  The budget
+        # counts the profile whatever the checks, and its term does not depend on n.
         fam = family_preset("geometric")
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
-        need = ((4 + 3 + 20) * 16 + 5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
+        need = ((4 + 3 + 20 + 3) * 16 + 5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
         with monkeypatch.context() as patch:
             patch.setattr(theorems, "PROFILE_GRID", 4)
             patch.setattr(cli, "WORK_BUDGET_BYTES", need)
@@ -477,7 +502,7 @@ class TestWorkBudget:
                 self.config(fam, "uniform-16", 4, checks=few)
         # at 64 nodes and the 32-point grid the profile counts 5 x 32 x 16 / 2 + 32
         # values beside its block, and the run holds a 32-coefficient table
-        need = ((64 + 32 + 20) * 16 + 5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
+        need = ((64 + 32 + 20 + 3) * 16 + 5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 64)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
@@ -486,19 +511,35 @@ class TestWorkBudget:
         args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
+        # exponential d = 2 on 16 atoms at 32 nodes, with no profile: beside the
+        # 1024 x 16 values of the sample, the 16^2 x 16 of its table, one dual stack and
+        # the 6 closed-form vectors of |alpha| <= 2, building them counts 1024 x (5 x 2
+        # + 10) values, the whole grid as one evaluation block counted 5 times and the
+        # 16 columns as one FFT block twice
+        doc = {**self.EXPONENTIAL_D4, "domain": {"center": [[0.0, 0.0]] * 2,
+                                                 "radius": [1.0] * 2}}
+        fam = family.family_from_json(json.dumps(doc))
+        need = ((1024 + 256 + 20 + 6) * 16 + 1024 * 20 + (5 + 2) * 1024 * 16) * 16
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
+        self.config(fam, "uniform-16", 32)
+        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            self.config(fam, "uniform-16", 32)
 
     def test_held_values_count_functionals(self):
-        # each functional holds its nodes and weights, d + 1 values per node, and its
-        # slice vector; one off the contour also holds its node values, k per node
+        # each functional holds its nodes and weights, d + 1 values per node, its
+        # slice vector and its closed-form vector; one off the contour also holds its
+        # node values, k per node.  The sample keeps the closed-form vectors of orders
+        # 0 to 2 whatever the functionals
         fam, space = family_preset("geometric"), space_preset("uniform-16")
         on = derivative_functional([0.0], (1,), [0.95], n=64)
         off = derivative_functional([0.5], (1,), [0.475], n=64)
         base = cli.SuiteConfig(family=fam, space=space, functionals=[], p_list=[2.0])
         held = cli._held_values(base)
-        assert held == (64 + 32 + 20) * 16
-        assert cli._held_values(replace(base, functionals=[on])) == held + 2 * 64 + 16
+        assert held == (64 + 32 + 20 + 3) * 16
+        assert cli._held_values(replace(base, functionals=[on])) == held + 2 * 64 + 2 * 16
         assert cli._held_values(replace(base, functionals=[off])) == \
-            held + 2 * 64 + 16 + 64 * 16
+            held + 2 * 64 + 2 * 16 + 64 * 16
 
     @pytest.mark.parametrize("kind", ["geometric", "exponential"])
     def test_counted_values_per_node_cover_the_peak(self, kind):
@@ -522,7 +563,7 @@ class TestWorkBudget:
         finally:
             tracemalloc.stop()
         counted = cli._held_values(self.config(fam, "uniform-64", n)) \
-            + n ** 3 * cli._contour_values_per_node(fam, space.natoms)
+            + cli._build_values(fam, space.natoms, n)
         assert peak <= counted * 16
 
     @staticmethod
@@ -538,23 +579,27 @@ class TestWorkBudget:
         return code, peak, cli._counted_values(config)
 
     def test_counted_values_per_node_cover_the_verify_peak(self, tmp_path):
-        # the whole d = 3 exponential battery on uniform-256 at n = 32 holds the sample
-        # and, from derivative_consistency on, its Taylor table: measured 642 values per
-        # node, at the FFT that builds the table, beside the run's held arrays
+        # the whole d = 3 exponential battery at n = 32 holds the sample and, from
+        # derivative_consistency on, its Taylor table beside the run's held arrays.  On
+        # uniform-256 it peaked at 642 values per node while the table's FFT took whole
+        # columns; on uniform-16 the contour's pairing with a stack of ten dual vectors
+        # weighs 10 of every 16 values of the sample
         path = self.family_file(tmp_path, 3)
         # a first run's one-time imports and caches are no per-node arrays
         main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
               "--output", str(tmp_path / "warm-up.jsonl")])
-        code, peak, counted = self.traced_run(
-            ["verify", "--family-file", path, "--space", "uniform-256", "--nodes", "32"])
-        assert code == 0
-        assert peak <= counted * 16
+        for k in (16, 256):
+            code, peak, counted = self.traced_run(
+                ["verify", "--family-file", path, "--space", f"uniform-{k}", "--nodes", "32"])
+            assert code == 0
+            assert peak <= counted * 16, k
 
     @pytest.mark.parametrize("k", [4096, 16384])
     def test_counted_values_cover_the_verify_peak(self, tmp_path, k):
         # geometric d = 1 at 64 nodes peaks in derivative_profile, beside the contour
-        # sample, its table, the dual stacks and the sample's copy of each: 21.8 MiB
-        # against 25.6 MiB counted on 4,096 atoms, 87.0 against 102.3 on 16,384.  The
+        # sample, its table, the dual stacks, the sample's copy of each and its
+        # closed-form vectors: 22.1 MiB against 26.0 MiB counted on 4,096 atoms, 88.0
+        # against 104.0 on 16,384.  The
         # budget once counted only the largest check's arrays, 15.0 and 60.0 MiB, while
         # the runs peaked at 27.4 and 109.0 MiB with a copy of each stack per functional
         main(["verify", "--space", "uniform-4", "--output", str(tmp_path / "warm-up.jsonl")])
@@ -601,7 +646,7 @@ class TestWorkBudget:
     def test_order_bound_peak_lies_under_the_largest_term(self):
         # order_bound evaluates its 200 sample points for blocks of 40 atoms, so on
         # 4,096 atoms at n = 64 its peak, with the sample's evaluation and its Taylor
-        # table, is 10.0 MiB, under the 15.0 MiB of the budget's largest term (the
+        # table, is 10.1 MiB, under the 15.0 MiB of the budget's largest term (the
         # profile's); evaluated for all atoms at once they peaked at 31.1 MiB
         fam, space = family_preset("geometric"), space_preset("uniform-4096")
         # a first call's one-time imports and caches are no order_bound arrays
@@ -614,13 +659,13 @@ class TestWorkBudget:
         finally:
             tracemalloc.stop()
         k = space.natoms
-        assert 64 * cli._contour_values_per_node(fam, k) < cli._profile_values(k)
+        assert cli._build_values(fam, k, 64) < cli._profile_values(k)
         assert peak <= cli._profile_values(k) * 16
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
-        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (16 + 1 + 24 + 5 x 4) x 16 B
-        # = 0.95 GiB
+        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (16 + 1 + 5 x 4 + 10 + 2) x 16 B
+        # = 0.77 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 
@@ -628,14 +673,17 @@ class TestWorkBudget:
         # geometric d = 1 on 4,000,000 atoms at 6 nodes: the profile's magnitudes,
         # grid and block of one contour of PROFILE_NODES nodes take (5 x 32 x
         # 4,000,000 / 2 + 32 + 5 x 32 x 4,000,000) values, the largest of the checks'
-        # own arrays, beside the (6 + 3 + 20 x 3) x 4,000,000 values the run holds:
-        # the contour sample, its table and three exponents' dual stacks.  That needs
-        # 18.42 GiB, while building the sample counts 6 x (6,000,000 + 5) values and
-        # order_bound's own 16-node sample 16 x (10,000,000 + 5) + 8 x 4,000,000
+        # own arrays, beside the (6 + 3 + 20 x 3 + 3) x 4,000,000 values the run holds:
+        # the contour sample, its table, three exponents' dual stacks and the
+        # closed-form vectors of orders 0 to 2.  That needs 18.60 GiB, while building
+        # the sample counts 6 x 15 values per node, one evaluation block of one row
+        # counted 4 times and one FFT block of 43,690 columns counted twice,
+        # 16,524,370 values, and order_bound's own 16-node sample and degree-7 table
+        # (16 + 8) x 4,000,000 values beside its build
         fam, k = family_preset("geometric"), 4_000_000
         profile = cli._profile_values(k)
-        assert 6 * cli._contour_values_per_node(fam, k) < profile
-        assert 16 * (k + cli._contour_values_per_node(fam, k)) + 8 * k < profile
+        assert cli._build_values(fam, k, 6) == 6 * 15 + 4 * k + 2 * 6 * 43_690 < profile
+        assert (16 + 8) * k + cli._build_values(fam, k, 16) < profile
         counted = []
 
         def counting(evaluate):
@@ -650,7 +698,7 @@ class TestWorkBudget:
                      "--nodes", "6"])
         assert code == 2
         assert "configuration error:" in (err := capsys.readouterr().err)
-        assert "need 18.42 GiB" in err
+        assert "need 18.60 GiB" in err
         assert counted == []
 
     @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),

@@ -1,12 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from holofubini import (FiniteMeasureSpace, Polydisc, derivative_functional, dirac,
+from holofubini import (FiniteMeasureSpace, Polydisc, cauchy, derivative_functional, dirac,
                         family_from_json, family_preset, measure, order_bound_check,
-                        random_measure, space_preset, telescoping_residual, torus_nodes,
-                        unit_polydisc)
+                        preset_names, random_measure, space_preset, telescoping_residual,
+                        torus_nodes, unit_polydisc)
 from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
                                GeometricFamily, PolynomialFamily, SeparableFamily,
                                TabulatedTaylorFamily)
@@ -217,6 +218,67 @@ class TestSampler:
         assert int(np.argmax(np.max(mags, axis=1))) == 63
         monkeypatch.setattr(measure, "ROW_BLOCK", row_block)
         assert sample.sup == float(np.max(mags))
+
+    @pytest.mark.parametrize("row_block", [1, 3 * 16, 5 * 16, 2 ** 20])
+    def test_blocked_values_equal_one_evaluation(self, monkeypatch, space16, row_block):
+        # the contour values are filled by blocks of measure.ROW_BLOCK values (whole
+        # rows, at least one): of 1 row, of 3 and 5 rows with a short last block of the
+        # 64, and all rows in one; each equals one eval on the whole grid, value for value
+        fams = [family_preset(name) for name in preset_names()] + [
+            family_from_json({"kind": "geometric", "params": {"rates": [[0.5, 0.0], [0.4, 0.0]]},
+                              "domain": {"center": [[0.0, 0.0]] * 2, "radius": [1.0] * 2}}),
+            family_from_json({"kind": "exponential", "params": {"scale": [1.0, 0.0]},
+                              "domain": {"center": [[0.0, 0.0]] * 3, "radius": [1.0] * 3}})]
+        assert len(fams) == 9
+        monkeypatch.setattr(measure, "ROW_BLOCK", row_block)
+        for fam in fams:
+            n = {1: 64, 2: 8, 3: 4}[fam.d]
+            sample = ContourSample(fam, space16, n)
+            grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+            np.testing.assert_array_equal(sample.values,
+                                          fam.eval(grid[:, None, :], space16.params),
+                                          strict=True)
+            assert not sample.values.flags.writeable
+
+    def test_pole_inside_the_contour_keeps_nothing(self, monkeypatch):
+        # the contour about -0.5 of radius 0.475 runs from |z| = 0.025 (row 0) to 0.975
+        # (row 8 of 16); rate 1.5 at t = 1 leaves the analyticity region from |z| = 2/3
+        # on, so blocks of two rows pass before one raises: the message is that of one
+        # eval on the whole grid, and no values are kept
+        fam = GeometricFamily([1.5], Polydisc([-0.5], [0.5]))
+        space = FiniteMeasureSpace([0.0, 1.0], [0.5, 0.5])
+        sample = ContourSample(fam, space, 16)
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
+        with pytest.raises(ValueError) as whole:
+            fam.eval(grid[:, None, :], space.params)
+        assert "analyticity region" in str(whole.value)
+        monkeypatch.setattr(measure, "ROW_BLOCK", 2 * space.natoms)
+        fam.eval(grid[:2, None, :], space.params)
+        for _ in range(2):
+            with pytest.raises(ValueError) as blocked:
+                sample.values
+            assert str(blocked.value) == str(whole.value)
+            assert "values" not in vars(sample)
+
+    def test_building_values_and_table_holds_no_second_sample(self):
+        # d = 3 exponential on uniform-256 at n = 32: the values (k per node) and their
+        # degree-15 table (k / 8 per node) are filled block by block, so building both
+        # peaks within two FFT blocks of them; one evaluation and one whole-batch FFT
+        # peaked at about 2.5k per node
+        fam = family_from_json({"kind": "exponential", "params": {"scale": [1.0, 0.0]},
+                                "domain": {"center": [[0.0, 0.0]] * 3, "radius": [1.0] * 3}})
+        # a first build's one-time imports and caches are no sample arrays
+        ContourSample(fam, space_preset("uniform-4"), 8).taylor_table(2)
+        k, n = 256, 32
+        sample = ContourSample(fam, space_preset(f"uniform-{k}"), n)
+        tracemalloc.start()
+        try:
+            assert sample.taylor_table(2).shape == (3, 3, 3, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample._table.shape == (16, 16, 16, k)
+        assert peak <= ((1 + 1 / 8) * k * n ** 3 + 2 * cauchy.FFT_BLOCK) * 16
 
     def test_outside_domain_rejected(self):
         # a failed evaluation is not kept: every read raises.  The atom t = 3 puts the
