@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .domain import Polydisc, as_multi_index, multi_factorial, sample_polydisc, torus_nodes
+from .domain import Polydisc, as_multi_index, multi_factorial, torus_nodes
 from .family import ContourSample
 
 __all__ = [
@@ -43,7 +43,8 @@ MAX_TAYLOR_DEGREE = 128
 MIN_ORDER_BOUND_DEGREE = 7
 #: Complex values (4 MiB) of each block of columns that ``_fft_coefficients`` transforms
 #: at once, at least one column; blocks of 2^16 values nearly doubled the time of the
-#: d = 3 table on 16 atoms
+#: d = 3 table on 16 atoms.  Beside the table a block's transforms hold at most 3/4 of
+#: its size at d = 3 (3 MiB): the last axis's kept half beside the middle axis's quarter
 FFT_BLOCK = 2 ** 18
 
 
@@ -87,17 +88,25 @@ def _fft_coefficients(values: np.ndarray, d: int, n: int, radii, degree: int) ->
     # values has shape (n^d,) + batch, in grid() order; returns (degree+1,)*d + batch.
     # The batch axes are flattened to columns, taken in blocks of FFT_BLOCK values (at
     # least one column).  Each block goes one axis at a time, last axis first as in
-    # np.fft.fftn, keeping only the first degree + 1 frequencies after each, and is
-    # written into the one table; the table is then divided in place.  Every transform
-    # and division acts per column, so the table does not depend on the blocks.
+    # np.fft.fftn, keeping only the first degree + 1 frequencies of each.  Every axis
+    # but the first is transformed one slab of the first axis at a time, each slab's
+    # kept frequencies written into an array of their own size, so a block never holds
+    # its full transform beside the kept half; the first axis's kept frequencies go
+    # into the one table, which is then divided in place.  Every transform and division
+    # acts per column and per line, so the table does not depend on the blocks.
     columns = values.reshape(n ** d, -1)
     table = np.empty((degree + 1,) * d + columns.shape[1:], dtype=complex)
     block = max(1, FFT_BLOCK // n ** d)
     for start in range(0, columns.shape[1], block):
         sel = columns[:, start:start + block].reshape((n,) * d + (-1,))
-        for axis in reversed(range(d)):
-            sel = np.fft.fft(sel, axis=axis)[(slice(None),) * axis + (slice(0, degree + 1),)]
-        table[..., start:start + block] = sel
+        for axis in reversed(range(1, d)):
+            kept = np.empty(sel.shape[:axis] + (degree + 1,) + sel.shape[axis + 1:],
+                            dtype=complex)
+            low = (slice(None),) * (axis - 1) + (slice(0, degree + 1),)
+            for i in range(n):
+                kept[i] = np.fft.fft(sel[i], axis=axis - 1)[low]
+            sel = kept
+        table[..., start:start + block] = np.fft.fft(sel, axis=0)[:degree + 1]
     table /= n ** d
     scale = reduce(np.multiply.outer, [np.asarray(r) ** np.arange(degree + 1) for r in radii])
     table /= scale[..., None]
@@ -120,28 +129,26 @@ def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
     return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
 
 
-def schwarz_violation(f, center, radius: float, ring, samples: int = 1000,
-                      seed: int = 0) -> float:
-    """Max over sampled z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
+def schwarz_violation(f, center, radius: float, ring, z) -> float:
+    """Max over the points z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
 
-    A univariate (d = 1) check; ``f`` takes points of shape (m, 1) and returns
-    values of shape (m,) + batch, one column per slice of a batch of slices (the
-    batch shape is () for a single slice).  Each column's sup norm is estimated
-    from below by its column of ``ring``, shape (n,) + batch, the values on nodes
-    of the circle |z - a| = r such as those of :func:`torus_nodes` (the maximum
-    principle puts the sup on the boundary), together with its f(a) and its sample
-    values.  Returns the largest violation over the columns; nonpositive return
+    A univariate (d = 1) check at the complex points ``z`` of shape (m,), drawn in the
+    ball by the caller; ``f`` takes points of shape (m + 1, 1) and returns values of
+    shape (m + 1,) + batch, one column per slice of a batch of slices (the batch shape
+    is () for a single slice), and is called once, on a and the points z.  Each column's
+    sup norm is estimated from below by its column of ``ring``, shape (n,) + batch, the
+    values on nodes of the circle |z - a| = r such as those of :func:`torus_nodes` (the
+    maximum principle puts the sup on the boundary), together with its f(a) and its
+    values at z.  Returns the largest violation over the columns; nonpositive return
     values certify the bound for every slice.
     """
     center = complex(center)
     radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    disc = Polydisc([center], [radius])
-    z = sample_polydisc(disc, samples, 1.0, np.random.default_rng(seed))[:, 0]
-
-    fa = np.asarray(f(np.array([[center]])))[0]
-    fz = np.asarray(f(z[:, None]))
+    z = np.asarray(z, dtype=complex)
+    values = np.asarray(f(np.concatenate([[center], z])[:, None]))
+    fa, fz = values[0], values[1:]
     sup = np.maximum.reduce([np.max(np.abs(ring), axis=0), np.max(np.abs(fz), axis=0),
                              np.abs(fa)])
     bound = (2.0 / radius) * sup * np.abs(z - center).reshape((-1,) + (1,) * (fz.ndim - 1))
@@ -183,10 +190,13 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
     radii, d = sample.radii, sample.fam.d
     coeffs = sample.taylor_table(degree)
-    # |c_m| * prod_j (r_j shrink)^{m_j}
+    # |c_m| * prod_j (r_j shrink)^{m_j}, scaled in place: one float array of the table's size
     rad_scale = reduce(np.multiply.outer, [r ** np.arange(degree + 1) for r in radii])
     rho_scale = reduce(np.multiply.outer, [shrink ** np.arange(degree + 1)] * d)
-    u = np.sum(np.abs(coeffs) * rad_scale[..., None] * rho_scale[..., None], axis=tuple(range(d)))
+    terms = np.abs(coeffs)
+    terms *= rad_scale[..., None]
+    terms *= rho_scale[..., None]
+    u = np.sum(terms, axis=tuple(range(d)))
     # the bracket as (1 - s)^-d (1 - (1 - s^(D+1))^d), free of cancellation and sign error
     tail = sample.sup * -np.expm1(d * np.log1p(-shrink ** (degree + 1))) / (1.0 - shrink) ** d
     return OrderBound(u=u, tail=float(tail), degree=degree, shrink=shrink, n=sample.n)

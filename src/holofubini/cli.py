@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +31,8 @@ from .measure import ROW_BLOCK, FiniteMeasureSpace, space_from_json, space_prese
 from .theorems import CheckReport
 
 def _linearization(config, duals, rng, sample):
-    # p outer: the functionals on the contour meet each stack in turn and share its
-    # pairing (ContourSample.pairing); the records are sorted afterwards
-    for p in config.p_list:
-        for phi in config.functionals:
+    for phi in config.functionals:
+        for p in config.p_list:
             yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p)
 
 
@@ -128,18 +126,22 @@ class ConfigError(Exception):
 
 
 def _build_values(fam: HoloFamily, k: int, n: int) -> int:
-    """Complex values that building the contour sample and its table, and pairing the
-    sample with a dual stack, take beyond :func:`_held_values`: per contour node 5d for
-    the grid's points and the transients of the grid and the domain test, and 10 for
-    the kept pairing with one stack of ten dual vectors (:meth:`ContourSample.pairing`);
-    then one evaluation block, rows of ROW_BLOCK values or one row, counted d + 3
-    times for the evaluation's arguments and transients, and one FFT block, columns of
-    FFT_BLOCK values or one column, counted twice for a full transform beside its
-    first kept half."""
+    """Complex values that building the contour sample and its table, and reading them,
+    take beyond :func:`_held_values`: one evaluation block, rows of ROW_BLOCK values or
+    one row, counted d + 3 times for the evaluation's arguments and transients; one FFT
+    block, columns of FFT_BLOCK values or one column, for its transforms beside the
+    table; half the table for order_bound's magnitudes of it; and 2 per contour node
+    for diff_under_integral's pairing z -> <F(z), h> and its transform."""
     nodes = n ** fam.d
     rows = min(nodes, max(1, ROW_BLOCK // k)) * k
     columns = min(k, max(1, FFT_BLOCK // nodes)) * nodes
-    return nodes * (5 * fam.d + 10) + (fam.d + 3) * rows + 2 * columns
+    return 2 * nodes + (fam.d + 3) * rows + columns + _table_size(fam.d, n) * k // 2
+
+
+def _table_size(d: int, n: int) -> int:
+    """Coefficients per atom of the contour sample's Taylor table at n nodes, of degree
+    max(2, min(n // 2 - 1, MAX_TAYLOR_DEGREE)) per variable."""
+    return max(3, min(n // 2, MAX_TAYLOR_DEGREE + 1)) ** d
 
 
 def _profile_values(k: int) -> int:
@@ -157,30 +159,31 @@ def _profile_values(k: int) -> int:
 
 
 def _held_values(config: SuiteConfig) -> int:
-    """Complex values a run holds across its checks: the contour sample and its Taylor
-    table of degree max(2, min(n // 2 - 1, MAX_TAYLOR_DEGREE)), the ten dual vectors
-    per exponent with the sample's one copy of each stack, the closed-form vector the
-    sample keeps for each multi-index of the derivative battery, and each functional's
-    nodes and weights, slice vector, closed-form vector and, off the contour, node
-    values."""
+    """Complex values a run holds across its checks: the contour sample, its Taylor
+    table (:func:`_table_size`) and its grid once, d per node, whether the nodes of the
+    functionals on the contour, which the sample reads, or a grid of its own; the ten
+    dual vectors per exponent with the sample's one copy of each stack; the closed-form
+    vector the sample keeps for each multi-index of the derivative battery; and each
+    functional's weights, slice vector and closed-form vector and, off the contour, its
+    nodes and node values."""
     fam, k, n = config.family, config.space.natoms, config.n
-    table = max(3, min(n // 2, MAX_TAYLOR_DEGREE + 1)) ** fam.d
     sample = ContourSample(fam, config.space, n)
-    functionals = sum((fam.d + 1) * len(phi.nodes) + 2 * k
-                      + (0 if sample.on_contour(phi) else len(phi.nodes) * k)
+    functionals = sum(len(phi.weights) + 2 * k
+                      + (0 if sample.on_contour(phi) else len(phi.nodes) * (fam.d + k))
                       for phi in config.functionals)
     closed = len(_alpha_battery(fam.d)) * k
-    return (n ** fam.d + table) * k + 20 * k * len(config.p_list) + closed + functionals
+    return (n ** fam.d * (k + fam.d) + _table_size(fam.d, n) * k
+            + 20 * k * len(config.p_list) + closed + functionals)
 
 
 def _counted_values(config: SuiteConfig) -> int:
     """:func:`_held_values` plus the largest of the checks' own arrays: building the
-    contour sample and its table; below 16 nodes, order_bound's own 16-node sample and
-    table; at d = 1, :func:`_profile_values`.  order_bound and schwarz evaluate their
-    points for blocks of atoms of about EVAL_BLOCK values."""
+    contour sample and its table; below 16 nodes, order_bound's own 16-node sample, grid
+    and table; at d = 1, :func:`_profile_values`.  order_bound and schwarz evaluate
+    their points for blocks of atoms of about EVAL_BLOCK values."""
     fam, k, n = config.family, config.space.natoms, config.n
     floor = 2 * MIN_ORDER_BOUND_DEGREE + 2
-    own_sample = (floor ** fam.d + (floor // 2) ** fam.d) * k \
+    own_sample = floor ** fam.d * (k + fam.d) + _table_size(fam.d, floor) * k \
         + _build_values(fam, k, floor) if n < floor else 0
     return _held_values(config) + max(_build_values(fam, k, n), own_sample,
                                       _profile_values(k) if fam.d == 1 else 0)
@@ -251,7 +254,8 @@ def default_functionals(fam: HoloFamily, n: int, shrink: float, seed: int):
     """The stock battery: the defaults of the ``dirac``, ``derivative`` and ``random``
     specs of :func:`_parse_functional` (a Dirac node, the first-order derivative
     functional at the domain center and a seeded 8-node random measure), with the
-    second-order derivative functional on the same contour after the first."""
+    second-order derivative functional on the same contour after the first.  Both hold
+    one read-only grid, the first one's nodes, which the contour sample reads too."""
     point, first, sampled = (_parse_functional(kind, fam, n, shrink, seed)
                              for kind in ("dirac", "derivative", "random"))
     second = derivative_functional(first.center, (2,) + first.alpha[1:], first.radii, n=n)
@@ -273,7 +277,7 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
     duals = {p: _random_duals(config.space, rng) for p in config.p_list}
-    sample = ContourSample(config.family, config.space, config.n)
+    sample = ContourSample(config.family, config.space, config.n, config.functionals)
     reports: list[CheckReport] = []
     for name, calls in CHECKS.items():
         if name not in config.checks:
@@ -411,7 +415,9 @@ def _parse_functional(text: str, fam: HoloFamily, n: int, shrink: float,
     raise ConfigError(f"cannot parse functional {text!r}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="holofubini",
         description="Quadrature verification of interchange identities for "

@@ -7,6 +7,7 @@ so shared instances are safe under unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ __all__ = [
 #: contour placement inside a family domain, keeping strict analyticity margin; every
 #: module builds its contour grid from it, so grids meant to coincide are byte-identical
 CONTOUR_SHRINK = 0.95
+#: every torus grid some holder still keeps, by (center, radii, n) bytes
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def parse_complex(value) -> complex:
@@ -90,14 +93,16 @@ class Polydisc:
         return self.center.shape[0]
 
     def contains_all(self, points, shrink: float = 1.0) -> bool:
-        """Vectorized membership test for an array of points with last axis d."""
+        """Vectorized membership test for an array of points with last axis d, taking
+        one variable's distances at a time."""
         shrink = float(shrink)
         if not 0.0 < shrink <= 1.0:
             raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
         pts = np.asarray(points, dtype=complex)
         if pts.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: expected last axis {self.d}")
-        return bool(np.all(np.abs(pts - self.center) < shrink * self.radius))
+        return all(bool(np.all(np.abs(pts[..., j] - c) < shrink * r))
+                   for j, (c, r) in enumerate(zip(self.center, self.radius)))
 
     def shrunk(self, factor: float) -> "Polydisc":
         """The concentric polydisc with radii scaled by ``factor``."""
@@ -136,9 +141,19 @@ class TorusQuadrature:
         return self.disc.d
 
     def grid(self) -> np.ndarray:
-        """All n^d tensor-product boundary points, flattened to shape (n^d, d)."""
-        mesh = np.meshgrid(*self.nodes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.d)
+        """All n^d tensor-product boundary points, flattened to shape (n^d, d), read-only.
+
+        Rules of equal center, radii and n give one array while anything holds it, so
+        the derivative functionals on a contour and the contour sample share one grid.
+        The mesh is a broadcast view, so the points are the only array built."""
+        key = (self.disc.center.tobytes(), self.disc.radius.tobytes(), self.n)
+        points = _GRIDS.get(key)
+        if points is None:
+            mesh = np.meshgrid(*self.nodes, indexing="ij", copy=False)
+            points = np.stack(mesh, axis=-1).reshape(-1, self.d)
+            points.setflags(write=False)
+            _GRIDS[key] = points
+        return points
 
 
 def sample_polydisc(disc: Polydisc, count: int, shrink: float, rng) -> np.ndarray:

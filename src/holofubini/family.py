@@ -154,24 +154,28 @@ class ContourSample:
     """One run's family values: F on the n-node contour grid and on functionals' nodes.
 
     ``values[j, i] = f(w_j, t_i)`` on ``torus_nodes(Polydisc(center, radii), n).grid()``,
-    about the domain center at CONTOUR_SHRINK of the radii.  Every point
-    set is evaluated through :meth:`HoloFamily.eval` (so the domain check applies) when
-    it is first read, into one array by blocks of rows, and is read-only from then on;
-    an evaluation that raises is not kept, so each reader meets the error itself.  So
-    are one Taylor table of the contour values, built by blocks of columns into one
-    array, each functional's (k,) slice vector, its (m,) values on each stack of m dual
-    vectors and each closed-form (k,) vector read (:meth:`closed_form`).  The contour's
-    (n^d, m) pairing with a stack is kept only from one functional on the contour to
-    the next that reads it (:meth:`pairing`).  Two threads sharing a sample can at
-    worst compute one twice.
+    about the domain center at CONTOUR_SHRINK of the radii: the array that the
+    derivative functionals on the contour hold as their nodes, if any does
+    (:meth:`~holofubini.domain.TorusQuadrature.grid`).  The sample is built with the
+    run's ``functionals``.  Every point set is evaluated through
+    :meth:`HoloFamily.eval` (so the domain check applies) when it is first read, into
+    one array by blocks of rows, and is read-only from then on; an evaluation that
+    raises is not kept, so each reader meets the error itself.  So are one Taylor table
+    of the contour values, built by blocks of columns into one array, each
+    functional's (k,) slice vector, its (m,) values on each stack of m dual vectors
+    (:meth:`pair_duals`, one pass over blocks of the contour for every functional on
+    it) and each closed-form (k,) vector read (:meth:`closed_form`); no (nodes, m)
+    pairing of F with a stack is held.  Two threads sharing a sample can at worst
+    compute one twice.
     """
 
-    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int):
+    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=()):
         self.fam, self.space, self.n = fam, space, int(n)
+        self.functionals = tuple(functionals)
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
-        #: the Taylor table and the (stack key, contour pairing) kept, or None
-        self._table = self._pairing = None
+        #: the Taylor table kept, or None
+        self._table = None
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -244,32 +248,46 @@ class ContourSample:
     def dual_values(self, phi, h) -> np.ndarray:
         """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once.
 
-        The memo keeps each stack's bytes once, with every functional's values on it.
-        A call that does not read the kept contour pairing (:meth:`pairing`) drops it."""
+        The memo keeps each stack's bytes once, with every functional's values on it; a
+        functional on the contour finds there the values of the pass that another one's
+        call made (:meth:`pair_duals`)."""
         h = np.array(h, dtype=complex, ndmin=2)
-        memo = self._duals.setdefault((h.shape, h.tobytes()), {})
-        if phi in memo or not self.on_contour(phi):
-            self._pairing = None
+        memo = self._stack_memo(h)
         if phi not in memo:
             memo[phi] = _read_only(phi.apply_dual(self, h))
         return memo[phi]
 
-    def pairing(self, phi, h) -> np.ndarray:
-        """F on ``phi``'s nodes paired with each dual vector of h, ``node_values(phi) @
-        (h mu).T``, shape (nodes,) + h.shape[:-1].
+    def pair_duals(self, phi, h) -> np.ndarray:
+        """``phi`` applied to z -> <F(z), h_j> for each dual vector h_j of the stack h,
+        shape (m,).
 
-        One product serves every functional on the contour: the contour's is kept for
-        the last stack h until a :meth:`dual_values` call that does not read it.
+        F on phi's nodes meets (h mu).T in blocks of ``measure.ROW_BLOCK`` values (whole
+        rows, at least one); each block's product is summed over its nodes with phi's
+        weights by ``np.einsum``, which calls no BLAS, and the block sums are added in
+        node order, so no node sum depends on the BLAS thread count.  On the contour
+        each block's product also serves every other functional of the run on it, whose
+        values the memo of :meth:`dual_values` keeps, so no (n^d, m) pairing is held and
+        a run pairs its contour once per stack.
         """
         values = self.node_values(phi)
+        phis = [phi]
+        if self.on_contour(phi):
+            phis += [psi for psi in self.functionals if psi is not phi and self.on_contour(psi)]
         hw = (h * self.space.weights).T
-        if not self.on_contour(phi):
-            return values @ hw
-        key = (h.shape, h.tobytes())
-        held = self._pairing
-        if held is None or held[0] != key:
-            held = self._pairing = (key, _read_only(values @ hw))
-        return held[1]
+        sums = np.zeros((len(phis), len(h)), dtype=complex)
+        block = max(1, measure.ROW_BLOCK // self.space.natoms)
+        for start in range(0, len(values), block):
+            paired = values[start:start + block] @ hw
+            for total, psi in zip(sums, phis):
+                total += np.einsum("n,nm->m", psi.weights[start:start + block], paired)
+        memo = self._stack_memo(h)
+        for psi, total in zip(phis[1:], sums[1:]):
+            memo.setdefault(psi, _read_only(total))
+        return sums[0]
+
+    def _stack_memo(self, h: np.ndarray) -> dict:
+        """The functionals' values kept for the stack h, keyed by functional."""
+        return self._duals.setdefault((h.shape, h.tobytes()), {})
 
     def on_contour(self, phi) -> bool:
         """Whether ``phi`` is a derivative functional on this contour: equal center and

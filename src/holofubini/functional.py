@@ -53,14 +53,12 @@ class MeasureFunctional:
     radii: np.ndarray | None = None
 
     def __post_init__(self):
-        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=complex)).copy()
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=complex)).copy()
+        nodes = _frozen(np.atleast_2d(np.asarray(self.nodes, dtype=complex)))
+        weights = _frozen(np.atleast_1d(np.asarray(self.weights, dtype=complex)))
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError("need one weight per node")
         if not weights.size:
             raise ValueError(f"measure functional {self.label!r} needs at least one node")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -81,17 +79,18 @@ class MeasureFunctional:
     def apply_dual(self, sample: ContourSample, h):
         """phi(z -> <F(z), h>): weight each node's pairing with the dual vector.
 
-        ``h`` of shape (k,) gives one complex value; a stack of dual vectors
-        of shape (m, k) gives all m values from one product,
-        :meth:`~holofubini.family.ContourSample.pairing`, which every functional
-        on the sample's contour shares.
+        ``h`` of shape (k,) gives one complex value; a stack of dual vectors of shape
+        (m, k) gives all m values from one pass over blocks of the nodes,
+        :meth:`~holofubini.family.ContourSample.pair_duals`, whose node sums call no
+        BLAS.  On the sample's contour that pass also gives every other functional of
+        the run on it its values.
         """
         h = np.asarray(h, dtype=complex)
         # pair each node's F(z_j) with h before weighting the nodes; the other
         # association is the pairing of apply_slices, which linearization
         # checks this against
-        out = self.weights @ sample.pairing(self, h)
-        return complex(out) if h.ndim == 1 else out
+        out = sample.pair_duals(self, np.atleast_2d(h))
+        return complex(out[0]) if h.ndim == 1 else out
 
     def ideal_slices(self, sample: ContourSample) -> np.ndarray:
         """The exact action per atom, through closed forms where semantics exist.
@@ -185,6 +184,15 @@ def _parse_node(value) -> np.ndarray:
     if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
         return np.array([parse_complex(v) for v in value], dtype=complex)
     return np.atleast_1d(np.asarray(parse_complex(value), dtype=complex))
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values`` read-only: itself when it already is, so functionals may share one
+    node array, else a read-only copy."""
+    if values.flags.writeable:
+        values = values.copy()
+        values.setflags(write=False)
+    return values
 
 
 def _format_point(z: np.ndarray) -> str:

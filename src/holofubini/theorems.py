@@ -21,13 +21,16 @@ every exponent's grid sup in one pass over blocks of contour rows and adds the
 functional's own nodes, so its bound is a finite triangle inequality that grid
 placement cannot break, and ``schwarz`` adds its sample values.  The sample also
 keeps each functional's slice vector and its values on each stack of dual
-vectors, which linearization, fubini, norm_bound and span share, and the
-functionals on the contour share one pairing of it with each stack.  It keeps each
-closed-form vector that fubini, derivative_consistency and diff_under_integral
-read, too.  Points a check draws for itself (the span, telescoping, order_bound
-and schwarz samples and the derivative_profile contours, which take only the
-sample's family and space and have ``PROFILE_NODES`` nodes whatever the run's n)
-are evaluated where they are drawn; order_bound, schwarz and derivative_profile
+vectors, which linearization, fubini, norm_bound and span share; the functionals
+on the contour get theirs from one pass over blocks of it per stack, whose node
+sums call no BLAS, so no report depends on the BLAS thread count.  Linearization
+and fubini report both sides for the first dual vector of a stack beside the
+largest residual over it.  The sample keeps each closed-form vector that fubini,
+derivative_consistency and diff_under_integral read, too.  Points a check draws
+for itself (the span, telescoping, order_bound and schwarz samples and the
+derivative_profile contours, which take only the sample's family and space and
+have ``PROFILE_NODES`` nodes whatever the run's n) are drawn once per check and
+evaluated where they are drawn; order_bound, schwarz and derivative_profile
 evaluate theirs for a block of atoms or contours per call, of at most
 ``EVAL_BLOCK`` complex values unless one atom or contour takes more, so none
 pays one call per atom or contour nor holds all of them at once.  Samples are
@@ -124,13 +127,12 @@ class CheckReport:
                 f"residual={self.residual:.3e} tol={self.tol:.1e}")
 
 
-def _worst_dual(space, vec, duals, applied) -> tuple[complex, complex, float]:
-    """(lhs, rhs, residual) of the dual vector h whose pairing <vec, h> lies
-    farthest from its entry of ``applied``."""
+def _dual_sides(space, vec, duals, applied) -> tuple[complex, complex, float]:
+    """(lhs, rhs, residual): the pairing <vec, h> and its entry of ``applied`` for the
+    first dual vector h of the stack, and the largest gap between them over the stack.
+    The sides shown do not depend on which gap roundoff makes the largest."""
     paired = space.pairing(vec, duals)
-    gaps = np.abs(paired - applied)
-    worst = int(np.argmax(gaps))
-    return complex(paired[worst]), complex(applied[worst]), gaps[worst]
+    return complex(paired[0]), complex(applied[0]), np.max(np.abs(paired - applied))
 
 
 def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0) -> CheckReport:
@@ -138,10 +140,11 @@ def linearization_residual(phi, sample: ContourSample, duals, p: float = 2.0) ->
 
     Verifies the defining identity of the representing vector (phi(f(., t_i)))_i;
     both sides rearrange the same finite sum, so residuals are pure roundoff.
-    Both sides are the sample's, the right one for all dual vectors in one product.
+    Both sides are the sample's, the right one for all dual vectors in one pass.  The
+    report shows both sides for the first dual vector and the largest residual.
     """
     duals = np.array(list(duals), dtype=complex, ndmin=2)
-    lhs, rhs, residual = _worst_dual(sample.space, sample.slice_vector(phi), duals,
+    lhs, rhs, residual = _dual_sides(sample.space, sample.slice_vector(phi), duals,
                                      sample.dual_values(phi, duals))
     return CheckReport.build(
         "linearization", sample.fam.label, phi.label, lhs, rhs, residual, TOL_EXACT,
@@ -159,13 +162,14 @@ def fubini_residual(phi, sample: ContourSample, h, p: float) -> CheckReport:
     quadrature error of the measure realization and decays geometrically in
     its node count; for Dirac and generic measures the two sides coincide
     up to reassociation.  ``h`` may also be a stack of dual vectors of shape
-    (m, k); the report is then the one with the largest residual.  The right side
+    (m, k); the report then shows both sides for the first of them and the largest
+    residual over the stack.  The right side
     is the sample's, shared with ``linearization`` on the same stack.  The tolerance
     is ``TOL_QUADRATURE`` for derivative functionals and ``TOL_EXACT`` otherwise.
     """
     tol = TOL_QUADRATURE if phi.meaning == "derivative" else TOL_EXACT
     h = np.array(h, dtype=complex, ndmin=2)
-    lhs, rhs, residual = _worst_dual(sample.space, phi.ideal_slices(sample), h,
+    lhs, rhs, residual = _dual_sides(sample.space, phi.ideal_slices(sample), h,
                                      sample.dual_values(phi, h))
     return CheckReport.build(
         "fubini", sample.fam.label, phi.label, lhs, rhs, residual, tol,
@@ -408,20 +412,20 @@ def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0)
 
 def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family, on the
-    sample's contour disc, at ``SCHWARZ_SAMPLES`` sampled points; each slice's sup is
-    read from its column of the contour values.  The slices go to
+    sample's contour disc, at ``SCHWARZ_SAMPLES`` points drawn once in it; each slice's
+    sup is read from its column of the contour values.  The slices go to
     :func:`holofubini.cauchy.schwarz_violation` in blocks of max(1, EVAL_BLOCK //
-    (SCHWARZ_SAMPLES + 1)) atoms, so a block's center and its samples are one
-    evaluation each."""
+    (SCHWARZ_SAMPLES + 1)) atoms, so a block's center and points are one evaluation."""
     fam, space, samples = sample.fam, sample.space, SCHWARZ_SAMPLES
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
     center, radius = complex(sample.center[0]), float(sample.radii[0])
+    z = sample_polydisc(Polydisc([center], [radius]), samples, 1.0,
+                        np.random.default_rng(seed))[:, 0]
     block = max(1, EVAL_BLOCK // (samples + 1))
     worst = max(
         schwarz_violation(partial(_eval_atoms, fam, space.params[start:start + block]),
-                          center, radius, sample.values[:, start:start + block],
-                          samples=samples, seed=seed)
+                          center, radius, sample.values[:, start:start + block], z)
         for start in range(0, space.natoms, block)
     )
     return CheckReport.build(

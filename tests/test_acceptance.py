@@ -19,7 +19,7 @@ from holofubini.domain import Polydisc
 from holofubini.family import ContourSample, GeometricFamily
 from holofubini.functional import MeasureFunctional
 
-from conftest import PRESET_NAMES, poly_deriv, random_duals
+from conftest import PRESET_NAMES, poly_deriv, random_duals, schwarz_points
 
 INF = math.inf
 P_LIST = (1.0, 2.0, INF)
@@ -172,7 +172,7 @@ def test_criterion_07_schwarz_and_telescoping(space16):
     for kind, t in slices:
         fam = family_preset(kind)
         f = lambda z: fam.eval(z, t)
-        v = schwarz_violation(f, 0.0, 0.95, f(ring), samples=1000, seed=7)
+        v = schwarz_violation(f, 0.0, 0.95, f(ring), schwarz_points(0.0, 0.95, seed=7))
         assert v <= 1e-12, (kind, t, v)
     # multivariate telescoping bound on 200 sampled pairs in d = 2
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")

@@ -15,7 +15,7 @@ from holofubini.domain import CONTOUR_SHRINK, multi_factorial
 from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
 
-from conftest import fd_derivative
+from conftest import fd_derivative, schwarz_points
 
 
 def ring(f, center, radius, n=64):
@@ -228,27 +228,28 @@ class TestTaylorCoefficients:
 class TestSchwarz:
     def test_identity_slice(self):
         f = lambda w: w[..., 0]
-        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), samples=1000, seed=0)
+        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), schwarz_points(0.0, 1.0, seed=0))
         assert v <= 0.0
 
     def test_constant_slice(self):
         f = lambda w: np.full(w.shape[:-1], 2.5)
-        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0))
+        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), schwarz_points(0.0, 1.0))
         assert v <= 0.0
 
     def test_square_slice(self):
         f = lambda w: w[..., 0] ** 2
-        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), samples=1000, seed=1)
+        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), schwarz_points(0.0, 1.0, seed=1))
         assert v <= 0.0
 
     def test_off_center_ball(self):
         f = lambda w: np.exp(w[..., 0])
-        v = schwarz_violation(f, 0.5 + 0.5j, 0.75, ring(f, 0.5 + 0.5j, 0.75), seed=2)
+        v = schwarz_violation(f, 0.5 + 0.5j, 0.75, ring(f, 0.5 + 0.5j, 0.75),
+                              schwarz_points(0.5 + 0.5j, 0.75, seed=2))
         assert v <= 1e-12
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            schwarz_violation(lambda w: w[..., 0], 0.0, -1.0, np.ones(4))
+            schwarz_violation(lambda w: w[..., 0], 0.0, -1.0, np.ones(4), np.zeros(1))
 
 
 class ConjugatePerturbedGeometric(GeometricFamily):

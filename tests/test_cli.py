@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holofubini import (cauchy, cli, derivative_functional, dirac, family, family_preset,
-                        space_preset, theorems)
+from holofubini import (Polydisc, cauchy, cli, derivative_functional, dirac, family,
+                        family_preset, measure, space_preset, theorems, torus_nodes)
 from holofubini.cli import CHECK_NAMES, _emit, _record, main
 from holofubini.functional import MeasureFunctional
 from holofubini.theorems import CheckReport
@@ -298,10 +298,24 @@ class TestSampleOnce:
         assert code == 0
         assert len(calls) == len(set(calls)) == 1 + 6
 
+    def test_sample_reads_the_grid_the_functionals_hold(self, tmp_path):
+        # the default derivative functionals are on the run's contour and hold one
+        # grid, the one the sample is evaluated on
+        args = cli.build_parser().parse_args(
+            ["verify", *family_args(tmp_path, 2), "--nodes", "16"])
+        config = cli._build_config(args, CHECK_NAMES)
+        sample = family.ContourSample(config.family, config.space, config.n,
+                                      config.functionals)
+        on = [phi for phi in config.functionals if sample.on_contour(phi)]
+        assert len(on) == 2 and on[0].nodes is on[1].nodes
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
+        assert grid is on[0].nodes
+
     def test_dual_values_are_shared_by_linearization_and_fubini(self, tmp_path, monkeypatch):
-        # d = 2: each of the 2 derivative functionals applies its full-contour
-        # measure to the dual vectors once per p (3 p), for linearization and fubini
-        # both: 6 products where one per check makes 12
+        # d = 2: the 2 derivative functionals apply their full-contour measures to
+        # each p's stack of dual vectors (3 p) in one apply_dual, whose pass over the
+        # contour gives both their values, for linearization and fubini both: 3 calls
+        # where one per functional makes 6 and one per check 12
         counted = []
         apply_dual = MeasureFunctional.apply_dual
 
@@ -314,12 +328,14 @@ class TestSampleOnce:
         code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, 2), "--space",
                           "uniform-16", "--nodes", "32")
         assert code == 0
-        assert counted == [32 ** 2] * 6
+        assert counted == [32 ** 2] * 3
 
-    def test_contour_pairing_is_one_product_per_p(self, tmp_path):
-        # d = 2: both derivative functionals read the contour, and with p outer in
-        # linearization they meet each stack in turn: one values @ (h mu).T per p (3),
-        # where one per functional and p makes 6; fubini reads the kept dual values
+    def test_contour_is_paired_once_per_stack_and_block(self, tmp_path):
+        # d = 2 at 32 nodes on 16 atoms: the 1024 contour rows make one block of
+        # measure.ROW_BLOCK values, and each p's stack (3 p) meets it in one
+        # values @ (h mu).T that both derivative functionals read, in linearization
+        # and fubini: 3 products where one per functional and p makes 6; the records
+        # equal those of a run whose products are not counted
         class Products(np.ndarray):
             """Contour values that count their products with a stack of dual vectors."""
             count = 0
@@ -336,11 +352,13 @@ class TestSampleOnce:
         for counted in (False, True):
             rng = np.random.default_rng(config.seed)
             duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
-            sample = family.ContourSample(config.family, config.space, config.n)
+            sample = family.ContourSample(config.family, config.space, config.n,
+                                          config.functionals)
             if counted:
                 sample.__dict__["values"] = sample.values.view(Products)
             runs.append([vars(call()) for name in config.checks
                          for call in cli.CHECKS[name](config, duals, rng, sample)])
+        assert 32 ** 2 * 16 <= measure.ROW_BLOCK
         assert Products.count == len(config.p_list) == 3
         assert runs[0] == runs[1]
 
@@ -435,30 +453,31 @@ class TestWorkBudget:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def assert_refused_before_functionals(self, tmp_path, monkeypatch, space, n):
-        path = tmp_path / "exponential-d4.json"
-        path.write_text(json.dumps(self.EXPONENTIAL_D4))
+    def assert_refused_before_functionals(self, tmp_path, monkeypatch, space, n, d=4):
+        path = self.family_file(tmp_path, d)
         monkeypatch.setattr(cli, "default_functionals", None)
         args = cli.build_parser().parse_args(
-            ["verify", "--family-file", str(path), "--space", space, "--nodes", str(n)])
+            ["verify", "--family-file", path, "--space", space, "--nodes", str(n)])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
 
     # The budget counts per contour node the sample, k, its Taylor table, k / 2^d from
-    # n = 6 on, 5d for the coordinates with their copies and transients and 10 for the
-    # contour's pairing with a stack of ten dual vectors.  Building the sample and the
-    # table adds one evaluation block and one FFT block, which at 64^4 nodes is one
-    # column of 64^4 values, counted twice.
+    # n = 6 on, and the grid once, d.  Building the sample and the table adds one
+    # evaluation block and one FFT block, which at 64^4 nodes is one column of 64^4
+    # values, half the table and 2 for diff_under_integral's pairing and its transform.
     def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 64^4 nodes x (16 + 1 + 5 x 4 + 10 + 2) x 16 B = 12.25 GiB, with the 20 x 3 x
-        # 16 values of the dual stacks and the evaluation block 12.26 GiB; nothing of
-        # that size is allocated
+        # 64^4 nodes x (16 + 1 + 4 + 1 + 1 / 2 + 2) x 16 B = 6.13 GiB with the 20 x 3 x
+        # 16 values of the dual stacks and the evaluation block; nothing of that size
+        # is allocated
         self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
 
     def test_contour_coordinates_are_counted(self, tmp_path, monkeypatch):
-        # one atom: 64^4 x (1 + 1 / 16 + 5 x 4 + 10 + 2) x 16 B = 8.27 GiB, most of it
-        # the coordinates and the pairing; the atom arrays alone would take 0.27 GiB
-        self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 64)
+        # one atom at d = 5: 32^5 x (1 + 1 / 32 + 5 + 1 + 1 / 64 + 2) x 16 B = 4.53 GiB,
+        # most of it the coordinates; the atom arrays alone would take 0.52 GiB.  At
+        # d = 4 and 64 nodes one atom is counted 2.03 GiB and admitted: a run at 32
+        # nodes, 1/16 of its size, peaked at 132 MiB under tracemalloc against 136.5
+        # counted
+        self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 32, d=5)
 
     def test_suite_config_checks_the_budget(self):
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
@@ -466,9 +485,9 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 64)
 
     def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (256 + 32 + 5 x 3 + 10)
-        # x 16 B = 0.15 GiB, with an evaluation block of 256 rows counted 6 times and an
-        # FFT block of 8 columns counted twice 0.17 GiB
+        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (256 + 32 + 3 + 16 + 2) x 16 B
+        # = 0.15 GiB, with an evaluation block of 256 rows counted 6 times and an FFT
+        # block of 8 columns 0.16 GiB
         doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3})
         self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
@@ -481,18 +500,18 @@ class TestWorkBudget:
     def test_lowered_budget(self, monkeypatch):
         # geometric d = 1 on 16 atoms at 4 nodes, with PROFILE_GRID read at call time
         # and set to 4: the profile's 5 x 4 x 16 / 2 + 4 values and its block take
-        # more than the (16 + 8) x 16 of order_bound's own 16-node sample and its table
-        # with the 16 x (15 + 4 x 16 + 2 x 16) of building them, or the 4 x (15 + 4 x 16
-        # + 2 x 16) the budget counts for building the contour sample and its table:
-        # 15 per node, its 4 rows of 16 values as one evaluation block counted 4 times
-        # and its 16 columns as one FFT block counted twice.  Beside it the run holds
-        # the 4 x 16 values of the sample,
+        # more than the (16 + 8) x 16 + 16 of order_bound's own 16-node sample, table
+        # and grid with the 16 x (2 + 4 x 16 + 16) + 8 x 16 / 2 of building them, or the
+        # 4 x (2 + 4 x 16 + 16) + 3 x 16 / 2 the budget counts for building the contour
+        # sample and its table: 2 per node, its 4 rows of 16 values as one evaluation
+        # block counted 4 times, its 16 columns as one FFT block and half its table.
+        # Beside it the run holds the 4 x 16 values of the sample, its 4-point grid,
         # the 3 x 16 of its degree-2 table, the 20 x 16 of one exponent's dual stack
         # and the 3 x 16 of the closed-form vectors of orders 0 to 2.  The budget
         # counts the profile whatever the checks, and its term does not depend on n.
         fam = family_preset("geometric")
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
-        need = ((4 + 3 + 20 + 3) * 16 + 5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
+        need = ((4 + 3 + 20 + 3) * 16 + 4 + 5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
         with monkeypatch.context() as patch:
             patch.setattr(theorems, "PROFILE_GRID", 4)
             patch.setattr(cli, "WORK_BUDGET_BYTES", need)
@@ -501,8 +520,9 @@ class TestWorkBudget:
             with pytest.raises(cli.ConfigError, match="work budget"):
                 self.config(fam, "uniform-16", 4, checks=few)
         # at 64 nodes and the 32-point grid the profile counts 5 x 32 x 16 / 2 + 32
-        # values beside its block, and the run holds a 32-coefficient table
-        need = ((64 + 32 + 20 + 3) * 16 + 5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
+        # values beside its block, and the run holds a 32-coefficient table and a
+        # 64-point grid
+        need = ((64 + 32 + 20 + 3) * 16 + 64 + 5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 64)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
@@ -512,14 +532,16 @@ class TestWorkBudget:
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
         # exponential d = 2 on 16 atoms at 32 nodes, with no profile: beside the
-        # 1024 x 16 values of the sample, the 16^2 x 16 of its table, one dual stack and
-        # the 6 closed-form vectors of |alpha| <= 2, building them counts 1024 x (5 x 2
-        # + 10) values, the whole grid as one evaluation block counted 5 times and the
-        # 16 columns as one FFT block twice
+        # 1024 x 16 values of the sample, its 1024 x 2 grid, the 16^2 x 16 of its table,
+        # one dual stack and the 6 closed-form vectors of |alpha| <= 2, building and
+        # reading them counts the whole grid as one evaluation block 5 times, the 16
+        # columns as one FFT block once, half the table and 2 x 1024 values for
+        # diff_under_integral
         doc = {**self.EXPONENTIAL_D4, "domain": {"center": [[0.0, 0.0]] * 2,
                                                  "radius": [1.0] * 2}}
         fam = family.family_from_json(json.dumps(doc))
-        need = ((1024 + 256 + 20 + 6) * 16 + 1024 * 20 + (5 + 2) * 1024 * 16) * 16
+        need = ((1024 + 256 + 20 + 6) * 16 + 1024 * 2 + (5 + 1) * 1024 * 16 + 256 * 16 // 2
+                + 2 * 1024) * 16
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 32)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
@@ -527,19 +549,20 @@ class TestWorkBudget:
             self.config(fam, "uniform-16", 32)
 
     def test_held_values_count_functionals(self):
-        # each functional holds its nodes and weights, d + 1 values per node, its
-        # slice vector and its closed-form vector; one off the contour also holds its
-        # node values, k per node.  The sample keeps the closed-form vectors of orders
-        # 0 to 2 whatever the functionals
+        # each functional holds its weights, one value per node, its slice vector and
+        # its closed-form vector; one off the contour also holds its nodes and node
+        # values, d + k per node, while one on it holds the run's one grid, counted with
+        # the sample.  The sample keeps the closed-form vectors of orders 0 to 2
+        # whatever the functionals
         fam, space = family_preset("geometric"), space_preset("uniform-16")
         on = derivative_functional([0.0], (1,), [0.95], n=64)
         off = derivative_functional([0.5], (1,), [0.475], n=64)
         base = cli.SuiteConfig(family=fam, space=space, functionals=[], p_list=[2.0])
         held = cli._held_values(base)
-        assert held == (64 + 32 + 20 + 3) * 16
-        assert cli._held_values(replace(base, functionals=[on])) == held + 2 * 64 + 2 * 16
+        assert held == (64 + 32 + 20 + 3) * 16 + 64
+        assert cli._held_values(replace(base, functionals=[on])) == held + 64 + 2 * 16
         assert cli._held_values(replace(base, functionals=[off])) == \
-            held + 2 * 64 + 2 * 16 + 64 * 16
+            held + 64 + 2 * 16 + 64 * (1 + 16)
 
     @pytest.mark.parametrize("kind", ["geometric", "exponential"])
     def test_counted_values_per_node_cover_the_peak(self, kind):
@@ -582,8 +605,10 @@ class TestWorkBudget:
         # the whole d = 3 exponential battery at n = 32 holds the sample and, from
         # derivative_consistency on, its Taylor table beside the run's held arrays.  On
         # uniform-256 it peaked at 642 values per node while the table's FFT took whole
-        # columns; on uniform-16 the contour's pairing with a stack of ten dual vectors
-        # weighs 10 of every 16 values of the sample
+        # columns, and at 307 against 332 counted once order_bound scaled the table's
+        # magnitudes in place; on uniform-16 at 29 against 46, where the contour's
+        # pairing with a stack of ten dual vectors, held until it took 10 of every 16
+        # values of the sample, gave 38
         path = self.family_file(tmp_path, 3)
         # a first run's one-time imports and caches are no per-node arrays
         main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
@@ -593,6 +618,29 @@ class TestWorkBudget:
                 ["verify", "--family-file", path, "--space", f"uniform-{k}", "--nodes", "32"])
             assert code == 0
             assert peak <= counted * 16, k
+
+    def test_d3_verify_peaks_within_the_sample_table_and_one_fft_transient(self, tmp_path):
+        # the battery-d3 config, exponential d = 3 on uniform-16 at 32 nodes, with its
+        # functionals built: the run holds the 32^3 x 16 contour sample (8 MiB) and its
+        # degree-15 table (1 MiB), and beyond them the table's FFT holds at most 3/4 of
+        # an FFT block (3 MiB) while the checks keep their small products; it peaked
+        # 0.1 MiB over the three.  With the contour's (n^d, 10) pairing held per stack
+        # and a full transform beside each block's kept half it peaked 6 MiB over them
+        path = self.family_file(tmp_path, 3)
+        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
+              "--output", str(tmp_path / "warm-up.jsonl")])
+        config = cli._build_config(cli.build_parser().parse_args(
+            ["verify", "--family-file", path, "--space", "uniform-16", "--nodes", "32"]),
+            CHECK_NAMES)
+        tracemalloc.start()
+        try:
+            code, _ = cli.run_suite(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        sample, table = 32 ** 3 * 16 * 16, 16 ** 3 * 16 * 16
+        assert peak <= sample + table + 3 * cauchy.FFT_BLOCK // 4 * 16 + 2 ** 19
 
     @pytest.mark.parametrize("k", [4096, 16384])
     def test_counted_values_cover_the_verify_peak(self, tmp_path, k):
@@ -664,8 +712,8 @@ class TestWorkBudget:
 
     def test_d4_at_32_nodes_admitted(self):
         # telescoping and norm_bound read their sups from the 32^4 contour grid, so
-        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (16 + 1 + 5 x 4 + 10 + 2) x 16 B
-        # = 0.77 GiB
+        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (16 + 1 + 4 + 1 / 2 + 2) x 16 B
+        # with the evaluation and FFT blocks, 0.39 GiB
         fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
         assert self.config(fam, "uniform-16", 32).n == 32
 
@@ -676,14 +724,14 @@ class TestWorkBudget:
         # own arrays, beside the (6 + 3 + 20 x 3 + 3) x 4,000,000 values the run holds:
         # the contour sample, its table, three exponents' dual stacks and the
         # closed-form vectors of orders 0 to 2.  That needs 18.60 GiB, while building
-        # the sample counts 6 x 15 values per node, one evaluation block of one row
-        # counted 4 times and one FFT block of 43,690 columns counted twice,
-        # 16,524,370 values, and order_bound's own 16-node sample and degree-7 table
-        # (16 + 8) x 4,000,000 values beside its build
+        # the sample counts 2 values per node, one evaluation block of one row counted
+        # 4 times, one FFT block of 43,690 columns and half the degree-2 table,
+        # 22,262,152 values, and order_bound's own 16-node sample, grid and degree-7
+        # table (16 + 8) x 4,000,000 + 16 values beside its build
         fam, k = family_preset("geometric"), 4_000_000
         profile = cli._profile_values(k)
-        assert cli._build_values(fam, k, 6) == 6 * 15 + 4 * k + 2 * 6 * 43_690 < profile
-        assert (16 + 8) * k + cli._build_values(fam, k, 16) < profile
+        assert cli._build_values(fam, k, 6) == 6 * 2 + 4 * k + 6 * 43_690 + 3 * k // 2 < profile
+        assert (16 + 8) * k + 16 + cli._build_values(fam, k, 16) < profile
         counted = []
 
         def counting(evaluate):
@@ -767,6 +815,19 @@ class TestCheckSubcommand:
     def test_unknown_check_name(self, tmp_path):
         code = main(["check", "bogus", "--family", "geometric"])
         assert code == 2
+
+
+class TestParser:
+    def test_parser_is_built_once_per_process(self, tmp_path):
+        # main and every caller get the one parser, and parsing leaves it working
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["verify", "--functional", "dirac:0.3"])
+        second = parser.parse_args(["check", "fubini", "--nodes", "16"])
+        assert first.functional == ["dirac:0.3"] and second.functional is None
+        assert (second.command, second.name, second.nodes) == ("check", "fubini", 16)
+        assert main(["check", "fubini", "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert cli.build_parser() is parser
 
 
 class TestDescribe:

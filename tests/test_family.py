@@ -13,7 +13,7 @@ from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
                                TabulatedTaylorFamily)
 from holofubini.functional import MeasureFunctional
 
-from conftest import PRESET_NAMES, fd_derivative
+from conftest import PRESET_NAMES, fd_derivative, random_duals
 
 
 class TestEval:
@@ -167,10 +167,16 @@ class TestSampler:
         assert [key[1] for key in sample._duals] == [h.tobytes() for h in stacks]
         assert all(list(memo) == phis for memo in sample._duals.values())
 
-    def test_contour_pairing_is_kept_until_a_read_that_does_not_use_it(self, space16):
-        # both derivative functionals on the contour share one product per stack; a
-        # dual_values call that does not read it (another node set, a kept value)
-        # drops it, so the (n^d, m) array lives from one such functional to the next
+    # 64 contour rows of 16 atoms: blocks of 1 row, of 3 rows with a short last block,
+    # and all rows in one
+    @pytest.mark.parametrize("row_block", [16, 3 * 16, 2 ** 20])
+    def test_one_product_per_block_serves_every_functional_on_the_contour(
+            self, monkeypatch, space16, row_block):
+        # the sample is built with the run's functionals; the first dual_values read of
+        # one on the contour pairs each block of contour rows with the stack once and
+        # gives both derivative functionals their values, each bit for bit what its own
+        # pass on a sample without the other gives.  Off the contour a functional pairs
+        # its own nodes, and no (n^d, m) pairing is kept
         class Products(np.ndarray):
             """Contour values that count their products with a stack of dual vectors."""
             count = 0
@@ -179,23 +185,51 @@ class TestSampler:
                 type(self).count += 1
                 return np.asarray(self) @ other
 
-        sample = ContourSample(family_preset("geometric"), space16, 8)
+        monkeypatch.setattr(measure, "ROW_BLOCK", row_block)
+        fam = family_preset("geometric")
+        on = [derivative_functional([0.0], (alpha,), [0.95], n=64) for alpha in (1, 2)]
+        off = [dirac([0.3]), random_measure(fam.domain, k=4, seed=3)]
+        sample = ContourSample(fam, space16, 64, [off[0], *on, off[1]])
         sample.__dict__["values"] = sample.values.view(Products)
-        on = [derivative_functional([0.0], (alpha,), [0.95], n=8) for alpha in (1, 2)]
         rng = np.random.default_rng(5)
         h = rng.standard_normal((10, 16)) + 1j * rng.standard_normal((10, 16))
-        for phi in on:
+        blocks = -(-64 * 16 // row_block)
+        first = sample.dual_values(on[1], h)
+        assert Products.count == blocks
+        second = sample.dual_values(on[0], h)
+        assert Products.count == blocks
+        for phi, values in zip(on, (second, first)):
+            alone = phi.apply_dual(ContourSample(fam, space16, 64), h)
+            assert values.tobytes() == alone.tobytes()
+            assert not values.flags.writeable
+        for phi in off:
             sample.dual_values(phi, h)
-        assert Products.count == 1
-        assert sample.pairing(on[0], h) is sample.pairing(on[1], h)
-        sample.dual_values(dirac([0.3]), h)
-        sample.pairing(on[0], h)
-        assert Products.count == 2
-        sample.dual_values(on[0], h)
-        sample.pairing(on[1], h)
-        assert Products.count == 3
+        assert Products.count == blocks
         sample.dual_values(on[0], h[:3])
-        assert Products.count == 4
+        assert Products.count == 2 * blocks
+        assert all(np.ndim(value) == 1 for memo in sample._duals.values()
+                   for value in memo.values())
+
+    @pytest.mark.parametrize("row_block", [16, 5 * 16, 2 ** 20])
+    def test_blocked_pairing_equals_an_unblocked_oracle(self, monkeypatch, row_block):
+        # d = 2 on 16 atoms at 16 nodes: 256 contour rows in blocks of 1 row, of 5 rows
+        # with a short last block, and all in one; every functional's values on a stack
+        # equal one product of its node values with the stack, weighted by one matmul,
+        # to roundoff
+        monkeypatch.setattr(measure, "ROW_BLOCK", row_block)
+        fam = family_from_json({"kind": "geometric",
+                                "params": {"rates": [[0.5, 0.0], [0.4, 0.0]]},
+                                "domain": {"center": [[0.0, 0.0]] * 2, "radius": [1.0] * 2}})
+        space = space_preset("geometric-16")
+        phis = [derivative_functional([0.0, 0.0], alpha, [0.95, 0.95], n=16)
+                for alpha in ((1, 0), (2, 1))]
+        phis += [dirac([0.3, -0.2j]), random_measure(fam.domain, k=8, seed=3)]
+        sample = ContourSample(fam, space, 16, phis)
+        h = np.stack(random_duals(space, 10, seed=4))
+        for phi in phis:
+            oracle = phi.weights @ (sample.node_values(phi) @ (h * space.weights).T)
+            got = sample.dual_values(phi, h)
+            assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle)), phi
 
     def test_sup_is_read_once_by_both_checks(self, space16):
         # telescoping's B and order_bound's M are one cached float, max |F| on the grid
@@ -263,8 +297,10 @@ class TestSampler:
     def test_building_values_and_table_holds_no_second_sample(self):
         # d = 3 exponential on uniform-256 at n = 32: the values (k per node) and their
         # degree-15 table (k / 8 per node) are filled block by block, so building both
-        # peaks within two FFT blocks of them; one evaluation and one whole-batch FFT
-        # peaked at about 2.5k per node
+        # peaks within one FFT block of them (0.77 blocks: a block's transforms write
+        # only the kept frequencies of all axes but the first); a full transform beside
+        # each block's kept half peaked 1.5 blocks over them, and one evaluation and one
+        # whole-batch FFT at about 2.5k per node
         fam = family_from_json({"kind": "exponential", "params": {"scale": [1.0, 0.0]},
                                 "domain": {"center": [[0.0, 0.0]] * 3, "radius": [1.0] * 3}})
         # a first build's one-time imports and caches are no sample arrays
@@ -278,7 +314,7 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert sample._table.shape == (16, 16, 16, k)
-        assert peak <= ((1 + 1 / 8) * k * n ** 3 + 2 * cauchy.FFT_BLOCK) * 16
+        assert peak <= ((1 + 1 / 8) * k * n ** 3 + cauchy.FFT_BLOCK) * 16
 
     def test_outside_domain_rejected(self):
         # a failed evaluation is not kept: every read raises.  The atom t = 3 puts the

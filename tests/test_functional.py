@@ -35,6 +35,17 @@ class TestDirac:
 
 
 class TestDerivativeFunctional:
+    def test_functionals_on_one_contour_share_one_read_only_grid(self):
+        # the grid of a contour is one array while a functional holds it, and a
+        # read-only node array is held without a copy; a writable one is copied
+        first = derivative_functional([0.0, 0.0], (1, 0), [0.95, 0.95], n=8)
+        second = derivative_functional([0.0, 0.0], (2, 0), [0.95, 0.95], n=8)
+        assert second.nodes is first.nodes and not first.nodes.flags.writeable
+        assert MeasureFunctional(first.nodes, first.weights, "copy").nodes is first.nodes
+        nodes = np.array(first.nodes)
+        phi = MeasureFunctional(nodes, first.weights, "own")
+        assert phi.nodes is not nodes and not phi.nodes.flags.writeable
+
     def test_order_zero_on_constant(self):
         phi = derivative_functional([0.0], (0,), [0.9], n=16)
         assert apply(phi, lambda z: np.full(z.shape[:-1], 2.5)) == pytest.approx(2.5, abs=1e-13)

@@ -14,7 +14,7 @@ from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily
                                PolynomialFamily)
 from holofubini.functional import MeasureFunctional
 
-from conftest import random_duals
+from conftest import random_duals, schwarz_points
 
 INF = math.inf
 CONTOUR = [0.95]
@@ -92,6 +92,26 @@ class TestLinearizationResidual:
             derivative_functional([0.0], (2,), CONTOUR, n=64), sample64, duals,
         )
         assert rep.residual <= 1e-10 and rep.passed
+
+
+    @pytest.mark.parametrize("check", ["linearization", "fubini"])
+    def test_records_show_the_first_dual(self, sample64, space16, check):
+        # lhs and rhs are both sides for the first dual vector of the stack, whichever
+        # dual roundoff gives the largest residual; the residual is that largest gap
+        duals = np.stack(random_duals(space16, 10, seed=12))
+        phi = derivative_functional([0.0], (2,), CONTOUR, n=64)
+        if check == "linearization":
+            rep = theorems.linearization_residual(phi, sample64, duals)
+            vec = sample64.slice_vector(phi)
+        else:
+            rep = theorems.fubini_residual(phi, sample64, duals, 2.0)
+            vec = phi.ideal_slices(sample64)
+        paired = space16.pairing(vec, duals)
+        applied = sample64.dual_values(phi, duals)
+        gaps = np.abs(paired - applied)
+        assert int(np.argmax(gaps)) != 0
+        assert (rep.lhs, rep.rhs) == (complex(paired[0]), complex(applied[0]))
+        assert rep.residual == float(np.max(gaps))
 
 
 class TestFubiniResidual:
@@ -654,8 +674,9 @@ class TestBlockedEvaluation:
     @staticmethod
     def schwarz_per_slice(sample, samples=1000, seed=0):
         center, radius = complex(sample.center[0]), float(sample.radii[0])
-        return max(cauchy.schwarz_violation(lambda z: sample.fam.eval(z, t), center, radius,
-                                            ring, samples=samples, seed=seed)
+        z = schwarz_points(center, radius, samples, seed)
+        return max(cauchy.schwarz_violation(lambda w: sample.fam.eval(w, t), center, radius,
+                                            ring, z)
                    for t, ring in zip(sample.space.params, sample.values.T))
 
     @staticmethod
@@ -671,6 +692,27 @@ class TestBlockedEvaluation:
             values = fam.eval(pts[:, None, :], space.params)
             mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders, radii, n))
         return [(float(np.max(m @ space.weights)), float(m.max())) for m in mags]
+
+    def test_schwarz_draws_its_points_once(self, monkeypatch):
+        # geometric-64 makes 8 blocks of 8 atoms: one draw of the 1000 points for the
+        # check, and per block one evaluation of the center together with them
+        draws, shapes = [], []
+        draw = theorems.sample_polydisc
+        monkeypatch.setattr(theorems, "sample_polydisc",
+                            lambda *args: draws.append(args[1]) or draw(*args))
+        fam = family_preset("geometric")
+        sample = ContourSample(fam, space_preset("geometric-64"), 64)
+        sample.values
+        evaluate = GeometricFamily._evaluate
+
+        def counting(self, z, t):
+            shapes.append(np.shape(z)[0])
+            return evaluate(self, z, t)
+
+        monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
+        assert theorems.schwarz_check(sample).passed
+        assert draws == [theorems.SCHWARZ_SAMPLES]
+        assert shapes == [theorems.SCHWARZ_SAMPLES + 1] * 8
 
     # uniform-13 leaves a partial last block of 5 atoms after one of 8
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64", "uniform-13"])
