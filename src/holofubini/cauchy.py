@@ -67,9 +67,11 @@ def derivative_rule(center, alpha, radii, n: int = 64):
         raise ValueError(f"node count {n} is too small for derivative order {max(alpha)}")
     quad = torus_nodes(disc, n)
     offsets = quad.nodes - center[:, None]
-    # the outer product of each variable's n powers, in the order of quad.grid()
+    # the outer product of each variable's n powers, in the order of quad.grid(), scaled
+    # in place into the weights
     powers = reduce(np.multiply.outer, offsets ** -np.asarray(alpha)[:, None])
-    return quad.grid(), powers.ravel() * (multi_factorial(alpha) / quad.n ** disc.d)
+    powers *= multi_factorial(alpha) / quad.n ** disc.d
+    return quad.grid(), powers.ravel()
 
 
 def cauchy_derivative(f, center, alpha, radii, n: int = 64) -> complex:

@@ -113,11 +113,10 @@ DIMENSIONS = {
 
 USAGE_ERROR = 2
 
-#: Bytes of complex values the arrays a run holds at once may take.  With the
-#: default functionals it admits every benchmark configuration, d = 3 with 256 atoms
-#: at 32 nodes (0.17 GiB) or 64 nodes (1.27 GiB) and d = 4 with 16 atoms at 32 nodes
-#: (0.93 GiB), and refuses d = 4 at 64 nodes with 16 atoms (12.26 GiB) or with 1 atom
-#: (8.27 GiB).
+#: Bytes of complex values the arrays a run holds at once may take
+#: (:func:`_counted_values`).  With the default functionals it admits every benchmark
+#: configuration, d = 3 with 256 atoms at 64 nodes and d = 4 with 16 atoms at 32 nodes,
+#: and refuses d = 4 with 16 atoms at 64 nodes and d = 5 with 1 atom at 32 nodes.
 WORK_BUDGET_BYTES = 4 * 2**30
 
 
@@ -125,68 +124,45 @@ class ConfigError(Exception):
     pass
 
 
-def _build_values(fam: HoloFamily, k: int, n: int) -> int:
-    """Complex values that building the contour sample and its table, and reading them,
-    take beyond :func:`_held_values`: one evaluation block, rows of ROW_BLOCK values or
-    one row, counted d + 3 times for the evaluation's arguments and transients; one FFT
-    block, columns of FFT_BLOCK values or one column, for its transforms beside the
-    table; half the table for order_bound's magnitudes of it; and 2 per contour node
-    for diff_under_integral's pairing z -> <F(z), h> and its transform."""
-    nodes = n ** fam.d
-    rows = min(nodes, max(1, ROW_BLOCK // k)) * k
-    columns = min(k, max(1, FFT_BLOCK // nodes)) * nodes
-    return 2 * nodes + (fam.d + 3) * rows + columns + _table_size(fam.d, n) * k // 2
-
-
-def _table_size(d: int, n: int) -> int:
-    """Coefficients per atom of the contour sample's Taylor table at n nodes, of degree
-    max(2, min(n // 2 - 1, MAX_TAYLOR_DEGREE)) per variable."""
-    return max(3, min(n // 2, MAX_TAYLOR_DEGREE + 1)) ** d
-
-
-def _profile_values(k: int) -> int:
-    """Complex values the budget counts for the d = 1 derivative_profile on k atoms,
-    whatever the run's n: its (PROFILE_MAX_ORDER + 1) x PROFILE_GRID x k float
-    magnitudes, the region grid and one block of contours of PROFILE_NODES nodes.  A
-    block of at most EVAL_BLOCK values counts as 8 x EVAL_BLOCK; once one contour takes
-    more, the block is that contour, counted as 5 PROFILE_NODES k: under tracemalloc a
-    contour of n nodes held 3.0 n k on 4,096 atoms (its evaluation, the FFT's full
-    transform and the kept orders) and up to 4.1 n k at n k = 16,384, where the
-    polynomial kinds' evaluation transients weigh more."""
-    grid = theorems.PROFILE_GRID
-    block = max(8 * theorems.EVAL_BLOCK, 5 * theorems.PROFILE_NODES * k)
-    return (theorems.PROFILE_MAX_ORDER + 1) * grid * k // 2 + grid + block
-
-
-def _held_values(config: SuiteConfig) -> int:
-    """Complex values a run holds across its checks: the contour sample, its Taylor
-    table (:func:`_table_size`) and its grid once, d per node, whether the nodes of the
-    functionals on the contour, which the sample reads, or a grid of its own; the ten
-    dual vectors per exponent with the sample's one copy of each stack; the closed-form
-    vector the sample keeps for each multi-index of the derivative battery; and each
-    functional's weights, slice vector and closed-form vector and, off the contour, its
-    nodes and node values."""
-    fam, k, n = config.family, config.space.natoms, config.n
-    sample = ContourSample(fam, config.space, n)
-    functionals = sum(len(phi.weights) + 2 * k
-                      + (0 if sample.on_contour(phi) else len(phi.nodes) * (fam.d + k))
-                      for phi in config.functionals)
-    closed = len(_alpha_battery(fam.d)) * k
-    return (n ** fam.d * (k + fam.d) + _table_size(fam.d, n) * k
-            + 20 * k * len(config.p_list) + closed + functionals)
-
-
 def _counted_values(config: SuiteConfig) -> int:
-    """:func:`_held_values` plus the largest of the checks' own arrays: building the
-    contour sample and its table; below 16 nodes, order_bound's own 16-node sample, grid
-    and table; at d = 1, :func:`_profile_values`.  order_bound and schwarz evaluate
-    their points for blocks of atoms of about EVAL_BLOCK values."""
-    fam, k, n = config.family, config.space.natoms, config.n
+    """Complex values the arrays of a run of ``config`` may take at once: one sum of the
+    terms below.  A property test holds it to the ``tracemalloc`` peak of building and
+    running small configurations: the peak lies under it, and it lies within 3 times
+    the peak wherever the run reads a contour sample of 1 MiB or more."""
+    fam, k, n, checks = config.family, config.space.natoms, config.n, config.checks
+    d, sample = fam.d, ContourSample(fam, config.space, n)
+    # the run's contour and, below 16 nodes, that of order_bound's own sample, each with
+    # per node the sample (k), the grid (d) and diff_under_integral's pairing
+    # z -> <F(z), h> with its transform (2), and per atom the Taylor table of degree
+    # n // 2 - 1, at least 2 and at most MAX_TAYLOR_DEGREE, with order_bound's float
+    # magnitudes of it (3 / 2 per coefficient)
     floor = 2 * MIN_ORDER_BOUND_DEGREE + 2
-    own_sample = floor ** fam.d * (k + fam.d) + _table_size(fam.d, floor) * k \
-        + _build_values(fam, k, floor) if n < floor else 0
-    return _held_values(config) + max(_build_values(fam, k, n), own_sample,
-                                      _profile_values(k) if fam.d == 1 else 0)
+    sides = [n] + ([floor] if n < floor and "order_bound" in checks else [])
+    nodes = sum(m ** d for m in sides)
+    contour = nodes * (k + d + 2) + sum(
+        3 * max(3, min(m // 2, MAX_TAYLOR_DEGREE + 1)) ** d * k // 2 for m in sides)
+    # per functional node: its weight and, off the contour, its coordinates and values
+    functionals = sum(len(phi.nodes) * (1 if sample.on_contour(phi) else 1 + d + k)
+                      for phi in config.functionals)
+    # the largest blocked transient: an evaluation block of ROW_BLOCK values or one row
+    # with its arguments and result (d + 2 per value), its rows' products with a stack
+    # of ten dual vectors (10 per row), an FFT block of FFT_BLOCK values or one column,
+    # a block of derivative_profile's contours (5 per value of one contour), and at
+    # least 8 EVAL_BLOCK, where constant overheads dominate
+    rows = min(nodes, max(1, ROW_BLOCK // k))
+    profile = "derivative_profile" in checks
+    transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k, 10 * rows,
+                     min(nodes * k, max(FFT_BLOCK, nodes)),
+                     5 * theorems.PROFILE_NODES * k if profile else 0)
+    # derivative_profile's float magnitudes of each order at each region point and atom
+    magnitudes = ((theorems.PROFILE_MAX_ORDER + 1) * theorems.PROFILE_GRID * k // 2
+                  if profile else 0)
+    # per atom: each exponent's ten dual vectors with the sample's copy of them (20),
+    # the closed-form vectors of |alpha| <= 2, each functional's slice and closed-form
+    # vectors (2), and span's at most 16 points with their evaluation (d + 2 each)
+    per_atom = k * (20 * len(config.p_list) + len(_alpha_battery(d))
+                    + 2 * len(config.functionals) + (16 * (d + 2) if "span" in checks else 0))
+    return contour + functionals + transients + magnitudes + per_atom
 
 
 def _check_work_budget(config: SuiteConfig) -> None:

@@ -280,6 +280,7 @@ class ContourSample:
             paired = values[start:start + block] @ hw
             for total, psi in zip(sums, phis):
                 total += np.einsum("n,nm->m", psi.weights[start:start + block], paired)
+            del paired  # so the next block's product is not made beside this one
         memo = self._stack_memo(h)
         for psi, total in zip(phis[1:], sums[1:]):
             memo.setdefault(psi, _read_only(total))

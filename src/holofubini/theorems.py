@@ -30,10 +30,10 @@ derivative_consistency and diff_under_integral read, too.  Points a check draws
 for itself (the span, telescoping, order_bound and schwarz samples and the
 derivative_profile contours, which take only the sample's family and space and
 have ``PROFILE_NODES`` nodes whatever the run's n) are drawn once per check and
-evaluated where they are drawn; order_bound, schwarz and derivative_profile
-evaluate theirs for a block of atoms or contours per call, of at most
-``EVAL_BLOCK`` complex values unless one atom or contour takes more, so none
-pays one call per atom or contour nor holds all of them at once.  Samples are
+evaluated where they are drawn; telescoping, order_bound, schwarz and
+derivative_profile evaluate theirs for a block of atoms or contours per call, of
+at most ``EVAL_BLOCK`` complex values unless one atom or contour takes more, so
+none pays one call per atom or contour nor holds all of them at once.  Samples are
 read-only, so checks may run concurrently; reports are merged by canonical
 ordering.
 """
@@ -69,8 +69,9 @@ __all__ = [
     "CONTOUR_SHRINK",
 ]
 
-#: Complex values (128 KiB) that order_bound, schwarz and derivative_profile evaluate
-#: per family call: each call takes as many atoms or contours as fit, and at least one
+#: Complex values (128 KiB) that telescoping, order_bound, schwarz and
+#: derivative_profile evaluate per family call: each call takes as many atoms or
+#: contours as fit, and at least one
 EVAL_BLOCK = 8192
 #: derivative_profile reports orders 0..PROFILE_MAX_ORDER on PROFILE_GRID region points,
 #: each read on a contour of PROFILE_NODES nodes whatever the run's n: at its radius
@@ -362,19 +363,24 @@ def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
     ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B is
     the sample's ``sup``: max |F| on its contour grid, a run's n-node grid at
     CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its polydisc.
-    r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.
+    r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.  z and a are
+    evaluated for blocks of max(1, EVAL_BLOCK // TELESCOPING_PAIRS) atoms per call, and
+    each pair's max is taken over the blocks.
     """
     if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
-    fam, space = sample.fam, sample.space
+    fam, params = sample.fam, sample.space.params
     rng = np.random.default_rng(seed)
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
     bound, pairs = sample.sup, TELESCOPING_PAIRS
     z = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
-    fz = fam.eval(z[:, None, :], space.params)
-    fa = fam.eval(a[:, None, :], space.params)
-    lhs = np.max(np.abs(fz - fa), axis=1)
+    block = max(1, EVAL_BLOCK // pairs)
+    lhs = np.max([
+        np.max(np.abs(_eval_atoms(fam, params[start:start + block], z)
+                      - _eval_atoms(fam, params[start:start + block], a)), axis=1)
+        for start in range(0, len(params), block)
+    ], axis=0)
     rhs = 2.0 * bound * np.sum(np.abs(z - a) / margin, axis=1)
     worst = float(np.max(lhs - rhs))
     return CheckReport.build(

@@ -96,6 +96,21 @@ class TestDerivativeRuleStack:
             tracemalloc.stop()
         assert peak < 2 * (pts.nbytes + weights.nbytes)
 
+    def test_weights_are_the_powers_scaled_in_place(self):
+        # beside the grid, which the contour sample and the functionals on the contour
+        # share, the rule makes one complex value per node: the outer product of the
+        # powers, scaled into the weights.  A scaled copy beside it took 2
+        derivative_rule([0.0] * 4, (1, 0, 0, 0), [0.95] * 4, 4)  # one-time caches
+        grid = torus_nodes(Polydisc(np.zeros(4), [0.95] * 4), 16).grid()
+        tracemalloc.start()
+        try:
+            pts, weights = derivative_rule([0.0] * 4, (2, 0, 0, 0), [0.95] * 4, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pts is grid
+        assert peak < 1.5 * weights.nbytes
+
 
 class TestContourDerivatives:
     @staticmethod

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import tracemalloc
@@ -7,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from holofubini import (Polydisc, cauchy, cli, derivative_functional, dirac, family,
                         family_preset, measure, space_preset, theorems, torus_nodes)
@@ -434,6 +437,51 @@ class TestSampleOnce:
                     (key, a, b)
 
 
+def _budget_family_doc(kind, d):
+    """The budget property's families at dimension d, on the unit polydisc."""
+    if kind == "geometric":
+        params = {"rates": [[rate, 0.0] for rate in (0.5, 0.4, 0.3)[:d]]}
+    elif kind == "exponential":
+        params = {"scale": [1.0, 0.0]}
+    else:  # 1 + t z_1^2
+        coeffs = np.zeros((3,) * d + (2, 2))
+        coeffs[(0,) * d + (0, 0)] = coeffs[(2,) + (0,) * (d - 1) + (1, 0)] = 1.0
+        params = {"coeffs": coeffs.tolist()}
+    return {"kind": kind, "params": params, "label": f"{kind}-d{d}",
+            "domain": {"center": [[0.0, 0.0]] * d, "radius": [1.0] * d}}
+
+
+BUDGET_KINDS = ("geometric", "exponential", "polynomial")
+
+
+@st.composite
+def budget_configs(draw):
+    """(d, atoms, n, kind, functional specs or None for the defaults, checks) with
+    n^d atoms <= 2^18."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([1, 4, 16, 256, 1024]))
+    n = draw(st.integers(4, max(n for n in range(4, 65) if n ** d * k <= 2 ** 18)))
+    specs = ["dirac", "derivative", "derivative:" + ",".join(["0.1"] * d), "random:4"]
+    functionals = draw(st.none() | st.lists(st.sampled_from(specs), min_size=1, max_size=3))
+    subsets = st.sets(st.sampled_from(CHECK_NAMES), min_size=1).map(sorted).map(tuple)
+    checks = draw(st.just(CHECK_NAMES) | subsets)
+    return d, k, n, draw(st.sampled_from(BUDGET_KINDS)), functionals, checks
+
+
+@pytest.fixture(scope="module")
+def budget_families(tmp_path_factory):
+    """A directory of the property's family files, each run once first: a first run's
+    one-time imports and caches are no arrays of the run."""
+    root = tmp_path_factory.mktemp("budget")
+    for kind in BUDGET_KINDS:
+        for d in (1, 2, 3):
+            path = root / f"{kind}-d{d}.json"
+            path.write_text(json.dumps(_budget_family_doc(kind, d)))
+            main(["verify", "--family-file", str(path), "--space", "uniform-4", "--nodes", "8",
+                  "--output", str(root / "warm-up.jsonl")])
+    return root
+
+
 class TestWorkBudget:
     EXPONENTIAL_D4 = {
         "kind": "exponential",
@@ -453,122 +501,87 @@ class TestWorkBudget:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def assert_refused_before_functionals(self, tmp_path, monkeypatch, space, n, d=4):
-        path = self.family_file(tmp_path, d)
-        monkeypatch.setattr(cli, "default_functionals", None)
-        args = cli.build_parser().parse_args(
-            ["verify", "--family-file", path, "--space", space, "--nodes", str(n)])
-        with pytest.raises(cli.ConfigError, match="work budget"):
-            cli._build_config(args, CHECK_NAMES)
+    @staticmethod
+    def traced_run(argv, checks=CHECK_NAMES):
+        """(exit code, tracemalloc peak in bytes, counted complex values, whether the run
+        read its contour sample) of building and running argv."""
+        samples = []
 
-    # The budget counts per contour node the sample, k, its Taylor table, k / 2^d from
-    # n = 6 on, and the grid once, d.  Building the sample and the table adds one
-    # evaluation block and one FFT block, which at 64^4 nodes is one column of 64^4
-    # values, half the table and 2 for diff_under_integral's pairing and its transform.
-    def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, monkeypatch):
-        # 64^4 nodes x (16 + 1 + 4 + 1 + 1 / 2 + 2) x 16 B = 6.13 GiB with the 20 x 3 x
-        # 16 values of the dual stacks and the evaluation block; nothing of that size
-        # is allocated
-        self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-16", 64)
+        class Recorded(family.ContourSample):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                samples.append(self)
 
-    def test_contour_coordinates_are_counted(self, tmp_path, monkeypatch):
-        # one atom at d = 5: 32^5 x (1 + 1 / 32 + 5 + 1 + 1 / 64 + 2) x 16 B = 4.53 GiB,
-        # most of it the coordinates; the atom arrays alone would take 0.52 GiB.  At
-        # d = 4 and 64 nodes one atom is counted 2.03 GiB and admitted: a run at 32
-        # nodes, 1/16 of its size, peaked at 132 MiB under tracemalloc against 136.5
-        # counted
-        self.assert_refused_before_functionals(tmp_path, monkeypatch, "uniform-1", 32, d=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "ContourSample", Recorded)
+            gc.collect()  # arrays of an earlier run are not held through this one
+            tracemalloc.start()
+            try:
+                config = cli._build_config(cli.build_parser().parse_args(argv), checks)
+                code, _ = cli.run_suite(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        read = any("values" in vars(sample) for sample in samples)
+        return code, peak, cli._counted_values(config), read
 
-    def test_suite_config_checks_the_budget(self):
-        fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
-        with pytest.raises(cli.ConfigError, match="work budget"):
-            self.config(fam, "uniform-16", 64)
-
-    def test_largest_admitted_config(self):
-        # d = 3 with 256 atoms at 32 nodes: 32^3 nodes x (256 + 32 + 3 + 16 + 2) x 16 B
-        # = 0.15 GiB, with an evaluation block of 256 rows counted 6 times and an FFT
-        # block of 8 columns 0.16 GiB
-        doc = dict(self.EXPONENTIAL_D4, domain={"center": [[0.0, 0.0]] * 3,
-                                                 "radius": [1.0] * 3})
-        self.config(family.family_from_json(json.dumps(doc)), "uniform-256", 32)
-
-    # derivative_profile holds its 5 x PROFILE_GRID x k float magnitudes (half as
-    # many complex values), the grid and one block of its contours, counted as
-    # 8 x EVAL_BLOCK complex values
-    PROFILE_BLOCK = 8 * theorems.EVAL_BLOCK
+    # The work budget's count is held to the arrays a run makes, not to pinned figures:
+    # on every drawn configuration the tracemalloc peak of building and running it lies
+    # under the count, and wherever the run reads a contour sample of 1 MiB or more the
+    # count lies within 3 times the peak.  The first example is the telescoping check's
+    # pairs, which it once evaluated for every atom at once: 18.9 MiB against 15.8
+    # counted.  The second is a block of derivative_profile's contours, one contour of
+    # 32 x 16,384 values, which the count once took for 8 EVAL_BLOCK values.
+    @given(drawn=budget_configs())
+    @example(drawn=(2, 1024, 16, "geometric", None, CHECK_NAMES))
+    @example(drawn=(1, 16384, 8, "geometric", None, ("derivative_profile",)))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_counted_values_bound_the_traced_peak(self, budget_families, drawn):
+        d, k, n, kind, functionals, checks = drawn
+        argv = ["verify", "--family-file", str(budget_families / f"{kind}-d{d}.json"),
+                "--space", f"uniform-{k}", "--nodes", str(n)]
+        for spec in functionals or ():
+            argv += ["--functional", spec]
+        try:
+            _, peak, counted, read = self.traced_run(argv, checks)
+        except cli.ConfigError:
+            reject()
+        assert peak <= counted * 16
+        if read and n ** d * k * 16 >= 2 ** 20:
+            assert counted * 16 <= 3 * peak
 
     def test_lowered_budget(self, monkeypatch):
-        # geometric d = 1 on 16 atoms at 4 nodes, with PROFILE_GRID read at call time
-        # and set to 4: the profile's 5 x 4 x 16 / 2 + 4 values and its block take
-        # more than the (16 + 8) x 16 + 16 of order_bound's own 16-node sample, table
-        # and grid with the 16 x (2 + 4 x 16 + 16) + 8 x 16 / 2 of building them, or the
-        # 4 x (2 + 4 x 16 + 16) + 3 x 16 / 2 the budget counts for building the contour
-        # sample and its table: 2 per node, its 4 rows of 16 values as one evaluation
-        # block counted 4 times, its 16 columns as one FFT block and half its table.
-        # Beside it the run holds the 4 x 16 values of the sample, its 4-point grid,
-        # the 3 x 16 of its degree-2 table, the 20 x 16 of one exponent's dual stack
-        # and the 3 x 16 of the closed-form vectors of orders 0 to 2.  The budget
-        # counts the profile whatever the checks, and its term does not depend on n.
+        # a budget of exactly the counted bytes admits a configuration and one byte less
+        # refuses it, before any functional is built; derivative_profile's arrays count
+        # only where it runs
         fam = family_preset("geometric")
+        need = cli._counted_values(self.config(fam, "uniform-16", 64)) * 16
         few = tuple(name for name in CHECK_NAMES if name != "derivative_profile")
-        need = ((4 + 3 + 20 + 3) * 16 + 4 + 5 * 4 * 16 // 2 + 4 + self.PROFILE_BLOCK) * 16
-        with monkeypatch.context() as patch:
-            patch.setattr(theorems, "PROFILE_GRID", 4)
-            patch.setattr(cli, "WORK_BUDGET_BYTES", need)
-            self.config(fam, "uniform-16", 4)
-            patch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
-            with pytest.raises(cli.ConfigError, match="work budget"):
-                self.config(fam, "uniform-16", 4, checks=few)
-        # at 64 nodes and the 32-point grid the profile counts 5 x 32 x 16 / 2 + 32
-        # values beside its block, and the run holds a 32-coefficient table and a
-        # 64-point grid
-        need = ((64 + 32 + 20 + 3) * 16 + 64 + 5 * 32 * 16 // 2 + 32 + self.PROFILE_BLOCK) * 16
+        assert cli._counted_values(self.config(fam, "uniform-16", 64, checks=few)) * 16 < need
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
         self.config(fam, "uniform-16", 64)
         monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
         with pytest.raises(cli.ConfigError, match="work budget"):
             self.config(fam, "uniform-16", 64)
+        monkeypatch.setattr(cli, "default_functionals", None)
         args = cli.build_parser().parse_args(["verify", "--family", "geometric"])
         with pytest.raises(cli.ConfigError, match="work budget"):
             cli._build_config(args, CHECK_NAMES)
-        # exponential d = 2 on 16 atoms at 32 nodes, with no profile: beside the
-        # 1024 x 16 values of the sample, its 1024 x 2 grid, the 16^2 x 16 of its table,
-        # one dual stack and the 6 closed-form vectors of |alpha| <= 2, building and
-        # reading them counts the whole grid as one evaluation block 5 times, the 16
-        # columns as one FFT block once, half the table and 2 x 1024 values for
-        # diff_under_integral
-        doc = {**self.EXPONENTIAL_D4, "domain": {"center": [[0.0, 0.0]] * 2,
-                                                 "radius": [1.0] * 2}}
-        fam = family.family_from_json(json.dumps(doc))
-        need = ((1024 + 256 + 20 + 6) * 16 + 1024 * 2 + (5 + 1) * 1024 * 16 + 256 * 16 // 2
-                + 2 * 1024) * 16
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need)
-        self.config(fam, "uniform-16", 32)
-        monkeypatch.setattr(cli, "WORK_BUDGET_BYTES", need - 1)
-        with pytest.raises(cli.ConfigError, match="work budget"):
-            self.config(fam, "uniform-16", 32)
 
     def test_held_values_count_functionals(self):
-        # each functional holds its weights, one value per node, its slice vector and
-        # its closed-form vector; one off the contour also holds its nodes and node
-        # values, d + k per node, while one on it holds the run's one grid, counted with
-        # the sample.  The sample keeps the closed-form vectors of orders 0 to 2
-        # whatever the functionals
+        # a derivative functional off the contour holds its nodes' values, k per node,
+        # which one on it reads from the contour sample
         fam, space = family_preset("geometric"), space_preset("uniform-16")
         on = derivative_functional([0.0], (1,), [0.95], n=64)
         off = derivative_functional([0.5], (1,), [0.475], n=64)
         base = cli.SuiteConfig(family=fam, space=space, functionals=[], p_list=[2.0])
-        held = cli._held_values(base)
-        assert held == (64 + 32 + 20 + 3) * 16 + 64
-        assert cli._held_values(replace(base, functionals=[on])) == held + 64 + 2 * 16
-        assert cli._held_values(replace(base, functionals=[off])) == \
-            held + 64 + 2 * 16 + 64 * (1 + 16)
+        assert cli._counted_values(replace(base, functionals=[off])) >= \
+            cli._counted_values(replace(base, functionals=[on])) + 64 * 16
 
     @pytest.mark.parametrize("kind", ["geometric", "exponential"])
     def test_counted_values_per_node_cover_the_peak(self, kind):
         # derivative_consistency on a fresh d = 3 sample evaluates it and builds its
-        # table, the run's largest transient; the geometric kind's (nodes, k, 3)
-        # argument array beside its k results takes about 4k values per node
+        # table; the geometric kind's (nodes, k, 3) argument array weighs most
         doc = {**self.EXPONENTIAL_D4, "domain": {"center": [[0.0, 0.0]] * 3,
                                                  "radius": [1.0] * 3}}
         if kind == "geometric":
@@ -585,39 +598,18 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        counted = cli._held_values(self.config(fam, "uniform-64", n)) \
-            + cli._build_values(fam, space.natoms, n)
+        counted = cli._counted_values(
+            self.config(fam, "uniform-64", n, checks=("derivative_consistency",)))
         assert peak <= counted * 16
 
-    @staticmethod
-    def traced_run(argv):
-        """(exit code, tracemalloc peak, counted complex values) of one run of argv."""
-        tracemalloc.start()
-        try:
-            config = cli._build_config(cli.build_parser().parse_args(argv), CHECK_NAMES)
-            code, _ = cli.run_suite(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return code, peak, cli._counted_values(config)
-
     def test_counted_values_per_node_cover_the_verify_peak(self, tmp_path):
-        # the whole d = 3 exponential battery at n = 32 holds the sample and, from
-        # derivative_consistency on, its Taylor table beside the run's held arrays.  On
-        # uniform-256 it peaked at 642 values per node while the table's FFT took whole
-        # columns, and at 307 against 332 counted once order_bound scaled the table's
-        # magnitudes in place; on uniform-16 at 29 against 46, where the contour's
-        # pairing with a stack of ten dual vectors, held until it took 10 of every 16
-        # values of the sample, gave 38
-        path = self.family_file(tmp_path, 3)
-        # a first run's one-time imports and caches are no per-node arrays
-        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
-              "--output", str(tmp_path / "warm-up.jsonl")])
-        for k in (16, 256):
-            code, peak, counted = self.traced_run(
-                ["verify", "--family-file", path, "--space", f"uniform-{k}", "--nodes", "32"])
-            assert code == 0
-            assert peak <= counted * 16, k
+        # the battery-d3 config, exponential d = 3 on 16 atoms at n = 32: a sample of
+        # 2^19 values, beyond the property's
+        code, peak, counted, _ = self.traced_run(
+            ["verify", "--family-file", self.family_file(tmp_path, 3), "--space", "uniform-16",
+             "--nodes", "32"])
+        assert code == 0
+        assert peak <= counted * 16
 
     def test_d3_verify_peaks_within_the_sample_table_and_one_fft_transient(self, tmp_path):
         # the battery-d3 config, exponential d = 3 on uniform-16 at 32 nodes, with its
@@ -642,16 +634,10 @@ class TestWorkBudget:
         sample, table = 32 ** 3 * 16 * 16, 16 ** 3 * 16 * 16
         assert peak <= sample + table + 3 * cauchy.FFT_BLOCK // 4 * 16 + 2 ** 19
 
-    @pytest.mark.parametrize("k", [4096, 16384])
-    def test_counted_values_cover_the_verify_peak(self, tmp_path, k):
-        # geometric d = 1 at 64 nodes peaks in derivative_profile, beside the contour
-        # sample, its table, the dual stacks, the sample's copy of each and its
-        # closed-form vectors: 22.1 MiB against 26.0 MiB counted on 4,096 atoms, 88.0
-        # against 104.0 on 16,384.  The
-        # budget once counted only the largest check's arrays, 15.0 and 60.0 MiB, while
-        # the runs peaked at 27.4 and 109.0 MiB with a copy of each stack per functional
-        main(["verify", "--space", "uniform-4", "--output", str(tmp_path / "warm-up.jsonl")])
-        code, peak, counted = self.traced_run(["verify", "--space", f"uniform-{k}"])
+    @pytest.mark.parametrize("k", [4096])
+    def test_counted_values_cover_the_verify_peak(self, k):
+        # the default battery, d = 1 at 64 nodes, on more atoms than the property draws
+        code, peak, counted, _ = self.traced_run(["verify", "--space", f"uniform-{k}"])
         assert code == 0
         assert peak <= counted * 16
 
@@ -669,15 +655,15 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli._profile_values(space.natoms) * 16
+        checks = ("derivative_profile",)
+        assert peak <= cli._counted_values(self.config(fam, "uniform-16", 64, checks)) * 16
 
     @pytest.mark.parametrize("name, k", [("geometric", 4096), ("polynomial", 256),
                                          ("polynomial", 512)])
     def test_counted_profile_block_covers_a_whole_contour(self, name, k):
-        # one contour of PROFILE_NODES k values takes EVAL_BLOCK or more, so a block is
-        # that contour: 5 x 32 k values are counted for it (10 MiB on 4,096 atoms), and
-        # 8 x EVAL_BLOCK (1 MiB) where that is more, as on 256 atoms; on 512 (32 k =
-        # 16,384) the polynomial kinds' evaluation transients weigh most
+        # one contour of PROFILE_NODES k values takes EVAL_BLOCK or more, so a block of
+        # derivative_profile's contours is that contour; on 512 atoms the polynomial
+        # kinds' evaluation transients weigh most
         fam, space = family_preset(name), space_preset(f"uniform-{k}")
         theorems.derivative_profile(family.ContourSample(fam, space_preset("uniform-4"), 8))
         sample = family.ContourSample(fam, space, 64)
@@ -689,13 +675,12 @@ class TestWorkBudget:
         finally:
             tracemalloc.stop()
         assert theorems.PROFILE_NODES * k >= theorems.EVAL_BLOCK
-        assert peak <= cli._profile_values(k) * 16
+        checks = ("derivative_profile",)
+        assert peak <= cli._counted_values(self.config(fam, f"uniform-{k}", 64, checks)) * 16
 
     def test_order_bound_peak_lies_under_the_largest_term(self):
-        # order_bound evaluates its 200 sample points for blocks of 40 atoms, so on
-        # 4,096 atoms at n = 64 its peak, with the sample's evaluation and its Taylor
-        # table, is 10.1 MiB, under the 15.0 MiB of the budget's largest term (the
-        # profile's); evaluated for all atoms at once they peaked at 31.1 MiB
+        # order_bound evaluates its 200 sample points for blocks of 40 atoms; evaluated
+        # for all 4,096 atoms at once they peaked at 31.1 MiB at n = 64
         fam, space = family_preset("geometric"), space_preset("uniform-4096")
         # a first call's one-time imports and caches are no order_bound arrays
         theorems.order_bound_check(family.ContourSample(fam, space_preset("uniform-4"), 64))
@@ -706,48 +691,47 @@ class TestWorkBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        k = space.natoms
-        assert cli._build_values(fam, k, 64) < cli._profile_values(k)
-        assert peak <= cli._profile_values(k) * 16
+        checks = ("order_bound",)
+        assert peak <= cli._counted_values(self.config(fam, "uniform-4096", 64, checks)) * 16
 
-    def test_d4_at_32_nodes_admitted(self):
-        # telescoping and norm_bound read their sups from the 32^4 contour grid, so
-        # d = 4 on uniform-16 at 32 nodes needs 32^4 x (16 + 1 + 4 + 1 / 2 + 2) x 16 B
-        # with the evaluation and FFT blocks, 0.39 GiB
-        fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
-        assert self.config(fam, "uniform-16", 32).n == 32
+    def assert_refused_before_any_family_value(self, capsys, monkeypatch, argv):
+        counted = count_family_values(monkeypatch)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err and "work budget" in err
+        assert counted == []
+
+    def test_d4_is_refused_before_any_functional_is_built(self, tmp_path, capsys, monkeypatch):
+        self.assert_refused_before_any_family_value(capsys, monkeypatch, [
+            "verify", "--family-file", self.family_file(tmp_path, 4), "--space", "uniform-16",
+            "--nodes", "64"])
+
+    def test_contour_coordinates_are_counted(self, tmp_path, capsys, monkeypatch):
+        # one atom at d = 5: most of what the run would hold is the grid's coordinates
+        self.assert_refused_before_any_family_value(capsys, monkeypatch, [
+            "verify", "--family-file", self.family_file(tmp_path, 5), "--space", "uniform-1",
+            "--nodes", "32"])
 
     def test_profile_term_refuses_many_atoms(self, capsys, monkeypatch):
-        # geometric d = 1 on 4,000,000 atoms at 6 nodes: the profile's magnitudes,
-        # grid and block of one contour of PROFILE_NODES nodes take (5 x 32 x
-        # 4,000,000 / 2 + 32 + 5 x 32 x 4,000,000) values, the largest of the checks'
-        # own arrays, beside the (6 + 3 + 20 x 3 + 3) x 4,000,000 values the run holds:
-        # the contour sample, its table, three exponents' dual stacks and the
-        # closed-form vectors of orders 0 to 2.  That needs 18.60 GiB, while building
-        # the sample counts 2 values per node, one evaluation block of one row counted
-        # 4 times, one FFT block of 43,690 columns and half the degree-2 table,
-        # 22,262,152 values, and order_bound's own 16-node sample, grid and degree-7
-        # table (16 + 8) x 4,000,000 + 16 values beside its build
-        fam, k = family_preset("geometric"), 4_000_000
-        profile = cli._profile_values(k)
-        assert cli._build_values(fam, k, 6) == 6 * 2 + 4 * k + 6 * 43_690 + 3 * k // 2 < profile
-        assert (16 + 8) * k + 16 + cli._build_values(fam, k, 16) < profile
-        counted = []
+        # at d = 1 on 4,000,000 atoms the per-atom arrays, derivative_profile's among
+        # them, refuse the run whatever the nodes
+        self.assert_refused_before_any_family_value(capsys, monkeypatch, [
+            "verify", "--family", "geometric", "--space", "uniform-4000000", "--nodes", "6"])
 
-        def counting(evaluate):
-            def wrapper(self, z, t):
-                counted.append(np.size(z))
-                return evaluate(self, z, t)
-            return wrapper
+    def test_suite_config_checks_the_budget(self):
+        fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
+        with pytest.raises(cli.ConfigError, match="work budget"):
+            self.config(fam, "uniform-16", 64)
 
-        for kind in family.HoloFamily.__subclasses__():
-            monkeypatch.setattr(kind, "_evaluate", counting(kind._evaluate))
-        code = main(["verify", "--family", "geometric", "--space", f"uniform-{k}",
-                     "--nodes", "6"])
-        assert code == 2
-        assert "configuration error:" in (err := capsys.readouterr().err)
-        assert "need 18.60 GiB" in err
-        assert counted == []
+    def test_largest_admitted_config(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["verify", "--family-file", self.family_file(tmp_path, 3), "--space", "uniform-256",
+             "--nodes", "64"])
+        assert cli._build_config(args, CHECK_NAMES).n == 64
+
+    def test_d4_at_32_nodes_admitted(self):
+        fam = family.family_from_json(json.dumps(self.EXPONENTIAL_D4))
+        assert self.config(fam, "uniform-16", 32).n == 32
 
     @pytest.mark.parametrize("d, space, n", [(1, "uniform-16", 64), (1, "geometric-64", 64),
                                              (2, "uniform-16", 64), (2, "uniform-256", 32),

@@ -667,9 +667,9 @@ class TestSchwarzCheck:
 
 
 class TestBlockedEvaluation:
-    """order_bound, schwarz and derivative_profile evaluate blocks of atoms or
-    contours; their reports equal, bit for bit, those of one evaluation per atom or
-    contour, or, for order_bound, of one evaluation of all atoms."""
+    """telescoping, order_bound, schwarz and derivative_profile evaluate blocks of atoms
+    or contours; their reports equal, bit for bit, those of one evaluation per atom or
+    contour, or, for telescoping and order_bound, of one evaluation of all atoms."""
 
     @staticmethod
     def schwarz_per_slice(sample, samples=1000, seed=0):
@@ -692,6 +692,19 @@ class TestBlockedEvaluation:
             values = fam.eval(pts[:, None, :], space.params)
             mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders, radii, n))
         return [(float(np.max(m @ space.weights)), float(m.max())) for m in mags]
+
+    # 40 atoms a block: one block on 16 atoms, six of 40 and one of 16 on 256
+    @pytest.mark.parametrize("space", ["uniform-16", "uniform-256"])
+    @pytest.mark.parametrize("fam", [GeometricFamily([0.5, 0.4], unit_polydisc(2)),
+                                     ExponentialFamily(0.7 + 0.7j, unit_polydisc(3))],
+                             ids=["geometric-d2", "exponential-d3"])
+    def test_telescoping_equals_one_evaluation(self, fam, space, monkeypatch):
+        sample = ContourSample(fam, space_preset(space), 16)
+        blocked = theorems.telescoping_residual(sample, seed=1)
+        # one block of every atom: each of z and a is one evaluation
+        monkeypatch.setattr(theorems, "EVAL_BLOCK",
+                            theorems.TELESCOPING_PAIRS * sample.space.natoms)
+        assert theorems.telescoping_residual(sample, seed=1) == blocked
 
     def test_schwarz_draws_its_points_once(self, monkeypatch):
         # geometric-64 makes 8 blocks of 8 atoms: one draw of the 1000 points for the
