@@ -375,11 +375,10 @@ def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
     bound, pairs = sample.sup, TELESCOPING_PAIRS
     z = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
     a = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
-    block = max(1, EVAL_BLOCK // pairs)
     lhs = np.max([
-        np.max(np.abs(_eval_atoms(fam, params[start:start + block], z)
-                      - _eval_atoms(fam, params[start:start + block], a)), axis=1)
-        for start in range(0, len(params), block)
+        np.max(np.abs(_eval_atoms(fam, params[atoms], z) - _eval_atoms(fam, params[atoms], a)),
+               axis=1)
+        for atoms in _atom_blocks(len(params), pairs)
     ], axis=0)
     rhs = 2.0 * bound * np.sum(np.abs(z - a) / margin, axis=1)
     worst = float(np.max(lhs - rhs))
@@ -403,11 +402,9 @@ def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0)
     ob = order_bound(sample, shrink=shrink)
     z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), samples, shrink,
                         np.random.default_rng(seed))
-    block = max(1, EVAL_BLOCK // samples)
     excess = float(np.max([
-        np.max(np.abs(_eval_atoms(fam, params[start:start + block], z))
-               - ob.u[start:start + block])
-        for start in range(0, len(params), block)
+        np.max(np.abs(_eval_atoms(fam, params[atoms], z)) - ob.u[atoms])
+        for atoms in _atom_blocks(len(params), samples)
     ]))
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
@@ -428,16 +425,22 @@ def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
     center, radius = complex(sample.center[0]), float(sample.radii[0])
     z = sample_polydisc(Polydisc([center], [radius]), samples, 1.0,
                         np.random.default_rng(seed))[:, 0]
-    block = max(1, EVAL_BLOCK // (samples + 1))
     worst = max(
-        schwarz_violation(partial(_eval_atoms, fam, space.params[start:start + block]),
-                          center, radius, sample.values[:, start:start + block], z)
-        for start in range(0, space.natoms, block)
+        schwarz_violation(partial(_eval_atoms, fam, space.params[atoms]),
+                          center, radius, sample.values[:, atoms], z)
+        for atoms in _atom_blocks(space.natoms, samples + 1)
     )
     return CheckReport.build(
         "schwarz", fam.label, "", worst, 0.0, max(0.0, worst), 1e-12,
         samples=samples, slices=space.natoms,
     )
+
+
+def _atom_blocks(natoms, points):
+    """Slices of max(1, EVAL_BLOCK // points) atoms covering all natoms: the blocks in
+    which the checks that evaluate ``points`` points per atom take their atoms."""
+    block = max(1, EVAL_BLOCK // points)
+    return [slice(start, start + block) for start in range(0, natoms, block)]
 
 
 def _eval_atoms(fam, params, z):

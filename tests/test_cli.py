@@ -535,7 +535,7 @@ class TestWorkBudget:
     @given(drawn=budget_configs())
     @example(drawn=(2, 1024, 16, "geometric", None, CHECK_NAMES))
     @example(drawn=(1, 16384, 8, "geometric", None, ("derivative_profile",)))
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=10, deadline=None, derandomize=True)
     def test_counted_values_bound_the_traced_peak(self, budget_families, drawn):
         d, k, n, kind, functionals, checks = drawn
         argv = ["verify", "--family-file", str(budget_families / f"{kind}-d{d}.json"),
@@ -603,13 +603,18 @@ class TestWorkBudget:
         assert peak <= counted * 16
 
     def test_counted_values_per_node_cover_the_verify_peak(self, tmp_path):
-        # the battery-d3 config, exponential d = 3 on 16 atoms at n = 32: a sample of
-        # 2^19 values, beyond the property's
-        code, peak, counted, _ = self.traced_run(
-            ["verify", "--family-file", self.family_file(tmp_path, 3), "--space", "uniform-16",
-             "--nodes", "32"])
-        assert code == 0
-        assert peak <= counted * 16
+        # the whole d = 3 exponential battery at n = 32, on samples of 2^19 and 2^23
+        # values, beyond the property's.  On uniform-256 the count is tightest per node,
+        # and a table FFT that took whole columns once peaked over it there
+        path = self.family_file(tmp_path, 3)
+        # a first run's one-time imports and caches are no per-node arrays
+        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
+              "--output", str(tmp_path / "warm-up.jsonl")])
+        for k in (16, 256):
+            code, peak, counted, _ = self.traced_run(
+                ["verify", "--family-file", path, "--space", f"uniform-{k}", "--nodes", "32"])
+            assert code == 0
+            assert peak <= counted * 16, k
 
     def test_d3_verify_peaks_within_the_sample_table_and_one_fft_transient(self, tmp_path):
         # the battery-d3 config, exponential d = 3 on uniform-16 at 32 nodes, with its
@@ -634,9 +639,12 @@ class TestWorkBudget:
         sample, table = 32 ** 3 * 16 * 16, 16 ** 3 * 16 * 16
         assert peak <= sample + table + 3 * cauchy.FFT_BLOCK // 4 * 16 + 2 ** 19
 
-    @pytest.mark.parametrize("k", [4096])
-    def test_counted_values_cover_the_verify_peak(self, k):
-        # the default battery, d = 1 at 64 nodes, on more atoms than the property draws
+    @pytest.mark.parametrize("k", [4096, 16384])
+    def test_counted_values_cover_the_verify_peak(self, tmp_path, k):
+        # the default battery, d = 1 at 64 nodes, on more atoms than the property draws:
+        # the sample and the dual stacks are held beside derivative_profile's arrays,
+        # which the budget once counted alone
+        main(["verify", "--space", "uniform-4", "--output", str(tmp_path / "warm-up.jsonl")])
         code, peak, counted, _ = self.traced_run(["verify", "--space", f"uniform-{k}"])
         assert code == 0
         assert peak <= counted * 16
