@@ -177,13 +177,14 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     """Per-atom Taylor majorant u_i = sum_{m} |c_m(t_i)| (shrink * r)^m plus a tail.
 
     The coefficients about the sample's center are its Taylor table
-    (:meth:`~holofubini.family.ContourSample.taylor_table`), r being its radii.  The
-    degree is n // 2 - 1, capped at ``MAX_TAYLOR_DEGREE``; below
-    ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree, read from a contour sample
-    of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.  The tail,
-    M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the shrink and M the sample's
-    ``sup``, sums M s^|m| over the degrees m outside the table; at s >= 1 the sum
-    diverges.
+    (:meth:`~holofubini.family.ContourSample.taylor_table`), r being its radii; u is
+    summed for blocks of atoms of at most ``FFT_BLOCK`` magnitudes, each atom's sum the
+    same whatever its block.  The degree is n // 2 - 1, capped at
+    ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree,
+    read from a contour sample of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.
+    The tail, M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the shrink and M the
+    sample's ``sup``, sums M s^|m| over the degrees m outside the table; at s >= 1 the
+    sum diverges.
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
@@ -192,13 +193,18 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
     radii, d = sample.radii, sample.fam.d
     coeffs = sample.taylor_table(degree)
-    # |c_m| * prod_j (r_j shrink)^{m_j}, scaled in place: one float array of the table's size
-    rad_scale = reduce(np.multiply.outer, [r ** np.arange(degree + 1) for r in radii])
-    rho_scale = reduce(np.multiply.outer, [shrink ** np.arange(degree + 1)] * d)
-    terms = np.abs(coeffs)
-    terms *= rad_scale[..., None]
-    terms *= rho_scale[..., None]
-    u = np.sum(terms, axis=tuple(range(d)))
+    # u_i sums |c_m(t_i)| prod_j (r_j shrink)^{m_j} for blocks of atoms of at most
+    # FFT_BLOCK magnitudes (at least one atom), each atom's terms one contiguous row
+    # whose sum does not depend on the block
+    scale = reduce(np.multiply.outer, [(r * shrink) ** np.arange(degree + 1)
+                                       for r in radii])
+    natoms = coeffs.shape[-1]
+    u = np.empty(natoms)
+    block = max(1, FFT_BLOCK // scale.size)
+    for start in range(0, natoms, block):
+        terms = np.abs(np.moveaxis(coeffs[..., start:start + block], -1, 0), order="C")
+        terms *= scale
+        u[start:start + block] = np.sum(terms.reshape(len(terms), -1), axis=1)
     # the bracket as (1 - s)^-d (1 - (1 - s^(D+1))^d), free of cancellation and sign error
     tail = sample.sup * -np.expm1(d * np.log1p(-shrink ** (degree + 1))) / (1.0 - shrink) ** d
     return OrderBound(u=u, tail=float(tail), degree=degree, shrink=shrink, n=sample.n)

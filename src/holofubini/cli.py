@@ -23,73 +23,70 @@ import numpy as np
 
 from . import theorems
 from .cauchy import FFT_BLOCK, MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE
-from .domain import CONTOUR_SHRINK, parse_complex, sample_polydisc
+from .domain import CONTOUR_SHRINK, parse_complex
 from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import ROW_BLOCK, FiniteMeasureSpace, space_from_json, space_preset
 from .theorems import CheckReport
 
-def _linearization(config, duals, rng, sample):
+def _linearization(config, duals, sample):
     for phi in config.functionals:
         for p in config.p_list:
             yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p)
 
 
-def _fubini(config, duals, rng, sample):
+def _fubini(config, duals, sample):
     for phi in config.functionals:
         for p in config.p_list:
             yield partial(theorems.fubini_residual, phi, sample, duals[p], p)
 
 
-def _derivative_consistency(config, duals, rng, sample):
+def _derivative_consistency(config, duals, sample):
     yield partial(theorems.derivative_consistency, sample, _alpha_battery(config.family.d),
                   p=config.p_list)
 
 
-def _diff_under_integral(config, duals, rng, sample):
+def _diff_under_integral(config, duals, sample):
     yield partial(theorems.diff_under_integral, sample, np.ones(config.space.natoms),
                   _alpha_battery(config.family.d))
 
 
-def _norm_bound(config, duals, rng, sample):
+def _norm_bound(config, duals, sample):
     yield partial(theorems.norm_bound_check, config.functionals, sample, config.p_list)
 
 
-def _span(config, duals, rng, sample):
-    fam, space = config.family, config.space
+def _span(config, duals, sample):
+    # every functional reads the same leading points of the run's interior sequence
+    check = (theorems.span_residual if config.family.span_dim is not None
+             else theorems.span_monotonicity)
     for phi in config.functionals:
-        if fam.span_dim is not None:
-            samples = list(sample_polydisc(fam.domain, fam.span_dim, config.shrink, rng))
-            yield partial(theorems.span_residual, phi, sample, samples)
-        else:
-            k = min(8, space.natoms)
-            samples = list(sample_polydisc(fam.domain, k, config.shrink, rng))
-            more = sample_polydisc(fam.domain, k, config.shrink, rng)
-            yield partial(theorems.span_monotonicity, phi, sample, samples, more)
+        yield partial(check, phi, sample, shrink=config.shrink, seed=config.seed)
 
 
-def _schwarz(config, duals, rng, sample):
+def _schwarz(config, duals, sample):
     yield partial(theorems.schwarz_check, sample, seed=config.seed)
 
 
-def _telescoping(config, duals, rng, sample):
+def _telescoping(config, duals, sample):
     yield partial(theorems.telescoping_residual, sample, sample_shrink=config.shrink,
                   seed=config.seed)
 
 
-def _order_bound(config, duals, rng, sample):
+def _order_bound(config, duals, sample):
     yield partial(theorems.order_bound_check, sample, shrink=config.shrink, seed=config.seed)
 
 
-def _derivative_profile(config, duals, rng, sample):
+def _derivative_profile(config, duals, sample):
     yield partial(theorems.derivative_profile, sample)
 
 
-#: check name -> generator of the calls that run it, given (config, duals by p, rng,
-#: the run's ContourSample).  One sample serves the whole run, so each point set that
-#: several checks read is evaluated once.  Checkers are looked up on ``theorems`` when
-#: a call is built, so rebinding them there (e.g. to trace them) reaches the battery.
+#: check name -> generator of the calls that run it, given (config, duals by p, the
+#: run's ContourSample).  One sample serves the whole run, so each point set that
+#: several checks read is evaluated once: the contour, each functional's nodes and the
+#: interior sequence that span, telescoping and order_bound read.  Checkers are looked
+#: up on ``theorems`` when a call is built, so rebinding them there (e.g. to trace
+#: them) reaches the battery.
 CHECKS = {
     "linearization": _linearization,
     "fubini": _fubini,
@@ -134,24 +131,25 @@ def _counted_values(config: SuiteConfig) -> int:
     # the run's contour and, below 16 nodes, that of order_bound's own sample, each with
     # per node the sample (k), the grid (d) and diff_under_integral's pairing
     # z -> <F(z), h> with its transform (2), and per atom the Taylor table of degree
-    # n // 2 - 1, at least 2 and at most MAX_TAYLOR_DEGREE, with order_bound's float
-    # magnitudes of it (3 / 2 per coefficient)
+    # n // 2 - 1, at least 2 and at most MAX_TAYLOR_DEGREE
     floor = 2 * MIN_ORDER_BOUND_DEGREE + 2
     sides = [n] + ([floor] if n < floor and "order_bound" in checks else [])
     nodes = sum(m ** d for m in sides)
     contour = nodes * (k + d + 2) + sum(
-        3 * max(3, min(m // 2, MAX_TAYLOR_DEGREE + 1)) ** d * k // 2 for m in sides)
+        max(3, min(m // 2, MAX_TAYLOR_DEGREE + 1)) ** d * k for m in sides)
     # per functional node: its weight and, off the contour, its coordinates and values
     functionals = sum(len(phi.nodes) * (1 if sample.on_contour(phi) else 1 + d + k)
                       for phi in config.functionals)
     # the largest blocked transient: an evaluation block of ROW_BLOCK values or one row
-    # with its arguments and result (d + 2 per value), its rows' products with a stack
-    # of ten dual vectors (10 per row), an FFT block of FFT_BLOCK values or one column,
-    # a block of derivative_profile's contours (5 per value of one contour), and at
-    # least 8 EVAL_BLOCK, where constant overheads dominate
+    # with its arguments and result (d + 2 per value), a block's product with a stack
+    # of ten dual vectors (ROW_BLOCK values or one row of ten), an FFT block of
+    # FFT_BLOCK values or one column, with order_bound's magnitudes of it, a block of
+    # derivative_profile's contours (5 per value of one contour), and at least
+    # 8 EVAL_BLOCK, where constant overheads dominate
     rows = min(nodes, max(1, ROW_BLOCK // k))
     profile = "derivative_profile" in checks
-    transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k, 10 * rows,
+    transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k,
+                     10 * min(nodes, max(1, ROW_BLOCK // max(k, 10))),
                      min(nodes * k, max(FFT_BLOCK, nodes)),
                      5 * theorems.PROFILE_NODES * k if profile else 0)
     # derivative_profile's float magnitudes of each order at each region point and atom
@@ -159,9 +157,11 @@ def _counted_values(config: SuiteConfig) -> int:
                   if profile else 0)
     # per atom: each exponent's ten dual vectors with the sample's copy of them (20),
     # the closed-form vectors of |alpha| <= 2, each functional's slice and closed-form
-    # vectors (2), and span's at most 16 points with their evaluation (d + 2 each)
+    # vectors (2), span's at most 16 rows of the interior sequence with their basis (2
+    # each) and order_bound's largest |f| and majorant (1)
     per_atom = k * (20 * len(config.p_list) + len(_alpha_battery(d))
-                    + 2 * len(config.functionals) + (16 * (d + 2) if "span" in checks else 0))
+                    + 2 * len(config.functionals) + (32 if "span" in checks else 0)
+                    + ("order_bound" in checks))
     return contour + functionals + transients + magnitudes + per_atom
 
 
@@ -253,12 +253,13 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
     duals = {p: _random_duals(config.space, rng) for p in config.p_list}
-    sample = ContourSample(config.family, config.space, config.n, config.functionals)
+    sample = ContourSample(config.family, config.space, config.n, config.functionals,
+                           config.checks)
     reports: list[CheckReport] = []
     for name, calls in CHECKS.items():
         if name not in config.checks:
             continue
-        for call in calls(config, duals, rng, sample):
+        for call in calls(config, duals, sample):
             try:
                 result = call()
             except (ValueError, ArithmeticError) as exc:
@@ -411,7 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(repeatable)")
     shared.add_argument("--p", default="1,2,inf", help="comma-separated exponents")
     shared.add_argument("--nodes", type=int, default=64, help="quadrature nodes per variable")
-    shared.add_argument("--shrink", type=float, default=0.5, help="sampling shrink factor")
+    shared.add_argument("--shrink", type=float, default=0.5,
+                        help="fraction of the domain radii within which span, "
+                             "telescoping and order_bound draw their points and the "
+                             "default Dirac and random functionals place their nodes")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--output", default=None, help="report path (default stdout)")
     shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

@@ -165,15 +165,19 @@ class ContourSample:
     functional's (k,) slice vector, its (m,) values on each stack of m dual vectors
     (:meth:`pair_duals`, one pass over blocks of the contour for every functional on
     it) and each closed-form (k,) vector read (:meth:`closed_form`); no (nodes, m)
-    pairing of F with a stack is held.  Two threads sharing a sample can at worst
-    compute one twice.
+    pairing of F with a stack is held.  The sample is also built with the run's
+    ``checks`` and keeps what they read of F on the run's interior sequence, evaluated
+    once (:meth:`interior`).  Two threads sharing a sample can at worst compute one
+    twice.
     """
 
-    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=()):
+    def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=(),
+                 checks=()):
         self.fam, self.space, self.n = fam, space, int(n)
-        self.functionals = tuple(functionals)
+        self.functionals, self.checks = tuple(functionals), tuple(checks)
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
+        self._interior = {}
         #: the Taylor table kept, or None
         self._table = None
 
@@ -212,6 +216,20 @@ class ContourSample:
             table = self._table = _read_only(
                 cauchy._fft_coefficients(self.values, self.fam.d, self.n, self.radii, top))
         return table[(slice(degree + 1),) * self.fam.d]
+
+    def interior(self, shrink: float, seed: int, check: str):
+        """What the run's checks keep of F on its interior sequence at (shrink, seed),
+        computed once: :func:`~holofubini.theorems.interior_pass` for the sample's checks
+        and ``check``, its reader.  A pass kept for other checks is made again for those
+        and ``check``."""
+        from . import theorems  # theorems imports this module
+
+        key = (float(shrink), int(seed))
+        kept = self._interior.get(key)
+        if kept is None or check not in kept.checks:
+            checks = {*self.checks, check, *(kept.checks if kept else ())}
+            kept = self._interior[key] = theorems.interior_pass(self, shrink, seed, checks)
+        return kept
 
     def node_values(self, phi) -> np.ndarray:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).
@@ -261,8 +279,9 @@ class ContourSample:
         """``phi`` applied to z -> <F(z), h_j> for each dual vector h_j of the stack h,
         shape (m,).
 
-        F on phi's nodes meets (h mu).T in blocks of ``measure.ROW_BLOCK`` values (whole
-        rows, at least one); each block's product is summed over its nodes with phi's
+        F on phi's nodes meets (h mu).T in blocks of rows of at most ``measure.ROW_BLOCK``
+        values both of F and of the product, max(1, ROW_BLOCK // max(k, m)) rows; each
+        block's product is summed over its nodes with phi's
         weights by ``np.einsum``, which calls no BLAS, and the block sums are added in
         node order, so no node sum depends on the BLAS thread count.  On the contour
         each block's product also serves every other functional of the run on it, whose
@@ -275,7 +294,7 @@ class ContourSample:
             phis += [psi for psi in self.functionals if psi is not phi and self.on_contour(psi)]
         hw = (h * self.space.weights).T
         sums = np.zeros((len(phis), len(h)), dtype=complex)
-        block = max(1, measure.ROW_BLOCK // self.space.natoms)
+        block = max(1, measure.ROW_BLOCK // max(self.space.natoms, len(h)))
         for start in range(0, len(values), block):
             paired = values[start:start + block] @ hw
             for total, psi in zip(sums, phis):

@@ -26,16 +26,19 @@ on the contour get theirs from one pass over blocks of it per stack, whose node
 sums call no BLAS, so no report depends on the BLAS thread count.  Linearization
 and fubini report both sides for the first dual vector of a stack beside the
 largest residual over it.  The sample keeps each closed-form vector that fubini,
-derivative_consistency and diff_under_integral read, too.  Points a check draws
-for itself (the span, telescoping, order_bound and schwarz samples and the
-derivative_profile contours, which take only the sample's family and space and
-have ``PROFILE_NODES`` nodes whatever the run's n) are drawn once per check and
-evaluated where they are drawn; telescoping, order_bound, schwarz and
-derivative_profile evaluate theirs for a block of atoms or contours per call, of
-at most ``EVAL_BLOCK`` complex values unless one atom or contour takes more, so
-none pays one call per atom or contour nor holds all of them at once.  Samples are
-read-only, so checks may run concurrently; reports are merged by canonical
-ordering.
+derivative_consistency and diff_under_integral read, too.  A run draws one
+interior sequence in the domain's shrink polydisc (:func:`interior_pass`), which span,
+telescoping and order_bound read a prefix of: the sample evaluates the longest prefix
+its checks read once, for blocks of atoms, and keeps only what they read of it, each
+pair's increment for telescoping, each atom's largest |f| for order_bound and one
+orthonormal basis of the leading rows, which every functional's span reads.  Points a
+check draws for itself (the schwarz sample and the derivative_profile contours, which
+take only the sample's family and space and have ``PROFILE_NODES`` nodes whatever the
+run's n) are drawn once per check and evaluated where they are drawn.  The interior
+pass, schwarz and derivative_profile evaluate for a block of atoms or contours per
+call, of at most ``EVAL_BLOCK`` complex values unless one atom or contour takes more,
+so none pays one call per atom or contour nor holds all of them at once.  Samples are
+read-only, so checks may run concurrently; reports are merged by canonical ordering.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ __all__ = [
     "norm_bound_check",
     "span_residual",
     "span_monotonicity",
+    "interior_pass",
+    "InteriorPass",
     "derivative_profile",
     "telescoping_residual",
     "order_bound_check",
@@ -69,9 +74,9 @@ __all__ = [
     "CONTOUR_SHRINK",
 ]
 
-#: Complex values (128 KiB) that telescoping, order_bound, schwarz and
-#: derivative_profile evaluate per family call: each call takes as many atoms or
-#: contours as fit, and at least one
+#: Complex values (128 KiB) that the interior pass, schwarz and derivative_profile
+#: evaluate per family call: each call takes as many atoms or contours as fit, and at
+#: least one
 EVAL_BLOCK = 8192
 #: derivative_profile reports orders 0..PROFILE_MAX_ORDER on PROFILE_GRID region points,
 #: each read on a contour of PROFILE_NODES nodes whatever the run's n: at its radius
@@ -88,7 +93,11 @@ TOL_EXACT = 1e-12
 TOL_QUADRATURE = 1e-9
 #: span_residual's weighted-L2 distance from the span
 TOL_SPAN = 1e-8
-#: points order_bound and schwarz draw, and pairs telescoping draws
+#: the fraction of its norm that a row of span's points must keep, orthogonal to the
+#: rows before it, to add a direction: duplicated points add none
+SPAN_RANK_TOL = 1e-12
+#: points of the interior sequence order_bound reads, pairs of them telescoping reads,
+#: and points schwarz draws for itself
 ORDER_BOUND_SAMPLES = 200
 SCHWARZ_SAMPLES = 1000
 TELESCOPING_PAIRS = 200
@@ -269,51 +278,106 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     return reports
 
 
-def span_residual(phi, sample: ContourSample, sample_points) -> CheckReport:
-    """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_k)} by least squares.
+def span_residual(phi, sample: ContourSample, sample_points=None, shrink: float = 0.5,
+                  seed: int = 0) -> CheckReport:
+    """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_j)}.
 
-    Atom weights define the inner product for every p; rank-deficient
-    sample sets fall back to the minimum-norm solution.  The distance is
-    nonincreasing under enlarging a nested sample set.
+    The points are ``sample_points`` or, when None, the first ``span_dim`` points of the
+    run's interior sequence at (shrink, seed) (:func:`interior_pass`), whose span every
+    functional reads.  Atom weights define the inner product for every p; a point whose
+    F adds no direction to those before it is skipped (:class:`_Span`), so rank-deficient
+    sample sets are tolerated.  The distance is nonincreasing under enlarging a nested
+    sample set.
     """
-    values = _span_values(sample, sample_points)
-    distance = _span_distance(phi, sample, values)
+    count = len(sample_points) if sample_points is not None else sample.fam.span_dim
+    (distance,) = _span(sample, sample_points, shrink, seed, count).distances(
+        sample.slice_vector(phi), [count])
     return CheckReport.build(
         "span", sample.fam.label, phi.label, distance, 0.0, distance, TOL_SPAN,
-        samples=len(values),
+        samples=count,
     )
 
 
-def span_monotonicity(phi, sample: ContourSample, sample_points, more_points) -> CheckReport:
-    """Distance with the enlarged nested sample set never exceeds the original; the
-    two point sets are evaluated together, and the base distance reads the first rows."""
-    base_count = len(sample_points)
-    values = _span_values(sample, list(sample_points) + list(more_points))
-    base = _span_distance(phi, sample, values[:base_count])
-    grown = _span_distance(phi, sample, values)
+def span_monotonicity(phi, sample: ContourSample, sample_points=None, more_points=None,
+                      shrink: float = 0.5, seed: int = 0) -> CheckReport:
+    """Distance with the enlarged nested sample set never exceeds the original.
+
+    The sets are ``sample_points`` and ``sample_points + more_points`` or, when both are
+    None, the first min(8, k) points of the run's interior sequence at (shrink, seed)
+    and the first twice that; one orthogonalization of the larger set gives both
+    distances."""
+    if sample_points is None:
+        base = min(8, sample.space.natoms)
+        counts, points = [base, 2 * base], None
+    else:
+        points = list(sample_points) + list(more_points)
+        counts = [len(sample_points), len(points)]
+    base, grown = _span(sample, points, shrink, seed, counts[1]).distances(
+        sample.slice_vector(phi), counts)
     return CheckReport.build(
         "span", sample.fam.label, phi.label, base, grown, max(0.0, grown - base),
-        TOL_EXACT * (1.0 + base), samples=base_count,
+        TOL_EXACT * (1.0 + base), samples=counts[0],
     )
 
 
-def _span_values(sample: ContourSample, points) -> np.ndarray:
-    """F at each of ``points``, shape (points, k)."""
+def _span(sample: ContourSample, points, shrink: float, seed: int, count) -> _Span:
+    """The span of F at ``points`` or, when None, at the interior sequence's first
+    ``count`` points, kept by the sample's interior pass."""
+    if points is None:
+        span = sample.interior(shrink, seed, "span").span
+        if count != len(span.ranks):
+            raise ValueError(f"span reads {len(span.ranks)} points of the interior "
+                             f"sequence, not {count}")
+        return span
     points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]
     if not points:
         raise ValueError("need at least one sample point")
-    return sample.fam.eval(np.stack(points)[:, None, :], sample.space.params)
+    rows = _eval_atoms(sample.fam, sample.space.params, np.stack(points))
+    return _Span(sample.space, rows)
 
 
-def _span_distance(phi, sample: ContourSample, values: np.ndarray) -> float:
-    """Weighted-L2 distance of phi's slice vector from the span of the rows of ``values``."""
-    if not len(values):
-        raise ValueError("need at least one sample point")
-    sqrt_w = np.sqrt(sample.space.weights)
-    a = np.ascontiguousarray(values.T) * sqrt_w[:, None]
-    b = sample.slice_vector(phi) * sqrt_w
-    coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return float(np.linalg.norm(a @ coeff - b))
+class _Span:
+    """An orthonormal basis, in the atom-weighted inner product, of the span of the
+    leading rows of F at a point sequence, one row after another: classical Gram-Schmidt
+    with one reorthogonalization, whose sums call no BLAS or LAPACK, so the distances do
+    not depend on the BLAS thread count.  A row whose part orthogonal to the rows before
+    it is at most ``SPAN_RANK_TOL`` of its norm adds no vector.  Each row is processed
+    the same way whatever follows it, so a prefix of the rows has for its basis a prefix
+    of the vectors."""
+
+    def __init__(self, space, rows):
+        self.sqrt_w = np.sqrt(space.weights)
+        vectors = np.empty((len(rows), len(self.sqrt_w)), dtype=complex)
+        #: after each row, the number of vectors that span the rows so far
+        self.ranks = []
+        rank = 0
+        for row in rows:
+            row = row * self.sqrt_w
+            v = row - _project(vectors[:rank], row)
+            v -= _project(vectors[:rank], v)
+            norm = _norm(v)
+            if norm > SPAN_RANK_TOL * _norm(row):
+                vectors[rank] = v / norm
+                rank += 1
+            self.ranks.append(rank)
+        self.vectors = vectors[:rank]
+
+    def distances(self, vector, counts) -> list[float]:
+        """Weighted-L2 distance of ``vector`` from the span of the first c rows, for each
+        c of ``counts``."""
+        b = vector * self.sqrt_w
+        return [_norm(b - _project(self.vectors[:self.ranks[count - 1]], b))
+                for count in counts]
+
+
+def _project(q, v):
+    """sum_j <v, q_j> q_j, the projection of v on the span of the orthonormal rows of q,
+    by ``np.einsum``, which calls no BLAS."""
+    return np.einsum("j,jk->k", np.einsum("jk,k->j", q, np.conj(v)).conj(), q)
+
+
+def _norm(v) -> float:
+    return float(np.sqrt(np.sum(v.real ** 2 + v.imag ** 2)))
 
 
 def derivative_profile(sample: ContourSample) -> list[CheckReport]:
@@ -359,29 +423,23 @@ def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
                          seed: int = 0) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
-    For ``TELESCOPING_PAIRS`` sampled pairs z, a in the sample_shrink polydisc, checks
-    ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j - a_j| / r_j`` where B is
-    the sample's ``sup``: max |F| on its contour grid, a run's n-node grid at
-    CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its polydisc.
-    r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.  z and a are
-    evaluated for blocks of max(1, EVAL_BLOCK // TELESCOPING_PAIRS) atoms per call, and
-    each pair's max is taken over the blocks.
+    For ``TELESCOPING_PAIRS`` pairs z, a in the sample_shrink polydisc, the first and
+    the second ``TELESCOPING_PAIRS`` points of the run's interior sequence
+    (:func:`interior_pass`), checks ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j -
+    a_j| / r_j`` where B is the sample's ``sup``: max |F| on its contour grid, a run's
+    n-node grid at CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its
+    polydisc.  r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.  Each
+    pair's max over the atoms is the interior pass's.
     """
     if not sample_shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
-    fam, params = sample.fam, sample.space.params
-    rng = np.random.default_rng(seed)
+    fam, pairs = sample.fam, TELESCOPING_PAIRS
+    interior = sample.interior(sample_shrink, seed, "telescoping")
+    z, a = interior.points[:pairs], interior.points[pairs:2 * pairs]
     margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
-    bound, pairs = sample.sup, TELESCOPING_PAIRS
-    z = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
-    a = sample_polydisc(fam.domain, pairs, sample_shrink, rng)
-    lhs = np.max([
-        np.max(np.abs(_eval_atoms(fam, params[atoms], z) - _eval_atoms(fam, params[atoms], a)),
-               axis=1)
-        for atoms in _atom_blocks(len(params), pairs)
-    ], axis=0)
+    bound = sample.sup
     rhs = 2.0 * bound * np.sum(np.abs(z - a) / margin, axis=1)
-    worst = float(np.max(lhs - rhs))
+    worst = float(np.max(interior.increments - rhs))
     return CheckReport.build(
         "telescoping", fam.label, "", worst, 0.0, max(0.0, worst),
         1e-12 * (1.0 + bound), pairs=pairs, n=sample.n,
@@ -391,26 +449,77 @@ def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
 def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.
 
-    The degree and the contour values follow :func:`holofubini.cauchy.order_bound`,
-    and the report carries the node count of the contour it read;
-    ``ORDER_BOUND_SAMPLES`` sample points fill the closed shrink-polydisc of the
-    contour and are evaluated for blocks of max(1, EVAL_BLOCK // ORDER_BOUND_SAMPLES)
-    atoms per call.  The reported tail is Cauchy's estimate from the contour's grid
-    sup; it is not rigorous while that sup lies below the true one.
+    The points are the first ``ORDER_BOUND_SAMPLES`` of the run's interior sequence
+    (:func:`interior_pass`), in the domain's shrink polydisc; the majorant is taken on
+    that polydisc, ``shrink / CONTOUR_SHRINK`` of the contour's radii, so every point lies
+    inside it.  The degree and the contour values follow
+    :func:`holofubini.cauchy.order_bound`, and the report carries the node count of the
+    contour it read.  The largest excess max_i (M_i - u_i) reads each atom's largest
+    |f| over the points, M_i, from the interior pass: rounding is monotone, so it equals
+    the max over the points and atoms of |f| - u_i bit for bit.  The reported tail is
+    Cauchy's estimate from the contour's grid sup; it is not rigorous while that sup
+    lies below the true one.
     """
-    fam, params, samples = sample.fam, sample.space.params, ORDER_BOUND_SAMPLES
-    ob = order_bound(sample, shrink=shrink)
-    z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), samples, shrink,
-                        np.random.default_rng(seed))
-    excess = float(np.max([
-        np.max(np.abs(_eval_atoms(fam, params[atoms], z)) - ob.u[atoms])
-        for atoms in _atom_blocks(len(params), samples)
-    ]))
+    ob = order_bound(sample, shrink=shrink / CONTOUR_SHRINK)
+    maxima = sample.interior(shrink, seed, "order_bound").maxima
+    excess = float(np.max(maxima - ob.u))
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
-        "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
+        "order_bound", sample.fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
         tol, degree=ob.degree, shrink=shrink, n=ob.n,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class InteriorPass:
+    """What the checks keep of F on the run's interior sequence (:func:`interior_pass`)."""
+
+    #: the checks it serves, and the points it evaluated, shape (rows, d)
+    checks: frozenset
+    points: np.ndarray
+    #: telescoping's max over the atoms of |f(z_j, t_i) - f(a_j, t_i)| for each pair
+    increments: np.ndarray | None
+    #: order_bound's max over its points of |f(z, t_i)| for each atom
+    maxima: np.ndarray | None
+    #: span's basis of F at its leading points
+    span: _Span | None
+
+
+def interior_pass(sample: ContourSample, shrink: float, seed: int, checks) -> InteriorPass:
+    """One evaluation of the interior sequence at (shrink, seed) for ``checks``.
+
+    The sequence is telescoping's z, then its a, each ``TELESCOPING_PAIRS`` points drawn
+    from ``default_rng(seed)`` in the domain's shrink polydisc
+    (:func:`~holofubini.domain.sample_polydisc`).  Each check reads a prefix:
+    telescoping all of it, order_bound ``ORDER_BOUND_SAMPLES`` points and span the
+    family's ``span_dim`` or 2 min(8, k).  The longest prefix asked is evaluated in one
+    pass over blocks of max(1, EVAL_BLOCK // rows) atoms, which keeps only each pair's
+    increment, each atom's largest |f| and span's rows, so no (rows, k) array is held but
+    span's.  :meth:`~holofubini.family.ContourSample.interior` keeps the result.
+    """
+    fam, params = sample.fam, sample.space.params
+    natoms, pairs, ob_rows = len(params), TELESCOPING_PAIRS, ORDER_BOUND_SAMPLES
+    span_rows = 0
+    if "span" in checks:
+        span_rows = fam.span_dim if fam.span_dim is not None else 2 * min(8, natoms)
+    rows = max(2 * pairs if "telescoping" in checks else 0,
+               ob_rows if "order_bound" in checks else 0, span_rows)
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([sample_polydisc(fam.domain, pairs, shrink, rng),
+                             sample_polydisc(fam.domain, pairs, shrink, rng)])[:rows]
+    increments = np.zeros(pairs) if "telescoping" in checks else None
+    maxima = np.empty(natoms) if "order_bound" in checks else None
+    kept = np.empty((span_rows, natoms), dtype=complex)
+    for atoms in _atom_blocks(natoms, rows):
+        values = _eval_atoms(fam, params[atoms], points)
+        if increments is not None:
+            np.maximum(increments, np.max(np.abs(values[:pairs] - values[pairs:2 * pairs]),
+                                          axis=1), out=increments)
+        if maxima is not None:
+            maxima[atoms] = np.max(np.abs(values[:ob_rows]), axis=0)
+        kept[:, atoms] = values[:span_rows]
+    return InteriorPass(frozenset(checks), points, increments, maxima,
+                        _Span(sample.space, kept) if span_rows else None)
 
 
 def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
@@ -438,7 +547,8 @@ def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
 
 def _atom_blocks(natoms, points):
     """Slices of max(1, EVAL_BLOCK // points) atoms covering all natoms: the blocks in
-    which the checks that evaluate ``points`` points per atom take their atoms."""
+    which the interior pass and schwarz, evaluating ``points`` points per atom, take
+    their atoms."""
     block = max(1, EVAL_BLOCK // points)
     return [slice(start, start + block) for start in range(0, natoms, block)]
 

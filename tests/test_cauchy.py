@@ -329,6 +329,30 @@ class TestOrderBound:
         with pytest.raises(ValueError, match="shrink"):
             order_bound(ContourSample(family_preset("constant"), space16, 16), shrink=shrink)
 
+    @pytest.mark.parametrize("d, n, space", [(1, 64, "geometric-64"), (2, 16, "uniform-13"),
+                                             (3, 16, "uniform-5")])
+    def test_blocked_majorant_equals_the_unblocked_sum(self, monkeypatch, d, n, space):
+        # u sums each atom's scaled magnitudes for blocks of atoms of FFT_BLOCK values:
+        # blocks of one atom and of 3 atoms with a short last one give the u of one
+        # block of every atom bit for bit, within roundoff of an exact sum per atom
+        fam = family_from_json({"kind": "exponential", "params": {"scale": [0.7, 0.7]},
+                                "domain": {"center": [[0, 0]] * d, "radius": [1] * d}})
+        sample = ContourSample(fam, space_preset(space), n)
+        degree = n // 2 - 1
+        table = sample.taylor_table(degree)  # kept, so the blocks below do not rebuild it
+        per_atom = table[..., 0].size
+        runs = []
+        for block in (1, 3 * per_atom, table.size):
+            monkeypatch.setattr("holofubini.cauchy.FFT_BLOCK", block)
+            runs.append(order_bound(sample, shrink=0.5).u)
+        np.testing.assert_array_equal(runs[0], runs[2], strict=True)
+        np.testing.assert_array_equal(runs[1], runs[2], strict=True)
+        scale = reduce(np.multiply.outer,
+                       [(r * 0.5) ** np.arange(degree + 1) for r in sample.radii])
+        exact = [math.fsum((np.abs(table[..., i]) * scale).ravel())
+                 for i in range(table.shape[-1])]
+        np.testing.assert_allclose(runs[2], exact, rtol=1e-14)
+
     def test_floor_sample_uses_its_own_sup(self, space16):
         # at 4 nodes the table comes from a 16-node contour sample, and so does M
         fam = family_preset("geometric")

@@ -250,17 +250,24 @@ class TestSampleOnce:
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
-    #   span, 4 functionals x (8 + 8) sample points, each evaluated once:  64 * k
-    #   order_bound's 200 sample points:  200 * k
+    #   the interior sequence, evaluated once for span, order_bound and telescoping:
+    #     d = 1: order_bound's 200 points, whose first 16 span's 4 functionals share:
+    #       200 * k
+    #     d = 2: telescoping's 2 * 200 points, of which order_bound reads the first
+    #       200 and span the first 16:  400 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
     #     derivative_profile: PROFILE_GRID = 32 contours of PROFILE_NODES = 32 nodes
     #     whatever n, shared by orders 0-4
-    #   d = 2 only, telescoping's 2 * 200 sample points:  400 * k
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (64 + 9 + 1 + 64 + 200 + 1001 + 32*32) = 37,808
-    # d = 2, n = 64: k * (4096 + 9 + 1 + 64 + 200 + 400) = 76,320
-    # d = 2, n = 32: k * (1024 + 9 + 1 + 64 + 200 + 400) = 27,168
+    # d = 1, n = 64: k * (64 + 9 + 1 + 200 + 1001 + 32*32) = 36,784
+    # d = 2, n = 64: k * (4096 + 9 + 1 + 400) = 72,096
+    # d = 2, n = 32: k * (1024 + 9 + 1 + 400) = 22,944
+    # a single check of the interior sequence evaluates only the prefix it reads, beside
+    #   the contour the checks read: `check span` its 16 points and the functionals'
+    #   slice vectors, k * (4096 + 9 + 16) = 65,936; `check order_bound` its 200 points
+    #   and the contour for its table, k * (4096 + 200) = 68,736; `check telescoping`
+    #   its 400 points and the contour for its sup, k * (4096 + 400) = 71,936
     # `check derivative_profile` reads no contour value: k * 32 * 32 = 16,384
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
@@ -269,13 +276,17 @@ class TestSampleOnce:
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 37_808),
-        (2, 64, ["verify"], 76_320),
-        (2, 32, ["verify"], 27_168),
+        (1, 64, ["verify"], 36_784),
+        (2, 64, ["verify"], 72_096),
+        (2, 32, ["verify"], 22_944),
+        (2, 64, ["check", "span"], 65_936),
+        (2, 64, ["check", "order_bound"], 68_736),
+        (2, 64, ["check", "telescoping"], 71_936),
         (1, 64, ["check", "derivative_profile"], 32 * 32 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 2 * 64 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
-    ], ids=["d1", "d2", "d2-n32", "d1-profile", "d1-off-centre", "d1-dirac"])
+    ], ids=["d1", "d2", "d2-n32", "d2-span", "d2-order-bound", "d2-telescoping",
+            "d1-profile", "d1-off-centre", "d1-dirac"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, command, expected):
         counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, *command, *family_args(tmp_path, d),
@@ -360,7 +371,7 @@ class TestSampleOnce:
             if counted:
                 sample.__dict__["values"] = sample.values.view(Products)
             runs.append([vars(call()) for name in config.checks
-                         for call in cli.CHECKS[name](config, duals, rng, sample)])
+                         for call in cli.CHECKS[name](config, duals, sample)])
         assert 32 ** 2 * 16 <= measure.ROW_BLOCK
         assert Products.count == len(config.p_list) == 3
         assert runs[0] == runs[1]
@@ -386,22 +397,54 @@ class TestSampleOnce:
         assert sorted(shapes) == [(n ** d,), (n ** d, 16)]
 
     def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
-        # once the contour sample holds its values, the checks evaluate only their
-        # own points: 200 * k and 2 * 200 * k random points, and norm_bound the
-        # 1 * k node of its Dirac functional
-        fam, space = family.family_from_json(json.dumps(GEOMETRIC_D2)), space_preset("uniform-16")
-        sample = family.ContourSample(fam, space, 64)
+        # once the contour sample holds its values, the checks evaluate only the
+        # interior sequence, once for the sample's checks: order_bound, which reads it
+        # first, evaluates telescoping's 2 * 200 points with its own first 200, span
+        # and telescoping then evaluate nothing, and norm_bound the 1 * k node of its
+        # Dirac functional
+        fam = family.family_from_json(json.dumps(GEOMETRIC_D2))
+        sample = family.ContourSample(fam, space_preset("uniform-16"), 64,
+                                      checks=("span", "telescoping", "order_bound"))
         sample.values
         counted = count_family_values(monkeypatch)
         assert theorems.order_bound_check(sample).passed
-        assert sum(counted) == 200 * 16
-        counted.clear()
-        assert theorems.telescoping_residual(sample).passed
         assert sum(counted) == 400 * 16
+        counted.clear()
+        assert theorems.span_monotonicity(dirac([0.3, -0.2j]), sample).passed
+        assert theorems.telescoping_residual(sample).passed
+        assert sum(counted) == 1 * 16  # span's slice vector of the Dirac functional
         counted.clear()
         reports = theorems.norm_bound_check([dirac([0.3, -0.2j])], sample, [2])
         assert reports[0].passed
         assert sum(counted) == 1 * 16
+
+    def test_a_pass_is_made_again_for_a_check_it_does_not_serve(self, monkeypatch):
+        # a bare sample's pass serves its reader alone: order_bound evaluates its 200
+        # points, and telescoping's pass then evaluates its 400 again for both
+        fam = family.family_from_json(json.dumps(GEOMETRIC_D2))
+        sample = family.ContourSample(fam, space_preset("uniform-16"), 64)
+        sample.values
+        counted = count_family_values(monkeypatch)
+        ob = theorems.order_bound_check(sample)
+        assert sum(counted) == 200 * 16
+        assert theorems.telescoping_residual(sample).passed
+        assert sum(counted) == (200 + 400) * 16
+        assert theorems.order_bound_check(sample) == ob
+        assert sum(counted) == (200 + 400) * 16
+
+    def test_one_orthogonalization_serves_every_functional(self, tmp_path, monkeypatch):
+        # the four default functionals' span records read one basis of the interior
+        # sequence's first 16 points, for both nested sets
+        built = []
+        init = theorems._Span.__init__
+        monkeypatch.setattr(theorems._Span, "__init__",
+                            lambda self, space, rows: built.append(len(rows)) or
+                            init(self, space, rows))
+        code, text = run_cli(tmp_path, "check", "span", *family_args(tmp_path, 2),
+                             "--space", "uniform-16", "--nodes", "32")
+        assert code == 0
+        assert len(parse_records(text)) == 4
+        assert built == [16]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_shared_samples_match_standalone_checkers(self, tmp_path, d):
@@ -417,7 +460,7 @@ class TestSampleOnce:
         reports = []
         for name in config.checks:
             own = family.ContourSample(config.family, config.space, config.n)
-            for call in cli.CHECKS[name](config, duals, rng, own):
+            for call in cli.CHECKS[name](config, duals, own):
                 result = call()
                 reports.extend(result if isinstance(result, list) else [result])
         alone = sorted((_record(rep, config) for rep in reports),
@@ -687,8 +730,8 @@ class TestWorkBudget:
         assert peak <= cli._counted_values(self.config(fam, f"uniform-{k}", 64, checks)) * 16
 
     def test_order_bound_peak_lies_under_the_largest_term(self):
-        # order_bound evaluates its 200 sample points for blocks of 40 atoms; evaluated
-        # for all 4,096 atoms at once they peaked at 31.1 MiB at n = 64
+        # the interior pass evaluates order_bound's 200 points for blocks of 40 atoms;
+        # evaluated for all 4,096 atoms at once they peaked at 31.1 MiB at n = 64
         fam, space = family_preset("geometric"), space_preset("uniform-4096")
         # a first call's one-time imports and caches are no order_bound arrays
         theorems.order_bound_check(family.ContourSample(fam, space_preset("uniform-4"), 64))

@@ -8,6 +8,7 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy, derivative_functio
                         family_from_json, family_preset, measure, order_bound_check,
                         preset_names, random_measure, space_preset, telescoping_residual,
                         torus_nodes, unit_polydisc)
+from holofubini.domain import CONTOUR_SHRINK
 from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
                                GeometricFamily, PolynomialFamily, SeparableFamily,
                                TabulatedTaylorFamily)
@@ -237,8 +238,11 @@ class TestSampler:
         assert sample.sup is sample.sup
         assert sample.sup == float(np.max(np.abs(sample.values)))
         assert telescoping_residual(sample).tol == 1e-12 * (1.0 + sample.sup)
-        assert order_bound_check(sample).rhs == pytest.approx(sample.sup * 2.0 ** -31,
-                                                              rel=1e-12)
+        # the tail at degree 31 on the domain's 0.5 polydisc, s = 0.5 / CONTOUR_SHRINK of
+        # the contour's radii: M s^32 / (1 - s)
+        s = 0.5 / CONTOUR_SHRINK
+        tail = sample.sup * s ** 32 / (1 - s)
+        assert order_bound_check(sample).rhs == pytest.approx(tail, rel=1e-12)
 
     @pytest.mark.parametrize("row_block", [1, 10, 64 * 3])
     def test_blocked_sup_is_the_whole_sample_max(self, monkeypatch, row_block):

@@ -240,7 +240,7 @@ class TestDerivativeConsistency:
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         reports = []
         for name in config.checks:
-            for call in cli.CHECKS[name](config, duals, rng, sample):
+            for call in cli.CHECKS[name](config, duals, sample):
                 try:
                     result = call()
                 except (ValueError, ArithmeticError) as exc:
@@ -500,6 +500,43 @@ class TestSpan:
         with pytest.raises(ValueError):
             theorems.span_residual(dirac([0.2]), ContourSample(geometric, space16, 64), [])
 
+    @pytest.mark.parametrize("points", [[[0.1]], [[0.1], [-0.3j]],
+                                        [[0.1], [-0.3j], [0.25 + 0.1j], [-0.2]]])
+    def test_distance_equals_the_least_squares_one(self, geometric, space16, points):
+        # the Gram-Schmidt distance against the residual of a least-squares solve
+        phi, sample = dirac([0.2]), ContourSample(geometric, space16, 64)
+        sqrt_w = np.sqrt(space16.weights)
+        a = (geometric.eval(np.array(points)[:, None, :], space16.params) * sqrt_w).T
+        b = sample.slice_vector(phi) * sqrt_w
+        coeff = np.linalg.lstsq(a, b, rcond=None)[0]
+        expected = np.linalg.norm(a @ coeff - b)
+        rep = theorems.span_residual(phi, sample, points)
+        assert rep.residual == pytest.approx(expected, rel=1e-6, abs=1e-15)
+
+    def test_without_points_reads_the_interior_sequence(self, geometric, space16):
+        # the first 8 and 16 points of telescoping's z, drawn at (shrink, seed), give the
+        # records of those points passed explicitly; the affine family's span_dim = 2
+        # reads the first 2
+        phi = dirac([0.2])
+        z = sample_polydisc(geometric.domain, theorems.TELESCOPING_PAIRS, 0.3,
+                            np.random.default_rng(4))
+        read = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
+                                          shrink=0.3, seed=4)
+        given = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
+                                           z[:8], z[8:16])
+        assert vars(read) == vars(given)
+        affine = family_preset("affine")
+        read = theorems.span_residual(phi, ContourSample(affine, space16, 64), shrink=0.3,
+                                      seed=4)
+        given = theorems.span_residual(phi, ContourSample(affine, space16, 64), z[:2])
+        assert vars(read) == vars(given)
+        # without span_dim there is no count for span_residual, and with it the pass
+        # keeps no second set for span_monotonicity
+        with pytest.raises(ValueError):
+            theorems.span_residual(phi, ContourSample(geometric, space16, 64))
+        with pytest.raises(ValueError):
+            theorems.span_monotonicity(phi, ContourSample(affine, space16, 64))
+
     def test_rank_deficiency_tolerated(self, space16):
         # duplicated samples keep the minimum-norm solution well defined
         fam = family_preset("affine")
@@ -667,9 +704,10 @@ class TestSchwarzCheck:
 
 
 class TestBlockedEvaluation:
-    """telescoping, order_bound, schwarz and derivative_profile evaluate blocks of atoms
-    or contours; their reports equal, bit for bit, those of one evaluation per atom or
-    contour, or, for telescoping and order_bound, of one evaluation of all atoms."""
+    """The interior pass that telescoping and order_bound read, schwarz and
+    derivative_profile evaluate blocks of atoms or contours; their reports equal, bit for
+    bit, those of one evaluation per atom or contour, or, for telescoping and
+    order_bound, of one evaluation of all atoms."""
 
     @staticmethod
     def schwarz_per_slice(sample, samples=1000, seed=0):
@@ -693,7 +731,7 @@ class TestBlockedEvaluation:
             mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders, radii, n))
         return [(float(np.max(m @ space.weights)), float(m.max())) for m in mags]
 
-    # 40 atoms a block: one block on 16 atoms, six of 40 and one of 16 on 256
+    # 400 points, 20 atoms a block: one block on 16 atoms, twelve of 20 and one of 16 on 256
     @pytest.mark.parametrize("space", ["uniform-16", "uniform-256"])
     @pytest.mark.parametrize("fam", [GeometricFamily([0.5, 0.4], unit_polydisc(2)),
                                      ExponentialFamily(0.7 + 0.7j, unit_polydisc(3))],
@@ -736,12 +774,13 @@ class TestBlockedEvaluation:
 
     @staticmethod
     def order_bound_in_one_call(sample):
-        """order_bound_check's report with its 200 sample points evaluated for every
-        atom in one call."""
+        """order_bound_check's report with its points, the first 200 of the interior
+        sequence in the domain's 0.5 polydisc, evaluated for every atom in one call, and
+        the largest |f| - u_i taken over every point and atom; the majorant is the
+        domain's 0.5 polydisc, 0.5 / CONTOUR_SHRINK of the contour's radii."""
         fam = sample.fam
-        ob = cauchy.order_bound(sample)
-        z = sample_polydisc(fam.domain.shrunk(CONTOUR_SHRINK), 200, 0.5,
-                            np.random.default_rng(0))
+        ob = cauchy.order_bound(sample, 0.5 / CONTOUR_SHRINK)
+        z = sample_polydisc(fam.domain, 200, 0.5, np.random.default_rng(0))
         values = np.abs(fam.eval(z[:, None, :], sample.space.params))
         excess = float(np.max(values - ob.u[None, :]))
         return theorems.CheckReport.build(
