@@ -168,7 +168,6 @@ class OrderBound:
     u: np.ndarray
     tail: float
     degree: int
-    shrink: float
     #: nodes per variable of the contour sample the table and M were read from
     n: int
 
@@ -207,4 +206,4 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
         u[start:start + block] = np.sum(terms.reshape(len(terms), -1), axis=1)
     # the bracket as (1 - s)^-d (1 - (1 - s^(D+1))^d), free of cancellation and sign error
     tail = sample.sup * -np.expm1(d * np.log1p(-shrink ** (degree + 1))) / (1.0 - shrink) ** d
-    return OrderBound(u=u, tail=float(tail), degree=degree, shrink=shrink, n=sample.n)
+    return OrderBound(u=u, tail=float(tail), degree=degree, n=sample.n)

@@ -61,20 +61,19 @@ def _span(config, duals, sample):
     check = (theorems.span_residual if config.family.span_dim is not None
              else theorems.span_monotonicity)
     for phi in config.functionals:
-        yield partial(check, phi, sample, shrink=config.shrink, seed=config.seed)
+        yield partial(check, phi, sample)
 
 
 def _schwarz(config, duals, sample):
-    yield partial(theorems.schwarz_check, sample, seed=config.seed)
+    yield partial(theorems.schwarz_check, sample)
 
 
 def _telescoping(config, duals, sample):
-    yield partial(theorems.telescoping_residual, sample, sample_shrink=config.shrink,
-                  seed=config.seed)
+    yield partial(theorems.telescoping_residual, sample)
 
 
 def _order_bound(config, duals, sample):
-    yield partial(theorems.order_bound_check, sample, shrink=config.shrink, seed=config.seed)
+    yield partial(theorems.order_bound_check, sample)
 
 
 def _derivative_profile(config, duals, sample):
@@ -144,14 +143,14 @@ def _counted_values(config: SuiteConfig) -> int:
     # with its arguments and result (d + 2 per value), a block's product with a stack
     # of ten dual vectors (ROW_BLOCK values or one row of ten), an FFT block of
     # FFT_BLOCK values or one column, with order_bound's magnitudes of it, a block of
-    # derivative_profile's contours (5 per value of one contour), and at least
+    # derivative_profile's atoms (5 per value of one atom's contours), and at least
     # 8 EVAL_BLOCK, where constant overheads dominate
     rows = min(nodes, max(1, ROW_BLOCK // k))
     profile = "derivative_profile" in checks
     transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k,
                      10 * min(nodes, max(1, ROW_BLOCK // max(k, 10))),
                      min(nodes * k, max(FFT_BLOCK, nodes)),
-                     5 * theorems.PROFILE_NODES * k if profile else 0)
+                     5 * theorems.PROFILE_NODES * theorems.PROFILE_GRID if profile else 0)
     # derivative_profile's float magnitudes of each order at each region point and atom
     magnitudes = ((theorems.PROFILE_MAX_ORDER + 1) * theorems.PROFILE_GRID * k // 2
                   if profile else 0)
@@ -254,7 +253,7 @@ def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     rng = np.random.default_rng(config.seed)
     duals = {p: _random_duals(config.space, rng) for p in config.p_list}
     sample = ContourSample(config.family, config.space, config.n, config.functionals,
-                           config.checks)
+                           config.checks, config.shrink, config.seed)
     reports: list[CheckReport] = []
     for name, calls in CHECKS.items():
         if name not in config.checks:

@@ -166,18 +166,19 @@ class ContourSample:
     (:meth:`pair_duals`, one pass over blocks of the contour for every functional on
     it) and each closed-form (k,) vector read (:meth:`closed_form`); no (nodes, m)
     pairing of F with a stack is held.  The sample is also built with the run's
-    ``checks`` and keeps what they read of F on the run's interior sequence, evaluated
-    once (:meth:`interior`).  Two threads sharing a sample can at worst compute one
-    twice.
+    ``checks``, ``shrink`` and ``seed``, and keeps what the checks read of F on the
+    run's interior sequence, evaluated once (:attr:`interior`); a sample built without
+    checks serves every reader of it.  Two threads sharing a sample can at worst
+    compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=(),
-                 checks=()):
+                 checks=(), shrink: float = 0.5, seed: int = 0):
         self.fam, self.space, self.n = fam, space, int(n)
         self.functionals, self.checks = tuple(functionals), tuple(checks)
+        self.shrink, self.seed = shrink, seed
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
-        self._interior = {}
         #: the Taylor table kept, or None
         self._table = None
 
@@ -217,19 +218,13 @@ class ContourSample:
                 cauchy._fft_coefficients(self.values, self.fam.d, self.n, self.radii, top))
         return table[(slice(degree + 1),) * self.fam.d]
 
-    def interior(self, shrink: float, seed: int, check: str):
-        """What the run's checks keep of F on its interior sequence at (shrink, seed),
-        computed once: :func:`~holofubini.theorems.interior_pass` for the sample's checks
-        and ``check``, its reader.  A pass kept for other checks is made again for those
-        and ``check``."""
+    @cached_property
+    def interior(self):
+        """What the sample's checks keep of F on the interior sequence at its shrink and
+        seed: :func:`~holofubini.theorems.interior_pass`, computed once."""
         from . import theorems  # theorems imports this module
 
-        key = (float(shrink), int(seed))
-        kept = self._interior.get(key)
-        if kept is None or check not in kept.checks:
-            checks = {*self.checks, check, *(kept.checks if kept else ())}
-            kept = self._interior[key] = theorems.interior_pass(self, shrink, seed, checks)
-        return kept
+        return theorems.interior_pass(self)
 
     def node_values(self, phi) -> np.ndarray:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).

@@ -26,19 +26,20 @@ on the contour get theirs from one pass over blocks of it per stack, whose node
 sums call no BLAS, so no report depends on the BLAS thread count.  Linearization
 and fubini report both sides for the first dual vector of a stack beside the
 largest residual over it.  The sample keeps each closed-form vector that fubini,
-derivative_consistency and diff_under_integral read, too.  A run draws one
-interior sequence in the domain's shrink polydisc (:func:`interior_pass`), which span,
-telescoping and order_bound read a prefix of: the sample evaluates the longest prefix
-its checks read once, for blocks of atoms, and keeps only what they read of it, each
-pair's increment for telescoping, each atom's largest |f| for order_bound and one
-orthonormal basis of the leading rows, which every functional's span reads.  Points a
-check draws for itself (the schwarz sample and the derivative_profile contours, which
-take only the sample's family and space and have ``PROFILE_NODES`` nodes whatever the
-run's n) are drawn once per check and evaluated where they are drawn.  The interior
-pass, schwarz and derivative_profile evaluate for a block of atoms or contours per
-call, of at most ``EVAL_BLOCK`` complex values unless one atom or contour takes more,
-so none pays one call per atom or contour nor holds all of them at once.  Samples are
-read-only, so checks may run concurrently; reports are merged by canonical ordering.
+derivative_consistency and diff_under_integral read, too.  The sample is built
+with the run's checks, shrink and seed, and draws one interior sequence in the domain's
+shrink polydisc (:func:`interior_pass`), which span, telescoping and order_bound read a
+prefix of: it evaluates the longest prefix its checks read once, for blocks of atoms,
+and keeps only what they read of it, each pair's increment for telescoping, each
+atom's largest |f| for order_bound and one orthonormal basis of the leading rows, which
+every functional's span reads.  Points a check draws for itself (the schwarz sample,
+from the sample's seed, and the derivative_profile contours, which take only the
+sample's family and space and have ``PROFILE_NODES`` nodes whatever the run's n) are
+drawn once per check and evaluated where they are drawn.  The interior pass, schwarz
+and derivative_profile evaluate for a block of atoms per call, of at most
+``EVAL_BLOCK`` complex values unless one atom takes more, so none pays one call per
+atom nor holds all atoms at once.  Samples are read-only, so checks may run
+concurrently; reports are merged by canonical ordering.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ __all__ = [
 ]
 
 #: Complex values (128 KiB) that the interior pass, schwarz and derivative_profile
-#: evaluate per family call: each call takes as many atoms or contours as fit, and at
-#: least one
+#: evaluate per family call: each call takes as many atoms as fit, and at least one
 EVAL_BLOCK = 8192
 #: derivative_profile reports orders 0..PROFILE_MAX_ORDER on PROFILE_GRID region points,
 #: each read on a contour of PROFILE_NODES nodes whatever the run's n: at its radius
@@ -278,19 +278,18 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     return reports
 
 
-def span_residual(phi, sample: ContourSample, sample_points=None, shrink: float = 0.5,
-                  seed: int = 0) -> CheckReport:
+def span_residual(phi, sample: ContourSample, sample_points=None) -> CheckReport:
     """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_j)}.
 
     The points are ``sample_points`` or, when None, the first ``span_dim`` points of the
-    run's interior sequence at (shrink, seed) (:func:`interior_pass`), whose span every
-    functional reads.  Atom weights define the inner product for every p; a point whose
+    sample's interior sequence (:func:`interior_pass`), whose span every functional
+    reads.  Atom weights define the inner product for every p; a point whose
     F adds no direction to those before it is skipped (:class:`_Span`), so rank-deficient
     sample sets are tolerated.  The distance is nonincreasing under enlarging a nested
     sample set.
     """
     count = len(sample_points) if sample_points is not None else sample.fam.span_dim
-    (distance,) = _span(sample, sample_points, shrink, seed, count).distances(
+    (distance,) = _span(sample, sample_points, count).distances(
         sample.slice_vector(phi), [count])
     return CheckReport.build(
         "span", sample.fam.label, phi.label, distance, 0.0, distance, TOL_SPAN,
@@ -298,21 +297,20 @@ def span_residual(phi, sample: ContourSample, sample_points=None, shrink: float 
     )
 
 
-def span_monotonicity(phi, sample: ContourSample, sample_points=None, more_points=None,
-                      shrink: float = 0.5, seed: int = 0) -> CheckReport:
+def span_monotonicity(phi, sample: ContourSample, sample_points=None,
+                      more_points=None) -> CheckReport:
     """Distance with the enlarged nested sample set never exceeds the original.
 
     The sets are ``sample_points`` and ``sample_points + more_points`` or, when both are
-    None, the first min(8, k) points of the run's interior sequence at (shrink, seed)
-    and the first twice that; one orthogonalization of the larger set gives both
-    distances."""
+    None, the first min(8, k) points of the sample's interior sequence and the first
+    twice that; one orthogonalization of the larger set gives both distances."""
     if sample_points is None:
         base = min(8, sample.space.natoms)
         counts, points = [base, 2 * base], None
     else:
         points = list(sample_points) + list(more_points)
         counts = [len(sample_points), len(points)]
-    base, grown = _span(sample, points, shrink, seed, counts[1]).distances(
+    base, grown = _span(sample, points, counts[1]).distances(
         sample.slice_vector(phi), counts)
     return CheckReport.build(
         "span", sample.fam.label, phi.label, base, grown, max(0.0, grown - base),
@@ -320,11 +318,11 @@ def span_monotonicity(phi, sample: ContourSample, sample_points=None, more_point
     )
 
 
-def _span(sample: ContourSample, points, shrink: float, seed: int, count) -> _Span:
+def _span(sample: ContourSample, points, count) -> _Span:
     """The span of F at ``points`` or, when None, at the interior sequence's first
     ``count`` points, kept by the sample's interior pass."""
     if points is None:
-        span = sample.interior(shrink, seed, "span").span
+        span = _interior(sample, "span").span
         if count != len(span.ranks):
             raise ValueError(f"span reads {len(span.ranks)} points of the interior "
                              f"sequence, not {count}")
@@ -384,17 +382,16 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     """Finiteness of the sup of |D^m_z f| over a region grid, for univariate domains.
 
     The region grid is ``PROFILE_GRID`` points of the torus at 0.9 of the family's
-    domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the
-    values on a contour of radius (CONTOUR_SHRINK - 0.9) r and ``PROFILE_NODES``
-    nodes about each grid point, by :func:`holofubini.cauchy.contour_derivatives`;
-    the node count is fixed, so the reports do not depend on the sample's n.  The
-    contours are evaluated in blocks of at most max(1, EVAL_BLOCK // (PROFILE_NODES
-    k)) grid points: one evaluation of the block's points, center + the offsets of
-    one origin-centered contour, and one FFT for every order and contour of the
-    block.  Returns one report per order: ``lhs`` the sup over the grid of the
-    mu-weighted integral of |D^m f|, ``rhs`` the largest |D^m f(z, t_i)|, and a
-    residual of 0 when both are finite and inf otherwise; each carries n =
-    PROFILE_NODES.  It reads only the sample's family and space.
+    domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the values on
+    a contour of radius (CONTOUR_SHRINK - 0.9) r and ``PROFILE_NODES`` nodes about each
+    grid point, by :func:`holofubini.cauchy.contour_derivatives`; the node count is
+    fixed, so the reports do not depend on the sample's n.  The contours are evaluated
+    for the atom blocks of :func:`_atom_blocks`, each with one evaluation of every
+    contour's points and one FFT for every order and contour.  Returns one report per
+    order: ``lhs`` the sup over the grid of the mu-weighted integral of |D^m f|, ``rhs``
+    the largest |D^m f(z, t_i)|, and a residual of 0 when both are finite and inf
+    otherwise; each carries n = PROFILE_NODES.  It reads only the sample's family and
+    space.
     """
     fam, space, n = sample.fam, sample.space, PROFILE_NODES
     if fam.d != 1:
@@ -403,12 +400,11 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
     orders = [(order,) for order in range(PROFILE_MAX_ORDER + 1)]
     offsets = torus_nodes(Polydisc(np.zeros(1), radii), n).grid()
-    block = max(1, EVAL_BLOCK // (n * space.natoms))
+    pts = (grid + offsets[:, None, :])[:, :, None, :]
     mags = np.empty((len(orders), len(grid), space.natoms))
-    for start in range(0, len(grid), block):
-        pts = grid[start:start + block] + offsets[:, None, :]
-        values = fam.eval(pts[:, :, None, :], space.params)
-        mags[:, start:start + block] = np.abs(contour_derivatives(values, orders, radii, n))
+    for atoms in _atom_blocks(space.natoms, n * len(grid)):
+        values = fam.eval(pts, space.params[atoms])
+        mags[..., atoms] = np.abs(contour_derivatives(values, orders, radii, n))
     reports = []
     for order, m in enumerate(mags):
         lhs, rhs = float(np.max(m @ space.weights)), float(m.max())
@@ -419,24 +415,23 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     return reports
 
 
-def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
-                         seed: int = 0) -> CheckReport:
+def telescoping_residual(sample: ContourSample) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable.
 
-    For ``TELESCOPING_PAIRS`` pairs z, a in the sample_shrink polydisc, the first and
-    the second ``TELESCOPING_PAIRS`` points of the run's interior sequence
+    For ``TELESCOPING_PAIRS`` pairs z, a in the polydisc of the sample's shrink s, the
+    first and the second ``TELESCOPING_PAIRS`` points of its interior sequence
     (:func:`interior_pass`), checks ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j -
     a_j| / r_j`` where B is the sample's ``sup``: max |F| on its contour grid, a run's
     n-node grid at CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its
-    polydisc.  r_j is the margin (CONTOUR_SHRINK - sample_shrink) * radius_j.  Each
-    pair's max over the atoms is the interior pass's.
+    polydisc.  r_j is the margin (CONTOUR_SHRINK - s) * radius_j.  Each pair's max over
+    the atoms is the interior pass's.
     """
-    if not sample_shrink < CONTOUR_SHRINK:
+    if not sample.shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
     fam, pairs = sample.fam, TELESCOPING_PAIRS
-    interior = sample.interior(sample_shrink, seed, "telescoping")
+    interior = _interior(sample, "telescoping")
     z, a = interior.points[:pairs], interior.points[pairs:2 * pairs]
-    margin = (CONTOUR_SHRINK - sample_shrink) * fam.domain.radius
+    margin = (CONTOUR_SHRINK - sample.shrink) * fam.domain.radius
     bound = sample.sup
     rhs = 2.0 * bound * np.sum(np.abs(z - a) / margin, axis=1)
     worst = float(np.max(interior.increments - rhs))
@@ -446,13 +441,13 @@ def telescoping_residual(sample: ContourSample, sample_shrink: float = 0.5,
     )
 
 
-def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0) -> CheckReport:
+def order_bound_check(sample: ContourSample) -> CheckReport:
     """Taylor-majorant domination: |f(z, t_i)| <= u_i + tail on sampled z.
 
-    The points are the first ``ORDER_BOUND_SAMPLES`` of the run's interior sequence
-    (:func:`interior_pass`), in the domain's shrink polydisc; the majorant is taken on
-    that polydisc, ``shrink / CONTOUR_SHRINK`` of the contour's radii, so every point lies
-    inside it.  The degree and the contour values follow
+    The points are the first ``ORDER_BOUND_SAMPLES`` of the sample's interior sequence
+    (:func:`interior_pass`), in the domain's polydisc of the sample's shrink s; the
+    majorant is taken on that polydisc, ``s / CONTOUR_SHRINK`` of the contour's radii, so
+    every point lies inside it.  The degree and the contour values follow
     :func:`holofubini.cauchy.order_bound`, and the report carries the node count of the
     contour it read.  The largest excess max_i (M_i - u_i) reads each atom's largest
     |f| over the points, M_i, from the interior pass: rounding is monotone, so it equals
@@ -460,13 +455,13 @@ def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0)
     Cauchy's estimate from the contour's grid sup; it is not rigorous while that sup
     lies below the true one.
     """
-    ob = order_bound(sample, shrink=shrink / CONTOUR_SHRINK)
-    maxima = sample.interior(shrink, seed, "order_bound").maxima
+    ob = order_bound(sample, shrink=sample.shrink / CONTOUR_SHRINK)
+    maxima = _interior(sample, "order_bound").maxima
     excess = float(np.max(maxima - ob.u))
     tol = 1e-12 * (1.0 + float(np.max(ob.u)))
     return CheckReport.build(
         "order_bound", sample.fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
-        tol, degree=ob.degree, shrink=shrink, n=ob.n,
+        tol, degree=ob.degree, shrink=sample.shrink, n=ob.n,
     )
 
 
@@ -474,8 +469,7 @@ def order_bound_check(sample: ContourSample, shrink: float = 0.5, seed: int = 0)
 class InteriorPass:
     """What the checks keep of F on the run's interior sequence (:func:`interior_pass`)."""
 
-    #: the checks it serves, and the points it evaluated, shape (rows, d)
-    checks: frozenset
+    #: the points it evaluated, shape (rows, d)
     points: np.ndarray
     #: telescoping's max over the atoms of |f(z_j, t_i) - f(a_j, t_i)| for each pair
     increments: np.ndarray | None
@@ -485,28 +479,31 @@ class InteriorPass:
     span: _Span | None
 
 
-def interior_pass(sample: ContourSample, shrink: float, seed: int, checks) -> InteriorPass:
-    """One evaluation of the interior sequence at (shrink, seed) for ``checks``.
+def interior_pass(sample: ContourSample) -> InteriorPass:
+    """One evaluation of the sample's interior sequence for its checks, or for span,
+    telescoping and order_bound when it has none.
 
     The sequence is telescoping's z, then its a, each ``TELESCOPING_PAIRS`` points drawn
-    from ``default_rng(seed)`` in the domain's shrink polydisc
+    from ``default_rng(sample.seed)`` in the domain's polydisc of the sample's shrink
     (:func:`~holofubini.domain.sample_polydisc`).  Each check reads a prefix:
     telescoping all of it, order_bound ``ORDER_BOUND_SAMPLES`` points and span the
-    family's ``span_dim`` or 2 min(8, k).  The longest prefix asked is evaluated in one
-    pass over blocks of max(1, EVAL_BLOCK // rows) atoms, which keeps only each pair's
-    increment, each atom's largest |f| and span's rows, so no (rows, k) array is held but
-    span's.  :meth:`~holofubini.family.ContourSample.interior` keeps the result.
+    family's ``span_dim`` or 2 min(8, k).  The longest prefix the checks read is
+    evaluated in one pass over the atom blocks of :func:`_atom_blocks`, which keeps only
+    each pair's increment, each atom's largest |f| and span's rows, so no (rows, k) array
+    is held but span's.  :attr:`~holofubini.family.ContourSample.interior` keeps the
+    result.
     """
     fam, params = sample.fam, sample.space.params
     natoms, pairs, ob_rows = len(params), TELESCOPING_PAIRS, ORDER_BOUND_SAMPLES
+    checks = sample.checks or ("span", "telescoping", "order_bound")
     span_rows = 0
     if "span" in checks:
         span_rows = fam.span_dim if fam.span_dim is not None else 2 * min(8, natoms)
     rows = max(2 * pairs if "telescoping" in checks else 0,
                ob_rows if "order_bound" in checks else 0, span_rows)
-    rng = np.random.default_rng(seed)
-    points = np.concatenate([sample_polydisc(fam.domain, pairs, shrink, rng),
-                             sample_polydisc(fam.domain, pairs, shrink, rng)])[:rows]
+    rng = np.random.default_rng(sample.seed)
+    points = np.concatenate([sample_polydisc(fam.domain, pairs, sample.shrink, rng),
+                             sample_polydisc(fam.domain, pairs, sample.shrink, rng)])[:rows]
     increments = np.zeros(pairs) if "telescoping" in checks else None
     maxima = np.empty(natoms) if "order_bound" in checks else None
     kept = np.empty((span_rows, natoms), dtype=complex)
@@ -518,22 +515,30 @@ def interior_pass(sample: ContourSample, shrink: float, seed: int, checks) -> In
         if maxima is not None:
             maxima[atoms] = np.max(np.abs(values[:ob_rows]), axis=0)
         kept[:, atoms] = values[:span_rows]
-    return InteriorPass(frozenset(checks), points, increments, maxima,
+    return InteriorPass(points, increments, maxima,
                         _Span(sample.space, kept) if span_rows else None)
 
 
-def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
+def _interior(sample: ContourSample, check: str) -> InteriorPass:
+    """The sample's interior pass for ``check``, one of its checks if it has any."""
+    if sample.checks and check not in sample.checks:
+        raise ValueError(f"the sample is built for {sample.checks}, not for {check}")
+    return sample.interior
+
+
+def schwarz_check(sample: ContourSample) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family, on the
-    sample's contour disc, at ``SCHWARZ_SAMPLES`` points drawn once in it; each slice's
-    sup is read from its column of the contour values.  The slices go to
-    :func:`holofubini.cauchy.schwarz_violation` in blocks of max(1, EVAL_BLOCK //
-    (SCHWARZ_SAMPLES + 1)) atoms, so a block's center and points are one evaluation."""
+    sample's contour disc, at ``SCHWARZ_SAMPLES`` points drawn once in it from
+    ``default_rng(sample.seed)``; each slice's sup is read from its column of the
+    contour values.  The slices go to :func:`holofubini.cauchy.schwarz_violation` for
+    the atom blocks of :func:`_atom_blocks`, so a block's center and points are one
+    evaluation."""
     fam, space, samples = sample.fam, sample.space, SCHWARZ_SAMPLES
     if fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
     center, radius = complex(sample.center[0]), float(sample.radii[0])
     z = sample_polydisc(Polydisc([center], [radius]), samples, 1.0,
-                        np.random.default_rng(seed))[:, 0]
+                        np.random.default_rng(sample.seed))[:, 0]
     worst = max(
         schwarz_violation(partial(_eval_atoms, fam, space.params[atoms]),
                           center, radius, sample.values[:, atoms], z)
@@ -547,8 +552,8 @@ def schwarz_check(sample: ContourSample, seed: int = 0) -> CheckReport:
 
 def _atom_blocks(natoms, points):
     """Slices of max(1, EVAL_BLOCK // points) atoms covering all natoms: the blocks in
-    which the interior pass and schwarz, evaluating ``points`` points per atom, take
-    their atoms."""
+    which the interior pass, schwarz and derivative_profile, evaluating ``points``
+    points per atom, take their atoms."""
     block = max(1, EVAL_BLOCK // points)
     return [slice(start, start + block) for start in range(0, natoms, block)]
 

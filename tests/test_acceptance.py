@@ -176,7 +176,7 @@ def test_criterion_07_schwarz_and_telescoping(space16):
         assert v <= 1e-12, (kind, t, v)
     # multivariate telescoping bound on 200 sampled pairs in d = 2
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
-    rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64), seed=0)
+    rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64, seed=0))
     assert rep.passed, rep.describe()
     announce(7, "Schwarz and telescoping bounds")
 
@@ -185,7 +185,7 @@ def test_criterion_08_order_bound(space16):
     for kind in KINDS:
         fam = family_preset(kind)
         # 82 contour nodes per variable give degree 40
-        rep = theorems.order_bound_check(ContourSample(fam, space16, 82), shrink=0.5, seed=8)
+        rep = theorems.order_bound_check(ContourSample(fam, space16, 82, shrink=0.5, seed=8))
         assert rep.passed and rep.params["degree"] == 40, rep.describe()
     announce(8, "order bound domination")
 

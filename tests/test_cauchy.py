@@ -415,8 +415,8 @@ class TestOrderBound:
         # MIN_ORDER_BOUND_DEGREE; at degree <= 4 these cases give false violations
         for n in range(4, 17):
             for shrink in (0.1, 0.5, 0.9):
-                rep = order_bound_check(ContourSample(family_preset(name), space16, n),
-                                        shrink=shrink)
+                rep = order_bound_check(ContourSample(family_preset(name), space16, n,
+                                                      shrink=shrink))
                 assert rep.passed, (n, shrink, rep.params)
                 assert rep.params["degree"] == max(n // 2 - 1, MIN_ORDER_BOUND_DEGREE)
 

@@ -396,15 +396,17 @@ class TestSampleOnce:
         assert code == 0
         assert sorted(shapes) == [(n ** d,), (n ** d, 16)]
 
-    def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch):
+    # a sample built without checks serves the same three readers
+    @pytest.mark.parametrize("checks", [("span", "telescoping", "order_bound"), ()],
+                             ids=["three-checks", "no-checks"])
+    def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch, checks):
         # once the contour sample holds its values, the checks evaluate only the
         # interior sequence, once for the sample's checks: order_bound, which reads it
         # first, evaluates telescoping's 2 * 200 points with its own first 200, span
         # and telescoping then evaluate nothing, and norm_bound the 1 * k node of its
         # Dirac functional
         fam = family.family_from_json(json.dumps(GEOMETRIC_D2))
-        sample = family.ContourSample(fam, space_preset("uniform-16"), 64,
-                                      checks=("span", "telescoping", "order_bound"))
+        sample = family.ContourSample(fam, space_preset("uniform-16"), 64, checks=checks)
         sample.values
         counted = count_family_values(monkeypatch)
         assert theorems.order_bound_check(sample).passed
@@ -418,19 +420,19 @@ class TestSampleOnce:
         assert reports[0].passed
         assert sum(counted) == 1 * 16
 
-    def test_a_pass_is_made_again_for_a_check_it_does_not_serve(self, monkeypatch):
-        # a bare sample's pass serves its reader alone: order_bound evaluates its 200
-        # points, and telescoping's pass then evaluates its 400 again for both
+    def test_a_check_the_sample_is_not_built_for_is_refused(self, monkeypatch):
+        # a sample built for span keeps no order_bound maxima and makes no second pass
         fam = family.family_from_json(json.dumps(GEOMETRIC_D2))
-        sample = family.ContourSample(fam, space_preset("uniform-16"), 64)
+        sample = family.ContourSample(fam, space_preset("uniform-16"), 64,
+                                      checks=("span",))
         sample.values
         counted = count_family_values(monkeypatch)
-        ob = theorems.order_bound_check(sample)
-        assert sum(counted) == 200 * 16
-        assert theorems.telescoping_residual(sample).passed
-        assert sum(counted) == (200 + 400) * 16
-        assert theorems.order_bound_check(sample) == ob
-        assert sum(counted) == (200 + 400) * 16
+        for check in (theorems.order_bound_check, theorems.telescoping_residual):
+            with pytest.raises(ValueError, match="built for"):
+                check(sample)
+        assert counted == []
+        assert theorems.span_monotonicity(dirac([0.3, -0.2j]), sample).passed
+        assert sum(counted) == 16 * 16 + 1 * 16
 
     def test_one_orthogonalization_serves_every_functional(self, tmp_path, monkeypatch):
         # the four default functionals' span records read one basis of the interior
@@ -459,7 +461,8 @@ class TestSampleOnce:
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         reports = []
         for name in config.checks:
-            own = family.ContourSample(config.family, config.space, config.n)
+            own = family.ContourSample(config.family, config.space, config.n,
+                                       shrink=config.shrink, seed=config.seed)
             for call in cli.CHECKS[name](config, duals, own):
                 result = call()
                 reports.extend(result if isinstance(result, list) else [result])
@@ -712,9 +715,11 @@ class TestWorkBudget:
     @pytest.mark.parametrize("name, k", [("geometric", 4096), ("polynomial", 256),
                                          ("polynomial", 512)])
     def test_counted_profile_block_covers_a_whole_contour(self, name, k):
-        # one contour of PROFILE_NODES k values takes EVAL_BLOCK or more, so a block of
-        # derivative_profile's contours is that contour; on 512 atoms the polynomial
-        # kinds' evaluation transients weigh most
+        # on these spaces one contour of every atom, PROFILE_NODES k values, takes
+        # EVAL_BLOCK or more; derivative_profile's blocks are 8 atoms' 32 contours
+        # whatever k, so the magnitudes, which grow with k, hold the peak beside them
+        # (5.7 MiB at 4096 atoms); on 512 atoms the polynomial kinds' evaluation
+        # transients weigh most
         fam, space = family_preset(name), space_preset(f"uniform-{k}")
         theorems.derivative_profile(family.ContourSample(fam, space_preset("uniform-4"), 8))
         sample = family.ContourSample(fam, space, 64)
@@ -730,12 +735,13 @@ class TestWorkBudget:
         assert peak <= cli._counted_values(self.config(fam, f"uniform-{k}", 64, checks)) * 16
 
     def test_order_bound_peak_lies_under_the_largest_term(self):
-        # the interior pass evaluates order_bound's 200 points for blocks of 40 atoms;
-        # evaluated for all 4,096 atoms at once they peaked at 31.1 MiB at n = 64
+        # the interior pass of a sample built for order_bound evaluates its 200 points
+        # for blocks of 40 atoms; evaluated for all 4,096 atoms at once they peaked at
+        # 31.1 MiB at n = 64
         fam, space = family_preset("geometric"), space_preset("uniform-4096")
         # a first call's one-time imports and caches are no order_bound arrays
         theorems.order_bound_check(family.ContourSample(fam, space_preset("uniform-4"), 64))
-        sample = family.ContourSample(fam, space, 64)
+        sample = family.ContourSample(fam, space, 64, checks=("order_bound",))
         tracemalloc.start()
         try:
             theorems.order_bound_check(sample)

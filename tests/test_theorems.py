@@ -520,14 +520,14 @@ class TestSpan:
         phi = dirac([0.2])
         z = sample_polydisc(geometric.domain, theorems.TELESCOPING_PAIRS, 0.3,
                             np.random.default_rng(4))
-        read = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
-                                          shrink=0.3, seed=4)
+        read = theorems.span_monotonicity(
+            phi, ContourSample(geometric, space16, 64, shrink=0.3, seed=4))
         given = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
                                            z[:8], z[8:16])
         assert vars(read) == vars(given)
         affine = family_preset("affine")
-        read = theorems.span_residual(phi, ContourSample(affine, space16, 64), shrink=0.3,
-                                      seed=4)
+        read = theorems.span_residual(phi, ContourSample(affine, space16, 64, shrink=0.3,
+                                                         seed=4))
         given = theorems.span_residual(phi, ContourSample(affine, space16, 64), z[:2])
         assert vars(read) == vars(given)
         # without span_dim there is no count for span_residual, and with it the pass
@@ -625,9 +625,10 @@ class TestDerivativeProfile:
             theorems.derivative_profile(ContourSample(fam, space16, 32))
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
-        # the contours are evaluated in blocks of B = EVAL_BLOCK // (PROFILE_NODES k)
-        # grid points, one evaluation and one FFT per block that serves orders 0-4 of
-        # its contours; 33 points of 32 nodes on 16 atoms are blocks of 16, 16 and 1
+        # the contours are evaluated for blocks of EVAL_BLOCK // (PROFILE_GRID
+        # PROFILE_NODES) atoms, one evaluation of every contour and one FFT per block
+        # that serves orders 0-4; 33 contours of 32 nodes on 16 atoms are blocks of 7, 7
+        # and 2 atoms
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
@@ -644,10 +645,9 @@ class TestDerivativeProfile:
         monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
         reports = theorems.derivative_profile(ContourSample(geometric, space16, 64))
-        k = space16.natoms
-        assert sampled == [32 * 16 * k, 32 * 16 * k, 32 * k]
+        assert sampled == [32 * 33 * 7, 32 * 33 * 7, 32 * 33 * 2]
         assert max(sampled) <= theorems.EVAL_BLOCK
-        assert ffts == [(32, 16, k), (32, 16, k), (32, 1, k)]
+        assert ffts == [(32, 33, 7), (32, 33, 7), (32, 33, 2)]
         # each order's sides match those its own single-order rule gives, up to
         # roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4 * sup |f|
         radii = (CONTOUR_SHRINK - 0.9) * geometric.domain.radius
@@ -661,17 +661,42 @@ class TestDerivativeProfile:
             np.testing.assert_allclose(rep.lhs, np.max(mags @ space16.weights), rtol=1e-8)
 
 
+class ContourVanishingGeometric(GeometricFamily):
+    """geometric-d2 (rates 0.5, 0.4) plus eps * t * (0.95^2 - |z_1|^2): not holomorphic
+    in z, and zero on the contour, so the sample's sup B does not see it."""
+
+    def __init__(self, eps):
+        super().__init__([0.5, 0.4], unit_polydisc(2), f"geometric-d2+{eps:g}bump")
+        self.eps = eps
+
+    def _evaluate(self, z, t):
+        bump = CONTOUR_SHRINK ** 2 - np.abs(z[..., 0]) ** 2
+        return super()._evaluate(z, t) + self.eps * t * bump
+
+
 class TestTelescoping:
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_perturbation_detected(self, space16, n):
+        # the bound's slack is wide: eps = 31 still passes (lhs -0.075) and eps = 32 is
+        # the smallest integer detected (lhs +0.10), at n = 32 and 64 alike
+        for eps in (0.0, 31.0):
+            rep = theorems.telescoping_residual(ContourSample(
+                ContourVanishingGeometric(eps), space16, n))
+            assert rep.passed, (eps, rep.lhs)
+        rep = theorems.telescoping_residual(ContourSample(
+            ContourVanishingGeometric(32.0), space16, n))
+        assert not rep.passed and rep.lhs > 0.1, rep.lhs
+
     def test_bivariate_geometric(self, space16):
         fam = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
-        rep = theorems.telescoping_residual(ContourSample(fam, space16, 64), seed=0)
+        rep = theorems.telescoping_residual(ContourSample(fam, space16, 64, seed=0))
         assert rep.passed and rep.residual == 0.0
 
     def test_bivariate_polynomial(self, space16):
         coeffs = np.zeros((2, 2, 2))
         coeffs[1, 1, 1] = 1.0  # f = t z1 z2
         fam = PolynomialFamily(coeffs, unit_polydisc(2), label="poly2")
-        rep = theorems.telescoping_residual(ContourSample(fam, space16, 64), seed=1)
+        rep = theorems.telescoping_residual(ContourSample(fam, space16, 64, seed=1))
         assert rep.passed
 
     @pytest.mark.parametrize("fam", [
@@ -690,8 +715,8 @@ class TestTelescoping:
         # sup does not lie on the real axis
         for n in range(4, 17):
             for shrink in (0.1, 0.5, 0.9):
-                rep = theorems.telescoping_residual(ContourSample(fam, space16, n),
-                                                    sample_shrink=shrink)
+                rep = theorems.telescoping_residual(ContourSample(fam, space16, n,
+                                                                  shrink=shrink))
                 assert rep.passed, (n, shrink, rep.lhs, rep.tol)
 
 
@@ -699,7 +724,7 @@ class TestSchwarzCheck:
     def test_all_presets(self, preset_family, space16):
         if preset_family.d != 1:
             pytest.skip("univariate only")
-        rep = theorems.schwarz_check(ContourSample(preset_family, space16, 64), seed=0)
+        rep = theorems.schwarz_check(ContourSample(preset_family, space16, 64, seed=0))
         assert rep.passed
 
 
@@ -737,12 +762,13 @@ class TestBlockedEvaluation:
                                      ExponentialFamily(0.7 + 0.7j, unit_polydisc(3))],
                              ids=["geometric-d2", "exponential-d3"])
     def test_telescoping_equals_one_evaluation(self, fam, space, monkeypatch):
-        sample = ContourSample(fam, space_preset(space), 16)
-        blocked = theorems.telescoping_residual(sample, seed=1)
-        # one block of every atom: each of z and a is one evaluation
+        space = space_preset(space)
+        blocked = theorems.telescoping_residual(ContourSample(fam, space, 16, seed=1))
+        # one block of every atom: the 400 points of z and a are one evaluation, on a
+        # new sample, since a sample keeps its pass
         monkeypatch.setattr(theorems, "EVAL_BLOCK",
-                            theorems.TELESCOPING_PAIRS * sample.space.natoms)
-        assert theorems.telescoping_residual(sample, seed=1) == blocked
+                            2 * theorems.TELESCOPING_PAIRS * space.natoms)
+        assert theorems.telescoping_residual(ContourSample(fam, space, 16, seed=1)) == blocked
 
     def test_schwarz_draws_its_points_once(self, monkeypatch):
         # geometric-64 makes 8 blocks of 8 atoms: one draw of the 1000 points for the
@@ -787,15 +813,17 @@ class TestBlockedEvaluation:
             "order_bound", fam.label, "", excess, ob.tail, max(0.0, excess - ob.tail),
             1e-12 * (1.0 + float(np.max(ob.u))), degree=ob.degree, shrink=0.5, n=ob.n)
 
-    # 40 atoms a block: one block on 16 atoms, 40 and 24 on 64, six of 40 and 16 on 256
+    # a sample built for order_bound alone evaluates its 200 points for 40 atoms a block:
+    # one block on 16 atoms, 40 and 24 on 64, six of 40 and 16 on 256
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64", "uniform-256"])
     @pytest.mark.parametrize("name", preset_names())
     def test_order_bound_equals_one_evaluation(self, name, space):
-        sample = ContourSample(family_preset(name), space_preset(space), 64)
+        sample = ContourSample(family_preset(name), space_preset(space), 64,
+                               checks=("order_bound",))
         assert theorems.order_bound_check(sample) == self.order_bound_in_one_call(sample)
 
-    # 33 grid points of 32-node contours leave a partial last block: 2 blocks of 16
-    # and one of 1 on 16 atoms, 8 blocks of 4 and one of 1 on 64
+    # 33 contours of 32 nodes make blocks of 7 atoms with a partial last block: 7, 7
+    # and 2 on 16 atoms, 9 blocks of 7 and one of 1 on 64
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
     @pytest.mark.parametrize("name", preset_names())
     def test_profile_equals_the_per_contour_loop(self, name, space, monkeypatch):
@@ -806,8 +834,8 @@ class TestBlockedEvaluation:
         assert [(rep.lhs, rep.rhs) for rep in reports] == oracle
 
     def test_peak_memory_is_bounded_by_the_block(self):
-        # the blocks, not the k = 64 atoms or the 32 contours, bound the transient
-        # arrays: at most 8 blocks' worth of complex values, 1 MiB
+        # the atom blocks, not the k = 64 atoms, bound the transient arrays: at most 8
+        # blocks' worth of complex values, 1 MiB
         fam, space = family_preset("geometric"), space_preset("geometric-64")
         sample = ContourSample(fam, space, 64)
         sample.values
