@@ -2,9 +2,9 @@
 checker battery, and emit JSON-lines or CSV reports.
 
 Exit codes: 0 when every check passes, 1 on any violation, 2 on usage or
-configuration errors.  Reports are written only after the whole battery has
-run, in canonical order, so identical configurations and seeds produce
-byte-identical output.
+configuration errors and on a report that cannot be written.  Reports are written
+only after the whole battery has run, in canonical order, so identical
+configurations and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -140,17 +140,16 @@ def _counted_values(config: SuiteConfig) -> int:
     functionals = sum(len(phi.nodes) * (1 if sample.on_contour(phi) else 1 + d + k)
                       for phi in config.functionals)
     # the largest blocked transient: an evaluation block of ROW_BLOCK values or one row
-    # with its arguments and result (d + 2 per value), a block's product with a stack
-    # of ten dual vectors (ROW_BLOCK values or one row of ten), an FFT block of
-    # FFT_BLOCK values or one column, with order_bound's magnitudes of it, a block of
-    # derivative_profile's atoms (5 per value of one atom's contours), and at least
-    # 8 EVAL_BLOCK, where constant overheads dominate
+    # with its arguments and result (d + 2 per value), an FFT block of FFT_BLOCK values
+    # or one column, with order_bound's magnitudes of it, and at least 8 EVAL_BLOCK,
+    # where constant overheads dominate.  The floor also holds a block's product with
+    # ten dual vectors (at most ROW_BLOCK values or one row of ten) while ROW_BLOCK <=
+    # 8 EVAL_BLOCK, and a block of derivative_profile's atoms (5 values per value of
+    # one atom's contours) while 5 PROFILE_NODES PROFILE_GRID <= 8 EVAL_BLOCK
     rows = min(nodes, max(1, ROW_BLOCK // k))
     profile = "derivative_profile" in checks
     transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k,
-                     10 * min(nodes, max(1, ROW_BLOCK // max(k, 10))),
-                     min(nodes * k, max(FFT_BLOCK, nodes)),
-                     5 * theorems.PROFILE_NODES * theorems.PROFILE_GRID if profile else 0)
+                     min(nodes * k, max(FFT_BLOCK, nodes)))
     # derivative_profile's float magnitudes of each order at each region point and atom
     magnitudes = ((theorems.PROFILE_MAX_ORDER + 1) * theorems.PROFILE_GRID * k // 2
                   if profile else 0)
@@ -208,6 +207,8 @@ class SuiteConfig:
         for p in self.p_list:
             if not p >= 1:
                 raise ConfigError(f"exponents must satisfy p >= 1, got {p}")
+        if len(set(self.p_list)) != len(self.p_list):
+            raise ConfigError(f"--p repeats an exponent: {self.p_list}")
         _check_work_budget(self)
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt}")
@@ -219,7 +220,7 @@ class SuiteConfig:
                 raise ConfigError(
                     f"functional {phi.label!r} has dimension {phi.d}, family needs {self.family.d}"
                 )
-            if not self.family.domain.contains_all(phi.nodes, 1.0):
+            if not self.family.domain.contains_all(phi.nodes):
                 raise ConfigError(
                     f"functional {phi.label!r} has nodes outside the family domain"
                 )
@@ -243,8 +244,9 @@ def _random_duals(space: FiniteMeasureSpace, rng) -> list[np.ndarray]:
             for _ in range(10)]
 
 
-def _alpha_battery(d: int, max_total: int = 2):
-    alphas = [a for a in np.ndindex(*(max_total + 1,) * d) if sum(a) <= max_total]
+def _alpha_battery(d: int):
+    """Every multi-index of dimension d and order at most 2, by order."""
+    alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
     return sorted(alphas, key=lambda a: (sum(a), a))
 
 
@@ -476,7 +478,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
     exit_code, records = run_suite(config)
-    _emit(records, config.fmt, config.output)
+    try:
+        _emit(records, config.fmt, config.output)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if exit_code != 0:
         failing = [r for r in records if not r["pass"]]
         for r in failing:

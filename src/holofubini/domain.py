@@ -92,16 +92,13 @@ class Polydisc:
     def d(self) -> int:
         return self.center.shape[0]
 
-    def contains_all(self, points, shrink: float = 1.0) -> bool:
+    def contains_all(self, points) -> bool:
         """Vectorized membership test for an array of points with last axis d, taking
         one variable's distances at a time."""
-        shrink = float(shrink)
-        if not 0.0 < shrink <= 1.0:
-            raise ValueError(f"shrink must lie in (0, 1], got {shrink}")
         pts = np.asarray(points, dtype=complex)
         if pts.shape[-1] != self.d:
             raise ValueError(f"dimension mismatch: expected last axis {self.d}")
-        return all(bool(np.all(np.abs(pts[..., j] - c) < shrink * r))
+        return all(bool(np.all(np.abs(pts[..., j] - c) < r))
                    for j, (c, r) in enumerate(zip(self.center, self.radius)))
 
     def shrunk(self, factor: float) -> "Polydisc":

@@ -87,7 +87,7 @@ class HoloFamily:
     def eval(self, z, t):
         """f(z, t) for z inside the open domain; batched over z and t."""
         z = self._coerce_points(z)
-        if not self.domain.contains_all(z, 1.0):
+        if not self.domain.contains_all(z):
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
         return self._evaluate(z, np.asarray(t, dtype=complex))
 
@@ -95,7 +95,7 @@ class HoloFamily:
         """Closed-form mixed partial D^alpha_z f(z, t)."""
         alpha = as_multi_index(alpha, self.d)
         z = self._coerce_points(z)
-        if not self.domain.contains_all(z, 1.0):
+        if not self.domain.contains_all(z):
             raise ValueError(f"evaluation point outside the domain of {self.label!r}")
         return self._derivative(z, np.asarray(t, dtype=complex), alpha)
 

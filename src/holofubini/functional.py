@@ -146,15 +146,12 @@ def derivative_functional(center, alpha, radii, n: int = 64,
     )
 
 
-def random_measure(disc, k: int = 8, shrink: float = 0.5, seed: int = 0,
-                   label: str | None = None) -> MeasureFunctional:
+def random_measure(disc, k: int = 8, shrink: float = 0.5, seed: int = 0) -> MeasureFunctional:
     """A seeded k-node complex measure supported in the shrink-scaled polydisc."""
     rng = np.random.default_rng(seed)
     nodes = sample_polydisc(disc, k, shrink, rng)
     weights = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    if label is None:
-        label = f"random:{k}@seed{seed}"
-    return MeasureFunctional(nodes=nodes, weights=weights, label=label)
+    return MeasureFunctional(nodes=nodes, weights=weights, label=f"random:{k}@seed{seed}")
 
 
 def functional_from_json(doc) -> MeasureFunctional:

@@ -32,11 +32,11 @@ shrink polydisc (:func:`interior_pass`), which span, telescoping and order_bound
 prefix of: it evaluates the longest prefix its checks read once, for blocks of atoms,
 and keeps only what they read of it, each pair's increment for telescoping, each
 atom's largest |f| for order_bound and one orthonormal basis of the leading rows, which
-every functional's span reads.  Points a check draws for itself (the schwarz sample,
-from the sample's seed, and the derivative_profile contours, which take only the
-sample's family and space and have ``PROFILE_NODES`` nodes whatever the run's n) are
-drawn once per check and evaluated where they are drawn.  The interior pass, schwarz
-and derivative_profile evaluate for a block of atoms per call, of at most
+every functional's span reads; span takes no other points.  Points a check draws for
+itself (the schwarz sample, from the sample's seed, and the derivative_profile contours,
+which take only the sample's family and space and have ``PROFILE_NODES`` nodes whatever
+the run's n) are drawn once per check and evaluated where they are drawn.  The interior
+pass, schwarz and derivative_profile evaluate for a block of atoms per call, of at most
 ``EVAL_BLOCK`` complex values unless one atom takes more, so none pays one call per
 atom nor holds all atoms at once.  Samples are read-only, so checks may run
 concurrently; reports are merged by canonical ordering.
@@ -278,60 +278,44 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     return reports
 
 
-def span_residual(phi, sample: ContourSample, sample_points=None) -> CheckReport:
+def span_residual(phi, sample: ContourSample) -> CheckReport:
     """Weighted-L2 distance of phi.apply_slices(...) from span{F(z_j)}.
 
-    The points are ``sample_points`` or, when None, the first ``span_dim`` points of the
-    sample's interior sequence (:func:`interior_pass`), whose span every functional
-    reads.  Atom weights define the inner product for every p; a point whose
-    F adds no direction to those before it is skipped (:class:`_Span`), so rank-deficient
-    sample sets are tolerated.  The distance is nonincreasing under enlarging a nested
-    sample set.
+    The points are the first ``span_dim`` points of the sample's interior sequence
+    (:func:`interior_pass`), whose span every functional reads.  Atom weights define the
+    inner product for every p; a point whose F adds no direction to those before it is
+    skipped (:class:`_Span`), so rank-deficient point sets are tolerated.
     """
-    count = len(sample_points) if sample_points is not None else sample.fam.span_dim
-    (distance,) = _span(sample, sample_points, count).distances(
-        sample.slice_vector(phi), [count])
+    count = sample.fam.span_dim
+    (distance,) = _span(sample, count).distances(sample.slice_vector(phi), [count])
     return CheckReport.build(
         "span", sample.fam.label, phi.label, distance, 0.0, distance, TOL_SPAN,
         samples=count,
     )
 
 
-def span_monotonicity(phi, sample: ContourSample, sample_points=None,
-                      more_points=None) -> CheckReport:
-    """Distance with the enlarged nested sample set never exceeds the original.
+def span_monotonicity(phi, sample: ContourSample) -> CheckReport:
+    """Distance with the enlarged nested point set never exceeds the original.
 
-    The sets are ``sample_points`` and ``sample_points + more_points`` or, when both are
-    None, the first min(8, k) points of the sample's interior sequence and the first
-    twice that; one orthogonalization of the larger set gives both distances."""
-    if sample_points is None:
-        base = min(8, sample.space.natoms)
-        counts, points = [base, 2 * base], None
-    else:
-        points = list(sample_points) + list(more_points)
-        counts = [len(sample_points), len(points)]
-    base, grown = _span(sample, points, counts[1]).distances(
-        sample.slice_vector(phi), counts)
+    The sets are the first min(8, k) points of the sample's interior sequence and the
+    first twice that; one orthogonalization of the larger set gives both distances."""
+    count = min(8, sample.space.natoms)
+    base, grown = _span(sample, 2 * count).distances(sample.slice_vector(phi),
+                                                     [count, 2 * count])
     return CheckReport.build(
         "span", sample.fam.label, phi.label, base, grown, max(0.0, grown - base),
-        TOL_EXACT * (1.0 + base), samples=counts[0],
+        TOL_EXACT * (1.0 + base), samples=count,
     )
 
 
-def _span(sample: ContourSample, points, count) -> _Span:
-    """The span of F at ``points`` or, when None, at the interior sequence's first
-    ``count`` points, kept by the sample's interior pass."""
-    if points is None:
-        span = _interior(sample, "span").span
-        if count != len(span.ranks):
-            raise ValueError(f"span reads {len(span.ranks)} points of the interior "
-                             f"sequence, not {count}")
-        return span
-    points = [np.atleast_1d(np.asarray(z, dtype=complex)) for z in points]
-    if not points:
-        raise ValueError("need at least one sample point")
-    rows = _eval_atoms(sample.fam, sample.space.params, np.stack(points))
-    return _Span(sample.space, rows)
+def _span(sample: ContourSample, count) -> _Span:
+    """The span of F at the interior sequence's first ``count`` points, kept by the
+    sample's interior pass."""
+    span = _interior(sample, "span").span
+    if count != len(span.ranks):
+        raise ValueError(f"span reads {len(span.ranks)} points of the interior "
+                         f"sequence, not {count}")
+    return span
 
 
 class _Span:

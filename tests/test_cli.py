@@ -695,22 +695,16 @@ class TestWorkBudget:
         assert code == 0
         assert peak <= counted * 16
 
-    def test_counted_profile_values_cover_the_peak(self, monkeypatch):
-        # the d = 1 derivative_profile on a 4096-point region grid on 16 atoms
-        fam, space = family_preset("geometric"), space_preset("uniform-16")
-        sample = family.ContourSample(fam, space, 64)
-        # a first call's one-time imports and caches are no profile arrays
-        monkeypatch.setattr(theorems, "PROFILE_GRID", 4)
-        theorems.derivative_profile(sample)
-        monkeypatch.setattr(theorems, "PROFILE_GRID", 4096)
-        tracemalloc.start()
-        try:
-            theorems.derivative_profile(sample)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        checks = ("derivative_profile",)
-        assert peak <= cli._counted_values(self.config(fam, "uniform-16", 64, checks)) * 16
+    def test_floor_covers_the_uncounted_transients(self):
+        # _counted_values counts no dual-stack product and no derivative_profile atom
+        # block: the 8 EVAL_BLOCK floor of its transients holds both at these constants
+        floor = 8 * theorems.EVAL_BLOCK
+        assert measure.ROW_BLOCK <= floor, (
+            "count the dual-stack product, 10 min(nodes, max(1, ROW_BLOCK // max(k, 10))), "
+            "among cli._counted_values' transients")
+        assert 5 * theorems.PROFILE_NODES * theorems.PROFILE_GRID <= floor, (
+            "count derivative_profile's atom block, 5 PROFILE_NODES PROFILE_GRID, "
+            "among cli._counted_values' transients")
 
     @pytest.mark.parametrize("name, k", [("geometric", 4096), ("polynomial", 256),
                                          ("polynomial", 512)])
@@ -993,3 +987,25 @@ class TestFailurePath:
         code, text = run_cli(tmp_path, "verify", "--family", "geometric", *args)
         assert code == 2 and text is None
         assert "configuration error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["2,2", "2,2.0", "inf,oo", "1,2,1"])
+    def test_repeated_exponent_is_usage_error(self, tmp_path, monkeypatch, capsys, p):
+        # a repeated exponent would draw a second dual stack for it and emit its
+        # records twice
+        counted = count_family_values(monkeypatch)
+        code, text = run_cli(tmp_path, "check", "linearization", "--p", p,
+                             "--functional", "dirac:0.1")
+        assert code == 2 and text is None
+        assert "configuration error: --p repeats" in capsys.readouterr().err
+        assert counted == []
+
+    def test_unwritable_report_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # a report that fails to write, such as one on a full device, is no failed claim
+        def full(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        code = main(["check", "linearization", "--functional", "dirac:0.1",
+                     "--output", str(tmp_path / "report.jsonl")])
+        assert code == 2
+        assert "output error: [Errno 28] No space left on device" in capsys.readouterr().err

@@ -15,30 +15,9 @@ class TestContains:
     def test_boundary_excluded(self):
         assert not unit_polydisc().contains_all([1.0])
 
-    def test_shrink_scaling(self):
-        assert not unit_polydisc().contains_all([0.5], shrink=0.4)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             unit_polydisc(2).contains_all([0.5])
-
-    def test_shrink_validation(self):
-        with pytest.raises(ValueError):
-            unit_polydisc().contains_all([0.5], shrink=0.0)
-        with pytest.raises(ValueError):
-            unit_polydisc().contains_all([0.5], shrink=1.5)
-
-    @given(
-        re=st.floats(-2, 2), im=st.floats(-2, 2),
-        s1=st.floats(0.05, 1.0), s2=st.floats(0.05, 1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_shrink(self, re, im, s1, s2):
-        lo, hi = sorted((s1, s2))
-        disc = unit_polydisc()
-        z = [complex(re, im)]
-        if disc.contains_all(z, lo):
-            assert disc.contains_all(z, hi)
 
 
 class TestPolydiscValidation:

@@ -449,87 +449,64 @@ class TestNormBound:
 
 
 class TestSpan:
+    """span reads the first points of the sample's interior sequence: span_dim of them,
+    or min(8, k) and twice that."""
+
     def test_constant_one_sample(self, space16):
         sample = ContourSample(family_preset("constant"), space16, 64)
-        rep = theorems.span_residual(dirac([0.3]), sample, [[0.1]])
+        rep = theorems.span_residual(dirac([0.3]), sample)
+        assert rep.params == {"samples": 1}
         assert rep.residual <= 1e-12
 
     def test_affine_two_samples(self, space16):
-        rep = theorems.span_residual(
-            random_measure(unit_polydisc(), k=5, seed=12),
-            ContourSample(family_preset("affine"), space16, 64), [[0.1], [-0.3 + 0.2j]],
-        )
+        rep = theorems.span_residual(random_measure(unit_polydisc(), k=5, seed=12),
+                                     ContourSample(family_preset("affine"), space16, 64))
+        assert rep.params == {"samples": 2}
         assert rep.residual <= 1e-10
 
     def test_geometric_three_atoms(self, space3):
-        fam = family_preset("geometric")
-        rep = theorems.span_residual(
-            derivative_functional([0.0], (1,), CONTOUR, n=32), ContourSample(fam, space3, 32),
-            [[0.1], [-0.25 + 0.1j], [0.3j]],
-        )
+        # on 3 atoms any 3 generic points span everything
+        fam = GeometricFamily([0.5], unit_polydisc(), span_dim=3)
+        rep = theorems.span_residual(derivative_functional([0.0], (1,), CONTOUR, n=32),
+                                     ContourSample(fam, space3, 32))
         assert rep.residual <= 1e-8
 
     def test_monotone_under_nesting(self, geometric, space16):
-        phi = dirac([0.2])
-        rep = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
-                                         [[0.1], [0.3]], [[-0.2], [0.25j]])
+        rep = theorems.span_monotonicity(dirac([0.2]), ContourSample(geometric, space16, 64))
+        assert rep.params == {"samples": 8}
         assert rep.passed
-
-    def test_monotonicity_evaluates_each_point_once(self, geometric, space16, monkeypatch):
-        # the base distance reads the first rows of one evaluation of both point sets;
-        # the report equals the one built from two span_residual calls
-        phi, base, more = dirac([0.2]), [[0.1], [0.3], [-0.1j]], [[-0.2], [0.25j]]
-        sample = ContourSample(geometric, space16, 64)
-        small = theorems.span_residual(phi, sample, base)
-        grown = theorems.span_residual(phi, sample, base + more)
-        evaluated = []
-        evaluate = GeometricFamily._evaluate
-
-        def counting(self, z, t):
-            evaluated.append(z.shape[0])
-            return evaluate(self, z, t)
-
-        monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
-        rep = theorems.span_monotonicity(phi, sample, base, more)
-        assert evaluated == [5]
-        assert (rep.lhs, rep.rhs, rep.params) == (small.residual, grown.residual,
-                                                  {"samples": 3})
-        assert rep.residual == max(0.0, grown.residual - small.residual)
-
-    def test_needs_a_sample(self, geometric, space16):
-        with pytest.raises(ValueError):
-            theorems.span_residual(dirac([0.2]), ContourSample(geometric, space16, 64), [])
 
     @pytest.mark.parametrize("points", [[[0.1]], [[0.1], [-0.3j]],
                                         [[0.1], [-0.3j], [0.25 + 0.1j], [-0.2]]])
     def test_distance_equals_the_least_squares_one(self, geometric, space16, points):
         # the Gram-Schmidt distance against the residual of a least-squares solve
         phi, sample = dirac([0.2]), ContourSample(geometric, space16, 64)
+        rows = geometric.eval(np.array(points)[:, None, :], space16.params)
         sqrt_w = np.sqrt(space16.weights)
-        a = (geometric.eval(np.array(points)[:, None, :], space16.params) * sqrt_w).T
+        a = (rows * sqrt_w).T
         b = sample.slice_vector(phi) * sqrt_w
         coeff = np.linalg.lstsq(a, b, rcond=None)[0]
         expected = np.linalg.norm(a @ coeff - b)
-        rep = theorems.span_residual(phi, sample, points)
-        assert rep.residual == pytest.approx(expected, rel=1e-6, abs=1e-15)
+        (distance,) = theorems._Span(space16, rows).distances(sample.slice_vector(phi),
+                                                              [len(points)])
+        assert distance == pytest.approx(expected, rel=1e-6, abs=1e-15)
 
-    def test_without_points_reads_the_interior_sequence(self, geometric, space16):
+    def test_reads_the_interior_sequence(self, geometric, space16):
         # the first 8 and 16 points of telescoping's z, drawn at (shrink, seed), give the
-        # records of those points passed explicitly; the affine family's span_dim = 2
+        # distances of a basis of F at those points; the affine family's span_dim = 2
         # reads the first 2
         phi = dirac([0.2])
         z = sample_polydisc(geometric.domain, theorems.TELESCOPING_PAIRS, 0.3,
                             np.random.default_rng(4))
-        read = theorems.span_monotonicity(
-            phi, ContourSample(geometric, space16, 64, shrink=0.3, seed=4))
-        given = theorems.span_monotonicity(phi, ContourSample(geometric, space16, 64),
-                                           z[:8], z[8:16])
-        assert vars(read) == vars(given)
+        sample = ContourSample(geometric, space16, 64, shrink=0.3, seed=4)
+        span = theorems._Span(space16, theorems._eval_atoms(geometric, space16.params, z[:16]))
+        rep = theorems.span_monotonicity(phi, sample)
+        assert [rep.lhs, rep.rhs] == span.distances(sample.slice_vector(phi), [8, 16])
         affine = family_preset("affine")
-        read = theorems.span_residual(phi, ContourSample(affine, space16, 64, shrink=0.3,
-                                                         seed=4))
-        given = theorems.span_residual(phi, ContourSample(affine, space16, 64), z[:2])
-        assert vars(read) == vars(given)
+        sample = ContourSample(affine, space16, 64, shrink=0.3, seed=4)
+        span = theorems._Span(space16, theorems._eval_atoms(affine, space16.params, z[:2]))
+        rep = theorems.span_residual(phi, sample)
+        assert [rep.lhs] == span.distances(sample.slice_vector(phi), [2])
         # without span_dim there is no count for span_residual, and with it the pass
         # keeps no second set for span_monotonicity
         with pytest.raises(ValueError):
@@ -538,11 +515,14 @@ class TestSpan:
             theorems.span_monotonicity(phi, ContourSample(affine, space16, 64))
 
     def test_rank_deficiency_tolerated(self, space16):
-        # duplicated samples keep the minimum-norm solution well defined
+        # a duplicated point adds no direction
         fam = family_preset("affine")
-        rep = theorems.span_residual(dirac([0.1]), ContourSample(fam, space16, 64),
-                                     [[0.2], [0.2], [-0.3]])
-        assert rep.residual <= 1e-10
+        rows = fam.eval(np.array([[0.2], [0.2], [-0.3]])[:, None, :], space16.params)
+        span = theorems._Span(space16, rows)
+        assert span.ranks == [1, 1, 2]
+        phi = dirac([0.1])
+        (distance,) = span.distances(phi.apply_slices(ContourSample(fam, space16, 64)), [3])
+        assert distance <= 1e-10
 
 
 class TestDerivativeProfile:
