@@ -16,96 +16,22 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from . import theorems
-from .cauchy import FFT_BLOCK, MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE
+from .cauchy import FFT_BLOCK, MAX_TAYLOR_DEGREE
 from .domain import CONTOUR_SHRINK, parse_complex
 from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import ROW_BLOCK, FiniteMeasureSpace, space_from_json, space_preset
-from .theorems import CheckReport
 
-def _linearization(config, duals, sample):
-    for phi in config.functionals:
-        for p in config.p_list:
-            yield partial(theorems.linearization_residual, phi, sample, duals[p], p=p)
-
-
-def _fubini(config, duals, sample):
-    for phi in config.functionals:
-        for p in config.p_list:
-            yield partial(theorems.fubini_residual, phi, sample, duals[p], p)
-
-
-def _derivative_consistency(config, duals, sample):
-    yield partial(theorems.derivative_consistency, sample, _alpha_battery(config.family.d),
-                  p=config.p_list)
-
-
-def _diff_under_integral(config, duals, sample):
-    yield partial(theorems.diff_under_integral, sample, np.ones(config.space.natoms),
-                  _alpha_battery(config.family.d))
-
-
-def _norm_bound(config, duals, sample):
-    yield partial(theorems.norm_bound_check, config.functionals, sample, config.p_list)
-
-
-def _span(config, duals, sample):
-    # every functional reads the same leading points of the run's interior sequence
-    check = (theorems.span_residual if config.family.span_dim is not None
-             else theorems.span_monotonicity)
-    for phi in config.functionals:
-        yield partial(check, phi, sample)
-
-
-def _schwarz(config, duals, sample):
-    yield partial(theorems.schwarz_check, sample)
-
-
-def _telescoping(config, duals, sample):
-    yield partial(theorems.telescoping_residual, sample)
-
-
-def _order_bound(config, duals, sample):
-    yield partial(theorems.order_bound_check, sample)
-
-
-def _derivative_profile(config, duals, sample):
-    yield partial(theorems.derivative_profile, sample)
-
-
-#: check name -> generator of the calls that run it, given (config, duals by p, the
-#: run's ContourSample).  One sample serves the whole run, so each point set that
-#: several checks read is evaluated once: the contour, each functional's nodes and the
-#: interior sequence that span, telescoping and order_bound read.  Checkers are looked
-#: up on ``theorems`` when a call is built, so rebinding them there (e.g. to trace
-#: them) reaches the battery.
-CHECKS = {
-    "linearization": _linearization,
-    "fubini": _fubini,
-    "derivative_consistency": _derivative_consistency,
-    "diff_under_integral": _diff_under_integral,
-    "norm_bound": _norm_bound,
-    "span": _span,
-    "schwarz": _schwarz,
-    "telescoping": _telescoping,
-    "order_bound": _order_bound,
-    "derivative_profile": _derivative_profile,
-}
-CHECK_NAMES = tuple(CHECKS)
-#: check name -> whether it applies at dimension d; a check not listed applies at every d.
-#: A run keeps the selected checks that apply and refuses a selection where none does.
-DIMENSIONS = {
-    "schwarz": lambda d: d == 1,
-    "telescoping": lambda d: d >= 2,
-    "derivative_profile": lambda d: d == 1,
-}
+#: the battery's checks, in the order of :data:`theorems.CHECKS`, which says for each
+#: the calls that run it, the dimensions it applies at and what it holds
+CHECK_NAMES = tuple(theorems.CHECKS)
 
 USAGE_ERROR = 2
 
@@ -125,14 +51,15 @@ def _counted_values(config: SuiteConfig) -> int:
     terms below.  A property test holds it to the ``tracemalloc`` peak of building and
     running small configurations: the peak lies under it, and it lies within 3 times
     the peak wherever the run reads a contour sample of 1 MiB or more."""
-    fam, k, n, checks = config.family, config.space.natoms, config.n, config.checks
+    fam, k, n = config.family, config.space.natoms, config.n
     d, sample = fam.d, ContourSample(fam, config.space, n)
-    # the run's contour and, below 16 nodes, that of order_bound's own sample, each with
-    # per node the sample (k), the grid (d) and diff_under_integral's pairing
-    # z -> <F(z), h> with its transform (2), and per atom the Taylor table of degree
-    # n // 2 - 1, at least 2 and at most MAX_TAYLOR_DEGREE
-    floor = 2 * MIN_ORDER_BOUND_DEGREE + 2
-    sides = [n] + ([floor] if n < floor and "order_bound" in checks else [])
+    checks = [theorems.CHECKS[name] for name in config.checks]
+    # the run's contour and, below the nodes a check reads at least (order_bound's 16),
+    # that check's own contour, each with per node the sample (k), the grid (d) and
+    # diff_under_integral's pairing z -> <F(z), h> with its transform (2), and per atom
+    # the Taylor table of degree n // 2 - 1, at least 2 and at most MAX_TAYLOR_DEGREE
+    floor = max(check.nodes for check in checks)
+    sides = [n] + ([floor] if n < floor else [])
     nodes = sum(m ** d for m in sides)
     contour = nodes * (k + d + 2) + sum(
         max(3, min(m // 2, MAX_TAYLOR_DEGREE + 1)) ** d * k for m in sides)
@@ -147,20 +74,14 @@ def _counted_values(config: SuiteConfig) -> int:
     # 8 EVAL_BLOCK, and a block of derivative_profile's atoms (5 values per value of
     # one atom's contours) while 5 PROFILE_NODES PROFILE_GRID <= 8 EVAL_BLOCK
     rows = min(nodes, max(1, ROW_BLOCK // k))
-    profile = "derivative_profile" in checks
     transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k,
                      min(nodes * k, max(FFT_BLOCK, nodes)))
-    # derivative_profile's float magnitudes of each order at each region point and atom
-    magnitudes = ((theorems.PROFILE_MAX_ORDER + 1) * theorems.PROFILE_GRID * k // 2
-                  if profile else 0)
     # per atom: each exponent's ten dual vectors with the sample's copy of them (20),
     # the closed-form vectors of |alpha| <= 2, each functional's slice and closed-form
-    # vectors (2), span's at most 16 rows of the interior sequence with their basis (2
-    # each) and order_bound's largest |f| and majorant (1)
-    per_atom = k * (20 * len(config.p_list) + len(_alpha_battery(d))
-                    + 2 * len(config.functionals) + (32 if "span" in checks else 0)
-                    + ("order_bound" in checks))
-    return contour + functionals + transients + magnitudes + per_atom
+    # vectors (2) and what each check holds (Check.per_atom)
+    per_atom = k * (20 * len(config.p_list) + len(theorems._alpha_battery(d))
+                    + 2 * len(config.functionals) + sum(check.per_atom for check in checks))
+    return contour + functionals + transients + per_atom
 
 
 def _check_work_budget(config: SuiteConfig) -> None:
@@ -201,7 +122,7 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}")
         selected, d = self.checks, self.family.d
-        self.checks = tuple(c for c in selected if DIMENSIONS.get(c, lambda _: True)(d))
+        self.checks = tuple(c for c in selected if theorems.CHECKS[c].applies(d))
         if not self.checks:
             raise ConfigError(f"no selected check applies at d = {d}: {', '.join(selected)}")
         for p in self.p_list:
@@ -209,6 +130,11 @@ class SuiteConfig:
                 raise ConfigError(f"exponents must satisfy p >= 1, got {p}")
         if len(set(self.p_list)) != len(self.p_list):
             raise ConfigError(f"--p repeats an exponent: {self.p_list}")
+        labels = [phi.label for phi in self.functionals]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"--functional repeats the label {label!r}; give each "
+                                  "functional its own (a JSON functional sets \"label\")")
         _check_work_budget(self)
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"--format must be json or csv, got {self.fmt}")
@@ -244,30 +170,13 @@ def _random_duals(space: FiniteMeasureSpace, rng) -> list[np.ndarray]:
             for _ in range(10)]
 
 
-def _alpha_battery(d: int):
-    """Every multi-index of dimension d and order at most 2, by order."""
-    alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
-    return sorted(alphas, key=lambda a: (sum(a), a))
-
-
 def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
     duals = {p: _random_duals(config.space, rng) for p in config.p_list}
     sample = ContourSample(config.family, config.space, config.n, config.functionals,
                            config.checks, config.shrink, config.seed)
-    reports: list[CheckReport] = []
-    for name, calls in CHECKS.items():
-        if name not in config.checks:
-            continue
-        for call in calls(config, duals, sample):
-            try:
-                result = call()
-            except (ValueError, ArithmeticError) as exc:
-                result = CheckReport.failed(name, config.family.label, exc)
-            reports.extend(result if isinstance(result, list) else [result])
-
-    records = [_record(rep, config) for rep in reports]
+    records = [_record(rep, config) for rep in theorems.run_checks(sample, duals)]
     records.sort(key=lambda r: (r["check"], r["family"], r["functional"],
                                 str(r["p"]), str(r["alpha"])))
     exit_code = 0 if all(r["pass"] for r in records) else 1
@@ -291,7 +200,7 @@ RECORD_FIELDS = ("check", "family", "functional", "p", "alpha", "lhs", "rhs",
                  "residual", "tol", "pass", "n", "seed")
 
 
-def _record(rep: CheckReport, config: SuiteConfig) -> dict:
+def _record(rep: theorems.CheckReport, config: SuiteConfig) -> dict:
     p = rep.params.get("p")
     values = (rep.name, rep.family, rep.functional, None if p is None else _number(p),
               rep.params.get("alpha"), _jsonify_side(rep.lhs), _jsonify_side(rep.rhs),

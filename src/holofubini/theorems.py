@@ -1,4 +1,6 @@
-"""Checkers for the interchange, bound, and membership assertions.
+"""Checkers for the interchange, bound, and membership assertions, and the battery's
+table of them, :data:`CHECKS`, which the run, its dimension filter, the interior pass
+and the work budget read.
 
 Each checker evaluates both sides of one identity or inequality through two
 genuinely distinct numerical routes and reports the residual in a
@@ -45,18 +47,22 @@ concurrently; reports are merged by canonical ordering.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .cauchy import contour_derivatives, order_bound, schwarz_violation
+from .cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, order_bound, schwarz_violation
 from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
                      sample_polydisc, torus_nodes)
 from .family import ContourSample
 
 __all__ = [
     "CheckReport",
+    "Check",
+    "CHECKS",
+    "run_checks",
     "linearization_residual",
     "fubini_residual",
     "derivative_consistency",
@@ -464,32 +470,29 @@ class InteriorPass:
 
 
 def interior_pass(sample: ContourSample) -> InteriorPass:
-    """One evaluation of the sample's interior sequence for its checks, or for span,
-    telescoping and order_bound when it has none.
+    """One evaluation of the sample's interior sequence for its checks, or for every
+    check of :data:`CHECKS` when it has none.
 
     The sequence is telescoping's z, then its a, each ``TELESCOPING_PAIRS`` points drawn
     from ``default_rng(sample.seed)`` in the domain's polydisc of the sample's shrink
-    (:func:`~holofubini.domain.sample_polydisc`).  Each check reads a prefix:
-    telescoping all of it, order_bound ``ORDER_BOUND_SAMPLES`` points and span the
-    family's ``span_dim`` or 2 min(8, k).  The longest prefix the checks read is
-    evaluated in one pass over the atom blocks of :func:`_atom_blocks`, which keeps only
-    each pair's increment, each atom's largest |f| and span's rows, so no (rows, k) array
-    is held but span's.  :attr:`~holofubini.family.ContourSample.interior` keeps the
-    result.
+    (:func:`~holofubini.domain.sample_polydisc`).  Each check reads the prefix of its
+    :attr:`Check.rows`: telescoping all of it, order_bound ``ORDER_BOUND_SAMPLES``
+    points and span the family's ``span_dim`` or 2 min(8, k).  The longest prefix the
+    checks read is evaluated in one pass over the atom blocks of :func:`_atom_blocks`,
+    which keeps only each pair's increment, each atom's largest |f| and span's rows, so
+    no (rows, k) array is held but span's.
+    :attr:`~holofubini.family.ContourSample.interior` keeps the result.
     """
     fam, params = sample.fam, sample.space.params
-    natoms, pairs, ob_rows = len(params), TELESCOPING_PAIRS, ORDER_BOUND_SAMPLES
-    checks = sample.checks or ("span", "telescoping", "order_bound")
-    span_rows = 0
-    if "span" in checks:
-        span_rows = fam.span_dim if fam.span_dim is not None else 2 * min(8, natoms)
-    rows = max(2 * pairs if "telescoping" in checks else 0,
-               ob_rows if "order_bound" in checks else 0, span_rows)
+    natoms, pairs = len(params), TELESCOPING_PAIRS
+    reads = {name: CHECKS[name].rows(sample) for name in sample.checks or CHECKS}
+    rows, span_rows = max(reads.values()), reads.get("span", 0)
+    ob_rows = reads.get("order_bound", 0)
     rng = np.random.default_rng(sample.seed)
     points = np.concatenate([sample_polydisc(fam.domain, pairs, sample.shrink, rng),
                              sample_polydisc(fam.domain, pairs, sample.shrink, rng)])[:rows]
-    increments = np.zeros(pairs) if "telescoping" in checks else None
-    maxima = np.empty(natoms) if "order_bound" in checks else None
+    increments = np.zeros(pairs) if "telescoping" in reads else None
+    maxima = np.empty(natoms) if "order_bound" in reads else None
     kept = np.empty((span_rows, natoms), dtype=complex)
     for atoms in _atom_blocks(natoms, rows):
         values = _eval_atoms(fam, params[atoms], points)
@@ -545,3 +548,83 @@ def _atom_blocks(natoms, points):
 def _eval_atoms(fam, params, z):
     """F(z) restricted to the atoms ``params`` for points z of shape (m, d): (m, len(params))."""
     return fam.eval(z[:, None, :], params)
+
+
+def _alpha_battery(d: int):
+    """Every multi-index of dimension d and order at most 2, by order."""
+    alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
+    return sorted(alphas, key=lambda a: (sum(a), a))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of the battery: what a run, its dimension filter, the interior pass
+    (:func:`interior_pass`) and the work budget read of it."""
+
+    #: the calls that run it, given the run's ContourSample (its family, space and
+    #: functionals) and its dual stacks keyed by p.  A call looks its checker up on this
+    #: module when it is built, so rebinding a checker here (e.g. to trace it) reaches
+    #: the battery
+    calls: Callable
+    #: whether it applies at dimension d: a run keeps the selected checks that apply
+    applies: Callable[[int], bool] = lambda d: True
+    #: rows of the sample's interior sequence it reads, given the sample
+    rows: Callable[[ContourSample], int] = lambda sample: 0
+    #: complex values per atom it holds beside the sample
+    per_atom: int = 0
+    #: contour nodes it reads at least: below them it reads a contour sample of its own
+    nodes: int = 0
+
+
+def _span_rows(sample):
+    fam = sample.fam
+    return fam.span_dim if fam.span_dim is not None else 2 * min(8, sample.space.natoms)
+
+
+#: check name -> its :class:`Check`, in the order a run takes them.  span holds at most
+#: 16 rows of the interior sequence with their basis, order_bound each atom's largest
+#: |f| and majorant (and reads its own 16-node contour below 16 nodes) and
+#: derivative_profile the float magnitudes of each order at each region point
+CHECKS = {
+    "linearization": Check(lambda sample, duals: [
+        partial(linearization_residual, phi, sample, h, p=p)
+        for phi in sample.functionals for p, h in duals.items()]),
+    "fubini": Check(lambda sample, duals: [
+        partial(fubini_residual, phi, sample, h, p)
+        for phi in sample.functionals for p, h in duals.items()]),
+    "derivative_consistency": Check(lambda sample, duals: [
+        partial(derivative_consistency, sample, _alpha_battery(sample.fam.d), p=list(duals))]),
+    "diff_under_integral": Check(lambda sample, duals: [
+        partial(diff_under_integral, sample, np.ones(sample.space.natoms),
+                _alpha_battery(sample.fam.d))]),
+    "norm_bound": Check(lambda sample, duals: [
+        partial(norm_bound_check, sample.functionals, sample, list(duals))]),
+    "span": Check(lambda sample, duals: [
+        partial(span_residual if sample.fam.span_dim is not None else span_monotonicity,
+                phi, sample) for phi in sample.functionals], rows=_span_rows, per_atom=32),
+    "schwarz": Check(lambda sample, duals: [partial(schwarz_check, sample)],
+                     applies=lambda d: d == 1),
+    "telescoping": Check(lambda sample, duals: [partial(telescoping_residual, sample)],
+                         applies=lambda d: d >= 2, rows=lambda sample: 2 * TELESCOPING_PAIRS),
+    "order_bound": Check(lambda sample, duals: [partial(order_bound_check, sample)],
+                         rows=lambda sample: ORDER_BOUND_SAMPLES, per_atom=1,
+                         nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),
+    "derivative_profile": Check(lambda sample, duals: [partial(derivative_profile, sample)],
+                                applies=lambda d: d == 1,
+                                per_atom=(PROFILE_MAX_ORDER + 1) * PROFILE_GRID // 2),
+}
+
+
+def run_checks(sample: ContourSample, duals) -> list[CheckReport]:
+    """The reports of the sample's checks, given the run's dual stacks keyed by p: every
+    call of each, in turn; a call that raises gets the failing report of
+    :meth:`CheckReport.failed`."""
+    reports = []
+    for name in sample.checks:
+        for call in CHECKS[name].calls(sample, duals):
+            try:
+                result = call()
+            except (ValueError, ArithmeticError) as exc:
+                result = CheckReport.failed(name, sample.fam.label, exc)
+            reports.extend(result if isinstance(result, list) else [result])
+    return reports

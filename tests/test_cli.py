@@ -64,6 +64,11 @@ def family_args(tmp_path, d):
     return ["--family-file", str(path)]
 
 
+#: (check, d) for d = 1, 2 where the check's table entry applies (True) or not (False)
+APPLIES = {applies: [(name, d) for d in (1, 2) for name, check in theorems.CHECKS.items()
+                     if check.applies(d) == applies] for applies in (True, False)}
+
+
 class TestVerify:
     def test_constant_family_all_pass(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--family", "constant", "--p", "2")
@@ -232,6 +237,18 @@ class TestVerify:
                         ("fubini", "random"), ("fubini", "derivative"),
                         ("derivative_consistency", ""), ("diff_under_integral", "")}
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_verify_runs_the_checks_that_apply(self, tmp_path, d):
+        # verify emits records of exactly the checks whose table entry applies at d
+        if d == 3:
+            args = ["--family-file", TestWorkBudget.family_file(tmp_path, 3), "--nodes", "16"]
+        else:
+            args = [*family_args(tmp_path, d), "--nodes", "32"]
+        code, text = run_cli(tmp_path, "verify", *args)
+        assert code == 0
+        assert {r["check"] for r in parse_records(text)} == \
+            {name for name, check in theorems.CHECKS.items() if check.applies(d)}
+
     def test_csv_format(self, tmp_path):
         code, text = run_cli(tmp_path, "verify", "--family", "constant",
                              "--p", "2", fmt="csv")
@@ -367,11 +384,10 @@ class TestSampleOnce:
             rng = np.random.default_rng(config.seed)
             duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
             sample = family.ContourSample(config.family, config.space, config.n,
-                                          config.functionals)
+                                          config.functionals, config.checks)
             if counted:
                 sample.__dict__["values"] = sample.values.view(Products)
-            runs.append([vars(call()) for name in config.checks
-                         for call in cli.CHECKS[name](config, duals, sample)])
+            runs.append([vars(rep) for rep in theorems.run_checks(sample, duals)])
         assert 32 ** 2 * 16 <= measure.ROW_BLOCK
         assert Products.count == len(config.p_list) == 3
         assert runs[0] == runs[1]
@@ -462,10 +478,9 @@ class TestSampleOnce:
         reports = []
         for name in config.checks:
             own = family.ContourSample(config.family, config.space, config.n,
-                                       shrink=config.shrink, seed=config.seed)
-            for call in cli.CHECKS[name](config, duals, own):
-                result = call()
-                reports.extend(result if isinstance(result, list) else [result])
+                                       config.functionals, (name,), config.shrink,
+                                       config.seed)
+            reports += theorems.run_checks(own, duals)
         alone = sorted((_record(rep, config) for rep in reports),
                        key=lambda r: (r["check"], r["family"], r["functional"],
                                       str(r["p"]), str(r["alpha"])))
@@ -634,7 +649,7 @@ class TestWorkBudget:
             doc.update(kind="geometric", params={"rates": [[0.5, 0.0], [0.4, 0.0],
                                                            [0.3, 0.0]]})
         fam, space, n = family.family_from_json(json.dumps(doc)), space_preset("uniform-64"), 16
-        alphas = cli._alpha_battery(3)
+        alphas = theorems._alpha_battery(3)
         # a first call's one-time imports and caches are no per-node arrays
         theorems.derivative_consistency(family.ContourSample(fam, space, 4), alphas)
         sample = family.ContourSample(fam, space, n)
@@ -794,6 +809,19 @@ class TestWorkBudget:
              "--nodes", str(n)])
         assert cli._build_config(args, CHECK_NAMES).n == n
 
+    # the count on the benchmark's families, spaces and nodes with the default
+    # functionals and checks and p = 1,2,inf, so a term that moves fails here by name
+    @pytest.mark.parametrize("d, space, n, counted", [
+        (1, "uniform-16", 64, 70_498), (1, "geometric-64", 64, 84_370),
+        (2, "uniform-16", 64, 370_523), (2, "uniform-256", 32, 625_691),
+        (3, "uniform-16", 32, 1_148_836)])
+    def test_counted_values_of_the_bench_configs(self, tmp_path, d, space, n, counted):
+        source = (["--family-file", self.family_file(tmp_path, 3)] if d == 3
+                  else family_args(tmp_path, d))
+        args = cli.build_parser().parse_args(
+            ["verify", *source, "--space", space, "--nodes", str(n), "--p", "1,2,inf"])
+        assert cli._counted_values(cli._build_config(args, CHECK_NAMES)) == counted
+
     def test_default_config_admitted(self):
         config = cli._build_config(cli.build_parser().parse_args(["verify"]), CHECK_NAMES)
         assert (config.family.d, config.space.natoms, config.n) == (1, 16, 64)
@@ -806,15 +834,12 @@ class TestCheckSubcommand:
         records = parse_records(text)
         assert records and all(r["check"] == "fubini" for r in records)
 
-    @pytest.mark.parametrize("name", CHECK_NAMES)
-    def test_records_carry_the_check_name(self, tmp_path, name):
-        d = 2 if name == "telescoping" else 1
+    @pytest.mark.parametrize("name, d", APPLIES[True])
+    def test_records_carry_the_check_name(self, tmp_path, name, d):
         _, text = run_cli(tmp_path, "check", name, *family_args(tmp_path, d))
         assert {r["check"] for r in parse_records(text)} == {name}
 
-    @pytest.mark.parametrize("name, d", [("schwarz", 2), ("telescoping", 1),
-                                         ("derivative_profile", 2)],
-                             ids=["schwarz-d2", "telescoping-d1", "profile-d2"])
+    @pytest.mark.parametrize("name, d", APPLIES[False])
     def test_check_that_does_not_apply_is_usage_error(self, tmp_path, monkeypatch, capsys,
                                                       name, d):
         # a check that cannot emit a record at the family's d is refused before any
@@ -997,6 +1022,25 @@ class TestFailurePath:
                              "--functional", "dirac:0.1")
         assert code == 2 and text is None
         assert "configuration error: --p repeats" in capsys.readouterr().err
+        assert counted == []
+
+    @pytest.mark.parametrize("specs, label", [(["dirac:0.1", "dirac:0.1+0j"], "dirac:0.1+0j"),
+                                              (["measure.json"] * 2, "measure")],
+                             ids=["dirac", "unlabelled-json"])
+    def test_repeated_functional_is_usage_error(self, tmp_path, monkeypatch, capsys, specs,
+                                                label):
+        # a repeated functional would emit its records twice; two JSON measures without
+        # a "label" share the label "measure"
+        (tmp_path / "measure.json").write_text(
+            json.dumps({"nodes": [[0.1, 0.0]], "weights": [[1.0, 0.0]]}))
+        counted = count_family_values(monkeypatch)
+        args = [arg for spec in specs for arg in
+                ("--functional", str(tmp_path / spec) if spec.endswith(".json") else spec)]
+        code, text = run_cli(tmp_path, "check", "linearization", "--p", "2", *args)
+        assert code == 2 and text is None
+        err = capsys.readouterr().err
+        assert f"configuration error: --functional repeats the label {label!r}" in err
+        assert '"label"' in err
         assert counted == []
 
     def test_unwritable_report_is_usage_error(self, tmp_path, monkeypatch, capsys):

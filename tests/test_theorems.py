@@ -238,15 +238,7 @@ class TestDerivativeConsistency:
         """Every report of the battery of ``config``, as run_suite builds it, on ``sample``."""
         rng = np.random.default_rng(config.seed)
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
-        reports = []
-        for name in config.checks:
-            for call in cli.CHECKS[name](config, duals, sample):
-                try:
-                    result = call()
-                except (ValueError, ArithmeticError) as exc:
-                    result = theorems.CheckReport.failed(name, config.family.label, exc)
-                reports += result if isinstance(result, list) else [result]
-        return reports
+        return theorems.run_checks(sample, duals)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_perturbed_sample_fails_every_alpha(self, geometric, space16, d):
@@ -256,10 +248,11 @@ class TestDerivativeConsistency:
         fam = geometric if d == 1 else self.bivariate()
         config = cli.SuiteConfig(family=fam, space=space16, p_list=[1.0, 2.0, INF], n=32,
                                  functionals=cli.default_functionals(fam, 32, 0.5, 0))
-        noisy = ContourSample(fam, space16, 32)
+        noisy = ContourSample(fam, space16, 32, config.functionals, config.checks)
         rng = np.random.default_rng(5)
         noisy.values = noisy.values + 1e-6 * np.exp(2j * np.pi * rng.random(noisy.values.shape))
-        clean = self.run_checks(config, ContourSample(fam, space16, 32))
+        clean = self.run_checks(config, ContourSample(fam, space16, 32, config.functionals,
+                                                      config.checks))
         dirty = self.run_checks(config, noisy)
         assert all(rep.passed for rep in clean)
         assert [(r.name, r.functional) for r in dirty] == \
@@ -365,7 +358,7 @@ class TestDiffUnderIntegral:
         # every alpha of the battery from one FFT, equal to the per-alpha check
         fam = GeometricFamily([0.5, 0.4, 0.3][:d], Polydisc([0.0] * d, [1.0] * d))
         h = random_duals(space16, 1, seed=11)[0]
-        alphas = cli._alpha_battery(d)
+        alphas = theorems._alpha_battery(d)
         single = [self.per_alpha(ContourSample(fam, space16, 16), h, a) for a in alphas]
         ffts = []
         fft = cauchy._fft_coefficients
