@@ -115,6 +115,11 @@ class TorusQuadrature:
     ``nodes[j, k] = center_j + radius_j * exp(2 pi i k / n)``.  The Cauchy-normalized
     trapezoid rule of the iterated contour integral is the plain node mean in each
     variable, which annihilates ``(w_j - center_j)^m`` exactly for 0 < |m| < n.
+
+    The ring of roots of unity is conjugate-symmetric bit for bit: entries k <= n/2 are
+    computed, entry n/2 of an even ring is -1 exactly and entry n - k is the conjugate
+    of entry k.  So about a real center node n - k is the conjugate of node k, and the
+    grid is closed under conjugation with each index j mapped to -j mod n.
     """
 
     disc: Polydisc
@@ -125,8 +130,10 @@ class TorusQuadrature:
         n = int(n)
         if n < 4:
             raise ValueError(f"node count per variable must be at least 4, got {n}")
-        theta = 2.0 * np.pi * np.arange(n) / n
-        ring = np.exp(1j * theta)
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        ring[:n // 2:-1] = ring[1:(n + 1) // 2].conj()
+        if n % 2 == 0:
+            ring[n // 2] = -1.0
         nodes = disc.center[:, None] + disc.radius[:, None] * ring[None, :]
         nodes.setflags(write=False)
         object.__setattr__(self, "disc", disc)

@@ -13,6 +13,7 @@ the d variables, ``t`` broadcasts against the leading axes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import cached_property
@@ -156,10 +157,13 @@ class ContourSample:
     ``values[j, i] = f(w_j, t_i)`` on ``torus_nodes(Polydisc(center, radii), n).grid()``,
     about the domain center at CONTOUR_SHRINK of the radii: the array that the
     derivative functionals on the contour hold as their nodes, if any does
-    (:meth:`~holofubini.domain.TorusQuadrature.grid`).  The sample is built with the
-    run's ``functionals``.  Every point set is evaluated through
-    :meth:`HoloFamily.eval` (so the domain check applies) when it is first read, into
-    one array by blocks of rows, and is read-only from then on; an evaluation that
+    (:meth:`~holofubini.domain.TorusQuadrature.grid`).  For a real family
+    (:attr:`conjugate_symmetric`) only the grid rows with first index j_1 <= n/2 are
+    evaluated and every other row is the conjugate of one of them (:attr:`values`).
+    The sample is built with the run's ``functionals``.  Every point set is evaluated
+    through :meth:`HoloFamily.eval` (so the domain check applies, and covers the
+    mirrored rows) when it is first read, into one array by blocks of rows, and is
+    read-only from then on; an evaluation that
     raises is not kept, so each reader meets the error itself.  So are one Taylor table
     of the contour values, built by blocks of columns into one array, each
     functional's (k,) slice vector, its (m,) values on each stack of m dual vectors
@@ -183,9 +187,38 @@ class ContourSample:
         self._table = None
 
     @cached_property
+    def conjugate_symmetric(self) -> bool:
+        """Whether f(conj z, t_i) = conj f(z, t_i) for every atom: the family's kind is
+        registered and its parameters (the ``[re, im]`` leaves of ``params_json()``), its
+        domain center and every atom parameter of the space are real."""
+        fam = self.fam
+        return (fam.kind in _KINDS and not np.any(fam.domain.center.imag)
+                and not np.any(self.space.params.imag)
+                and not any(np.any(np.asarray(leaf, dtype=float)[..., 1])
+                            for leaf in fam.params_json().values()))
+
+    @cached_property
     def values(self) -> np.ndarray:
-        """F on the contour grid, shape (n^d, k)."""
-        return self._evaluate(torus_nodes(Polydisc(self.center, self.radii), self.n).grid())
+        """F on the contour grid, shape (n^d, k).
+
+        For a conjugate-symmetric family (:attr:`conjugate_symmetric`) only the rows
+        with first index j_1 <= n/2 are evaluated, a prefix of (n // 2 + 1) n^(d-1)
+        rows of the grid; every other row is a conjugate of one of them, V[n - j_1, -m]
+        = conj V[j_1, m] with each index of m taken mod n, since the grid's ring is
+        conjugate-symmetric bit for bit (:class:`~holofubini.domain.TorusQuadrature`)
+        about a real center.  So the mirrored rows equal direct evaluation bit for bit.
+        They skip :meth:`HoloFamily.eval`'s domain test, which the rows they mirror
+        pass: the center is real, so |conj z - c| = |z - c|, and the geometric kind's
+        analyticity test reads |rate t z|, which conjugation keeps."""
+        grid = torus_nodes(Polydisc(self.center, self.radii), self.n).grid()
+        values = np.empty((len(grid), self.space.natoms), dtype=complex)
+        if self.conjugate_symmetric:
+            n, d = self.n, self.fam.d
+            self._fill(values, grid[:(n // 2 + 1) * n ** (d - 1)])
+            _mirror(values.reshape((n,) * d + (-1,)))
+        else:
+            self._fill(values, grid)
+        return _read_only(values)
 
     @cached_property
     def sup(self) -> float:
@@ -312,15 +345,34 @@ class ContourSample:
                 and np.array_equal(phi.radii, self.radii))
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        """F on ``points`` of shape (m, d), (m, k): one array filled by blocks of rows of
-        ``measure.ROW_BLOCK`` values or one row, each through :meth:`HoloFamily.eval`."""
+        """F on ``points`` of shape (m, d), (m, k): one array filled by :meth:`_fill`."""
+        values = np.empty((len(points), self.space.natoms), dtype=complex)
+        self._fill(values, points)
+        return _read_only(values)
+
+    def _fill(self, values: np.ndarray, points: np.ndarray) -> None:
+        """Write F on ``points`` of shape (m, d) into the first m rows of ``values``, by
+        blocks of rows of ``measure.ROW_BLOCK`` values or one row, each through
+        :meth:`HoloFamily.eval`."""
         params = self.space.params
-        values = np.empty((len(points), len(params)), dtype=complex)
         block = max(1, measure.ROW_BLOCK // len(params))
         for start in range(0, len(points), block):
-            values[start:start + block] = self.fam.eval(points[start:start + block, None, :],
-                                                        params)
-        return _read_only(values)
+            stop = min(start + block, len(points))
+            values[start:stop] = self.fam.eval(points[start:stop, None, :], params)
+
+
+def _mirror(cube: np.ndarray) -> None:
+    """Fill the rows n/2 < j_1 < n of a sample of shape (n,)*d + (k,) in place with
+    V[n - j_1, -m] = conj V[j_1, m] from its rows 0 < j_1 < n/2.  On every other axis
+    index 0 maps to 0 and 1, ..., n - 1 to n - 1, ..., 1, so the 2^(d-1) pairs of
+    strided views are each conjugated into place by one ``np.conjugate``; the views'
+    memory bounds are apart, so no copy of them is made."""
+    n = cube.shape[0]
+    zero, rest = (slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1))
+    for pairs in itertools.product((zero, rest), repeat=cube.ndim - 2):
+        dst = (slice(None, n // 2, -1),) + tuple(dst for dst, _ in pairs)
+        src = (slice(1, (n + 1) // 2),) + tuple(src for _, src in pairs)
+        np.conjugate(cube[src], out=cube[dst])
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

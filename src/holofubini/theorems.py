@@ -14,9 +14,12 @@ diff_under_integral against the closed forms) carry ``TOL_QUADRATURE``, set for
 Every checker takes the run's :class:`~holofubini.family.ContourSample`: F on
 the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
 evaluated on first read, and F on each functional's nodes, evaluated once per
-functional.  The contour values serve every checker derivative at the center
-and every sup over the domain, which they estimate from below: by the maximum
-principle the sup over the contour polydisc lies on its distinguished boundary.
+functional.  For a real family the sample evaluates the grid rows with first index
+j_1 <= n/2 and fills the others with their conjugates, and derivative_profile reads
+the half of its region grid whose conjugates the rest are.  The contour values serve
+every checker derivative at the center and every sup over the domain, which they
+estimate from below: by the maximum principle the sup over the contour polydisc lies
+on its distinguished boundary.
 ``derivative_consistency`` and ``order_bound`` read one Taylor table that the
 sample keeps, so a run takes one FFT of its contour values; ``norm_bound`` takes
 every exponent's grid sup in one pass over blocks of contour rows and adds the
@@ -375,18 +378,23 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the values on
     a contour of radius (CONTOUR_SHRINK - 0.9) r and ``PROFILE_NODES`` nodes about each
     grid point, by :func:`holofubini.cauchy.contour_derivatives`; the node count is
-    fixed, so the reports do not depend on the sample's n.  The contours are evaluated
-    for the atom blocks of :func:`_atom_blocks`, each with one evaluation of every
-    contour's points and one FFT for every order and contour.  Returns one report per
-    order: ``lhs`` the sup over the grid of the mu-weighted integral of |D^m f|, ``rhs``
-    the largest |D^m f(z, t_i)|, and a residual of 0 when both are finite and inf
-    otherwise; each carries n = PROFILE_NODES.  It reads only the sample's family and
-    space.
+    fixed, so the reports do not depend on the sample's n.  For a conjugate-symmetric
+    family (:attr:`~holofubini.family.ContourSample.conjugate_symmetric`) only the grid
+    points 0..PROFILE_GRID // 2 are read: point PROFILE_GRID - j is the conjugate of
+    point j, where |D^m f| is the same, so the maxima over the grid are those of the
+    whole grid up to roundoff.  The contours are evaluated for the atom blocks of
+    :func:`_atom_blocks`, each with one evaluation of every contour's points and one FFT
+    for every order and contour.  Returns one report per order: ``lhs`` the sup over
+    the grid of the mu-weighted integral of |D^m f|, ``rhs`` the largest |D^m f(z,
+    t_i)|, and a residual of 0 when both are finite and inf otherwise; each carries n =
+    PROFILE_NODES.  It reads only the sample's family and space.
     """
     fam, space, n = sample.fam, sample.space, PROFILE_NODES
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
     grid = torus_nodes(fam.domain.shrunk(0.9), PROFILE_GRID).grid()
+    if sample.conjugate_symmetric:
+        grid = grid[:PROFILE_GRID // 2 + 1]
     radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
     orders = [(order,) for order in range(PROFILE_MAX_ORDER + 1)]
     offsets = torus_nodes(Polydisc(np.zeros(1), radii), n).grid()

@@ -107,8 +107,9 @@ class TestVerify:
                              ids=["nodes4", "nodes5"])
     def test_profile_runs_at_any_node_count(self, tmp_path, monkeypatch, args):
         # the profile reads its orders 0-4 on contours of PROFILE_NODES nodes, not
-        # --nodes, so it runs where the run's contour could not resolve order 4:
-        # PROFILE_GRID contours of PROFILE_NODES nodes on 16 atoms, and nothing else
+        # --nodes, so it runs where the run's contour could not resolve order 4: the
+        # geometric family is real, so PROFILE_GRID // 2 + 1 = 17 contours of
+        # PROFILE_NODES nodes on 16 atoms, and nothing else
         counted = count_family_values(monkeypatch)
         code, text = run_cli(tmp_path, "check", "derivative_profile", "--family", "geometric",
                              "--functional", "dirac", *args)
@@ -116,7 +117,7 @@ class TestVerify:
         records = parse_records(text)
         assert len(records) == theorems.PROFILE_MAX_ORDER + 1
         assert {r["n"] for r in records} == {theorems.PROFILE_NODES}
-        assert sum(counted) == 32 * 32 * 16
+        assert sum(counted) == 17 * 32 * 16
 
     @pytest.mark.parametrize("nodes", ["4", "5", "6"])
     def test_default_derivative_functionals_refuse_few_nodes(self, tmp_path, capsys, nodes):
@@ -263,7 +264,9 @@ class TestSampleOnce:
     # The run's contour sample and each functional's nodes are evaluated once:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
-    #     the sups of norm_bound and telescoping and, at d = 1, schwarz's ring:  n^d * k
+    #     the sups of norm_bound and telescoping and, at d = 1, schwarz's ring; the
+    #     family, centre and atoms are real, so only its rows j_1 <= n/2 are
+    #     evaluated and the others mirrored:  (n // 2 + 1) * n^(d-1) * k
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
@@ -273,34 +276,43 @@ class TestSampleOnce:
     #     d = 2: telescoping's 2 * 200 points, of which order_bound reads the first
     #       200 and span the first 16:  400 * k
     #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
-    #     derivative_profile: PROFILE_GRID = 32 contours of PROFILE_NODES = 32 nodes
+    #     derivative_profile: PROFILE_GRID // 2 + 1 = 17 of its 32 region points, whose
+    #     conjugates the others are, each a contour of PROFILE_NODES = 32 nodes
     #     whatever n, shared by orders 0-4
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (64 + 9 + 1 + 200 + 1001 + 32*32) = 36,784
-    # d = 2, n = 64: k * (4096 + 9 + 1 + 400) = 72,096
-    # d = 2, n = 32: k * (1024 + 9 + 1 + 400) = 22,944
+    # d = 1, n = 64: k * (33 + 9 + 1 + 200 + 1001 + 17*32) = 28,608
+    # d = 2, n = 64: k * (33*64 + 9 + 1 + 400) = 40,352
+    # d = 2, n = 32: k * (17*32 + 9 + 1 + 400) = 15,264
     # a single check of the interior sequence evaluates only the prefix it reads, beside
     #   the contour the checks read: `check span` its 16 points and the functionals'
-    #   slice vectors, k * (4096 + 9 + 16) = 65,936; `check order_bound` its 200 points
-    #   and the contour for its table, k * (4096 + 200) = 68,736; `check telescoping`
-    #   its 400 points and the contour for its sup, k * (4096 + 400) = 71,936
-    # `check derivative_profile` reads no contour value: k * 32 * 32 = 16,384
+    #   slice vectors, k * (33*64 + 9 + 16) = 34,192; `check order_bound` its 200
+    #   points and the contour for its table, k * (33*64 + 200) = 36,992; `check
+    #   telescoping` its 400 points and the contour for its sup, k * (33*64 + 400) =
+    #   40,192
+    # `check derivative_profile` reads no contour value: k * 17 * 32 = 8,704
     # `check norm_bound` with a derivative functional off the centre: the contour
-    #   sample for the grid sup and the functional's own 64 nodes, k * (64 + 64) = 2,048
+    #   sample's 33 rows for the grid sup and the functional's own 64 nodes, evaluated
+    #   whole, k * (33 + 64) = 1,552
     # `check linearization` of a Dirac functional reads its one node and no contour
     #   value, not even to share a pairing: k * 1 = 16
+    # A family, centre or atom that is not real keeps the whole contour and region
+    # grid: the constant preset (value 2 + 1j), k * (64 + 9 + 1 + 200 + 1001 + 32*32)
+    # = 36,784 as the geometric family gave before the mirror, and equally a
+    # complex-rate geometric family, a JSON family with a complex centre and a JSON
+    # space with a complex atom; d = 2 with a complex centre, k * (4096 + 9 + 1 + 400)
+    # = 72,096
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 36_784),
-        (2, 64, ["verify"], 72_096),
-        (2, 32, ["verify"], 22_944),
-        (2, 64, ["check", "span"], 65_936),
-        (2, 64, ["check", "order_bound"], 68_736),
-        (2, 64, ["check", "telescoping"], 71_936),
-        (1, 64, ["check", "derivative_profile"], 32 * 32 * 16),
-        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 2 * 64 * 16),
+        (1, 64, ["verify"], 28_608),
+        (2, 64, ["verify"], 40_352),
+        (2, 32, ["verify"], 15_264),
+        (2, 64, ["check", "span"], 34_192),
+        (2, 64, ["check", "order_bound"], 36_992),
+        (2, 64, ["check", "telescoping"], 40_192),
+        (1, 64, ["check", "derivative_profile"], 17 * 32 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 97 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d2-span", "d2-order-bound", "d2-telescoping",
             "d1-profile", "d1-off-centre", "d1-dirac"])
@@ -308,6 +320,32 @@ class TestSampleOnce:
         counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, *command, *family_args(tmp_path, d),
                           "--space", "uniform-16", "--nodes", str(n))
+        assert code == 0
+        assert sum(counted) == expected
+
+    @pytest.mark.parametrize("case, expected", [
+        ("constant", 36_784), ("complex-rate", 36_784), ("complex-centre", 72_096),
+        ("complex-atom", 36_784)])
+    def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
+        # a family, centre or atom that is not real evaluates the whole contour grid
+        # and region grid, as every family did before the mirror (arithmetic above)
+        documents = {
+            "complex-rate": {**GEOMETRIC_D2, "params": {"rates": [[0.4, 0.2]]},
+                             "domain": {"center": [[0.0, 0.0]], "radius": [1.0]},
+                             "label": "geometric-complex-rate"},
+            "complex-centre": {**GEOMETRIC_D2, "domain": {
+                "center": [[0.0, 0.1], [0.0, 0.0]], "radius": [1.0, 1.0]}},
+        }
+        space = [{"param": [t, 0.0], "weight": 1 / 16} for t in np.linspace(-1.0, 1.0, 16)]
+        space[3]["param"][1] = 0.25
+        args = {"constant": ["--family", "constant"],
+                "complex-atom": ["--family", "geometric", "--space", str(tmp_path / "s.json")]}
+        (tmp_path / "s.json").write_text(json.dumps({"atoms": space}))
+        if case in documents:
+            (tmp_path / "f.json").write_text(json.dumps(documents[case]))
+            args[case] = ["--family-file", str(tmp_path / "f.json"), "--space", "uniform-16"]
+        counted = count_family_values(monkeypatch)
+        code, _ = run_cli(tmp_path, "verify", *args[case])
         assert code == 0
         assert sum(counted) == expected
 

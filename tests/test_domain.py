@@ -39,6 +39,17 @@ class TestTorusNodes:
         quad = torus_nodes(unit_polydisc(), 4)
         np.testing.assert_allclose(quad.nodes[0], [1, 1j, -1, -1j], atol=1e-15)
 
+    @pytest.mark.parametrize("n", [4, 5, 7, 32, 33, 64])
+    def test_ring_is_conjugate_symmetric(self, n):
+        # ring[n - k] = conj ring[k] bit for bit, ring[0] = 1 and, at even n,
+        # ring[n/2] = -1, so about a real center the grid is its own conjugate
+        ring = torus_nodes(unit_polydisc(), n).nodes[0]
+        assert np.array_equal(ring[:0:-1], ring[1:].conj())
+        assert ring[0] == 1.0
+        if n % 2 == 0:
+            assert ring[n // 2] == -1.0
+        np.testing.assert_allclose(ring, np.exp(2j * np.pi * np.arange(n) / n), atol=1e-15)
+
     def test_tensor_count_d2(self):
         quad = torus_nodes(unit_polydisc(2), 8)
         assert quad.grid().shape == (64, 2)

@@ -110,7 +110,8 @@ class TestSampler:
 
     def test_equal_points_are_sampled_once(self, space16, monkeypatch):
         # the contour values and each functional's node values are evaluated on first
-        # read; a derivative functional on the sample's contour reads the contour values
+        # read; a derivative functional on the sample's contour reads the contour values.
+        # The family is real, so of the 8 contour nodes only 0..4 are evaluated
         sample = ContourSample(family_preset("geometric"), space16, 8)
         evaluated = []
         evaluate = GeometricFamily._evaluate
@@ -128,7 +129,7 @@ class TestSampler:
             assert sample.node_values(on) is sample.values
         off = derivative_functional([0.0], (1,), [0.95], n=16)
         assert sample.node_values(off) is sample.node_values(off)
-        assert evaluated == [1, 8, 16]
+        assert evaluated == [1, 5, 16]
 
     def test_functional_products_are_computed_once(self, space16):
         # each functional's slice vector and dual values on a stack are kept read-only,
@@ -331,6 +332,57 @@ class TestSampler:
                 sample.values
             with pytest.raises(ValueError):
                 sample.node_values(dirac([1.2]))
+
+
+#: the benchmark's d > 1 family documents: real rates, scales and centers
+BENCH_DOCS = [
+    {"kind": "geometric", "params": {"rates": [[0.5, 0.0], [0.4, 0.0]]},
+     "domain": {"center": [[0.0, 0.0]] * 2, "radius": [1.0] * 2}, "label": "geometric-d2"},
+    {"kind": "exponential", "params": {"scale": [1.0, 0.0]},
+     "domain": {"center": [[0.0, 0.0]] * 2, "radius": [1.0] * 2}, "label": "exponential-d2"},
+    {"kind": "exponential", "params": {"scale": [1.0, 0.0]},
+     "domain": {"center": [[0.0, 0.0]] * 3, "radius": [1.0] * 3}, "label": "exponential-d3"},
+]
+
+
+def conjugate_symmetric_families():
+    """Every real preset, the benchmark's family documents and the two witness families,
+    which are conjugate-symmetric for real t."""
+    from test_cauchy import ConjugatePerturbedGeometric
+    from test_theorems import ContourVanishingGeometric
+
+    return ([family_preset(name) for name in preset_names() if name != "constant"]
+            + [family_from_json(doc) for doc in BENCH_DOCS]
+            + [ConjugatePerturbedGeometric(0.3), ContourVanishingGeometric(32.0)])
+
+
+class TestConjugateMirror:
+    """A real family's contour sample evaluates the rows j_1 <= n/2 and mirrors the rest."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 32, 33])
+    def test_mirror_equals_direct_evaluation(self, space16, n):
+        # bit for bit, at even and odd n, for every conjugate-symmetric family
+        for fam in conjugate_symmetric_families():
+            sample = ContourSample(fam, space16, n)
+            assert sample.conjugate_symmetric, fam.label
+            grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+            assert np.array_equal(sample.values, sample._evaluate(grid)), fam.label
+
+    def test_mirror_holds_no_second_sample(self):
+        # d = 2, 64 nodes, 256 atoms: a 16 MiB sample evaluated in blocks of
+        # measure.ROW_BLOCK values, whose 31 mirrored rows of 64 x 256 values (7.75 MiB)
+        # are conjugated in place: the peak is the sample and one block with its
+        # arguments (d + 2 values per value, 4 MiB), below a copy of the mirrored rows
+        fam, space = family_from_json(BENCH_DOCS[0]), space_preset("uniform-256")
+        sample = ContourSample(fam, space, 64)
+        tracemalloc.start()
+        try:
+            values = sample.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (fam.d + 2) * measure.ROW_BLOCK * 16
+        assert peak <= values.nbytes + block < values.nbytes + 31 * 64 * 256 * 16
 
 
 class TestClosedFormDerivatives:

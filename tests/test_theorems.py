@@ -598,10 +598,11 @@ class TestDerivativeProfile:
             theorems.derivative_profile(ContourSample(fam, space16, 32))
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
-        # the contours are evaluated for blocks of EVAL_BLOCK // (PROFILE_GRID
+        # the contours are evaluated for blocks of EVAL_BLOCK // (contours
         # PROFILE_NODES) atoms, one evaluation of every contour and one FFT per block
-        # that serves orders 0-4; 33 contours of 32 nodes on 16 atoms are blocks of 7, 7
-        # and 2 atoms
+        # that serves orders 0-4; the family is real, so of 33 region points the 17
+        # points 0..16 are read, whose conjugates the others are, and 17 contours of 32
+        # nodes on 16 atoms are blocks of 15 and 1 atoms
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
@@ -618,9 +619,9 @@ class TestDerivativeProfile:
         monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
         reports = theorems.derivative_profile(ContourSample(geometric, space16, 64))
-        assert sampled == [32 * 33 * 7, 32 * 33 * 7, 32 * 33 * 2]
+        assert sampled == [32 * 17 * 15, 32 * 17 * 1]
         assert max(sampled) <= theorems.EVAL_BLOCK
-        assert ffts == [(32, 33, 7), (32, 33, 7), (32, 33, 2)]
+        assert ffts == [(32, 17, 15), (32, 17, 1)]
         # each order's sides match those its own single-order rule gives, up to
         # roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4 * sup |f|
         radii = (CONTOUR_SHRINK - 0.9) * geometric.domain.radius
@@ -632,6 +633,36 @@ class TestDerivativeProfile:
             mags = np.array(mags)
             np.testing.assert_allclose(rep.rhs, mags.max(), rtol=1e-8)
             np.testing.assert_allclose(rep.lhs, np.max(mags @ space16.weights), rtol=1e-8)
+
+    @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
+    @pytest.mark.parametrize("name", [name for name in preset_names() if name != "constant"])
+    def test_half_grid_matches_the_whole_grid(self, name, space):
+        # a real family reads the region points 0..PROFILE_GRID // 2, whose conjugates
+        # the others are: each order's sides equal those of all PROFILE_GRID points up
+        # to roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4 sup |f|
+        fam, space = family_preset(name), space_preset(space)
+        half = ContourSample(fam, space, 64)
+        whole = ContourSample(fam, space, 64)
+        whole.__dict__["conjugate_symmetric"] = False
+        assert half.conjugate_symmetric
+        tol = math.factorial(4) / 0.05 ** 4 * half.sup * np.finfo(float).eps
+        for a, b in zip(theorems.derivative_profile(half), theorems.derivative_profile(whole)):
+            assert abs(a.lhs - b.lhs) <= tol and abs(a.rhs - b.rhs) <= tol, (a, b)
+
+    def test_not_real_reads_every_region_point(self, space16, monkeypatch):
+        # the constant preset's value 2 + 1j is not real: all 32 contours are evaluated
+        fam = family_preset("constant")
+        sampled = []
+        evaluate = type(fam)._evaluate
+
+        def sampling(self, z, t):
+            out = evaluate(self, z, t)
+            sampled.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(type(fam), "_evaluate", sampling)
+        theorems.derivative_profile(ContourSample(fam, space16, 64))
+        assert sum(sampled) == theorems.PROFILE_GRID * theorems.PROFILE_NODES * 16
 
 
 class ContourVanishingGeometric(GeometricFamily):
