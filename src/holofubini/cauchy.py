@@ -3,7 +3,8 @@ Schwarz-lemma inequality, and Taylor-majorant order bounds.
 
 Two kernels take the same trapezoid sum: :func:`derivative_rule`'s weights are the
 derivative functionals' measures, and ``_fft_coefficients`` serves every checker
-derivative and the contour sample's Taylor table.
+derivative and the contour sample's Taylor table.  :func:`schwarz_violation` takes
+values only: the interior pass's, at points drawn in the ``--shrink`` polydisc.
 
 A "slice" is any callable accepting a complex array whose last axis indexes
 the d variables and returning values with the leading (batch) shape; it must
@@ -131,29 +132,20 @@ def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
     return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
 
 
-def schwarz_violation(f, center, radius: float, ring, z) -> float:
+def schwarz_violation(fa, fz, distances, sups, radius: float) -> float:
     """Max over the points z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
 
-    A univariate (d = 1) check at the complex points ``z`` of shape (m,), drawn in the
-    ball by the caller; ``f`` takes points of shape (m + 1, 1) and returns values of
-    shape (m + 1,) + batch, one column per slice of a batch of slices (the batch shape
-    is () for a single slice), and is called once, on a and the points z.  Each column's
-    sup norm is estimated from below by its column of ``ring``, shape (n,) + batch, the
-    values on nodes of the circle |z - a| = r such as those of :func:`torus_nodes` (the
-    maximum principle puts the sup on the boundary), together with its f(a) and its
-    values at z.  Returns the largest violation over the columns; nonpositive return
+    A univariate (d = 1) check from the values of a batch of slices (batch shape () for
+    one slice): ``fa`` at the center a, ``fz`` at m points z in the ball, shape (m,) +
+    batch, with ``distances`` |z - a| of shape (m,), and ``sups`` each slice's sup
+    estimated from below, such as its max on nodes of the circle |z - a| = r, where the
+    maximum principle puts it, together with |f(a)| and |f(z)|.  Nonpositive return
     values certify the bound for every slice.
     """
-    center = complex(center)
-    radius = float(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    z = np.asarray(z, dtype=complex)
-    values = np.asarray(f(np.concatenate([[center], z])[:, None]))
-    fa, fz = values[0], values[1:]
-    sup = np.maximum.reduce([np.max(np.abs(ring), axis=0), np.max(np.abs(fz), axis=0),
-                             np.abs(fa)])
-    bound = (2.0 / radius) * sup * np.abs(z - center).reshape((-1,) + (1,) * (fz.ndim - 1))
+    sup = np.maximum.reduce([sups, np.max(np.abs(fz), axis=0), np.abs(fa)])
+    bound = (2.0 / radius) * sup * np.reshape(distances, (-1,) + (1,) * (np.ndim(fz) - 1))
     return float(np.max(np.abs(fz - fa) - bound))
 
 

@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--nodes", type=int, default=64, help="quadrature nodes per variable")
     shared.add_argument("--shrink", type=float, default=0.5,
                         help="fraction of the domain radii within which span, "
-                             "telescoping and order_bound draw their points and the "
-                             "default Dirac and random functionals place their nodes")
+                             "telescoping, order_bound and schwarz draw their points and "
+                             "the default Dirac and random functionals place their nodes")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--output", default=None, help="report path (default stdout)")
     shared.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -338,19 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args, checks) -> SuiteConfig:
-    """Check everything but the functionals before building them, then those."""
+    """Check everything but the functionals before building them, then those: the
+    defaults only where a check reads them."""
     fam = _load_family(args)
     config = SuiteConfig(
         family=fam, space=_load_space(args.space), functionals=[],
         p_list=_parse_p_list(args.p), n=args.nodes, shrink=args.shrink,
         seed=args.seed, output=args.output, fmt=args.fmt, checks=checks,
     )
+    functionals = []
     if args.functional:
-        functionals = [
-            _parse_functional(entry, fam, args.nodes, args.shrink, args.seed)
-            for entry in args.functional
-        ]
-    else:
+        functionals = [_parse_functional(entry, fam, args.nodes, args.shrink, args.seed)
+                       for entry in args.functional]
+    elif any(theorems.CHECKS[name].functionals for name in config.checks):
         try:
             functionals = default_functionals(fam, args.nodes, args.shrink, args.seed)
         except ValueError as exc:

@@ -221,16 +221,20 @@ class ContourSample:
         return _read_only(values)
 
     @cached_property
-    def sup(self) -> float:
-        """max |F| on the contour grid, a lower estimate of its sup on the polydisc.
-
-        It reads blocks of rows of ``measure.ROW_BLOCK`` values or one row, so the
-        magnitudes never take the whole sample; a max is exact, so it equals the
+    def sups(self) -> np.ndarray:
+        """Each atom's max |f| on the contour grid, (k,), a lower estimate of its sup on
+        the polydisc, from blocks of rows of ``measure.ROW_BLOCK`` values or one row, so
+        the magnitudes never take the whole sample; a max is exact, so it equals the
         whole sample's max bit for bit."""
         rows = self.values
         block = max(1, measure.ROW_BLOCK // self.space.natoms)
-        return float(np.max([np.max(np.abs(rows[start:start + block]))
-                             for start in range(0, len(rows), block)]))
+        return _read_only(np.max([np.max(np.abs(rows[start:start + block]), axis=0)
+                                  for start in range(0, len(rows), block)], axis=0))
+
+    @cached_property
+    def sup(self) -> float:
+        """max |F| on the contour grid, the largest of :attr:`sups`."""
+        return float(self.sups.max())
 
     def taylor_table(self, degree: int) -> np.ndarray:
         """Taylor coefficients c_m of F about the center for m up to ``degree`` per

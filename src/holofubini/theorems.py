@@ -24,8 +24,8 @@ on its distinguished boundary.
 sample keeps, so a run takes one FFT of its contour values; ``norm_bound`` takes
 every exponent's grid sup in one pass over blocks of contour rows and adds the
 functional's own nodes, so its bound is a finite triangle inequality that grid
-placement cannot break, and ``schwarz`` adds its sample values.  The sample also
-keeps each functional's slice vector and its values on each stack of dual
+placement cannot break, and ``schwarz`` adds F at the center and at its points.  The
+sample also keeps each functional's slice vector and its values on each stack of dual
 vectors, which linearization, fubini, norm_bound and span share; the functionals
 on the contour get theirs from one pass over blocks of it per stack, whose node
 sums call no BLAS, so no report depends on the BLAS thread count.  Linearization
@@ -33,18 +33,15 @@ and fubini report both sides for the first dual vector of a stack beside the
 largest residual over it.  The sample keeps each closed-form vector that fubini,
 derivative_consistency and diff_under_integral read, too.  The sample is built
 with the run's checks, shrink and seed, and draws one interior sequence in the domain's
-shrink polydisc (:func:`interior_pass`), which span, telescoping and order_bound read a
-prefix of: it evaluates the longest prefix its checks read once, for blocks of atoms,
-and keeps only what they read of it, each pair's increment for telescoping, each
-atom's largest |f| for order_bound and one orthonormal basis of the leading rows, which
-every functional's span reads; span takes no other points.  Points a check draws for
-itself (the schwarz sample, from the sample's seed, and the derivative_profile contours,
-which take only the sample's family and space and have ``PROFILE_NODES`` nodes whatever
-the run's n) are drawn once per check and evaluated where they are drawn.  The interior
-pass, schwarz and derivative_profile evaluate for a block of atoms per call, of at most
-``EVAL_BLOCK`` complex values unless one atom takes more, so none pays one call per
-atom nor holds all atoms at once.  Samples are read-only, so checks may run
-concurrently; reports are merged by canonical ordering.
+shrink polydisc (:func:`interior_pass`), the only points span, telescoping, order_bound
+and schwarz read, so their records depend on the shrink: it evaluates the longest prefix
+its checks read once, for blocks of atoms, and keeps only what they read of it.  The
+derivative_profile contours take only the sample's family and space and have
+``PROFILE_NODES`` nodes whatever the run's n.  The interior pass and derivative_profile
+evaluate for a block of atoms per call, of at most ``EVAL_BLOCK`` complex values unless
+one atom takes more, so neither pays one call per atom nor holds all atoms at once.
+Samples are read-only, so checks may run concurrently; reports are merged by canonical
+ordering.
 """
 
 from __future__ import annotations
@@ -84,8 +81,8 @@ __all__ = [
     "CONTOUR_SHRINK",
 ]
 
-#: Complex values (128 KiB) that the interior pass, schwarz and derivative_profile
-#: evaluate per family call: each call takes as many atoms as fit, and at least one
+#: Complex values (128 KiB) that the interior pass and derivative_profile evaluate per
+#: family call: each call takes as many atoms as fit, and at least one
 EVAL_BLOCK = 8192
 #: derivative_profile reports orders 0..PROFILE_MAX_ORDER on PROFILE_GRID region points,
 #: each read on a contour of PROFILE_NODES nodes whatever the run's n: at its radius
@@ -105,10 +102,9 @@ TOL_SPAN = 1e-8
 #: the fraction of its norm that a row of span's points must keep, orthogonal to the
 #: rows before it, to add a direction: duplicated points add none
 SPAN_RANK_TOL = 1e-12
-#: points of the interior sequence order_bound reads, pairs of them telescoping reads,
-#: and points schwarz draws for itself
+#: points of the interior sequence order_bound and schwarz read, and pairs of them
+#: telescoping reads
 ORDER_BOUND_SAMPLES = 200
-SCHWARZ_SAMPLES = 1000
 TELESCOPING_PAIRS = 200
 
 
@@ -475,6 +471,8 @@ class InteriorPass:
     maxima: np.ndarray | None
     #: span's basis of F at its leading points
     span: _Span | None
+    #: schwarz's largest violation over its points and the atoms, at d = 1
+    schwarz: float | None
 
 
 def interior_pass(sample: ContourSample) -> InteriorPass:
@@ -484,11 +482,14 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     The sequence is telescoping's z, then its a, each ``TELESCOPING_PAIRS`` points drawn
     from ``default_rng(sample.seed)`` in the domain's polydisc of the sample's shrink
     (:func:`~holofubini.domain.sample_polydisc`).  Each check reads the prefix of its
-    :attr:`Check.rows`: telescoping all of it, order_bound ``ORDER_BOUND_SAMPLES``
-    points and span the family's ``span_dim`` or 2 min(8, k).  The longest prefix the
-    checks read is evaluated in one pass over the atom blocks of :func:`_atom_blocks`,
-    which keeps only each pair's increment, each atom's largest |f| and span's rows, so
-    no (rows, k) array is held but span's.
+    :attr:`Check.rows`: telescoping all of it, order_bound and schwarz
+    ``ORDER_BOUND_SAMPLES`` points and span the family's ``span_dim`` or 2 min(8, k).
+    The longest prefix the checks read is evaluated in one pass over the atom blocks of
+    :func:`_atom_blocks`, which keeps only each pair's increment, each atom's largest
+    |f|, span's rows and, at d = 1, schwarz's largest violation, so no (rows, k) array
+    is held but span's.  Schwarz reads F at the center and each atom's contour sup
+    (:attr:`~holofubini.family.ContourSample.sups`), whose radius 0.95 r exceeds every
+    |z - c| <= shrink r <= 0.9 r.
     :attr:`~holofubini.family.ContourSample.interior` keeps the result.
     """
     fam, params = sample.fam, sample.space.params
@@ -496,22 +497,31 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     reads = {name: CHECKS[name].rows(sample) for name in sample.checks or CHECKS}
     rows, span_rows = max(reads.values()), reads.get("span", 0)
     ob_rows = reads.get("order_bound", 0)
+    schwarz_rows = reads.get("schwarz", 0) if CHECKS["schwarz"].applies(fam.d) else 0
     rng = np.random.default_rng(sample.seed)
     points = np.concatenate([sample_polydisc(fam.domain, pairs, sample.shrink, rng),
                              sample_polydisc(fam.domain, pairs, sample.shrink, rng)])[:rows]
     increments = np.zeros(pairs) if "telescoping" in reads else None
     maxima = np.empty(natoms) if "order_bound" in reads else None
     kept = np.empty((span_rows, natoms), dtype=complex)
+    if schwarz_rows:
+        at_center, sups = sample.closed_form(sample.center), sample.sups
+        distances = np.abs(points[:schwarz_rows, 0] - sample.center[0])
+    worst = []
     for atoms in _atom_blocks(natoms, rows):
-        values = _eval_atoms(fam, params[atoms], points)
+        values = fam.eval(points[:, None, :], params[atoms])
         if increments is not None:
             np.maximum(increments, np.max(np.abs(values[:pairs] - values[pairs:2 * pairs]),
                                           axis=1), out=increments)
         if maxima is not None:
             maxima[atoms] = np.max(np.abs(values[:ob_rows]), axis=0)
+        if schwarz_rows:
+            worst.append(schwarz_violation(at_center[atoms], values[:schwarz_rows], distances,
+                                           sups[atoms], sample.radii[0]))
         kept[:, atoms] = values[:span_rows]
     return InteriorPass(points, increments, maxima,
-                        _Span(sample.space, kept) if span_rows else None)
+                        _Span(sample.space, kept) if span_rows else None,
+                        max(worst) if worst else None)
 
 
 def _interior(sample: ContourSample, check: str) -> InteriorPass:
@@ -523,39 +533,23 @@ def _interior(sample: ContourSample, check: str) -> InteriorPass:
 
 def schwarz_check(sample: ContourSample) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family, on the
-    sample's contour disc, at ``SCHWARZ_SAMPLES`` points drawn once in it from
-    ``default_rng(sample.seed)``; each slice's sup is read from its column of the
-    contour values.  The slices go to :func:`holofubini.cauchy.schwarz_violation` for
-    the atom blocks of :func:`_atom_blocks`, so a block's center and points are one
-    evaluation."""
-    fam, space, samples = sample.fam, sample.space, SCHWARZ_SAMPLES
-    if fam.d != 1:
+    sample's contour disc (center c, radius R): |f(z, t_i) - f(c, t_i)| <= (2 / R) sup_i
+    |z - c| at the first ``ORDER_BOUND_SAMPLES`` points of its interior sequence, in the
+    shrink polydisc; sup_i is the largest of the atom's contour sup, |f(c, t_i)| and
+    |f(z, t_i)|.  The largest violation is the interior pass's (:func:`interior_pass`)."""
+    if sample.fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")
-    center, radius = complex(sample.center[0]), float(sample.radii[0])
-    z = sample_polydisc(Polydisc([center], [radius]), samples, 1.0,
-                        np.random.default_rng(sample.seed))[:, 0]
-    worst = max(
-        schwarz_violation(partial(_eval_atoms, fam, space.params[atoms]),
-                          center, radius, sample.values[:, atoms], z)
-        for atoms in _atom_blocks(space.natoms, samples + 1)
-    )
-    return CheckReport.build(
-        "schwarz", fam.label, "", worst, 0.0, max(0.0, worst), 1e-12,
-        samples=samples, slices=space.natoms,
-    )
+    worst = _interior(sample, "schwarz").schwarz
+    return CheckReport.build("schwarz", sample.fam.label, "", worst, 0.0, max(0.0, worst),
+                             1e-12, samples=ORDER_BOUND_SAMPLES, slices=sample.space.natoms)
 
 
 def _atom_blocks(natoms, points):
     """Slices of max(1, EVAL_BLOCK // points) atoms covering all natoms: the blocks in
-    which the interior pass, schwarz and derivative_profile, evaluating ``points``
-    points per atom, take their atoms."""
+    which the interior pass and derivative_profile, evaluating ``points`` points per
+    atom, take their atoms."""
     block = max(1, EVAL_BLOCK // points)
     return [slice(start, start + block) for start in range(0, natoms, block)]
-
-
-def _eval_atoms(fam, params, z):
-    """F(z) restricted to the atoms ``params`` for points z of shape (m, d): (m, len(params))."""
-    return fam.eval(z[:, None, :], params)
 
 
 def _alpha_battery(d: int):
@@ -578,6 +572,9 @@ class Check:
     applies: Callable[[int], bool] = lambda d: True
     #: rows of the sample's interior sequence it reads, given the sample
     rows: Callable[[ContourSample], int] = lambda sample: 0
+    #: whether its calls read the run's functionals: a run builds the default ones only
+    #: for a check that does
+    functionals: bool = False
     #: complex values per atom it holds beside the sample
     per_atom: int = 0
     #: contour nodes it reads at least: below them it reads a contour sample of its own
@@ -591,27 +588,30 @@ def _span_rows(sample):
 
 #: check name -> its :class:`Check`, in the order a run takes them.  span holds at most
 #: 16 rows of the interior sequence with their basis, order_bound each atom's largest
-#: |f| and majorant (and reads its own 16-node contour below 16 nodes) and
-#: derivative_profile the float magnitudes of each order at each region point
+#: |f| and majorant (and reads its own 16-node contour below 16 nodes), schwarz each
+#: atom's F at the center and its float contour sup, and derivative_profile the float
+#: magnitudes of each order at each region point
 CHECKS = {
     "linearization": Check(lambda sample, duals: [
         partial(linearization_residual, phi, sample, h, p=p)
-        for phi in sample.functionals for p, h in duals.items()]),
+        for phi in sample.functionals for p, h in duals.items()], functionals=True),
     "fubini": Check(lambda sample, duals: [
         partial(fubini_residual, phi, sample, h, p)
-        for phi in sample.functionals for p, h in duals.items()]),
+        for phi in sample.functionals for p, h in duals.items()], functionals=True),
     "derivative_consistency": Check(lambda sample, duals: [
         partial(derivative_consistency, sample, _alpha_battery(sample.fam.d), p=list(duals))]),
     "diff_under_integral": Check(lambda sample, duals: [
         partial(diff_under_integral, sample, np.ones(sample.space.natoms),
                 _alpha_battery(sample.fam.d))]),
     "norm_bound": Check(lambda sample, duals: [
-        partial(norm_bound_check, sample.functionals, sample, list(duals))]),
+        partial(norm_bound_check, sample.functionals, sample, list(duals))], functionals=True),
     "span": Check(lambda sample, duals: [
         partial(span_residual if sample.fam.span_dim is not None else span_monotonicity,
-                phi, sample) for phi in sample.functionals], rows=_span_rows, per_atom=32),
+                phi, sample) for phi in sample.functionals], functionals=True, rows=_span_rows,
+        per_atom=32),
     "schwarz": Check(lambda sample, duals: [partial(schwarz_check, sample)],
-                     applies=lambda d: d == 1),
+                     applies=lambda d: d == 1, rows=lambda sample: ORDER_BOUND_SAMPLES,
+                     per_atom=2),
     "telescoping": Check(lambda sample, duals: [partial(telescoping_residual, sample)],
                          applies=lambda d: d >= 2, rows=lambda sample: 2 * TELESCOPING_PAIRS),
     "order_bound": Check(lambda sample, duals: [partial(order_bound_check, sample)],

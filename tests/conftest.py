@@ -8,8 +8,7 @@ serve as oracles for the quadrature routes.
 import numpy as np
 import pytest
 
-from holofubini import FiniteMeasureSpace, Polydisc, family_preset, space_preset
-from holofubini.domain import sample_polydisc
+from holofubini import FiniteMeasureSpace, family_preset, space_preset
 
 PRESET_NAMES = ("constant", "polynomial", "geometric", "exponential",
                 "separable", "tabulated")
@@ -69,9 +68,3 @@ def random_duals(space, count, seed):
     return [rng.standard_normal(space.natoms) + 1j * rng.standard_normal(space.natoms)
             for _ in range(count)]
 
-
-def schwarz_points(center, radius, samples=1000, seed=0):
-    """The ``samples`` seeded points that ``theorems.schwarz_check`` draws in the disc
-    |z - center| < radius, shape (samples,)."""
-    disc = Polydisc([center], [radius])
-    return sample_polydisc(disc, samples, 1.0, np.random.default_rng(seed))[:, 0]

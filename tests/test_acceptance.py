@@ -13,13 +13,11 @@ import pytest
 from holofubini import (FiniteMeasureSpace, cauchy_derivative,
                         derivative_functional, dirac, family_preset, random_measure,
                         space_preset, unit_polydisc)
-from holofubini import theorems, torus_nodes
-from holofubini.cauchy import schwarz_violation
-from holofubini.domain import Polydisc
+from holofubini import theorems
 from holofubini.family import ContourSample, GeometricFamily
 from holofubini.functional import MeasureFunctional
 
-from conftest import PRESET_NAMES, poly_deriv, random_duals, schwarz_points
+from conftest import PRESET_NAMES, poly_deriv, random_duals
 
 INF = math.inf
 P_LIST = (1.0, 2.0, INF)
@@ -160,17 +158,12 @@ def test_criterion_06_span_membership(space16):
 
 
 def test_criterion_07_schwarz_and_telescoping(space16):
-    # ten registered univariate slices, 1000 seeded samples each
-    slices = [(kind, t) for kind in
-              ("constant", "polynomial", "geometric", "exponential", "separable")
-              for t in (1.0, -0.7)]
-    assert len(slices) == 10
-    ring = torus_nodes(Polydisc([0.0], [0.95]), 64).grid()
-    for kind, t in slices:
-        fam = family_preset(kind)
-        f = lambda z: fam.eval(z, t)
-        v = schwarz_violation(f, 0.0, 0.95, f(ring), schwarz_points(0.0, 0.95, seed=7))
-        assert v <= 1e-12, (kind, t, v)
+    # ten registered univariate slices, five kinds on two atoms, at the 200 seeded
+    # points of the interior sequence that schwarz reads
+    two_atoms = FiniteMeasureSpace([1.0, -0.7], [0.5, 0.5])
+    for kind in ("constant", "polynomial", "geometric", "exponential", "separable"):
+        rep = theorems.schwarz_check(ContourSample(family_preset(kind), two_atoms, 64, seed=7))
+        assert rep.passed and rep.params["slices"] == 2, (kind, rep.lhs)
     # multivariate telescoping bound on 200 sampled pairs in d = 2
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
     rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64, seed=0))

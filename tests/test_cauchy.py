@@ -11,11 +11,11 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         unit_polydisc)
 from holofubini.cauchy import (MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE, _fft_coefficients,
                               contour_derivatives, derivative_rule)
-from holofubini.domain import CONTOUR_SHRINK, multi_factorial
+from holofubini.domain import CONTOUR_SHRINK, multi_factorial, sample_polydisc
 from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
 
-from conftest import fd_derivative, schwarz_points
+from conftest import fd_derivative
 
 
 def ring(f, center, radius, n=64):
@@ -240,31 +240,35 @@ class TestTaylorCoefficients:
         assert np.shares_memory(sample.taylor_table(max(n // 2 - 1, 2)), table)
 
 
+def schwarz_values(f, center, radius, seed):
+    """schwarz_violation's arguments for the slice f on the disc |z - center| < radius:
+    f(center), f at 200 points drawn in the disc from default_rng(seed), their distances
+    to the center, the max of |f| on the 64-node ring and the radius."""
+    z = sample_polydisc(Polydisc([center], [radius]), 200, 1.0, np.random.default_rng(seed))
+    return (f(np.array([[center]], dtype=complex))[0], f(z), np.abs(z[:, 0] - center),
+            np.max(np.abs(ring(f, center, radius))), radius)
+
+
 class TestSchwarz:
     def test_identity_slice(self):
-        f = lambda w: w[..., 0]
-        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), schwarz_points(0.0, 1.0, seed=0))
+        v = schwarz_violation(*schwarz_values(lambda w: w[..., 0], 0.0, 1.0, seed=0))
         assert v <= 0.0
 
     def test_constant_slice(self):
         f = lambda w: np.full(w.shape[:-1], 2.5)
-        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), schwarz_points(0.0, 1.0))
-        assert v <= 0.0
+        assert schwarz_violation(*schwarz_values(f, 0.0, 1.0, seed=0)) <= 0.0
 
     def test_square_slice(self):
-        f = lambda w: w[..., 0] ** 2
-        v = schwarz_violation(f, 0.0, 1.0, ring(f, 0.0, 1.0), schwarz_points(0.0, 1.0, seed=1))
+        v = schwarz_violation(*schwarz_values(lambda w: w[..., 0] ** 2, 0.0, 1.0, seed=1))
         assert v <= 0.0
 
     def test_off_center_ball(self):
         f = lambda w: np.exp(w[..., 0])
-        v = schwarz_violation(f, 0.5 + 0.5j, 0.75, ring(f, 0.5 + 0.5j, 0.75),
-                              schwarz_points(0.5 + 0.5j, 0.75, seed=2))
-        assert v <= 1e-12
+        assert schwarz_violation(*schwarz_values(f, 0.5 + 0.5j, 0.75, seed=2)) <= 1e-12
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            schwarz_violation(lambda w: w[..., 0], 0.0, -1.0, np.ones(4), np.zeros(1))
+            schwarz_violation(0.0, np.zeros(1), np.zeros(1), 1.0, -1.0)
 
 
 class ConjugatePerturbedGeometric(GeometricFamily):

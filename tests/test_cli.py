@@ -127,6 +127,21 @@ class TestVerify:
         assert code == 2 and text is None
         assert "too small for derivative order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes", ["4", "5", "6"])
+    @pytest.mark.parametrize("check, d, code", [
+        ("order_bound", 1, 0), ("schwarz", 1, 0), ("derivative_profile", 1, 0),
+        ("telescoping", 2, 0), ("derivative_consistency", 1, 1), ("diff_under_integral", 1, 1)])
+    def test_checks_that_read_no_functional_take_few_nodes(self, tmp_path, check, d, code,
+                                                           nodes):
+        # no default functional is built for a check that reads none, so its own
+        # verdict decides: the derivative checks fail on quadrature error at so few
+        # nodes (ROADMAP items 6 and 7), and linearization is still refused
+        got, text = run_cli(tmp_path, "check", check, *family_args(tmp_path, d),
+                            "--nodes", nodes)
+        assert got == code and {r["check"] for r in parse_records(text)} == {check}
+        assert main(["check", "linearization", *family_args(tmp_path, d), "--nodes",
+                     nodes]) == 2
+
     def test_off_centre_derivative_functional_runs(self, tmp_path):
         # derivative:a:alpha reads its contour at 0.95 of the largest polydisc about a
         # inside the domain: radius 0.95 x (1 - 0.5) about a = 0.5
@@ -264,24 +279,25 @@ class TestSampleOnce:
     # The run's contour sample and each functional's nodes are evaluated once:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
-    #     the sups of norm_bound and telescoping and, at d = 1, schwarz's ring; the
+    #     the sups of norm_bound and telescoping and, at d = 1, schwarz's per atom; the
     #     family, centre and atoms are real, so only its rows j_1 <= n/2 are
     #     evaluated and the others mirrored:  (n // 2 + 1) * n^(d-1) * k
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
-    #   the interior sequence, evaluated once for span, order_bound and telescoping:
-    #     d = 1: order_bound's 200 points, whose first 16 span's 4 functionals share:
-    #       200 * k
+    #   the interior sequence, evaluated once for span, order_bound, telescoping and
+    #   schwarz:
+    #     d = 1: order_bound's and schwarz's 200 points, whose first 16 span's 4
+    #       functionals share:  200 * k
     #     d = 2: telescoping's 2 * 200 points, of which order_bound reads the first
     #       200 and span the first 16:  400 * k
-    #   d = 1 only, schwarz per atom: centre 1 + 1000 samples, and
+    #   d = 1 only, schwarz's F at the centre, read with the interior pass:  1 * k, and
     #     derivative_profile: PROFILE_GRID // 2 + 1 = 17 of its 32 region points, whose
     #     conjugates the others are, each a contour of PROFILE_NODES = 32 nodes
     #     whatever n, shared by orders 0-4
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (33 + 9 + 1 + 200 + 1001 + 17*32) = 28,608
+    # d = 1, n = 64: k * (33 + 9 + 1 + 200 + 1 + 17*32) = 12,608
     # d = 2, n = 64: k * (33*64 + 9 + 1 + 400) = 40,352
     # d = 2, n = 32: k * (17*32 + 9 + 1 + 400) = 15,264
     # a single check of the interior sequence evaluates only the prefix it reads, beside
@@ -297,15 +313,14 @@ class TestSampleOnce:
     # `check linearization` of a Dirac functional reads its one node and no contour
     #   value, not even to share a pairing: k * 1 = 16
     # A family, centre or atom that is not real keeps the whole contour and region
-    # grid: the constant preset (value 2 + 1j), k * (64 + 9 + 1 + 200 + 1001 + 32*32)
-    # = 36,784 as the geometric family gave before the mirror, and equally a
-    # complex-rate geometric family, a JSON family with a complex centre and a JSON
-    # space with a complex atom; d = 2 with a complex centre, k * (4096 + 9 + 1 + 400)
-    # = 72,096
+    # grid: the constant preset (value 2 + 1j), k * (64 + 9 + 1 + 200 + 1 + 32*32)
+    # = 20,784, and equally a complex-rate geometric family, a JSON family with a
+    # complex centre and a JSON space with a complex atom; d = 2 with a complex
+    # centre, k * (4096 + 9 + 1 + 400) = 72,096
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 28_608),
+        (1, 64, ["verify"], 12_608),
         (2, 64, ["verify"], 40_352),
         (2, 32, ["verify"], 15_264),
         (2, 64, ["check", "span"], 34_192),
@@ -324,8 +339,8 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     @pytest.mark.parametrize("case, expected", [
-        ("constant", 36_784), ("complex-rate", 36_784), ("complex-centre", 72_096),
-        ("complex-atom", 36_784)])
+        ("constant", 20_784), ("complex-rate", 20_784), ("complex-centre", 72_096),
+        ("complex-atom", 20_784)])
     def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
         # a family, centre or atom that is not real evaluates the whole contour grid
         # and region grid, as every family did before the mirror (arithmetic above)
@@ -850,7 +865,7 @@ class TestWorkBudget:
     # the count on the benchmark's families, spaces and nodes with the default
     # functionals and checks and p = 1,2,inf, so a term that moves fails here by name
     @pytest.mark.parametrize("d, space, n, counted", [
-        (1, "uniform-16", 64, 70_498), (1, "geometric-64", 64, 84_370),
+        (1, "uniform-16", 64, 70_530), (1, "geometric-64", 64, 84_498),
         (2, "uniform-16", 64, 370_523), (2, "uniform-256", 32, 625_691),
         (3, "uniform-16", 32, 1_148_836)])
     def test_counted_values_of_the_bench_configs(self, tmp_path, d, space, n, counted):

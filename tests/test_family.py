@@ -238,6 +238,8 @@ class TestSampler:
         sample = ContourSample(family_preset("geometric"), space16, 64)
         assert sample.sup is sample.sup
         assert sample.sup == float(np.max(np.abs(sample.values)))
+        # each atom's sup, which schwarz reads, is its column's max bit for bit
+        assert sample.sups.tobytes() == np.max(np.abs(sample.values), axis=0).tobytes()
         assert telescoping_residual(sample).tol == 1e-12 * (1.0 + sample.sup)
         # the tail at degree 31 on the domain's 0.5 polydisc, s = 0.5 / CONTOUR_SHRINK of
         # the contour's radii: M s^32 / (1 - s)

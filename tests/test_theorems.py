@@ -14,7 +14,7 @@ from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily
                                PolynomialFamily)
 from holofubini.functional import MeasureFunctional
 
-from conftest import random_duals, schwarz_points
+from conftest import random_duals
 
 INF = math.inf
 CONTOUR = [0.95]
@@ -492,12 +492,12 @@ class TestSpan:
         z = sample_polydisc(geometric.domain, theorems.TELESCOPING_PAIRS, 0.3,
                             np.random.default_rng(4))
         sample = ContourSample(geometric, space16, 64, shrink=0.3, seed=4)
-        span = theorems._Span(space16, theorems._eval_atoms(geometric, space16.params, z[:16]))
+        span = theorems._Span(space16, geometric.eval(z[:16, None, :], space16.params))
         rep = theorems.span_monotonicity(phi, sample)
         assert [rep.lhs, rep.rhs] == span.distances(sample.slice_vector(phi), [8, 16])
         affine = family_preset("affine")
         sample = ContourSample(affine, space16, 64, shrink=0.3, seed=4)
-        span = theorems._Span(space16, theorems._eval_atoms(affine, space16.params, z[:2]))
+        span = theorems._Span(space16, affine.eval(z[:2, None, :], space16.params))
         rep = theorems.span_residual(phi, sample)
         assert [rep.lhs] == span.distances(sample.slice_vector(phi), [2])
         # without span_dim there is no count for span_residual, and with it the pass
@@ -724,6 +724,19 @@ class TestTelescoping:
                 assert rep.passed, (n, shrink, rep.lhs, rep.tol)
 
 
+class SqrtPerturbedGeometric(GeometricFamily):
+    """The geometric preset plus eps * t * sqrt|z|: not holomorphic in z, and its
+    increment from the center grows like sqrt|z|, faster than the Schwarz bound's |z|."""
+
+    def __init__(self, eps):
+        base = family_preset("geometric")
+        super().__init__(base.rates, base.domain, f"geometric+{eps:g}sqrt")
+        self.eps = eps
+
+    def _evaluate(self, z, t):
+        return super()._evaluate(z, t) + self.eps * t * np.sqrt(np.abs(z[..., 0]))
+
+
 class TestSchwarzCheck:
     def test_all_presets(self, preset_family, space16):
         if preset_family.d != 1:
@@ -731,20 +744,38 @@ class TestSchwarzCheck:
         rep = theorems.schwarz_check(ContourSample(preset_family, space16, 64, seed=0))
         assert rep.passed
 
+    # on uniform-16 at 64 nodes the smallest eps detected lies between 0.36 and 0.62
+    # over seeds 0-5, at the 200 points of the interior sequence in the 0.5 disc; seed 0
+    # detects it from 0.531: 0.5 passes (lhs -0.0067) and 0.55 fails (lhs +0.0040)
+    @pytest.mark.parametrize("seed, passes, fails",
+                             [(0, 0.5, 0.55)] + [(seed, 0.3, 0.65) for seed in range(1, 6)])
+    def test_perturbation_detected(self, space16, seed, passes, fails):
+        for eps in (0.0, passes):
+            rep = theorems.schwarz_check(ContourSample(SqrtPerturbedGeometric(eps), space16,
+                                                       64, seed=seed))
+            assert rep.passed, (eps, rep.lhs)
+        rep = theorems.schwarz_check(ContourSample(SqrtPerturbedGeometric(fails), space16, 64,
+                                                   seed=seed))
+        assert not rep.passed, rep.lhs
+
 
 class TestBlockedEvaluation:
-    """The interior pass that telescoping and order_bound read, schwarz and
+    """The interior pass that telescoping, order_bound and schwarz read and
     derivative_profile evaluate blocks of atoms or contours; their reports equal, bit for
     bit, those of one evaluation per atom or contour, or, for telescoping and
     order_bound, of one evaluation of all atoms."""
 
     @staticmethod
-    def schwarz_per_slice(sample, samples=1000, seed=0):
-        center, radius = complex(sample.center[0]), float(sample.radii[0])
-        z = schwarz_points(center, radius, samples, seed)
-        return max(cauchy.schwarz_violation(lambda w: sample.fam.eval(w, t), center, radius,
-                                            ring, z)
-                   for t, ring in zip(sample.space.params, sample.values.T))
+    def schwarz_per_slice(sample):
+        """schwarz's largest violation with each atom's slice evaluated on its own, at the
+        first 200 points of the interior sequence, drawn in the domain's shrink disc from
+        default_rng(seed), and at the center, with the max of |f| on its contour column."""
+        fam, center = sample.fam, sample.center
+        z = sample_polydisc(fam.domain, 200, sample.shrink, np.random.default_rng(sample.seed))
+        return max(cauchy.schwarz_violation(fam.eval(center, t), fam.eval(z, t),
+                                            np.abs(z[:, 0] - center[0]),
+                                            np.max(np.abs(column)), sample.radii[0])
+                   for t, column in zip(sample.space.params, sample.values.T))
 
     @staticmethod
     def profile_per_contour(fam, space):
@@ -775,25 +806,28 @@ class TestBlockedEvaluation:
         assert theorems.telescoping_residual(ContourSample(fam, space, 16, seed=1)) == blocked
 
     def test_schwarz_draws_its_points_once(self, monkeypatch):
-        # geometric-64 makes 8 blocks of 8 atoms: one draw of the 1000 points for the
-        # check, and per block one evaluation of the center together with them
+        # schwarz draws no points of its own: the interior pass draws the sequence once,
+        # telescoping's 200 z and 200 a, and evaluates schwarz's first 200 on
+        # geometric-64 in 2 blocks, of 40 and 24 atoms, after one evaluation of F at the
+        # center; a second report reads the kept pass
         draws, shapes = [], []
         draw = theorems.sample_polydisc
         monkeypatch.setattr(theorems, "sample_polydisc",
                             lambda *args: draws.append(args[1]) or draw(*args))
         fam = family_preset("geometric")
-        sample = ContourSample(fam, space_preset("geometric-64"), 64)
+        sample = ContourSample(fam, space_preset("geometric-64"), 64, checks=("schwarz",))
         sample.values
         evaluate = GeometricFamily._evaluate
 
         def counting(self, z, t):
-            shapes.append(np.shape(z)[0])
+            shapes.append((np.shape(z)[0], np.size(t)))
             return evaluate(self, z, t)
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", counting)
-        assert theorems.schwarz_check(sample).passed
-        assert draws == [theorems.SCHWARZ_SAMPLES]
-        assert shapes == [theorems.SCHWARZ_SAMPLES + 1] * 8
+        assert theorems.schwarz_check(sample) == theorems.schwarz_check(sample)
+        assert draws == [theorems.TELESCOPING_PAIRS] * 2
+        assert shapes == [(1, 64), (theorems.ORDER_BOUND_SAMPLES, 40),
+                          (theorems.ORDER_BOUND_SAMPLES, 24)]
 
     # uniform-13 leaves a partial last block of 5 atoms after one of 8
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64", "uniform-13"])
@@ -841,10 +875,10 @@ class TestBlockedEvaluation:
         # the atom blocks, not the k = 64 atoms, bound the transient arrays: at most 8
         # blocks' worth of complex values, 1 MiB
         fam, space = family_preset("geometric"), space_preset("geometric-64")
-        sample = ContourSample(fam, space, 64)
+        sample = ContourSample(fam, space, 64, checks=("schwarz",))
         sample.values
         runs = {
-            "schwarz": lambda: theorems.schwarz_check(sample),
+            "schwarz": lambda: theorems.interior_pass(sample),
             "derivative_profile": lambda: theorems.derivative_profile(sample),
         }
         for name, run in runs.items():
