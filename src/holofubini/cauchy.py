@@ -137,10 +137,9 @@ def schwarz_violation(fa, fz, distances, sups, radius: float) -> float:
 
     A univariate (d = 1) check from the values of a batch of slices (batch shape () for
     one slice): ``fa`` at the center a, ``fz`` at m points z in the ball, shape (m,) +
-    batch, with ``distances`` |z - a| of shape (m,), and ``sups`` each slice's sup
-    estimated from below, such as its max on nodes of the circle |z - a| = r, where the
-    maximum principle puts it, together with |f(a)| and |f(z)|.  Nonpositive return
-    values certify the bound for every slice.
+    batch, their ``distances`` |z - a|, (m,), and ``sups``, each slice's sup estimated
+    from below, e.g. its max on nodes of the circle |z - a| = r (the maximum principle
+    puts it there), with |f(a)| and |f(z)|.  A nonpositive return certifies every slice.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -223,13 +223,18 @@ class ContourSample:
     @cached_property
     def sups(self) -> np.ndarray:
         """Each atom's max |f| on the contour grid, (k,), a lower estimate of its sup on
-        the polydisc, from blocks of rows of ``measure.ROW_BLOCK`` values or one row, so
-        the magnitudes never take the whole sample; a max is exact, so it equals the
-        whole sample's max bit for bit."""
-        rows = self.values
-        block = max(1, measure.ROW_BLOCK // self.space.natoms)
-        return _read_only(np.max([np.max(np.abs(rows[start:start + block]), axis=0)
-                                  for start in range(0, len(rows), block)], axis=0))
+        the polydisc, from blocks of rows of ``measure.ROW_BLOCK`` values or one row,
+        padded to a multiple of 8 rows (with zeros or earlier rows) and reduced as rows of
+        8 k values (a max over rows of few atoms is slow).  A max is exact: this is the
+        whole sample's bit for bit."""
+        rows, k = self.values, self.space.natoms
+        block = max(1, measure.ROW_BLOCK // k)
+        mags, sups = np.zeros((-(-min(block, len(rows)) // 8) * 8, k)), np.zeros(8 * k)
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            np.abs(part, out=mags[:len(part)])
+            np.maximum(sups, mags.reshape(-1, 8 * k).max(axis=0), out=sups)
+        return _read_only(sups.reshape(8, k).max(axis=0))
 
     @cached_property
     def sup(self) -> float:

@@ -487,10 +487,7 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     The longest prefix the checks read is evaluated in one pass over the atom blocks of
     :func:`_atom_blocks`, which keeps only each pair's increment, each atom's largest
     |f|, span's rows and, at d = 1, schwarz's largest violation, so no (rows, k) array
-    is held but span's.  Schwarz reads F at the center and each atom's contour sup
-    (:attr:`~holofubini.family.ContourSample.sups`), whose radius 0.95 r exceeds every
-    |z - c| <= shrink r <= 0.9 r.
-    :attr:`~holofubini.family.ContourSample.interior` keeps the result.
+    is held but span's.  :attr:`~holofubini.family.ContourSample.interior` keeps it.
     """
     fam, params = sample.fam, sample.space.params
     natoms, pairs = len(params), TELESCOPING_PAIRS
@@ -533,9 +530,10 @@ def _interior(sample: ContourSample, check: str) -> InteriorPass:
 
 def schwarz_check(sample: ContourSample) -> CheckReport:
     """Schwarz increment bound on every atom slice of a univariate family, on the
-    sample's contour disc (center c, radius R): |f(z, t_i) - f(c, t_i)| <= (2 / R) sup_i
-    |z - c| at the first ``ORDER_BOUND_SAMPLES`` points of its interior sequence, in the
-    shrink polydisc; sup_i is the largest of the atom's contour sup, |f(c, t_i)| and
+    sample's contour disc (center c, radius R = 0.95 r, beyond every |z - c| <= 0.9 r):
+    |f(z, t_i) - f(c, t_i)| <= (2 / R) sup_i |z - c| at the first ``ORDER_BOUND_SAMPLES``
+    points of its interior sequence, in the shrink polydisc; sup_i is the largest of the
+    atom's contour sup (:attr:`~holofubini.family.ContourSample.sups`), |f(c, t_i)| and
     |f(z, t_i)|.  The largest violation is the interior pass's (:func:`interior_pass`)."""
     if sample.fam.d != 1:
         raise ValueError("the Schwarz check applies to univariate domains only")

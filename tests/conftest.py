@@ -8,7 +8,8 @@ serve as oracles for the quadrature routes.
 import numpy as np
 import pytest
 
-from holofubini import FiniteMeasureSpace, family_preset, space_preset
+from holofubini import FiniteMeasureSpace, Polydisc, family_preset, space_preset, torus_nodes
+from holofubini.domain import sample_polydisc
 
 PRESET_NAMES = ("constant", "polynomial", "geometric", "exponential",
                 "separable", "tabulated")
@@ -68,3 +69,12 @@ def random_duals(space, count, seed):
     return [rng.standard_normal(space.natoms) + 1j * rng.standard_normal(space.natoms)
             for _ in range(count)]
 
+
+def schwarz_values(f, center, radius, seed):
+    """schwarz_violation's arguments for the slice f on the disc |z - center| < radius:
+    f(center), f at 1000 points drawn in the disc from default_rng(seed), their distances
+    to the center, the max of |f| on the 64-node ring and the radius."""
+    disc = Polydisc([center], [radius])
+    z = sample_polydisc(disc, 1000, 1.0, np.random.default_rng(seed))
+    return (f(np.array([[center]], dtype=complex))[0], f(z), np.abs(z[:, 0] - center),
+            np.max(np.abs(f(torus_nodes(disc, 64).grid()))), radius)

@@ -14,10 +14,11 @@ from holofubini import (FiniteMeasureSpace, cauchy_derivative,
                         derivative_functional, dirac, family_preset, random_measure,
                         space_preset, unit_polydisc)
 from holofubini import theorems
+from holofubini.cauchy import schwarz_violation
 from holofubini.family import ContourSample, GeometricFamily
 from holofubini.functional import MeasureFunctional
 
-from conftest import PRESET_NAMES, poly_deriv, random_duals
+from conftest import PRESET_NAMES, poly_deriv, random_duals, schwarz_values
 
 INF = math.inf
 P_LIST = (1.0, 2.0, INF)
@@ -158,11 +159,16 @@ def test_criterion_06_span_membership(space16):
 
 
 def test_criterion_07_schwarz_and_telescoping(space16):
-    # ten registered univariate slices, five kinds on two atoms, at the 200 seeded
-    # points of the interior sequence that schwarz reads
+    # ten registered univariate slices, five kinds on two atoms: 1000 seeded samples each
+    # over the whole 0.95 contour disc, and the 200 seeded points of the interior
+    # sequence that schwarz reads
     two_atoms = FiniteMeasureSpace([1.0, -0.7], [0.5, 0.5])
     for kind in ("constant", "polynomial", "geometric", "exponential", "separable"):
-        rep = theorems.schwarz_check(ContourSample(family_preset(kind), two_atoms, 64, seed=7))
+        fam = family_preset(kind)
+        for t in two_atoms.params:
+            v = schwarz_violation(*schwarz_values(lambda z: fam.eval(z, t), 0.0, 0.95, seed=7))
+            assert v <= 1e-12, (kind, t, v)
+        rep = theorems.schwarz_check(ContourSample(fam, two_atoms, 64, seed=7))
         assert rep.passed and rep.params["slices"] == 2, (kind, rep.lhs)
     # multivariate telescoping bound on 200 sampled pairs in d = 2
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")

@@ -11,11 +11,11 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
                         unit_polydisc)
 from holofubini.cauchy import (MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE, _fft_coefficients,
                               contour_derivatives, derivative_rule)
-from holofubini.domain import CONTOUR_SHRINK, multi_factorial, sample_polydisc
+from holofubini.domain import CONTOUR_SHRINK, multi_factorial
 from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
 
-from conftest import fd_derivative
+from conftest import fd_derivative, schwarz_values
 
 
 def ring(f, center, radius, n=64):
@@ -238,15 +238,6 @@ class TestTaylorCoefficients:
         assert got.tobytes() == oracle.tobytes()
         # the default order_bound degree reads the same kept table
         assert np.shares_memory(sample.taylor_table(max(n // 2 - 1, 2)), table)
-
-
-def schwarz_values(f, center, radius, seed):
-    """schwarz_violation's arguments for the slice f on the disc |z - center| < radius:
-    f(center), f at 200 points drawn in the disc from default_rng(seed), their distances
-    to the center, the max of |f| on the 64-node ring and the radius."""
-    z = sample_polydisc(Polydisc([center], [radius]), 200, 1.0, np.random.default_rng(seed))
-    return (f(np.array([[center]], dtype=complex))[0], f(z), np.abs(z[:, 0] - center),
-            np.max(np.abs(ring(f, center, radius))), radius)
 
 
 class TestSchwarz:

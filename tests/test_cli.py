@@ -128,19 +128,21 @@ class TestVerify:
         assert "too small for derivative order" in capsys.readouterr().err
 
     @pytest.mark.parametrize("nodes", ["4", "5", "6"])
-    @pytest.mark.parametrize("check, d, code", [
-        ("order_bound", 1, 0), ("schwarz", 1, 0), ("derivative_profile", 1, 0),
-        ("telescoping", 2, 0), ("derivative_consistency", 1, 1), ("diff_under_integral", 1, 1)])
-    def test_checks_that_read_no_functional_take_few_nodes(self, tmp_path, check, d, code,
-                                                           nodes):
-        # no default functional is built for a check that reads none, so its own
-        # verdict decides: the derivative checks fail on quadrature error at so few
-        # nodes (ROADMAP items 6 and 7), and linearization is still refused
-        got, text = run_cli(tmp_path, "check", check, *family_args(tmp_path, d),
-                            "--nodes", nodes)
-        assert got == code and {r["check"] for r in parse_records(text)} == {check}
-        assert main(["check", "linearization", *family_args(tmp_path, d), "--nodes",
-                     nodes]) == 2
+    @pytest.mark.parametrize("check, d", [
+        ("order_bound", 1), ("schwarz", 1), ("derivative_profile", 1), ("telescoping", 2),
+        ("derivative_consistency", 1), ("diff_under_integral", 1)])
+    def test_checks_that_read_no_functional_take_few_nodes(self, tmp_path, check, d, nodes):
+        # no default functional is built for a check that reads none, so the run is not
+        # refused over the default derivative functionals; its own verdict decides
+        code, text = run_cli(tmp_path, "check", check, *family_args(tmp_path, d),
+                             "--nodes", nodes)
+        assert code != 2 and {r["check"] for r in parse_records(text)} == {check}
+
+    @pytest.mark.parametrize("nodes", ["4", "5", "6"])
+    def test_linearization_refuses_few_nodes(self, tmp_path, capsys, nodes):
+        # linearization reads the default functionals, so they are built and refused
+        assert main(["check", "linearization", "--family", "geometric", "--nodes", nodes]) == 2
+        assert "too small for derivative order" in capsys.readouterr().err
 
     def test_off_centre_derivative_functional_runs(self, tmp_path):
         # derivative:a:alpha reads its contour at 0.95 of the largest polydisc about a

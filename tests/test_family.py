@@ -251,7 +251,8 @@ class TestSampler:
     def test_blocked_sup_is_the_whole_sample_max(self, monkeypatch, row_block):
         # sup reads blocks of measure.ROW_BLOCK values (whole rows, at least one): of
         # 1 row, of 3 rows with the largest |F|, in row 63, alone in the last block,
-        # and all 64 rows in one; each gives the whole sample's max, float for float
+        # and all 64 rows in one; each gives the whole sample's max, float for float,
+        # and each atom's, though the first two pad their blocks with zeros to 8 rows
         fam = ExponentialFamily(np.exp(2j * np.pi / 64), unit_polydisc(1))
         space = FiniteMeasureSpace([0.2, 1.0, -0.5], np.ones(3))
         sample = ContourSample(fam, space, 64)
@@ -259,6 +260,7 @@ class TestSampler:
         assert int(np.argmax(np.max(mags, axis=1))) == 63
         monkeypatch.setattr(measure, "ROW_BLOCK", row_block)
         assert sample.sup == float(np.max(mags))
+        assert sample.sups.tobytes() == np.max(mags, axis=0).tobytes()
 
     @pytest.mark.parametrize("row_block", [1, 3 * 16, 5 * 16, 2 ** 20])
     def test_blocked_values_equal_one_evaluation(self, monkeypatch, space16, row_block):
