@@ -24,7 +24,7 @@ on its distinguished boundary.
 sample keeps, so a run takes one FFT of its contour values; ``norm_bound`` takes
 every exponent's grid sup in one pass over blocks of contour rows and adds the
 functional's own nodes, so its bound is a finite triangle inequality that grid
-placement cannot break, and ``schwarz`` adds F at the center and at its points.  The
+placement cannot break, and ``schwarz`` and ``telescoping`` add F at the center.  The
 sample also keeps each functional's slice vector and its values on each stack of dual
 vectors, which linearization, fubini, norm_bound and span share; the functionals
 on the contour get theirs from one pass over blocks of it per stack, whose node
@@ -102,10 +102,8 @@ TOL_SPAN = 1e-8
 #: the fraction of its norm that a row of span's points must keep, orthogonal to the
 #: rows before it, to add a direction: duplicated points add none
 SPAN_RANK_TOL = 1e-12
-#: points of the interior sequence order_bound and schwarz read, and pairs of them
-#: telescoping reads
+#: points of the interior sequence order_bound, schwarz and telescoping read
 ORDER_BOUND_SAMPLES = 200
-TELESCOPING_PAIRS = 200
 
 
 @dataclass
@@ -410,28 +408,26 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
 
 
 def telescoping_residual(sample: ContourSample) -> CheckReport:
-    """Multivariate increment bound via one Schwarz step per variable.
+    """Multivariate increment bound via one Schwarz step per variable from the center c.
 
-    For ``TELESCOPING_PAIRS`` pairs z, a in the polydisc of the sample's shrink s, the
-    first and the second ``TELESCOPING_PAIRS`` points of its interior sequence
-    (:func:`interior_pass`), checks ``max_i |f(z, t_i) - f(a, t_i)| <= 2 B sum_j |z_j -
-    a_j| / r_j`` where B is the sample's ``sup``: max |F| on its contour grid, a run's
-    n-node grid at CONTOUR_SHRINK of the radii and so a lower estimate of the sup on its
-    polydisc.  r_j is the margin (CONTOUR_SHRINK - s) * radius_j.  Each pair's max over
-    the atoms is the interior pass's.
+    At the ``ORDER_BOUND_SAMPLES`` points z of the sample's interior sequence
+    (:func:`interior_pass`), in the polydisc of its shrink, checks
+    ``max_i |f(z, t_i) - f(c, t_i)| <= 2 B sum_j |z_j - c_j| / R_j``, R the sample's
+    contour radii.  Moving from c to z one variable at a time, each step's slice is
+    holomorphic on |w_j - c_j| < R_j and bounded by the sup on the contour polydisc, so
+    Schwarz's lemma bounds its increment by 2 B |z_j - c_j| / R_j.  B is the sample's
+    ``sup``: max |F| on its contour grid, a lower estimate of that sup.  Each point's
+    max over the atoms is the interior pass's.
     """
     if not sample.shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
-    fam, pairs = sample.fam, TELESCOPING_PAIRS
     interior = _interior(sample, "telescoping")
-    z, a = interior.points[:pairs], interior.points[pairs:2 * pairs]
-    margin = (CONTOUR_SHRINK - sample.shrink) * fam.domain.radius
     bound = sample.sup
-    rhs = 2.0 * bound * np.sum(np.abs(z - a) / margin, axis=1)
+    rhs = 2.0 * bound * np.sum(np.abs(interior.points - sample.center) / sample.radii, axis=1)
     worst = float(np.max(interior.increments - rhs))
     return CheckReport.build(
-        "telescoping", fam.label, "", worst, 0.0, max(0.0, worst),
-        1e-12 * (1.0 + bound), pairs=pairs, n=sample.n,
+        "telescoping", sample.fam.label, "", worst, 0.0, max(0.0, worst),
+        1e-12 * (1.0 + bound), samples=ORDER_BOUND_SAMPLES, n=sample.n,
     )
 
 
@@ -465,7 +461,7 @@ class InteriorPass:
 
     #: the points it evaluated, shape (rows, d)
     points: np.ndarray
-    #: telescoping's max over the atoms of |f(z_j, t_i) - f(a_j, t_i)| for each pair
+    #: telescoping's max over the atoms of |f(z_j, t_i) - f(c, t_i)| at each point z_j
     increments: np.ndarray | None
     #: order_bound's max over its points of |f(z, t_i)| for each atom
     maxima: np.ndarray | None
@@ -479,42 +475,39 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     """One evaluation of the sample's interior sequence for its checks, or for every
     check of :data:`CHECKS` when it has none.
 
-    The sequence is telescoping's z, then its a, each ``TELESCOPING_PAIRS`` points drawn
-    from ``default_rng(sample.seed)`` in the domain's polydisc of the sample's shrink
+    The sequence is ``ORDER_BOUND_SAMPLES`` points drawn from ``default_rng(sample.seed)``
+    in the domain's polydisc of the sample's shrink
     (:func:`~holofubini.domain.sample_polydisc`).  Each check reads the prefix of its
-    :attr:`Check.rows`: telescoping all of it, order_bound and schwarz
-    ``ORDER_BOUND_SAMPLES`` points and span the family's ``span_dim`` or 2 min(8, k).
-    The longest prefix the checks read is evaluated in one pass over the atom blocks of
-    :func:`_atom_blocks`, which keeps only each pair's increment, each atom's largest
-    |f|, span's rows and, at d = 1, schwarz's largest violation, so no (rows, k) array
-    is held but span's.  :attr:`~holofubini.family.ContourSample.interior` keeps it.
+    :attr:`Check.rows`: telescoping, order_bound and schwarz all of it and span the
+    family's ``span_dim`` or 2 min(8, k).  The longest prefix the checks read is
+    evaluated in one pass over the atom blocks of :func:`_atom_blocks`, which keeps only
+    each point's increment from F at the center, each atom's largest |f|, span's rows
+    and, at d = 1, schwarz's largest violation, so no (rows, k) array is held but span's.
+    :attr:`~holofubini.family.ContourSample.interior` keeps it.
     """
     fam, params = sample.fam, sample.space.params
-    natoms, pairs = len(params), TELESCOPING_PAIRS
+    natoms = len(params)
     reads = {name: CHECKS[name].rows(sample) for name in sample.checks or CHECKS}
-    rows, span_rows = max(reads.values()), reads.get("span", 0)
-    ob_rows = reads.get("order_bound", 0)
-    schwarz_rows = reads.get("schwarz", 0) if CHECKS["schwarz"].applies(fam.d) else 0
-    rng = np.random.default_rng(sample.seed)
-    points = np.concatenate([sample_polydisc(fam.domain, pairs, sample.shrink, rng),
-                             sample_polydisc(fam.domain, pairs, sample.shrink, rng)])[:rows]
-    increments = np.zeros(pairs) if "telescoping" in reads else None
+    span_rows, schwarz = reads.get("span", 0), "schwarz" in reads and fam.d == 1
+    points = sample_polydisc(fam.domain, ORDER_BOUND_SAMPLES, sample.shrink,
+                             np.random.default_rng(sample.seed))[:max(reads.values())]
+    increments = np.zeros(len(points)) if "telescoping" in reads else None
     maxima = np.empty(natoms) if "order_bound" in reads else None
     kept = np.empty((span_rows, natoms), dtype=complex)
-    if schwarz_rows:
+    if increments is not None or schwarz:
         at_center, sups = sample.closed_form(sample.center), sample.sups
-        distances = np.abs(points[:schwarz_rows, 0] - sample.center[0])
+        distances = np.abs(points[:, 0] - sample.center[0])
     worst = []
-    for atoms in _atom_blocks(natoms, rows):
+    for atoms in _atom_blocks(natoms, len(points)):
         values = fam.eval(points[:, None, :], params[atoms])
         if increments is not None:
-            np.maximum(increments, np.max(np.abs(values[:pairs] - values[pairs:2 * pairs]),
-                                          axis=1), out=increments)
+            np.maximum(increments, np.max(np.abs(values - at_center[atoms]), axis=1),
+                       out=increments)
         if maxima is not None:
-            maxima[atoms] = np.max(np.abs(values[:ob_rows]), axis=0)
-        if schwarz_rows:
-            worst.append(schwarz_violation(at_center[atoms], values[:schwarz_rows], distances,
-                                           sups[atoms], sample.radii[0]))
+            maxima[atoms] = np.max(np.abs(values), axis=0)
+        if schwarz:
+            worst.append(schwarz_violation(at_center[atoms], values, distances, sups[atoms],
+                                           sample.radii[0]))
         kept[:, atoms] = values[:span_rows]
     return InteriorPass(points, increments, maxima,
                         _Span(sample.space, kept) if span_rows else None,
@@ -586,9 +579,9 @@ def _span_rows(sample):
 
 #: check name -> its :class:`Check`, in the order a run takes them.  span holds at most
 #: 16 rows of the interior sequence with their basis, order_bound each atom's largest
-#: |f| and majorant (and reads its own 16-node contour below 16 nodes), schwarz each
-#: atom's F at the center and its float contour sup, and derivative_profile the float
-#: magnitudes of each order at each region point
+#: |f| and majorant (and reads its own 16-node contour below 16 nodes), schwarz and
+#: telescoping each atom's F at the center and its float contour sup, and
+#: derivative_profile the float magnitudes of each order at each region point
 CHECKS = {
     "linearization": Check(lambda sample, duals: [
         partial(linearization_residual, phi, sample, h, p=p)
@@ -611,7 +604,8 @@ CHECKS = {
                      applies=lambda d: d == 1, rows=lambda sample: ORDER_BOUND_SAMPLES,
                      per_atom=2),
     "telescoping": Check(lambda sample, duals: [partial(telescoping_residual, sample)],
-                         applies=lambda d: d >= 2, rows=lambda sample: 2 * TELESCOPING_PAIRS),
+                         applies=lambda d: d >= 2, rows=lambda sample: ORDER_BOUND_SAMPLES,
+                         per_atom=2),
     "order_bound": Check(lambda sample, duals: [partial(order_bound_check, sample)],
                          rows=lambda sample: ORDER_BOUND_SAMPLES, per_atom=1,
                          nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),

@@ -170,7 +170,7 @@ def test_criterion_07_schwarz_and_telescoping(space16):
             assert v <= 1e-12, (kind, t, v)
         rep = theorems.schwarz_check(ContourSample(fam, two_atoms, 64, seed=7))
         assert rep.passed and rep.params["slices"] == 2, (kind, rep.lhs)
-    # multivariate telescoping bound on 200 sampled pairs in d = 2
+    # multivariate telescoping bound at 200 sampled points in d = 2, from the center
     fam2 = GeometricFamily([0.5, 0.3], unit_polydisc(2), label="geometric2")
     rep = theorems.telescoping_residual(ContourSample(fam2, space16, 64, seed=0))
     assert rep.passed, rep.describe()

@@ -288,51 +288,51 @@ class TestSampleOnce:
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
     #   the interior sequence, evaluated once for span, order_bound, telescoping and
-    #   schwarz:
-    #     d = 1: order_bound's and schwarz's 200 points, whose first 16 span's 4
-    #       functionals share:  200 * k
-    #     d = 2: telescoping's 2 * 200 points, of which order_bound reads the first
-    #       200 and span the first 16:  400 * k
-    #   d = 1 only, schwarz's F at the centre, read with the interior pass:  1 * k, and
-    #     derivative_profile: PROFILE_GRID // 2 + 1 = 17 of its 32 region points, whose
-    #     conjugates the others are, each a contour of PROFILE_NODES = 32 nodes
-    #     whatever n, shared by orders 0-4
+    #   schwarz: their 200 points, whose first 16 span's 4 functionals share:  200 * k
+    #   F at the centre, from which schwarz (d = 1) or telescoping (d = 2) measures
+    #     each point's increment, read with the interior pass:  1 * k
+    #   d = 1 only, derivative_profile: PROFILE_GRID // 2 + 1 = 17 of its 32 region
+    #     points, whose conjugates the others are, each a contour of PROFILE_NODES = 32
+    #     nodes whatever n, shared by orders 0-4
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
     # d = 1, n = 64: k * (33 + 9 + 1 + 200 + 1 + 17*32) = 12,608
-    # d = 2, n = 64: k * (33*64 + 9 + 1 + 400) = 40,352
-    # d = 2, n = 32: k * (17*32 + 9 + 1 + 400) = 15,264
+    # d = 2, n = 64: k * (33*64 + 9 + 1 + 200 + 1) = 37,168
+    # d = 2, n = 32: k * (17*32 + 9 + 1 + 200 + 1) = 12,080
     # a single check of the interior sequence evaluates only the prefix it reads, beside
     #   the contour the checks read: `check span` its 16 points and the functionals'
     #   slice vectors, k * (33*64 + 9 + 16) = 34,192; `check order_bound` its 200
     #   points and the contour for its table, k * (33*64 + 200) = 36,992; `check
-    #   telescoping` its 400 points and the contour for its sup, k * (33*64 + 400) =
-    #   40,192
+    #   telescoping` its 200 points, F at the centre and the contour for its sup,
+    #   k * (33*64 + 200 + 1) = 37,008
     # `check derivative_profile` reads no contour value: k * 17 * 32 = 8,704
     # `check norm_bound` with a derivative functional off the centre: the contour
-    #   sample's 33 rows for the grid sup and the functional's own 64 nodes, evaluated
-    #   whole, k * (33 + 64) = 1,552
+    #   sample's 33 rows for the grid sup and the functional's own 64 nodes, whose
+    #   centre 0.5 is real, so that its rows j_1 <= n/2 are evaluated and the others
+    #   mirrored too, k * (33 + 33) = 1,056; about the complex center 0.3 + 0.1j its
+    #   grid is not closed under conjugation and is evaluated whole, k * (33 + 64) = 1,552
     # `check linearization` of a Dirac functional reads its one node and no contour
     #   value, not even to share a pairing: k * 1 = 16
     # A family, centre or atom that is not real keeps the whole contour and region
     # grid: the constant preset (value 2 + 1j), k * (64 + 9 + 1 + 200 + 1 + 32*32)
     # = 20,784, and equally a complex-rate geometric family, a JSON family with a
     # complex centre and a JSON space with a complex atom; d = 2 with a complex
-    # centre, k * (4096 + 9 + 1 + 400) = 72,096
+    # centre, k * (4096 + 9 + 1 + 200 + 1) = 68,912
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
         (1, 64, ["verify"], 12_608),
-        (2, 64, ["verify"], 40_352),
-        (2, 32, ["verify"], 15_264),
+        (2, 64, ["verify"], 37_168),
+        (2, 32, ["verify"], 12_080),
         (2, 64, ["check", "span"], 34_192),
         (2, 64, ["check", "order_bound"], 36_992),
-        (2, 64, ["check", "telescoping"], 40_192),
+        (2, 64, ["check", "telescoping"], 37_008),
         (1, 64, ["check", "derivative_profile"], 17 * 32 * 16),
-        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 97 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 66 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.3+0.1j:1"], 97 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d2-span", "d2-order-bound", "d2-telescoping",
-            "d1-profile", "d1-off-centre", "d1-dirac"])
+            "d1-profile", "d1-off-centre", "d1-off-complex-centre", "d1-dirac"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, command, expected):
         counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, *command, *family_args(tmp_path, d),
@@ -341,7 +341,7 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     @pytest.mark.parametrize("case, expected", [
-        ("constant", 20_784), ("complex-rate", 20_784), ("complex-centre", 72_096),
+        ("constant", 20_784), ("complex-rate", 20_784), ("complex-centre", 68_912),
         ("complex-atom", 20_784)])
     def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
         # a family, centre or atom that is not real evaluates the whole contour grid
@@ -367,10 +367,11 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     def test_closed_forms_are_evaluated_once(self, tmp_path, monkeypatch):
-        # d = 2: fubini reads the Dirac functional's F(z0) at each of 3 p, and each of
-        # the 6 multi-indices of |alpha| <= 2 is read at the center by
-        # derivative_consistency and diff_under_integral, (1, 0) and (2, 0) also by
-        # the derivative functionals' fubini at each p; the sample keeps each vector
+        # d = 2: fubini reads the Dirac functional's F(z0) at each of 3 p, telescoping
+        # F at the center, and each of the 6 multi-indices of |alpha| <= 2 is read at
+        # the center by derivative_consistency and diff_under_integral, (1, 0) and
+        # (2, 0) also by the derivative functionals' fubini at each p; the sample keeps
+        # each vector
         calls = []
         for name in ("vector", "deriv_vector"):
             def counting(self, z, space, *alpha, original=getattr(family.HoloFamily, name),
@@ -382,7 +383,7 @@ class TestSampleOnce:
         code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, 2), "--space",
                           "uniform-16", "--nodes", "32")
         assert code == 0
-        assert len(calls) == len(set(calls)) == 1 + 6
+        assert len(calls) == len(set(calls)) == 2 + 6
 
     def test_sample_reads_the_grid_the_functionals_hold(self, tmp_path):
         # the default derivative functionals are on the run's contour and hold one
@@ -473,15 +474,15 @@ class TestSampleOnce:
     def test_order_bound_and_telescoping_read_the_contour_sample(self, monkeypatch, checks):
         # once the contour sample holds its values, the checks evaluate only the
         # interior sequence, once for the sample's checks: order_bound, which reads it
-        # first, evaluates telescoping's 2 * 200 points with its own first 200, span
-        # and telescoping then evaluate nothing, and norm_bound the 1 * k node of its
-        # Dirac functional
+        # first, evaluates its 200 points, which telescoping shares, and telescoping's F
+        # at the center; span and telescoping then evaluate nothing, and norm_bound the
+        # 1 * k node of its Dirac functional
         fam = family.family_from_json(json.dumps(GEOMETRIC_D2))
         sample = family.ContourSample(fam, space_preset("uniform-16"), 64, checks=checks)
         sample.values
         counted = count_family_values(monkeypatch)
         assert theorems.order_bound_check(sample).passed
-        assert sum(counted) == 400 * 16
+        assert sum(counted) == (200 + 1) * 16
         counted.clear()
         assert theorems.span_monotonicity(dirac([0.3, -0.2j]), sample).passed
         assert theorems.telescoping_residual(sample).passed
@@ -865,11 +866,14 @@ class TestWorkBudget:
         assert cli._build_config(args, CHECK_NAMES).n == n
 
     # the count on the benchmark's families, spaces and nodes with the default
-    # functionals and checks and p = 1,2,inf, so a term that moves fails here by name
+    # functionals and checks and p = 1,2,inf, so a term that moves fails here by name;
+    # ids leave out the count, so re-pinning it keeps the test's name
     @pytest.mark.parametrize("d, space, n, counted", [
         (1, "uniform-16", 64, 70_530), (1, "geometric-64", 64, 84_498),
-        (2, "uniform-16", 64, 370_523), (2, "uniform-256", 32, 625_691),
-        (3, "uniform-16", 32, 1_148_836)])
+        (2, "uniform-16", 64, 370_555), (2, "uniform-256", 32, 626_203),
+        (3, "uniform-16", 32, 1_148_868)],
+        ids=["d1-uniform-16", "d1-geometric-64", "d2-uniform-16", "d2-uniform-256-n32",
+             "d3-uniform-16-n32"])
     def test_counted_values_of_the_bench_configs(self, tmp_path, d, space, n, counted):
         source = (["--family-file", self.family_file(tmp_path, 3)] if d == 3
                   else family_args(tmp_path, d))
