@@ -210,8 +210,15 @@ class ContourSample:
         They skip :meth:`HoloFamily.eval`'s domain test, which the rows they mirror
         pass: the center is real, so |conj z - c| = |z - c|, and the geometric kind's
         analyticity test reads |rate t z|, which conjugation keeps."""
-        return self._evaluate(torus_nodes(Polydisc(self.center, self.radii), self.n).grid(),
-                              self.n)
+        grid = torus_nodes(Polydisc(self.center, self.radii), self.n).grid()
+        values = np.empty((len(grid), self.space.natoms), dtype=complex)
+        if self.conjugate_symmetric:
+            n, d = self.n, self.fam.d
+            self._fill(values, grid[:(n // 2 + 1) * n ** (d - 1)])
+            _mirror(values.reshape((n,) * d + (-1,)))
+        else:
+            self._fill(values, grid)
+        return _read_only(values)
 
     @cached_property
     def sups(self) -> np.ndarray:
@@ -265,17 +272,14 @@ class ContourSample:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).
 
         A derivative functional on this contour (equal center and radii, n^d nodes)
-        reads :attr:`values`; any other functional's nodes are evaluated once, mirrored
-        as :attr:`values` are if it is a derivative functional about a real center.
+        reads :attr:`values`; any other functional's nodes are evaluated once.
         """
         if phi.d != self.fam.d:
             raise ValueError("functional and family dimensions differ")
         if self.on_contour(phi):
             return self.values
         if phi not in self._node_values:
-            real_grid = phi.meaning == "derivative" and not np.any(phi.center.imag)
-            self._node_values[phi] = self._evaluate(
-                phi.nodes, round(len(phi.nodes) ** (1 / phi.d)) if real_grid else 0)
+            self._node_values[phi] = self._evaluate(phi.nodes)
         return self._node_values[phi]
 
     def slice_vector(self, phi) -> np.ndarray:
@@ -349,17 +353,10 @@ class ContourSample:
                 and np.array_equal(phi.center, self.center)
                 and np.array_equal(phi.radii, self.radii))
 
-    def _evaluate(self, points: np.ndarray, n: int = 0) -> np.ndarray:
-        """F on ``points`` of shape (m, d), (m, k): one array filled by :meth:`_fill`.
-        With n > 0 the points are a torus grid of n nodes per variable about a real center,
-        of which a conjugate-symmetric family evaluates the rows j_1 <= n/2 (:attr:`values`)."""
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+        """F on ``points`` of shape (m, d), (m, k): one array filled by :meth:`_fill`."""
         values = np.empty((len(points), self.space.natoms), dtype=complex)
-        if n and self.conjugate_symmetric:
-            d = points.shape[1]
-            self._fill(values, points[:(n // 2 + 1) * n ** (d - 1)])
-            _mirror(values.reshape((n,) * d + (-1,)))
-        else:
-            self._fill(values, points)
+        self._fill(values, points)
         return _read_only(values)
 
     def _fill(self, values: np.ndarray, points: np.ndarray) -> None:

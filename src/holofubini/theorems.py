@@ -415,19 +415,22 @@ def telescoping_residual(sample: ContourSample) -> CheckReport:
     ``max_i |f(z, t_i) - f(c, t_i)| <= 2 B sum_j |z_j - c_j| / R_j``, R the sample's
     contour radii.  Moving from c to z one variable at a time, each step's slice is
     holomorphic on |w_j - c_j| < R_j and bounded by the sup on the contour polydisc, so
-    Schwarz's lemma bounds its increment by 2 B |z_j - c_j| / R_j.  B is the sample's
-    ``sup``: max |F| on its contour grid, a lower estimate of that sup.  Each point's
-    max over the atoms is the interior pass's.
+    Schwarz's lemma bounds its increment by 2 B |z_j - c_j| / R_j.  B is max |F| on a
+    contour grid, a lower estimate of that sup: the sample's ``sup`` or, below
+    :attr:`Check.nodes` nodes, where 4 nodes can miss the sup by far, that of a contour
+    sample of its own with that many nodes, whose count the report carries.  Each
+    point's max over the atoms is the interior pass's.
     """
     if not sample.shrink < CONTOUR_SHRINK:
         raise ValueError("sampling region must sit strictly inside the sup region")
     interior = _interior(sample, "telescoping")
-    bound = sample.sup
+    floor = CHECKS["telescoping"].nodes
+    bound = (sample if sample.n >= floor else ContourSample(sample.fam, sample.space, floor)).sup
     rhs = 2.0 * bound * np.sum(np.abs(interior.points - sample.center) / sample.radii, axis=1)
     worst = float(np.max(interior.increments - rhs))
     return CheckReport.build(
         "telescoping", sample.fam.label, "", worst, 0.0, max(0.0, worst),
-        1e-12 * (1.0 + bound), samples=ORDER_BOUND_SAMPLES, n=sample.n,
+        1e-12 * (1.0 + bound), samples=ORDER_BOUND_SAMPLES, n=max(sample.n, floor),
     )
 
 
@@ -579,9 +582,9 @@ def _span_rows(sample):
 
 #: check name -> its :class:`Check`, in the order a run takes them.  span holds at most
 #: 16 rows of the interior sequence with their basis, order_bound each atom's largest
-#: |f| and majorant (and reads its own 16-node contour below 16 nodes), schwarz and
-#: telescoping each atom's F at the center and its float contour sup, and
-#: derivative_profile the float magnitudes of each order at each region point
+#: |f| and majorant, schwarz and telescoping each atom's F at the center and its float
+#: contour sup (order_bound and telescoping read their own 16-node contour below 16
+#: nodes), and derivative_profile the float magnitudes of each order at each region point
 CHECKS = {
     "linearization": Check(lambda sample, duals: [
         partial(linearization_residual, phi, sample, h, p=p)
@@ -605,7 +608,7 @@ CHECKS = {
                      per_atom=2),
     "telescoping": Check(lambda sample, duals: [partial(telescoping_residual, sample)],
                          applies=lambda d: d >= 2, rows=lambda sample: ORDER_BOUND_SAMPLES,
-                         per_atom=2),
+                         per_atom=2, nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),
     "order_bound": Check(lambda sample, duals: [partial(order_bound_check, sample)],
                          rows=lambda sample: ORDER_BOUND_SAMPLES, per_atom=1,
                          nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),

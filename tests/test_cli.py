@@ -307,10 +307,8 @@ class TestSampleOnce:
     #   k * (33*64 + 200 + 1) = 37,008
     # `check derivative_profile` reads no contour value: k * 17 * 32 = 8,704
     # `check norm_bound` with a derivative functional off the centre: the contour
-    #   sample's 33 rows for the grid sup and the functional's own 64 nodes, whose
-    #   centre 0.5 is real, so that its rows j_1 <= n/2 are evaluated and the others
-    #   mirrored too, k * (33 + 33) = 1,056; about the complex center 0.3 + 0.1j its
-    #   grid is not closed under conjugation and is evaluated whole, k * (33 + 64) = 1,552
+    #   sample's 33 rows for the grid sup and the functional's own 64 nodes, evaluated
+    #   whole, k * (33 + 64) = 1,552
     # `check linearization` of a Dirac functional reads its one node and no contour
     #   value, not even to share a pairing: k * 1 = 16
     # A family, centre or atom that is not real keeps the whole contour and region
@@ -328,11 +326,10 @@ class TestSampleOnce:
         (2, 64, ["check", "order_bound"], 36_992),
         (2, 64, ["check", "telescoping"], 37_008),
         (1, 64, ["check", "derivative_profile"], 17 * 32 * 16),
-        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 66 * 16),
-        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.3+0.1j:1"], 97 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 97 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d2-span", "d2-order-bound", "d2-telescoping",
-            "d1-profile", "d1-off-centre", "d1-off-complex-centre", "d1-dirac"])
+            "d1-profile", "d1-off-centre", "d1-dirac"])
     def test_family_value_count(self, tmp_path, monkeypatch, d, n, command, expected):
         counted = count_family_values(monkeypatch)
         code, _ = run_cli(tmp_path, *command, *family_args(tmp_path, d),
