@@ -171,15 +171,15 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     summed for blocks of atoms of at most ``FFT_BLOCK`` magnitudes, each atom's sum the
     same whatever its block.  The degree is n // 2 - 1, capped at
     ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree,
-    read from a contour sample of its own with 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes.
+    read from the floor contour of 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes that the sample
+    keeps (:meth:`~holofubini.family.ContourSample.at_least`).
     The tail, M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the shrink and M the
     sample's ``sup``, sums M s^|m| over the degrees m outside the table; at s >= 1 the
     sum diverges.
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
-    if sample.n < 2 * MIN_ORDER_BOUND_DEGREE + 2:
-        sample = ContourSample(sample.fam, sample.space, 2 * MIN_ORDER_BOUND_DEGREE + 2)
+    sample = sample.at_least(2 * MIN_ORDER_BOUND_DEGREE + 2)
     degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
     radii, d = sample.radii, sample.fam.d
     coeffs = sample.taylor_table(degree)

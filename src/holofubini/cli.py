@@ -55,9 +55,10 @@ def _counted_values(config: SuiteConfig) -> int:
     d, sample = fam.d, ContourSample(fam, config.space, n)
     checks = [theorems.CHECKS[name] for name in config.checks]
     # the run's contour and, below the nodes a check reads at least (16 for order_bound
-    # and telescoping), one own contour, each with per node the sample (k), the grid (d)
-    # and diff_under_integral's pairing z -> <F(z), h> with its transform (2), and per atom
-    # the Taylor table of degree n // 2 - 1, at least 2 and at most MAX_TAYLOR_DEGREE
+    # and telescoping), the one floor contour the sample keeps for them, each with per
+    # node the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h>
+    # with its transform (2), and per atom the Taylor table of degree n // 2 - 1, at
+    # least 2 and at most MAX_TAYLOR_DEGREE
     floor = max(check.nodes for check in checks)
     sides = [n] + ([floor] if n < floor else [])
     nodes = sum(m ** d for m in sides)

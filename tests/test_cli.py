@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -282,8 +283,9 @@ class TestSampleOnce:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
     #     the sups of norm_bound and telescoping and, at d = 1, schwarz's per atom; the
-    #     family, centre and atoms are real, so only its rows j_1 <= n/2 are
-    #     evaluated and the others mirrored:  (n // 2 + 1) * n^(d-1) * k
+    #     family, centre and atoms are real and the rates differ, so one row is
+    #     evaluated per conjugate orbit and the others copied:  (n^d + 2^d) / 2 * k at
+    #     even n, 33 rows at d = 1 and n = 64, 2,050 at d = 2 and n = 64, 514 at 32
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
@@ -297,14 +299,14 @@ class TestSampleOnce:
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
     # d = 1, n = 64: k * (33 + 9 + 1 + 200 + 1 + 17*32) = 12,608
-    # d = 2, n = 64: k * (33*64 + 9 + 1 + 200 + 1) = 37,168
-    # d = 2, n = 32: k * (17*32 + 9 + 1 + 200 + 1) = 12,080
+    # d = 2, n = 64: k * (2050 + 9 + 1 + 200 + 1) = 36,176
+    # d = 2, n = 32: k * (514 + 9 + 1 + 200 + 1) = 11,600
     # a single check of the interior sequence evaluates only the prefix it reads, beside
     #   the contour the checks read: `check span` its 16 points and the functionals'
-    #   slice vectors, k * (33*64 + 9 + 16) = 34,192; `check order_bound` its 200
-    #   points and the contour for its table, k * (33*64 + 200) = 36,992; `check
+    #   slice vectors, k * (2050 + 9 + 16) = 33,200; `check order_bound` its 200
+    #   points and the contour for its table, k * (2050 + 200) = 36,000; `check
     #   telescoping` its 200 points, F at the centre and the contour for its sup,
-    #   k * (33*64 + 200 + 1) = 37,008
+    #   k * (2050 + 200 + 1) = 36,016
     # `check derivative_profile` reads no contour value: k * 17 * 32 = 8,704
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample's 33 rows for the grid sup and the functional's own 64 nodes, evaluated
@@ -315,16 +317,17 @@ class TestSampleOnce:
     # grid: the constant preset (value 2 + 1j), k * (64 + 9 + 1 + 200 + 1 + 32*32)
     # = 20,784, and equally a complex-rate geometric family, a JSON family with a
     # complex centre and a JSON space with a complex atom; d = 2 with a complex
-    # centre, k * (4096 + 9 + 1 + 200 + 1) = 68,912
+    # centre, whose rates and centres differ, so no swap applies either,
+    # k * (4096 + 9 + 1 + 200 + 1) = 68,912
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
         (1, 64, ["verify"], 12_608),
-        (2, 64, ["verify"], 37_168),
-        (2, 32, ["verify"], 12_080),
-        (2, 64, ["check", "span"], 34_192),
-        (2, 64, ["check", "order_bound"], 36_992),
-        (2, 64, ["check", "telescoping"], 37_008),
+        (2, 64, ["verify"], 36_176),
+        (2, 32, ["verify"], 11_600),
+        (2, 64, ["check", "span"], 33_200),
+        (2, 64, ["check", "order_bound"], 36_000),
+        (2, 64, ["check", "telescoping"], 36_016),
         (1, 64, ["check", "derivative_profile"], 17 * 32 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 97 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
@@ -339,7 +342,8 @@ class TestSampleOnce:
 
     @pytest.mark.parametrize("case, expected", [
         ("constant", 20_784), ("complex-rate", 20_784), ("complex-centre", 68_912),
-        ("complex-atom", 20_784)])
+        ("complex-atom", 20_784)], ids=["constant", "complex-rate", "complex-centre",
+                                        "complex-atom"])
     def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
         # a family, centre or atom that is not real evaluates the whole contour grid
         # and region grid, as every family did before the mirror (arithmetic above)
@@ -362,6 +366,29 @@ class TestSampleOnce:
         code, _ = run_cli(tmp_path, "verify", *args[case])
         assert code == 0
         assert sum(counted) == expected
+
+    def test_floor_contour_is_evaluated_once(self, tmp_path, monkeypatch):
+        # below 16 nodes order_bound and telescoping read one 16-node floor contour that
+        # the run's sample keeps: at --nodes 8 the run's 8 x 8 contour evaluates its
+        # (64 + 4) / 2 = 34 conjugate orbits and the floor contour its (256 + 4) / 2 =
+        # 130, each once, on 16 atoms; a contour of each check's own made it twice
+        counted = count_family_values(monkeypatch)
+        evaluated = []
+        build = family.ContourSample.values.func
+
+        def recording(sample):
+            before = sum(counted)
+            values = build(sample)
+            evaluated.append((sample.n, sum(counted) - before))
+            return values
+
+        values = cached_property(recording)
+        values.__set_name__(family.ContourSample, "values")
+        monkeypatch.setattr(family.ContourSample, "values", values)
+        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, 2), "--space",
+                          "uniform-16", "--nodes", "8")
+        assert code in (0, 1)  # 8 nodes miss the quadrature checks' 64-node tolerance
+        assert sorted(evaluated) == [(8, 34 * 16), (16, 130 * 16)]
 
     def test_closed_forms_are_evaluated_once(self, tmp_path, monkeypatch):
         # d = 2: fubini reads the Dirac functional's F(z0) at each of 3 p, telescoping

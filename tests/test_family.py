@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy, derivative_functional, dirac,
-                        family_from_json, family_preset, measure, order_bound_check,
+                        family, family_from_json, family_preset, measure, order_bound_check,
                         preset_names, random_measure, space_preset, telescoping_residual,
                         torus_nodes, unit_polydisc)
 from holofubini.domain import CONTOUR_SHRINK
@@ -278,9 +279,12 @@ class TestSampler:
             n = {1: 64, 2: 8, 3: 4}[fam.d]
             sample = ContourSample(fam, space16, n)
             grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
-            np.testing.assert_array_equal(sample.values,
-                                          fam.eval(grid[:, None, :], space16.params),
-                                          strict=True)
+            if fam.d < 3:
+                np.testing.assert_array_equal(sample.values,
+                                              fam.eval(grid[:, None, :], space16.params),
+                                              strict=True)
+            else:  # swapped rows at d = 3 sum in another order
+                assert_orbit_fill(sample)
             assert not sample.values.flags.writeable
 
     def test_pole_inside_the_contour_keeps_nothing(self, monkeypatch):
@@ -360,17 +364,56 @@ def conjugate_symmetric_families():
             + [ConjugatePerturbedGeometric(0.3), ContourVanishingGeometric(32.0)])
 
 
+def orbit_least(n, d, classes, conjugate):
+    """Each contour grid row's least flat index over its orbit, by brute force: every
+    permutation within ``classes`` of the row's indices and, when ``conjugate``, of
+    their negations mod n."""
+    digits = np.indices((n,) * d).reshape(d, -1)
+    images = []
+    for sign in (1, -1) if conjugate else (1,):
+        for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
+            order = list(range(d))
+            for positions, permuted in zip(classes, choice):
+                for position, source in zip(positions, permuted):
+                    order[position] = source
+            images.append(np.ravel_multi_index(sign * digits[order] % n, (n,) * d))
+    return np.min(images, axis=0)
+
+
+def assert_orbit_fill(sample):
+    """The sample's values against one evaluation of the whole grid: every orbit
+    representative, every plain conjugate of one and, at d <= 2, every row bit for bit;
+    at d >= 3 a swapped row, whose sum or product runs in another order, within 4 ulp."""
+    n, d = sample.n, sample.fam.d
+    grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+    direct = sample.fam.eval(grid[:, None, :], sample.space.params)
+    least = orbit_least(n, d, sample.interchangeable, sample.conjugate_symmetric)
+    own = least == np.arange(n ** d)
+    exact = own.copy() if d > 2 else np.ones_like(own)
+    if sample.conjugate_symmetric:
+        exact[np.ravel_multi_index(-np.indices((n,) * d).reshape(d, -1)[:, own] % n,
+                                   (n,) * d)] = True
+    assert np.array_equal(sample.values[exact], direct[exact]), sample.fam.label
+    np.testing.assert_allclose(sample.values, direct, rtol=4 * np.finfo(float).eps, atol=0,
+                               err_msg=sample.fam.label)
+    return int(np.sum(own))
+
+
 class TestConjugateMirror:
-    """A real family's contour sample evaluates the rows j_1 <= n/2 and mirrors the rest."""
+    """A real family's contour sample evaluates one row per orbit and copies the rest."""
 
     @pytest.mark.parametrize("n", [4, 5, 7, 32, 33])
     def test_mirror_equals_direct_evaluation(self, space16, n):
-        # bit for bit, at even and odd n, for every conjugate-symmetric family
+        # bit for bit, at even and odd n, for every conjugate-symmetric family, but for
+        # the swapped rows at d = 3, whose sums run in another order (assert_orbit_fill)
         for fam in conjugate_symmetric_families():
             sample = ContourSample(fam, space16, n)
             assert sample.conjugate_symmetric, fam.label
             grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
-            assert np.array_equal(sample.values, sample._evaluate(grid)), fam.label
+            if fam.d < 3:
+                assert np.array_equal(sample.values, sample._evaluate(grid)), fam.label
+            else:
+                assert_orbit_fill(sample)
 
     def test_mirror_holds_no_second_sample(self):
         # d = 2, 64 nodes, 256 atoms: a 16 MiB sample evaluated in blocks of
@@ -387,6 +430,102 @@ class TestConjugateMirror:
             tracemalloc.stop()
         block = (fam.d + 2) * measure.ROW_BLOCK * 16
         assert peak <= values.nbytes + block < values.nbytes + 31 * 64 * 256 * 16
+
+
+class OneSidedGeometric(GeometricFamily):
+    """Equal rates plus t z_1, a term in one variable only: swapping the variables
+    changes it, and its ``_evaluate`` is not its kind's own, so it is never permuted."""
+
+    def __init__(self):
+        super().__init__([0.5, 0.5], unit_polydisc(2), "geometric-d2+z1")
+
+    def _evaluate(self, z, t):
+        return super()._evaluate(z, t) + t * z[..., 0]
+
+
+def orbit_families():
+    """(family, its interchangeable classes): the conjugate-symmetric families, geometric
+    ones at equal rates (at d = 3 a swapped product rounds otherwise, so a representative's
+    plain conjugate must be copied by conjugation, not by a swap), families at d = 2 that
+    only swaps serve, and exponential ones whose variables differ in radius or center."""
+    skew = 0.6363961030678927 * (1 + 1j)  # 0.9 e^(i pi / 4)
+    swapped = {"exponential-d2": ((0, 1),), "exponential-d3": ((0, 1, 2),)}
+    d2, d3 = unit_polydisc(2), unit_polydisc(3)
+    return ([(fam, swapped.get(fam.label, ())) for fam in conjugate_symmetric_families()]
+            + [(GeometricFamily([0.5, 0.5], d2, "geometric-d2-equal"), ((0, 1),)),
+               (GeometricFamily([0.5] * 3, d3, "geometric-d3-equal"), ((0, 1, 2),)),
+               (GeometricFamily([skew, skew], d2, "geometric-d2-skew"), ((0, 1),)),
+               (ConstantFamily(2 + 1j, d2, "constant-d2"), ((0, 1),)),
+               (OneSidedGeometric(), ()),
+               (ExponentialFamily(1.0, Polydisc([0] * 3, [1, 0.5, 1]), "exponential-radii"),
+                ((0, 2),)),
+               (ExponentialFamily(1.0, Polydisc([0, 0.1], [1, 1]), "exponential-centers"),
+                ())])
+
+
+class TestOrbitFill:
+    """The contour sample evaluates one row per orbit of swaps and conjugation."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8, 32, 33])
+    def test_rows_equal_direct_evaluation(self, space16, monkeypatch, n):
+        # every family evaluates one row per orbit, each through HoloFamily.eval, and its
+        # copies match direct evaluation (bit for bit but for swapped rows at d = 3)
+        evaluated = []
+        evaluate = family.HoloFamily.eval
+
+        def counting(self, z, t):
+            out = evaluate(self, z, t)
+            evaluated.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(family.HoloFamily, "eval", counting)
+        for fam, classes in orbit_families():
+            sample = ContourSample(fam, space16, n)
+            assert sample.interchangeable == classes, fam.label
+            evaluated.clear()
+            sample.values
+            values = sum(evaluated)
+            assert values == 16 * assert_orbit_fill(sample), fam.label
+
+    @pytest.mark.parametrize("doc, n, rows", [
+        (BENCH_DOCS[2], 32, 3009),  # exponential-d3: (C(34, 3) + 34) / 2
+        (BENCH_DOCS[1], 64, 1057),  # exponential-d2: (C(65, 2) + 34) / 2
+        (BENCH_DOCS[0], 64, 2050),  # geometric-d2, unequal rates: (64^2 + 4) / 2
+        (BENCH_DOCS[0], 32, 514),   # (32^2 + 4) / 2
+    ], ids=["exponential-d3-n32", "exponential-d2-n64", "geometric-d2-n64",
+            "geometric-d2-n32"])
+    def test_evaluated_rows_are_the_orbit_count(self, monkeypatch, doc, n, rows):
+        fam = family_from_json(doc)
+        sample = ContourSample(fam, space_preset("uniform-4"), n)
+        evaluated = []
+        evaluate = family.HoloFamily.eval
+
+        def counting(self, z, t):
+            evaluated.append(np.size(z) // self.d)
+            return evaluate(self, z, t)
+
+        monkeypatch.setattr(family.HoloFamily, "eval", counting)
+        sample.values
+        assert sum(evaluated) == rows
+
+    def test_representative_outside_the_domain_raises(self, monkeypatch):
+        # equal rates 1.5 about the center (-0.5, -0.5): the contour of radius 0.475
+        # reaches |z_j| = 0.975, past the pole region |z_j| >= 2/3 at t = 1; only
+        # representatives are evaluated, and one of them raises, with the message of one
+        # eval on the whole grid, and no values are kept
+        fam = GeometricFamily([1.5, 1.5], Polydisc([-0.5, -0.5], [0.5, 0.5]))
+        space = FiniteMeasureSpace([0.0, 1.0], [0.5, 0.5])
+        sample = ContourSample(fam, space, 16)
+        assert sample.interchangeable == ((0, 1),) and sample.conjugate_symmetric
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
+        with pytest.raises(ValueError) as whole:
+            fam.eval(grid[:, None, :], space.params)
+        monkeypatch.setattr(measure, "ROW_BLOCK", 2 * space.natoms)
+        for _ in range(2):
+            with pytest.raises(ValueError) as blocked:
+                sample.values
+            assert str(blocked.value) == str(whole.value)
+            assert "values" not in vars(sample)
 
 
 class TestClosedFormDerivatives:
