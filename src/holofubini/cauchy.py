@@ -4,7 +4,8 @@ Schwarz-lemma inequality, and Taylor-majorant order bounds.
 Two kernels take the same trapezoid sum: :func:`derivative_rule`'s weights are the
 derivative functionals' measures, and ``_fft_coefficients`` serves every checker
 derivative and the contour sample's Taylor table.  :func:`schwarz_violation` takes
-values only: the interior pass's, at points drawn in the ``--shrink`` polydisc.
+values only: the interior pass's, at points drawn in the ``--shrink`` polydisc, for the
+one increment bound that schwarz (d = 1) and telescoping (d >= 2) report.
 
 A "slice" is any callable accepting a complex array whose last axis indexes
 the d variables and returning values with the leading (batch) shape; it must
@@ -132,19 +133,17 @@ def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
     return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
 
 
-def schwarz_violation(fa, fz, distances, sups, radius: float) -> float:
-    """Max over the points z of |f(z)-f(a)| - (2/r) ||f||_inf |z-a| on Ball(a; r).
+def schwarz_violation(fa, fz, steps, sups) -> float:
+    """Max over the points z and the slices of |f(z) - f(c)| - 2 B sum_j |z_j - c_j| / R_j.
 
-    A univariate (d = 1) check from the values of a batch of slices (batch shape () for
-    one slice): ``fa`` at the center a, ``fz`` at m points z in the ball, shape (m,) +
-    batch, their ``distances`` |z - a|, (m,), and ``sups``, each slice's sup estimated
-    from below, e.g. its max on nodes of the circle |z - a| = r (the maximum principle
-    puts it there), with |f(a)| and |f(z)|.  A nonpositive return certifies every slice.
+    Schwarz's lemma, one variable at a time, for a batch of slices holomorphic on the
+    polydisc (c, R) (batch shape () for one slice): ``fa`` at c, ``fz`` at m points z,
+    shape (m,) + batch, their ``steps`` sum_j |z_j - c_j| / R_j, (m,), and ``sups``, each
+    slice's sup B estimated from below, e.g. its max on a contour grid (the maximum
+    principle puts the sup on the distinguished boundary).  A nonpositive return
+    certifies every slice.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    sup = np.maximum.reduce([sups, np.max(np.abs(fz), axis=0), np.abs(fa)])
-    bound = (2.0 / radius) * sup * np.reshape(distances, (-1,) + (1,) * (np.ndim(fz) - 1))
+    bound = 2.0 * sups * np.reshape(steps, (-1,) + (1,) * (np.ndim(fz) - 1))
     return float(np.max(np.abs(fz - fa) - bound))
 
 

@@ -54,8 +54,8 @@ def _counted_values(config: SuiteConfig) -> int:
     fam, k, n = config.family, config.space.natoms, config.n
     d, sample = fam.d, ContourSample(fam, config.space, n)
     checks = [theorems.CHECKS[name] for name in config.checks]
-    # the run's contour and, below the nodes a check reads at least (16 for order_bound
-    # and telescoping), the one floor contour the sample keeps for them, each with per
+    # the run's contour and, below the nodes a check reads at least (16 for order_bound,
+    # schwarz and telescoping), the one floor contour the sample keeps for them, each with per
     # node the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h>
     # with its transform (2), and per atom the Taylor table of degree n // 2 - 1, at
     # least 2 and at most MAX_TAYLOR_DEGREE

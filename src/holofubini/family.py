@@ -177,7 +177,7 @@ class ContourSample:
     pairing of F with a stack is held.  The sample is also built with the run's
     ``checks``, ``shrink`` and ``seed``, and keeps what the checks read of F on the
     run's interior sequence, evaluated once (:attr:`interior`), and, below 16 nodes, the
-    one floor contour that order_bound and telescoping read (:meth:`at_least`); a
+    one floor contour that order_bound, schwarz and telescoping read (:meth:`at_least`); a
     sample built without checks serves every reader of it.  Two threads sharing a
     sample can at worst compute one twice.
     """
@@ -195,11 +195,12 @@ class ContourSample:
 
     @cached_property
     def conjugate_symmetric(self) -> bool:
-        """Whether f(conj z, t_i) = conj f(z, t_i) for every atom: the family's kind is
-        registered and its parameters (the ``[re, im]`` leaves of ``params_json()``), its
-        domain center and every atom parameter of the space are real."""
+        """Whether f(conj z, t_i) = conj f(z, t_i) for every atom: the family's kind
+        certifies it (:func:`_certified`) and its parameters (the ``[re, im]`` leaves of
+        ``params_json()``), its domain center and every atom parameter of the space are
+        real."""
         fam = self.fam
-        return (fam.kind in _KINDS and not np.any(fam.domain.center.imag)
+        return (_certified(fam) and not np.any(fam.domain.center.imag)
                 and not np.any(self.space.params.imag)
                 and not any(np.any(np.asarray(leaf, dtype=float)[..., 1])
                             for leaf in fam.params_json().values()))
@@ -209,11 +210,9 @@ class ContourSample:
         """The classes of two or more variables whose swapping leaves F unchanged: equal
         center and radius, and equal keys of the family's :meth:`HoloFamily._swap_keys`
         (every variable of the exponential and constant kinds, the geometric kind's at
-        equal rates).  The certificate is the registered kind's, so a family whose
-        ``_evaluate`` is not its kind's own has none."""
+        equal rates).  The certificate is the kind's (:func:`_certified`)."""
         fam = self.fam
-        kind = _KINDS.get(fam.kind)
-        keys = fam._swap_keys() if kind and type(fam)._evaluate is kind._evaluate else None
+        keys = fam._swap_keys() if _certified(fam) else None
         if keys is None:
             return ()
         classes = {}
@@ -306,8 +305,8 @@ class ContourSample:
 
     def at_least(self, nodes: int) -> "ContourSample":
         """This sample if it has ``nodes`` nodes or more, else a contour sample of its
-        family and space with ``nodes`` nodes, built once: below 16 nodes order_bound and
-        telescoping read one such floor contour, evaluated once."""
+        family and space with ``nodes`` nodes, built once: below 16 nodes order_bound,
+        schwarz and telescoping read one such floor contour, evaluated once."""
         if self.n >= nodes:
             return self
         if nodes not in self._floors:
@@ -422,6 +421,13 @@ class ContourSample:
         for start in range(0, len(points), block):
             stop = min(start + block, len(points))
             values[start:stop] = self.fam.eval(points[start:stop, None, :], params)
+
+
+def _certified(fam: HoloFamily) -> bool:
+    """Whether the symmetries read off the family's kind hold for it: the kind is
+    registered and the family's ``_evaluate`` is the kind's own."""
+    kind = _KINDS.get(fam.kind)
+    return kind is not None and type(fam)._evaluate is kind._evaluate
 
 
 def _orbit_sources(rows: np.ndarray, n: int, d: int, classes, conjugate: bool):

@@ -27,7 +27,9 @@ contour polydisc lies on its distinguished boundary.
 sample keeps, so a run takes one FFT of its contour values; ``norm_bound`` takes
 every exponent's grid sup in one pass over blocks of contour rows and adds the
 functional's own nodes, so its bound is a finite triangle inequality that grid
-placement cannot break, and ``schwarz`` and ``telescoping`` add F at the center.  The
+placement cannot break, and ``schwarz`` and ``telescoping`` add F at the center: they
+are one Schwarz increment bound under two record names, schwarz at d = 1 and telescoping
+at d >= 2, while the benchmark names both.  The
 sample also keeps each functional's slice vector and its values on each stack of dual
 vectors, which linearization, fubini, norm_bound and span share; the functionals
 on the contour get theirs from one pass over blocks of it per stack, whose node
@@ -413,29 +415,18 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
 def telescoping_residual(sample: ContourSample) -> CheckReport:
     """Multivariate increment bound via one Schwarz step per variable from the center c.
 
-    At the ``ORDER_BOUND_SAMPLES`` points z of the sample's interior sequence
-    (:func:`interior_pass`), in the polydisc of its shrink, checks
-    ``max_i |f(z, t_i) - f(c, t_i)| <= 2 B sum_j |z_j - c_j| / R_j``, R the sample's
-    contour radii.  Moving from c to z one variable at a time, each step's slice is
-    holomorphic on |w_j - c_j| < R_j and bounded by the sup on the contour polydisc, so
-    Schwarz's lemma bounds its increment by 2 B |z_j - c_j| / R_j.  B is max |F| on a
-    contour grid, a lower estimate of that sup: the sample's ``sup`` or, below
-    :attr:`Check.nodes` nodes, where 4 nodes can miss the sup by far, that of the floor
-    contour with that many nodes that the sample keeps for order_bound too
-    (:meth:`~holofubini.family.ContourSample.at_least`), whose count the report
-    carries.  Each point's max over the atoms is the interior pass's.
+    At the ``ORDER_BOUND_SAMPLES`` points z of the sample's interior sequence, in the
+    polydisc of its shrink, the interior pass (:func:`interior_pass`) takes the largest
+    violation of ``|f(z, t_i) - f(c, t_i)| <= 2 B_i sum_j |z_j - c_j| / R_j``
+    (:func:`holofubini.cauchy.schwarz_violation`), R the sample's contour radii and B_i
+    atom i's max |f| on a contour grid, a lower estimate of its sup: the sample's or,
+    below :attr:`Check.nodes` nodes, where 4 nodes can miss the sup by far, that of the
+    floor contour with that many nodes that the sample keeps for order_bound too
+    (:meth:`~holofubini.family.ContourSample.at_least`), whose count the report carries.
+    schwarz reads the same violation at d = 1.
     """
-    if not sample.shrink < CONTOUR_SHRINK:
-        raise ValueError("sampling region must sit strictly inside the sup region")
-    interior = _interior(sample, "telescoping")
-    floor = CHECKS["telescoping"].nodes
-    bound = sample.at_least(floor).sup
-    rhs = 2.0 * bound * np.sum(np.abs(interior.points - sample.center) / sample.radii, axis=1)
-    worst = float(np.max(interior.increments - rhs))
-    return CheckReport.build(
-        "telescoping", sample.fam.label, "", worst, 0.0, max(0.0, worst),
-        1e-12 * (1.0 + bound), samples=ORDER_BOUND_SAMPLES, n=max(sample.n, floor),
-    )
+    floor = sample.at_least(CHECKS["telescoping"].nodes)
+    return _increment_report(sample, "telescoping", 1e-12 * (1.0 + floor.sup))
 
 
 def order_bound_check(sample: ContourSample) -> CheckReport:
@@ -466,16 +457,13 @@ def order_bound_check(sample: ContourSample) -> CheckReport:
 class InteriorPass:
     """What the checks keep of F on the run's interior sequence (:func:`interior_pass`)."""
 
-    #: the points it evaluated, shape (rows, d)
-    points: np.ndarray
-    #: telescoping's max over the atoms of |f(z_j, t_i) - f(c, t_i)| at each point z_j
-    increments: np.ndarray | None
+    #: schwarz's and telescoping's largest violation of the Schwarz increment bound over
+    #: the points and the atoms
+    violation: float | None
     #: order_bound's max over its points of |f(z, t_i)| for each atom
     maxima: np.ndarray | None
     #: span's basis of F at its leading points
     span: _Span | None
-    #: schwarz's largest violation over its points and the atoms, at d = 1
-    schwarz: float | None
 
 
 def interior_pass(sample: ContourSample) -> InteriorPass:
@@ -485,40 +473,38 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     The sequence is ``ORDER_BOUND_SAMPLES`` points drawn from ``default_rng(sample.seed)``
     in the domain's polydisc of the sample's shrink
     (:func:`~holofubini.domain.sample_polydisc`).  Each check reads the prefix of its
-    :attr:`Check.rows`: telescoping, order_bound and schwarz all of it and span the
+    :attr:`Check.rows`: schwarz, telescoping and order_bound all of it and span the
     family's ``span_dim`` or 2 min(8, k).  The longest prefix the checks read is
     evaluated in one pass over the atom blocks of :func:`_atom_blocks`, which keeps only
-    each point's increment from F at the center, each atom's largest |f|, span's rows
-    and, at d = 1, schwarz's largest violation, so no (rows, k) array is held but span's.
+    the largest violation of the Schwarz increment bound
+    (:func:`~holofubini.cauchy.schwarz_violation`, from F at the center and each atom's
+    contour sup, below :attr:`Check.nodes` nodes the floor contour's), each atom's
+    largest |f| and span's rows, so no (rows, k) array is held but span's.
     :attr:`~holofubini.family.ContourSample.interior` keeps it.
     """
     fam, params = sample.fam, sample.space.params
     natoms = len(params)
     reads = {name: CHECKS[name].rows(sample) for name in sample.checks or CHECKS}
-    span_rows, schwarz = reads.get("span", 0), "schwarz" in reads and fam.d == 1
+    span_rows = reads.get("span", 0)
     points = sample_polydisc(fam.domain, ORDER_BOUND_SAMPLES, sample.shrink,
                              np.random.default_rng(sample.seed))[:max(reads.values())]
-    increments = np.zeros(len(points)) if "telescoping" in reads else None
+    increments = {"schwarz", "telescoping"} & reads.keys()
     maxima = np.empty(natoms) if "order_bound" in reads else None
     kept = np.empty((span_rows, natoms), dtype=complex)
-    if increments is not None or schwarz:
-        at_center, sups = sample.closed_form(sample.center), sample.sups
-        distances = np.abs(points[:, 0] - sample.center[0])
+    if increments:
+        at_center = sample.closed_form(sample.center)
+        sups = sample.at_least(max(CHECKS[name].nodes for name in increments)).sups
+        steps = np.sum(np.abs(points - sample.center) / sample.radii, axis=1)
     worst = []
     for atoms in _atom_blocks(natoms, len(points)):
         values = fam.eval(points[:, None, :], params[atoms])
-        if increments is not None:
-            np.maximum(increments, np.max(np.abs(values - at_center[atoms]), axis=1),
-                       out=increments)
+        if increments:
+            worst.append(schwarz_violation(at_center[atoms], values, steps, sups[atoms]))
         if maxima is not None:
             maxima[atoms] = np.max(np.abs(values), axis=0)
-        if schwarz:
-            worst.append(schwarz_violation(at_center[atoms], values, distances, sups[atoms],
-                                           sample.radii[0]))
         kept[:, atoms] = values[:span_rows]
-    return InteriorPass(points, increments, maxima,
-                        _Span(sample.space, kept) if span_rows else None,
-                        max(worst) if worst else None)
+    return InteriorPass(max(worst) if worst else None, maxima,
+                        _Span(sample.space, kept) if span_rows else None)
 
 
 def _interior(sample: ContourSample, check: str) -> InteriorPass:
@@ -529,17 +515,20 @@ def _interior(sample: ContourSample, check: str) -> InteriorPass:
 
 
 def schwarz_check(sample: ContourSample) -> CheckReport:
-    """Schwarz increment bound on every atom slice of a univariate family, on the
-    sample's contour disc (center c, radius R = 0.95 r, beyond every |z - c| <= 0.9 r):
-    |f(z, t_i) - f(c, t_i)| <= (2 / R) sup_i |z - c| at the first ``ORDER_BOUND_SAMPLES``
-    points of its interior sequence, in the shrink polydisc; sup_i is the largest of the
-    atom's contour sup (:attr:`~holofubini.family.ContourSample.sups`), |f(c, t_i)| and
-    |f(z, t_i)|.  The largest violation is the interior pass's (:func:`interior_pass`)."""
-    if sample.fam.d != 1:
-        raise ValueError("the Schwarz check applies to univariate domains only")
-    worst = _interior(sample, "schwarz").schwarz
-    return CheckReport.build("schwarz", sample.fam.label, "", worst, 0.0, max(0.0, worst),
-                             1e-12, samples=ORDER_BOUND_SAMPLES, slices=sample.space.natoms)
+    """Schwarz increment bound on every atom slice: the violation that
+    :func:`telescoping_residual` reads, under the record name the battery runs at d = 1."""
+    return _increment_report(sample, "schwarz", 1e-12, slices=sample.space.natoms)
+
+
+def _increment_report(sample: ContourSample, check: str, tol: float, **params) -> CheckReport:
+    """``check``'s report of the interior pass's largest violation of the Schwarz
+    increment bound, with the node count of the contour its sups were read on."""
+    if not sample.shrink < CONTOUR_SHRINK:
+        raise ValueError("sampling region must sit strictly inside the sup region")
+    worst = _interior(sample, check).violation
+    return CheckReport.build(check, sample.fam.label, "", worst, 0.0, max(0.0, worst), tol,
+                             samples=ORDER_BOUND_SAMPLES,
+                             n=max(sample.n, CHECKS[check].nodes), **params)
 
 
 def _atom_blocks(natoms, points):
@@ -588,8 +577,10 @@ def _span_rows(sample):
 #: check name -> its :class:`Check`, in the order a run takes them.  span holds at most
 #: 16 rows of the interior sequence with their basis, order_bound each atom's largest
 #: |f| and majorant, schwarz and telescoping each atom's F at the center and its float
-#: contour sup (order_bound and telescoping read one 16-node floor contour below 16
-#: nodes), and derivative_profile the float magnitudes of each order at each region point
+#: contour sup (order_bound, schwarz and telescoping read one 16-node floor contour below
+#: 16 nodes), and derivative_profile the float magnitudes of each order at each region
+#: point.  schwarz and telescoping are one increment bound under two record names, one
+#: for each d, while the benchmark names both
 CHECKS = {
     "linearization": Check(lambda sample, duals: [
         partial(linearization_residual, phi, sample, h, p=p)
@@ -610,7 +601,7 @@ CHECKS = {
         per_atom=32),
     "schwarz": Check(lambda sample, duals: [partial(schwarz_check, sample)],
                      applies=lambda d: d == 1, rows=lambda sample: ORDER_BOUND_SAMPLES,
-                     per_atom=2),
+                     per_atom=2, nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),
     "telescoping": Check(lambda sample, duals: [partial(telescoping_residual, sample)],
                          applies=lambda d: d >= 2, rows=lambda sample: ORDER_BOUND_SAMPLES,
                          per_atom=2, nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),

@@ -72,9 +72,9 @@ def random_duals(space, count, seed):
 
 def schwarz_values(f, center, radius, seed):
     """schwarz_violation's arguments for the slice f on the disc |z - center| < radius:
-    f(center), f at 1000 points drawn in the disc from default_rng(seed), their distances
-    to the center, the max of |f| on the 64-node ring and the radius."""
+    f(center), f at 1000 points drawn in the disc from default_rng(seed), their steps
+    |z - center| / radius and the max of |f| on the 64-node ring."""
     disc = Polydisc([center], [radius])
     z = sample_polydisc(disc, 1000, 1.0, np.random.default_rng(seed))
-    return (f(np.array([[center]], dtype=complex))[0], f(z), np.abs(z[:, 0] - center),
-            np.max(np.abs(f(torus_nodes(disc, 64).grid()))), radius)
+    return (f(np.array([[center]], dtype=complex))[0], f(z), np.abs(z[:, 0] - center) / radius,
+            np.max(np.abs(f(torus_nodes(disc, 64).grid()))))

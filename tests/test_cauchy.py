@@ -257,10 +257,6 @@ class TestSchwarz:
         f = lambda w: np.exp(w[..., 0])
         assert schwarz_violation(*schwarz_values(f, 0.5 + 0.5j, 0.75, seed=2)) <= 1e-12
 
-    def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            schwarz_violation(0.0, np.zeros(1), np.zeros(1), 1.0, -1.0)
-
 
 class ConjugatePerturbedGeometric(GeometricFamily):
     """The geometric preset plus eps * conj(z_1) * t, which is not holomorphic in z."""

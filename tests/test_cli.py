@@ -282,7 +282,7 @@ class TestSampleOnce:
     # The run's contour sample and each functional's nodes are evaluated once:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
-    #     the sups of norm_bound and telescoping and, at d = 1, schwarz's per atom; the
+    #     norm_bound's sup and each atom's sup for schwarz or telescoping; the
     #     family, centre and atoms are real and the rates differ, so one row is
     #     evaluated per conjugate orbit and the others copied:  (n^d + 2^d) / 2 * k at
     #     even n, 33 rows at d = 1 and n = 64, 2,050 at d = 2 and n = 64, 514 at 32
@@ -305,7 +305,7 @@ class TestSampleOnce:
     #   the contour the checks read: `check span` its 16 points and the functionals'
     #   slice vectors, k * (2050 + 9 + 16) = 33,200; `check order_bound` its 200
     #   points and the contour for its table, k * (2050 + 200) = 36,000; `check
-    #   telescoping` its 200 points, F at the centre and the contour for its sup,
+    #   telescoping` its 200 points, F at the centre and the contour for its sups,
     #   k * (2050 + 200 + 1) = 36,016
     # `check derivative_profile` reads no contour value: k * 17 * 32 = 8,704
     # `check norm_bound` with a derivative functional off the centre: the contour
@@ -367,11 +367,15 @@ class TestSampleOnce:
         assert code == 0
         assert sum(counted) == expected
 
-    def test_floor_contour_is_evaluated_once(self, tmp_path, monkeypatch):
-        # below 16 nodes order_bound and telescoping read one 16-node floor contour that
-        # the run's sample keeps: at --nodes 8 the run's 8 x 8 contour evaluates its
-        # (64 + 4) / 2 = 34 conjugate orbits and the floor contour its (256 + 4) / 2 =
-        # 130, each once, on 16 atoms; a contour of each check's own made it twice
+    # below 16 nodes order_bound and telescoping (d = 2) or schwarz (d = 1) read one
+    # 16-node floor contour that the run's sample keeps: at --nodes 8 the run's contour
+    # evaluates its conjugate orbits, (64 + 4) / 2 = 34 at d = 2 and (8 + 2) / 2 = 5 at
+    # d = 1, and the floor contour its (256 + 4) / 2 = 130 or (16 + 2) / 2 = 9, each
+    # once, on 16 atoms; a contour of each check's own made it twice
+    @pytest.mark.parametrize("d, rows, floor_rows", [(2, 34, 130), (1, 5, 9)],
+                             ids=["d2", "d1"])
+    def test_floor_contour_is_evaluated_once(self, tmp_path, monkeypatch, d, rows,
+                                             floor_rows):
         counted = count_family_values(monkeypatch)
         evaluated = []
         build = family.ContourSample.values.func
@@ -385,10 +389,10 @@ class TestSampleOnce:
         values = cached_property(recording)
         values.__set_name__(family.ContourSample, "values")
         monkeypatch.setattr(family.ContourSample, "values", values)
-        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, 2), "--space",
+        code, _ = run_cli(tmp_path, "verify", *family_args(tmp_path, d), "--space",
                           "uniform-16", "--nodes", "8")
         assert code in (0, 1)  # 8 nodes miss the quadrature checks' 64-node tolerance
-        assert sorted(evaluated) == [(8, 34 * 16), (16, 130 * 16)]
+        assert sorted(evaluated) == [(8, rows * 16), (16, floor_rows * 16)]
 
     def test_closed_forms_are_evaluated_once(self, tmp_path, monkeypatch):
         # d = 2: fubini reads the Dirac functional's F(z0) at each of 3 p, telescoping
