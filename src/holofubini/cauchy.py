@@ -25,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .domain import Polydisc, as_multi_index, multi_factorial, torus_nodes
-from .family import ContourSample
+from .family import FLOOR_NODES, ContourSample
 
 __all__ = [
     "derivative_rule",
@@ -38,11 +38,11 @@ __all__ = [
 
 #: Largest Taylor degree the contour sample's table and order_bound take
 MAX_TAYLOR_DEGREE = 128
-#: Least order_bound degree (16 contour nodes).  With degree n // 2 - 1 the
-#: geometric preset on uniform-16 fails at shrink 0.1 for n = 5, 7, 9 and 11 (at n = 5
-#: the excess is 0.027 against a tail of 0.021): the coarse odd-n tables alias with
-#: the negative atoms and push u below |f|.
-MIN_ORDER_BOUND_DEGREE = 7
+#: Least order_bound degree, read on the floor contour of ``FLOOR_NODES`` nodes.  With
+#: degree n // 2 - 1 the geometric preset on uniform-16 fails at shrink 0.1 for n = 5, 7,
+#: 9 and 11 (at n = 5 the excess is 0.027 against a tail of 0.021): the coarse odd-n
+#: tables alias with the negative atoms and push u below |f|.
+MIN_ORDER_BOUND_DEGREE = FLOOR_NODES // 2 - 1
 #: Complex values (4 MiB) of each block of columns that ``_fft_coefficients`` transforms
 #: at once, at least one column; blocks of 2^16 values nearly doubled the time of the
 #: d = 3 table on 16 atoms.  Beside the table a block's transforms hold at most 3/4 of
@@ -170,15 +170,15 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     summed for blocks of atoms of at most ``FFT_BLOCK`` magnitudes, each atom's sum the
     same whatever its block.  The degree is n // 2 - 1, capped at
     ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree,
-    read from the floor contour of 2 * MIN_ORDER_BOUND_DEGREE + 2 nodes that the sample
-    keeps (:meth:`~holofubini.family.ContourSample.at_least`).
+    read from the sample's floor contour of ``FLOOR_NODES`` nodes
+    (:attr:`~holofubini.family.ContourSample.floor`).
     The tail, M [(1 - s)^-d - ((1 - s^(D+1)) / (1 - s))^d] with s the shrink and M the
     sample's ``sup``, sums M s^|m| over the degrees m outside the table; at s >= 1 the
     sum diverges.
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"shrink must lie in (0, 1), got {shrink}")
-    sample = sample.at_least(2 * MIN_ORDER_BOUND_DEGREE + 2)
+    sample = sample.floor
     degree = min(sample.n // 2 - 1, MAX_TAYLOR_DEGREE)
     radii, d = sample.radii, sample.fam.d
     coeffs = sample.taylor_table(degree)

@@ -24,7 +24,8 @@ import numpy as np
 from . import theorems
 from .cauchy import FFT_BLOCK, MAX_TAYLOR_DEGREE
 from .domain import CONTOUR_SHRINK, parse_complex
-from .family import ContourSample, HoloFamily, family_from_json, family_preset, preset_names
+from .family import (FLOOR_NODES, ContourSample, HoloFamily, family_from_json, family_preset,
+                     preset_names)
 from .functional import (MeasureFunctional, derivative_functional, dirac,
                          functional_from_json, random_measure)
 from .measure import ROW_BLOCK, FiniteMeasureSpace, space_from_json, space_preset
@@ -54,13 +55,13 @@ def _counted_values(config: SuiteConfig) -> int:
     fam, k, n = config.family, config.space.natoms, config.n
     d, sample = fam.d, ContourSample(fam, config.space, n)
     checks = [theorems.CHECKS[name] for name in config.checks]
-    # the run's contour and, below the nodes a check reads at least (16 for order_bound,
-    # schwarz and telescoping), the one floor contour the sample keeps for them, each with per
-    # node the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h>
-    # with its transform (2), and per atom the Taylor table of degree n // 2 - 1, at
-    # least 2 and at most MAX_TAYLOR_DEGREE
-    floor = max(check.nodes for check in checks)
-    sides = [n] + ([floor] if n < floor else [])
+    # the run's contour and, below FLOOR_NODES nodes, the one floor contour the sample
+    # keeps for order_bound, schwarz and telescoping (Check.floor), each with per node
+    # the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h> with
+    # its transform (2), and per atom the Taylor table of degree n // 2 - 1, at least 2
+    # and at most MAX_TAYLOR_DEGREE
+    floor = n < FLOOR_NODES and any(check.floor for check in checks)
+    sides = [n] + ([FLOOR_NODES] if floor else [])
     nodes = sum(m ** d for m in sides)
     contour = nodes * (k + d + 2) + sum(
         max(3, min(m // 2, MAX_TAYLOR_DEGREE + 1)) ** d * k for m in sides)
@@ -235,7 +236,7 @@ def _emit(records: list[dict], fmt: str, output: str | None) -> None:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    return np.array([parse_complex(part) for part in text.split(",") if part], dtype=complex)
+    return parse_complex([part for part in text.split(",") if part], axes=1)
 
 
 def _parse_p_list(text: str) -> list[float]:

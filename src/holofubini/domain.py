@@ -30,16 +30,25 @@ CONTOUR_SHRINK = 0.95
 _GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def parse_complex(value) -> complex:
-    """A complex number from an ``[re, im]`` pair, a number or a string."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise ValueError(f"cannot parse complex number {value!r}: expected [re, im]")
-        return complex(float(value[0]), float(value[1]))
+def parse_complex(value, axes: int = 0):
+    """A complex number from an ``[re, im]`` pair, a number or a string; with ``axes`` >
+    0, a complex array of that many axes from nested lists whose leaves are such entries,
+    no axis empty or ragged."""
+    if axes:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"cannot parse complex array {value!r}: expected a nonempty "
+                             f"list nested {axes} deep")
+        entries = [parse_complex(entry, axes - 1) for entry in value]
+        if any(np.shape(entry) != np.shape(entries[0]) for entry in entries):
+            raise ValueError(f"cannot parse complex array {value!r}: ragged")
+        return np.array(entries, dtype=complex)
     try:
-        return complex(value)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+        return complex(value)  # a list of another length raises TypeError
     except (TypeError, ValueError):
-        raise ValueError(f"cannot parse complex number {value!r}") from None
+        raise ValueError(f"cannot parse complex number {value!r}: expected an [re, im] "
+                         "pair, a number or a string") from None
 
 
 def as_multi_index(alpha, d: int | None = None) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ from .measure import FiniteMeasureSpace
 
 __all__ = [
     "ContourSample",
+    "FLOOR_NODES",
     "HoloFamily",
     "ConstantFamily",
     "PolynomialFamily",
@@ -40,6 +41,12 @@ __all__ = [
 ]
 
 
+#: contour nodes that order_bound, schwarz and telescoping read at least: below them each
+#: reads the sample's floor contour of this many (:attr:`ContourSample.floor`), where
+#: order_bound's degree n // 2 - 1 is ``cauchy.MIN_ORDER_BOUND_DEGREE``
+FLOOR_NODES = 16
+
+
 def unit_polydisc(d: int = 1) -> Polydisc:
     return Polydisc(np.zeros(d), np.ones(d))
 
@@ -48,17 +55,29 @@ class HoloFamily:
     """Base class: a named f(z, t) with a domain and closed forms.
 
     Subclasses implement ``_evaluate`` and ``_derivative`` without domain
-    checks; the public entry points enforce membership at shrink 1.
-    ``span_dim`` is the dimension of span{F(z)} over a generic atom set when
-    it is finite and known, else None.
+    checks; the public entry points enforce membership at shrink 1.  Each registered
+    kind declares its complex parameters once, in :attr:`parameters`.  ``span_dim``
+    is the dimension of span{F(z)} over a generic atom set when it is finite and
+    known, else None.
     """
 
     kind = "abstract"
+    #: each complex parameter, a constructor argument and a complex array attribute of that
+    #: name, with its number of axes at dimension d: what the constructor checks,
+    #: :func:`family_from_json` reads, :meth:`params_json` writes and
+    #: :attr:`ContourSample.conjugate_symmetric` tests
+    parameters: dict = {}
 
-    def __init__(self, domain: Polydisc, label: str, span_dim: int | None = None):
+    def __init__(self, domain: Polydisc, label: str, span_dim: int | None = None, **params):
         self.domain = domain
         self.label = label
         self.span_dim = span_dim
+        for name, axes in self.parameters.items():
+            value = np.asarray(params[name], dtype=complex)
+            if value.ndim != axes(domain.d):
+                raise ValueError(f"{self.kind} parameter {name} needs {axes(domain.d)} axes "
+                                 f"at d = {domain.d}, got {value.ndim}")
+            setattr(self, name, value)
 
     # -- kind-specific closed forms ------------------------------------
     def _evaluate(self, z: np.ndarray, t) -> np.ndarray:
@@ -68,7 +87,9 @@ class HoloFamily:
         raise NotImplementedError
 
     def params_json(self) -> dict:
-        raise NotImplementedError
+        """Each declared parameter as nested ``[re, im]`` pairs, one level per axis."""
+        values = {name: getattr(self, name) for name in self.parameters}
+        return {name: np.stack((v.real, v.imag), axis=-1).tolist() for name, v in values.items()}
 
     def _swap_keys(self) -> tuple | None:
         """One key per variable such that swapping two variables of equal key, center and
@@ -176,10 +197,10 @@ class ContourSample:
     it) and each closed-form (k,) vector read (:meth:`closed_form`); no (nodes, m)
     pairing of F with a stack is held.  The sample is also built with the run's
     ``checks``, ``shrink`` and ``seed``, and keeps what the checks read of F on the
-    run's interior sequence, evaluated once (:attr:`interior`), and, below 16 nodes, the
-    one floor contour that order_bound, schwarz and telescoping read (:meth:`at_least`); a
-    sample built without checks serves every reader of it.  Two threads sharing a
-    sample can at worst compute one twice.
+    run's interior sequence, evaluated once (:attr:`interior`), and, below ``FLOOR_NODES``
+    nodes, the one floor contour that order_bound, schwarz and telescoping read
+    (:attr:`floor`); a sample built without checks serves every reader of it.  Two
+    threads sharing a sample can at worst compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=(),
@@ -189,21 +210,21 @@ class ContourSample:
         self.shrink, self.seed = shrink, seed
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
-        self._floors = {}
         #: the Taylor table kept, or None
         self._table = None
+        #: the floor contour's sample kept, or None
+        self._floor = None
 
     @cached_property
     def conjugate_symmetric(self) -> bool:
         """Whether f(conj z, t_i) = conj f(z, t_i) for every atom: the family's kind
-        certifies it (:func:`_certified`) and its parameters (the ``[re, im]`` leaves of
-        ``params_json()``), its domain center and every atom parameter of the space are
-        real."""
+        certifies it (:func:`_certified`) and the parameters it declares
+        (:attr:`HoloFamily.parameters`), its domain center and every atom parameter of the
+        space are real."""
         fam = self.fam
         return (_certified(fam) and not np.any(fam.domain.center.imag)
                 and not np.any(self.space.params.imag)
-                and not any(np.any(np.asarray(leaf, dtype=float)[..., 1])
-                            for leaf in fam.params_json().values()))
+                and not any(np.any(np.imag(getattr(fam, name))) for name in fam.parameters))
 
     @cached_property
     def interchangeable(self) -> tuple[tuple[int, ...], ...]:
@@ -242,11 +263,10 @@ class ContourSample:
         b + a and ab = ba); at d >= 3 a swapped row's sum or product runs in another
         order, so it may differ from direct evaluation in its last bits."""
         grid = torus_nodes(Polydisc(self.center, self.radii), self.n).grid()
-        values = np.empty((len(grid), self.space.natoms), dtype=complex)
         classes, conjugate = self.interchangeable, self.conjugate_symmetric
         if not (classes or conjugate):
-            self._fill(values, grid)
-            return _read_only(values)
+            return self._evaluate(grid)
+        values = np.empty((len(grid), self.space.natoms), dtype=complex)
         params = self.space.params
         block = max(1, measure.ROW_BLOCK // len(params))
         index = np.int32 if len(grid) < 2 ** 31 else np.int64  # int32 halves the index work
@@ -303,15 +323,17 @@ class ContourSample:
                 cauchy._fft_coefficients(self.values, self.fam.d, self.n, self.radii, top))
         return table[(slice(degree + 1),) * self.fam.d]
 
-    def at_least(self, nodes: int) -> "ContourSample":
-        """This sample if it has ``nodes`` nodes or more, else a contour sample of its
-        family and space with ``nodes`` nodes, built once: below 16 nodes order_bound,
-        schwarz and telescoping read one such floor contour, evaluated once."""
-        if self.n >= nodes:
+    @property
+    def floor(self) -> "ContourSample":
+        """The contour that order_bound, schwarz and telescoping read: this sample if it
+        has ``FLOOR_NODES`` nodes or more, else a contour sample of its family and space
+        with ``FLOOR_NODES`` nodes, built once.  The sample never keeps itself, so no
+        reference cycle holds it past its run."""
+        if self.n >= FLOOR_NODES:
             return self
-        if nodes not in self._floors:
-            self._floors[nodes] = ContourSample(self.fam, self.space, nodes)
-        return self._floors[nodes]
+        if self._floor is None:
+            self._floor = ContourSample(self.fam, self.space, FLOOR_NODES)
+        return self._floor
 
     @cached_property
     def interior(self):
@@ -407,20 +429,15 @@ class ContourSample:
                 and np.array_equal(phi.radii, self.radii))
 
     def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        """F on ``points`` of shape (m, d), (m, k): one array filled by :meth:`_fill`."""
-        values = np.empty((len(points), self.space.natoms), dtype=complex)
-        self._fill(values, points)
-        return _read_only(values)
-
-    def _fill(self, values: np.ndarray, points: np.ndarray) -> None:
-        """Write F on ``points`` of shape (m, d) into the first m rows of ``values``, by
-        blocks of rows of ``measure.ROW_BLOCK`` values or one row, each through
-        :meth:`HoloFamily.eval`."""
+        """F on ``points`` of shape (m, d), (m, k): one array filled by blocks of rows of
+        ``measure.ROW_BLOCK`` values or one row, each through :meth:`HoloFamily.eval`."""
         params = self.space.params
+        values = np.empty((len(points), len(params)), dtype=complex)
         block = max(1, measure.ROW_BLOCK // len(params))
         for start in range(0, len(points), block):
-            stop = min(start + block, len(points))
-            values[start:stop] = self.fam.eval(points[start:stop, None, :], params)
+            values[start:start + block] = self.fam.eval(points[start:start + block, None, :],
+                                                        params)
+        return _read_only(values)
 
 
 def _certified(fam: HoloFamily) -> bool:
@@ -501,25 +518,21 @@ def _tensor_poly_diff(coeffs: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
 
 class ConstantFamily(HoloFamily):
     kind = "constant"
+    parameters = {"value": lambda d: 0}
 
     def __init__(self, value, domain: Polydisc, label: str = "constant",
                  span_dim: int | None = 1):
-        super().__init__(domain, label, span_dim)
-        self.value = complex(value)
+        super().__init__(domain, label, span_dim, value=value)
 
     def _evaluate(self, z, t):
-        return np.broadcast_to(
-            np.asarray(self.value), np.broadcast_shapes(z.shape[:-1], np.shape(t))
-        ).copy()
+        shape = np.broadcast_shapes(z.shape[:-1], np.shape(t))
+        return np.broadcast_to(self.value, shape).copy()
 
     def _derivative(self, z, t, alpha):
         shape = np.broadcast_shapes(z.shape[:-1], np.shape(t))
         if all(a == 0 for a in alpha):
-            return np.broadcast_to(np.asarray(self.value), shape).copy()
+            return np.broadcast_to(self.value, shape).copy()
         return np.zeros(shape, dtype=complex)
-
-    def params_json(self):
-        return {"value": [self.value.real, self.value.imag]}
 
     def _swap_keys(self):
         return (0,) * self.d
@@ -529,16 +542,11 @@ class PolynomialFamily(HoloFamily):
     """f(z, t) = sum_{m, j} coeffs[m_1, ..., m_d, j] z^m t^j (entire in z)."""
 
     kind = "polynomial"
+    parameters = {"coeffs": lambda d: d + 1}
 
     def __init__(self, coeffs, domain: Polydisc, label: str = "polynomial",
                  span_dim: int | None = None):
-        super().__init__(domain, label, span_dim)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != domain.d + 1:
-            raise ValueError(
-                f"coefficient tensor needs {domain.d + 1} axes (z monomials + t degree)"
-            )
-        self.coeffs = coeffs
+        super().__init__(domain, label, span_dim, coeffs=coeffs)
 
     def _evaluate(self, z, t):
         return _tensor_poly_eval(self.coeffs, z, t)
@@ -546,22 +554,18 @@ class PolynomialFamily(HoloFamily):
     def _derivative(self, z, t, alpha):
         return _tensor_poly_eval(_tensor_poly_diff(self.coeffs, alpha), z, t)
 
-    def params_json(self):
-        return {"coeffs": _complex_nested(self.coeffs)}
-
 
 class GeometricFamily(HoloFamily):
     """f(z, t) = prod_j 1 / (1 - rate_j t z_j), analytic while |rate_j t z_j| < 1."""
 
     kind = "geometric"
+    parameters = {"rates": lambda d: 1}
 
     def __init__(self, rates, domain: Polydisc, label: str = "geometric",
                  span_dim: int | None = None):
-        super().__init__(domain, label, span_dim)
-        rates = np.atleast_1d(np.asarray(rates, dtype=complex))
-        if rates.shape != (domain.d,):
+        super().__init__(domain, label, span_dim, rates=rates)
+        if len(self.rates) != domain.d:
             raise ValueError(f"need one rate per variable ({domain.d})")
-        self.rates = rates
 
     def _rate_args(self, z, t):
         # per-axis beta_j(t) = rate_j * t and arguments beta_j(t) * z_j, shape (..., d);
@@ -599,9 +603,6 @@ class GeometricFamily(HoloFamily):
                 f"max |rate| * |t| * |z| = {worst:.6g} >= 1"
             )
 
-    def params_json(self):
-        return {"rates": [[r.real, r.imag] for r in self.rates]}
-
     def _swap_keys(self):
         return tuple(self.rates)
 
@@ -610,11 +611,11 @@ class ExponentialFamily(HoloFamily):
     """f(z, t) = exp(scale * t * (z_1 + ... + z_d)); entire in z."""
 
     kind = "exponential"
+    parameters = {"scale": lambda d: 0}
 
     def __init__(self, scale, domain: Polydisc, label: str = "exponential",
                  span_dim: int | None = None):
-        super().__init__(domain, label, span_dim)
-        self.scale = complex(scale)
+        super().__init__(domain, label, span_dim, scale=scale)
 
     def _evaluate(self, z, t):
         return np.exp(self.scale * np.asarray(t) * z.sum(axis=-1))
@@ -622,9 +623,6 @@ class ExponentialFamily(HoloFamily):
     def _derivative(self, z, t, alpha):
         order = sum(alpha)
         return (self.scale * np.asarray(t)) ** order * self._evaluate(z, t)
-
-    def params_json(self):
-        return {"scale": [self.scale.real, self.scale.imag]}
 
     def _swap_keys(self):
         return (0,) * self.d
@@ -634,15 +632,11 @@ class SeparableFamily(HoloFamily):
     """f(z, t) = g(z) m(t) with polynomial factors g and m."""
 
     kind = "separable"
+    parameters = {"z_coeffs": lambda d: d, "t_coeffs": lambda d: 1}
 
     def __init__(self, z_coeffs, t_coeffs, domain: Polydisc, label: str = "separable",
                  span_dim: int | None = 1):
-        super().__init__(domain, label, span_dim)
-        z_coeffs = np.asarray(z_coeffs, dtype=complex)
-        if z_coeffs.ndim != domain.d:
-            raise ValueError(f"z coefficient tensor needs {domain.d} axes")
-        self.z_coeffs = z_coeffs
-        self.t_coeffs = np.atleast_1d(np.asarray(t_coeffs, dtype=complex))
+        super().__init__(domain, label, span_dim, z_coeffs=z_coeffs, t_coeffs=t_coeffs)
 
     def z_factor(self, z):
         z = self._coerce_points(z)
@@ -658,12 +652,6 @@ class SeparableFamily(HoloFamily):
         dcoeffs = _tensor_poly_diff(self.z_coeffs[..., None], alpha)
         return _tensor_poly_eval(dcoeffs, z, 0.0) * self.t_factor(t)
 
-    def params_json(self):
-        return {
-            "z_coeffs": _complex_nested(self.z_coeffs),
-            "t_coeffs": _complex_nested(self.t_coeffs),
-        }
-
 
 class TabulatedTaylorFamily(HoloFamily):
     """f(z, t) = sum_{m, j} coeffs[m, j] t^j (z - center)^m about the domain center.
@@ -673,16 +661,11 @@ class TabulatedTaylorFamily(HoloFamily):
     """
 
     kind = "tabulated_taylor"
+    parameters = {"coeffs": lambda d: d + 1}
 
     def __init__(self, coeffs, domain: Polydisc, label: str = "tabulated",
                  span_dim: int | None = None):
-        super().__init__(domain, label, span_dim)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != domain.d + 1:
-            raise ValueError(
-                f"coefficient tensor needs {domain.d + 1} axes (z monomials + t degree)"
-            )
-        self.coeffs = coeffs
+        super().__init__(domain, label, span_dim, coeffs=coeffs)
 
     def _evaluate(self, z, t):
         return _tensor_poly_eval(self.coeffs, z - self.domain.center, t)
@@ -690,23 +673,6 @@ class TabulatedTaylorFamily(HoloFamily):
     def _derivative(self, z, t, alpha):
         dcoeffs = _tensor_poly_diff(self.coeffs, alpha)
         return _tensor_poly_eval(dcoeffs, z - self.domain.center, t)
-
-    def params_json(self):
-        return {"coeffs": _complex_nested(self.coeffs)}
-
-
-def _complex_nested(arr: np.ndarray):
-    if arr.ndim == 0:
-        c = complex(arr)
-        return [c.real, c.imag]
-    return [_complex_nested(sub) for sub in arr]
-
-
-def _nested_complex(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
-        raise ValueError("complex tensors must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 _KINDS = {
@@ -723,30 +689,19 @@ _KINDS = {
 
 
 def family_from_json(doc) -> HoloFamily:
-    """Load a family from {"kind", "params", "domain", ["label"]}."""
+    """Load a family from {"kind", "params", "domain", ["label"]}: each parameter its kind
+    declares (:attr:`HoloFamily.parameters`) a complex entry, or nested lists of them
+    with the declared number of axes."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     kind = doc["kind"]
     if kind not in _KINDS:
         raise ValueError(f"unknown family kind {kind!r}")
-    dom = doc["domain"]
-    center = [parse_complex(c) for c in dom["center"]]
-    domain = Polydisc(center, dom["radius"])
-    params = doc.get("params", {})
-    kwargs = {"domain": domain, "label": doc.get("label", kind)}
-    if kind == "constant":
-        return ConstantFamily(parse_complex(params["value"]), **kwargs)
-    if kind == "polynomial":
-        return PolynomialFamily(_nested_complex(params["coeffs"]), **kwargs)
-    if kind == "geometric":
-        return GeometricFamily([parse_complex(r) for r in params["rates"]], **kwargs)
-    if kind == "exponential":
-        return ExponentialFamily(parse_complex(params["scale"]), **kwargs)
-    if kind == "separable":
-        return SeparableFamily(
-            _nested_complex(params["z_coeffs"]), _nested_complex(params["t_coeffs"]), **kwargs
-        )
-    return TabulatedTaylorFamily(_nested_complex(params["coeffs"]), **kwargs)
+    cls, dom, params = _KINDS[kind], doc["domain"], doc.get("params", {})
+    domain = Polydisc(parse_complex(dom["center"], axes=1), dom["radius"])
+    return cls(**{name: parse_complex(params[name], axes(domain.d))
+                  for name, axes in cls.parameters.items()},
+               domain=domain, label=doc.get("label", kind))
 
 
 def _preset_constant():

@@ -172,15 +172,17 @@ def functional_from_json(doc) -> MeasureFunctional:
             n=int(params.get("n", 64)), label=doc.get("label"),
         )
     nodes = np.array([_parse_node(nd) for nd in doc["nodes"]], dtype=complex)
-    weights = np.array([parse_complex(w) for w in doc["weights"]], dtype=complex)
+    weights = parse_complex(doc["weights"], axes=1)
     return MeasureFunctional(nodes=nodes, weights=weights,
                              label=doc.get("label", "measure"))
 
 
 def _parse_node(value) -> np.ndarray:
-    if isinstance(value, (list, tuple)) and value and isinstance(value[0], (list, tuple)):
-        return np.array([parse_complex(v) for v in value], dtype=complex)
-    return np.atleast_1d(np.asarray(parse_complex(value), dtype=complex))
+    """A node: a list of d complex entries where its first entry is a list, else one
+    complex entry (d = 1)."""
+    nested = (isinstance(value, (list, tuple)) and bool(value)
+              and isinstance(value[0], (list, tuple)))
+    return np.atleast_1d(parse_complex(value, axes=int(nested)))
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ from functools import partial
 
 import numpy as np
 
-from .cauchy import MIN_ORDER_BOUND_DEGREE, contour_derivatives, order_bound, schwarz_violation
+from .cauchy import contour_derivatives, order_bound, schwarz_violation
 from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
                      sample_polydisc, torus_nodes)
 from .family import ContourSample
@@ -419,14 +419,13 @@ def telescoping_residual(sample: ContourSample) -> CheckReport:
     polydisc of its shrink, the interior pass (:func:`interior_pass`) takes the largest
     violation of ``|f(z, t_i) - f(c, t_i)| <= 2 B_i sum_j |z_j - c_j| / R_j``
     (:func:`holofubini.cauchy.schwarz_violation`), R the sample's contour radii and B_i
-    atom i's max |f| on a contour grid, a lower estimate of its sup: the sample's or,
-    below :attr:`Check.nodes` nodes, where 4 nodes can miss the sup by far, that of the
-    floor contour with that many nodes that the sample keeps for order_bound too
-    (:meth:`~holofubini.family.ContourSample.at_least`), whose count the report carries.
+    atom i's max |f| on a contour grid, a lower estimate of its sup: that of the sample's
+    :attr:`~holofubini.family.ContourSample.floor`, the sample itself or, below
+    ``FLOOR_NODES`` nodes, where 4 nodes can miss the sup by far, the floor contour of
+    that many nodes that order_bound reads too, whose count the report carries.
     schwarz reads the same violation at d = 1.
     """
-    floor = sample.at_least(CHECKS["telescoping"].nodes)
-    return _increment_report(sample, "telescoping", 1e-12 * (1.0 + floor.sup))
+    return _increment_report(sample, "telescoping", 1e-12 * (1.0 + sample.floor.sup))
 
 
 def order_bound_check(sample: ContourSample) -> CheckReport:
@@ -478,7 +477,7 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     evaluated in one pass over the atom blocks of :func:`_atom_blocks`, which keeps only
     the largest violation of the Schwarz increment bound
     (:func:`~holofubini.cauchy.schwarz_violation`, from F at the center and each atom's
-    contour sup, below :attr:`Check.nodes` nodes the floor contour's), each atom's
+    sup on the sample's :attr:`~holofubini.family.ContourSample.floor`), each atom's
     largest |f| and span's rows, so no (rows, k) array is held but span's.
     :attr:`~holofubini.family.ContourSample.interior` keeps it.
     """
@@ -493,7 +492,7 @@ def interior_pass(sample: ContourSample) -> InteriorPass:
     kept = np.empty((span_rows, natoms), dtype=complex)
     if increments:
         at_center = sample.closed_form(sample.center)
-        sups = sample.at_least(max(CHECKS[name].nodes for name in increments)).sups
+        sups = sample.floor.sups
         steps = np.sum(np.abs(points - sample.center) / sample.radii, axis=1)
     worst = []
     for atoms in _atom_blocks(natoms, len(points)):
@@ -527,8 +526,7 @@ def _increment_report(sample: ContourSample, check: str, tol: float, **params) -
         raise ValueError("sampling region must sit strictly inside the sup region")
     worst = _interior(sample, check).violation
     return CheckReport.build(check, sample.fam.label, "", worst, 0.0, max(0.0, worst), tol,
-                             samples=ORDER_BOUND_SAMPLES,
-                             n=max(sample.n, CHECKS[check].nodes), **params)
+                             samples=ORDER_BOUND_SAMPLES, n=sample.floor.n, **params)
 
 
 def _atom_blocks(natoms, points):
@@ -564,9 +562,9 @@ class Check:
     functionals: bool = False
     #: complex values per atom it holds beside the sample
     per_atom: int = 0
-    #: contour nodes it reads at least: below them it reads the sample's floor contour
-    #: of that many nodes (:meth:`~holofubini.family.ContourSample.at_least`)
-    nodes: int = 0
+    #: whether it reads the sample's :attr:`~holofubini.family.ContourSample.floor`, a
+    #: contour of ``FLOOR_NODES`` nodes below that many: the work budget counts it
+    floor: bool = False
 
 
 def _span_rows(sample):
@@ -577,10 +575,10 @@ def _span_rows(sample):
 #: check name -> its :class:`Check`, in the order a run takes them.  span holds at most
 #: 16 rows of the interior sequence with their basis, order_bound each atom's largest
 #: |f| and majorant, schwarz and telescoping each atom's F at the center and its float
-#: contour sup (order_bound, schwarz and telescoping read one 16-node floor contour below
-#: 16 nodes), and derivative_profile the float magnitudes of each order at each region
-#: point.  schwarz and telescoping are one increment bound under two record names, one
-#: for each d, while the benchmark names both
+#: contour sup (order_bound, schwarz and telescoping read one floor contour of
+#: ``FLOOR_NODES`` nodes below that many), and derivative_profile the float magnitudes
+#: of each order at each region point.  schwarz and telescoping are one increment bound
+#: under two record names, one for each d, while the benchmark names both
 CHECKS = {
     "linearization": Check(lambda sample, duals: [
         partial(linearization_residual, phi, sample, h, p=p)
@@ -601,13 +599,12 @@ CHECKS = {
         per_atom=32),
     "schwarz": Check(lambda sample, duals: [partial(schwarz_check, sample)],
                      applies=lambda d: d == 1, rows=lambda sample: ORDER_BOUND_SAMPLES,
-                     per_atom=2, nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),
+                     per_atom=2, floor=True),
     "telescoping": Check(lambda sample, duals: [partial(telescoping_residual, sample)],
                          applies=lambda d: d >= 2, rows=lambda sample: ORDER_BOUND_SAMPLES,
-                         per_atom=2, nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),
+                         per_atom=2, floor=True),
     "order_bound": Check(lambda sample, duals: [partial(order_bound_check, sample)],
-                         rows=lambda sample: ORDER_BOUND_SAMPLES, per_atom=1,
-                         nodes=2 * MIN_ORDER_BOUND_DEGREE + 2),
+                         rows=lambda sample: ORDER_BOUND_SAMPLES, per_atom=1, floor=True),
     "derivative_profile": Check(lambda sample, duals: [partial(derivative_profile, sample)],
                                 applies=lambda d: d == 1,
                                 per_atom=(PROFILE_MAX_ORDER + 1) * PROFILE_GRID // 2),

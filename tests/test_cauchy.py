@@ -16,6 +16,7 @@ from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
                                TabulatedTaylorFamily)
 
 from conftest import fd_derivative, schwarz_values
+from witnesses import ConjugatePerturbedGeometric
 
 
 def ring(f, center, radius, n=64):
@@ -256,18 +257,6 @@ class TestSchwarz:
     def test_off_center_ball(self):
         f = lambda w: np.exp(w[..., 0])
         assert schwarz_violation(*schwarz_values(f, 0.5 + 0.5j, 0.75, seed=2)) <= 1e-12
-
-
-class ConjugatePerturbedGeometric(GeometricFamily):
-    """The geometric preset plus eps * conj(z_1) * t, which is not holomorphic in z."""
-
-    def __init__(self, eps):
-        base = family_preset("geometric")
-        super().__init__(base.rates, base.domain, f"geometric+{eps:g}conj")
-        self.eps = eps
-
-    def _evaluate(self, z, t):
-        return super()._evaluate(z, t) + self.eps * np.conj(z[..., 0]) * t
 
 
 def tail_bracket_brute_force(shrink, degree, d, cut=80):

@@ -125,3 +125,21 @@ class TestParseComplex:
     def test_rejects_other_forms(self, value):
         with pytest.raises(ValueError, match="cannot parse complex number"):
             parse_complex(value)
+
+    def test_nested_entries_take_every_form(self):
+        np.testing.assert_array_equal(parse_complex([[0.5, -2.0], "1j", 3], axes=1),
+                                      [0.5 - 2j, 1j, 3])
+        table = parse_complex([[[1.0, 0.0], 2], ["3", (0.0, 4.0)]], axes=2)
+        assert table.dtype == complex
+        np.testing.assert_array_equal(table, [[1, 2], [3, 4j]])
+
+    @pytest.mark.parametrize("value, axes", [
+        ("00", 1),                     # a string where a list belongs
+        ([], 1),                       # an empty axis
+        ([[1.0], [1.0, 2.0]], 2),      # ragged
+        ([1.0, 2.0], 2),               # one axis short
+        ([[[1.0, 0.0, 0.0]]], 2),      # a leaf that is no [re, im] pair
+    ])
+    def test_nested_rejects_other_shapes(self, value, axes):
+        with pytest.raises(ValueError, match="cannot parse complex"):
+            parse_complex(value, axes)

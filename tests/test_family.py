@@ -646,6 +646,22 @@ class TestHypothesisValidation:
             fam.eval([0.9], 1.5)
 
 
+#: a family of each kind with a coefficient tensor, at d = 2 with non-real entries
+TENSOR_FAMILIES = [
+    PolynomialFamily([[[1.0, 0.5j], [2 - 1j, 0.0]], [[0.25, 0.0], [0.0, 1j]]],
+                     unit_polydisc(2)),
+    SeparableFamily([[1.0, 0.5 - 0.5j], [0.25j, 0.0]], [1.0, 0.5j], unit_polydisc(2)),
+    TabulatedTaylorFamily([[[0.3, 0.1j]], [[0.7 - 0.2j, 0.0]]], unit_polydisc(2)),
+]
+
+
+def rewrite_entries(value, form):
+    """Nested ``[re, im]`` pairs with each pair written as ``form`` of its complex number."""
+    if isinstance(value[0], list):
+        return [rewrite_entries(entry, form) for entry in value]
+    return form(complex(*value))
+
+
 class TestJson:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_round_trip(self, name):
@@ -659,6 +675,44 @@ class TestJson:
         with pytest.raises(ValueError):
             family_from_json({"kind": "rational", "params": {},
                               "domain": {"center": [[0, 0]], "radius": [1.0]}})
+
+    @pytest.mark.parametrize("doc", BENCH_DOCS, ids=lambda doc: doc["label"])
+    def test_bench_documents_round_trip(self, doc):
+        # the benchmark writes each document after this check, byte for byte
+        assert json.dumps(family_from_json(json.dumps(doc)).to_json()) == json.dumps(doc)
+
+    @pytest.mark.parametrize("fam", TENSOR_FAMILIES, ids=lambda fam: fam.kind)
+    @pytest.mark.parametrize("form", [str, lambda c: c.real if c.imag == 0 else str(c)],
+                             ids=["strings", "numbers"])
+    def test_coefficient_entries_take_every_complex_form(self, fam, form):
+        doc = fam.to_json()
+        written = dict(doc, params={name: rewrite_entries(value, form)
+                                    for name, value in doc["params"].items()})
+        clone = family_from_json(json.dumps(written))
+        for name in fam.parameters:
+            np.testing.assert_array_equal(getattr(clone, name), getattr(fam, name))
+        assert clone.to_json() == doc
+
+
+def test_one_non_real_parameter_entry_is_not_mirrored(space16):
+    # one entry of one declared parameter makes each kind's family not real: its sample
+    # evaluates every conjugate image itself and equals direct evaluation bit for bit
+    real = np.array([[[1.0, 0.5], [2.0, 0.0]], [[0.25, 0.0], [0.0, 1.0]]])
+    tilted = real.astype(complex)
+    tilted[1, 1, 1] = 1j
+    families = [ConstantFamily(1 + 0.5j, unit_polydisc(2)),
+                PolynomialFamily(tilted, unit_polydisc(2)),
+                GeometricFamily([0.5, 0.4j], unit_polydisc(2)),
+                ExponentialFamily(1 + 0.5j, unit_polydisc(2)),
+                SeparableFamily(real[0], [1.0, 0.5j], unit_polydisc(2)),
+                TabulatedTaylorFamily(tilted, unit_polydisc(2))]
+    assert sorted(fam.kind for fam in families) == sorted(family._KINDS)
+    for fam in families:
+        sample = ContourSample(fam, space16, 9)
+        assert not sample.conjugate_symmetric, fam.kind
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 9).grid()
+        direct = fam.eval(grid[:, None, :], space16.params)
+        assert np.array_equal(sample.values, direct), fam.kind
 
 
 def test_tabulated_table_for():

@@ -17,6 +17,8 @@ from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily
 from holofubini.functional import MeasureFunctional
 
 from conftest import random_duals
+from witnesses import (ContourVanishingGeometric, OffDerivativeFamily, SqrtPerturbedGeometric,
+                       one_minus_z4)
 
 INF = math.inf
 CONTOUR = [0.95]
@@ -31,17 +33,6 @@ def geometric():
 def sample64(geometric, space16):
     """The geometric family's contour sample on uniform-16 at 64 nodes."""
     return ContourSample(geometric, space16, 64)
-
-
-class OffDerivativeFamily(GeometricFamily):
-    """A geometric family whose closed-form derivatives are all off by ``eps``."""
-
-    def __init__(self, rates, eps):
-        super().__init__(rates, Polydisc([0.0] * len(rates), [1.0] * len(rates)))
-        self.eps = eps
-
-    def _derivative(self, z, t, alpha):
-        return super()._derivative(z, t, alpha) + self.eps
 
 
 class TestLinearize:
@@ -667,19 +658,6 @@ class TestDerivativeProfile:
         assert sum(sampled) == theorems.PROFILE_GRID * theorems.PROFILE_NODES * 16
 
 
-class ContourVanishingGeometric(GeometricFamily):
-    """geometric-d2 (rates 0.5, 0.4) plus eps * t * (0.95^2 - |z_1|^2): not holomorphic
-    in z, and zero on the contour, so the sample's sup B does not see it."""
-
-    def __init__(self, eps):
-        super().__init__([0.5, 0.4], unit_polydisc(2), f"geometric-d2+{eps:g}bump")
-        self.eps = eps
-
-    def _evaluate(self, z, t):
-        bump = CONTOUR_SHRINK ** 2 - np.abs(z[..., 0]) ** 2
-        return super()._evaluate(z, t) + self.eps * t * bump
-
-
 class TestTelescoping:
     # each atom's increment is held to its own contour sup B_i: the smallest eps detected
     # is 14.97, 13.49, 14.60, 15.10, 12.59 and 14.10 over seeds 0-5, at n = 32 and 64
@@ -766,19 +744,6 @@ class TestTelescoping:
                 assert rep == at_16
 
 
-class SqrtPerturbedGeometric(GeometricFamily):
-    """The geometric preset plus eps * t * sqrt|z|: not holomorphic in z, and its
-    increment from the center grows like sqrt|z|, faster than the Schwarz bound's |z|."""
-
-    def __init__(self, eps):
-        base = family_preset("geometric")
-        super().__init__(base.rates, base.domain, f"geometric+{eps:g}sqrt")
-        self.eps = eps
-
-    def _evaluate(self, z, t):
-        return super()._evaluate(z, t) + self.eps * t * np.sqrt(np.abs(z[..., 0]))
-
-
 class TestSchwarzCheck:
     def test_all_presets(self, preset_family, space16):
         if preset_family.d != 1:
@@ -846,7 +811,8 @@ class TestBlockedEvaluation:
         fam, center = sample.fam, sample.center
         z = sample_polydisc(fam.domain, 200, sample.shrink, np.random.default_rng(sample.seed))
         worst = -np.inf
-        for t, column in zip(sample.space.params, sample.at_least(16).values.T):
+        floor = ContourSample(fam, sample.space, max(sample.n, 16))
+        for t, column in zip(sample.space.params, floor.values.T):
             bound = 2.0 * np.max(np.abs(column)) * np.sum(np.abs(z - center) / sample.radii,
                                                           axis=1)
             worst = max(worst, np.max(np.abs(fam.eval(z, t) - fam.eval(center, t)) - bound))
@@ -1014,7 +980,7 @@ def test_contour_sups_need_their_construction_terms(space16):
     # at 0.95 r, while f(0) = 1: below 16 nodes schwarz reads its sups on the 16-node
     # floor contour, where they are 1 + 0.95^4, and norm_bound passes only because its
     # sup adds the Dirac node
-    fam = PolynomialFamily([[1.0], [0.0], [0.0], [0.0], [-1.0]], unit_polydisc(1))
+    fam = one_minus_z4()
     sample = ContourSample(fam, space16, 4)
     np.testing.assert_allclose(np.abs(sample.values), 1.0 - 0.95 ** 4)
     assert theorems.schwarz_check(sample).passed
