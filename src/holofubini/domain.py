@@ -125,10 +125,14 @@ class TorusQuadrature:
     trapezoid rule of the iterated contour integral is the plain node mean in each
     variable, which annihilates ``(w_j - center_j)^m`` exactly for 0 < |m| < n.
 
-    The ring of roots of unity is conjugate-symmetric bit for bit: entries k <= n/2 are
-    computed, entry n/2 of an even ring is -1 exactly and entry n - k is the conjugate
-    of entry k.  So about a real center node n - k is the conjugate of node k, and the
-    grid is closed under conjugation with each index j mapped to -j mod n.
+    The ring of roots of unity is conjugate-symmetric bit for bit, and at even n
+    antisymmetric too: entries k <= n/4 of an even ring are computed, entry n/2 - k is
+    -conj(entry k) (so entry n/2 is -1 and, where 4 divides n, entry n/4 is 1j exactly)
+    and entry n - k is the conjugate of entry k; an odd ring computes its entries k <=
+    n/2.  So about a real center node n - k is the conjugate of node k, and the grid is
+    closed under conjugation with each index j mapped to -j mod n; at even n entry k +
+    n/2 is -(entry k), so about the center 0 node k + n/2 is -(node k), and the grid is
+    closed under w -> -w with each index j mapped to j + n/2 mod n.
     """
 
     disc: Polydisc
@@ -139,10 +143,16 @@ class TorusQuadrature:
         n = int(n)
         if n < 4:
             raise ValueError(f"node count per variable must be at least 4, got {n}")
-        ring = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
-        ring[:n // 2:-1] = ring[1:(n + 1) // 2].conj()
+        # entries 0..n // 4 at even n, else 0..(n - 1) // 2, are computed; at even n entry
+        # n/2 - j is -conj(entry j), and entry n/4 is 1j where 4 divides n
+        half = n // 4 if n % 2 == 0 else (n - 1) // 2
+        ring = np.empty(n, dtype=complex)
+        ring[:half + 1] = np.exp(1j * (2.0 * np.pi * np.arange(half + 1) / n))
         if n % 2 == 0:
-            ring[n // 2] = -1.0
+            ring[n // 2 - half:n // 2 + 1] = -ring[half::-1].conj()
+            if n % 4 == 0:
+                ring[half] = 1j
+        ring[:n // 2:-1] = ring[1:(n + 1) // 2].conj()
         nodes = disc.center[:, None] + disc.radius[:, None] * ring[None, :]
         nodes.setflags(write=False)
         object.__setattr__(self, "disc", disc)

@@ -39,15 +39,19 @@ class TestTorusNodes:
         quad = torus_nodes(unit_polydisc(), 4)
         np.testing.assert_allclose(quad.nodes[0], [1, 1j, -1, -1j], atol=1e-15)
 
-    @pytest.mark.parametrize("n", [4, 5, 7, 32, 33, 64])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 32, 33, 34, 64])
     def test_ring_is_conjugate_symmetric(self, n):
         # ring[n - k] = conj ring[k] bit for bit, ring[0] = 1 and, at even n,
-        # ring[n/2] = -1, so about a real center the grid is its own conjugate
+        # ring[n/2] = -1 and ring[k + n/2] = -ring[k] (ring[n/4] = 1j where 4 divides n),
+        # so about a real center the grid is its own conjugate, and about 0 its own negation
         ring = torus_nodes(unit_polydisc(), n).nodes[0]
         assert np.array_equal(ring[:0:-1], ring[1:].conj())
         assert ring[0] == 1.0
         if n % 2 == 0:
             assert ring[n // 2] == -1.0
+            assert np.array_equal(ring[n // 2:], -ring[:n // 2])
+        if n % 4 == 0:
+            assert ring[n // 4] == 1j
         np.testing.assert_allclose(ring, np.exp(2j * np.pi * np.arange(n) / n), atol=1e-15)
 
     def test_tensor_count_d2(self):

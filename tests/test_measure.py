@@ -220,6 +220,18 @@ class TestPresets:
         assert space.weights.sum() == pytest.approx(1.0)
         assert space.params[0] == -1.0 and space.params[-1] == 1.0
 
+    @pytest.mark.parametrize("kind", ["uniform", "geometric"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7, 15, 16, 64, 255, 256])
+    def test_atoms_are_antisymmetric(self, kind, k):
+        # atom k - 1 - i is -(atom i) bit for bit, an odd k's middle atom 0, and each
+        # atom within one ulp of 1 of np.linspace, which misses the symmetry by up to
+        # 2.2e-16 (at k = 7, 15 and 64)
+        params = space_preset(f"{kind}-{k}").params
+        assert np.array_equal(params, -params[::-1])
+        assert not np.any(params.imag)
+        spaced = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
+        assert np.all(np.abs(params.real - spaced) <= np.finfo(float).eps)
+
     def test_geometric_weights(self):
         space = space_preset("geometric-8")
         np.testing.assert_allclose(space.weights, 0.5 ** np.arange(1, 9))
