@@ -96,6 +96,12 @@ class HoloFamily:
         radius leaves ``_evaluate`` unchanged, or None where no swap is certified."""
         return None
 
+    def _reflects(self) -> bool:
+        """Whether ``_evaluate`` at -z and t equals it at z and -t bit for bit: true for
+        kinds that read z only through products t z, or not at all, since (-b) z = b (-z)
+        exactly."""
+        return False
+
     # -- public surface --------------------------------------------------
     @property
     def d(self) -> int:
@@ -183,10 +189,14 @@ class ContourSample:
     about the domain center at CONTOUR_SHRINK of the radii: the array that the
     derivative functionals on the contour hold as their nodes, if any does
     (:meth:`~holofubini.domain.TorusQuadrature.grid`).  One grid row is evaluated per
-    orbit of the moves that leave F unchanged, swapping :attr:`interchangeable`
-    variables and, for a real family (:attr:`conjugate_symmetric`), conjugation; every
-    other row is copied from its orbit's representative (:attr:`values`), bit for bit
-    at d <= 2 and within a few ulp at d >= 3.  The sample is built with the run's
+    orbit of the moves that leave F unchanged (:meth:`symmetries`), swapping
+    :attr:`interchangeable` variables, for a real family (:attr:`conjugate_symmetric`)
+    conjugation and, for a :attr:`reflective` family at even n, the reflection w -> -w
+    with the atoms mirrored; every other row is copied from its orbit's representative
+    (:attr:`values`), bit for bit at d <= 2 and within a few ulp at d >= 3.  A derivative
+    functional off the contour has its nodes evaluated by the same orbits
+    (:meth:`node_values`), and derivative_profile reads the same map on its region
+    grid.  The sample is built with the run's
     ``functionals``.  Every point set is evaluated through :meth:`HoloFamily.eval` (so
     the domain check applies, and covers the copied rows) when it is first read, into
     one array by blocks of rows, and is read-only from then on; an evaluation that
@@ -232,50 +242,95 @@ class ContourSample:
         center and radius, and equal keys of the family's :meth:`HoloFamily._swap_keys`
         (every variable of the exponential and constant kinds, the geometric kind's at
         equal rates).  The certificate is the kind's (:func:`_certified`)."""
+        return self._classes(self.center, self.radii)
+
+    @cached_property
+    def reflective(self) -> bool:
+        """Whether f(-z, t_i) = f(z, t_i') for every atom, t_i' = -t_i: the family's kind
+        declares it (:meth:`HoloFamily._reflects`: the geometric, exponential and constant
+        kinds) and certifies it (:func:`_certified`), its domain center is 0 and the
+        space's atoms are symmetric about 0 bit for bit (its
+        :attr:`~holofubini.measure.FiniteMeasureSpace.mirror`).  Neither real atoms nor
+        real parameters are needed."""
+        fam = self.fam
+        return (fam._reflects() and _certified(fam) and not np.any(fam.domain.center)
+                and self.space.mirror is not None)
+
+    def _classes(self, center, radii) -> tuple[tuple[int, ...], ...]:
+        """The classes of :attr:`interchangeable` on the torus grid about ``center`` with
+        ``radii``: variables of equal grid center and radius too, so the grid is closed
+        under their swaps."""
         fam = self.fam
         keys = fam._swap_keys() if _certified(fam) else None
         if keys is None:
             return ()
         classes = {}
-        for j, key in enumerate(zip(fam.domain.center, fam.domain.radius, keys)):
+        keys = zip(fam.domain.center, fam.domain.radius, keys, center, radii)
+        for j, key in enumerate(keys):
             classes.setdefault(key, []).append(j)
         return tuple(tuple(js) for js in classes.values() if len(js) > 1)
 
+    def symmetries(self, center, radii, n: int) -> tuple:
+        """(classes, conjugate, reflect): the moves that leave F unchanged on the torus grid
+        ``torus_nodes(Polydisc(center, radii), n).grid()``, the argument of
+        :func:`_orbit_sources`.  Swapping the variables of each class
+        (:meth:`_classes`); conjugation j -> -j mod n, for a conjugate-symmetric family
+        (:attr:`conjugate_symmetric`) about a real center, where the ring's conjugate
+        symmetry makes node n - j the conjugate of node j; and the reflection j -> j +
+        n/2 mod n, for a :attr:`reflective` family at even n about the center 0, where
+        node j + n/2 is -(node j) (:class:`~holofubini.domain.TorusQuadrature`)."""
+        return (self._classes(center, radii),
+                self.conjugate_symmetric and not np.any(np.imag(center)),
+                self.reflective and n % 2 == 0 and not np.any(center))
+
     @cached_property
     def values(self) -> np.ndarray:
-        """F on the contour grid, shape (n^d, k).
+        """F on the contour grid, shape (n^d, k): :meth:`_orbit_values` of the contour.
+
+        Conjugation alone leaves (n^d + 2^d) / 2 rows at even n, (n^d + 1) / 2 at odd n;
+        with the reflection n^d / 4 + 2^(d-1) where 4 divides n, so geometric-d2 at n =
+        64 evaluates 1,026 of 4,096 rows and a real family at d = 1 and n = 64 17 of 64;
+        the reflection alone leaves n^d / 2 (the constant preset's 32 of 64), and with the
+        swaps too exponential-d3 at n = 32 evaluates 1,513 of 32,768."""
+        return self._orbit_values(self.center, self.radii, self.n)
+
+    def _orbit_values(self, center, radii, n: int) -> np.ndarray:
+        """F on ``torus_nodes(Polydisc(center, radii), n).grid()``, shape (n^d, k).
 
         One row is evaluated per orbit of the grid's indices under the moves that leave
-        F unchanged: swapping the variables of a class of :attr:`interchangeable`, and,
-        for a conjugate-symmetric family (:attr:`conjugate_symmetric`), j -> -j mod n,
-        which takes each row to its conjugate, since the grid's ring is
-        conjugate-symmetric bit for bit (:class:`~holofubini.domain.TorusQuadrature`)
-        about a real center.  An orbit's representative is its least flat index
-        (:func:`_orbit_sources`), so one pass over blocks of rows evaluates each block's
-        representatives through :meth:`HoloFamily.eval` and copies every other row from
-        an earlier one, conjugated where the conjugate image is the representative.
-        Conjugation alone leaves (n^d + 2^d) / 2 rows at even n, (n^d + 1) / 2 at odd n;
-        with the swaps exponential-d3 at n = 32 evaluates 3,009 of 32,768.  Copied rows
+        F unchanged (:meth:`symmetries`): swaps, conjugation, which takes each row to its
+        conjugate, and the reflection, which takes each row to its values at the mirrored
+        atoms (the space's :attr:`~holofubini.measure.FiniteMeasureSpace.mirror`).  An
+        orbit's representative is its least flat index (:func:`_orbit_sources`), so one
+        pass over blocks of rows evaluates each block's representatives through
+        :meth:`HoloFamily.eval`, fills each one's plain reflection from it with the atoms
+        mirrored, and copies every other row from one of the two, which come no later,
+        conjugated where the move from it is.  Copied rows
         skip the domain test, which their representative passes: swapped variables have
-        equal center and radius, conjugation keeps |z - c| about a real center, and the
-        geometric kind's analyticity test reads |rate t z|, which both moves keep.
-        Conjugate images and rows at d <= 2 equal direct evaluation bit for bit (a + b =
-        b + a and ab = ba); at d >= 3 a swapped row's sum or product runs in another
-        order, so it may differ from direct evaluation in its last bits."""
-        grid = torus_nodes(Polydisc(self.center, self.radii), self.n).grid()
-        classes, conjugate = self.interchangeable, self.conjugate_symmetric
-        if not (classes or conjugate):
+        equal center and radius, conjugation keeps |z - c| about a real center and the
+        reflection |z| about the center 0, and the geometric kind's analyticity test
+        reads |rate t z|, which every move keeps.  Conjugate and mirrored images and rows
+        at d <= 2 equal direct evaluation bit for bit (a + b = b + a, ab = ba and (-b) z =
+        b (-z)); at d >= 3 a swapped row's sum or product runs in another order, so it
+        may differ from direct evaluation in its last bits."""
+        grid = torus_nodes(Polydisc(center, radii), n).grid()
+        symmetries = self.symmetries(center, radii, n)
+        if not any(symmetries):
             return self._evaluate(grid)
         values = np.empty((len(grid), self.space.natoms), dtype=complex)
-        params = self.space.params
+        params, mirror = self.space.params, self.space.mirror
         block = max(1, measure.ROW_BLOCK // len(params))
-        index = np.int32 if len(grid) < 2 ** 31 else np.int64  # int32 halves the index work
+        index = np.int32 if len(grid) < 2 ** 30 else np.int64  # int32 halves the index work
         for start in range(0, len(grid), block):
             rows = np.arange(start, min(start + block, len(grid)), dtype=index)
-            sources, flip = _orbit_sources(rows, self.n, self.fam.d, classes, conjugate)
-            own = rows[sources == rows]
+            sources, flip, mirrored = _orbit_sources(rows, n, self.fam.d, *symmetries)
+            own = _representatives(rows, sources, mirrored)
             if len(own):
-                values[own] = self.fam.eval(grid[own, None, :], params)
+                evaluated = values[own] = self.fam.eval(grid[own, None, :], params)
+                if mirrored is not None:  # each representative's plain reflection, by a
+                    # scatter through the mirror, its own inverse, so no permuted copy
+                    values[_reflected(own, n, self.fam.d)[:, None], mirror] = evaluated
+                del evaluated
             copied = values.take(sources, axis=0)
             if flip is not None:
                 np.conjugate(copied, out=copied, where=flip[:, None])
@@ -347,14 +402,19 @@ class ContourSample:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).
 
         A derivative functional on this contour (equal center and radii, n^d nodes)
-        reads :attr:`values`; any other functional's nodes are evaluated once.
+        reads :attr:`values`; any other derivative functional's nodes, the torus grid of
+        its center, radii and node count, are evaluated once by orbits
+        (:meth:`_orbit_values`), and any other functional's nodes once each.
         """
         if phi.d != self.fam.d:
             raise ValueError("functional and family dimensions differ")
         if self.on_contour(phi):
             return self.values
         if phi not in self._node_values:
-            self._node_values[phi] = self._evaluate(phi.nodes)
+            n = round(len(phi.nodes) ** (1 / phi.d))
+            self._node_values[phi] = (self._orbit_values(phi.center, phi.radii, n)
+                                      if phi.meaning == "derivative"
+                                      else self._evaluate(phi.nodes))
         return self._node_values[phi]
 
     def slice_vector(self, phi) -> np.ndarray:
@@ -447,23 +507,77 @@ def _certified(fam: HoloFamily) -> bool:
     return kind is not None and type(fam)._evaluate is kind._evaluate
 
 
-def _orbit_sources(rows: np.ndarray, n: int, d: int, classes, conjugate: bool):
-    """Each flat index of ``rows`` on an n^d grid mapped to its orbit's least flat index,
-    and, when ``conjugate``, whether a row other than that least is reached from it by
-    conjugation (else None).
+def _orbit_sources(rows: np.ndarray, n: int, d: int, classes, conjugate: bool = False,
+                   reflect: bool = False):
+    """Each flat index of ``rows`` on an n^d grid mapped to the row it is copied from,
+    with whether that copy is conjugated (when ``conjugate``, else None) and whether the
+    reflection reaches the row (when ``reflect``, else None).
 
-    Flat indices order the index tuples lexicographically, so the least tuple that
-    swaps within ``classes`` reach sorts each class's indices into its positions
-    (compare-swaps by ``np.minimum`` and ``np.maximum``); the orbit's least is the
-    smaller of that for the tuple and for its negation mod n.  It is at most the row.
-    On a tie conjugation wins, so the plain conjugate of a representative is its
-    conjugate, which is exact, and not a swap of it, which at d >= 3 need not be."""
-    digits = [rows // n ** (d - 1 - i) % n for i in range(d)]
-    least = _flat(_sort_classes(digits, classes), n)
-    if not conjugate:
-        return least, None
-    image = _flat(_sort_classes([-j % n for j in digits], classes), n)
-    return np.minimum(least, image), (image <= least) & (image < rows)
+    The moves are swaps within ``classes``, conjugation j -> -j mod n and the reflection
+    j -> j + n/2 mod n (n even), the last two on every axis; they commute, so a row's
+    orbit is the swap orbits of its images under the products of the last two.  Flat
+    indices order the index tuples lexicographically, so the least tuple that swaps
+    reach sorts each class's indices into its positions (compare-swaps by
+    ``np.minimum`` and ``np.maximum``); the orbit's least, its representative, is the
+    least of that over the images, at most the row.  A row reached from the least
+    without the reflection is copied from the least, a row reached with it from the
+    least's plain reflection (:func:`_reflected`), which is filled from the least with
+    its atoms mirrored when the least is evaluated and is its own source, so each
+    orbit's atoms are permuted once; neither source comes after the row's block.  On a
+    tie the row's own image wins, so a representative is its own source, and at d >= 3
+    an image that needs no swap wins, so a representative's plain conjugates and
+    reflections are copied by those moves, which are exact, not by a swap, which at d >=
+    3 need not be; there the flat indices are doubled in ``rows``' dtype, so they must
+    lie below half its range."""
+    digits = _digits(rows, n, d)
+    ring = np.arange(n, dtype=rows.dtype)
+    moves = [(conj, mirror) for conj in (False, True)[:1 + conjugate]
+             for mirror in (False, True)[:1 + reflect]]
+    inexact = bool(classes) and d > 2  # at d <= 2 a swap is exact: a + b = b + a, ab = ba
+    least = choice = None
+    for move, (conj, mirror) in enumerate(moves):
+        table = ((-ring if conj else ring) + (n // 2 if mirror else 0)) % n
+        moved = [table.take(j) for j in digits] if move else digits
+        image = _flat(_sort_classes(moved, classes), n)
+        if inexact:  # the key 2 image, plus 1 where the moved indices need a swap
+            image = 2 * image + (image != (_flat(moved, n) if move else rows))
+        if least is None:
+            least, choice = image, np.zeros(len(rows), dtype=np.int8)
+        else:
+            choice[image < least] = move
+            least = np.minimum(least, image)
+    if inexact:
+        least = least // 2
+    if not reflect:
+        return least, choice >= 1 if conjugate else None, None
+    mirrored = choice % 2 == 1
+    return (np.where(mirrored, _reflected(least, n, d), least),
+            choice >= 2 if conjugate else None, mirrored)
+
+
+def _representatives(rows: np.ndarray, sources: np.ndarray, mirrored) -> np.ndarray:
+    """The rows of ``rows`` that represent their orbits, given :func:`_orbit_sources`:
+    their own sources, but for the representatives' plain reflections."""
+    own = sources == rows
+    return rows[own if mirrored is None else own & ~mirrored]
+
+
+def _reflected(rows: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The flat indices of the reflections of ``rows`` on an n^d grid, n even: every
+    index shifted by n/2 mod n."""
+    shift = (np.arange(n, dtype=rows.dtype) + n // 2) % n
+    return _flat([shift.take(j) for j in _digits(rows, n, d)], n)
+
+
+def _digits(rows: np.ndarray, n: int, d: int) -> list:
+    """The d index arrays of the flat indices ``rows`` on an n^d grid, first axis first
+    (by floor division, which numpy does faster than % or divmod)."""
+    digits = []
+    for _ in range(d - 1):
+        quotient = rows // n
+        digits.append(rows - quotient * n)
+        rows = quotient
+    return [rows] + digits[::-1]
 
 
 def _sort_classes(digits: list, classes) -> list:
@@ -537,6 +651,9 @@ class ConstantFamily(HoloFamily):
     def _swap_keys(self):
         return (0,) * self.d
 
+    def _reflects(self):
+        return True
+
 
 class PolynomialFamily(HoloFamily):
     """f(z, t) = sum_{m, j} coeffs[m_1, ..., m_d, j] z^m t^j (entire in z)."""
@@ -606,6 +723,9 @@ class GeometricFamily(HoloFamily):
     def _swap_keys(self):
         return tuple(self.rates)
 
+    def _reflects(self):
+        return True
+
 
 class ExponentialFamily(HoloFamily):
     """f(z, t) = exp(scale * t * (z_1 + ... + z_d)); entire in z."""
@@ -626,6 +746,9 @@ class ExponentialFamily(HoloFamily):
 
     def _swap_keys(self):
         return (0,) * self.d
+
+    def _reflects(self):
+        return True
 
 
 class SeparableFamily(HoloFamily):

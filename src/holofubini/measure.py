@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,22 @@ class FiniteMeasureSpace:
     @property
     def natoms(self) -> int:
         return self.params.shape[0]
+
+    @cached_property
+    def mirror(self) -> np.ndarray | None:
+        """The permutation i -> i' with t_i' = -t_i exactly for every atom, or None where
+        the atoms are not symmetric about 0 bit for bit; computed on first read.  It is
+        its own inverse: the r-th atom of a value and the r-th of its negation, in index
+        order, map to each other."""
+        params = self.params
+        order = np.lexsort((params.imag, params.real))
+        negated = np.lexsort((-params.imag, -params.real))
+        if not np.array_equal(params[order], -params[negated]):
+            return None
+        mirror = np.empty(len(params), dtype=np.intp)
+        mirror[negated] = order
+        mirror.setflags(write=False)
+        return mirror
 
     def _check_vector(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=complex)

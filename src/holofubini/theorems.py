@@ -16,10 +16,15 @@ the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
 evaluated on first read, and F on each functional's nodes, evaluated once per
 functional.  The sample evaluates one grid row per orbit of swapping interchangeable
 variables (certified for the exponential and constant kinds, and the geometric kind at
-equal rates) and, for a real family, conjugation, and copies the others: exponential-d3
-at n = 32 evaluates 3,009 of its 32,768 rows.  Copies are exact at d <= 2; at d >= 3 a
-swapped row's sum or product runs in another order and may differ in its last bits.
-derivative_profile reads the half of its region grid whose conjugates the rest are.
+equal rates), for a real family conjugation, and for the geometric, exponential and
+constant kinds about the center 0 on atoms symmetric about 0 the reflection w -> -w,
+which takes a row to the row with its atoms mirrored, and copies the others:
+exponential-d3 at n = 32 evaluates 1,513 of its 32,768 rows, geometric-d2 at n = 64
+1,026 of 4,096.  A derivative functional off the contour has its own nodes evaluated by
+the same orbits.  Copies are exact at d <= 2; at d >= 3 a swapped row's sum or product
+runs in another order and may differ in its last bits.  derivative_profile reads the
+same orbit map on its region grid, evaluating one point per orbit (9 of 32 for a real
+reflective family) and filling the others' magnitudes from theirs.
 The contour values serve every checker derivative at the center and every sup over the
 domain, which they estimate from below: by the maximum principle the sup over the
 contour polydisc lies on its distinguished boundary.
@@ -61,7 +66,7 @@ import numpy as np
 from .cauchy import contour_derivatives, order_bound, schwarz_violation
 from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
                      sample_polydisc, torus_nodes)
-from .family import ContourSample
+from .family import ContourSample, _orbit_sources, _representatives
 
 __all__ = [
     "CheckReport",
@@ -377,13 +382,19 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the values on
     a contour of radius (CONTOUR_SHRINK - 0.9) r and ``PROFILE_NODES`` nodes about each
     grid point, by :func:`holofubini.cauchy.contour_derivatives`; the node count is
-    fixed, so the reports do not depend on the sample's n.  For a conjugate-symmetric
-    family (:attr:`~holofubini.family.ContourSample.conjugate_symmetric`) only the grid
-    points 0..PROFILE_GRID // 2 are read: point PROFILE_GRID - j is the conjugate of
-    point j, where |D^m f| is the same, so the maxima over the grid are those of the
-    whole grid up to roundoff.  The contours are evaluated for the atom blocks of
-    :func:`_atom_blocks`, each with one evaluation of every contour's points and one FFT
-    for every order and contour.  Returns one report per order: ``lhs`` the sup over
+    fixed, so the reports do not depend on the sample's n.  The grid is read through the
+    contour sample's orbit map (:meth:`~holofubini.family.ContourSample.symmetries`, d =
+    1 and PROFILE_GRID nodes): only each orbit's representative's contour is evaluated.
+    Point PROFILE_GRID - j is the conjugate of point j, where |D^m f| is the same, and
+    about the center 0 point j + PROFILE_GRID / 2 is -(point j), where |D^m f(., t_i)|
+    is |D^m f(., t_i')| at point j, t_i' = -t_i: every point's magnitudes are a
+    representative's, on the mirrored atoms where the reflection reaches it, so the
+    maxima over the representatives, their weighted integrals taken against the weights
+    and, where the reflection applies, the mirrored weights, are those of the whole grid
+    up to roundoff.  A real reflective family reads 9 of the 32 points, another real
+    family 17, the constant preset 16.  The contours are evaluated for the atom blocks
+    of :func:`_atom_blocks`, each with one evaluation of every contour's points and one
+    FFT for every order and contour.  Returns one report per order: ``lhs`` the sup over
     the grid of the mu-weighted integral of |D^m f|, ``rhs`` the largest |D^m f(z,
     t_i)|, and a residual of 0 when both are finite and inf otherwise; each carries n =
     PROFILE_NODES.  It reads only the sample's family and space.
@@ -391,20 +402,26 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     fam, space, n = sample.fam, sample.space, PROFILE_NODES
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
-    grid = torus_nodes(fam.domain.shrunk(0.9), PROFILE_GRID).grid()
-    if sample.conjugate_symmetric:
-        grid = grid[:PROFILE_GRID // 2 + 1]
+    region = fam.domain.shrunk(0.9)
+    points = np.arange(PROFILE_GRID)
+    sources, _, mirrored = _orbit_sources(
+        points, PROFILE_GRID, 1, *sample.symmetries(region.center, region.radius, PROFILE_GRID))
+    own = _representatives(points, sources, mirrored)
     radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
     orders = [(order,) for order in range(PROFILE_MAX_ORDER + 1)]
     offsets = torus_nodes(Polydisc(np.zeros(1), radii), n).grid()
+    grid = torus_nodes(region, PROFILE_GRID).grid()[own]
     pts = (grid + offsets[:, None, :])[:, :, None, :]
-    mags = np.empty((len(orders), len(grid), space.natoms))
-    for atoms in _atom_blocks(space.natoms, n * len(grid)):
+    mags = np.empty((len(orders), len(own), space.natoms))
+    for atoms in _atom_blocks(space.natoms, n * len(own)):
         values = fam.eval(pts, space.params[atoms])
         mags[..., atoms] = np.abs(contour_derivatives(values, orders, radii, n))
+    # a reflected point's magnitudes are its representative's on the mirrored atoms, so
+    # its weighted integral is the representative's against the mirrored weights
+    weights = [space.weights] + ([] if mirrored is None else [space.weights[space.mirror]])
     reports = []
     for order, m in enumerate(mags):
-        lhs, rhs = float(np.max(m @ space.weights)), float(m.max())
+        lhs, rhs = max(float(np.max(m @ w)) for w in weights), float(m.max())
         finite = math.isfinite(lhs) and math.isfinite(rhs)
         reports.append(CheckReport.build("derivative_profile", fam.label, "", lhs, rhs,
                                          0.0 if finite else math.inf, 0.0, alpha=[order],

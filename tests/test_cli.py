@@ -110,8 +110,8 @@ class TestVerify:
     def test_profile_runs_at_any_node_count(self, tmp_path, monkeypatch, args):
         # the profile reads its orders 0-4 on contours of PROFILE_NODES nodes, not
         # --nodes, so it runs where the run's contour could not resolve order 4: the
-        # geometric family is real, so PROFILE_GRID // 2 + 1 = 17 contours of
-        # PROFILE_NODES nodes on 16 atoms, and nothing else
+        # geometric family is real and reflective, so the 9 orbits of its 32 region
+        # points, 9 contours of PROFILE_NODES nodes on 16 atoms, and nothing else
         counted = count_family_values(monkeypatch)
         code, text = run_cli(tmp_path, "check", "derivative_profile", "--family", "geometric",
                              "--functional", "dirac", *args)
@@ -119,7 +119,7 @@ class TestVerify:
         records = parse_records(text)
         assert len(records) == theorems.PROFILE_MAX_ORDER + 1
         assert {r["n"] for r in records} == {theorems.PROFILE_NODES}
-        assert sum(counted) == 17 * 32 * 16
+        assert sum(counted) == 9 * 32 * 16
 
     @pytest.mark.parametrize("nodes", ["4", "5", "6"])
     def test_default_derivative_functionals_refuse_few_nodes(self, tmp_path, capsys, nodes):
@@ -303,9 +303,10 @@ class TestSampleOnce:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
     #     norm_bound's sup and each atom's sup for schwarz or telescoping; the
-    #     family, centre and atoms are real and the rates differ, so one row is
-    #     evaluated per conjugate orbit and the others copied:  (n^d + 2^d) / 2 * k at
-    #     even n, 33 rows at d = 1 and n = 64, 2,050 at d = 2 and n = 64, 514 at 32
+    #     family, centre and atoms are real, the centre is 0, the atoms are symmetric
+    #     and the rates differ, so one row is evaluated per orbit of conjugation and
+    #     the reflection and the others copied:  (n^d / 4 + 2^(d-1)) * k where 4
+    #     divides n, 17 rows at d = 1 and n = 64, 1,026 at d = 2 and n = 64, 258 at 32
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
@@ -313,43 +314,44 @@ class TestSampleOnce:
     #   schwarz: their 200 points, whose first 16 span's 4 functionals share:  200 * k
     #   F at the centre, from which schwarz (d = 1) or telescoping (d = 2) measures
     #     each point's increment, read with the interior pass:  1 * k
-    #   d = 1 only, derivative_profile: PROFILE_GRID // 2 + 1 = 17 of its 32 region
-    #     points, whose conjugates the others are, each a contour of PROFILE_NODES = 32
+    #   d = 1 only, derivative_profile: one of its 32 region points per orbit of the
+    #     same moves, (32 + 2 + 0 + 2) / 4 = 9, each a contour of PROFILE_NODES = 32
     #     nodes whatever n, shared by orders 0-4
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (33 + 9 + 1 + 200 + 1 + 17*32) = 12,608
-    # d = 2, n = 64: k * (2050 + 9 + 1 + 200 + 1) = 36,176
-    # d = 2, n = 32: k * (514 + 9 + 1 + 200 + 1) = 11,600
+    # d = 1, n = 64: k * (17 + 9 + 1 + 200 + 1 + 9*32) = 8,256
+    # d = 2, n = 64: k * (1026 + 9 + 1 + 200 + 1) = 19,792
+    # d = 2, n = 32: k * (258 + 9 + 1 + 200 + 1) = 7,504
     # a single check of the interior sequence evaluates only the prefix it reads, beside
     #   the contour the checks read: `check span` its 16 points and the functionals'
-    #   slice vectors, k * (2050 + 9 + 16) = 33,200; `check order_bound` its 200
-    #   points and the contour for its table, k * (2050 + 200) = 36,000; `check
+    #   slice vectors, k * (1026 + 9 + 16) = 16,816; `check order_bound` its 200
+    #   points and the contour for its table, k * (1026 + 200) = 19,616; `check
     #   telescoping` its 200 points, F at the centre and the contour for its sups,
-    #   k * (2050 + 200 + 1) = 36,016
-    # `check derivative_profile` reads no contour value: k * 17 * 32 = 8,704
+    #   k * (1026 + 200 + 1) = 19,632
+    # `check derivative_profile` reads no contour value: k * 9 * 32 = 4,608
     # `check norm_bound` with a derivative functional off the centre: the contour
-    #   sample's 33 rows for the grid sup and the functional's own 64 nodes, evaluated
-    #   whole, k * (33 + 64) = 1,552
+    #   sample's 17 rows for the grid sup and the functional's own 64 nodes about 0.5,
+    #   a real centre but not 0, so one per conjugate orbit, k * (17 + 33) = 800
     # `check linearization` of a Dirac functional reads its one node and no contour
     #   value, not even to share a pairing: k * 1 = 16
-    # A family, centre or atom that is not real keeps the whole contour and region
-    # grid: the constant preset (value 2 + 1j), k * (64 + 9 + 1 + 200 + 1 + 32*32)
-    # = 20,784, and equally a complex-rate geometric family, a JSON family with a
-    # complex centre and a JSON space with a complex atom; d = 2 with a complex
-    # centre, whose rates and centres differ, so no swap applies either,
-    # k * (4096 + 9 + 1 + 200 + 1) = 68,912
+    # A family or centre that is not real is not conjugated: the constant preset (value
+    # 2 + 1j) and a complex-rate geometric family are still reflected, half of the
+    # contour and of the region grid, k * (32 + 9 + 1 + 200 + 1 + 16*32) = 12,080; a
+    # JSON space with a complex atom, not symmetric, keeps both whole,
+    # k * (64 + 9 + 1 + 200 + 1 + 32*32) = 20,784; d = 2 with a complex centre, whose
+    # rates and centres differ, so no swap applies either, k * (4096 + 9 + 1 + 200 + 1)
+    # = 68,912
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 12_608),
-        (2, 64, ["verify"], 36_176),
-        (2, 32, ["verify"], 11_600),
-        (2, 64, ["check", "span"], 33_200),
-        (2, 64, ["check", "order_bound"], 36_000),
-        (2, 64, ["check", "telescoping"], 36_016),
-        (1, 64, ["check", "derivative_profile"], 17 * 32 * 16),
-        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 97 * 16),
+        (1, 64, ["verify"], 8_256),
+        (2, 64, ["verify"], 19_792),
+        (2, 32, ["verify"], 7_504),
+        (2, 64, ["check", "span"], 16_816),
+        (2, 64, ["check", "order_bound"], 19_616),
+        (2, 64, ["check", "telescoping"], 19_632),
+        (1, 64, ["check", "derivative_profile"], 9 * 32 * 16),
+        (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 50 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d2-span", "d2-order-bound", "d2-telescoping",
             "d1-profile", "d1-off-centre", "d1-dirac"])
@@ -361,12 +363,12 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     @pytest.mark.parametrize("case, expected", [
-        ("constant", 20_784), ("complex-rate", 20_784), ("complex-centre", 68_912),
+        ("constant", 12_080), ("complex-rate", 12_080), ("complex-centre", 68_912),
         ("complex-atom", 20_784)], ids=["constant", "complex-rate", "complex-centre",
                                         "complex-atom"])
     def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
-        # a family, centre or atom that is not real evaluates the whole contour grid
-        # and region grid, as every family did before the mirror (arithmetic above)
+        # a family or centre that is not real is not conjugated, and a space that is not
+        # symmetric or a centre that is not 0 not reflected (arithmetic above)
         documents = {
             "complex-rate": {**GEOMETRIC_D2, "params": {"rates": [[0.4, 0.2]]},
                              "domain": {"center": [[0.0, 0.0]], "radius": [1.0]},
@@ -389,10 +391,11 @@ class TestSampleOnce:
 
     # below 16 nodes order_bound and telescoping (d = 2) or schwarz (d = 1) read one
     # 16-node floor contour that the run's sample keeps: at --nodes 8 the run's contour
-    # evaluates its conjugate orbits, (64 + 4) / 2 = 34 at d = 2 and (8 + 2) / 2 = 5 at
-    # d = 1, and the floor contour its (256 + 4) / 2 = 130 or (16 + 2) / 2 = 9, each
-    # once, on 16 atoms; a contour of each check's own made it twice
-    @pytest.mark.parametrize("d, rows, floor_rows", [(2, 34, 130), (1, 5, 9)],
+    # evaluates its orbits of conjugation and the reflection, (64 + 4 + 0 + 4) / 4 = 18
+    # at d = 2 and (8 + 2 + 0 + 2) / 4 = 3 at d = 1, and the floor contour its (256 + 4
+    # + 0 + 4) / 4 = 66 or (16 + 2 + 0 + 2) / 4 = 5, each once, on 16 atoms; a contour
+    # of each check's own made it twice
+    @pytest.mark.parametrize("d, rows, floor_rows", [(2, 18, 66), (1, 3, 5)],
                              ids=["d2", "d1"])
     def test_floor_contour_is_evaluated_once(self, tmp_path, monkeypatch, d, rows,
                                              floor_rows):

@@ -7,8 +7,8 @@ import pytest
 
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy, derivative_functional, dirac,
                         family, family_from_json, family_preset, measure, order_bound_check,
-                        preset_names, random_measure, space_preset, telescoping_residual,
-                        torus_nodes, unit_polydisc)
+                        preset_names, random_measure, space_from_json, space_preset,
+                        telescoping_residual, torus_nodes, unit_polydisc)
 from holofubini.domain import CONTOUR_SHRINK
 from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
                                GeometricFamily, PolynomialFamily, SeparableFamily,
@@ -16,6 +16,8 @@ from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
 from holofubini.functional import MeasureFunctional
 
 from conftest import PRESET_NAMES, fd_derivative, random_duals
+from witnesses import (ConjugatePerturbedGeometric, ContourVanishingGeometric,
+                       OffDerivativeFamily, SqrtPerturbedGeometric)
 
 
 class TestEval:
@@ -112,7 +114,8 @@ class TestSampler:
     def test_equal_points_are_sampled_once(self, space16, monkeypatch):
         # the contour values and each functional's node values are evaluated on first
         # read; a derivative functional on the sample's contour reads the contour values.
-        # The family is real, so of the 8 contour nodes only 0..4 are evaluated
+        # The family is real and reflective, so of the 8 contour nodes only 0, 1 and 2
+        # are evaluated, and of the other functional's 16 nodes 0..4
         sample = ContourSample(family_preset("geometric"), space16, 8)
         evaluated = []
         evaluate = GeometricFamily._evaluate
@@ -130,7 +133,7 @@ class TestSampler:
             assert sample.node_values(on) is sample.values
         off = derivative_functional([0.0], (1,), [0.95], n=16)
         assert sample.node_values(off) is sample.node_values(off)
-        assert evaluated == [1, 5, 16]
+        assert evaluated == [1, 3, 5]
 
     def test_functional_products_are_computed_once(self, space16):
         # each functional's slice vector and dual values on a stack are kept read-only,
@@ -359,35 +362,40 @@ def conjugate_symmetric_families():
             + [family_from_json(doc) for doc in BENCH_DOCS])
 
 
-def orbit_least(n, d, classes, conjugate):
+def orbit_least(n, d, classes, conjugate, reflect=False):
     """Each contour grid row's least flat index over its orbit, by brute force: every
-    permutation within ``classes`` of the row's indices and, when ``conjugate``, of
-    their negations mod n."""
+    permutation within ``classes`` of the row's indices, when ``conjugate`` of their
+    negations mod n and when ``reflect`` of their shifts by n/2 mod n."""
     digits = np.indices((n,) * d).reshape(d, -1)
     images = []
     for sign in (1, -1) if conjugate else (1,):
-        for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
-            order = list(range(d))
-            for positions, permuted in zip(classes, choice):
-                for position, source in zip(positions, permuted):
-                    order[position] = source
-            images.append(np.ravel_multi_index(sign * digits[order] % n, (n,) * d))
+        for shift in (0, n // 2) if reflect else (0,):
+            for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
+                order = list(range(d))
+                for positions, permuted in zip(classes, choice):
+                    for position, source in zip(positions, permuted):
+                        order[position] = source
+                images.append(np.ravel_multi_index((sign * digits[order] + shift) % n,
+                                                   (n,) * d))
     return np.min(images, axis=0)
 
 
 def assert_orbit_fill(sample):
     """The sample's values against one evaluation of the whole grid: every orbit
-    representative, every plain conjugate of one and, at d <= 2, every row bit for bit;
-    at d >= 3 a swapped row, whose sum or product runs in another order, within 4 ulp."""
+    representative, every plain conjugate or reflection of one and, at d <= 2, every row
+    bit for bit; at d >= 3 a swapped row, whose sum or product runs in another order,
+    within 4 ulp.  Returns the number of orbits."""
     n, d = sample.n, sample.fam.d
     grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
     direct = sample.fam.eval(grid[:, None, :], sample.space.params)
-    least = orbit_least(n, d, sample.interchangeable, sample.conjugate_symmetric)
-    own = least == np.arange(n ** d)
+    classes, conjugate, reflect = sample.symmetries(sample.center, sample.radii, n)
+    assert classes == sample.interchangeable
+    own = orbit_least(n, d, classes, conjugate, reflect) == np.arange(n ** d)
     exact = own.copy() if d > 2 else np.ones_like(own)
-    if sample.conjugate_symmetric:
-        exact[np.ravel_multi_index(-np.indices((n,) * d).reshape(d, -1)[:, own] % n,
-                                   (n,) * d)] = True
+    digits = np.indices((n,) * d).reshape(d, -1)[:, own]
+    for sign in (1, -1) if conjugate else (1,):
+        for shift in (0, n // 2) if reflect else (0,):
+            exact[np.ravel_multi_index((sign * digits + shift) % n, (n,) * d)] = True
     assert np.array_equal(sample.values[exact], direct[exact]), sample.fam.label
     np.testing.assert_allclose(sample.values, direct, rtol=4 * np.finfo(float).eps, atol=0,
                                err_msg=sample.fam.label)
@@ -505,13 +513,23 @@ class TestOrbitFill:
             values = sum(evaluated)
             assert values == 16 * assert_orbit_fill(sample), fam.label
 
+    # Burnside: the orbit count is the mean over the moves of the rows each fixes.  On
+    # uniform-4, whose atoms are symmetric, the real families are conjugated and
+    # reflected, 4 moves s on each index: the identity fixes n indices, the negation 2
+    # (0 and n/2), the shift by n/2 none and the negated shift 2 where 4 divides n (n/4
+    # and 3n/4).  A swap of two variables fixes n index pairs under any s (a free, b =
+    # s(a)), a 3-cycle the indices s fixes.
     @pytest.mark.parametrize("doc, n, rows", [
-        (BENCH_DOCS[2], 32, 3009),  # exponential-d3: (C(34, 3) + 34) / 2
-        (BENCH_DOCS[1], 64, 1057),  # exponential-d2: (C(65, 2) + 34) / 2
-        (BENCH_DOCS[0], 64, 2050),  # geometric-d2, unequal rates: (64^2 + 4) / 2
-        (BENCH_DOCS[0], 32, 514),   # (32^2 + 4) / 2
+        # exponential-d3: (32^3 + 3 * 32^2 + 2 * 32 + 2 * (8 + 3 * 32 * 2 + 2 * 2)) / 24
+        (BENCH_DOCS[2], 32, 1513),
+        # exponential-d2: (64^2 + 64 + (4 + 64) + (0 + 64) + (4 + 64)) / 8
+        (BENCH_DOCS[1], 64, 545),
+        (BENCH_DOCS[0], 64, 1026),  # geometric-d2, unequal rates: (64^2 + 4 + 0 + 4) / 4
+        (BENCH_DOCS[0], 32, 258),   # (32^2 + 4 + 0 + 4) / 4
+        (family_preset("geometric").to_json(), 64, 17),  # real, d = 1: (64 + 2 + 0 + 2) / 4
+        (family_preset("constant").to_json(), 64, 32),   # 2 + 1j, reflected only: 64 / 2
     ], ids=["exponential-d3-n32", "exponential-d2-n64", "geometric-d2-n64",
-            "geometric-d2-n32"])
+            "geometric-d2-n32", "geometric-d1-n64", "constant-d1-n64"])
     def test_evaluated_rows_are_the_orbit_count(self, monkeypatch, doc, n, rows):
         fam = family_from_json(doc)
         sample = ContourSample(fam, space_preset("uniform-4"), n)
@@ -544,6 +562,155 @@ class TestOrbitFill:
                 sample.values
             assert str(blocked.value) == str(whole.value)
             assert "values" not in vars(sample)
+
+
+def shuffled_space(k=15, seed=4):
+    """A JSON space of k atoms symmetric about 0 bit for bit, in shuffled order, with
+    distinct weights."""
+    rng = np.random.default_rng(seed)
+    params = space_preset(f"uniform-{k}").params.real[rng.permutation(k)]
+    return space_from_json({"atoms": [{"param": [t, 0.0], "weight": w}
+                                      for t, w in zip(params.tolist(), rng.random(k))]})
+
+
+def reflective_families():
+    """The reflective kinds at d = 1 and 2: real and complex geometric rates, exponential,
+    and the constant 2 + 1j, which is not real."""
+    d2 = unit_polydisc(2)
+    return [family_preset("geometric"), family_preset("exponential"), family_preset("constant"),
+            GeometricFamily([0.4 + 0.2j], unit_polydisc(1), "geometric-complex-rate"),
+            family_from_json(BENCH_DOCS[0]), family_from_json(BENCH_DOCS[1]),
+            ConstantFamily(2 + 1j, d2, "constant-d2"),
+            GeometricFamily([0.4 + 0.2j, 0.3 - 0.1j], d2, "geometric-d2-complex-rates")]
+
+
+def counted_rows(monkeypatch, read):
+    """The points that ``read()`` evaluates, or that building a sample's values does."""
+    evaluated = []
+    evaluate = family.HoloFamily.eval
+
+    def counting(self, z, t):
+        evaluated.append(np.size(z) // self.d)
+        return evaluate(self, z, t)
+
+    monkeypatch.setattr(family.HoloFamily, "eval", counting)
+    read() if callable(read) else read.values
+    monkeypatch.setattr(family.HoloFamily, "eval", evaluate)
+    return sum(evaluated)
+
+
+class TestReflection:
+    """f(-z, t) = f(z, -t): a reflective family about the center 0 on symmetric atoms
+    copies the row at -w from the row at w with its atoms mirrored."""
+
+    @pytest.mark.parametrize("n", [8, 34])
+    @pytest.mark.parametrize("space", ["uniform-16", "uniform-15", "shuffled"])
+    def test_copies_equal_direct_evaluation(self, monkeypatch, n, space):
+        # bit for bit at d <= 2, at n = 8 and at n = 34, where 4 does not divide n, on an
+        # even and an odd k (whose atom t = 0 is its own mirror) and on a JSON space whose
+        # symmetric atoms come in shuffled order; one row is evaluated per orbit
+        space = shuffled_space() if space == "shuffled" else space_preset(space)
+        assert space.mirror is not None
+        assert np.array_equal(space.params[space.mirror], -space.params)
+        assert np.array_equal(space.mirror[space.mirror], np.arange(space.natoms))
+        for fam in reflective_families():
+            sample = ContourSample(fam, space, n)
+            assert sample.reflective, fam.label
+            assert sample.conjugate_symmetric == (fam.label in ("geometric", "exponential",
+                                                                "geometric-d2",
+                                                                "exponential-d2"))
+            rows = counted_rows(monkeypatch, sample)
+            grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+            assert np.array_equal(sample.values, fam.eval(grid[:, None, :], space.params)), \
+                fam.label
+            assert rows == assert_orbit_fill(sample), fam.label
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_d3_copies_agree_within_four_ulp(self, monkeypatch, n):
+        # exponential-d3 on the shuffled space: swapped rows within 4 ulp, each orbit's
+        # representative and its plain conjugates and reflections bit for bit
+        sample = ContourSample(family_from_json(BENCH_DOCS[2]), shuffled_space(), n)
+        assert sample.reflective and sample.interchangeable == ((0, 1, 2),)
+        assert counted_rows(monkeypatch, sample) == assert_orbit_fill(sample)
+
+    def test_complex_rate_is_reflected_not_conjugated(self, monkeypatch, space16):
+        # a complex rate needs neither real atoms nor real parameters: 32 of 64 rows
+        fam = GeometricFamily([0.4 + 0.2j], unit_polydisc(1))
+        sample = ContourSample(fam, space16, 64)
+        assert sample.reflective and not sample.conjugate_symmetric
+        assert counted_rows(monkeypatch, sample) == 32
+
+    @staticmethod
+    def off_by_one_ulp():
+        params = space_preset("uniform-16").params.real.copy()
+        params[3] = np.nextafter(params[3], 0.0)
+        return FiniteMeasureSpace(params, np.full(16, 1 / 16))
+
+    @pytest.mark.parametrize("case, n, rows", [
+        ("odd-n", 33, 17),         # conjugation alone: (33 + 1) / 2
+        ("centre", 8, 5),          # center 0.1: conjugation alone, (8 + 2) / 2
+        ("ulp", 8, 5),             # atom 3 one ulp off the mirror of atom 12
+        ("linspace", 8, 5),        # np.linspace(-1, 1, 16), off the symmetry by 1.1e-16
+        ("polynomial", 8, 5),      # t z^2: f(-z, t) = f(z, t), not f(z, -t)
+        ("conjugate-witness", 8, 8),
+        ("bump-witness", 8, 64),
+        ("sqrt-witness", 8, 8),
+    ])
+    def test_not_reflected(self, monkeypatch, case, n, rows):
+        # an odd n, a nonzero center, atoms that are symmetric only up to an ulp, a kind
+        # that does not declare the reflection and any subclass with an _evaluate of its
+        # own evaluate the rows they did without it
+        space = {"ulp": self.off_by_one_ulp(),
+                 "linspace": FiniteMeasureSpace(np.linspace(-1.0, 1.0, 16), np.full(16, 1 / 16))
+                 }.get(case, space_preset("uniform-16"))
+        fam = {"centre": GeometricFamily([0.5], Polydisc([0.1], [1.0])),
+               "polynomial": family_preset("polynomial"),
+               "conjugate-witness": ConjugatePerturbedGeometric(1e-3),
+               "bump-witness": ContourVanishingGeometric(1e-3),
+               "sqrt-witness": SqrtPerturbedGeometric(1e-3)}.get(case, family_preset("geometric"))
+        sample = ContourSample(fam, space, n)
+        assert not sample.symmetries(sample.center, sample.radii, n)[2]
+        assert sample.reflective == (case == "odd-n")
+        assert counted_rows(monkeypatch, sample) == rows == assert_orbit_fill(sample)
+
+    def test_off_derivative_family_is_reflected(self, monkeypatch, space16):
+        # OffDerivativeFamily overrides only _derivative, so its values are the kind's
+        sample = ContourSample(OffDerivativeFamily([0.5, 0.4], 1e-3), space16, 8)
+        assert sample.reflective and sample.conjugate_symmetric
+        assert counted_rows(monkeypatch, sample) == (64 + 4 + 0 + 4) // 4
+
+    def test_mirror_is_computed_on_first_read(self):
+        # the space's mirror is not computed when it is built, then kept
+        space = space_preset("uniform-16")
+        assert "mirror" not in vars(space)
+        assert space.mirror is space.mirror
+        assert space.mirror.tolist() == list(range(15, -1, -1))
+
+    def test_repeated_and_complex_atoms(self, monkeypatch):
+        # repeated atoms pair by rank, so the mirror is its own inverse, and complex atoms
+        # pair with their negations; the copies still equal direct evaluation
+        params = [0.5, -0.5j, 0.5, 0.0, 0.5j, -0.5, 0.0, -0.5, 0.25 + 0.5j, -0.25 - 0.5j]
+        space = FiniteMeasureSpace(params, np.arange(1, 11) / 55)
+        assert np.array_equal(space.params[space.mirror], -space.params)
+        assert np.array_equal(space.mirror[space.mirror], np.arange(10))
+        fam = family_preset("geometric")
+        sample = ContourSample(fam, space, 16)
+        assert sample.reflective and not sample.conjugate_symmetric
+        assert counted_rows(monkeypatch, sample) == 8
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
+        assert np.array_equal(sample.values, fam.eval(grid[:, None, :], space.params))
+        assert FiniteMeasureSpace([0.5, -0.5, 0.25], np.ones(3)).mirror is None
+
+    def test_off_centre_derivative_functional_reads_orbits(self, monkeypatch, space16):
+        # a derivative functional about 0.5 (real, not 0) is conjugated but not reflected:
+        # 33 of its 64 nodes; about 0 its 16 nodes are 5 orbits of both moves, and its
+        # values equal direct evaluation bit for bit
+        sample = ContourSample(family_preset("geometric"), space16, 64)
+        for phi, rows in ((derivative_functional([0.5], (1,), [0.475], n=64), 33),
+                          (derivative_functional([0.0], (1,), [0.95], n=16), 5)):
+            assert counted_rows(monkeypatch, lambda: sample.node_values(phi)) == rows
+            assert np.array_equal(sample.node_values(phi),
+                                  sample.fam.eval(phi.nodes[:, None, :], space16.params))
 
 
 class TestClosedFormDerivatives:

@@ -593,9 +593,9 @@ class TestDerivativeProfile:
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
         # the contours are evaluated for blocks of EVAL_BLOCK // (contours
         # PROFILE_NODES) atoms, one evaluation of every contour and one FFT per block
-        # that serves orders 0-4; the family is real, so of 33 region points the 17
-        # points 0..16 are read, whose conjugates the others are, and 17 contours of 32
-        # nodes on 16 atoms are blocks of 15 and 1 atoms
+        # that serves orders 0-4; the family is real, so of 33 region points (an odd
+        # count, so none is reflected) the 17 points 0..16 are read, whose conjugates the
+        # others are, and 17 contours of 32 nodes on 16 atoms are blocks of 15 and 1 atoms
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
@@ -628,23 +628,35 @@ class TestDerivativeProfile:
             np.testing.assert_allclose(rep.lhs, np.max(mags @ space16.weights), rtol=1e-8)
 
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
-    @pytest.mark.parametrize("name", [name for name in preset_names() if name != "constant"])
+    @pytest.mark.parametrize("name", preset_names())
     def test_half_grid_matches_the_whole_grid(self, name, space):
-        # a real family reads the region points 0..PROFILE_GRID // 2, whose conjugates
-        # the others are: each order's sides equal those of all PROFILE_GRID points up
-        # to roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4 sup |f|
+        # a real family reads one region point per conjugate orbit, a reflective one per
+        # orbit of the reflection, and both per orbit of the two, and fills the others'
+        # magnitudes from theirs, mirrored where reflected: each order's sides equal
+        # those of all PROFILE_GRID points up to roundoff, which at order 4 on radius
+        # 0.05 scales with 4! / 0.05^4 sup |f|
         fam, space = family_preset(name), space_preset(space)
         half = ContourSample(fam, space, 64)
         whole = ContourSample(fam, space, 64)
-        whole.__dict__["conjugate_symmetric"] = False
-        assert half.conjugate_symmetric
+        whole.__dict__["conjugate_symmetric"] = whole.__dict__["reflective"] = False
+        assert half.conjugate_symmetric or half.reflective
         tol = math.factorial(4) / 0.05 ** 4 * half.sup * np.finfo(float).eps
         for a, b in zip(theorems.derivative_profile(half), theorems.derivative_profile(whole)):
             assert abs(a.lhs - b.lhs) <= tol and abs(a.rhs - b.rhs) <= tol, (a, b)
 
-    def test_not_real_reads_every_region_point(self, space16, monkeypatch):
-        # the constant preset's value 2 + 1j is not real: all 32 contours are evaluated
-        fam = family_preset("constant")
+    @pytest.mark.parametrize("name, space, points", [
+        ("constant", "asymmetric", 32),  # 2 + 1j, not real, on atoms not symmetric
+        ("constant", "uniform-16", 16),  # reflected: 32 / 2
+        ("polynomial", "uniform-16", 17),  # real, not reflective: (32 + 2) / 2
+        ("geometric", "uniform-16", 9),  # both: (32 + 2 + 0 + 2) / 4
+        ("exponential", "geometric-64", 9),
+    ])
+    def test_not_real_reads_every_region_point(self, monkeypatch, name, space, points):
+        # the contours evaluated are one per orbit of the region grid under the moves that
+        # apply: a family that is neither real nor reflected reads all 32
+        fam = family_preset(name)
+        space = (FiniteMeasureSpace(np.linspace(0.0, 1.0, 16), np.full(16, 1 / 16))
+                 if space == "asymmetric" else space_preset(space))
         sampled = []
         evaluate = type(fam)._evaluate
 
@@ -654,8 +666,8 @@ class TestDerivativeProfile:
             return out
 
         monkeypatch.setattr(type(fam), "_evaluate", sampling)
-        theorems.derivative_profile(ContourSample(fam, space16, 64))
-        assert sum(sampled) == theorems.PROFILE_GRID * theorems.PROFILE_NODES * 16
+        theorems.derivative_profile(ContourSample(fam, space, 64))
+        assert sum(sampled) == points * theorems.PROFILE_NODES * space.natoms
 
 
 class TestTelescoping:
