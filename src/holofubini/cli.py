@@ -73,8 +73,10 @@ def _counted_values(config: SuiteConfig) -> int:
     # or one column, with order_bound's magnitudes of it, and at least 8 EVAL_BLOCK,
     # where constant overheads dominate.  The floor also holds a block's product with
     # ten dual vectors (at most ROW_BLOCK values or one row of ten) while ROW_BLOCK <=
-    # 8 EVAL_BLOCK, and a block of derivative_profile's atoms (5 values per value of
-    # one atom's contours) while 5 PROFILE_NODES PROFILE_GRID <= 8 EVAL_BLOCK
+    # 8 EVAL_BLOCK, and a block of derivative_profile's atoms (at most 5 values per
+    # value of one atom's whole contours: their even half with its FFT and, for the
+    # atoms its estimate leaves unresolved, the odd half, the whole and its FFT) while
+    # 5 PROFILE_NODES PROFILE_GRID <= 8 EVAL_BLOCK
     rows = min(nodes, max(1, ROW_BLOCK // k))
     transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k,
                      min(nodes * k, max(FFT_BLOCK, nodes)))

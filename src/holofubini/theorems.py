@@ -46,10 +46,12 @@ with the run's checks, shrink and seed, and draws one interior sequence in the d
 shrink polydisc (:func:`interior_pass`), the only points span, telescoping, order_bound
 and schwarz read, so their records depend on the shrink: it evaluates the longest prefix
 its checks read once, for blocks of atoms, and keeps only what they read of it.  The
-derivative_profile contours take only the sample's family and space and have
-``PROFILE_NODES`` nodes whatever the run's n.  The interior pass and derivative_profile
-evaluate for a block of atoms per call, of at most ``EVAL_BLOCK`` complex values unless
-one atom takes more, so neither pays one call per atom nor holds all atoms at once.
+derivative_profile contours take only the sample's family and space and have at most
+``PROFILE_NODES`` nodes whatever the run's n: each atom reads their even half, and the
+odd half too only where the error estimate of that half's FFT leaves it unresolved.
+The interior pass and derivative_profile evaluate for a block of atoms per call, of at
+most ``EVAL_BLOCK`` complex values unless one atom takes more, so neither pays one call
+per atom nor holds all atoms at once.
 Samples are read-only, so checks may run concurrently; reports are merged by canonical
 ordering.
 """
@@ -95,10 +97,13 @@ __all__ = [
 #: family call: each call takes as many atoms as fit, and at least one
 EVAL_BLOCK = 8192
 #: derivative_profile reports orders 0..PROFILE_MAX_ORDER on PROFILE_GRID region points,
-#: each read on a contour of PROFILE_NODES nodes whatever the run's n: at its radius
-#: of 0.05 r the trapezoid error falls geometrically in the node count, and 32 nodes
-#: hold the rate-0.99 geometric family (pole at |z| = 1.0101) to 1.1e-11 of its
-#: closed-form maxima, relative to max(maximum, 1), where 24 leave 5.9e-9
+#: each read on a contour of at most PROFILE_NODES nodes whatever the run's n: every
+#: atom reads its PROFILE_NODES / 2 even nodes and refines to PROFILE_NODES where their
+#: error estimate asks (:func:`_profile_magnitudes`).  At its radius of 0.05 r the
+#: trapezoid error falls geometrically in the node count: the presets sit at their
+#: roundoff floor from 12 nodes on, while 32 nodes hold the rate-0.99 geometric family
+#: (pole at |z| = 1.0101) to 1.1e-11 of its closed-form maxima, relative to
+#: max(maximum, 1), where 24 leave 5.9e-9 and 16 leave 3.3e-6
 PROFILE_MAX_ORDER = 4
 PROFILE_GRID = 32
 PROFILE_NODES = 32
@@ -380,9 +385,9 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
 
     The region grid is ``PROFILE_GRID`` points of the torus at 0.9 of the family's
     domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the values on
-    a contour of radius (CONTOUR_SHRINK - 0.9) r and ``PROFILE_NODES`` nodes about each
-    grid point, by :func:`holofubini.cauchy.contour_derivatives`; the node count is
-    fixed, so the reports do not depend on the sample's n.  The grid is read through the
+    a contour of radius (CONTOUR_SHRINK - 0.9) r about each grid point, of at most
+    ``PROFILE_NODES`` nodes, each atom's count chosen by :func:`_profile_magnitudes`; the
+    node counts do not depend on the sample's n.  The grid is read through the
     contour sample's orbit map (:meth:`~holofubini.family.ContourSample.symmetries`, d =
     1 and PROFILE_GRID nodes): only each orbit's representative's contour is evaluated.
     Point PROFILE_GRID - j is the conjugate of point j, where |D^m f| is the same, and
@@ -392,14 +397,12 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     maxima over the representatives, their weighted integrals taken against the weights
     and, where the reflection applies, the mirrored weights, are those of the whole grid
     up to roundoff.  A real reflective family reads 9 of the 32 points, another real
-    family 17, the constant preset 16.  The contours are evaluated for the atom blocks
-    of :func:`_atom_blocks`, each with one evaluation of every contour's points and one
-    FFT for every order and contour.  Returns one report per order: ``lhs`` the sup over
-    the grid of the mu-weighted integral of |D^m f|, ``rhs`` the largest |D^m f(z,
-    t_i)|, and a residual of 0 when both are finite and inf otherwise; each carries n =
-    PROFILE_NODES.  It reads only the sample's family and space.
+    family 17, the constant preset 16.  Returns one report per order: ``lhs`` the sup
+    over the grid of the mu-weighted integral of |D^m f|, ``rhs`` the largest |D^m f(z,
+    t_i)|, and a residual of 0 when both are finite and inf otherwise; each carries as
+    n the largest node count any atom read.  It reads only the sample's family and space.
     """
-    fam, space, n = sample.fam, sample.space, PROFILE_NODES
+    fam, space = sample.fam, sample.space
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
     region = fam.domain.shrunk(0.9)
@@ -407,15 +410,7 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     sources, _, mirrored = _orbit_sources(
         points, PROFILE_GRID, 1, *sample.symmetries(region.center, region.radius, PROFILE_GRID))
     own = _representatives(points, sources, mirrored)
-    radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
-    orders = [(order,) for order in range(PROFILE_MAX_ORDER + 1)]
-    offsets = torus_nodes(Polydisc(np.zeros(1), radii), n).grid()
-    grid = torus_nodes(region, PROFILE_GRID).grid()[own]
-    pts = (grid + offsets[:, None, :])[:, :, None, :]
-    mags = np.empty((len(orders), len(own), space.natoms))
-    for atoms in _atom_blocks(space.natoms, n * len(own)):
-        values = fam.eval(pts, space.params[atoms])
-        mags[..., atoms] = np.abs(contour_derivatives(values, orders, radii, n))
+    mags, n = _profile_magnitudes(fam, space.params, torus_nodes(region, PROFILE_GRID).grid()[own])
     # a reflected point's magnitudes are its representative's on the mirrored atoms, so
     # its weighted integral is the representative's against the mirrored weights
     weights = [space.weights] + ([] if mirrored is None else [space.weights[space.mirror]])
@@ -427,6 +422,61 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
                                          0.0 if finite else math.inf, 0.0, alpha=[order],
                                          n=n))
     return reports
+
+
+def _profile_magnitudes(fam, params, grid) -> tuple[np.ndarray, int]:
+    """|D^m f(a, t_i)| for m = 0..PROFILE_MAX_ORDER, each point a of ``grid`` (shape (P,
+    1)) and atom t_i of ``params``, shape (orders, P, k), with the largest node count any
+    atom read.
+
+    Each order is read by :func:`holofubini.cauchy.contour_derivatives` on the contour
+    of radius delta = (CONTOUR_SHRINK - 0.9) r about each point, at the even-indexed h =
+    PROFILE_NODES / 2 of its PROFILE_NODES nodes.  The same FFT keeps the bins m + h/2:
+    the h/2-node rule's coefficient c_m differs from the h-node one by the aliased
+    c_{m+h/2} delta^(h/2) alone, so m! |c_{m+h/2}| delta^(h/2) estimates the h/2-node
+    error of D^m, and the h-node error is about its square over the scale m! max|f| /
+    delta^m (Trefethen & Weideman, SIAM Review 56, 2014), max|f| over the contour's
+    nodes.  An atom is resolved when at every point and order the estimate is at most
+    sqrt(eps) times that scale, so that the h-node error lies at the roundoff floor m!
+    eps max|f| / delta^m (Bornemann, Found. Comput. Math. 11, 2011); the condition reads
+    |c_{m+h/2}| delta^(m+h/2) <= sqrt(eps) max|f|.  Every other atom's odd nodes are
+    evaluated and interleaved with its even ones, so its magnitudes are those of the
+    PROFILE_NODES-node rule bit for bit.  Each atom's count rests on its own values
+    only, so no magnitude depends on ``EVAL_BLOCK``.  Where 4 does not divide
+    PROFILE_NODES, or h/2 - 1 <= PROFILE_MAX_ORDER, so that contour_derivatives' guard
+    (nodes > order + 1) refuses the h-node table the bins need, every atom reads its
+    PROFILE_NODES nodes at once.  The atoms are taken in the blocks of
+    :func:`_atom_blocks` for PROFILE_NODES nodes per contour, each with one evaluation
+    of every contour's even nodes, one FFT, and where an atom is not resolved one
+    evaluation of the odd nodes and one FFT of its whole contours.
+    """
+    n = PROFILE_NODES
+    half = n // 2 if n % 4 == 0 and n // 4 > PROFILE_MAX_ORDER + 1 else n
+    radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
+    orders = [(order,) for order in range(PROFILE_MAX_ORDER + 1)]
+    aliased = [(order + half // 2,) for order in range(PROFILE_MAX_ORDER + 1)] if half < n else []
+    # |D^j| delta^j / j! = |c_j| delta^j for each aliased order j = m + h/2
+    bin_scale = np.array([float(radii[0]) ** j / math.factorial(j) for (j,) in aliased])
+    offsets = torus_nodes(Polydisc(np.zeros(1), radii), n).grid()
+    pts = (grid + offsets[:, None, :])[:, :, None, :]
+    mags = np.empty((len(orders), len(grid), len(params)))
+    read = half
+    for atoms in _atom_blocks(len(params), n * len(grid)):
+        values = fam.eval(pts[::n // half], params[atoms])  # the even nodes, or all
+        coeffs = contour_derivatives(values, orders + aliased, radii, half)
+        mags[..., atoms] = np.abs(coeffs[:len(orders)])
+        if not aliased:
+            continue
+        estimate = np.abs(coeffs[len(orders):]) * bin_scale[:, None, None]
+        floor = math.sqrt(np.finfo(float).eps) * np.max(np.abs(values), axis=0)
+        refine = np.flatnonzero(~np.all(estimate <= floor, axis=(0, 1)))
+        if refine.size:
+            whole = np.empty((n, len(grid), refine.size), dtype=complex)
+            whole[0::2] = values[..., refine]
+            whole[1::2] = fam.eval(pts[1::2], params[atoms][refine])
+            mags[..., atoms.start + refine] = np.abs(contour_derivatives(whole, orders, radii, n))
+            read = n
+    return mags, read
 
 
 def telescoping_residual(sample: ContourSample) -> CheckReport:

@@ -108,18 +108,19 @@ class TestVerify:
     @pytest.mark.parametrize("args", [["--nodes", "4"], ["--nodes", "5"]],
                              ids=["nodes4", "nodes5"])
     def test_profile_runs_at_any_node_count(self, tmp_path, monkeypatch, args):
-        # the profile reads its orders 0-4 on contours of PROFILE_NODES nodes, not
-        # --nodes, so it runs where the run's contour could not resolve order 4: the
+        # the profile reads its orders 0-4 on contours of at most PROFILE_NODES nodes,
+        # not --nodes, so it runs where the run's contour could not resolve order 4: the
         # geometric family is real and reflective, so the 9 orbits of its 32 region
-        # points, 9 contours of PROFILE_NODES nodes on 16 atoms, and nothing else
+        # points, 9 contours of PROFILE_NODES / 2 = 16 nodes on 16 atoms, each of which
+        # the half rule resolves, and nothing else
         counted = count_family_values(monkeypatch)
         code, text = run_cli(tmp_path, "check", "derivative_profile", "--family", "geometric",
                              "--functional", "dirac", *args)
         assert code == 0
         records = parse_records(text)
         assert len(records) == theorems.PROFILE_MAX_ORDER + 1
-        assert {r["n"] for r in records} == {theorems.PROFILE_NODES}
-        assert sum(counted) == 9 * 32 * 16
+        assert {r["n"] for r in records} == {theorems.PROFILE_NODES // 2}
+        assert sum(counted) == 9 * 16 * 16
 
     @pytest.mark.parametrize("nodes", ["4", "5", "6"])
     def test_default_derivative_functionals_refuse_few_nodes(self, tmp_path, capsys, nodes):
@@ -315,11 +316,12 @@ class TestSampleOnce:
     #   F at the centre, from which schwarz (d = 1) or telescoping (d = 2) measures
     #     each point's increment, read with the interior pass:  1 * k
     #   d = 1 only, derivative_profile: one of its 32 region points per orbit of the
-    #     same moves, (32 + 2 + 0 + 2) / 4 = 9, each a contour of PROFILE_NODES = 32
-    #     nodes whatever n, shared by orders 0-4
+    #     same moves, (32 + 2 + 0 + 2) / 4 = 9, each a contour read at the even 16 of
+    #     its PROFILE_NODES = 32 nodes whatever n, shared by orders 0-4; every atom of
+    #     these families is resolved there, so no odd node is evaluated
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
-    # d = 1, n = 64: k * (17 + 9 + 1 + 200 + 1 + 9*32) = 8,256
+    # d = 1, n = 64: k * (17 + 9 + 1 + 200 + 1 + 9*16) = 5,952
     # d = 2, n = 64: k * (1026 + 9 + 1 + 200 + 1) = 19,792
     # d = 2, n = 32: k * (258 + 9 + 1 + 200 + 1) = 7,504
     # a single check of the interior sequence evaluates only the prefix it reads, beside
@@ -328,7 +330,7 @@ class TestSampleOnce:
     #   points and the contour for its table, k * (1026 + 200) = 19,616; `check
     #   telescoping` its 200 points, F at the centre and the contour for its sups,
     #   k * (1026 + 200 + 1) = 19,632
-    # `check derivative_profile` reads no contour value: k * 9 * 32 = 4,608
+    # `check derivative_profile` reads no contour value: k * 9 * 16 = 2,304
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample's 17 rows for the grid sup and the functional's own 64 nodes about 0.5,
     #   a real centre but not 0, so one per conjugate orbit, k * (17 + 33) = 800
@@ -336,21 +338,21 @@ class TestSampleOnce:
     #   value, not even to share a pairing: k * 1 = 16
     # A family or centre that is not real is not conjugated: the constant preset (value
     # 2 + 1j) and a complex-rate geometric family are still reflected, half of the
-    # contour and of the region grid, k * (32 + 9 + 1 + 200 + 1 + 16*32) = 12,080; a
+    # contour and of the region grid, k * (32 + 9 + 1 + 200 + 1 + 16*16) = 7,984; a
     # JSON space with a complex atom, not symmetric, keeps both whole,
-    # k * (64 + 9 + 1 + 200 + 1 + 32*32) = 20,784; d = 2 with a complex centre, whose
+    # k * (64 + 9 + 1 + 200 + 1 + 32*16) = 12,592; d = 2 with a complex centre, whose
     # rates and centres differ, so no swap applies either, k * (4096 + 9 + 1 + 200 + 1)
     # = 68,912
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
-        (1, 64, ["verify"], 8_256),
+        (1, 64, ["verify"], 5_952),
         (2, 64, ["verify"], 19_792),
         (2, 32, ["verify"], 7_504),
         (2, 64, ["check", "span"], 16_816),
         (2, 64, ["check", "order_bound"], 19_616),
         (2, 64, ["check", "telescoping"], 19_632),
-        (1, 64, ["check", "derivative_profile"], 9 * 32 * 16),
+        (1, 64, ["check", "derivative_profile"], 9 * 16 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 50 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
     ], ids=["d1", "d2", "d2-n32", "d2-span", "d2-order-bound", "d2-telescoping",
@@ -363,8 +365,8 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     @pytest.mark.parametrize("case, expected", [
-        ("constant", 12_080), ("complex-rate", 12_080), ("complex-centre", 68_912),
-        ("complex-atom", 20_784)], ids=["constant", "complex-rate", "complex-centre",
+        ("constant", 7_984), ("complex-rate", 7_984), ("complex-centre", 68_912),
+        ("complex-atom", 12_592)], ids=["constant", "complex-rate", "complex-centre",
                                         "complex-atom"])
     def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
         # a family or centre that is not real is not conjugated, and a space that is not

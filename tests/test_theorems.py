@@ -511,6 +511,49 @@ class TestSpan:
         assert distance <= 1e-10
 
 
+PROFILE_ORDERS = [(order,) for order in range(theorems.PROFILE_MAX_ORDER + 1)]
+
+
+def fixed_rule(fam, params, grid, n):
+    """|D^m f(a, t_i)| of the orders 0..PROFILE_MAX_ORDER, shape (orders, points, atoms),
+    and F on the contours, shape (n, points, atoms): one evaluation and one FFT of the
+    n-node contour of radius (CONTOUR_SHRINK - 0.9) r about each point a of ``grid``, for
+    every atom."""
+    radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
+    values = np.stack([fam.eval(torus_nodes(Polydisc(a, radii), n).grid()[:, None, :], params)
+                       for a in grid], axis=1)
+    mags = np.stack([np.abs(cauchy.contour_derivatives(values[:, i], PROFILE_ORDERS, radii, n))
+                     for i in range(len(grid))], axis=1)
+    return mags, values
+
+
+def profile_by_rule(fam, params, grid):
+    """derivative_profile's magnitudes by its documented rule, one contour at a time, and
+    the largest node count an atom reads: every contour is evaluated at all PROFILE_NODES
+    = 32 nodes, and an atom takes the 16-node rule of the even nodes where, at every point
+    and order m, the aliased bin of its FFT satisfies |c_{m+8}| delta^(m+8) <= sqrt(eps)
+    max |f| over those nodes, else the 32-node rule."""
+    n = theorems.PROFILE_NODES
+    delta = float((CONTOUR_SHRINK - 0.9) * fam.domain.radius[0])
+    whole, values = fixed_rule(fam, params, grid, n)
+    half = np.empty_like(whole)
+    resolved = np.ones(len(params), dtype=bool)
+    aliased = [(order + n // 4,) for (order,) in PROFILE_ORDERS]
+    for i in range(len(grid)):
+        even = values[0::2, i]
+        table = cauchy.contour_derivatives(even, PROFILE_ORDERS + aliased, [delta], n // 2)
+        half[:, i] = np.abs(table[:len(PROFILE_ORDERS)])
+        for (j,), coefficient in zip(aliased, table[len(PROFILE_ORDERS):]):
+            estimate = np.abs(coefficient) * (delta ** j / math.factorial(j))
+            resolved &= estimate <= math.sqrt(np.finfo(float).eps) * np.max(np.abs(even), axis=0)
+    return np.where(resolved, half, whole), n // 2 if resolved.all() else n
+
+
+def profile_sides(mags, weights):
+    """(lhs, rhs) of each order from magnitudes of shape (orders, points, atoms)."""
+    return [(float(np.max(m @ weights)), float(m.max())) for m in mags]
+
+
 class TestDerivativeProfile:
     """One report per order 0..PROFILE_MAX_ORDER over the PROFILE_GRID region points at
     0.9 of the radius: lhs the sup of the mu-weighted integral of |D^m f|, rhs the
@@ -521,10 +564,11 @@ class TestDerivativeProfile:
         return torus_nodes(fam.domain.shrunk(0.9), theorems.PROFILE_GRID).grid()
 
     def test_constant_vanishing_orders(self, space16):
+        # every atom of a constant is resolved by the half rule of PROFILE_NODES / 2 nodes
         reports = theorems.derivative_profile(ContourSample(family_preset("constant"),
                                                             space16, 32))
-        assert [rep.params for rep in reports] == [{"alpha": [m], "n": theorems.PROFILE_NODES}
-                                                   for m in range(5)]
+        assert [rep.params for rep in reports] == [
+            {"alpha": [m], "n": theorems.PROFILE_NODES // 2} for m in range(5)]
         assert all(rep.passed and rep.residual == 0.0 for rep in reports)
         for rep in reports[1:]:
             assert rep.rhs <= 1e-13
@@ -556,17 +600,22 @@ class TestDerivativeProfile:
             assert rep.lhs == pytest.approx(np.max(closed @ space.weights), rel=1e-8,
                                             abs=1e-8)
 
+    def record_gaps(self, fam, space, sides):
+        """The gap of each order's lhs and rhs, given as (lhs, rhs) pairs, from the
+        closed-form maxima over the region grid, relative to max(that maximum, 1)."""
+        gaps = []
+        for order, (lhs, rhs) in enumerate(sides):
+            closed = np.abs([fam.deriv_vector(a, space, (order,))
+                             for a in self.region_grid(fam)])
+            exact = (np.max(closed @ space.weights), closed.max())
+            gaps += [abs(side - e) / max(e, 1.0) for side, e in zip((lhs, rhs), exact)]
+        return np.array(gaps)
+
     def relative_gap(self, fam, space):
         """The largest gap of any order's lhs or rhs from the closed-form maxima over
         the region grid, relative to max(that maximum, 1)."""
         reports = theorems.derivative_profile(ContourSample(fam, space, 64))
-        gaps = []
-        for order, rep in enumerate(reports):
-            closed = np.abs([fam.deriv_vector(a, space, (order,))
-                             for a in self.region_grid(fam)])
-            exact = (closed.max(), np.max(closed @ space.weights))
-            gaps += [abs(side - e) / max(e, 1.0) for side, e in zip((rep.rhs, rep.lhs), exact)]
-        return max(gaps)
+        return float(self.record_gaps(fam, space, [(rep.lhs, rep.rhs) for rep in reports]).max())
 
     def test_near_singular_family_needs_the_profile_nodes(self, space16, monkeypatch):
         # rate 0.99 puts the pole of the t = +-1 slices at |z| = 1.0101, 0.11 from the
@@ -579,8 +628,71 @@ class TestDerivativeProfile:
             monkeypatch.setattr(theorems, "PROFILE_NODES", nodes)
             assert self.relative_gap(fam, space16) > 1e-10, nodes
 
+    def test_only_the_unresolved_atoms_refine(self, space16, monkeypatch):
+        # rate 0.99: of the 9 representative points of this real reflective family the
+        # atoms t = 0.867 and 1, whose poles at 1.165 and 1.0101 lie near point 0 (0.9),
+        # fail the half rule's estimate and read their odd nodes too, bit for bit the
+        # fixed 32-node rule; the 14 others keep the 16-node rule, within 1e-9 of it
+        fam = GeometricFamily([0.99], unit_polydisc(1))
+        sampled, atoms = [], []
+        evaluate = GeometricFamily._evaluate
+
+        def sampling(self, z, t):
+            out = evaluate(self, z, t)
+            sampled.append(np.size(out))
+            atoms.append(np.ravel(t))
+            return out
+
+        monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
+        reports = theorems.derivative_profile(ContourSample(fam, space16, 64))
+        assert sampled == [16 * 9 * 16, 16 * 9 * 2]
+        assert {rep.params["n"] for rep in reports} == {32}
+        refined = np.isin(space16.params, atoms[1])
+        np.testing.assert_array_equal(np.flatnonzero(refined), [14, 15])
+        grid = self.region_grid(fam)[:9]
+        mags, n = theorems._profile_magnitudes(fam, space16.params, grid)
+        fixed, _ = fixed_rule(fam, space16.params, grid, 32)
+        assert n == 32
+        np.testing.assert_array_equal(mags[..., refined], fixed[..., refined])
+        kept = mags[..., ~refined]
+        assert np.all(np.abs(kept - fixed[..., ~refined]) <= 1e-9 * np.maximum(kept, 1.0))
+        assert not np.array_equal(kept, fixed[..., ~refined])
+
+    @pytest.mark.parametrize("rate", [0.5, 0.99, 0.99 * np.exp(1j * np.pi / 64)])
+    @pytest.mark.parametrize("block", [1, 500, 3000])
+    def test_reports_do_not_depend_on_the_blocks(self, space16, monkeypatch, rate, block):
+        # each atom's node count rests on its own contours, whatever block it falls in:
+        # blocks of 1 atom (EVAL_BLOCK 1 and 500 at 9 or 17 contours of 32 nodes) or
+        # of a few, beside the default blocks of every atom
+        fam = GeometricFamily([rate], unit_polydisc(1))
+        reports = theorems.derivative_profile(ContourSample(fam, space16, 64))
+        monkeypatch.setattr(theorems, "EVAL_BLOCK", block)
+        assert theorems.derivative_profile(ContourSample(fam, space16, 64)) == reports
+
+    @given(kind=st.sampled_from(["geometric", "exponential"]),
+           modulus=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi),
+           space=st.sampled_from(["uniform-16", "geometric-64"]))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @example(kind="geometric", modulus=1.0, phase=0.0, space="uniform-16")
+    @example(kind="geometric", modulus=1.0, phase=np.pi / 64, space="geometric-64")
+    @example(kind="exponential", modulus=1.0, phase=0.0, space="uniform-16")
+    def test_no_record_strays_beyond_the_fixed_rule(self, kind, modulus, phase, space):
+        # geometric rates 0.99 modulus e^(i phase), with |rate| <= 0.99, and exponential
+        # scales 3 modulus e^(i phase): every record's gap from the closed-form maxima
+        # is at most the fixed 32-node rule's over the whole region grid, or 1e-9
+        value = modulus * np.exp(1j * phase)
+        fam = (GeometricFamily([0.99 * value], unit_polydisc(1)) if kind == "geometric"
+               else ExponentialFamily(3.0 * value, unit_polydisc(1)))
+        space = space_preset(space)
+        reports = theorems.derivative_profile(ContourSample(fam, space, 64))
+        fixed, _ = fixed_rule(fam, space.params, self.region_grid(fam), theorems.PROFILE_NODES)
+        gaps = self.record_gaps(fam, space, [(rep.lhs, rep.rhs) for rep in reports])
+        bound = np.maximum(self.record_gaps(fam, space, profile_sides(fixed, space.weights)),
+                           1e-9)
+        assert np.all(gaps <= bound), (gaps, bound)
+
     def test_reports_do_not_depend_on_the_sample_nodes(self, geometric, space16):
-        # the contours have PROFILE_NODES nodes whatever the run's n
+        # the contours have at most PROFILE_NODES nodes whatever the run's n
         reports = [theorems.derivative_profile(ContourSample(geometric, space16, n))
                    for n in (4, 32, 64)]
         assert reports[0] == reports[1] == reports[2]
@@ -592,10 +704,11 @@ class TestDerivativeProfile:
 
     def test_one_rule_per_contour(self, geometric, space16, monkeypatch):
         # the contours are evaluated for blocks of EVAL_BLOCK // (contours
-        # PROFILE_NODES) atoms, one evaluation of every contour and one FFT per block
-        # that serves orders 0-4; the family is real, so of 33 region points (an odd
-        # count, so none is reflected) the 17 points 0..16 are read, whose conjugates the
-        # others are, and 17 contours of 32 nodes on 16 atoms are blocks of 15 and 1 atoms
+        # PROFILE_NODES) atoms, one evaluation of every contour's 16 even nodes and one
+        # FFT per block that serves orders 0-4 and the estimate's bins 8-12; the family
+        # is real, so of 33 region points (an odd count, so none is reflected) the 17
+        # points 0..16 are read, whose conjugates the others are, and 17 contours on 16
+        # atoms are blocks of 15 and 1 atoms, each atom resolved by the half rule
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
         sampled, ffts = [], []
         evaluate, fft = GeometricFamily._evaluate, cauchy._fft_coefficients
@@ -606,22 +719,24 @@ class TestDerivativeProfile:
             return out
 
         def counting(values, *args):
-            ffts.append(values.shape)
+            ffts.append((values.shape, args[-1]))
             return fft(values, *args)
 
         monkeypatch.setattr(GeometricFamily, "_evaluate", sampling)
         monkeypatch.setattr(cauchy, "_fft_coefficients", counting)
         reports = theorems.derivative_profile(ContourSample(geometric, space16, 64))
-        assert sampled == [32 * 17 * 15, 32 * 17 * 1]
+        assert sampled == [16 * 17 * 15, 16 * 17 * 1]
         assert max(sampled) <= theorems.EVAL_BLOCK
-        assert ffts == [(32, 17, 15), (32, 17, 1)]
-        # each order's sides match those its own single-order rule gives, up to
-        # roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4 * sup |f|
+        assert ffts == [((16, 17, 15), 12), ((16, 17, 1), 12)]
+        # each order's sides match those its own single-order rule of the node count read
+        # gives, up to roundoff, which at order 4 on radius 0.05 scales with 4! / 0.05^4
+        # * sup |f|
         radii = (CONTOUR_SHRINK - 0.9) * geometric.domain.radius
         for order, rep in enumerate(reports):
+            assert rep.params["n"] == 16
             mags = []
             for a in self.region_grid(geometric):
-                pts, weights = derivative_rule(a, (order,), radii, theorems.PROFILE_NODES)
+                pts, weights = derivative_rule(a, (order,), radii, rep.params["n"])
                 mags.append(np.abs(weights @ geometric.eval(pts[:, None, :], space16.params)))
             mags = np.array(mags)
             np.testing.assert_allclose(rep.rhs, mags.max(), rtol=1e-8)
@@ -653,7 +768,8 @@ class TestDerivativeProfile:
     ])
     def test_not_real_reads_every_region_point(self, monkeypatch, name, space, points):
         # the contours evaluated are one per orbit of the region grid under the moves that
-        # apply: a family that is neither real nor reflected reads all 32
+        # apply: a family that is neither real nor reflected reads all 32, each at its 16
+        # even nodes, which resolve every atom of these presets
         fam = family_preset(name)
         space = (FiniteMeasureSpace(np.linspace(0.0, 1.0, 16), np.full(16, 1 / 16))
                  if space == "asymmetric" else space_preset(space))
@@ -667,7 +783,7 @@ class TestDerivativeProfile:
 
         monkeypatch.setattr(type(fam), "_evaluate", sampling)
         theorems.derivative_profile(ContourSample(fam, space, 64))
-        assert sum(sampled) == points * theorems.PROFILE_NODES * space.natoms
+        assert sum(sampled) == points * theorems.PROFILE_NODES // 2 * space.natoms
 
 
 class TestTelescoping:
@@ -832,22 +948,16 @@ class TestBlockedEvaluation:
 
     @staticmethod
     def profile_per_contour(fam, space):
-        """(lhs, rhs) of each order, one evaluation and FFT per region contour that
-        derivative_profile reads: for a real family the points 0..PROFILE_GRID // 2,
-        whose conjugates the others are (their FFTs, of the conjugate values in reverse
-        node order, may round apart in the last bit), else every point."""
-        n = theorems.PROFILE_NODES
-        radii = (CONTOUR_SHRINK - 0.9) * fam.domain.radius
+        """(lhs, rhs) of each order and the node count read, by derivative_profile's
+        documented rule applied one region contour at a time (:func:`profile_by_rule`), on
+        the contours it reads: for a real family the points 0..PROFILE_GRID // 2, whose
+        conjugates the others are (their FFTs, of the conjugate values in reverse node
+        order, may round apart in the last bit), else every point."""
         grid = torus_nodes(fam.domain.shrunk(0.9), theorems.PROFILE_GRID).grid()
-        if ContourSample(fam, space, n).conjugate_symmetric:
+        if ContourSample(fam, space, 64).conjugate_symmetric:
             grid = grid[:theorems.PROFILE_GRID // 2 + 1]
-        orders = [(order,) for order in range(theorems.PROFILE_MAX_ORDER + 1)]
-        mags = np.empty((len(orders), len(grid), space.natoms))
-        for gi, a in enumerate(grid):
-            pts = torus_nodes(Polydisc(a, radii), n).grid()
-            values = fam.eval(pts[:, None, :], space.params)
-            mags[:, gi] = np.abs(cauchy.contour_derivatives(values, orders, radii, n))
-        return [(float(np.max(m @ space.weights)), float(m.max())) for m in mags]
+        mags, n = profile_by_rule(fam, space.params, grid)
+        return profile_sides(mags, space.weights), n
 
     # 200 points, 40 atoms a block: one block on 16 atoms, six of 40 and one of 16 on 256
     @pytest.mark.parametrize("space", ["uniform-16", "uniform-256"])
@@ -943,15 +1053,18 @@ class TestBlockedEvaluation:
     # 33 contours of 32 nodes (the constant preset's, which is not real) make blocks of 7
     # atoms with a partial last block: 7, 7 and 2 on 16 atoms, 9 blocks of 7 and one of 1
     # on 64; a real family's 17 contours blocks of 15, with one of 1 on 16 atoms and of 4
-    # on 64
+    # on 64.  The rate-0.99 family refines some of its atoms to 32 nodes
     @pytest.mark.parametrize("space", ["uniform-16", "geometric-64"])
-    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize("name", preset_names() + ("rate-0.99",))
     def test_profile_equals_the_per_contour_loop(self, name, space, monkeypatch):
         monkeypatch.setattr(theorems, "PROFILE_GRID", 33)
-        fam, space = family_preset(name), space_preset(space)
+        fam = (GeometricFamily([0.99], unit_polydisc(1)) if name == "rate-0.99"
+               else family_preset(name))
+        space = space_preset(space)
         reports = theorems.derivative_profile(ContourSample(fam, space, 64))
-        oracle = self.profile_per_contour(fam, space)
-        assert [(rep.lhs, rep.rhs) for rep in reports] == oracle
+        sides, n = self.profile_per_contour(fam, space)
+        assert [(rep.lhs, rep.rhs) for rep in reports] == sides
+        assert {rep.params["n"] for rep in reports} == {n}
 
     def test_peak_memory_is_bounded_by_the_block(self):
         # the atom blocks, not the k = 64 atoms, bound the transient arrays: at most 8
