@@ -19,6 +19,7 @@ reductions, so results are reproducible bit-for-bit for a fixed input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -122,15 +123,26 @@ def contour_derivatives(values, alphas, radii, n: int) -> np.ndarray:
     batch on ``torus_nodes(Polydisc(center, radii), n).grid()``; returns (m,) + batch.
 
     Entry i is alpha_i! c_alpha_i from one FFT: the trapezoid sum that
-    :func:`derivative_rule`'s weights take (Lyness & Moler 1967), with its guard.
+    :func:`derivative_rule`'s weights take (Lyness & Moler 1967), with its guard.  The
+    alphas are checked as one (m, d) array, and the entries gathered from the table at
+    once, each times its alpha!, the exact integer rounded once to a float.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    alphas = [as_multi_index(a, radii.shape[0]) for a in alphas]
-    order = max(max(a) for a in alphas)
+    d = radii.shape[0]
+    index = np.asarray(alphas)
+    if d == 1 and index.ndim == 1:  # scalar orders at d = 1
+        index = index[:, None]
+    if (index.ndim != 2 or index.shape[1] != d or not index.size
+            or index.dtype.kind not in "iu" or np.any(index < 0)):
+        raise ValueError(f"expected multi-indices of {d} nonnegative integers, got {alphas!r}")
+    order = int(index.max())
     if n <= order + 1:
         raise ValueError(f"node count {n} is too small for derivative order {order}")
-    coeffs = _fft_coefficients(np.asarray(values, dtype=complex), radii.shape[0], n, radii, order)
-    return np.stack([multi_factorial(a) * coeffs[a] for a in alphas])
+    coeffs = _fft_coefficients(np.asarray(values, dtype=complex), d, n, radii, order)
+    factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=object)
+    scale = np.prod(factorials[index], axis=1).astype(float)
+    picked = coeffs[tuple(index.T)]
+    return scale.reshape((-1,) + (1,) * (picked.ndim - 1)) * picked
 
 
 def schwarz_violation(fa, fz, steps, sups) -> float:

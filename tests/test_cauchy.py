@@ -141,6 +141,32 @@ class TestContourDerivatives:
         with pytest.raises(ValueError, match="node count 4 is too small for derivative order 3"):
             contour_derivatives(values, [(0,), (3,), (1,)], [0.5], 4)
 
+    @pytest.mark.parametrize("d, batch", [(1, ()), (1, (5,)), (2, (3,)), (3, (2, 2))])
+    def test_gather_equals_the_per_alpha_loop(self, d, batch):
+        # one gather from the table times each alpha! equals alpha! c_alpha taken one
+        # alpha at a time, bit for bit, also where the values hold inf and NaN and where
+        # alpha! / r^alpha overflows the last column; alphas repeat and come in no order
+        rng = np.random.default_rng(d)
+        values = (rng.standard_normal((8 ** d,) + batch)
+                  + 1j * rng.standard_normal((8 ** d,) + batch)) * 1e150
+        values.reshape(8 ** d, -1)[:, -1] *= 1e156
+        values.reshape(-1)[rng.choice(values.size, 3, replace=False)] = [np.inf, np.nan,
+                                                                         complex(0, -np.inf)]
+        alphas = [tuple(a) for a in rng.integers(0, 7, (9, d))] + [(0,) * d, (6,) * d]
+        with np.errstate(invalid="ignore", over="ignore"):
+            table = _fft_coefficients(values, d, 8, [0.5] * d, 6)
+            loop = np.stack([multi_factorial(a) * table[a] for a in alphas])
+            got = contour_derivatives(values, alphas, [0.5] * d, 8)
+        assert got.shape == loop.shape == (len(alphas),) + batch
+        assert got.tobytes() == loop.tobytes()
+        assert not np.isfinite(got).all()
+
+    @pytest.mark.parametrize("alphas", [[(0, 1)], [(-1,)], [(0.5,)], [], [[(1,)]]],
+                             ids=["length", "negative", "fraction", "empty", "nested"])
+    def test_malformed_alphas_are_refused(self, alphas):
+        with pytest.raises(ValueError, match="expected multi-indices of 1 nonnegative"):
+            contour_derivatives(np.ones(8, dtype=complex), alphas, [0.5], 8)
+
 
 def one_shot_coefficients(values, d, n, radii, degree):
     """The Taylor table from one FFT chain over the whole batch at once."""

@@ -304,10 +304,12 @@ class TestSampleOnce:
     #   contour grid (centre, 0.95 r, n), shared by both derivative functionals,
     #     derivative_consistency, diff_under_integral, order_bound's Taylor table,
     #     norm_bound's sup and each atom's sup for schwarz or telescoping; the
-    #     family, centre and atoms are real, the centre is 0, the atoms are symmetric
-    #     and the rates differ, so one row is evaluated per orbit of conjugation and
-    #     the reflection and the others copied:  (n^d / 4 + 2^(d-1)) * k where 4
-    #     divides n, 17 rows at d = 1 and n = 64, 1,026 at d = 2 and n = 64, 258 at 32
+    #     family, centre and atoms are real, the centre is 0 and the atoms are
+    #     symmetric, so a one-variable contour is evaluated one row per orbit of
+    #     conjugation and the reflection and the others copied, (n / 4 + 1) * k rows
+    #     where 4 divides n: 17 at d = 1 and n = 64.  At d = 2 the geometric kind is a
+    #     product of one-variable factors, so the grid is filled from one such contour
+    #     per axis of its own rate: 2 * 17 rows at n = 64, 2 * 9 at 32
     #   dirac node 1 * k and random-measure nodes 8 * k
     # plus the work that evaluates points of its own:
     #   fubini's direct Dirac action f(z0, .), kept on the sample for every p:  1 * k
@@ -322,14 +324,14 @@ class TestSampleOnce:
     # The closed-form derivatives that derivative_consistency, diff_under_integral
     # and the derivative functionals' fubini read are no family values here.
     # d = 1, n = 64: k * (17 + 9 + 1 + 200 + 1 + 9*16) = 5,952
-    # d = 2, n = 64: k * (1026 + 9 + 1 + 200 + 1) = 19,792
-    # d = 2, n = 32: k * (258 + 9 + 1 + 200 + 1) = 7,504
+    # d = 2, n = 64: k * (2*17 + 9 + 1 + 200 + 1) = 3,920
+    # d = 2, n = 32: k * (2*9 + 9 + 1 + 200 + 1) = 3,664
     # a single check of the interior sequence evaluates only the prefix it reads, beside
     #   the contour the checks read: `check span` its 16 points and the functionals'
-    #   slice vectors, k * (1026 + 9 + 16) = 16,816; `check order_bound` its 200
-    #   points and the contour for its table, k * (1026 + 200) = 19,616; `check
+    #   slice vectors, k * (2*17 + 9 + 16) = 944; `check order_bound` its 200
+    #   points and the contour for its table, k * (2*17 + 200) = 3,744; `check
     #   telescoping` its 200 points, F at the centre and the contour for its sups,
-    #   k * (1026 + 200 + 1) = 19,632
+    #   k * (2*17 + 200 + 1) = 3,760
     # `check derivative_profile` reads no contour value: k * 9 * 16 = 2,304
     # `check norm_bound` with a derivative functional off the centre: the contour
     #   sample's 17 rows for the grid sup and the functional's own 64 nodes about 0.5,
@@ -340,18 +342,18 @@ class TestSampleOnce:
     # 2 + 1j) and a complex-rate geometric family are still reflected, half of the
     # contour and of the region grid, k * (32 + 9 + 1 + 200 + 1 + 16*16) = 7,984; a
     # JSON space with a complex atom, not symmetric, keeps both whole,
-    # k * (64 + 9 + 1 + 200 + 1 + 32*16) = 12,592; d = 2 with a complex centre, whose
-    # rates and centres differ, so no swap applies either, k * (4096 + 9 + 1 + 200 + 1)
-    # = 68,912
+    # k * (64 + 9 + 1 + 200 + 1 + 32*16) = 12,592; d = 2 with the centre (0.1i, 0):
+    # the first axis's contour, about 0.1i, neither conjugated nor reflected, all 64
+    # rows, the second's 17, k * (64 + 17 + 9 + 1 + 200 + 1) = 4,672
     # ids name only d (and n where it is not 64), so re-pinning a count keeps the
     # test's name
     @pytest.mark.parametrize("d, n, command, expected", [
         (1, 64, ["verify"], 5_952),
-        (2, 64, ["verify"], 19_792),
-        (2, 32, ["verify"], 7_504),
-        (2, 64, ["check", "span"], 16_816),
-        (2, 64, ["check", "order_bound"], 19_616),
-        (2, 64, ["check", "telescoping"], 19_632),
+        (2, 64, ["verify"], 3_920),
+        (2, 32, ["verify"], 3_664),
+        (2, 64, ["check", "span"], 944),
+        (2, 64, ["check", "order_bound"], 3_744),
+        (2, 64, ["check", "telescoping"], 3_760),
         (1, 64, ["check", "derivative_profile"], 9 * 16 * 16),
         (1, 64, ["check", "norm_bound", "--functional", "derivative:0.5:1"], 50 * 16),
         (1, 64, ["check", "linearization", "--functional", "dirac:0.3"], 16),
@@ -365,12 +367,13 @@ class TestSampleOnce:
         assert sum(counted) == expected
 
     @pytest.mark.parametrize("case, expected", [
-        ("constant", 7_984), ("complex-rate", 7_984), ("complex-centre", 68_912),
+        ("constant", 7_984), ("complex-rate", 7_984), ("complex-centre", 4_672),
         ("complex-atom", 12_592)], ids=["constant", "complex-rate", "complex-centre",
                                         "complex-atom"])
     def test_family_value_count_not_real(self, tmp_path, monkeypatch, case, expected):
         # a family or centre that is not real is not conjugated, and a space that is not
-        # symmetric or a centre that is not 0 not reflected (arithmetic above)
+        # symmetric or a centre that is not 0 not reflected, axis by axis at d = 2
+        # (arithmetic above)
         documents = {
             "complex-rate": {**GEOMETRIC_D2, "params": {"rates": [[0.4, 0.2]]},
                              "domain": {"center": [[0.0, 0.0]], "radius": [1.0]},
@@ -393,11 +396,11 @@ class TestSampleOnce:
 
     # below 16 nodes order_bound and telescoping (d = 2) or schwarz (d = 1) read one
     # 16-node floor contour that the run's sample keeps: at --nodes 8 the run's contour
-    # evaluates its orbits of conjugation and the reflection, (64 + 4 + 0 + 4) / 4 = 18
-    # at d = 2 and (8 + 2 + 0 + 2) / 4 = 3 at d = 1, and the floor contour its (256 + 4
-    # + 0 + 4) / 4 = 66 or (16 + 2 + 0 + 2) / 4 = 5, each once, on 16 atoms; a contour
+    # evaluates its orbits of conjugation and the reflection, (8 + 2 + 0 + 2) / 4 = 3
+    # at d = 1 and 2 * 3 at d = 2, one one-variable contour per axis, and the floor
+    # contour its (16 + 2 + 0 + 2) / 4 = 5 or 2 * 5, each once, on 16 atoms; a contour
     # of each check's own made it twice
-    @pytest.mark.parametrize("d, rows, floor_rows", [(2, 18, 66), (1, 3, 5)],
+    @pytest.mark.parametrize("d, rows, floor_rows", [(2, 2 * 3, 2 * 5), (1, 3, 5)],
                              ids=["d2", "d1"])
     def test_floor_contour_is_evaluated_once(self, tmp_path, monkeypatch, d, rows,
                                              floor_rows):

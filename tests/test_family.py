@@ -383,11 +383,20 @@ def orbit_least(n, d, classes, conjugate, reflect=False):
 def assert_orbit_fill(sample):
     """The sample's values against one evaluation of the whole grid: every orbit
     representative, every plain conjugate or reflection of one and, at d <= 2, every row
-    bit for bit; at d >= 3 a swapped row, whose sum or product runs in another order,
-    within 4 ulp.  Returns the number of orbits."""
+    bit for bit; at d >= 3 a swapped row, whose sum runs in another order, within 4 ulp.
+    Returns the number of rows evaluated: the number of orbits, or for a family filled
+    from one-variable contours (:meth:`HoloFamily._axis_families`), every row of which
+    is bit for bit, the sum of that over its distinct axes' contours."""
     n, d = sample.n, sample.fam.d
     grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
     direct = sample.fam.eval(grid[:, None, :], sample.space.params)
+    axes = sample.fam._axis_families() if family._certified(sample.fam) else None
+    if axes is not None:
+        assert sample.values.tobytes() == direct.tobytes(), sample.fam.label
+        distinct = {(complex(a.rates[0]), complex(a.domain.center[0]),
+                     float(a.domain.radius[0])): a for a in axes}
+        return sum(assert_orbit_fill(ContourSample(a, sample.space, n))
+                   for a in distinct.values())
     classes, conjugate, reflect = sample.symmetries(sample.center, sample.radii, n)
     assert classes == sample.interchangeable
     own = orbit_least(n, d, classes, conjugate, reflect) == np.arange(n ** d)
@@ -471,16 +480,16 @@ class OneSidedGeometric(GeometricFamily):
 
 def orbit_families():
     """(family, its interchangeable classes): the conjugate-symmetric families, geometric
-    ones at equal rates (at d = 3 a swapped product rounds otherwise, so a representative's
-    plain conjugate must be copied by conjugation, not by a swap), families at d = 2 that
-    only swaps serve, and exponential ones whose variables differ in radius or center."""
+    ones at equal rates (no class: one contour of their one axis fills them), families
+    at d = 2 that only swaps serve, and exponential ones whose variables differ in
+    radius or center."""
     skew = 0.6363961030678927 * (1 + 1j)  # 0.9 e^(i pi / 4)
     swapped = {"exponential-d2": ((0, 1),), "exponential-d3": ((0, 1, 2),)}
     d2, d3 = unit_polydisc(2), unit_polydisc(3)
     return ([(fam, swapped.get(fam.label, ())) for fam in conjugate_symmetric_families()]
-            + [(GeometricFamily([0.5, 0.5], d2, "geometric-d2-equal"), ((0, 1),)),
-               (GeometricFamily([0.5] * 3, d3, "geometric-d3-equal"), ((0, 1, 2),)),
-               (GeometricFamily([skew, skew], d2, "geometric-d2-skew"), ((0, 1),)),
+            + [(GeometricFamily([0.5, 0.5], d2, "geometric-d2-equal"), ()),
+               (GeometricFamily([0.5] * 3, d3, "geometric-d3-equal"), ()),
+               (GeometricFamily([skew, skew], d2, "geometric-d2-skew"), ()),
                (ConstantFamily(2 + 1j, d2, "constant-d2"), ((0, 1),)),
                (OneSidedGeometric(), ()),
                (ExponentialFamily(1.0, Polydisc([0] * 3, [1, 0.5, 1]), "exponential-radii"),
@@ -494,7 +503,8 @@ class TestOrbitFill:
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8, 32, 33])
     def test_rows_equal_direct_evaluation(self, space16, monkeypatch, n):
-        # every family evaluates one row per orbit, each through HoloFamily.eval, and its
+        # every family evaluates one row per orbit, or the geometric kind one row per
+        # orbit of each distinct axis's contour, each through HoloFamily.eval, and its
         # copies match direct evaluation (bit for bit but for swapped rows at d = 3)
         evaluated = []
         evaluate = family.HoloFamily.eval
@@ -518,14 +528,15 @@ class TestOrbitFill:
     # reflected, 4 moves s on each index: the identity fixes n indices, the negation 2
     # (0 and n/2), the shift by n/2 none and the negated shift 2 where 4 divides n (n/4
     # and 3n/4).  A swap of two variables fixes n index pairs under any s (a free, b =
-    # s(a)), a 3-cycle the indices s fixes.
+    # s(a)), a 3-cycle the indices s fixes.  The geometric kind at d = 2 evaluates the
+    # one-variable contour of each axis, whose rates differ here: twice the d = 1 count.
     @pytest.mark.parametrize("doc, n, rows", [
         # exponential-d3: (32^3 + 3 * 32^2 + 2 * 32 + 2 * (8 + 3 * 32 * 2 + 2 * 2)) / 24
         (BENCH_DOCS[2], 32, 1513),
         # exponential-d2: (64^2 + 64 + (4 + 64) + (0 + 64) + (4 + 64)) / 8
         (BENCH_DOCS[1], 64, 545),
-        (BENCH_DOCS[0], 64, 1026),  # geometric-d2, unequal rates: (64^2 + 4 + 0 + 4) / 4
-        (BENCH_DOCS[0], 32, 258),   # (32^2 + 4 + 0 + 4) / 4
+        (BENCH_DOCS[0], 64, 34),  # geometric-d2, unequal rates: 2 * (64 + 2 + 0 + 2) / 4
+        (BENCH_DOCS[0], 32, 18),  # 2 * (32 + 2 + 0 + 2) / 4
         (family_preset("geometric").to_json(), 64, 17),  # real, d = 1: (64 + 2 + 0 + 2) / 4
         (family_preset("constant").to_json(), 64, 32),   # 2 + 1j, reflected only: 64 / 2
     ], ids=["exponential-d3-n32", "exponential-d2-n64", "geometric-d2-n64",
@@ -546,13 +557,13 @@ class TestOrbitFill:
 
     def test_representative_outside_the_domain_raises(self, monkeypatch):
         # equal rates 1.5 about the center (-0.5, -0.5): the contour of radius 0.475
-        # reaches |z_j| = 0.975, past the pole region |z_j| >= 2/3 at t = 1; only
-        # representatives are evaluated, and one of them raises, with the message of one
-        # eval on the whole grid, and no values are kept
+        # reaches |z_j| = 0.975, past the pole region |z_j| >= 2/3 at t = 1; only the one
+        # axis's contour is evaluated, by orbits, and one of its representatives raises,
+        # with the message of one eval on the whole grid, and no values are kept
         fam = GeometricFamily([1.5, 1.5], Polydisc([-0.5, -0.5], [0.5, 0.5]))
         space = FiniteMeasureSpace([0.0, 1.0], [0.5, 0.5])
         sample = ContourSample(fam, space, 16)
-        assert sample.interchangeable == ((0, 1),) and sample.conjugate_symmetric
+        assert sample.conjugate_symmetric
         grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
         with pytest.raises(ValueError) as whole:
             fam.eval(grid[:, None, :], space.params)
@@ -562,6 +573,107 @@ class TestOrbitFill:
                 sample.values
             assert str(blocked.value) == str(whole.value)
             assert "values" not in vars(sample)
+
+
+class TestProductFill:
+    """A certified geometric family at d >= 2 fills each torus grid from one one-variable
+    contour sample per distinct axis, multiplied by the kernel its _evaluate uses."""
+
+    RATES = {"real": [0.5, 0.4, 0.3], "complex": [0.4 + 0.2j, 0.3 - 0.1j, 0.2j],
+             "equal-complex": [0.3 + 0.3j] * 3}
+
+    @pytest.mark.parametrize("n", [7, 16])
+    @pytest.mark.parametrize("center", [0.0, 0.1 - 0.05j], ids=["centre-0", "complex-centre"])
+    @pytest.mark.parametrize("rates", ["real", "complex", "equal-complex"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_values_equal_direct_evaluation(self, space16, d, rates, center, n):
+        # bit for bit at d = 2 and 3, real and complex rates, about 0 (reflected where n
+        # is even) and about a complex centre (neither conjugated nor reflected)
+        fam = GeometricFamily(self.RATES[rates][:d], Polydisc([center] * d, [1.0] * d))
+        sample = ContourSample(fam, space16, n)
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+        direct = fam._evaluate(grid[:, None, :], space16.params)
+        assert sample.values.tobytes() == direct.tobytes()
+
+    def test_floor_contour(self, space16):
+        # at --nodes 8 order_bound, schwarz and telescoping read the 16-node floor contour,
+        # filled the same way
+        fam = family_from_json(BENCH_DOCS[0])
+        floor = ContourSample(fam, space16, 8).floor
+        grid = torus_nodes(Polydisc(floor.center, floor.radii), 16).grid()
+        assert floor.n == 16
+        assert floor.values.tobytes() == fam._evaluate(grid[:, None, :], space16.params).tobytes()
+
+    def test_off_centre_derivative_functional(self, monkeypatch, space16):
+        # nodes about (0.2, -0.1i): the first axis's contour, real rate and centre, is
+        # conjugated, (9 + 1) / 2 = 5 rows; the second's, complex, all 9
+        fam = GeometricFamily([0.5, 0.4 + 0.1j], unit_polydisc(2))
+        sample = ContourSample(fam, space16, 16)
+        phi = derivative_functional([0.2, -0.1j], (1, 0), [0.5, 0.6], n=9)
+        assert counted_rows(monkeypatch, lambda: sample.node_values(phi)) == 5 + 9
+        direct = fam._evaluate(phi.nodes[:, None, :], space16.params)
+        assert sample.node_values(phi).tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("d, radii, rows", [
+        (2, [1.0, 1.0], 5),      # one contour: (16 + 2 + 0 + 2) / 4
+        (3, [1.0] * 3, 5),
+        (2, [1.0, 0.5], 2 * 5),  # equal rates, but radii that differ: two contours
+    ])
+    def test_equal_rates_evaluate_one_axis_sample(self, monkeypatch, space16, d, radii, rows):
+        built = []
+        init = ContourSample.__init__
+
+        def tracking(sample, fam, *args, **kwargs):
+            built.append(fam.d)
+            init(sample, fam, *args, **kwargs)
+
+        fam = GeometricFamily([0.5] * d, Polydisc([0.0] * d, radii))
+        sample = ContourSample(fam, space16, 16)
+        monkeypatch.setattr(ContourSample, "__init__", tracking)
+        assert counted_rows(monkeypatch, sample) == rows
+        assert built == [1] * (rows // 5)
+        assert assert_orbit_fill(sample) == rows
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_product_is_np_prod(self, d):
+        # the shared kernel equals np.prod over the stacked factors bit for bit, signed
+        # zeros and underflow included
+        rng = np.random.default_rng(d)
+        parts = (rng.choice([0.0, -0.0, 1.5, -0.3, 1e-200, -3e100], (2, 4096, d))
+                 * rng.uniform(0.5, 2.0, (2, 4096, d)))
+        factors = np.empty((4096, d), dtype=complex)
+        factors.real, factors.imag = parts
+        columns = [factors[:, j] for j in range(d)]
+        expected = np.prod(np.stack(columns, -1), -1)
+        assert family._product(columns).tobytes() == expected.tobytes()
+        out = np.empty(4096, dtype=complex)
+        assert family._product(iter(columns), out=out) is out
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fam", [ContourVanishingGeometric(1e-3), OneSidedGeometric()],
+                             ids=["bump-witness", "one-sided"])
+    def test_overridden_evaluate_evaluates_the_whole_grid(self, monkeypatch, space16, fam):
+        # a geometric subclass with an _evaluate of its own is no product of its axes
+        sample = ContourSample(fam, space16, 8)
+        assert counted_rows(monkeypatch, sample) == 8 ** 2
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 8).grid()
+        assert sample.values.tobytes() == fam.eval(grid[:, None, :], space16.params).tobytes()
+
+    def test_axis_families_are_built_only_to_fill_a_grid(self, monkeypatch, space16):
+        # neither loading the family nor building its sample builds the axes
+        calls = []
+        axis_families = GeometricFamily._axis_families
+
+        def recording(fam):
+            calls.append(fam)
+            return axis_families(fam)
+
+        monkeypatch.setattr(GeometricFamily, "_axis_families", recording)
+        fam = family_from_json(BENCH_DOCS[0])
+        sample = ContourSample(fam, space16, 8)
+        assert calls == []
+        sample.values
+        assert [f for f in calls if f.d > 1] == [fam]  # each axis's own sample asks too
 
 
 def shuffled_space(k=15, seed=4):
@@ -674,10 +786,11 @@ class TestReflection:
         assert counted_rows(monkeypatch, sample) == rows == assert_orbit_fill(sample)
 
     def test_off_derivative_family_is_reflected(self, monkeypatch, space16):
-        # OffDerivativeFamily overrides only _derivative, so its values are the kind's
+        # OffDerivativeFamily overrides only _derivative, so its values are the kind's,
+        # filled from each axis's reflected contour
         sample = ContourSample(OffDerivativeFamily([0.5, 0.4], 1e-3), space16, 8)
         assert sample.reflective and sample.conjugate_symmetric
-        assert counted_rows(monkeypatch, sample) == (64 + 4 + 0 + 4) // 4
+        assert counted_rows(monkeypatch, sample) == 2 * (8 + 2 + 0 + 2) // 4
 
     def test_mirror_is_computed_on_first_read(self):
         # the space's mirror is not computed when it is built, then kept
