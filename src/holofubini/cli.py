@@ -59,7 +59,10 @@ def _counted_values(config: SuiteConfig) -> int:
     # keeps for order_bound, schwarz and telescoping (Check.floor), each with per node
     # the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h> with
     # its transform (2), and per atom the Taylor table of degree n // 2 - 1, at least 2
-    # and at most MAX_TAYLOR_DEGREE
+    # and at most MAX_TAYLOR_DEGREE.  A product kind at d >= 2 builds no grid, and while
+    # it fills the sample holds the product of its axes but the last, two planes of
+    # n^(d-1) k floats, which the terms below cover without one of their own (the
+    # property test's exponential d = 3 example)
     floor = n < FLOOR_NODES and any(check.floor for check in checks)
     sides = [n] + ([FLOOR_NODES] if floor else [])
     nodes = sum(m ** d for m in sides)

@@ -67,6 +67,8 @@ class HoloFamily:
     #: :func:`family_from_json` reads, :meth:`params_json` writes and
     #: :attr:`ContourSample.conjugate_symmetric` tests
     parameters: dict = {}
+    #: whether a real family of the kind is conjugated (:attr:`ContourSample.conjugate_symmetric`)
+    conjugates = True
 
     def __init__(self, domain: Polydisc, label: str, span_dim: int | None = None, **params):
         self.domain = domain
@@ -91,22 +93,29 @@ class HoloFamily:
         values = {name: getattr(self, name) for name in self.parameters}
         return {name: np.stack((v.real, v.imag), axis=-1).tolist() for name, v in values.items()}
 
-    def _swap_keys(self) -> tuple | None:
-        """One key per variable such that swapping two variables of equal key, center and
-        radius leaves ``_evaluate`` unchanged, or None where no swap is certified."""
-        return None
-
     def _reflects(self) -> bool:
         """Whether ``_evaluate`` at -z and t equals it at z and -t bit for bit: true for
         kinds that read z only through products t z, or not at all, since (-b) z = b (-z)
         exactly."""
         return False
 
-    def _axis_families(self) -> tuple | None:
-        """d one-variable families whose values at z_j, multiplied left to right by
-        :func:`_product`, are ``_evaluate`` at z bit for bit, built on each call; or None
-        where the kind's values are no such product (the default)."""
+    def _axis_parameters(self, j: int) -> dict | None:
+        """The parameters of the one-variable family of the kind whose values at z_j are
+        factor j of ``_evaluate``, or None where the kind's values are no product of
+        one-variable factors (the default)."""
         return None
+
+    def _axis_families(self) -> tuple | None:
+        """At d >= 2, d one-variable families of the registered kind, family j of
+        :meth:`_axis_parameters` j on the domain's axis j, whose values at z_j, multiplied
+        left to right by :func:`_product`, are ``_evaluate`` at z bit for bit, built on
+        each call; or None at d = 1 or where the kind is no such product."""
+        if self.d < 2 or self._axis_parameters(0) is None:
+            return None
+        center, radius = self.domain.center, self.domain.radius
+        return tuple(_KINDS[self.kind](**self._axis_parameters(j), label=self.label,
+                                       domain=Polydisc(center[j:j + 1], radius[j:j + 1]))
+                     for j in range(self.d))
 
     # -- public surface --------------------------------------------------
     @property
@@ -195,17 +204,17 @@ class ContourSample:
     about the domain center at CONTOUR_SHRINK of the radii: the array that the
     derivative functionals on the contour hold as their nodes, if any does
     (:meth:`~holofubini.domain.TorusQuadrature.grid`).  One grid row is evaluated per
-    orbit of the moves that leave F unchanged (:meth:`symmetries`), swapping
-    :attr:`interchangeable` variables, for a real family (:attr:`conjugate_symmetric`)
-    conjugation and, for a :attr:`reflective` family at even n, the reflection w -> -w
-    with the atoms mirrored; every other row is copied from its orbit's representative
-    (:attr:`values`), bit for bit at d <= 2 and within a few ulp at d >= 3.  A family
-    whose values are a product of one-variable factors (the geometric kind at d >= 2)
-    fills the grid instead from one such sample per distinct axis, each by its own
-    orbits, bit for bit at any d (:meth:`_product_values`).  A derivative functional
-    off the contour has its nodes evaluated by the same orbits or product
-    (:meth:`node_values`), and derivative_profile reads the same map on its region
-    grid.  The sample is built with the run's
+    orbit of the moves that leave F unchanged (:meth:`symmetries`), for a real family
+    (:attr:`conjugate_symmetric`) conjugation and, for a :attr:`reflective` family at
+    even n, the reflection w -> -w with the atoms mirrored; every other row is copied
+    from its orbit's representative (:attr:`values`), equal to direct evaluation but for
+    the sign of a zero part.  A family whose values
+    are a product of one-variable factors (the geometric, exponential and constant kinds
+    at d >= 2) fills the grid instead from one such sample per distinct axis, each by its
+    own orbits, bit for bit (:meth:`_product_values`).  A derivative functional off the
+    contour has its nodes evaluated by the same orbits or product (:meth:`node_values`),
+    and derivative_profile reads the same map on its region grid.  The sample is built
+    with the run's
     ``functionals``.  Every point set is evaluated through :meth:`HoloFamily.eval` (so
     the domain check applies, and covers the copied rows) when it is first read, into
     one array by blocks of rows, and is read-only from then on; an evaluation that
@@ -237,22 +246,13 @@ class ContourSample:
     @cached_property
     def conjugate_symmetric(self) -> bool:
         """Whether f(conj z, t_i) = conj f(z, t_i) for every atom: the family's kind
-        certifies it (:func:`_certified`) and the parameters it declares
-        (:attr:`HoloFamily.parameters`), its domain center and every atom parameter of the
-        space are real."""
+        certifies it (:func:`_certified`, :attr:`HoloFamily.conjugates`) and the parameters
+        it declares (:attr:`HoloFamily.parameters`), its domain center and every atom
+        parameter of the space are real."""
         fam = self.fam
-        return (_certified(fam) and not np.any(fam.domain.center.imag)
+        return (_certified(fam) and fam.conjugates and not np.any(fam.domain.center.imag)
                 and not np.any(self.space.params.imag)
                 and not any(np.any(np.imag(getattr(fam, name))) for name in fam.parameters))
-
-    @cached_property
-    def interchangeable(self) -> tuple[tuple[int, ...], ...]:
-        """The classes of two or more variables whose swapping leaves F unchanged: equal
-        center and radius, and equal keys of the family's :meth:`HoloFamily._swap_keys`
-        (every variable of the exponential and constant kinds; the geometric kind's equal
-        rates share one axis sample instead, :meth:`_product_values`).  The certificate
-        is the kind's (:func:`_certified`)."""
-        return self._classes(self.center, self.radii)
 
     @cached_property
     def reflective(self) -> bool:
@@ -266,31 +266,15 @@ class ContourSample:
         return (fam._reflects() and _certified(fam) and not np.any(fam.domain.center)
                 and self.space.mirror is not None)
 
-    def _classes(self, center, radii) -> tuple[tuple[int, ...], ...]:
-        """The classes of :attr:`interchangeable` on the torus grid about ``center`` with
-        ``radii``: variables of equal grid center and radius too, so the grid is closed
-        under their swaps."""
-        fam = self.fam
-        keys = fam._swap_keys() if _certified(fam) else None
-        if keys is None:
-            return ()
-        classes = {}
-        keys = zip(fam.domain.center, fam.domain.radius, keys, center, radii)
-        for j, key in enumerate(keys):
-            classes.setdefault(key, []).append(j)
-        return tuple(tuple(js) for js in classes.values() if len(js) > 1)
-
     def symmetries(self, center, radii, n: int) -> tuple:
-        """(classes, conjugate, reflect): the moves that leave F unchanged on the torus grid
+        """(conjugate, reflect): the moves that leave F unchanged on the torus grid
         ``torus_nodes(Polydisc(center, radii), n).grid()``, the argument of
-        :func:`_orbit_sources`.  Swapping the variables of each class
-        (:meth:`_classes`); conjugation j -> -j mod n, for a conjugate-symmetric family
-        (:attr:`conjugate_symmetric`) about a real center, where the ring's conjugate
+        :func:`_orbit_sources`.  Conjugation j -> -j mod n, for a conjugate-symmetric
+        family (:attr:`conjugate_symmetric`) about a real center, where the ring's conjugate
         symmetry makes node n - j the conjugate of node j; and the reflection j -> j +
         n/2 mod n, for a :attr:`reflective` family at even n about the center 0, where
         node j + n/2 is -(node j) (:class:`~holofubini.domain.TorusQuadrature`)."""
-        return (self._classes(center, radii),
-                self.conjugate_symmetric and not np.any(np.imag(center)),
+        return (self.conjugate_symmetric and not np.any(np.imag(center)),
                 self.reflective and n % 2 == 0 and not np.any(center))
 
     @cached_property
@@ -300,9 +284,9 @@ class ContourSample:
         Conjugation alone leaves (n^d + 2^d) / 2 rows at even n, (n^d + 1) / 2 at odd n;
         with the reflection n^d / 4 + 2^(d-1) where 4 divides n, so a real family at d =
         1 and n = 64 evaluates 17 of 64 rows; the reflection alone leaves n^d / 2 (the
-        constant preset's 32 of 64), and with the swaps too exponential-d3 at n = 32
-        evaluates 1,513 of 32,768.  geometric-d2 at n = 64 evaluates 17 rows of each of
-        its two axes' contours, 34 for its 4,096 rows (:meth:`_product_values`)."""
+        constant preset's 32 of 64).  geometric-d2 at n = 64 evaluates 17 rows of each of
+        its two axes' contours, 34 for its 4,096 rows, and exponential-d3 at n = 32 the
+        9 rows of its one axis's contour for its 32,768 (:meth:`_product_values`)."""
         return self._orbit_values(self.center, self.radii, self.n)
 
     def _orbit_values(self, center, radii, n: int) -> np.ndarray:
@@ -312,21 +296,19 @@ class ContourSample:
         product of one-variable factors (:meth:`HoloFamily._axis_families`) is filled
         from them (:meth:`_product_values`).  Otherwise one row is evaluated per orbit of
         the grid's indices under the moves that leave F unchanged (:meth:`symmetries`):
-        swaps, conjugation, which takes each row to its conjugate, and the reflection,
-        which takes each row to its values at the mirrored atoms (the space's
+        conjugation, which takes each row to its conjugate, and the reflection, which
+        takes each row to its values at the mirrored atoms (the space's
         :attr:`~holofubini.measure.FiniteMeasureSpace.mirror`).  An orbit's
         representative is its least flat index (:func:`_orbit_sources`), so one pass over
         blocks of rows evaluates each block's representatives through
         :meth:`HoloFamily.eval`, fills each one's plain reflection from it with the atoms
         mirrored, and copies every other row from one of the two, which come no later,
         conjugated where the move from it is.  Copied rows skip the domain test, which
-        their representative passes: swapped variables have equal center and radius,
-        conjugation keeps |z - c| about a real center and the reflection |z| about the
-        center 0, and the geometric kind's analyticity test reads |rate t z|, which every
-        move keeps.  Conjugate and mirrored images and rows at d <= 2 equal direct
-        evaluation bit for bit (a + b = b + a, ab = ba and (-b) z = b (-z)); at d >= 3 a
-        swapped row's sum runs in another order, so it may differ from direct evaluation
-        in its last bits."""
+        their representative passes: conjugation keeps |z - c| about a real center and
+        the reflection |z| about the center 0, and the geometric kind's analyticity test
+        reads |rate t z|, which both moves keep.  Copies equal direct evaluation ((-b) z =
+        b (-z)), but a conjugated zero part can carry the sign that evaluation does not
+        give it."""
         axes = self.fam._axis_families() if _certified(self.fam) else None
         if axes is not None:
             return self._product_values(axes, center, radii, n)
@@ -359,9 +341,12 @@ class ContourSample:
         """:meth:`_orbit_values` of a family whose values are a product of the one-variable
         ``axes`` (:meth:`HoloFamily._axis_families`): each distinct axis, of equal
         parameters, domain and grid center and radius, is sampled once on its n nodes by
-        its own :meth:`_orbit_values`, and the rows are filled by blocks of
-        ``measure.ROW_BLOCK`` values as :func:`_product` of the gathered axis rows, which
-        is what ``_evaluate`` computes on the grid."""
+        its own :meth:`_orbit_values`, and the grid is their outer product in the
+        arithmetic of :func:`_product`, which is what ``_evaluate`` computes on it.  The
+        product of every axis but the last is held as real and imaginary planes of
+        n^(d-1) k floats each, from the first axis's step from 1 + 0i, and the last axis
+        multiplies them into the values by blocks of ``measure.ROW_BLOCK`` values or one
+        plane row."""
         samples, rows = {}, []
         for j, axis in enumerate(axes):
             key = np.concatenate([np.ravel(getattr(axis, name)) for name in axis.parameters]
@@ -371,15 +356,21 @@ class ContourSample:
                 samples[key] = ContourSample(axis, self.space, n)._orbit_values(
                     center[j:j + 1], radii[j:j + 1], n)
             rows.append(samples[key])
-        d = len(axes)
-        size = n ** d
-        values = np.empty((size, self.space.natoms), dtype=complex)
-        block = max(1, measure.ROW_BLOCK // self.space.natoms)
-        index = np.int32 if size < 2 ** 31 else np.int64
-        for start in range(0, size, block):
-            digits = _digits(np.arange(start, min(start + block, size), dtype=index), n, d)
-            _product((axis.take(j, axis=0) for axis, j in zip(rows, digits)),
-                     out=values[start:start + block])
+        k = self.space.natoms
+        first = rows[0]
+        re, im = first.real - 0.0 * first.imag, first.imag + 0.0 * first.real
+        for axis in rows[1:-1]:
+            planes = np.empty((2, len(re), n, k))
+            _multiply(re[:, None], im[:, None], axis, *planes)
+            re, im = planes.reshape(2, -1, k)
+            del planes
+        values = np.empty((len(re) * n, k), dtype=complex)
+        grid = values.reshape(len(re), n, k)
+        block = max(1, measure.ROW_BLOCK // (n * k))
+        for start in range(0, len(re), block):
+            part = grid[start:start + block]
+            _multiply(re[start:start + block, None], im[start:start + block, None], rows[-1],
+                      part.real, part.imag)
         return _read_only(values)
 
     @cached_property
@@ -551,47 +542,31 @@ def _certified(fam: HoloFamily) -> bool:
     return kind is not None and type(fam)._evaluate is kind._evaluate
 
 
-def _orbit_sources(rows: np.ndarray, n: int, d: int, classes, conjugate: bool = False,
+def _orbit_sources(rows: np.ndarray, n: int, d: int, conjugate: bool = False,
                    reflect: bool = False):
     """Each flat index of ``rows`` on an n^d grid mapped to the row it is copied from,
     with whether that copy is conjugated (when ``conjugate``, else None) and whether the
     reflection reaches the row (when ``reflect``, else None).
 
-    The moves are swaps within ``classes``, conjugation j -> -j mod n and the reflection
-    j -> j + n/2 mod n (n even), the last two on every axis; they commute, so a row's
-    orbit is the swap orbits of its images under the products of the last two.  Flat
-    indices order the index tuples lexicographically, so the least tuple that swaps
-    reach sorts each class's indices into its positions (compare-swaps by
-    ``np.minimum`` and ``np.maximum``); the orbit's least, its representative, is the
-    least of that over the images, at most the row.  A row reached from the least
-    without the reflection is copied from the least, a row reached with it from the
-    least's plain reflection (:func:`_reflected`), which is filled from the least with
-    its atoms mirrored when the least is evaluated and is its own source, so each
-    orbit's atoms are permuted once; neither source comes after the row's block.  On a
-    tie the row's own image wins, so a representative is its own source, and at d >= 3
-    an image that needs no swap wins, so a representative's plain conjugates and
-    reflections are copied by those moves, which are exact, not by a swap, which at d >=
-    3 need not be; there the flat indices are doubled in ``rows``' dtype, so they must
-    lie below half its range."""
+    The moves are conjugation j -> -j mod n and the reflection j -> j + n/2 mod n (n
+    even), each on every axis; they commute, so a row's orbit is its images under their
+    products.  The orbit's least flat index, its representative, is the least of the
+    images, at most the row.  A row reached from the least without the reflection is
+    copied from the least, a row reached with it from the least's plain reflection
+    (:func:`_reflected`), which is filled from the least with its atoms mirrored when the
+    least is evaluated and is its own source, so each orbit's atoms are permuted once;
+    neither source comes after the row's block.  On a tie the row's own image wins, so
+    a representative is its own source."""
     digits = _digits(rows, n, d)
     ring = np.arange(n, dtype=rows.dtype)
     moves = [(conj, mirror) for conj in (False, True)[:1 + conjugate]
              for mirror in (False, True)[:1 + reflect]]
-    inexact = bool(classes) and d > 2  # at d <= 2 a swap is exact: a + b = b + a, ab = ba
-    least = choice = None
-    for move, (conj, mirror) in enumerate(moves):
+    least, choice = rows, np.zeros(len(rows), dtype=np.int8)
+    for move, (conj, mirror) in enumerate(moves[1:], 1):
         table = ((-ring if conj else ring) + (n // 2 if mirror else 0)) % n
-        moved = [table.take(j) for j in digits] if move else digits
-        image = _flat(_sort_classes(moved, classes), n)
-        if inexact:  # the key 2 image, plus 1 where the moved indices need a swap
-            image = 2 * image + (image != (_flat(moved, n) if move else rows))
-        if least is None:
-            least, choice = image, np.zeros(len(rows), dtype=np.int8)
-        else:
-            choice[image < least] = move
-            least = np.minimum(least, image)
-    if inexact:
-        least = least // 2
+        image = _flat([table.take(j) for j in digits], n)
+        choice[image < least] = move
+        least = np.minimum(least, image)
     if not reflect:
         return least, choice >= 1 if conjugate else None, None
     mirrored = choice % 2 == 1
@@ -624,18 +599,6 @@ def _digits(rows: np.ndarray, n: int, d: int) -> list:
     return [rows] + digits[::-1]
 
 
-def _sort_classes(digits: list, classes) -> list:
-    """The index arrays ``digits`` with each class's entries sorted into its positions,
-    row by row, by a bubble-sort network of compare-swaps."""
-    digits = list(digits)
-    for positions in classes:
-        for end in range(len(positions) - 1, 0, -1):
-            for a, b in zip(positions[:end], positions[1:end + 1]):
-                digits[a], digits[b] = (np.minimum(digits[a], digits[b]),
-                                        np.maximum(digits[a], digits[b]))
-    return digits
-
-
 def _flat(digits: list, n: int) -> np.ndarray:
     """The flat indices of the index arrays ``digits`` on an n^d grid (Horner's rule in
     their own dtype, cheaper than ``np.ravel_multi_index``)."""
@@ -648,6 +611,16 @@ def _flat(digits: list, n: int) -> np.ndarray:
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
+
+
+def _multiply(re: np.ndarray, im: np.ndarray, b: np.ndarray, out_re: np.ndarray,
+              out_im: np.ndarray) -> None:
+    """(re + i im) b into the real arrays ``out_re`` and ``out_im``, broadcast, by one step
+    of :func:`_product`: out_re = re br - im bi, out_im = im br + re bi."""
+    np.multiply(re, b.real, out=out_re)
+    out_re -= im * b.imag
+    np.multiply(im, b.real, out=out_im)
+    out_im += re * b.imag
 
 
 def _product(factors, out: np.ndarray | None = None) -> np.ndarray:
@@ -705,8 +678,15 @@ def _tensor_poly_diff(coeffs: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
 
 
 class ConstantFamily(HoloFamily):
+    """f(z, t) = value.  At d >= 2 it is the product of ``value`` on the first variable and
+    1 on every other, multiplied by :func:`_product`, so it equals the product fill of
+    its axes (:meth:`~HoloFamily._axis_families`) bit for bit, signed zeros included."""
+
     kind = "constant"
     parameters = {"value": lambda d: 0}
+    #: it reads no z, so a conjugated row would flip the sign of a zero imaginary part
+    #: that evaluation keeps, and the product fill carries that sign where value < 0
+    conjugates = False
 
     def __init__(self, value, domain: Polydisc, label: str = "constant",
                  span_dim: int | None = 1):
@@ -714,7 +694,10 @@ class ConstantFamily(HoloFamily):
 
     def _evaluate(self, z, t):
         shape = np.broadcast_shapes(z.shape[:-1], np.shape(t))
-        return np.broadcast_to(self.value, shape).copy()
+        if self.d == 1:
+            return np.broadcast_to(self.value, shape).copy()
+        return _product([np.broadcast_to(self.value, shape)]
+                        + [np.broadcast_to(1 + 0j, shape)] * (self.d - 1))
 
     def _derivative(self, z, t, alpha):
         shape = np.broadcast_shapes(z.shape[:-1], np.shape(t))
@@ -722,11 +705,13 @@ class ConstantFamily(HoloFamily):
             return np.broadcast_to(self.value, shape).copy()
         return np.zeros(shape, dtype=complex)
 
-    def _swap_keys(self):
-        return (0,) * self.d
-
     def _reflects(self):
         return True
+
+    def _axis_parameters(self, j):
+        # factor j is the value on the first variable and 1 on the others, as _evaluate
+        # multiplies them
+        return {"value": self.value if j == 0 else 1.0}
 
 
 class PolynomialFamily(HoloFamily):
@@ -798,18 +783,18 @@ class GeometricFamily(HoloFamily):
     def _reflects(self):
         return True
 
-    def _axis_families(self):
+    def _axis_parameters(self, j):
         # factor j is 1 / (1 - rate_j t z_j), computed as _evaluate computes it at d
-        if self.d < 2:
-            return None
-        center, radius = self.domain.center, self.domain.radius
-        return tuple(GeometricFamily(self.rates[j:j + 1],
-                                     Polydisc(center[j:j + 1], radius[j:j + 1]), self.label)
-                     for j in range(self.d))
+        return {"rates": self.rates[j:j + 1]}
 
 
 class ExponentialFamily(HoloFamily):
-    """f(z, t) = exp(scale * t * (z_1 + ... + z_d)); entire in z."""
+    """f(z, t) = exp(scale * t * (z_1 + ... + z_d)); entire in z.
+
+    At d >= 2 it is evaluated as the product of exp(scale * t * z_j) over the variables
+    by :func:`_product`, which the product fill of its axes
+    (:meth:`~HoloFamily._axis_families`) equals bit for bit; exp(a + b) and exp(a) exp(b)
+    differ in last bits."""
 
     kind = "exponential"
     parameters = {"scale": lambda d: 0}
@@ -819,17 +804,21 @@ class ExponentialFamily(HoloFamily):
         super().__init__(domain, label, span_dim, scale=scale)
 
     def _evaluate(self, z, t):
-        return np.exp(self.scale * np.asarray(t) * z.sum(axis=-1))
+        if self.d == 1:
+            return np.exp(self.scale * np.asarray(t) * z.sum(axis=-1))
+        st = self.scale * np.asarray(t)
+        return _product(np.exp(st * z[..., j]) for j in range(self.d))
 
     def _derivative(self, z, t, alpha):
         order = sum(alpha)
         return (self.scale * np.asarray(t)) ** order * self._evaluate(z, t)
 
-    def _swap_keys(self):
-        return (0,) * self.d
-
     def _reflects(self):
         return True
+
+    def _axis_parameters(self, j):
+        # factor j is exp(scale t z_j), computed as _evaluate at d = 1 computes it
+        return {"scale": self.scale}
 
 
 class SeparableFamily(HoloFamily):

@@ -14,18 +14,16 @@ diff_under_integral against the closed forms) carry ``TOL_QUADRATURE``, set for
 Every checker takes the run's :class:`~holofubini.family.ContourSample`: F on
 the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
 evaluated on first read, and F on each functional's nodes, evaluated once per
-functional.  The sample evaluates one grid row per orbit of swapping interchangeable
-variables (certified for the exponential and constant kinds), for a real family
-conjugation, and for the geometric, exponential and constant kinds about the center 0
-on atoms symmetric about 0 the reflection w -> -w, which takes a row to the row with its
-atoms mirrored, and copies the others: exponential-d3 at n = 32 evaluates 1,513 of its
-32,768 rows.  The geometric kind at d >= 2, a product of one-variable factors, fills the
-grid from one one-variable contour per distinct axis, each evaluated by those orbits,
-bit for bit: geometric-d2 at n = 64 evaluates 2 x 17 rows for its 4,096.  A derivative
-functional off the contour has its own nodes evaluated the same way.  Copies are exact
-at d <= 2; at d >= 3 a swapped row's sum runs in another order and may differ in its
-last bits.  derivative_profile reads the
-same orbit map on its region grid, evaluating one point per orbit (9 of 32 for a real
+functional.  The sample evaluates one grid row per orbit of conjugation, for a real
+family, and of the reflection w -> -w, for the geometric, exponential and constant kinds
+about the center 0 on atoms symmetric about 0, which takes a row to the row with its
+atoms mirrored, and copies the others.  Those three kinds at d >= 2, products of
+one-variable factors, fill the grid from one one-variable contour per distinct axis,
+each evaluated by those orbits: geometric-d2 at n = 64 evaluates 2 x 17 rows for its
+4,096, and exponential-d3 at n = 32 the 9 rows of its one axis for its 32,768.  A
+derivative functional off the contour has its own nodes evaluated the same way, and
+every copy and product equals direct evaluation.  derivative_profile reads the same
+orbit map on its region grid, evaluating one point per orbit (9 of 32 for a real
 reflective family) and filling the others' magnitudes from theirs.
 The contour values serve every checker derivative at the center and every sup over the
 domain, which they estimate from below: by the maximum principle the sup over the

@@ -1,9 +1,10 @@
-import itertools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holofubini import (FiniteMeasureSpace, Polydisc, cauchy, derivative_functional, dirac,
                         family, family_from_json, family_preset, measure, order_bound_check,
@@ -271,6 +272,7 @@ class TestSampler:
         # the contour values are filled by blocks of measure.ROW_BLOCK values (whole
         # rows, at least one): of 1 row, of 3 and 5 rows with a short last block of the
         # 64, and all rows in one; each equals one eval on the whole grid, value for value
+        # at every d
         fams = [family_preset(name) for name in preset_names()] + [
             family_from_json({"kind": "geometric", "params": {"rates": [[0.5, 0.0], [0.4, 0.0]]},
                               "domain": {"center": [[0.0, 0.0]] * 2, "radius": [1.0] * 2}}),
@@ -282,12 +284,9 @@ class TestSampler:
             n = {1: 64, 2: 8, 3: 4}[fam.d]
             sample = ContourSample(fam, space16, n)
             grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
-            if fam.d < 3:
-                np.testing.assert_array_equal(sample.values,
-                                              fam.eval(grid[:, None, :], space16.params),
-                                              strict=True)
-            else:  # swapped rows at d = 3 sum in another order
-                assert_orbit_fill(sample)
+            np.testing.assert_array_equal(sample.values,
+                                          fam.eval(grid[:, None, :], space16.params),
+                                          strict=True)
             assert not sample.values.flags.writeable
 
     def test_pole_inside_the_contour_keeps_nothing(self, monkeypatch):
@@ -362,53 +361,41 @@ def conjugate_symmetric_families():
             + [family_from_json(doc) for doc in BENCH_DOCS])
 
 
-def orbit_least(n, d, classes, conjugate, reflect=False):
-    """Each contour grid row's least flat index over its orbit, by brute force: every
-    permutation within ``classes`` of the row's indices, when ``conjugate`` of their
-    negations mod n and when ``reflect`` of their shifts by n/2 mod n."""
+def orbit_least(n, d, conjugate, reflect=False):
+    """Each contour grid row's least flat index over its orbit, by brute force: the row's
+    indices, when ``conjugate`` their negations mod n and when ``reflect`` their shifts by
+    n/2 mod n."""
     digits = np.indices((n,) * d).reshape(d, -1)
-    images = []
-    for sign in (1, -1) if conjugate else (1,):
-        for shift in (0, n // 2) if reflect else (0,):
-            for choice in itertools.product(*(itertools.permutations(c) for c in classes)):
-                order = list(range(d))
-                for positions, permuted in zip(classes, choice):
-                    for position, source in zip(positions, permuted):
-                        order[position] = source
-                images.append(np.ravel_multi_index((sign * digits[order] + shift) % n,
-                                                   (n,) * d))
-    return np.min(images, axis=0)
+    return np.min([np.ravel_multi_index((sign * digits + shift) % n, (n,) * d)
+                   for sign in ((1, -1) if conjugate else (1,))
+                   for shift in ((0, n // 2) if reflect else (0,))], axis=0)
+
+
+def axis_key(axis):
+    """What makes two axis families (:meth:`HoloFamily._axis_families`) share one sample:
+    their parameters, domain center and radius."""
+    params = np.concatenate([np.ravel(getattr(axis, name)) for name in axis.parameters])
+    return params.tobytes(), complex(axis.domain.center[0]), float(axis.domain.radius[0])
 
 
 def assert_orbit_fill(sample):
-    """The sample's values against one evaluation of the whole grid: every orbit
-    representative, every plain conjugate or reflection of one and, at d <= 2, every row
-    bit for bit; at d >= 3 a swapped row, whose sum runs in another order, within 4 ulp.
-    Returns the number of rows evaluated: the number of orbits, or for a family filled
-    from one-variable contours (:meth:`HoloFamily._axis_families`), every row of which
-    is bit for bit, the sum of that over its distinct axes' contours."""
+    """The sample's values against one evaluation of the whole grid, every row equal (a
+    conjugated copy may differ in the sign of a zero) and, for a family filled from
+    one-variable contours (:meth:`HoloFamily._axis_families`), bit for bit.  Returns the
+    number of rows evaluated: the number of orbits, or for a product the sum of that over
+    its distinct axes' contours."""
     n, d = sample.n, sample.fam.d
     grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
     direct = sample.fam.eval(grid[:, None, :], sample.space.params)
+    assert np.array_equal(sample.values, direct), sample.fam.label
     axes = sample.fam._axis_families() if family._certified(sample.fam) else None
     if axes is not None:
         assert sample.values.tobytes() == direct.tobytes(), sample.fam.label
-        distinct = {(complex(a.rates[0]), complex(a.domain.center[0]),
-                     float(a.domain.radius[0])): a for a in axes}
+        distinct = {axis_key(a): a for a in axes}
         return sum(assert_orbit_fill(ContourSample(a, sample.space, n))
                    for a in distinct.values())
-    classes, conjugate, reflect = sample.symmetries(sample.center, sample.radii, n)
-    assert classes == sample.interchangeable
-    own = orbit_least(n, d, classes, conjugate, reflect) == np.arange(n ** d)
-    exact = own.copy() if d > 2 else np.ones_like(own)
-    digits = np.indices((n,) * d).reshape(d, -1)[:, own]
-    for sign in (1, -1) if conjugate else (1,):
-        for shift in (0, n // 2) if reflect else (0,):
-            exact[np.ravel_multi_index((sign * digits + shift) % n, (n,) * d)] = True
-    assert np.array_equal(sample.values[exact], direct[exact]), sample.fam.label
-    np.testing.assert_allclose(sample.values, direct, rtol=4 * np.finfo(float).eps, atol=0,
-                               err_msg=sample.fam.label)
-    return int(np.sum(own))
+    conjugate, reflect = sample.symmetries(sample.center, sample.radii, n)
+    return int(np.sum(orbit_least(n, d, conjugate, reflect) == np.arange(n ** d)))
 
 
 class TestConjugateMirror:
@@ -416,16 +403,13 @@ class TestConjugateMirror:
 
     @pytest.mark.parametrize("n", [4, 5, 7, 32, 33])
     def test_mirror_equals_direct_evaluation(self, space16, n):
-        # bit for bit, at even and odd n, for every conjugate-symmetric family, but for
-        # the swapped rows at d = 3, whose sums run in another order (assert_orbit_fill)
+        # at even and odd n, for every conjugate-symmetric family (a conjugated zero part
+        # may carry the other sign)
         for fam in conjugate_symmetric_families():
             sample = ContourSample(fam, space16, n)
             assert sample.conjugate_symmetric, fam.label
             grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
-            if fam.d < 3:
-                assert np.array_equal(sample.values, sample._evaluate(grid)), fam.label
-            else:
-                assert_orbit_fill(sample)
+            assert np.array_equal(sample.values, sample._evaluate(grid)), fam.label
 
     def test_overridden_evaluate_is_not_mirrored(self, space16):
         # the geometric preset plus 0.1i t z is holomorphic, with real rates, center and
@@ -434,7 +418,7 @@ class TestConjugateMirror:
         # direct evaluation by 0.19 at 16 nodes
         fam = ImaginaryTermGeometric()
         sample = ContourSample(fam, space16, 16)
-        assert not sample.conjugate_symmetric and sample.interchangeable == ()
+        assert not sample.conjugate_symmetric
         grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
         assert np.array_equal(sample.values, fam.eval(grid[:, None, :], space16.params))
 
@@ -468,8 +452,8 @@ class ImaginaryTermGeometric(GeometricFamily):
 
 
 class OneSidedGeometric(GeometricFamily):
-    """Equal rates plus t z_1, a term in one variable only: swapping the variables
-    changes it, and its ``_evaluate`` is not its kind's own, so it is never permuted."""
+    """Equal rates plus t z_1, a term in one variable only: no product of its axes, and
+    its ``_evaluate`` is not its kind's own, so it is never permuted."""
 
     def __init__(self):
         super().__init__([0.5, 0.5], unit_polydisc(2), "geometric-d2+z1")
@@ -479,33 +463,30 @@ class OneSidedGeometric(GeometricFamily):
 
 
 def orbit_families():
-    """(family, its interchangeable classes): the conjugate-symmetric families, geometric
-    ones at equal rates (no class: one contour of their one axis fills them), families
-    at d = 2 that only swaps serve, and exponential ones whose variables differ in
-    radius or center."""
+    """The conjugate-symmetric families, geometric ones at equal rates (one contour of
+    their one axis fills them), a constant one and exponential ones whose axes differ
+    in radius or center."""
     skew = 0.6363961030678927 * (1 + 1j)  # 0.9 e^(i pi / 4)
-    swapped = {"exponential-d2": ((0, 1),), "exponential-d3": ((0, 1, 2),)}
     d2, d3 = unit_polydisc(2), unit_polydisc(3)
-    return ([(fam, swapped.get(fam.label, ())) for fam in conjugate_symmetric_families()]
-            + [(GeometricFamily([0.5, 0.5], d2, "geometric-d2-equal"), ()),
-               (GeometricFamily([0.5] * 3, d3, "geometric-d3-equal"), ()),
-               (GeometricFamily([skew, skew], d2, "geometric-d2-skew"), ()),
-               (ConstantFamily(2 + 1j, d2, "constant-d2"), ((0, 1),)),
-               (OneSidedGeometric(), ()),
-               (ExponentialFamily(1.0, Polydisc([0] * 3, [1, 0.5, 1]), "exponential-radii"),
-                ((0, 2),)),
-               (ExponentialFamily(1.0, Polydisc([0, 0.1], [1, 1]), "exponential-centers"),
-                ())])
+    return conjugate_symmetric_families() + [
+        GeometricFamily([0.5, 0.5], d2, "geometric-d2-equal"),
+        GeometricFamily([0.5] * 3, d3, "geometric-d3-equal"),
+        GeometricFamily([skew, skew], d2, "geometric-d2-skew"),
+        ConstantFamily(2 + 1j, d2, "constant-d2"),
+        OneSidedGeometric(),
+        ExponentialFamily(1.0, Polydisc([0] * 3, [1, 0.5, 1]), "exponential-radii"),
+        ExponentialFamily(1.0, Polydisc([0, 0.1], [1, 1]), "exponential-centers")]
 
 
 class TestOrbitFill:
-    """The contour sample evaluates one row per orbit of swaps and conjugation."""
+    """The contour sample evaluates one row per orbit of conjugation and the reflection,
+    or per orbit of each distinct axis's contour for a product kind."""
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8, 32, 33])
     def test_rows_equal_direct_evaluation(self, space16, monkeypatch, n):
-        # every family evaluates one row per orbit, or the geometric kind one row per
-        # orbit of each distinct axis's contour, each through HoloFamily.eval, and its
-        # copies match direct evaluation (bit for bit but for swapped rows at d = 3)
+        # every family evaluates one row per orbit, or a product kind one row per orbit
+        # of each distinct axis's contour, each through HoloFamily.eval, and its values
+        # match direct evaluation (assert_orbit_fill)
         evaluated = []
         evaluate = family.HoloFamily.eval
 
@@ -515,9 +496,8 @@ class TestOrbitFill:
             return out
 
         monkeypatch.setattr(family.HoloFamily, "eval", counting)
-        for fam, classes in orbit_families():
+        for fam in orbit_families():
             sample = ContourSample(fam, space16, n)
-            assert sample.interchangeable == classes, fam.label
             evaluated.clear()
             sample.values
             values = sum(evaluated)
@@ -527,14 +507,12 @@ class TestOrbitFill:
     # uniform-4, whose atoms are symmetric, the real families are conjugated and
     # reflected, 4 moves s on each index: the identity fixes n indices, the negation 2
     # (0 and n/2), the shift by n/2 none and the negated shift 2 where 4 divides n (n/4
-    # and 3n/4).  A swap of two variables fixes n index pairs under any s (a free, b =
-    # s(a)), a 3-cycle the indices s fixes.  The geometric kind at d = 2 evaluates the
-    # one-variable contour of each axis, whose rates differ here: twice the d = 1 count.
+    # and 3n/4).  The product kinds at d >= 2 evaluate the one-variable contour of each
+    # distinct axis: the geometric rates differ here, twice the d = 1 count, and the
+    # exponential axes are all equal, one d = 1 count whatever d.
     @pytest.mark.parametrize("doc, n, rows", [
-        # exponential-d3: (32^3 + 3 * 32^2 + 2 * 32 + 2 * (8 + 3 * 32 * 2 + 2 * 2)) / 24
-        (BENCH_DOCS[2], 32, 1513),
-        # exponential-d2: (64^2 + 64 + (4 + 64) + (0 + 64) + (4 + 64)) / 8
-        (BENCH_DOCS[1], 64, 545),
+        (BENCH_DOCS[2], 32, 9),   # exponential-d3, one axis contour: (32 + 2 + 0 + 2) / 4
+        (BENCH_DOCS[1], 64, 17),  # exponential-d2, one axis contour: (64 + 2 + 0 + 2) / 4
         (BENCH_DOCS[0], 64, 34),  # geometric-d2, unequal rates: 2 * (64 + 2 + 0 + 2) / 4
         (BENCH_DOCS[0], 32, 18),  # 2 * (32 + 2 + 0 + 2) / 4
         (family_preset("geometric").to_json(), 64, 17),  # real, d = 1: (64 + 2 + 0 + 2) / 4
@@ -576,8 +554,9 @@ class TestOrbitFill:
 
 
 class TestProductFill:
-    """A certified geometric family at d >= 2 fills each torus grid from one one-variable
-    contour sample per distinct axis, multiplied by the kernel its _evaluate uses."""
+    """A certified geometric, exponential or constant family at d >= 2 fills each torus
+    grid from one one-variable contour sample per distinct axis, multiplied in the
+    arithmetic of the kernel its _evaluate uses."""
 
     RATES = {"real": [0.5, 0.4, 0.3], "complex": [0.4 + 0.2j, 0.3 - 0.1j, 0.2j],
              "equal-complex": [0.3 + 0.3j] * 3}
@@ -676,6 +655,72 @@ class TestProductFill:
         assert [f for f in calls if f.d > 1] == [fam]  # each axis's own sample asks too
 
 
+@st.composite
+def product_families(draw):
+    """(family, space, n, off-centre derivative functional): a geometric, exponential or
+    constant family at d = 2 or 3 with complex parameters, a real or complex centre and
+    unequal radii, on symmetric atoms (odd k has the atom 0) or complex ones, with n in
+    4..33 contour nodes and a functional of 5..17 nodes about a point off the centre."""
+    kind = draw(st.sampled_from(["geometric", "exponential", "constant"]))
+    d = draw(st.integers(2, 3))
+    parts = st.floats(-1.0, 1.0)
+    number = st.builds(complex, parts, parts)
+    radii = draw(st.permutations([draw(st.floats(0.5, 0.7)) + 0.15 * j for j in range(d)]))
+    small = st.builds(complex, st.floats(-0.1, 0.1), st.floats(-0.1, 0.1))
+    if draw(st.booleans()):
+        small = small.map(lambda c: complex(c.real))
+    center = draw(st.lists(small, min_size=d, max_size=d))
+    domain = Polydisc(center, radii)
+    if kind == "geometric":  # |rate t z| <= 0.45 (0.1 + 1) on atoms |t| <= 1
+        rates = draw(st.lists(number.map(lambda r: 0.45 * r / max(1.0, abs(r))),
+                              min_size=d, max_size=d))
+        fam = GeometricFamily(rates, domain)
+    elif kind == "exponential":
+        fam = ExponentialFamily(2 * draw(number), domain)
+    else:
+        fam = ConstantFamily(draw(number), domain)
+    space = draw(st.sampled_from([
+        space_preset("uniform-4"), space_preset("uniform-15"),
+        FiniteMeasureSpace([0.5, -0.5j, 0.0, 0.25 + 0.5j, -0.0 - 1.0j], np.ones(5) / 5)]))
+    offset = draw(st.lists(st.floats(-0.1, 0.1), min_size=d, max_size=d))
+    phi = derivative_functional(np.add(center, np.multiply(offset, radii)),
+                                (1,) + (0,) * (d - 1), 0.4 * np.asarray(radii),
+                                n=draw(st.integers(5, 17)))
+    return fam, space, draw(st.integers(4, 33)), phi
+
+
+class TestProductProperty:
+    """The product fill equals direct evaluation bit for bit, sign bits included."""
+
+    @given(drawn=product_families())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_fill_equals_direct_evaluation(self, drawn):
+        # the contour and an off-centre derivative functional's nodes, each the outer
+        # product of its distinct axes' contours, against one _evaluate of the grid
+        fam, space, n, phi = drawn
+        sample = ContourSample(fam, space, n)
+        assert family._certified(fam) and fam._axis_families() is not None
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+        assert sample.values.tobytes() == fam._evaluate(grid[:, None, :], space.params).tobytes()
+        direct = fam._evaluate(phi.nodes[:, None, :], space.params)
+        assert sample.node_values(phi).tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("space", ["uniform-15", "geometric-64"])
+    def test_d1_exponential_is_the_exponential_of_the_sum(self, space):
+        # at d = 1 the exponential kind keeps exp(scale t z), no product: its values on
+        # the contour and the region grid are what they were before the product fill
+        fam, space = ExponentialFamily(0.7 + 0.4j, unit_polydisc(1)), space_preset(space)
+        sample = ContourSample(fam, space, 64)
+        assert fam._axis_families() is None
+        for points in (torus_nodes(Polydisc(sample.center, sample.radii), 64).grid(),
+                       torus_nodes(fam.domain.shrunk(0.9), 32).grid()):
+            z = points[:, None, :]
+            expected = np.exp(fam.scale * space.params * z.sum(axis=-1))
+            assert fam._evaluate(z, space.params).tobytes() == expected.tobytes()
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), 64).grid()
+        assert np.array_equal(sample.values, np.exp(fam.scale * space.params * grid))
+
+
 def shuffled_space(k=15, seed=4):
     """A JSON space of k atoms symmetric about 0 bit for bit, in shuffled order, with
     distinct weights."""
@@ -737,14 +782,6 @@ class TestReflection:
                 fam.label
             assert rows == assert_orbit_fill(sample), fam.label
 
-    @pytest.mark.parametrize("n", [8, 32])
-    def test_d3_copies_agree_within_four_ulp(self, monkeypatch, n):
-        # exponential-d3 on the shuffled space: swapped rows within 4 ulp, each orbit's
-        # representative and its plain conjugates and reflections bit for bit
-        sample = ContourSample(family_from_json(BENCH_DOCS[2]), shuffled_space(), n)
-        assert sample.reflective and sample.interchangeable == ((0, 1, 2),)
-        assert counted_rows(monkeypatch, sample) == assert_orbit_fill(sample)
-
     def test_complex_rate_is_reflected_not_conjugated(self, monkeypatch, space16):
         # a complex rate needs neither real atoms nor real parameters: 32 of 64 rows
         fam = GeometricFamily([0.4 + 0.2j], unit_polydisc(1))
@@ -781,7 +818,7 @@ class TestReflection:
                "bump-witness": ContourVanishingGeometric(1e-3),
                "sqrt-witness": SqrtPerturbedGeometric(1e-3)}.get(case, family_preset("geometric"))
         sample = ContourSample(fam, space, n)
-        assert not sample.symmetries(sample.center, sample.radii, n)[2]
+        assert not sample.symmetries(sample.center, sample.radii, n)[1]
         assert sample.reflective == (case == "odd-n")
         assert counted_rows(monkeypatch, sample) == rows == assert_orbit_fill(sample)
 
