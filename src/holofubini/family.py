@@ -206,29 +206,29 @@ class ContourSample:
     (:meth:`~holofubini.domain.TorusQuadrature.grid`).  One grid row is evaluated per
     orbit of the moves that leave F unchanged (:meth:`symmetries`), for a real family
     (:attr:`conjugate_symmetric`) conjugation and, for a :attr:`reflective` family at
-    even n, the reflection w -> -w with the atoms mirrored; every other row is copied
-    from its orbit's representative (:attr:`values`), equal to direct evaluation but for
-    the sign of a zero part.  A family whose values
-    are a product of one-variable factors (the geometric, exponential and constant kinds
-    at d >= 2) fills the grid instead from one such sample per distinct axis, each by its
-    own orbits, bit for bit (:meth:`_product_values`).  A derivative functional off the
-    contour has its nodes evaluated by the same orbits or product (:meth:`node_values`),
-    and derivative_profile reads the same map on its region grid.  The sample is built
-    with the run's
-    ``functionals``.  Every point set is evaluated through :meth:`HoloFamily.eval` (so
-    the domain check applies, and covers the copied rows) when it is first read, into
-    one array by blocks of rows, and is read-only from then on; an evaluation that
-    raises is not kept, so each reader meets the error itself.  So are one Taylor table
-    of the contour values, built by blocks of columns into one array, each
-    functional's (k,) slice vector, its (m,) values on each stack of m dual vectors
-    (:meth:`pair_duals`, one pass over blocks of the contour for every functional on
-    it) and each closed-form (k,) vector read (:meth:`closed_form`); no (nodes, m)
-    pairing of F with a stack is held.  The sample is also built with the run's
-    ``checks``, ``shrink`` and ``seed``, and keeps what the checks read of F on the
-    run's interior sequence, evaluated once (:attr:`interior`), and, below ``FLOOR_NODES``
-    nodes, the one floor contour that order_bound, schwarz and telescoping read
-    (:attr:`floor`); a sample built without checks serves every reader of it.  Two
-    threads sharing a sample can at worst compute one twice.
+    d = 1 and even n, the reflection w -> -w with the atoms mirrored: the leading slabs
+    of the grid's first axis are evaluated and every other slab is copied from them by
+    the slices that build the ring (:meth:`_fill`), equal to direct evaluation but for
+    the sign of a zero part.  A family whose values are a product of one-variable factors
+    (the geometric, exponential and constant kinds at d >= 2) fills the grid instead
+    from one such sample per distinct axis, each by its own slabs, bit for bit
+    (:meth:`_product_values`).  A derivative functional off the contour has its nodes
+    evaluated the same way (:meth:`node_values`), and derivative_profile evaluates the
+    same leading points of its region grid (:func:`_ring_count`).  The sample is built
+    with the run's ``functionals``.  Every point set is evaluated through
+    :meth:`HoloFamily.eval` (so the domain check applies, and covers the copied rows)
+    when it is first read, into one array by blocks of rows, and is read-only from then
+    on; an evaluation that raises is not kept, so each reader meets the error itself.
+    So are one Taylor table of the contour values, built by blocks of columns into one
+    array, each functional's (k,) slice vector, its (m,) values on each stack of m dual
+    vectors (:meth:`pair_duals`, one pass over blocks of the contour for every
+    functional on it) and each closed-form (k,) vector read (:meth:`closed_form`); no
+    (nodes, m) pairing of F with a stack is held.  The sample is also built with the
+    run's ``checks``, ``shrink`` and ``seed``, and keeps what the checks read of F on
+    the run's interior sequence, evaluated once (:attr:`interior`), and, below
+    ``FLOOR_NODES`` nodes, the one floor contour that order_bound, schwarz and
+    telescoping read (:attr:`floor`); a sample built without checks serves every reader
+    of it.  Two threads sharing a sample can at worst compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=(),
@@ -268,25 +268,27 @@ class ContourSample:
 
     def symmetries(self, center, radii, n: int) -> tuple:
         """(conjugate, reflect): the moves that leave F unchanged on the torus grid
-        ``torus_nodes(Polydisc(center, radii), n).grid()``, the argument of
-        :func:`_orbit_sources`.  Conjugation j -> -j mod n, for a conjugate-symmetric
-        family (:attr:`conjugate_symmetric`) about a real center, where the ring's conjugate
+        ``torus_nodes(Polydisc(center, radii), n).grid()``, by which :meth:`_fill` copies
+        it.  Conjugation j -> -j mod n, for a conjugate-symmetric family
+        (:attr:`conjugate_symmetric`) about a real center, where the ring's conjugate
         symmetry makes node n - j the conjugate of node j; and the reflection j -> j +
-        n/2 mod n, for a :attr:`reflective` family at even n about the center 0, where
-        node j + n/2 is -(node j) (:class:`~holofubini.domain.TorusQuadrature`)."""
+        n/2 mod n, for a :attr:`reflective` family at d = 1 and even n about the center
+        0, where node j + n/2 is -(node j) (:class:`~holofubini.domain.TorusQuadrature`).
+        At d >= 2 each reflective kind fills its grid from its axes' one-variable
+        contours (:meth:`_product_values`), so the reflection is not asked there."""
         return (self.conjugate_symmetric and not np.any(np.imag(center)),
-                self.reflective and n % 2 == 0 and not np.any(center))
+                self.fam.d == 1 and self.reflective and n % 2 == 0 and not np.any(center))
 
     @cached_property
     def values(self) -> np.ndarray:
         """F on the contour grid, shape (n^d, k): :meth:`_orbit_values` of the contour.
 
         Conjugation alone leaves (n^d + 2^d) / 2 rows at even n, (n^d + 1) / 2 at odd n;
-        with the reflection n^d / 4 + 2^(d-1) where 4 divides n, so a real family at d =
-        1 and n = 64 evaluates 17 of 64 rows; the reflection alone leaves n^d / 2 (the
-        constant preset's 32 of 64).  geometric-d2 at n = 64 evaluates 17 rows of each of
-        its two axes' contours, 34 for its 4,096 rows, and exponential-d3 at n = 32 the
-        9 rows of its one axis's contour for its 32,768 (:meth:`_product_values`)."""
+        with the reflection, at d = 1, n / 4 + 1 where 4 divides n, so a real family at
+        n = 64 evaluates 17 of 64 rows; the reflection alone leaves n / 2 (the constant
+        preset's 32 of 64).  geometric-d2 at n = 64 evaluates 17 rows of each of its two
+        axes' contours, 34 for its 4,096 rows, and exponential-d3 at n = 32 the 9 rows
+        of its one axis's contour for its 32,768 (:meth:`_product_values`)."""
         return self._orbit_values(self.center, self.radii, self.n)
 
     def _orbit_values(self, center, radii, n: int) -> np.ndarray:
@@ -294,59 +296,73 @@ class ContourSample:
 
         A family that the kind's certificate (:func:`_certified`) lets declare itself a
         product of one-variable factors (:meth:`HoloFamily._axis_families`) is filled
-        from them (:meth:`_product_values`).  Otherwise one row is evaluated per orbit of
-        the grid's indices under the moves that leave F unchanged (:meth:`symmetries`):
-        conjugation, which takes each row to its conjugate, and the reflection, which
-        takes each row to its values at the mirrored atoms (the space's
-        :attr:`~holofubini.measure.FiniteMeasureSpace.mirror`).  An orbit's
-        representative is its least flat index (:func:`_orbit_sources`), so one pass over
-        blocks of rows evaluates each block's representatives through
-        :meth:`HoloFamily.eval`, fills each one's plain reflection from it with the atoms
-        mirrored, and copies every other row from one of the two, which come no later,
-        conjugated where the move from it is.  Copied rows skip the domain test, which
-        their representative passes: conjugation keeps |z - c| about a real center and
-        the reflection |z| about the center 0, and the geometric kind's analyticity test
-        reads |rate t z|, which both moves keep.  Copies equal direct evaluation ((-b) z =
-        b (-z)), but a conjugated zero part can carry the sign that evaluation does not
-        give it."""
+        from them (:meth:`_product_values`).  Otherwise the grid, viewed as (n,)*d +
+        (k,), is filled by slabs of its first axis (:meth:`_fill`) under the moves that
+        leave F unchanged (:meth:`symmetries`)."""
         axes = self.fam._axis_families() if _certified(self.fam) else None
         if axes is not None:
             return self._product_values(axes, center, radii, n)
+        d, k = self.fam.d, self.space.natoms
         grid = torus_nodes(Polydisc(center, radii), n).grid()
-        symmetries = self.symmetries(center, radii, n)
-        if not any(symmetries):
-            return self._evaluate(grid)
-        values = np.empty((len(grid), self.space.natoms), dtype=complex)
-        params, mirror = self.space.params, self.space.mirror
-        block = max(1, measure.ROW_BLOCK // len(params))
-        index = np.int32 if len(grid) < 2 ** 30 else np.int64  # int32 halves the index work
-        for start in range(0, len(grid), block):
-            rows = np.arange(start, min(start + block, len(grid)), dtype=index)
-            sources, flip, mirrored = _orbit_sources(rows, n, self.fam.d, *symmetries)
-            own = _representatives(rows, sources, mirrored)
-            if len(own):
-                evaluated = values[own] = self.fam.eval(grid[own, None, :], params)
-                if mirrored is not None:  # each representative's plain reflection, by a
-                    # scatter through the mirror, its own inverse, so no permuted copy
-                    values[_reflected(own, n, self.fam.d)[:, None], mirror] = evaluated
-                del evaluated
-            copied = values.take(sources, axis=0)
-            if flip is not None:
-                np.conjugate(copied, out=copied, where=flip[:, None])
-            values[start:start + len(rows)] = copied
-            del copied  # so the next block's evaluation does not run beside this copy
+        values = np.empty((len(grid), k), dtype=complex)
+        self._fill(values.reshape((n,) * d + (k,)), grid.reshape((n,) * d + (d,)),
+                   *self.symmetries(center, radii, n))
         return _read_only(values)
 
+    def _fill(self, values: np.ndarray, grid: np.ndarray, conjugate: bool,
+              reflect: bool) -> None:
+        """F into ``values`` of shape (n,)*m + (k,) on the torus points ``grid`` of shape
+        (n,)*m + (d,), by the slices that build the ring
+        (:class:`~holofubini.domain.TorusQuadrature`).
+
+        The leading :func:`_ring_count` slabs are evaluated through
+        :meth:`HoloFamily.eval` (:meth:`_evaluate`), and every other slab is copied:
+        under ``conjugate`` slab n - j is the conjugate of slab j with the other axes
+        negated, and the self-conjugate slabs 0 and n/2 are filled the same way, one
+        axis down; under ``reflect`` (m = 1, about the center 0) row j + n/2 is row j on
+        the mirrored atoms (:attr:`~holofubini.measure.FiniteMeasureSpace.mirror`) and,
+        under both, row n/2 - j the conjugate of row n/2 + j.  So the evaluated rows are
+        the least flat index of each orbit, and each copy is an exact conjugation or
+        permutation of one of them.  Conjugated slabs are written in place by blocks of
+        ``measure.ROW_BLOCK`` values or one slab, each gathered once, the fill's largest
+        transient.  Copied rows skip the domain test, which their source passes:
+        conjugation keeps |z - c| about a real center and the reflection |z| about the
+        center 0, and the geometric kind's analyticity test reads |rate t z|, which both
+        moves keep.  Copies equal direct evaluation ((-b) z = b (-z)), but a conjugated
+        zero part can carry the sign that evaluation does not give it."""
+        n, half = len(values), len(values) // 2
+        count = _ring_count(n, conjugate, reflect)
+        if conjugate and values.ndim > 2:
+            self._fill(values[0], grid[0], True, False)
+            self._evaluate(grid[1:(n + 1) // 2], out=values[1:(n + 1) // 2])
+            if n % 2 == 0:
+                self._fill(values[half], grid[half], True, False)
+        else:
+            self._evaluate(grid[:count], out=values[:count])
+        if reflect:
+            values[half:half + count] = values[:count, self.space.mirror]
+        if not conjugate:
+            return
+        last = half - count if reflect else (n - 1) // 2  # slab n - j is copied, j <= last
+        if reflect:
+            np.conjugate(values[half + 1:][:last], out=values[count:half][::-1])
+        negated = np.ix_(*[-np.arange(n) % n] * (values.ndim - 2))
+        block = max(1, measure.ROW_BLOCK // values[0].size)
+        for start in range(1, last + 1, block):
+            stop = min(start + block, last + 1)
+            np.conjugate(values[start:stop][(slice(None),) + negated],
+                         out=values[n - start:n - stop:-1])
+
     def _product_values(self, axes, center, radii, n: int) -> np.ndarray:
-        """:meth:`_orbit_values` of a family whose values are a product of the one-variable
-        ``axes`` (:meth:`HoloFamily._axis_families`): each distinct axis, of equal
-        parameters, domain and grid center and radius, is sampled once on its n nodes by
-        its own :meth:`_orbit_values`, and the grid is their outer product in the
-        arithmetic of :func:`_product`, which is what ``_evaluate`` computes on it.  The
-        product of every axis but the last is held as real and imaginary planes of
-        n^(d-1) k floats each, from the first axis's step from 1 + 0i, and the last axis
-        multiplies them into the values by blocks of ``measure.ROW_BLOCK`` values or one
-        plane row."""
+        """:meth:`_orbit_values` of a family whose values are a product of the
+        one-variable ``axes`` (:meth:`HoloFamily._axis_families`): each distinct axis,
+        of equal parameters, domain and grid center and radius, is sampled once on its n
+        nodes by its own slab fill (:meth:`_orbit_values`), and the grid is their outer
+        product in the arithmetic of :func:`_product`, which is what ``_evaluate``
+        computes on it.  The product of every axis but the last is held as real and
+        imaginary planes of n^(d-1) k floats each, from the first axis's step from
+        1 + 0i, and the last axis multiplies them into the values by blocks of
+        ``measure.ROW_BLOCK`` values or one plane row."""
         samples, rows = {}, []
         for j, axis in enumerate(axes):
             key = np.concatenate([np.ravel(getattr(axis, name)) for name in axis.parameters]
@@ -438,8 +454,8 @@ class ContourSample:
 
         A derivative functional on this contour (equal center and radii, n^d nodes)
         reads :attr:`values`; any other derivative functional's nodes, the torus grid of
-        its center, radii and node count, are evaluated once by orbits
-        (:meth:`_orbit_values`), and any other functional's nodes once each.
+        its center, radii and node count, are filled once by slabs
+        (:meth:`_orbit_values`), and any other functional's nodes evaluated once each.
         """
         if phi.d != self.fam.d:
             raise ValueError("functional and family dimensions differ")
@@ -523,16 +539,18 @@ class ContourSample:
                 and np.array_equal(phi.center, self.center)
                 and np.array_equal(phi.radii, self.radii))
 
-    def _evaluate(self, points: np.ndarray) -> np.ndarray:
-        """F on ``points`` of shape (m, d), (m, k): one array filled by blocks of rows of
-        ``measure.ROW_BLOCK`` values or one row, each through :meth:`HoloFamily.eval`."""
+    def _evaluate(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """F on ``points`` of shape (..., d), shape (..., k): one array, or the contiguous
+        ``out`` in place, filled by blocks of rows of ``measure.ROW_BLOCK`` values or one
+        row, each through :meth:`HoloFamily.eval`."""
         params = self.space.params
-        values = np.empty((len(points), len(params)), dtype=complex)
+        values = np.empty(points.shape[:-1] + params.shape, complex) if out is None else out
+        points, rows = points.reshape(-1, self.fam.d), values.reshape(-1, len(params))
         block = max(1, measure.ROW_BLOCK // len(params))
         for start in range(0, len(points), block):
-            values[start:start + block] = self.fam.eval(points[start:start + block, None, :],
-                                                        params)
-        return _read_only(values)
+            rows[start:start + block] = self.fam.eval(points[start:start + block, None, :],
+                                                      params)
+        return values if out is not None else _read_only(values)
 
 
 def _certified(fam: HoloFamily) -> bool:
@@ -542,70 +560,13 @@ def _certified(fam: HoloFamily) -> bool:
     return kind is not None and type(fam)._evaluate is kind._evaluate
 
 
-def _orbit_sources(rows: np.ndarray, n: int, d: int, conjugate: bool = False,
-                   reflect: bool = False):
-    """Each flat index of ``rows`` on an n^d grid mapped to the row it is copied from,
-    with whether that copy is conjugated (when ``conjugate``, else None) and whether the
-    reflection reaches the row (when ``reflect``, else None).
-
-    The moves are conjugation j -> -j mod n and the reflection j -> j + n/2 mod n (n
-    even), each on every axis; they commute, so a row's orbit is its images under their
-    products.  The orbit's least flat index, its representative, is the least of the
-    images, at most the row.  A row reached from the least without the reflection is
-    copied from the least, a row reached with it from the least's plain reflection
-    (:func:`_reflected`), which is filled from the least with its atoms mirrored when the
-    least is evaluated and is its own source, so each orbit's atoms are permuted once;
-    neither source comes after the row's block.  On a tie the row's own image wins, so
-    a representative is its own source."""
-    digits = _digits(rows, n, d)
-    ring = np.arange(n, dtype=rows.dtype)
-    moves = [(conj, mirror) for conj in (False, True)[:1 + conjugate]
-             for mirror in (False, True)[:1 + reflect]]
-    least, choice = rows, np.zeros(len(rows), dtype=np.int8)
-    for move, (conj, mirror) in enumerate(moves[1:], 1):
-        table = ((-ring if conj else ring) + (n // 2 if mirror else 0)) % n
-        image = _flat([table.take(j) for j in digits], n)
-        choice[image < least] = move
-        least = np.minimum(least, image)
-    if not reflect:
-        return least, choice >= 1 if conjugate else None, None
-    mirrored = choice % 2 == 1
-    return (np.where(mirrored, _reflected(least, n, d), least),
-            choice >= 2 if conjugate else None, mirrored)
-
-
-def _representatives(rows: np.ndarray, sources: np.ndarray, mirrored) -> np.ndarray:
-    """The rows of ``rows`` that represent their orbits, given :func:`_orbit_sources`:
-    their own sources, but for the representatives' plain reflections."""
-    own = sources == rows
-    return rows[own if mirrored is None else own & ~mirrored]
-
-
-def _reflected(rows: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The flat indices of the reflections of ``rows`` on an n^d grid, n even: every
-    index shifted by n/2 mod n."""
-    shift = (np.arange(n, dtype=rows.dtype) + n // 2) % n
-    return _flat([shift.take(j) for j in _digits(rows, n, d)], n)
-
-
-def _digits(rows: np.ndarray, n: int, d: int) -> list:
-    """The d index arrays of the flat indices ``rows`` on an n^d grid, first axis first
-    (by floor division, which numpy does faster than % or divmod)."""
-    digits = []
-    for _ in range(d - 1):
-        quotient = rows // n
-        digits.append(rows - quotient * n)
-        rows = quotient
-    return [rows] + digits[::-1]
-
-
-def _flat(digits: list, n: int) -> np.ndarray:
-    """The flat indices of the index arrays ``digits`` on an n^d grid (Horner's rule in
-    their own dtype, cheaper than ``np.ravel_multi_index``)."""
-    flat = digits[0]
-    for j in digits[1:]:
-        flat = flat * n + j
-    return flat
+def _ring_count(n: int, conjugate: bool, reflect: bool) -> int:
+    """The leading slabs of an n-node ring's first axis that :meth:`ContourSample._fill`
+    evaluates, every other slab copied: n // 2 + 1 under conjugation j -> -j mod n, n/2
+    under the reflection j -> j + n/2 mod n (n even), n // 4 + 1 under both, else n."""
+    if conjugate:
+        return n // 4 + 1 if reflect else n // 2 + 1
+    return n // 2 if reflect else n
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -15,16 +15,15 @@ Every checker takes the run's :class:`~holofubini.family.ContourSample`: F on
 the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
 evaluated on first read, and F on each functional's nodes, evaluated once per
 functional.  The sample evaluates one grid row per orbit of conjugation, for a real
-family, and of the reflection w -> -w, for the geometric, exponential and constant kinds
-about the center 0 on atoms symmetric about 0, which takes a row to the row with its
-atoms mirrored, and copies the others.  Those three kinds at d >= 2, products of
-one-variable factors, fill the grid from one one-variable contour per distinct axis,
-each evaluated by those orbits: geometric-d2 at n = 64 evaluates 2 x 17 rows for its
-4,096, and exponential-d3 at n = 32 the 9 rows of its one axis for its 32,768.  A
-derivative functional off the contour has its own nodes evaluated the same way, and
-every copy and product equals direct evaluation.  derivative_profile reads the same
-orbit map on its region grid, evaluating one point per orbit (9 of 32 for a real
-reflective family) and filling the others' magnitudes from theirs.
+family, and at d = 1 of the reflection w -> -w with the atoms mirrored, for the
+geometric, exponential and constant kinds about the center 0 on atoms symmetric about 0:
+the leading slabs of the grid's first axis, the others copied by the slices that build
+the ring.  Those three kinds at d >= 2, products of one-variable factors, fill the grid
+from one one-variable contour per distinct axis: geometric-d2 at n = 64 evaluates 2 x 17
+rows for its 4,096, and exponential-d3 at n = 32 the 9 rows of its one axis for its
+32,768.  A derivative functional off the contour has its own nodes filled the same way,
+and every copy and product equals direct evaluation.  derivative_profile evaluates the
+same leading points of its region grid (9 of 32 for a real reflective family).
 The contour values serve every checker derivative at the center and every sup over the
 domain, which they estimate from below: by the maximum principle the sup over the
 contour polydisc lies on its distinguished boundary.
@@ -68,7 +67,7 @@ import numpy as np
 from .cauchy import contour_derivatives, order_bound, schwarz_violation
 from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial,
                      sample_polydisc, torus_nodes)
-from .family import ContourSample, _orbit_sources, _representatives
+from .family import ContourSample, _ring_count
 
 __all__ = [
     "CheckReport",
@@ -387,33 +386,33 @@ def derivative_profile(sample: ContourSample) -> list[CheckReport]:
     domain radius.  Every order m up to ``PROFILE_MAX_ORDER`` is read from the values on
     a contour of radius (CONTOUR_SHRINK - 0.9) r about each grid point, of at most
     ``PROFILE_NODES`` nodes, each atom's count chosen by :func:`_profile_magnitudes`; the
-    node counts do not depend on the sample's n.  The grid is read through the
-    contour sample's orbit map (:meth:`~holofubini.family.ContourSample.symmetries`, d =
-    1 and PROFILE_GRID nodes): only each orbit's representative's contour is evaluated.
-    Point PROFILE_GRID - j is the conjugate of point j, where |D^m f| is the same, and
-    about the center 0 point j + PROFILE_GRID / 2 is -(point j), where |D^m f(., t_i)|
-    is |D^m f(., t_i')| at point j, t_i' = -t_i: every point's magnitudes are a
-    representative's, on the mirrored atoms where the reflection reaches it, so the
-    maxima over the representatives, their weighted integrals taken against the weights
-    and, where the reflection applies, the mirrored weights, are those of the whole grid
-    up to roundoff.  A real reflective family reads 9 of the 32 points, another real
-    family 17, the constant preset 16.  Returns one report per order: ``lhs`` the sup
-    over the grid of the mu-weighted integral of |D^m f|, ``rhs`` the largest |D^m f(z,
-    t_i)|, and a residual of 0 when both are finite and inf otherwise; each carries as
-    n the largest node count any atom read.  It reads only the sample's family and space.
+    node counts do not depend on the sample's n.  Only the leading
+    :func:`~holofubini.family._ring_count` points of the grid under the sample's moves
+    (:meth:`~holofubini.family.ContourSample.symmetries`) have their contours evaluated,
+    one per orbit.  Point PROFILE_GRID - j is the conjugate of point j, where |D^m f| is
+    the same, and about the center 0 point j + PROFILE_GRID / 2 is -(point j), where
+    |D^m f(., t_i)| is |D^m f(., t_i')| at point j, t_i' = -t_i: every point's
+    magnitudes are a leading point's, on the mirrored atoms where the reflection reaches
+    it, so the maxima over the leading points, their weighted integrals taken against
+    the weights and, where the reflection applies, the mirrored weights, are those of
+    the whole grid up to roundoff.  A real reflective family reads the first 9 of the 32
+    points, another real family 17, the constant preset 16.  Returns one report per
+    order: ``lhs`` the sup over the grid of the mu-weighted integral of |D^m f|, ``rhs``
+    the largest |D^m f(z, t_i)|, and a residual of 0 when both are finite and inf
+    otherwise; each carries as n the largest node count any atom read.  It reads only
+    the sample's family and space.
     """
     fam, space = sample.fam, sample.space
     if fam.d != 1:
         raise ValueError("derivative profiles are defined for univariate domains only")
     region = fam.domain.shrunk(0.9)
-    points = np.arange(PROFILE_GRID)
-    sources, _, mirrored = _orbit_sources(
-        points, PROFILE_GRID, 1, *sample.symmetries(region.center, region.radius, PROFILE_GRID))
-    own = _representatives(points, sources, mirrored)
-    mags, n = _profile_magnitudes(fam, space.params, torus_nodes(region, PROFILE_GRID).grid()[own])
-    # a reflected point's magnitudes are its representative's on the mirrored atoms, so
-    # its weighted integral is the representative's against the mirrored weights
-    weights = [space.weights] + ([] if mirrored is None else [space.weights[space.mirror]])
+    conjugate, reflect = sample.symmetries(region.center, region.radius, PROFILE_GRID)
+    count = _ring_count(PROFILE_GRID, conjugate, reflect)
+    mags, n = _profile_magnitudes(fam, space.params,
+                                  torus_nodes(region, PROFILE_GRID).grid()[:count])
+    # a reflected point's magnitudes are a leading point's on the mirrored atoms, so its
+    # weighted integral is that point's against the mirrored weights
+    weights = [space.weights] + ([space.weights[space.mirror]] if reflect else [])
     reports = []
     for order, m in enumerate(mags):
         lhs, rhs = max(float(np.max(m @ w)) for w in weights), float(m.max())

@@ -361,6 +361,13 @@ def conjugate_symmetric_families():
             + [family_from_json(doc) for doc in BENCH_DOCS])
 
 
+def real_polynomial(d):
+    """A real polynomial family at d with dense coefficients up to degree 2 in each
+    variable and 1 in t: conjugate-symmetric, never reflected, no product of its axes."""
+    coeffs = np.random.default_rng(2).uniform(-0.5, 0.5, (3,) * d + (2,))
+    return PolynomialFamily(coeffs.astype(complex), unit_polydisc(d), f"polynomial-d{d}")
+
+
 def orbit_least(n, d, conjugate, reflect=False):
     """Each contour grid row's least flat index over its orbit, by brute force: the row's
     indices, when ``conjugate`` their negations mod n and when ``reflect`` their shifts by
@@ -423,12 +430,15 @@ class TestConjugateMirror:
         assert np.array_equal(sample.values, fam.eval(grid[:, None, :], space16.params))
 
     def test_mirror_holds_no_second_sample(self):
-        # d = 2, 64 nodes, 256 atoms: a 16 MiB sample evaluated in blocks of
-        # measure.ROW_BLOCK values, whose 31 mirrored rows of 64 x 256 values (7.75 MiB)
-        # are conjugated in place: the peak is the sample and one block with its
-        # arguments (d + 2 values per value, 4 MiB), below a copy of the mirrored rows
-        fam, space = family_from_json(BENCH_DOCS[0]), space_preset("uniform-256")
+        # a real polynomial at d = 2, no product of its axes, 64 nodes, 256 atoms: a 16
+        # MiB sample evaluated in blocks of measure.ROW_BLOCK values, whose 31 conjugated
+        # slabs of 64 x 256 values (7.75 MiB) are written in place from one gathered block
+        # at a time: the peak is the sample and one block with its arguments (d + 2
+        # values per value, 4 MiB), below a copy of the conjugated slabs
+        fam, space = real_polynomial(2), space_preset("uniform-256")
         sample = ContourSample(fam, space, 64)
+        assert sample.symmetries(sample.center, sample.radii, 64) == (True, False)
+        assert fam._axis_families() is None
         tracemalloc.start()
         try:
             values = sample.values
@@ -460,6 +470,14 @@ class OneSidedGeometric(GeometricFamily):
 
     def _evaluate(self, z, t):
         return super()._evaluate(z, t) + t * z[..., 0]
+
+
+class UnfactoredGeometric(GeometricFamily):
+    """The geometric kind with no axis parameters: its ``_evaluate`` is the kind's own, so
+    its symmetries are certified, but its grid is not filled from one-variable axes."""
+
+    def _axis_parameters(self, j):
+        return None
 
 
 def orbit_families():
@@ -551,6 +569,88 @@ class TestOrbitFill:
                 sample.values
             assert str(blocked.value) == str(whole.value)
             assert "values" not in vars(sample)
+
+
+def evaluated_rows(monkeypatch, sample, n):
+    """The flat indices of the contour grid rows that building the sample's values
+    evaluates, each once, in the order evaluated."""
+    grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+    index = {row.tobytes(): i for i, row in enumerate(grid)}
+    rows = []
+    evaluate = family.HoloFamily.eval
+
+    def recording(self, z, t):
+        rows.extend(index[point.tobytes()] for point in z.reshape(-1, self.d))
+        return evaluate(self, z, t)
+
+    monkeypatch.setattr(family.HoloFamily, "eval", recording)
+    sample.values
+    monkeypatch.setattr(family.HoloFamily, "eval", evaluate)
+    assert len(set(rows)) == len(rows)
+    return rows
+
+
+class TestSlabFill:
+    """The slab fill evaluates exactly the rows that are their own least image under the
+    moves (``orbit_least``), the leading ``_ring_count`` rows of a one-variable ring, and
+    copies the rest."""
+
+    @staticmethod
+    def one_variable(conjugate, reflect):
+        """A d = 1 family on uniform-16 whose symmetries are (conjugate, reflect) at even
+        n: the real geometric preset, the real polynomial preset (no reflection), a
+        complex rate (no conjugation) and a complex rate about 0.1 (neither)."""
+        return {(True, True): family_preset("geometric"),
+                (True, False): family_preset("polynomial"),
+                (False, True): GeometricFamily([0.4 + 0.2j], unit_polydisc(1)),
+                (False, False): GeometricFamily([0.4 + 0.2j], Polydisc([0.1], [1.0]))
+                }[conjugate, reflect]
+
+    @pytest.mark.parametrize("n", range(4, 36))
+    def test_ring_count(self, n):
+        assert family._ring_count(n, False, False) == n
+        assert family._ring_count(n, True, False) == n // 2 + 1
+        if n % 2 == 0:
+            assert family._ring_count(n, False, True) == n // 2
+            assert family._ring_count(n, True, True) == n // 4 + 1
+            for conjugate in (False, True):  # Burnside: the number of least images
+                count = int(np.sum(orbit_least(n, 1, conjugate, True) == np.arange(n)))
+                assert family._ring_count(n, conjugate, True) == count
+
+    @pytest.mark.parametrize("n", range(4, 36))
+    def test_one_variable_ring(self, monkeypatch, space16, n):
+        # every (conjugate, reflect) pair that the ring admits, reflect at even n only;
+        # the evaluated rows are the leading _ring_count ones, in order
+        for conjugate, reflect in [(c, r) for c in (False, True)
+                                   for r in (False, True)[:1 + (n % 2 == 0)]]:
+            sample = ContourSample(self.one_variable(conjugate, reflect), space16, n)
+            assert sample.symmetries(sample.center, sample.radii, n) == (conjugate, reflect)
+            rows = evaluated_rows(monkeypatch, sample, n)
+            least = orbit_least(n, 1, conjugate, reflect)
+            assert rows == np.flatnonzero(least == np.arange(n)).tolist()
+            assert rows == list(range(family._ring_count(n, conjugate, reflect)))
+            assert_orbit_fill(sample)
+
+    @pytest.mark.parametrize("n", range(4, 36))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_conjugated_slabs(self, monkeypatch, n, d):
+        # a real polynomial at d = 2 and 3: the self-conjugate slabs 0 and n/2 are filled
+        # one axis down, so the evaluated rows are the least images, no more, and every
+        # other row is the conjugate of its least image's bit for bit.  numpy's complex
+        # product rounds by an element's place in the call, so the polynomial kinds'
+        # values match one evaluation of the whole grid to roundoff only
+        fam, space = real_polynomial(d), space_preset("uniform-4")
+        sample = ContourSample(fam, space, n)
+        assert sample.symmetries(sample.center, sample.radii, n) == (True, False)
+        rows = evaluated_rows(monkeypatch, sample, n)
+        least = orbit_least(n, d, True)
+        own = least == np.arange(n ** d)
+        assert sorted(rows) == np.flatnonzero(own).tolist()
+        values = sample.values
+        assert values[~own].tobytes() == values[least[~own]].conj().tobytes()
+        grid = torus_nodes(Polydisc(sample.center, sample.radii), n).grid()
+        direct = fam.eval(grid[:, None, :], space.params)
+        np.testing.assert_allclose(values, direct, rtol=1e-14, atol=1e-15)
 
 
 class TestProductFill:
@@ -828,6 +928,19 @@ class TestReflection:
         sample = ContourSample(OffDerivativeFamily([0.5, 0.4], 1e-3), space16, 8)
         assert sample.reflective and sample.conjugate_symmetric
         assert counted_rows(monkeypatch, sample) == 2 * (8 + 2 + 0 + 2) // 4
+
+    @pytest.mark.parametrize("n", [8, 34])
+    def test_reflection_is_asked_only_at_d1(self, monkeypatch, space16, n):
+        # a reflective geometric family at d = 2 that is no product of its axes: its
+        # kind's _evaluate certifies both moves, but only conjugation is asked, and the
+        # sample equals evaluation of the whole grid
+        fam = UnfactoredGeometric([0.5, 0.4], unit_polydisc(2))
+        sample = ContourSample(fam, space16, n)
+        assert family._certified(fam) and fam._axis_families() is None
+        assert sample.reflective and sample.conjugate_symmetric
+        assert sample.symmetries(sample.center, sample.radii, n) == (True, False)
+        conjugated = int(np.sum(orbit_least(n, 2, True) == np.arange(n ** 2)))
+        assert counted_rows(monkeypatch, sample) == conjugated == assert_orbit_fill(sample)
 
     def test_mirror_is_computed_on_first_read(self):
         # the space's mirror is not computed when it is built, then kept
