@@ -51,7 +51,9 @@ def _counted_values(config: SuiteConfig) -> int:
     """Complex values the arrays of a run of ``config`` may take at once: one sum of the
     terms below.  A property test holds it to the ``tracemalloc`` peak of building and
     running small configurations: the peak lies under it, and it lies within 3 times
-    the peak wherever the run reads a contour sample of 1 MiB or more."""
+    the peak wherever the run holds a contour sample's values of 1 MiB or more.  It
+    counts n^d k of them for a product kind at d >= 2 too, which holds its axis samples
+    in their place, so that it admits no configuration it refused before."""
     fam, k, n = config.family, config.space.natoms, config.n
     d, sample = fam.d, ContourSample(fam, config.space, n)
     checks = [theorems.CHECKS[name] for name in config.checks]
@@ -59,10 +61,9 @@ def _counted_values(config: SuiteConfig) -> int:
     # keeps for order_bound, schwarz and telescoping (Check.floor), each with per node
     # the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h> with
     # its transform (2), and per atom the Taylor table of degree n // 2 - 1, at least 2
-    # and at most MAX_TAYLOR_DEGREE.  A product kind at d >= 2 builds no grid, and while
-    # it fills the sample holds the product of its axes but the last, two planes of
-    # n^(d-1) k floats, which the terms below cover without one of their own (the
-    # property test's exponential d = 3 example)
+    # and at most MAX_TAYLOR_DEGREE; a product kind's planes of n^(d-1) k floats, the
+    # product of its axes but the last, fall under these terms (the property test's
+    # exponential d = 3 example)
     floor = n < FLOOR_NODES and any(check.floor for check in checks)
     sides = [n] + ([FLOOR_NODES] if floor else [])
     nodes = sum(m ** d for m in sides)
@@ -75,15 +76,15 @@ def _counted_values(config: SuiteConfig) -> int:
     # with its arguments and result (d + 2 per value), an FFT block of FFT_BLOCK values
     # or one column, with order_bound's magnitudes of it, and at least 8 EVAL_BLOCK,
     # where constant overheads dominate.  The floor also holds a block's product with
-    # ten dual vectors (at most ROW_BLOCK values or one row of ten) while ROW_BLOCK <=
-    # 8 EVAL_BLOCK, and a block of derivative_profile's atoms (at most 5 values per
-    # value of one atom's whole contours: their even half with its FFT and, for the
-    # atoms its estimate leaves unresolved, the odd half, the whole and its FFT) while
-    # 5 PROFILE_NODES PROFILE_GRID <= 8 EVAL_BLOCK
+    # every dual stack and the weights in the contour pass (at most ROW_BLOCK values or
+    # one row) while ROW_BLOCK <= 8 EVAL_BLOCK, and a block of derivative_profile's
+    # atoms (at most 5 values per value of one atom's whole contours: their even half
+    # with its FFT and, for the atoms its estimate leaves unresolved, the odd half, the
+    # whole and its FFT) while 5 PROFILE_NODES PROFILE_GRID <= 8 EVAL_BLOCK
     rows = min(nodes, max(1, ROW_BLOCK // k))
     transients = max(8 * theorems.EVAL_BLOCK, (d + 2) * rows * k,
                      min(nodes * k, max(FFT_BLOCK, nodes)))
-    # per atom: each exponent's ten dual vectors with the sample's copy of them (20),
+    # per atom: each exponent's ten dual vectors with the memo's copy of them (20),
     # the closed-form vectors of |alpha| <= 2, each functional's slice and closed-form
     # vectors (2) and what each check holds (Check.per_atom)
     per_atom = k * (20 * len(config.p_list) + len(theorems._alpha_battery(d))
@@ -180,9 +181,9 @@ def _random_duals(space: FiniteMeasureSpace, rng) -> list[np.ndarray]:
 def run_suite(config: SuiteConfig) -> tuple[int, list[dict]]:
     """Run the configured battery; returns (exit_code, report_records)."""
     rng = np.random.default_rng(config.seed)
-    duals = {p: _random_duals(config.space, rng) for p in config.p_list}
+    duals = {p: np.array(_random_duals(config.space, rng)) for p in config.p_list}
     sample = ContourSample(config.family, config.space, config.n, config.functionals,
-                           config.checks, config.shrink, config.seed)
+                           config.checks, config.shrink, config.seed, duals)
     records = [_record(rep, config) for rep in theorems.run_checks(sample, duals)]
     records.sort(key=lambda r: (r["check"], r["family"], r["functional"],
                                 str(r["p"]), str(r["alpha"])))

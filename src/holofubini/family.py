@@ -16,12 +16,14 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import measure
-from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, parse_complex, torus_nodes
+from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial, parse_complex,
+                     torus_nodes)
 from .measure import FiniteMeasureSpace
 
 __all__ = [
@@ -209,33 +211,33 @@ class ContourSample:
     d = 1 and even n, the reflection w -> -w with the atoms mirrored: the leading slabs
     of the grid's first axis are evaluated and every other slab is copied from them by
     the slices that build the ring (:meth:`_fill`), equal to direct evaluation but for
-    the sign of a zero part.  A family whose values are a product of one-variable factors
-    (the geometric, exponential and constant kinds at d >= 2) fills the grid instead
-    from one such sample per distinct axis, each by its own slabs, bit for bit
-    (:meth:`_product_values`).  A derivative functional off the contour has its nodes
-    evaluated the same way (:meth:`node_values`), and derivative_profile evaluates the
-    same leading points of its region grid (:func:`_ring_count`).  The sample is built
-    with the run's ``functionals``.  Every point set is evaluated through
+    the sign of a zero part.  A product of one-variable factors (the geometric,
+    exponential and constant kinds at d >= 2) keeps instead one such sample per distinct
+    axis (:meth:`_axis_samples`), and no reader of a run builds its ``values``.  A
+    derivative functional off the contour has its nodes evaluated the same way
+    (:meth:`node_values`), and derivative_profile evaluates the same leading points of
+    its region grid (:func:`_ring_count`).  Every point set is evaluated through
     :meth:`HoloFamily.eval` (so the domain check applies, and covers the copied rows)
-    when it is first read, into one array by blocks of rows, and is read-only from then
-    on; an evaluation that raises is not kept, so each reader meets the error itself.
-    So are one Taylor table of the contour values, built by blocks of columns into one
-    array, each functional's (k,) slice vector, its (m,) values on each stack of m dual
-    vectors (:meth:`pair_duals`, one pass over blocks of the contour for every
-    functional on it) and each closed-form (k,) vector read (:meth:`closed_form`); no
-    (nodes, m) pairing of F with a stack is held.  The sample is also built with the
-    run's ``checks``, ``shrink`` and ``seed``, and keeps what the checks read of F on
-    the run's interior sequence, evaluated once (:attr:`interior`), and, below
-    ``FLOOR_NODES`` nodes, the one floor contour that order_bound, schwarz and
-    telescoping read (:attr:`floor`); a sample built without checks serves every reader
-    of it.  Two threads sharing a sample can at worst compute one twice.
+    when it is first read, by blocks of rows, and is read-only from then on; an
+    evaluation that raises is not kept, so each reader meets the error itself.  So are
+    one Taylor table, each functional's (k,) slice vector, its (m,) values on each stack
+    of m dual vectors and each closed-form (k,) vector read (:meth:`closed_form`).  The
+    sample is built with the run's ``functionals`` and ``duals`` (a stack of dual
+    vectors per exponent), which one pass over the contour pairs (:attr:`contour`), and
+    its ``checks``, ``shrink`` and ``seed``: it keeps what the checks read of F on the
+    run's interior sequence (:attr:`interior`) and, below ``FLOOR_NODES`` nodes, the one
+    floor contour that order_bound, schwarz and telescoping read (:attr:`floor`); a
+    sample built without checks serves every reader of it.  Two threads sharing a sample
+    can at worst compute one twice.
     """
 
     def __init__(self, fam: HoloFamily, space: FiniteMeasureSpace, n: int, functionals=(),
-                 checks=(), shrink: float = 0.5, seed: int = 0):
+                 checks=(), shrink: float = 0.5, seed: int = 0, duals=None):
         self.fam, self.space, self.n = fam, space, int(n)
         self.functionals, self.checks = tuple(functionals), tuple(checks)
         self.shrink, self.seed = shrink, seed
+        self.duals = {p: np.atleast_2d(np.asarray(h, dtype=complex))
+                      for p, h in (duals or {}).items()}
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
         #: the Taylor table kept, or None
@@ -275,33 +277,55 @@ class ContourSample:
         n/2 mod n, for a :attr:`reflective` family at d = 1 and even n about the center
         0, where node j + n/2 is -(node j) (:class:`~holofubini.domain.TorusQuadrature`).
         At d >= 2 each reflective kind fills its grid from its axes' one-variable
-        contours (:meth:`_product_values`), so the reflection is not asked there."""
+        contours (:meth:`_axis_samples`), so the reflection is not asked there."""
         return (self.conjugate_symmetric and not np.any(np.imag(center)),
                 self.fam.d == 1 and self.reflective and n % 2 == 0 and not np.any(center))
 
     @cached_property
     def values(self) -> np.ndarray:
-        """F on the contour grid, shape (n^d, k): :meth:`_orbit_values` of the contour.
+        """F on the contour grid, shape (n^d, k): :meth:`_orbit_values` of the contour, or
+        the outer product of its :attr:`_factors`, which no reader of a run builds.
 
         Conjugation alone leaves (n^d + 2^d) / 2 rows at even n, (n^d + 1) / 2 at odd n;
         with the reflection, at d = 1, n / 4 + 1 where 4 divides n, so a real family at
         n = 64 evaluates 17 of 64 rows; the reflection alone leaves n / 2 (the constant
         preset's 32 of 64).  geometric-d2 at n = 64 evaluates 17 rows of each of its two
         axes' contours, 34 for its 4,096 rows, and exponential-d3 at n = 32 the 9 rows
-        of its one axis's contour for its 32,768 (:meth:`_product_values`)."""
-        return self._orbit_values(self.center, self.radii, self.n)
+        of its one axis's contour for its 32,768."""
+        factors = self._factors
+        return _outer(factors) if factors else self._orbit_values(self.center, self.radii, self.n)
+
+    @cached_property
+    def _factors(self) -> list | None:
+        """The contour's axis samples (:meth:`_axis_samples`), or None."""
+        return self._axis_samples(self.center, self.radii, self.n)
+
+    def _axis_samples(self, center, radii, n: int) -> list | None:
+        """For a certified (:func:`_certified`) product of one-variable factors
+        (:meth:`HoloFamily._axis_families`), its d (n, k) axis samples on the torus of
+        ``center``, ``radii`` and n, whose outer product (:func:`_outer`) is ``_evaluate``
+        on its grid bit for bit, else None; equal axes share one slab-filled array."""
+        axes = self.fam._axis_families() if _certified(self.fam) else None
+        if axes is None:
+            return None
+        samples, rows = {}, []
+        for j, axis in enumerate(axes):
+            key = np.concatenate([np.ravel(getattr(axis, name)) for name in axis.parameters]
+                                 + [axis.domain.center, axis.domain.radius,
+                                    center[j:j + 1], radii[j:j + 1]]).tobytes()
+            if key not in samples:
+                samples[key] = ContourSample(axis, self.space, n)._orbit_values(
+                    center[j:j + 1], radii[j:j + 1], n)
+            rows.append(samples[key])
+        return rows
 
     def _orbit_values(self, center, radii, n: int) -> np.ndarray:
-        """F on ``torus_nodes(Polydisc(center, radii), n).grid()``, shape (n^d, k).
-
-        A family that the kind's certificate (:func:`_certified`) lets declare itself a
-        product of one-variable factors (:meth:`HoloFamily._axis_families`) is filled
-        from them (:meth:`_product_values`).  Otherwise the grid, viewed as (n,)*d +
-        (k,), is filled by slabs of its first axis (:meth:`_fill`) under the moves that
-        leave F unchanged (:meth:`symmetries`)."""
-        axes = self.fam._axis_families() if _certified(self.fam) else None
-        if axes is not None:
-            return self._product_values(axes, center, radii, n)
+        """F on ``torus_nodes(Polydisc(center, radii), n).grid()``, shape (n^d, k): the outer
+        product of its :meth:`_axis_samples`, or filled as (n,)*d + (k,) by slabs of its
+        first axis (:meth:`_fill`) under the moves that leave F unchanged."""
+        factors = self._axis_samples(center, radii, n)
+        if factors is not None:
+            return _outer(factors)
         d, k = self.fam.d, self.space.natoms
         grid = torus_nodes(Polydisc(center, radii), n).grid()
         values = np.empty((len(grid), k), dtype=complex)
@@ -353,49 +377,14 @@ class ContourSample:
             np.conjugate(values[start:stop][(slice(None),) + negated],
                          out=values[n - start:n - stop:-1])
 
-    def _product_values(self, axes, center, radii, n: int) -> np.ndarray:
-        """:meth:`_orbit_values` of a family whose values are a product of the
-        one-variable ``axes`` (:meth:`HoloFamily._axis_families`): each distinct axis,
-        of equal parameters, domain and grid center and radius, is sampled once on its n
-        nodes by its own slab fill (:meth:`_orbit_values`), and the grid is their outer
-        product in the arithmetic of :func:`_product`, which is what ``_evaluate``
-        computes on it.  The product of every axis but the last is held as real and
-        imaginary planes of n^(d-1) k floats each, from the first axis's step from
-        1 + 0i, and the last axis multiplies them into the values by blocks of
-        ``measure.ROW_BLOCK`` values or one plane row."""
-        samples, rows = {}, []
-        for j, axis in enumerate(axes):
-            key = np.concatenate([np.ravel(getattr(axis, name)) for name in axis.parameters]
-                                 + [axis.domain.center, axis.domain.radius,
-                                    center[j:j + 1], radii[j:j + 1]]).tobytes()
-            if key not in samples:
-                samples[key] = ContourSample(axis, self.space, n)._orbit_values(
-                    center[j:j + 1], radii[j:j + 1], n)
-            rows.append(samples[key])
-        k = self.space.natoms
-        first = rows[0]
-        re, im = first.real - 0.0 * first.imag, first.imag + 0.0 * first.real
-        for axis in rows[1:-1]:
-            planes = np.empty((2, len(re), n, k))
-            _multiply(re[:, None], im[:, None], axis, *planes)
-            re, im = planes.reshape(2, -1, k)
-            del planes
-        values = np.empty((len(re) * n, k), dtype=complex)
-        grid = values.reshape(len(re), n, k)
-        block = max(1, measure.ROW_BLOCK // (n * k))
-        for start in range(0, len(re), block):
-            part = grid[start:start + block]
-            _multiply(re[start:start + block, None], im[start:start + block, None], rows[-1],
-                      part.real, part.imag)
-        return _read_only(values)
-
     @cached_property
     def sups(self) -> np.ndarray:
         """Each atom's max |f| on the contour grid, (k,), a lower estimate of its sup on
-        the polydisc, from blocks of rows of ``measure.ROW_BLOCK`` values or one row,
-        padded to a multiple of 8 rows (with zeros or earlier rows) and reduced as rows of
-        8 k values (a max over rows of few atoms is slow).  A max is exact: this is the
-        whole sample's bit for bit."""
+        the polydisc: the product of the axis samples' maxima (|F| = prod_j |a_j|), or
+        from blocks of ``measure.ROW_BLOCK`` values or one row, padded to 8 rows, as rows
+        of 8 k values (a max over rows of few atoms is slow); a max is exact."""
+        if self._factors is not None:
+            return _read_only(np.prod([np.abs(a).max(axis=0) for a in self._factors], axis=0))
         rows, k = self.values, self.space.natoms
         block = max(1, measure.ROW_BLOCK // k)
         mags, sups = np.zeros((-(-min(block, len(rows)) // 8) * 8, k)), np.zeros(8 * k)
@@ -414,20 +403,30 @@ class ContourSample:
         """Taylor coefficients c_m of F about the center for m up to ``degree`` per
         variable, shape (degree + 1,)*d + (k,).
 
-        Every reader takes the leading block of one kept table, built by one FFT of
-        :attr:`values` (``cauchy._fft_coefficients``) at degree max(degree, min(n // 2 - 1,
-        ``cauchy.MAX_TAYLOR_DEGREE``)); a larger degree rebuilds it.  The FFT keeps each
-        axis's leading frequencies, so the block equals a table of that degree bit for
-        bit.  Guarding against aliasing is the reader's part.
-        """
+        Every reader takes the leading block of one kept table of degree max(degree,
+        min(n // 2 - 1, ``cauchy.MAX_TAYLOR_DEGREE``)), one FFT of :attr:`values`
+        (``cauchy._fft_coefficients``) or the outer product of the one-variable tables of
+        the distinct axis samples (the DFT of a tensor product is the tensor product of
+        the DFTs); a larger degree rebuilds it.  The FFT keeps each axis's leading
+        frequencies, so the block equals a table of that degree bit for bit.  Guarding
+        against aliasing is the reader's part."""
         from . import cauchy  # cauchy imports this module
 
-        table = self._table
+        table, d = self._table, self.fam.d
         if table is None or table.shape[0] <= degree:
             top = max(degree, min(self.n // 2 - 1, cauchy.MAX_TAYLOR_DEGREE))
-            table = self._table = _read_only(
-                cauchy._fft_coefficients(self.values, self.fam.d, self.n, self.radii, top))
-        return table[(slice(degree + 1),) * self.fam.d]
+            if self._factors is None:
+                table = cauchy._fft_coefficients(self.values, d, self.n, self.radii, top)
+            else:
+                tables = {}
+                for j, a in enumerate(self._factors):
+                    if id(a) not in tables:
+                        tables[id(a)] = cauchy._fft_coefficients(a, 1, self.n,
+                                                                 self.radii[j:j + 1], top)
+                table = _outer([tables[id(a)] for a in self._factors]).reshape(
+                    (top + 1,) * d + (self.space.natoms,))
+            self._table = _read_only(table)
+        return self._table[(slice(degree + 1),) * d]
 
     @property
     def floor(self) -> "ContourSample":
@@ -469,9 +468,19 @@ class ContourSample:
         return self._node_values[phi]
 
     def slice_vector(self, phi) -> np.ndarray:
-        """``phi.apply_slices(self)``, the (k,) vector (phi(f(., t_i)))_i, computed once."""
+        """``phi.apply_slices(self)``, the (k,) vector (phi(f(., t_i)))_i, computed once; for
+        a derivative functional on the contour of axis samples a_j, c prod_j sum_w
+        (w_j - center_j)^(-alpha_j) a_j(w_j, .), c = alpha! / n^d, the factors of its
+        weights (:func:`~holofubini.cauchy.derivative_rule`)."""
         if phi not in self._slices:
-            self._slices[phi] = _read_only(phi.apply_slices(self))
+            if self.on_contour(phi) and self._factors is not None:
+                offsets = torus_nodes(Polydisc(phi.center, phi.radii), self.n).nodes
+                sums = [np.einsum("n,nk->k", (w - c) ** -a, axis) for w, c, a, axis
+                        in zip(offsets, phi.center, phi.alpha, self._factors)]
+                vector = multi_factorial(phi.alpha) / self.n ** self.fam.d * _product(sums)
+            else:
+                vector = phi.apply_slices(self)
+            self._slices[phi] = _read_only(vector)
         return self._slices[phi]
 
     def closed_form(self, z, alpha=None) -> np.ndarray:
@@ -490,8 +499,8 @@ class ContourSample:
         """``phi.apply_dual(self, h)`` for a stack h of m dual vectors, (m,), computed once.
 
         The memo keeps each stack's bytes once, with every functional's values on it; a
-        functional on the contour finds there the values of the pass that another one's
-        call made (:meth:`pair_duals`)."""
+        functional on the contour finds there the values of the contour pass
+        (:meth:`pair_duals`)."""
         h = np.array(h, dtype=complex, ndmin=2)
         memo = self._stack_memo(h)
         if phi not in memo:
@@ -500,37 +509,80 @@ class ContourSample:
 
     def pair_duals(self, phi, h) -> np.ndarray:
         """``phi`` applied to z -> <F(z), h_j> for each dual vector h_j of the stack h,
-        shape (m,).
-
-        F on phi's nodes meets (h mu).T in blocks of rows of at most ``measure.ROW_BLOCK``
-        values both of F and of the product, max(1, ROW_BLOCK // max(k, m)) rows; each
-        block's product is summed over its nodes with phi's
-        weights by ``np.einsum``, which calls no BLAS, and the block sums are added in
-        node order, so no node sum depends on the BLAS thread count.  On the contour
-        each block's product also serves every other functional of the run on it, whose
-        values the memo of :meth:`dual_values` keeps, so no (n^d, m) pairing is held and
-        a run pairs its contour once per stack.
-        """
-        values = self.node_values(phi)
-        phis = [phi]
-        if self.on_contour(phi):
-            phis += [psi for psi in self.functionals if psi is not phi and self.on_contour(psi)]
-        hw = (h * self.space.weights).T
-        sums = np.zeros((len(phis), len(h)), dtype=complex)
-        block = max(1, measure.ROW_BLOCK // max(self.space.natoms, len(h)))
-        for start in range(0, len(values), block):
-            paired = values[start:start + block] @ hw
-            for total, psi in zip(sums, phis):
-                total += np.einsum("n,nm->m", psi.weights[start:start + block], paired)
-            del paired  # so the next block's product is not made beside this one
+        (m,): on the contour from the run's :attr:`contour` pass, or one of the stack's
+        own if the run did not declare it; off it from a :meth:`_pass` over phi's nodes."""
+        if not self.on_contour(phi):
+            return self._pass([phi], (h * self.space.weights).T, rows=self.node_values(phi))[0][0]
         memo = self._stack_memo(h)
-        for psi, total in zip(phis[1:], sums[1:]):
-            memo.setdefault(psi, _read_only(total))
-        return sums[0]
+        if phi not in memo and any(s.tobytes() == h.tobytes() for s in self.duals.values()):
+            self.contour
+        if phi not in memo:
+            self._contour_pass([h], [], phi=phi)
+        return memo[phi]
 
     def _stack_memo(self, h: np.ndarray) -> dict:
         """The functionals' values kept for the stack h, keyed by functional."""
         return self._duals.setdefault((h.shape, h.tobytes()), {})
+
+    @cached_property
+    def contour(self) -> ContourPass:
+        """The run's contour pass, of all its dual stacks and exponents (:attr:`duals`)
+        whatever checks read it, so no record depends on which check made it."""
+        return self._contour_pass(list(self.duals.values()), list(self.duals))
+
+    def grid_sups(self, ps) -> list[float]:
+        """max over the contour grid of ||F(z)||_p for each p of ``ps``, from the run's
+        :attr:`contour` pass if it declares every p, else from a pass of their own."""
+        run = all(p in self.duals for p in ps)
+        sups = (self.contour if run else self._contour_pass([], ps)).sups
+        return [sups[p] for p in ps]
+
+    def composed(self, h) -> np.ndarray:
+        """z -> <F(z), h> on the contour grid, (n^d,), from the run's :attr:`contour` pass
+        for h = 1, else from a pass of its own."""
+        return (self.contour.composed if np.all(np.asarray(h) == 1)
+                else self._contour_pass([], [], h).composed)
+
+    def _contour_pass(self, stacks, ps, h=None, phi=None) -> ContourPass:
+        """A :meth:`_pass` over the contour with the weighted columns of ``stacks`` and,
+        last, of h (default 1): each functional of the run on it, and ``phi``, gets its
+        values on each stack, filed in the memo of :meth:`dual_values`."""
+        phis = [psi for psi in self.functionals if self.on_contour(psi)]
+        phis += [phi] if phi is not None and phi not in phis else []
+        h = np.ones(self.space.natoms) if h is None else h
+        hw = (np.concatenate([*stacks, np.reshape(h, (1, -1))]) * self.space.weights).T
+        sums, sups, composed = self._pass(phis, hw, ps)
+        for stack, part in zip(stacks, np.split(sums, np.cumsum([len(s) for s in stacks]), 1)):
+            for psi, values in zip(phis, part):
+                self._stack_memo(stack).setdefault(psi, _read_only(values))
+        return ContourPass(dict(zip(ps, sups)), _read_only(composed))
+
+    def _pass(self, phis, hw, ps=(), rows=None) -> tuple:
+        """(sums, sups, last) from one pass over blocks of ``rows`` of F, or of the contour
+        (:meth:`_blocks`), of max(1, ROW_BLOCK // max(k, M)) rows, so that neither a block
+        nor its one product with the (k, M) columns ``hw`` passes ``measure.ROW_BLOCK``
+        values.  Each functional of ``phis`` sums each product over the block's nodes by
+        ``np.einsum``, which calls no BLAS, and adds the block sums in node order; ``sups``
+        is each p's largest ``max_lp_norms`` over the blocks, ``last`` the last column."""
+        sums = np.zeros((len(phis), hw.shape[1]), dtype=complex)
+        sups, last = np.zeros(len(ps)), []
+        for start, part in self._blocks(max(1, measure.ROW_BLOCK // max(hw.shape)), rows):
+            paired = part @ hw
+            for total, psi in zip(sums, phis):
+                total += np.einsum("n,nm->m", psi.weights[start:start + len(part)], paired)
+            last.append(paired[:, -1].copy())
+            if ps:
+                sups = np.maximum(sups, self.space.max_lp_norms(part, ps))
+            del paired  # so the next block's product is not made beside this one
+        return sums, sups.tolist(), np.concatenate(last)
+
+    def _blocks(self, block: int, rows=None):
+        """(start, rows) for blocks of ``block`` rows of ``rows``, or of the contour: of
+        :attr:`values`, or made from the axis samples (:func:`_outer_rows`)."""
+        if rows is None and self._factors is not None:
+            return _outer_rows(self._factors, block)
+        rows = self.values if rows is None else rows
+        return ((start, rows[start:start + block]) for start in range(0, len(rows), block))
 
     def on_contour(self, phi) -> bool:
         """Whether ``phi`` is a derivative functional on this contour: equal center and
@@ -551,6 +603,14 @@ class ContourSample:
             rows[start:start + block] = self.fam.eval(points[start:start + block, None, :],
                                                       params)
         return values if out is not None else _read_only(values)
+
+
+class ContourPass(NamedTuple):
+    """What a contour pass (:meth:`ContourSample._contour_pass`) keeps beside the dual
+    values it files: each exponent's grid sup and z -> <F(z), h> on the grid."""
+
+    sups: dict
+    composed: np.ndarray
 
 
 def _certified(fam: HoloFamily) -> bool:
@@ -582,6 +642,37 @@ def _multiply(re: np.ndarray, im: np.ndarray, b: np.ndarray, out_re: np.ndarray,
     out_re -= im * b.imag
     np.multiply(im, b.real, out=out_im)
     out_im += re * b.imag
+
+
+def _outer_rows(factors, block: int, out: np.ndarray | None = None):
+    """The outer product of two or more (m_j, k) arrays in the arithmetic of
+    :func:`_product`, as (start, rows) for blocks of whole rings of the last, at most
+    ``block`` rows or one ring, into ``out`` or else a buffer each block reuses: the last
+    multiplies the planes of the product of the others, from the first's step from 1."""
+    first, last, k = factors[0], factors[-1], factors[0].shape[-1]
+    re, im = first.real - 0.0 * first.imag, first.imag + 0.0 * first.real
+    for axis in factors[1:-1]:
+        planes = np.empty((2, len(re), len(axis), k))
+        _multiply(re[:, None], im[:, None], axis, *planes)
+        re, im = planes.reshape(2, -1, k)
+    ring, count = len(last), max(1, block // len(last))
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(count, len(re)) * ring, k), dtype=complex)
+    for start in range(0, len(re), count):
+        stop = min(start + count, len(re))
+        part = out[:(stop - start) * ring] if reuse else out[start * ring:stop * ring]
+        grid = part.reshape(stop - start, ring, k)
+        _multiply(re[start:stop, None], im[start:stop, None], last, grid.real, grid.imag)
+        yield start * ring, part
+
+
+def _outer(factors) -> np.ndarray:
+    """The whole outer product of :func:`_outer_rows`, (prod m_j, k), read-only."""
+    out = np.empty((math.prod(len(f) for f in factors), factors[0].shape[-1]), dtype=complex)
+    for _ in _outer_rows(factors, measure.ROW_BLOCK // factors[0].shape[-1], out):
+        pass
+    return _read_only(out)
 
 
 def _product(factors, out: np.ndarray | None = None) -> np.ndarray:

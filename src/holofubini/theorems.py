@@ -16,41 +16,39 @@ the n-node contour grid (the domain center, CONTOUR_SHRINK of the radii),
 evaluated on first read, and F on each functional's nodes, evaluated once per
 functional.  The sample evaluates one grid row per orbit of conjugation, for a real
 family, and at d = 1 of the reflection w -> -w with the atoms mirrored, for the
-geometric, exponential and constant kinds about the center 0 on atoms symmetric about 0:
-the leading slabs of the grid's first axis, the others copied by the slices that build
-the ring.  Those three kinds at d >= 2, products of one-variable factors, fill the grid
-from one one-variable contour per distinct axis: geometric-d2 at n = 64 evaluates 2 x 17
+geometric, exponential and constant kinds about the center 0 on atoms symmetric about 0.
+Those three kinds at d >= 2, products of one-variable factors, keep one one-variable
+contour per distinct axis in place of the grid: geometric-d2 at n = 64 evaluates 2 x 17
 rows for its 4,096, and exponential-d3 at n = 32 the 9 rows of its one axis for its
-32,768.  A derivative functional off the contour has its own nodes filled the same way,
-and every copy and product equals direct evaluation.  derivative_profile evaluates the
-same leading points of its region grid (9 of 32 for a real reflective family).
-The contour values serve every checker derivative at the center and every sup over the
-domain, which they estimate from below: by the maximum principle the sup over the
-contour polydisc lies on its distinguished boundary.
-``derivative_consistency`` and ``order_bound`` read one Taylor table that the
-sample keeps, so a run takes one FFT of its contour values; ``norm_bound`` takes
-every exponent's grid sup in one pass over blocks of contour rows and adds the
-functional's own nodes, so its bound is a finite triangle inequality that grid
-placement cannot break, and ``schwarz`` and ``telescoping`` add F at the center: they
-are one Schwarz increment bound under two record names, schwarz at d = 1 and telescoping
-at d >= 2, while the benchmark names both.  The
-sample also keeps each functional's slice vector and its values on each stack of dual
-vectors, which linearization, fubini, norm_bound and span share; the functionals
-on the contour get theirs from one pass over blocks of it per stack, whose node
-sums call no BLAS, so no report depends on the BLAS thread count.  Linearization
-and fubini report both sides for the first dual vector of a stack beside the
-largest residual over it.  The sample keeps each closed-form vector that fubini,
-derivative_consistency and diff_under_integral read, too.  The sample is built
-with the run's checks, shrink and seed, and draws one interior sequence in the domain's
-shrink polydisc (:func:`interior_pass`), the only points span, telescoping, order_bound
-and schwarz read, so their records depend on the shrink: it evaluates the longest prefix
-its checks read once, for blocks of atoms, and keeps only what they read of it.  The
-derivative_profile contours take only the sample's family and space and have at most
-``PROFILE_NODES`` nodes whatever the run's n: each atom reads their even half, and the
-odd half too only where the error estimate of that half's FFT leaves it unresolved.
-The interior pass and derivative_profile evaluate for a block of atoms per call, of at
-most ``EVAL_BLOCK`` complex values unless one atom takes more, so neither pays one call
-per atom nor holds all atoms at once.
+32,768.  derivative_profile evaluates the same leading points of its region grid (9 of
+32 for a real reflective family).  The contour serves every checker derivative at the
+center and every sup over the domain, which it estimates from below: by the maximum
+principle the sup over the contour polydisc lies on its distinguished boundary.
+``derivative_consistency`` and ``order_bound`` read one Taylor table that the sample
+keeps, one FFT of its contour values or, for a product kind, the outer product of one
+FFT per distinct axis.  linearization, fubini, norm_bound and diff_under_integral read
+one pass over blocks of the contour (:attr:`~holofubini.family.ContourSample.contour`):
+each block meets every dual stack of the run and the weights in one product, whose
+node sums call no BLAS, so no report depends on the BLAS thread count; it keeps each
+on-contour functional's values on each stack, every exponent's grid sup and
+diff_under_integral's map z -> <F(z), 1>.  ``norm_bound`` adds the functional's own
+nodes to the grid sup, so its bound is a finite triangle inequality that grid placement
+cannot break, and ``schwarz`` and ``telescoping`` add F at the center: they are one
+Schwarz increment bound under two record names, schwarz at d = 1 and telescoping at
+d >= 2, while the benchmark names both.  The sample also keeps each functional's slice
+vector, which linearization, norm_bound and span share, and each closed-form vector that
+fubini, derivative_consistency and diff_under_integral read.  Linearization and fubini
+report both sides for the first dual vector of a stack beside the largest residual over
+it.  The sample is built with the run's checks, shrink and seed, and draws one interior
+sequence in the domain's shrink polydisc (:func:`interior_pass`), the only points span,
+telescoping, order_bound and schwarz read, so their records depend on the shrink: it
+evaluates the longest prefix its checks read once, for blocks of atoms, and keeps only
+what they read of it.  The derivative_profile contours take only the sample's family and
+space and have at most ``PROFILE_NODES`` nodes whatever the run's n: each atom reads
+their even half, and the odd half too only where the error estimate of that half's FFT
+leaves it unresolved.  The interior pass and derivative_profile evaluate for a block of
+atoms per call, of at most ``EVAL_BLOCK`` complex values unless one atom takes more, so
+neither pays one call per atom nor holds all atoms at once.
 Samples are read-only, so checks may run concurrently; reports are merged by canonical
 ordering.
 """
@@ -242,16 +240,17 @@ def derivative_consistency(sample: ContourSample, alphas,
 def diff_under_integral(sample: ContourSample, h, alphas) -> list[CheckReport]:
     """D^alpha of z -> <F(z), h> at the sample's center versus pairing the slice derivatives.
 
-    The left side differentiates the composed scalar map on the sample's contour:
-    every multi-index of ``alphas`` is read from one FFT of its values z -> <F(z), h>
-    by :func:`holofubini.cauchy.contour_derivatives`.  The right side pairs the
-    closed-form per-atom derivatives with h.  The residual is the quadrature error
-    and decays geometrically in n.  Returns one report per alpha, in order.
+    The left side differentiates the composed scalar map z -> <F(z), h> on the sample's
+    contour (:meth:`~holofubini.family.ContourSample.composed`): every multi-index of
+    ``alphas`` is read from one FFT of it by :func:`holofubini.cauchy.contour_derivatives`.
+    The right side pairs the closed-form per-atom derivatives with h.  The residual is
+    the quadrature error and decays geometrically in n.  Returns one report per alpha, in
+    order.
     """
     fam, space = sample.fam, sample.space
     alphas = [as_multi_index(a, fam.d) for a in alphas]
     hw = np.asarray(h, dtype=complex) * space.weights
-    composed = contour_derivatives(sample.values @ hw, alphas, sample.radii, sample.n)
+    composed = contour_derivatives(sample.composed(h), alphas, sample.radii, sample.n)
     reports = []
     for a, lhs in zip(alphas, composed.tolist()):
         rhs = complex(sample.closed_form(sample.center, a) @ hw)
@@ -270,20 +269,19 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     own nodes; with the nodes included the bound is a finite triangle inequality,
     while the grid only raises the right side toward the true sup.  Passing means
     lhs <= rhs * (1 + 1e-9).  Each sup is one root, of the largest row sum
-    (:meth:`~holofubini.measure.FiniteMeasureSpace.max_lp_norms`); the grid's, for every
-    p from one pass over blocks of the contour rows, serves every functional on the
-    contour.  A functional that raises gets the failing report of
-    :meth:`CheckReport.failed` and leaves the others' reports.
+    (:meth:`~holofubini.measure.FiniteMeasureSpace.max_lp_norms`); the grid's, every p's
+    from the sample's one pass over the contour, serves every functional on it.  A
+    functional that raises gets the failing report of :meth:`CheckReport.failed` and
+    leaves the others' reports.
     """
     space = sample.space
     reports = []
-    for p, grid_sup in zip(p_list, space.max_lp_norms(sample.values, p_list)):
+    for p, grid_sup in zip(p_list, sample.grid_sups(p_list)):
         for phi in phis:
             try:
                 lhs = space.lp_norm(sample.slice_vector(phi), p)
-                values = sample.node_values(phi)
-                nodes_sup = (grid_sup if values is sample.values
-                             else space.max_lp_norms(values, [p])[0])
+                nodes_sup = (grid_sup if sample.on_contour(phi)
+                             else space.max_lp_norms(sample.node_values(phi), [p])[0])
             except (ValueError, ArithmeticError) as exc:
                 reports.append(CheckReport.failed("norm_bound", sample.fam.label, exc))
                 continue

@@ -10,9 +10,19 @@ import pytest
 
 from holofubini import FiniteMeasureSpace, Polydisc, family_preset, space_preset, torus_nodes
 from holofubini.domain import sample_polydisc
+from holofubini.family import GeometricFamily
 
 PRESET_NAMES = ("constant", "polynomial", "geometric", "exponential",
                 "separable", "tabulated")
+
+
+class UnfactoredGeometric(GeometricFamily):
+    """The geometric kind with no axis parameters: its ``_evaluate`` is the kind's own, so
+    its symmetries are certified, but its contour sample holds the whole grid, not the
+    one-variable samples of its axes."""
+
+    def _axis_parameters(self, j):
+        return None
 
 
 @pytest.fixture

@@ -5,17 +5,16 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative,
+from holofubini import (FiniteMeasureSpace, Polydisc, cauchy_derivative, family,
                         family_from_json, family_preset, order_bound, order_bound_check,
                         preset_names, schwarz_violation, space_preset, torus_nodes,
                         unit_polydisc)
 from holofubini.cauchy import (MAX_TAYLOR_DEGREE, MIN_ORDER_BOUND_DEGREE, _fft_coefficients,
                               contour_derivatives, derivative_rule)
 from holofubini.domain import CONTOUR_SHRINK, multi_factorial
-from holofubini.family import (ContourSample, GeometricFamily, PolynomialFamily,
-                               TabulatedTaylorFamily)
+from holofubini.family import ContourSample, PolynomialFamily, TabulatedTaylorFamily
 
-from conftest import fd_derivative, schwarz_values
+from conftest import UnfactoredGeometric, fd_derivative, schwarz_values
 from witnesses import ConjugatePerturbedGeometric
 
 
@@ -254,8 +253,11 @@ class TestTaylorCoefficients:
     @pytest.mark.parametrize("n", [4, 5, 8, 16, 32])
     def test_table_derivatives_equal_contour_derivatives(self, d, n):
         # alpha! table[alpha] from the one kept table, of degree max(2, n // 2 - 1), is
-        # contour_derivatives' degree-2 FFT bit for bit, also where n // 2 - 1 < 2
-        fam = GeometricFamily([0.5, 0.4, 0.3][:d], unit_polydisc(d))
+        # contour_derivatives' degree-2 FFT bit for bit, also where n // 2 - 1 < 2, on a
+        # family whose sample holds its whole grid (a product kind's table is the outer
+        # product of its axes' tables, tested against this FFT in test_family.py)
+        fam = UnfactoredGeometric([0.5, 0.4, 0.3][:d], unit_polydisc(d))
+        assert family._certified(fam) and fam._axis_families() is None
         sample = ContourSample(fam, space_preset("uniform-4"), n)
         alphas = [a for a in np.ndindex(*(3,) * d) if sum(a) <= 2]
         table = sample.taylor_table(2)

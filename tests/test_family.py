@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from holofubini import (FiniteMeasureSpace, Polydisc, cauchy, derivative_functio
                         family, family_from_json, family_preset, measure, order_bound_check,
                         preset_names, random_measure, space_from_json, space_preset,
                         telescoping_residual, torus_nodes, unit_polydisc)
+from holofubini.cli import main
 from holofubini.domain import CONTOUR_SHRINK
 from holofubini.family import (ConstantFamily, ContourSample, ExponentialFamily,
                                GeometricFamily, PolynomialFamily, SeparableFamily,
                                TabulatedTaylorFamily)
 from holofubini.functional import MeasureFunctional
 
-from conftest import PRESET_NAMES, fd_derivative, random_duals
+from conftest import PRESET_NAMES, UnfactoredGeometric, fd_derivative, random_duals
 from witnesses import (ConjugatePerturbedGeometric, ContourVanishingGeometric,
                        OffDerivativeFamily, SqrtPerturbedGeometric)
 
@@ -310,14 +312,14 @@ class TestSampler:
             assert "values" not in vars(sample)
 
     def test_building_values_and_table_holds_no_second_sample(self):
-        # d = 3 exponential on uniform-256 at n = 32: the values (k per node) and their
-        # degree-15 table (k / 8 per node) are filled block by block, so building both
-        # peaks within one FFT block of them (0.77 blocks: a block's transforms write
-        # only the kept frequencies of all axes but the first); a full transform beside
-        # each block's kept half peaked 1.5 blocks over them, and one evaluation and one
-        # whole-batch FFT at about 2.5k per node
-        fam = family_from_json({"kind": "exponential", "params": {"scale": [1.0, 0.0]},
-                                "domain": {"center": [[0.0, 0.0]] * 3, "radius": [1.0] * 3}})
+        # d = 3 on uniform-256 at n = 32, a family whose sample holds its whole grid: the
+        # values (k per node) and their degree-15 table (k / 8 per node) are filled block
+        # by block, so building both peaks within one FFT block of them (0.77 blocks: a
+        # block's transforms write only the kept frequencies of all axes but the first);
+        # a full transform beside each block's kept half peaked 1.5 blocks over them, and
+        # one evaluation and one whole-batch FFT at about 2.5k per node.  (A product
+        # kind's table is the outer product of its axes' tables, and builds no values.)
+        fam = UnfactoredGeometric([0.5, 0.4, 0.3], unit_polydisc(3))
         # a first build's one-time imports and caches are no sample arrays
         ContourSample(fam, space_preset("uniform-4"), 8).taylor_table(2)
         k, n = 256, 32
@@ -470,14 +472,6 @@ class OneSidedGeometric(GeometricFamily):
 
     def _evaluate(self, z, t):
         return super()._evaluate(z, t) + t * z[..., 0]
-
-
-class UnfactoredGeometric(GeometricFamily):
-    """The geometric kind with no axis parameters: its ``_evaluate`` is the kind's own, so
-    its symmetries are certified, but its grid is not filled from one-variable axes."""
-
-    def _axis_parameters(self, j):
-        return None
 
 
 def orbit_families():
@@ -819,6 +813,75 @@ class TestProductProperty:
             assert fam._evaluate(z, space.params).tobytes() == expected.tobytes()
         grid = torus_nodes(Polydisc(sample.center, sample.radii), 64).grid()
         assert np.array_equal(sample.values, np.exp(fam.scale * space.params * grid))
+
+
+class TestFactoredSample:
+    """A product kind's contour sample keeps its axis samples, and every reader takes what
+    it needs from them, within ``BOUND`` of the same reduction of the full grid relative
+    to the scale of its roundoff: for a Taylor coefficient c_m each atom's grid max over
+    r^m, for a sup the sup, and for a node sum or a pairing the sum of the magnitudes of
+    its terms.  The largest seen over the examples is 1.4e-14, an on-contour derivative
+    functional's slice vector of a constant family, which is 0 up to roundoff."""
+
+    BOUND = 1e-13
+
+    @given(drawn=product_families(), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_readers_match_the_full_grid(self, drawn, data):
+        fam, space, n, _ = drawn
+        d, k = fam.d, space.natoms
+        alpha = tuple(data.draw(st.integers(0, min(2, (n - 3) // 2))) for _ in range(d))
+        phi = derivative_functional(fam.domain.center, alpha,
+                                    fam.domain.radius * CONTOUR_SHRINK, n=n)
+        duals = {p: np.stack(random_duals(space, 3, seed))
+                 for seed, p in enumerate((1.0, 2.0, np.inf))}
+        sample = ContourSample(fam, space, n, [phi], duals=duals)
+        assert sample.on_contour(phi) and len(sample._factors) == d
+        degree = max(n // 2 - 1, 2)
+        got = {"table": sample.taylor_table(degree), "sups": sample.sups,
+               "slices": sample.slice_vector(phi),
+               "pairings": np.stack([sample.dual_values(phi, h) for h in duals.values()]),
+               "row sums": np.array(sample.grid_sups(list(duals))),
+               "composed": sample.composed(np.ones(k))}
+        assert "values" not in vars(sample)
+        # the full grid, bit for bit one evaluation of it (TestProductProperty)
+        values = ContourSample(fam, space, n).values
+        mags, hw = np.abs(values), [(h * space.weights).T for h in duals.values()]
+        full = cauchy._fft_coefficients(values, d, n, sample.radii, degree)
+        sups = np.array(space.max_lp_norms(values, list(duals)))
+        oracles = {
+            "table": (full, mags.max(axis=0) / reduce(np.multiply.outer, [
+                r ** np.arange(degree + 1) for r in sample.radii])[..., None]),
+            "sups": (mags.max(axis=0), mags.max(axis=0)),
+            "slices": (phi.weights @ values, np.abs(phi.weights) @ mags),
+            "pairings": (np.stack([phi.weights @ (values @ w) for w in hw]),
+                         np.stack([np.abs(phi.weights) @ (mags @ np.abs(w)) for w in hw])),
+            "row sums": (sups, sups),
+            "composed": (values @ space.weights, mags @ space.weights)}
+        for name, (oracle, scale) in oracles.items():
+            assert np.all(np.abs(got[name] - oracle) <= self.BOUND * scale), name
+
+    @pytest.mark.parametrize("doc", [BENCH_DOCS[0], BENCH_DOCS[2]],
+                             ids=["geometric-d2", "exponential-d3"])
+    def test_verify_builds_no_contour_values(self, monkeypatch, tmp_path, doc):
+        # no contour sample of a run, the floor's and the axes' own included, builds the
+        # n^d x k grid of a product kind: every reader reads the axis samples
+        samples = []
+        init = ContourSample.__init__
+
+        def tracking(sample, *args, **kwargs):
+            init(sample, *args, **kwargs)
+            samples.append(sample)
+
+        monkeypatch.setattr(ContourSample, "__init__", tracking)
+        (tmp_path / "family.json").write_text(json.dumps(doc))
+        for nodes in ("8", "32"):
+            assert main(["verify", "--family-file", str(tmp_path / "family.json"),
+                         "--space", "uniform-16", "--nodes", nodes,
+                         "--output", str(tmp_path / "report.jsonl")]) in (0, 1)
+        assert {sample.n for sample in samples} == {8, 16, 32}
+        assert not [sample for sample in samples if "values" in vars(sample)]
+
 
 
 def shuffled_space(k=15, seed=4):

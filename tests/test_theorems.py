@@ -16,7 +16,7 @@ from holofubini.family import (ContourSample, ExponentialFamily, GeometricFamily
                                PolynomialFamily)
 from holofubini.functional import MeasureFunctional
 
-from conftest import random_duals
+from conftest import UnfactoredGeometric, random_duals
 from witnesses import (ContourVanishingGeometric, OffDerivativeFamily, SqrtPerturbedGeometric,
                        one_minus_z4)
 
@@ -204,8 +204,10 @@ class TestDerivativeConsistency:
 
 
     @staticmethod
-    def bivariate():
-        return GeometricFamily([0.5, 0.4], Polydisc([0.0, 0.0], [1.0, 1.0]))
+    def bivariate(factored=True):
+        """geometric-d2, or the same family with no axis parameters."""
+        kind = GeometricFamily if factored else UnfactoredGeometric
+        return kind([0.5, 0.4], Polydisc([0.0, 0.0], [1.0, 1.0]))
 
     @staticmethod
     def alphas(d):
@@ -233,17 +235,27 @@ class TestDerivativeConsistency:
         duals = {p: cli._random_duals(config.space, rng) for p in config.p_list}
         return theorems.run_checks(sample, duals)
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_perturbed_sample_fails_every_alpha(self, geometric, space16, d):
+    @pytest.mark.parametrize("d, factored", [(1, False), (2, True), (2, False)],
+                             ids=["1", "2", "2-unfactored"])
+    def test_perturbed_sample_fails_every_alpha(self, geometric, space16, d, factored):
         # one perturbed contour sample reaches every reader of the contour: the
         # closed-form routes must not read it, and no check may evaluate a contour
-        # grid of its own, or its record would not move
-        fam = geometric if d == 1 else self.bivariate()
+        # grid of its own, or its record would not move.  A product kind's sample holds
+        # its axis samples, which every reader reads; any other holds its values
+        fam = geometric if d == 1 else self.bivariate(factored)
         config = cli.SuiteConfig(family=fam, space=space16, p_list=[1.0, 2.0, INF], n=32,
                                  functionals=cli.default_functionals(fam, 32, 0.5, 0))
         noisy = ContourSample(fam, space16, 32, config.functionals, config.checks)
         rng = np.random.default_rng(5)
-        noisy.values = noisy.values + 1e-6 * np.exp(2j * np.pi * rng.random(noisy.values.shape))
+
+        def perturbed(values):
+            return values + 1e-6 * np.exp(2j * np.pi * rng.random(values.shape))
+
+        if factored:
+            noisy._factors = [perturbed(axis) for axis in noisy._factors]
+        else:
+            assert noisy._factors is None
+            noisy.values = perturbed(noisy.values)
         clean = self.run_checks(config, ContourSample(fam, space16, 32, config.functionals,
                                                       config.checks))
         dirty = self.run_checks(config, noisy)
@@ -270,6 +282,7 @@ class TestDerivativeConsistency:
                 ("norm_bound", "derivative"), ("order_bound", ""), ("linearization", "dirac"),
                 ("fubini", "random"), ("span", "dirac"),
                 ("schwarz" if d == 1 else "telescoping", "")} <= seen
+        assert ("values" in vars(noisy)) == (not factored)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_reads_only_the_shared_sample(self, geometric, space16, monkeypatch, d):
@@ -429,6 +442,7 @@ class TestNormBound:
         for name in grid_rows:
             monkeypatch.setattr(FiniteMeasureSpace, name, counting(name))
         batch = theorems.norm_bound_check(phis, ContourSample(geometric, space16, 64), [p, 1])
+        assert len(batch) == 2 * len(phis)  # p = 1 too, where the list repeats it
         assert [vars(r) for r in batch[:3]] == [vars(r) for r in alone]
         assert sum(grid_rows["max_lp_norms"]) == 1
         assert sum(grid_rows["lp_norm"]) == 0
