@@ -58,23 +58,46 @@ def derivative_rule(center, alpha, radii, n: int = 64):
     distinguished boundary of the polydisc (center, radii) and weights
     ``alpha! * (1/n^d) * prod_j (w_j - a_j)^(-alpha_j)``, so that
     ``sum_k weights_k g(points_k)`` is the trapezoidal discretization of the
-    Cauchy integral for the derivative.  It serves the derivative functionals;
-    checkers read their derivatives from one FFT of a contour sample instead, by
-    :func:`contour_derivatives` or from the sample's Taylor table
-    (:meth:`~holofubini.family.ContourSample.taylor_table`), the same trapezoid sum.
+    Cauchy integral for the derivative.  Derivative functionals keep its factors
+    (:func:`derivative_powers`); checkers read their derivatives from one FFT of a
+    contour sample, the same trapezoid sum (:func:`contour_derivatives`).
     """
+    quad, powers, scale = derivative_powers(center, alpha, radii, n)
+    return quad.grid(), torus_weights(powers, scale)(0, n ** quad.d)
+
+
+def derivative_powers(center, alpha, radii, n: int):
+    """(rule, powers, scale) of :func:`derivative_rule`: the torus rule of (center, radii),
+    the (d, n) powers (w_j - a_j)^(-alpha_j) of its rings and alpha! / n^d."""
     center = np.atleast_1d(np.asarray(center, dtype=complex))
     alpha = as_multi_index(alpha, center.shape[0])
     disc = Polydisc(center, radii)
     if n <= max(alpha) + 1:
         raise ValueError(f"node count {n} is too small for derivative order {max(alpha)}")
     quad = torus_nodes(disc, n)
-    offsets = quad.nodes - center[:, None]
-    # the outer product of each variable's n powers, in the order of quad.grid(), scaled
-    # in place into the weights
-    powers = reduce(np.multiply.outer, offsets ** -np.asarray(alpha)[:, None])
-    powers *= multi_factorial(alpha) / quad.n ** disc.d
-    return quad.grid(), powers.ravel()
+    powers = (quad.nodes - center[:, None]) ** -np.asarray(alpha)[:, None]
+    return quad, powers, multi_factorial(alpha) / quad.n ** disc.d
+
+
+def torus_weights(powers, scale: float):
+    """A function of (start, stop): the weights scale prod_j powers[j, m_j] of the grid's
+    nodes start to stop, each block by the numpy steps of the whole, the outer product
+    of the product of every ring's powers but the last (made once) and the last's, scaled
+    in place, so that each weight has its bits whatever its block."""
+    *axes, last = powers
+    n, prefix = len(last), reduce(np.multiply.outer, axes).reshape(-1) if axes else None
+
+    def weights(start: int, stop: int) -> np.ndarray:
+        if prefix is None:
+            block = last[start:stop].copy()
+        else:  # the block's whole rings, sliced to it
+            first = start // n
+            block = np.multiply.outer(prefix[first:-(-stop // n)], last).reshape(-1)
+            block = block[start - first * n:stop - first * n]
+        block *= scale
+        return block
+
+    return weights
 
 
 def cauchy_derivative(f, center, alpha, radii, n: int = 64) -> complex:
@@ -180,7 +203,8 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     The coefficients about the sample's center are its Taylor table
     (:meth:`~holofubini.family.ContourSample.taylor_table`), r being its radii; u is
     summed for blocks of atoms of at most ``FFT_BLOCK`` magnitudes, each atom's sum the
-    same whatever its block.  The degree is n // 2 - 1, capped at
+    same whatever its block (a product kind's from its axis tables,
+    :meth:`~holofubini.family.FactoredTable.columns`).  The degree is n // 2 - 1, capped at
     ``MAX_TAYLOR_DEGREE``; below ``MIN_ORDER_BOUND_DEGREE`` it is raised to that degree,
     read from the sample's floor contour of ``FLOOR_NODES`` nodes
     (:attr:`~holofubini.family.ContourSample.floor`).
@@ -203,7 +227,9 @@ def order_bound(sample: ContourSample, shrink: float = 0.5) -> OrderBound:
     u = np.empty(natoms)
     block = max(1, FFT_BLOCK // scale.size)
     for start in range(0, natoms, block):
-        terms = np.abs(np.moveaxis(coeffs[..., start:start + block], -1, 0), order="C")
+        part = (coeffs[..., start:start + block] if isinstance(coeffs, np.ndarray)
+                else coeffs.columns(start, start + block))
+        terms = np.abs(np.moveaxis(part, -1, 0), order="C")
         terms *= scale
         u[start:start + block] = np.sum(terms.reshape(len(terms), -1), axis=1)
     # the bracket as (1 - s)^-d (1 - (1 - s^(D+1))^d), free of cancellation and sign error

@@ -51,9 +51,10 @@ def _counted_values(config: SuiteConfig) -> int:
     """Complex values the arrays of a run of ``config`` may take at once: one sum of the
     terms below.  A property test holds it to the ``tracemalloc`` peak of building and
     running small configurations: the peak lies under it, and it lies within 3 times
-    the peak wherever the run holds a contour sample's values of 1 MiB or more.  It
-    counts n^d k of them for a product kind at d >= 2 too, which holds its axis samples
-    in their place, so that it admits no configuration it refused before."""
+    the peak wherever the run holds a contour sample's values of 1 MiB or more.  It still
+    counts a product kind's n^d k sample and Taylor table, held as axis samples and axis
+    tables, and a derivative functional's n^d weights, held as d rows of powers, so
+    that it admits no configuration it refused before."""
     fam, k, n = config.family, config.space.natoms, config.n
     d, sample = fam.d, ContourSample(fam, config.space, n)
     checks = [theorems.CHECKS[name] for name in config.checks]
@@ -62,15 +63,15 @@ def _counted_values(config: SuiteConfig) -> int:
     # the sample (k), the grid (d) and diff_under_integral's pairing z -> <F(z), h> with
     # its transform (2), and per atom the Taylor table of degree n // 2 - 1, at least 2
     # and at most MAX_TAYLOR_DEGREE; a product kind's planes of n^(d-1) k floats, the
-    # product of its axes but the last, fall under these terms (the property test's
-    # exponential d = 3 example)
+    # product of its axes but the last, and order_bound's block of its table's columns
+    # fall under these terms (the property test's exponential d = 3 example)
     floor = n < FLOOR_NODES and any(check.floor for check in checks)
     sides = [n] + ([FLOOR_NODES] if floor else [])
     nodes = sum(m ** d for m in sides)
     contour = nodes * (k + d + 2) + sum(
         max(3, min(m // 2, MAX_TAYLOR_DEGREE + 1)) ** d * k for m in sides)
     # per functional node: its weight and, off the contour, its coordinates and values
-    functionals = sum(len(phi.nodes) * (1 if sample.on_contour(phi) else 1 + d + k)
+    functionals = sum(phi.size * (1 if sample.on_contour(phi) else 1 + d + k)
                       for phi in config.functionals)
     # the largest blocked transient: an evaluation block of ROW_BLOCK values or one row
     # with its arguments and result (d + 2 per value), an FFT block of FFT_BLOCK values
@@ -154,7 +155,7 @@ class SuiteConfig:
                 raise ConfigError(
                     f"functional {phi.label!r} has dimension {phi.d}, family needs {self.family.d}"
                 )
-            if not self.family.domain.contains_all(phi.nodes):
+            if not self.family.domain.contains_all(phi.coordinates):
                 raise ConfigError(
                     f"functional {phi.label!r} has nodes outside the family domain"
                 )
@@ -164,8 +165,8 @@ def default_functionals(fam: HoloFamily, n: int, shrink: float, seed: int):
     """The stock battery: the defaults of the ``dirac``, ``derivative`` and ``random``
     specs of :func:`_parse_functional` (a Dirac node, the first-order derivative
     functional at the domain center and a seeded 8-node random measure), with the
-    second-order derivative functional on the same contour after the first.  Both hold
-    one read-only grid, the first one's nodes, which the contour sample reads too."""
+    second-order derivative functional on the same contour after the first, whose
+    values both read from the contour sample; neither keeps the grid."""
     point, first, sampled = (_parse_functional(kind, fam, n, shrink, seed)
                              for kind in ("dirac", "derivative", "random"))
     second = derivative_functional(first.center, (2,) + first.alpha[1:], first.radii, n=n)

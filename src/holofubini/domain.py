@@ -7,7 +7,6 @@ so shared instances are safe under unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
 #: contour placement inside a family domain, keeping strict analyticity margin; every
 #: module builds its contour grid from it, so grids meant to coincide are byte-identical
 CONTOUR_SHRINK = 0.95
-#: every torus grid some holder still keeps, by (center, radii, n) bytes
-_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def parse_complex(value, axes: int = 0):
@@ -164,18 +161,12 @@ class TorusQuadrature:
         return self.disc.d
 
     def grid(self) -> np.ndarray:
-        """All n^d tensor-product boundary points, flattened to shape (n^d, d), read-only.
-
-        Rules of equal center, radii and n give one array while anything holds it, so
-        the derivative functionals on a contour and the contour sample share one grid.
-        The mesh is a broadcast view, so the points are the only array built."""
-        key = (self.disc.center.tobytes(), self.disc.radius.tobytes(), self.n)
-        points = _GRIDS.get(key)
-        if points is None:
-            mesh = np.meshgrid(*self.nodes, indexing="ij", copy=False)
-            points = np.stack(mesh, axis=-1).reshape(-1, self.d)
-            points.setflags(write=False)
-            _GRIDS[key] = points
+        """All n^d tensor-product boundary points, flattened to shape (n^d, d), read-only,
+        built on each call.  The mesh is a broadcast view, so the points are the only
+        array built."""
+        mesh = np.meshgrid(*self.nodes, indexing="ij", copy=False)
+        points = np.stack(mesh, axis=-1).reshape(-1, self.d)
+        points.setflags(write=False)
         return points
 
 

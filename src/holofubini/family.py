@@ -22,8 +22,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import measure
-from .domain import (CONTOUR_SHRINK, Polydisc, as_multi_index, multi_factorial, parse_complex,
-                     torus_nodes)
+from .domain import CONTOUR_SHRINK, Polydisc, as_multi_index, parse_complex, torus_nodes
 from .measure import FiniteMeasureSpace
 
 __all__ = [
@@ -203,9 +202,8 @@ class ContourSample:
     """One run's family values: F on the n-node contour grid and on functionals' nodes.
 
     ``values[j, i] = f(w_j, t_i)`` on ``torus_nodes(Polydisc(center, radii), n).grid()``,
-    about the domain center at CONTOUR_SHRINK of the radii: the array that the
-    derivative functionals on the contour hold as their nodes, if any does
-    (:meth:`~holofubini.domain.TorusQuadrature.grid`).  One grid row is evaluated per
+    about the domain center at CONTOUR_SHRINK of the radii: the nodes of the derivative
+    functionals on the contour.  One grid row is evaluated per
     orbit of the moves that leave F unchanged (:meth:`symmetries`), for a real family
     (:attr:`conjugate_symmetric`) conjugation and, for a :attr:`reflective` family at
     d = 1 and even n, the reflection w -> -w with the atoms mirrored: the leading slabs
@@ -215,15 +213,15 @@ class ContourSample:
     exponential and constant kinds at d >= 2) keeps instead one such sample per distinct
     axis (:meth:`_axis_samples`), and no reader of a run builds its ``values``.  A
     derivative functional off the contour has its nodes evaluated the same way
-    (:meth:`node_values`), and derivative_profile evaluates the same leading points of
-    its region grid (:func:`_ring_count`).  Every point set is evaluated through
+    (:meth:`node_values`), and derivative_profile the same leading points of its region
+    grid (:func:`_ring_count`).  Every point set is evaluated through
     :meth:`HoloFamily.eval` (so the domain check applies, and covers the copied rows)
     when it is first read, by blocks of rows, and is read-only from then on; an
     evaluation that raises is not kept, so each reader meets the error itself.  So are
     one Taylor table, each functional's (k,) slice vector, its (m,) values on each stack
     of m dual vectors and each closed-form (k,) vector read (:meth:`closed_form`).  The
     sample is built with the run's ``functionals`` and ``duals`` (a stack of dual
-    vectors per exponent), which one pass over the contour pairs (:attr:`contour`), and
+    vectors per exponent), which one pass over the contour pairs (:meth:`run_pass`), and
     its ``checks``, ``shrink`` and ``seed``: it keeps what the checks read of F on the
     run's interior sequence (:attr:`interior`) and, below ``FLOOR_NODES`` nodes, the one
     floor contour that order_bound, schwarz and telescoping read (:attr:`floor`); a
@@ -240,6 +238,8 @@ class ContourSample:
                       for p, h in (duals or {}).items()}
         self.center, self.radii = fam.domain.center, fam.domain.radius * CONTOUR_SHRINK
         self._node_values, self._slices, self._duals, self._closed = {}, {}, {}, {}
+        #: off-contour derivative functionals' axis samples, and the run's passes
+        self._node_axes, self._passes = {}, {}
         #: the Taylor table kept, or None
         self._table = None
         #: the floor contour's sample kept, or None
@@ -320,12 +320,9 @@ class ContourSample:
         return rows
 
     def _orbit_values(self, center, radii, n: int) -> np.ndarray:
-        """F on ``torus_nodes(Polydisc(center, radii), n).grid()``, shape (n^d, k): the outer
-        product of its :meth:`_axis_samples`, or filled as (n,)*d + (k,) by slabs of its
-        first axis (:meth:`_fill`) under the moves that leave F unchanged."""
-        factors = self._axis_samples(center, radii, n)
-        if factors is not None:
-            return _outer(factors)
+        """F on ``torus_nodes(Polydisc(center, radii), n).grid()``, shape (n^d, k), filled as
+        (n,)*d + (k,) by slabs of its first axis (:meth:`_fill`) under the moves that leave
+        F unchanged; a product kind's grids are its :meth:`_axis_samples` instead."""
         d, k = self.fam.d, self.space.natoms
         grid = torus_nodes(Polydisc(center, radii), n).grid()
         values = np.empty((len(grid), k), dtype=complex)
@@ -399,33 +396,33 @@ class ContourSample:
         """max |F| on the contour grid, the largest of :attr:`sups`."""
         return float(self.sups.max())
 
-    def taylor_table(self, degree: int) -> np.ndarray:
+    def taylor_table(self, degree: int):
         """Taylor coefficients c_m of F about the center for m up to ``degree`` per
-        variable, shape (degree + 1,)*d + (k,).
+        variable, shape (degree + 1,)*d + (k,), or a product kind's :class:`FactoredTable`.
 
         Every reader takes the leading block of one kept table of degree max(degree,
-        min(n // 2 - 1, ``cauchy.MAX_TAYLOR_DEGREE``)), one FFT of :attr:`values`
-        (``cauchy._fft_coefficients``) or the outer product of the one-variable tables of
-        the distinct axis samples (the DFT of a tensor product is the tensor product of
-        the DFTs); a larger degree rebuilds it.  The FFT keeps each axis's leading
-        frequencies, so the block equals a table of that degree bit for bit.  Guarding
-        against aliasing is the reader's part."""
+        min(n // 2 - 1, ``cauchy.MAX_TAYLOR_DEGREE``)), one FFT of :attr:`values` or of
+        each distinct axis sample (``cauchy._fft_coefficients``); a larger degree rebuilds
+        it.  The FFT keeps each axis's leading frequencies, so the block equals a table of
+        that degree bit for bit.  Guarding against aliasing is the reader's part."""
         from . import cauchy  # cauchy imports this module
 
         table, d = self._table, self.fam.d
         if table is None or table.shape[0] <= degree:
             top = max(degree, min(self.n // 2 - 1, cauchy.MAX_TAYLOR_DEGREE))
             if self._factors is None:
-                table = cauchy._fft_coefficients(self.values, d, self.n, self.radii, top)
+                table = _read_only(
+                    cauchy._fft_coefficients(self.values, d, self.n, self.radii, top))
             else:
                 tables = {}
                 for j, a in enumerate(self._factors):
                     if id(a) not in tables:
-                        tables[id(a)] = cauchy._fft_coefficients(a, 1, self.n,
-                                                                 self.radii[j:j + 1], top)
-                table = _outer([tables[id(a)] for a in self._factors]).reshape(
-                    (top + 1,) * d + (self.space.natoms,))
-            self._table = _read_only(table)
+                        tables[id(a)] = _read_only(cauchy._fft_coefficients(
+                            a, 1, self.n, self.radii[j:j + 1], top))
+                table = FactoredTable([tables[id(a)] for a in self._factors])
+            self._table = table
+        if isinstance(self._table, FactoredTable):
+            return FactoredTable([axis[:degree + 1] for axis in self._table.axes])
         return self._table[(slice(degree + 1),) * d]
 
     @property
@@ -452,32 +449,42 @@ class ContourSample:
         """F on the nodes of the measure functional ``phi``, shape (nodes, k).
 
         A derivative functional on this contour (equal center and radii, n^d nodes)
-        reads :attr:`values`; any other derivative functional's nodes, the torus grid of
-        its center, radii and node count, are filled once by slabs
-        (:meth:`_orbit_values`), and any other functional's nodes evaluated once each.
+        reads :attr:`values`, one off it the outer product of its nodes' axis samples
+        (:meth:`_node_factors`), built on each read, or else its torus grid filled once
+        by slabs (:meth:`_orbit_values`); any other functional's nodes are evaluated once.
         """
-        if phi.d != self.fam.d:
-            raise ValueError("functional and family dimensions differ")
+        factors = self._node_factors(phi)
         if self.on_contour(phi):
             return self.values
+        if factors is not None:
+            return _outer(factors)
         if phi not in self._node_values:
-            n = round(len(phi.nodes) ** (1 / phi.d))
-            self._node_values[phi] = (self._orbit_values(phi.center, phi.radii, n)
+            self._node_values[phi] = (self._orbit_values(phi.center, phi.radii, phi.rule.n)
                                       if phi.meaning == "derivative"
                                       else self._evaluate(phi.nodes))
         return self._node_values[phi]
 
+    def _node_factors(self, phi) -> list | None:
+        """The axis samples whose outer product is F on the nodes of the derivative
+        functional ``phi`` (:meth:`_axis_samples`), kept, or None."""
+        if phi.d != self.fam.d:
+            raise ValueError("functional and family dimensions differ")
+        if phi.meaning == "derivative" and self.on_contour(phi):
+            return self._factors
+        if phi.meaning == "derivative" and phi not in self._node_axes:
+            self._node_axes[phi] = self._axis_samples(phi.center, phi.radii, phi.rule.n)
+        return self._node_axes.get(phi)
+
     def slice_vector(self, phi) -> np.ndarray:
-        """``phi.apply_slices(self)``, the (k,) vector (phi(f(., t_i)))_i, computed once; for
-        a derivative functional on the contour of axis samples a_j, c prod_j sum_w
-        (w_j - center_j)^(-alpha_j) a_j(w_j, .), c = alpha! / n^d, the factors of its
-        weights (:func:`~holofubini.cauchy.derivative_rule`)."""
+        """``phi.apply_slices(self)``, the (k,) vector (phi(f(., t_i)))_i, computed once; on
+        axis samples a_j (:meth:`_node_factors`) c prod_j sum_w (w_j -
+        center_j)^(-alpha_j) a_j(w_j, .), c = alpha! / n^d, the factors of its weights."""
         if phi not in self._slices:
-            if self.on_contour(phi) and self._factors is not None:
-                offsets = torus_nodes(Polydisc(phi.center, phi.radii), self.n).nodes
+            factors = self._node_factors(phi)
+            if factors is not None:
                 sums = [np.einsum("n,nk->k", (w - c) ** -a, axis) for w, c, a, axis
-                        in zip(offsets, phi.center, phi.alpha, self._factors)]
-                vector = multi_factorial(phi.alpha) / self.n ** self.fam.d * _product(sums)
+                        in zip(phi.rule.nodes, phi.center, phi.alpha, factors)]
+                vector = phi.scale * _product(sums)
             else:
                 vector = phi.apply_slices(self)
             self._slices[phi] = _read_only(vector)
@@ -509,13 +516,13 @@ class ContourSample:
 
     def pair_duals(self, phi, h) -> np.ndarray:
         """``phi`` applied to z -> <F(z), h_j> for each dual vector h_j of the stack h,
-        (m,): on the contour from the run's :attr:`contour` pass, or one of the stack's
-        own if the run did not declare it; off it from a :meth:`_pass` over phi's nodes."""
-        if not self.on_contour(phi):
-            return self._pass([phi], (h * self.space.weights).T, rows=self.node_values(phi))[0][0]
+        (m,), from the run's pass over its nodes (:meth:`run_pass`) or one of the stack's
+        own if the run did not declare it; else from a :meth:`_pass` over its values."""
+        if not self.on_contour(phi) and self._node_factors(phi) is None:
+            return self._pass([phi], (h * self.space.weights).T, self.node_values(phi))[0][0]
         memo = self._stack_memo(h)
         if phi not in memo and any(s.tobytes() == h.tobytes() for s in self.duals.values()):
-            self.contour
+            self.run_pass(phi)
         if phi not in memo:
             self._contour_pass([h], [], phi=phi)
         return memo[phi]
@@ -524,70 +531,85 @@ class ContourSample:
         """The functionals' values kept for the stack h, keyed by functional."""
         return self._duals.setdefault((h.shape, h.tobytes()), {})
 
-    @cached_property
-    def contour(self) -> ContourPass:
-        """The run's contour pass, of all its dual stacks and exponents (:attr:`duals`)
-        whatever checks read it, so no record depends on which check made it."""
-        return self._contour_pass(list(self.duals.values()), list(self.duals))
+    def run_pass(self, phi=None) -> ContourPass:
+        """The run's pass of all its dual stacks and exponents (:attr:`duals`) over the
+        contour or the nodes of ``phi`` off it, made once whatever check asks."""
+        key = None if phi is None or self.on_contour(phi) else phi
+        if key not in self._passes:
+            self._passes[key] = self._contour_pass(list(self.duals.values()),
+                                                   list(self.duals), phi=key)
+        return self._passes[key]
 
-    def grid_sups(self, ps) -> list[float]:
-        """max over the contour grid of ||F(z)||_p for each p of ``ps``, from the run's
-        :attr:`contour` pass if it declares every p, else from a pass of their own."""
+    def grid_sups(self, ps, phi=None) -> list[float]:
+        """max over the contour grid, or the nodes of ``phi``, of ||F(z)||_p for each p of
+        ``ps``: from the run's pass over them if it declares every p, else from a pass of
+        their own, or from the values of nodes that no pass reads."""
+        if phi is not None and not self.on_contour(phi) and self._node_factors(phi) is None:
+            return self.space.max_lp_norms(self.node_values(phi), ps)
         run = all(p in self.duals for p in ps)
-        sups = (self.contour if run else self._contour_pass([], ps)).sups
+        sups = (self.run_pass(phi) if run else self._contour_pass([], ps, phi=phi)).sups
         return [sups[p] for p in ps]
 
     def composed(self, h) -> np.ndarray:
-        """z -> <F(z), h> on the contour grid, (n^d,), from the run's :attr:`contour` pass
-        for h = 1, else from a pass of its own."""
-        return (self.contour.composed if np.all(np.asarray(h) == 1)
+        """z -> <F(z), h> on the contour grid, (n^d,), from the run's :meth:`run_pass` for
+        h = 1, else from a pass of its own."""
+        return (self.run_pass().composed if np.all(np.asarray(h) == 1)
                 else self._contour_pass([], [], h).composed)
 
     def _contour_pass(self, stacks, ps, h=None, phi=None) -> ContourPass:
-        """A :meth:`_pass` over the contour with the weighted columns of ``stacks`` and,
-        last, of h (default 1): each functional of the run on it, and ``phi``, gets its
-        values on each stack, filed in the memo of :meth:`dual_values`."""
-        phis = [psi for psi in self.functionals if self.on_contour(psi)]
+        """A :meth:`_pass` with the weighted columns of ``stacks`` and, last, of h (default
+        1): over the contour, keeping the last column, or for ``phi`` off it over its
+        nodes, their axis samples where it has them (:meth:`_node_factors`).  Each
+        functional of the run on it, or ``phi``, gets its values on each stack, filed in
+        the memo of :meth:`dual_values`."""
+        on = phi is None or self.on_contour(phi)
+        phis = [psi for psi in self.functionals if self.on_contour(psi)] if on else []
         phis += [phi] if phi is not None and phi not in phis else []
         h = np.ones(self.space.natoms) if h is None else h
         hw = (np.concatenate([*stacks, np.reshape(h, (1, -1))]) * self.space.weights).T
-        sums, sups, composed = self._pass(phis, hw, ps)
+        composed = np.empty(self.n ** self.fam.d, dtype=complex) if on else None
+        source = None if on else self._node_factors(phi) or self.node_values(phi)
+        sums, sups = self._pass(phis, hw, source, ps, composed)
         for stack, part in zip(stacks, np.split(sums, np.cumsum([len(s) for s in stacks]), 1)):
             for psi, values in zip(phis, part):
                 self._stack_memo(stack).setdefault(psi, _read_only(values))
-        return ContourPass(dict(zip(ps, sups)), _read_only(composed))
+        return ContourPass(dict(zip(ps, sups)),
+                           composed if composed is None else _read_only(composed))
 
-    def _pass(self, phis, hw, ps=(), rows=None) -> tuple:
-        """(sums, sups, last) from one pass over blocks of ``rows`` of F, or of the contour
-        (:meth:`_blocks`), of max(1, ROW_BLOCK // max(k, M)) rows, so that neither a block
+    def _pass(self, phis, hw, source=None, ps=(), composed=None) -> tuple:
+        """(sums, sups) from one pass over blocks of the rows of F in ``source``
+        (:meth:`_blocks`) of max(1, ROW_BLOCK // max(k, M)) rows, so that neither a block
         nor its one product with the (k, M) columns ``hw`` passes ``measure.ROW_BLOCK``
-        values.  Each functional of ``phis`` sums each product over the block's nodes by
-        ``np.einsum``, which calls no BLAS, and adds the block sums in node order; ``sups``
-        is each p's largest ``max_lp_norms`` over the blocks, ``last`` the last column."""
+        values.  Each functional of ``phis`` sums each product over the block's nodes,
+        weighted by its ``weight_rows``, by ``np.einsum``, which calls no BLAS, and adds
+        the block sums in node order; ``sups`` is each p's largest ``max_lp_norms`` over
+        the blocks, and the last column goes into ``composed`` if given."""
         sums = np.zeros((len(phis), hw.shape[1]), dtype=complex)
-        sups, last = np.zeros(len(ps)), []
-        for start, part in self._blocks(max(1, measure.ROW_BLOCK // max(hw.shape)), rows):
+        sups, weights = np.zeros(len(ps)), [psi.weight_rows() for psi in phis]
+        for start, part in self._blocks(max(1, measure.ROW_BLOCK // max(hw.shape)), source):
             paired = part @ hw
-            for total, psi in zip(sums, phis):
-                total += np.einsum("n,nm->m", psi.weights[start:start + len(part)], paired)
-            last.append(paired[:, -1].copy())
+            for total, rows in zip(sums, weights):
+                total += np.einsum("n,nm->m", rows(start, start + len(part)), paired)
+            if composed is not None:
+                composed[start:start + len(part)] = paired[:, -1]
             if ps:
                 sups = np.maximum(sups, self.space.max_lp_norms(part, ps))
             del paired  # so the next block's product is not made beside this one
-        return sums, sups.tolist(), np.concatenate(last)
+        return sums, sups.tolist()
 
-    def _blocks(self, block: int, rows=None):
-        """(start, rows) for blocks of ``block`` rows of ``rows``, or of the contour: of
-        :attr:`values`, or made from the axis samples (:func:`_outer_rows`)."""
-        if rows is None and self._factors is not None:
-            return _outer_rows(self._factors, block)
-        rows = self.values if rows is None else rows
-        return ((start, rows[start:start + block]) for start in range(0, len(rows), block))
+    def _blocks(self, block: int, source=None):
+        """(start, rows) for blocks of ``block`` rows of F in ``source``: an array of them,
+        the axis samples (a list) whose outer product they are (:func:`_outer_rows`), or
+        by default the contour's."""
+        source = (self._factors or self.values) if source is None else source
+        if isinstance(source, list):
+            return _outer_rows(source, block)
+        return ((start, source[start:start + block]) for start in range(0, len(source), block))
 
     def on_contour(self, phi) -> bool:
         """Whether ``phi`` is a derivative functional on this contour: equal center and
         radii, n^d nodes."""
-        return (phi.meaning == "derivative" and len(phi.nodes) == self.n ** self.fam.d
+        return (phi.meaning == "derivative" and phi.size == self.n ** self.fam.d
                 and np.array_equal(phi.center, self.center)
                 and np.array_equal(phi.radii, self.radii))
 
@@ -613,6 +635,25 @@ class ContourPass(NamedTuple):
     composed: np.ndarray
 
 
+class FactoredTable:
+    """A product kind's Taylor table, shape (D + 1,)*d + (k,), kept as its d axes' (D + 1,
+    k) tables: an entry is :func:`_product` of theirs, a block of columns :func:`_outer`
+    of theirs, each the outer table's bit for bit."""
+
+    def __init__(self, axes):
+        self.axes = list(axes)
+        self.shape = tuple(len(axis) for axis in self.axes) + (self.axes[0].shape[-1],)
+
+    def __getitem__(self, alpha) -> np.ndarray:
+        """c_alpha of every atom, (k,)."""
+        return _product(axis[a] for axis, a in zip(self.axes, alpha))
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """The coefficients of the atoms start to stop, (D + 1,)*d + (stop - start,)."""
+        part = _outer([axis[:, start:stop] for axis in self.axes])
+        return part.reshape(self.shape[:-1] + (-1,))
+
+
 def _certified(fam: HoloFamily) -> bool:
     """Whether the symmetries read off the family's kind hold for it: the kind is
     registered and the family's ``_evaluate`` is the kind's own."""
@@ -635,13 +676,14 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 def _multiply(re: np.ndarray, im: np.ndarray, b: np.ndarray, out_re: np.ndarray,
-              out_im: np.ndarray) -> None:
+              out_im: np.ndarray, scratch: np.ndarray) -> None:
     """(re + i im) b into the real arrays ``out_re`` and ``out_im``, broadcast, by one step
-    of :func:`_product`: out_re = re br - im bi, out_im = im br + re bi."""
+    of :func:`_product`: out_re = re br - im bi, out_im = im br + re bi, the cross
+    products in ``scratch``."""
     np.multiply(re, b.real, out=out_re)
-    out_re -= im * b.imag
+    out_re -= np.multiply(im, b.imag, out=scratch)
     np.multiply(im, b.real, out=out_im)
-    out_im += re * b.imag
+    out_im += np.multiply(re, b.imag, out=scratch)
 
 
 def _outer_rows(factors, block: int, out: np.ndarray | None = None):
@@ -653,17 +695,19 @@ def _outer_rows(factors, block: int, out: np.ndarray | None = None):
     re, im = first.real - 0.0 * first.imag, first.imag + 0.0 * first.real
     for axis in factors[1:-1]:
         planes = np.empty((2, len(re), len(axis), k))
-        _multiply(re[:, None], im[:, None], axis, *planes)
+        _multiply(re[:, None], im[:, None], axis, *planes, np.empty(planes.shape[1:]))
         re, im = planes.reshape(2, -1, k)
     ring, count = len(last), max(1, block // len(last))
+    scratch = np.empty((min(count, len(re)), ring, k))
     reuse = out is None
     if reuse:
-        out = np.empty((min(count, len(re)) * ring, k), dtype=complex)
+        out = np.empty((len(scratch) * ring, k), dtype=complex)
     for start in range(0, len(re), count):
         stop = min(start + count, len(re))
         part = out[:(stop - start) * ring] if reuse else out[start * ring:stop * ring]
         grid = part.reshape(stop - start, ring, k)
-        _multiply(re[start:stop, None], im[start:stop, None], last, grid.real, grid.imag)
+        _multiply(re[start:stop, None], im[start:stop, None], last, grid.real, grid.imag,
+                  scratch[:stop - start])
         yield start * ring, part
 
 

@@ -8,24 +8,26 @@ for the functional norm on the space of bounded holomorphic functions, and every
 inequality checked downstream uses it in that role.
 
 Point evaluations (Dirac measures) and Cauchy-derivative functionals are
-built-in constructors; the derivative constructor takes its nodes and weights
-from :func:`holofubini.cauchy.derivative_rule`, so on the run's contour its
-nodes are the contour sample's grid and its values are the sample's.
+built-in constructors.  A derivative functional keeps the factors of
+:func:`holofubini.cauchy.derivative_rule`'s measure, not its n^d nodes and weights; on
+the run's contour its nodes are the contour sample's grid and its values the sample's.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cauchy import derivative_rule
+from .cauchy import derivative_powers, torus_weights
 from .domain import as_multi_index, parse_complex, sample_polydisc
 from .family import ContourSample
 
 __all__ = [
     "MeasureFunctional",
+    "DerivativeFunctional",
     "dirac",
     "derivative_functional",
     "random_measure",
@@ -64,12 +66,26 @@ class MeasureFunctional:
 
     @property
     def d(self) -> int:
-        return self.nodes.shape[1]
+        return self.coordinates.shape[1]
 
     @property
+    def size(self) -> int:
+        """The number of nodes."""
+        return len(self.nodes)
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        """Points whose values on each axis are the nodes', for ``contains_all``."""
+        return self.nodes
+
+    @cached_property
     def total_variation(self) -> float:
         """sum_k |w_k|: an upper bound for the functional norm."""
         return float(np.sum(np.abs(self.weights)))
+
+    def weight_rows(self):
+        """A function of (start, stop) giving the weights of the nodes start to stop."""
+        return lambda start, stop: self.weights[start:stop]
 
     def apply_slices(self, sample: ContourSample) -> np.ndarray:
         """The vector (phi(f(., t_i)))_i over all atoms, from ``sample``'s values on the
@@ -110,7 +126,41 @@ class MeasureFunctional:
         return sample.slice_vector(self)
 
     def __repr__(self):
-        return f"<MeasureFunctional {self.label!r} nodes={self.nodes.shape[0]} d={self.d}>"
+        return f"<{type(self).__name__} {self.label!r} nodes={self.size} d={self.d}>"
+
+
+class DerivativeFunctional(MeasureFunctional):
+    """g -> D^alpha g(center), kept as the factors of its measure
+    (:func:`~holofubini.cauchy.derivative_powers`): its torus ``rule``, the (d, n)
+    ``powers`` of its rings and ``scale`` = alpha! / n^d.  Its nodes and weights are
+    built on each read; the contour pass makes each block's weights (:meth:`weight_rows`)
+    and the total variation is taken once, from weights built for it and dropped."""
+
+    def __init__(self, center, alpha, radii, n: int, label: str):
+        rule, powers, scale = derivative_powers(center, alpha, radii, n)
+        powers.setflags(write=False)
+        vars(self).update(label=label, meaning="derivative", center=rule.disc.center,
+                          alpha=alpha, radii=rule.disc.radius, rule=rule, powers=powers,
+                          scale=scale)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.rule.grid()
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.weight_rows()(0, self.size)
+
+    @property
+    def size(self) -> int:
+        return self.rule.n ** self.rule.d
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        return self.rule.nodes.T  # the d rings side by side
+
+    def weight_rows(self):
+        return torus_weights(self.powers, self.scale)
 
 
 def dirac(z0, label: str | None = None) -> MeasureFunctional:
@@ -123,12 +173,11 @@ def dirac(z0, label: str | None = None) -> MeasureFunctional:
 
 
 def derivative_functional(center, alpha, radii, n: int = 64,
-                          label: str | None = None) -> MeasureFunctional:
+                          label: str | None = None) -> DerivativeFunctional:
     """The functional g -> D^alpha g(center), as its boundary quadrature measure.
 
-    Takes its nodes and weights from :func:`~holofubini.cauchy.derivative_rule`;
-    requires n > 2 max(alpha) + 2 so the discretization resolves the
-    requested order with margin.
+    Keeps the factors of its measure (:class:`DerivativeFunctional`); requires n > 2
+    max(alpha) + 2 so the discretization resolves the requested order with margin.
     """
     center = np.atleast_1d(np.asarray(center, dtype=complex))
     alpha = as_multi_index(alpha, center.shape[0])
@@ -137,13 +186,9 @@ def derivative_functional(center, alpha, radii, n: int = 64,
             f"node count {n} is too small for derivative order {max(alpha)}: "
             f"need n > {2 * max(alpha) + 2}"
         )
-    pts, weights = derivative_rule(center, alpha, radii, n)
     if label is None:
         label = f"derivative:a={_format_point(center)},alpha={list(alpha)}"
-    return MeasureFunctional(
-        nodes=pts, weights=weights, label=label, meaning="derivative",
-        center=center, alpha=alpha, radii=np.atleast_1d(np.asarray(radii, dtype=float)),
-    )
+    return DerivativeFunctional(center, alpha, radii, n, label)
 
 
 def random_measure(disc, k: int = 8, shrink: float = 0.5, seed: int = 0) -> MeasureFunctional:

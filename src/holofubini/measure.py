@@ -102,27 +102,32 @@ class FiniteMeasureSpace:
         """``max(lp_norm(g, p))`` over a stack g for each exponent of ``ps``.
 
         One pass over blocks of g's rows, of ``ROW_BLOCK`` values or one row, takes each
-        block's magnitudes once for every p; each sup is one root, that of the largest
-        row sum.  A row's sum does not depend on its block, so the sups are those of
-        the whole stack bit for bit.
+        block's magnitudes once for every p, into one buffer reused with a scratch for
+        the powers; each sup is one root, that of the largest row sum.  A row's sum does
+        not depend on its block, so the sups are those of the whole stack bit for bit.
         """
         ps = [_exponent(p) for p in ps]
         g = self._check_vector(g)
         rows = g.reshape(-1, self.natoms)
         block = max(1, ROW_BLOCK // self.natoms)
+        mags, scratch = np.empty((2, min(block, len(rows)), self.natoms))
         tops = np.zeros(len(ps))
         for start in range(0, len(rows), block):
-            mags = np.abs(rows[start:start + block])
-            tops = np.maximum(tops, [np.max(self._row_powers(mags, p), initial=0.0)
-                                     for p in ps])
+            size = len(rows[start:start + block])
+            np.abs(rows[start:start + block], out=mags[:size])
+            tops = np.maximum(tops, [np.max(self._row_powers(mags[:size], p, scratch[:size]),
+                                            initial=0.0) for p in ps])
         return [top if math.isinf(p) else top ** (1.0 / p)
                 for top, p in zip(tops.tolist(), ps)]
 
-    def _row_powers(self, mags: np.ndarray, p: float) -> np.ndarray:
-        """sum_i m_i^p mu_i per row of magnitudes; at p = inf, max m_i over weighted atoms."""
+    def _row_powers(self, mags: np.ndarray, p: float, out=None) -> np.ndarray:
+        """sum_i m_i^p mu_i per row of magnitudes, its terms into ``out`` if given (``mags **
+        p`` takes np.square at p = 2); at p = inf, max m_i over weighted atoms."""
         if math.isinf(p):
             return np.max(mags, axis=-1, where=self.weights > 0, initial=0.0)
-        return np.sum(mags ** p * self.weights, axis=-1)
+        powers = np.square(mags, out=out) if p == 2 else np.power(mags, p, out=out)
+        powers *= self.weights
+        return np.sum(powers, axis=-1)
 
     def pairing(self, g, h) -> complex | np.ndarray:
         """Bilinear duality sum_i g_i h_i mu_i (no complex conjugation)."""

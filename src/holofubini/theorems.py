@@ -25,9 +25,9 @@ rows for its 4,096, and exponential-d3 at n = 32 the 9 rows of its one axis for 
 center and every sup over the domain, which it estimates from below: by the maximum
 principle the sup over the contour polydisc lies on its distinguished boundary.
 ``derivative_consistency`` and ``order_bound`` read one Taylor table that the sample
-keeps, one FFT of its contour values or, for a product kind, the outer product of one
-FFT per distinct axis.  linearization, fubini, norm_bound and diff_under_integral read
-one pass over blocks of the contour (:attr:`~holofubini.family.ContourSample.contour`):
+keeps, one FFT of its contour values or, for a product kind, one FFT per distinct axis
+kept as it is.  linearization, fubini, norm_bound and diff_under_integral read
+one pass over blocks of the contour (:meth:`~holofubini.family.ContourSample.run_pass`):
 each block meets every dual stack of the run and the weights in one product, whose
 node sums call no BLAS, so no report depends on the BLAS thread count; it keeps each
 on-contour functional's values on each stack, every exponent's grid sup and
@@ -270,7 +270,8 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
     while the grid only raises the right side toward the true sup.  Passing means
     lhs <= rhs * (1 + 1e-9).  Each sup is one root, of the largest row sum
     (:meth:`~holofubini.measure.FiniteMeasureSpace.max_lp_norms`); the grid's, every p's
-    from the sample's one pass over the contour, serves every functional on it.  A
+    from the sample's one pass over the contour, serves every functional on it, and
+    each other's is its nodes' (:meth:`~holofubini.family.ContourSample.grid_sups`).  A
     functional that raises gets the failing report of :meth:`CheckReport.failed` and
     leaves the others' reports.
     """
@@ -280,8 +281,7 @@ def norm_bound_check(phis, sample: ContourSample, p_list) -> list[CheckReport]:
         for phi in phis:
             try:
                 lhs = space.lp_norm(sample.slice_vector(phi), p)
-                nodes_sup = (grid_sup if sample.on_contour(phi)
-                             else space.max_lp_norms(sample.node_values(phi), [p])[0])
+                nodes_sup = grid_sup if sample.on_contour(phi) else sample.grid_sups([p], phi)[0]
             except (ValueError, ArithmeticError) as exc:
                 reports.append(CheckReport.failed("norm_bound", sample.fam.label, exc))
                 continue

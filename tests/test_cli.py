@@ -22,6 +22,31 @@ from holofubini.theorems import CheckReport
 from conftest import PRESET_NAMES
 
 
+def held_arrays(holder, path, seen=None):
+    """{path: array} for every numpy array that ``holder`` holds through holofubini
+    objects' attributes, named tuples' fields, dicts' values, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(holder) in seen:
+        return {}
+    seen.add(id(holder))
+    if isinstance(holder, np.ndarray):
+        return {path: holder}
+    if hasattr(holder, "_asdict"):
+        items = holder._asdict().items()
+    elif isinstance(holder, dict):
+        items = holder.items()
+    elif isinstance(holder, (list, tuple)):
+        items = enumerate(holder)
+    elif type(holder).__module__.split(".")[0] in ("holofubini", __name__):
+        items = vars(holder).items()
+    else:
+        return {}
+    found = {}
+    for key, value in items:
+        found.update(held_arrays(value, f"{path}.{key}", seen))
+    return found
+
+
 def run_cli(tmp_path, *args, fmt="json"):
     out = tmp_path / "report.jsonl"
     code = main(list(args) + ["--output", str(out), "--format", fmt])
@@ -498,17 +523,17 @@ class TestSampleOnce:
         assert len(calls) == len(set(calls)) == 2 + 6
 
     def test_sample_reads_the_grid_the_functionals_hold(self, tmp_path):
-        # the default derivative functionals are on the run's contour and hold one
-        # grid, the one the sample is evaluated on
+        # the default derivative functionals are on the run's contour: the nodes each
+        # builds when read are the grid the sample is evaluated on
         args = cli.build_parser().parse_args(
             ["verify", *family_args(tmp_path, 2), "--nodes", "16"])
         config = cli._build_config(args, CHECK_NAMES)
         sample = family.ContourSample(config.family, config.space, config.n,
                                       config.functionals)
         on = [phi for phi in config.functionals if sample.on_contour(phi)]
-        assert len(on) == 2 and on[0].nodes is on[1].nodes
+        assert len(on) == 2 and on[0].nodes.tobytes() == on[1].nodes.tobytes()
         grid = torus_nodes(Polydisc(sample.center, sample.radii), 16).grid()
-        assert grid is on[0].nodes
+        assert grid.tobytes() == on[0].nodes.tobytes()
 
     def test_dual_values_are_shared_by_linearization_and_fubini(self, tmp_path, monkeypatch):
         # d = 2: the first of the 2 derivative functionals to read its values on a stack
@@ -881,26 +906,78 @@ class TestWorkBudget:
         # built its degree-15 table (1 MiB) by one FFT, of at most 3/4 of an FFT block
         # (3 MiB) beyond them, it peaked 0.1 MiB over the three; with the contour's
         # (n^d, 10) pairing held per stack and a full transform beside each block's kept
-        # half, 6 MiB over them.  Now it holds its one 32 x 16 axis sample, the table,
-        # built from the axis's, the (n^d,) pairing with the weights that
-        # diff_under_integral reads and, in the contour pass, one block of rows and its
-        # product with the dual stacks, each at most measure.ROW_BLOCK values: 3.1 MiB
+        # half, 6 MiB over them.  Then it held its one 32 x 16 axis sample, the whole
+        # table, the derivative functionals' grid and weights and, in the contour pass,
+        # the (n^d,) pairing with the weights that diff_under_integral reads and one
+        # block of rows with its product with the dual stacks, each at most
+        # measure.ROW_BLOCK values: 3.1 MiB, 5.66 MiB with building the config.  Now
+        # it holds no table, grid or weights, each at most one block of them: the run
+        # peaks in the contour pass at 3.2 MiB, and its build, whose derivative
+        # functionals make no n^d array, at 0.02 MiB
         path = self.family_file(tmp_path, 3)
         main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
               "--output", str(tmp_path / "warm-up.jsonl")])
-        config = cli._build_config(cli.build_parser().parse_args(
-            ["verify", "--family-file", path, "--space", "uniform-16", "--nodes", "32"]),
-            CHECK_NAMES)
+        args = cli.build_parser().parse_args(
+            ["verify", "--family-file", path, "--space", "uniform-16", "--nodes", "32"])
+        gc.collect()
         tracemalloc.start()
         try:
+            config = cli._build_config(args, CHECK_NAMES)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             code, _ = cli.run_suite(config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        sample, table = 32 ** 3 * 16 * 16, 16 ** 3 * 16 * 16
-        assert peak <= sample + table + 3 * cauchy.FFT_BLOCK // 4 * 16 + 2 ** 19
-        assert peak <= table + 32 ** 3 * 16 + 2 * measure.ROW_BLOCK * 16 + 2 ** 19
+        assert max(built, peak) < 4 * 2 ** 20
+        assert built <= 2 ** 19
+        assert peak <= 32 ** 3 * 16 + 2 * measure.ROW_BLOCK * 16 + 2 ** 20
+
+    @pytest.mark.parametrize("functionals", [(), ("derivative", "derivative:0.1,0.1,0.1")],
+                             ids=["default", "off-centre"])
+    def test_d3_run_holds_no_grid_sized_array(self, tmp_path, functionals):
+        # after verify of exponential d = 3 on uniform-16 at 32 nodes, no functional or
+        # contour sample holds an array of n^d entries or more, walking their attributes,
+        # dicts, lists and tuples, but the composed map z -> <F(z), 1> of the contour
+        # pass, one value per node, whose FFT diff_under_integral reads
+        samples = []
+
+        class Recorded(family.ContourSample):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                samples.append(self)
+
+        argv = ["verify", "--family-file", self.family_file(tmp_path, 3), "--space",
+                "uniform-16", "--nodes", "32"]
+        for spec in functionals:
+            argv += ["--functional", spec]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "ContourSample", Recorded)
+            config = cli._build_config(cli.build_parser().parse_args(argv), CHECK_NAMES)
+            code, _ = cli.run_suite(config)
+        assert code == 0 and len(config.functionals) == (len(functionals) or 4)
+        held = {}
+        for root in [*config.functionals, *samples]:
+            held.update(held_arrays(root, type(root).__name__))
+        assert {"Recorded._factors.0", "DerivativeFunctional.powers"} <= set(held)
+        large = {path: array.size for path, array in held.items() if array.size >= 32 ** 3}
+        assert large == {"Recorded._passes.None.composed": 32 ** 3}
+
+    def test_off_centre_functional_traces_within_twice_the_default_run(self, tmp_path):
+        # exponential d = 3 on uniform-256 at 32 nodes: an off-centre derivative
+        # functional's nodes were the 32^3 x 256 outer product of their axis samples, and
+        # the run traced 153 MiB against 24 MiB with the default functionals; now its
+        # reads come from its axis samples and blocks of rings made from them
+        path = self.family_file(tmp_path, 3)
+        main(["verify", "--family-file", path, "--space", "uniform-4", "--nodes", "8",
+              "--output", str(tmp_path / "warm-up.jsonl")])
+        argv = ["verify", "--family-file", path, "--space", "uniform-256", "--nodes", "32"]
+        _, default, _, _ = self.traced_run(argv)
+        code, peak, _, read = self.traced_run(
+            argv + ["--functional", "derivative", "--functional", "derivative:0.1,0.1,0.1"])
+        assert code == 0 and not read
+        assert peak < 2 * default
 
     @pytest.mark.parametrize("k", [4096, 16384])
     def test_counted_values_cover_the_verify_peak(self, tmp_path, k):

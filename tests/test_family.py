@@ -838,7 +838,8 @@ class TestFactoredSample:
         sample = ContourSample(fam, space, n, [phi], duals=duals)
         assert sample.on_contour(phi) and len(sample._factors) == d
         degree = max(n // 2 - 1, 2)
-        got = {"table": sample.taylor_table(degree), "sups": sample.sups,
+        table = sample.taylor_table(degree)
+        got = {"table": table.columns(0, k), "sups": sample.sups,
                "slices": sample.slice_vector(phi),
                "pairings": np.stack([sample.dual_values(phi, h) for h in duals.values()]),
                "row sums": np.array(sample.grid_sups(list(duals))),
@@ -881,6 +882,51 @@ class TestFactoredSample:
                          "--output", str(tmp_path / "report.jsonl")]) in (0, 1)
         assert {sample.n for sample in samples} == {8, 16, 32}
         assert not [sample for sample in samples if "values" in vars(sample)]
+
+    @given(drawn=product_families(), data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_table_entries_and_columns_equal_the_outer_table(self, drawn, data):
+        # the table kept as its axis tables gives each entry and each block of atoms'
+        # columns with the bits of the outer product of the axis tables, the table the
+        # sample once kept whole
+        fam, space, n, _ = drawn
+        sample = ContourSample(fam, space, n)
+        table = sample.taylor_table(max(n // 2 - 1, 2))
+        assert isinstance(table, family.FactoredTable) and len(table.axes) == fam.d
+        outer = family._outer(table.axes).reshape(table.shape)
+        for alpha in data.draw(st.lists(st.tuples(*[st.integers(0, len(axis) - 1)
+                                                    for axis in table.axes]), max_size=12)):
+            assert table[alpha].tobytes() == outer[alpha].tobytes()
+        start = data.draw(st.integers(0, space.natoms - 1))
+        stop = data.draw(st.integers(start + 1, space.natoms))
+        assert table.columns(start, stop).tobytes() == outer[..., start:stop].tobytes()
+        assert "values" not in vars(sample)
+
+    @given(drawn=product_families())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_off_centre_readers_match_its_node_values(self, drawn):
+        # an off-centre derivative functional keeps its nodes' axis samples: its slice
+        # vector, its values on each stack and its nodes' norms come from them, within
+        # BOUND of its node values' roundoff scale, the norms bit for bit, and none of
+        # them builds its node values
+        fam, space, n, phi = drawn
+        duals = {p: np.stack(random_duals(space, 3, seed))
+                 for seed, p in enumerate((1.0, 2.0, np.inf))}
+        sample = ContourSample(fam, space, n, [phi], duals=duals)
+        assert not sample.on_contour(phi) and sample._node_factors(phi) is not None
+        got = {"slices": sample.slice_vector(phi),
+               "pairings": np.stack([sample.dual_values(phi, h) for h in duals.values()])}
+        sups = sample.grid_sups(list(duals), phi)
+        assert phi not in sample._node_values and "values" not in vars(sample)
+        values = sample.node_values(phi)
+        mags, hw = np.abs(values), [(h * space.weights).T for h in duals.values()]
+        assert sups == space.max_lp_norms(values, list(duals))
+        oracles = {
+            "slices": (phi.weights @ values, np.abs(phi.weights) @ mags),
+            "pairings": (np.stack([phi.weights @ (values @ w) for w in hw]),
+                         np.stack([np.abs(phi.weights) @ (mags @ np.abs(w)) for w in hw]))}
+        for name, (oracle, scale) in oracles.items():
+            assert np.all(np.abs(got[name] - oracle) <= self.BOUND * scale), name
 
 
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holofubini import (FiniteMeasureSpace, cauchy_derivative, derivative_functional, dirac,
                         family_preset, functional_from_json, random_measure, space_preset,
                         unit_polydisc)
+from holofubini.cauchy import derivative_rule
 from holofubini.family import ContourSample
 from holofubini.functional import MeasureFunctional
 
@@ -36,13 +39,15 @@ class TestDirac:
 
 class TestDerivativeFunctional:
     def test_functionals_on_one_contour_share_one_read_only_grid(self):
-        # the grid of a contour is one array while a functional holds it, and a
-        # read-only node array is held without a copy; a writable one is copied
+        # derivative functionals on one contour read its grid, read-only, as their nodes
+        # (built on each read, since no functional keeps it), and a read-only node array
+        # is held without a copy; a writable one is copied
         first = derivative_functional([0.0, 0.0], (1, 0), [0.95, 0.95], n=8)
         second = derivative_functional([0.0, 0.0], (2, 0), [0.95, 0.95], n=8)
-        assert second.nodes is first.nodes and not first.nodes.flags.writeable
-        assert MeasureFunctional(first.nodes, first.weights, "copy").nodes is first.nodes
-        nodes = np.array(first.nodes)
+        grid = first.nodes
+        assert second.nodes.tobytes() == grid.tobytes() and not grid.flags.writeable
+        assert MeasureFunctional(grid, first.weights, "copy").nodes is grid
+        nodes = np.array(grid)
         phi = MeasureFunctional(nodes, first.weights, "own")
         assert phi.nodes is not nodes and not phi.nodes.flags.writeable
 
@@ -75,6 +80,51 @@ class TestDerivativeFunctional:
         # phi(z -> z) = 1 while the witness has sup norm 1 on the unit disc
         phi = derivative_functional([0.0], (1,), [1.0], n=64)
         assert phi.total_variation >= 1.0 - 1e-12
+
+
+@st.composite
+def derivative_specs(draw):
+    """(center, alpha, radii, n): d = 1 to 3, a complex centre, unequal radii, |alpha| <= 2
+    and an odd or even n."""
+    d = draw(st.integers(1, 3))
+    parts = st.floats(-0.5, 0.5)
+    center = draw(st.lists(st.builds(complex, parts, parts), min_size=d, max_size=d))
+    radii = draw(st.lists(st.floats(0.3, 1.5), min_size=d, max_size=d, unique=True))
+    alpha = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d)
+                 .filter(lambda a: sum(a) <= 2))
+    return center, tuple(alpha), radii, draw(st.sampled_from([7, 8, 9, 12, 16, 17, 32, 33]))
+
+
+class TestFactoredWeights:
+    """A derivative functional keeps its rule's rings and powers, and makes its weights,
+    whole or by blocks of nodes, with the bits of derivative_rule's."""
+
+    @given(spec=derivative_specs(), cut=st.integers(1, 70))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_weights_and_block_weights_equal_derivative_rule(self, spec, cut):
+        center, alpha, radii, n = spec
+        points, weights = derivative_rule(center, alpha, radii, n)
+        phi = derivative_functional(center, alpha, radii, n=n)
+        bits = weights.view(np.uint64)
+        assert phi.size == len(points) and phi.nodes.tobytes() == points.tobytes()
+        assert np.array_equal(phi.weights.view(np.uint64), bits)
+        rows = phi.weight_rows()
+        blocks = [rows(start, min(start + cut, phi.size)) for start in range(0, phi.size, cut)]
+        assert np.array_equal(np.concatenate(blocks).view(np.uint64), bits)
+        assert phi.total_variation == float(np.sum(np.abs(weights)))
+        # it holds its rings and their powers, d n values each, not the grid or weights
+        held = [value for holder in (phi, phi.rule) for value in vars(holder).values()
+                if isinstance(value, np.ndarray)]
+        assert max(value.size for value in held) <= len(center) * n
+
+    def test_rings_test_the_grid_one_axis_at_a_time(self):
+        # contains_all tests each axis's values apart, so the rings side by side give the
+        # grid's answer, in and out of the domain
+        phi = derivative_functional([0.3, -0.2j], (1, 0), [0.6, 0.5], n=9)
+        for radius in (1.0, 0.85, 0.8):
+            disc = unit_polydisc(2).shrunk(radius)
+            assert disc.contains_all(phi.coordinates) == disc.contains_all(phi.nodes)
+        assert phi.coordinates.shape == (9, 2) and phi.d == 2
 
 
 class TestApplySlice:

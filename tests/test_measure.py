@@ -97,6 +97,19 @@ class TestStacks:
             assert space.max_lp_norms(g[3], [p]) == [space.lp_norm(g[3], p)]
 
     @pytest.mark.parametrize("name", SPACES)
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3, 3.5, 4, 7.25])
+    def test_row_powers_in_scratch_equal_the_power_operator(self, name, p):
+        # max_lp_norms takes each p's powers into one scratch (np.square at p = 2, else
+        # np.power) and weights them in place: the sums of mags ** p * weights, as the
+        # operator takes them, bit for bit, over magnitudes from 1e-30 to 1e30
+        space, rng = self.SPACES[name], np.random.default_rng(7)
+        mags = np.abs(self.stack(400, seed=2)) * 10.0 ** rng.uniform(-30, 30, (400, 9))
+        mags[0] = 0.0
+        expected = np.sum(mags ** float(p) * space.weights, axis=-1)
+        got = space._row_powers(mags, float(p), np.empty_like(mags))
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", SPACES)
     def test_pairing_row_by_row(self, name):
         space, g, h = self.SPACES[name], self.stack(7), self.stack(7, seed=1)
         assert space.pairing(g, h).tolist() == [space.pairing(a, b) for a, b in zip(g, h)]
